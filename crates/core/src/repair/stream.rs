@@ -81,8 +81,8 @@ pub fn stream_repair_csv_observed<R: Read, W: Write, O: RepairObserver>(
     let mut row: Vec<Symbol> = Vec::with_capacity(schema.arity());
     let mut pre: Vec<u32> = Vec::with_capacity(schema.arity());
     let mut stats = StreamStats::default();
-    for record in rdr.records() {
-        let record = record?;
+    let mut record = csv::StringRecord::new();
+    while rdr.read_record(&mut record)? {
         row.clear();
         row.extend(record.iter().map(|cell| symbols.intern(cell)));
         if observer.wants_rows() {
@@ -171,8 +171,8 @@ pub fn stream_repair_csv_compiled_observed<R: Read, W: Write, O: RepairObserver>
     let mut row: Vec<Symbol> = Vec::with_capacity(schema.arity());
     let mut pre: Vec<u32> = Vec::with_capacity(schema.arity());
     let mut stats = StreamStats::default();
-    for record in rdr.records() {
-        let record = record?;
+    let mut record = csv::StringRecord::new();
+    while rdr.read_record(&mut record)? {
         row.clear();
         row.extend(record.iter().map(|cell| symbols.intern(cell)));
         if observer.wants_rows() {
@@ -279,15 +279,16 @@ pub fn stream_repair_csv_columnar_observed<R: Read, W: Write, O: RepairObserver>
     let mut pre: Vec<u32> = Vec::with_capacity(arity);
     let mut stats = StreamStats::default();
     let mut batch_stats = BatchStats::default();
-    let mut records = rdr.records();
+    let mut record = csv::StringRecord::new();
     loop {
         for col in &mut cols {
             col.clear();
         }
         let mut n = 0usize;
         while n < batch_rows {
-            let Some(record) = records.next() else { break };
-            let record = record?;
+            if !rdr.read_record(&mut record)? {
+                break;
+            }
             for (col, cell) in cols.iter_mut().zip(record.iter()) {
                 col.push(symbols.intern(cell));
             }

@@ -55,13 +55,6 @@ impl SymbolTable {
         }
     }
 
-    /// Reserve space for at least `additional` more distinct values, so a
-    /// bulk load (CSV import) interns without intermediate rehashes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.by_name.reserve(additional);
-        self.names.reserve(additional);
-    }
-
     /// Intern `value`, returning the existing symbol if already present.
     pub fn intern(&mut self, value: &str) -> Symbol {
         if let Some(&sym) = self.by_name.get(value) {

@@ -162,6 +162,21 @@ grep -q '"repair\.batch\.groups": [1-9]' "$TRACE_DIR/eng_metrics_columnar.json" 
     || { echo "columnar run recorded no signature groups" >&2; exit 1; }
 echo "-- columnar matches compiled: CSV, repair counters, provenance"
 
+echo "== CSV quoting round-trip smoke =="
+# The fixture's cells hold quoted commas, "" escapes, an embedded newline,
+# CRLF rows and non-ASCII text; both the table and the streaming drivers
+# must reproduce the golden repair byte for byte.
+for engine in lrepair stream; do
+    "$FIXCTL" repair \
+        --rules examples/rulesets/quoting.frl \
+        --data examples/data/quoting.csv \
+        --engine "$engine" \
+        --out "$TRACE_DIR/quoting_$engine.csv" >/dev/null
+    cmp "$TRACE_DIR/quoting_$engine.csv" examples/data/quoting_repaired.csv \
+        || { echo "--engine $engine drifted from quoting_repaired.csv" >&2; exit 1; }
+done
+echo "-- lrepair and stream outputs match the golden file"
+
 echo "== attribution profile determinism smoke =="
 # Two identical --profile-json runs must be byte-identical: the profile
 # deliberately excludes measured nanoseconds (DESIGN.md §13).

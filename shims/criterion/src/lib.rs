@@ -32,8 +32,9 @@ pub enum BatchSize {
     PerIteration,
 }
 
-/// Throughput annotation attached to a group; reported as
-/// `elements_per_sec` in the JSON output.
+/// Throughput annotation; each benchmark keeps the group's annotation at
+/// the time it runs, reported as `elements_per_sec` or `bytes_per_sec`
+/// (over the median sample) in the JSON output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Throughput {
     Elements(u64),
@@ -136,13 +137,20 @@ struct BenchReport {
     median_ns: u64,
     min_ns: u64,
     max_ns: u64,
+    /// The group's throughput annotation when this benchmark ran.
+    throughput: Option<Throughput>,
     /// Snapshot of the per-bench [`Bencher::metrics`] registry; omitted
     /// when the benchmark recorded nothing into it.
     metrics: Option<Json>,
 }
 
 impl BenchReport {
-    fn from_samples(id: String, mut samples_ns: Vec<u64>, metrics: Option<Json>) -> Self {
+    fn from_samples(
+        id: String,
+        mut samples_ns: Vec<u64>,
+        throughput: Option<Throughput>,
+        metrics: Option<Json>,
+    ) -> Self {
         samples_ns.sort_unstable();
         let n = samples_ns.len().max(1);
         let sum: u128 = samples_ns.iter().map(|&v| v as u128).sum();
@@ -153,11 +161,12 @@ impl BenchReport {
             median_ns: samples_ns.get(samples_ns.len() / 2).copied().unwrap_or(0),
             min_ns: samples_ns.first().copied().unwrap_or(0),
             max_ns: samples_ns.last().copied().unwrap_or(0),
+            throughput,
             metrics,
         }
     }
 
-    fn to_json(&self, throughput: Option<Throughput>) -> Json {
+    fn to_json(&self) -> Json {
         let mut obj = Json::Null;
         obj.set("id", self.id.as_str());
         obj.set("samples", self.samples);
@@ -165,15 +174,14 @@ impl BenchReport {
         obj.set("median_ns", self.median_ns);
         obj.set("min_ns", self.min_ns);
         obj.set("max_ns", self.max_ns);
-        if self.mean_ns > 0.0 {
-            match throughput {
-                Some(Throughput::Elements(elems)) => {
-                    obj.set("elements_per_sec", elems as f64 * 1e9 / self.mean_ns);
-                }
-                Some(Throughput::Bytes(bytes)) => {
-                    obj.set("bytes_per_sec", bytes as f64 * 1e9 / self.mean_ns);
-                }
-                None => {}
+        let counted = self.throughput.map(|t| match t {
+            Throughput::Elements(n) => ("throughput_elements", "elements_per_sec", n),
+            Throughput::Bytes(n) => ("throughput_bytes", "bytes_per_sec", n),
+        });
+        if let Some((count_key, rate_key, n)) = counted {
+            obj.set(count_key, n);
+            if self.median_ns > 0 {
+                obj.set(rate_key, n as f64 * 1e9 / self.median_ns as f64);
             }
         }
         if let Some(metrics) = &self.metrics {
@@ -196,8 +204,8 @@ fn non_empty_snapshot(registry: &MetricsRegistry) -> Option<Json> {
     has_data.then_some(snapshot)
 }
 
-/// A named collection of benchmarks sharing a throughput annotation;
-/// writes `BENCH_<name>.json` on [`BenchmarkGroup::finish`] (or drop).
+/// A named collection of benchmarks; writes `BENCH_<name>.json` on
+/// [`BenchmarkGroup::finish`] (or drop).
 pub struct BenchmarkGroup<'c> {
     criterion: &'c mut Criterion,
     name: String,
@@ -243,7 +251,7 @@ impl BenchmarkGroup<'_> {
         };
         f(&mut bencher);
         let metrics = non_empty_snapshot(&bencher.metrics);
-        let report = BenchReport::from_samples(id, bencher.samples_ns, metrics);
+        let report = BenchReport::from_samples(id, bencher.samples_ns, self.throughput, metrics);
         println!(
             "{}/{}: mean {} (min {}, max {}, {} samples)",
             self.name,
@@ -268,17 +276,9 @@ impl BenchmarkGroup<'_> {
         self.finished = true;
         let mut root = Json::Null;
         root.set("group", self.name.as_str());
-        if let Some(Throughput::Elements(elems)) = self.throughput {
-            root.set("throughput_elements", elems);
-        }
         root.set(
             "benchmarks",
-            Json::Arr(
-                self.reports
-                    .iter()
-                    .map(|r| r.to_json(self.throughput))
-                    .collect(),
-            ),
+            Json::Arr(self.reports.iter().map(BenchReport::to_json).collect()),
         );
         let dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| default_out_dir());
         let file = sanitize(&self.name);
@@ -461,14 +461,47 @@ mod tests {
 
     #[test]
     fn report_statistics_are_ordered() {
-        let r = BenchReport::from_samples("x".into(), vec![30, 10, 20], None);
+        let r = BenchReport::from_samples(
+            "x".into(),
+            vec![30, 10, 20, 100],
+            Some(Throughput::Elements(1_000)),
+            None,
+        );
         assert_eq!(r.min_ns, 10);
-        assert_eq!(r.median_ns, 20);
-        assert_eq!(r.max_ns, 30);
-        assert!((r.mean_ns - 20.0).abs() < 1e-9);
-        let json = r.to_json(Some(Throughput::Elements(1_000)));
-        assert_eq!(json.get("samples").and_then(|v| v.as_i64()), Some(3));
-        assert!(json.get("elements_per_sec").is_some());
+        assert_eq!(r.median_ns, 30);
+        assert_eq!(r.max_ns, 100);
+        assert!((r.mean_ns - 40.0).abs() < 1e-9);
+        let json = r.to_json();
+        assert_eq!(json.get("samples").and_then(|v| v.as_i64()), Some(4));
+        // The rate follows the median (30 ns), not the mean (40 ns).
+        let rate = json.get("elements_per_sec").and_then(Json::as_f64).unwrap();
+        assert!((rate - 1_000.0 * 1e9 / 30.0).abs() < 1e-3, "{rate}");
+    }
+
+    #[test]
+    fn each_benchmark_keeps_the_throughput_it_ran_under() {
+        let mut c = Criterion::default().sample_size(1);
+        let mut group = c.benchmark_group("shim_test_throughput");
+        group.throughput(Throughput::Elements(10));
+        group.bench_function("small", |b| b.iter(|| 1 + 1));
+        group.throughput(Throughput::Elements(1_000));
+        group.bench_function("large", |b| b.iter(|| 1 + 1));
+        group.throughput(Throughput::Bytes(64));
+        group.bench_function("bytes", |b| b.iter(|| 1 + 1));
+        let elements = |i: usize| {
+            let json = group.reports[i].to_json();
+            json.get("throughput_elements").and_then(|v| v.as_i64())
+        };
+        assert_eq!(elements(0), Some(10));
+        assert_eq!(elements(1), Some(1_000));
+        assert_eq!(elements(2), None);
+        let bytes = group.reports[2].to_json();
+        assert_eq!(
+            bytes.get("throughput_bytes").and_then(|v| v.as_i64()),
+            Some(64)
+        );
+        assert!(bytes.get("elements_per_sec").is_none());
+        group.finished = true;
     }
 
     #[test]
@@ -490,7 +523,7 @@ mod tests {
             "{snap}"
         );
         // And the snapshot rides into the JSON report entry.
-        let json = group.reports[1].to_json(None);
+        let json = group.reports[1].to_json();
         assert!(json.get("metrics").is_some());
         group.finished = true;
     }
