@@ -2,7 +2,7 @@
 //! set the certifier passes really is order-independent in practice.
 //!
 //! For every randomly generated rule set that certifies green, every
-//! engine (chase, linear, compiled chase/linear, parallel compiled) under
+//! engine (chase, linear, columnar chase/linear, parallel columnar) under
 //! every tested rule-order permutation must produce the *same* repaired
 //! table and the same normalized provenance ledger. A single divergence
 //! here means the certificate lied — the critical-pair analysis missed an
@@ -22,11 +22,11 @@ use fixlint::{certify, CertOptions};
 use fixrules::io::Span;
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
 use fixrules::repair::{
-    compiled_table_observed, crepair_table_observed, lrepair_table_observed,
-    par_compiled_table_observed, CompiledEngine, LRepairIndex, PlanCache, RuleProgram,
+    columnar_table, crepair_table, lrepair_table, par_columnar_table, CompiledEngine, LRepairIndex,
+    PlanCache, RuleProgram,
 };
 use fixrules::{FixingRule, RuleSet};
-use relation::{AttrId, Schema, Symbol, SymbolTable, Table};
+use relation::{AttrId, ColumnTable, Schema, Symbol, SymbolTable, Table};
 
 const ARITY: usize = 5;
 const VOCAB: u32 = 6;
@@ -147,7 +147,7 @@ proptest! {
         // Reference: the textbook chase on the original order.
         let mut ref_table = table0.clone();
         let ref_ledger = ProvenanceLedger::new();
-        crepair_table_observed(&rs, &mut ref_table, &ProvenanceObserver::new(&rs, &ref_ledger));
+        crepair_table(&rs, &mut ref_table, &ProvenanceObserver::new(&rs, &ref_ledger));
         let reference = normalized(&ref_ledger.records());
 
         for rev in [false, true] {
@@ -159,33 +159,33 @@ proptest! {
             {
                 let mut t = table0.clone();
                 let ledger = ProvenanceLedger::new();
-                crepair_table_observed(&prs, &mut t, &ProvenanceObserver::new(&prs, &ledger));
+                crepair_table(&prs, &mut t, &ProvenanceObserver::new(&prs, &ledger));
                 runs.push(("chase", t, ledger.records()));
             }
             {
                 let mut t = table0.clone();
                 let ledger = ProvenanceLedger::new();
-                lrepair_table_observed(
+                lrepair_table(
                     &prs, &index, &mut t, &ProvenanceObserver::new(&prs, &ledger));
                 runs.push(("linear", t, ledger.records()));
             }
             for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
                 let cache = PlanCache::unbounded();
-                let mut t = table0.clone();
+                let mut cols = ColumnTable::from(&table0);
                 let ledger = ProvenanceLedger::new();
-                compiled_table_observed(
-                    &prs, &program, engine, Some(&cache), &mut t,
+                columnar_table(
+                    &prs, &program, engine, Some(&cache), &mut cols,
                     &ProvenanceObserver::new(&prs, &ledger));
-                runs.push(("compiled", t, ledger.records()));
+                runs.push(("columnar", cols.to_table(), ledger.records()));
             }
             {
                 let cache = PlanCache::sharded(4);
-                let mut t = table0.clone();
+                let mut cols = ColumnTable::from(&table0);
                 let ledger = ProvenanceLedger::new();
-                par_compiled_table_observed(
-                    &prs, &program, CompiledEngine::Chase, Some(&cache), &mut t, 4,
+                par_columnar_table(
+                    &prs, &program, CompiledEngine::Chase, Some(&cache), &mut cols, 4,
                     &ProvenanceObserver::new(&prs, &ledger));
-                runs.push(("parallel", t, ledger.records()));
+                runs.push(("parallel", cols.to_table(), ledger.records()));
             }
 
             for (name, t, records) in &runs {

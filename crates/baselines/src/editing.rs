@@ -204,7 +204,8 @@ mod tests {
         t2.push_strs(&mut sy, &["p", "China", "Ottawa", "x", "c"])
             .unwrap();
         let index = fixrules::repair::LRepairIndex::build(&rs);
-        let out = fixrules::repair::lrepair_table(&rs, &index, &mut t2);
+        let out =
+            fixrules::repair::lrepair_table(&rs, &index, &mut t2, &fixrules::repair::NoopObserver);
         assert_eq!(out.total_updates(), 0);
     }
 

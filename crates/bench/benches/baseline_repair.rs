@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use baselines::{csm_repair, heu_repair};
-use fixrules::repair::{lrepair_table, LRepairIndex};
+use fixrules::repair::{lrepair_table, LRepairIndex, NoopObserver};
 
 fn bench_baselines(c: &mut Criterion) {
     let workloads = vec![
@@ -19,7 +19,7 @@ fn bench_baselines(c: &mut Criterion) {
                 || w.dirty.clone(),
                 |mut table| {
                     let index = LRepairIndex::build(&w.rules);
-                    lrepair_table(&w.rules, &index, &mut table)
+                    lrepair_table(&w.rules, &index, &mut table, &NoopObserver)
                 },
                 criterion::BatchSize::LargeInput,
             )

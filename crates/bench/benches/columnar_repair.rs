@@ -1,31 +1,35 @@
-//! Columnar group-by-plan bench: the row-at-a-time compiled engine vs the
-//! columnar driver on duplicated-tuple tables at 20k and 200k rows.
+//! Columnar group-by-plan bench: the paper's drivers vs the grouped core
+//! on duplicated-tuple tables at 20k and 200k rows.
 //!
 //! The columnar driver groups a batch by relevant-attribute signature and
 //! runs the engine (or probes the plan cache) once per *group*, scattering
-//! the plan to members — so its per-duplicate cost is a memcpy-scatter
-//! instead of a signature allocation + cache probe + replay. Configurations
-//! over the same table, per size:
+//! the plan to members — so a duplicate row costs a scatter, not a rule
+//! evaluation. Configurations over the same table, per size:
 //!
-//! * `compiled_cold` / `compiled_warm` — the §12 row-at-a-time baseline
-//!   with a fresh / pre-warmed plan cache;
-//! * `columnar_cold` — group-by-plan with a fresh cache per iteration
-//!   (each group's first row runs the engine);
-//! * `columnar_warm` — group-by-plan with a pre-warmed cache (every group
-//!   representative hits; this is the steady state and must beat
-//!   `compiled_warm` by ≥2× at 200k rows — gated on
-//!   `results/BENCH_columnar_repair.json`).
+//! * `cRepair` / `lRepair` — the paper's drivers (every row pays full rule
+//!   evaluation);
+//! * `columnar_cold` — group-by-plan with a fresh plan cache per
+//!   iteration (each group's first row runs the engine);
+//! * `columnar_warm` — group-by-plan with a cache pre-warmed on the same
+//!   table (every group representative hits — the steady state of a
+//!   daemon serving repeated batches);
+//! * `lRepair_attributed` / `columnar_warm_attributed` — the same drivers
+//!   with an [`obs::AttributionObserver`] teed in (timing off), pinning the
+//!   per-rule attribution overhead next to its unattributed baseline.
 //!
 //! Each benchmark embeds its metrics snapshot, so the report records the
 //! `repair.batch.*` group-by shape and cache hit/miss counts alongside
-//! wall-clock.
+//! wall-clock. The attribution observers count into a registry of their
+//! own, so the per-rule series stay out of the report.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use fixrules::repair::{
-    columnar_table_observed, compiled_table_observed, CompiledEngine, PlanCache, RuleProgram,
+    columnar_table, crepair_table, lrepair_table, CompiledEngine, LRepairIndex, PlanCache,
+    RuleProgram,
 };
-use obs::MetricsObserver;
+use fixrules::RuleSet;
+use obs::{AttributionObserver, MetricsObserver, MetricsRegistry, NoopObserver, RuleLabel, Tee};
 use relation::{ColumnTable, Table};
 
 /// Distinct source rows cycled into each benched table.
@@ -44,9 +48,36 @@ fn duplicated_table(src: &Table, total: usize) -> Table {
     dup
 }
 
+/// Per-rule series labels for the attribution rows, mirroring `fixctl`:
+/// stable rule id plus the attribute the rule fixes.
+fn rule_labels(rules: &RuleSet) -> Vec<RuleLabel> {
+    rules
+        .iter()
+        .map(|(id, rule)| RuleLabel {
+            rule: format!("r{}", id.0),
+            attr: rules.schema().attr_name(rule.b()).to_string(),
+        })
+        .collect()
+}
+
+/// A plan cache holding one plan per distinct signature of `columns`.
+fn warm_cache(rules: &RuleSet, program: &RuleProgram, columns: &ColumnTable) -> PlanCache {
+    let cache = PlanCache::unbounded();
+    columnar_table(
+        rules,
+        program,
+        CompiledEngine::Linear,
+        Some(&cache),
+        &mut columns.clone(),
+        &NoopObserver,
+    );
+    cache
+}
+
 fn bench_columnar_repair(c: &mut Criterion) {
     let workload = bench::hosp_workload(DISTINCT_ROWS, 200);
     let rules = &workload.rules;
+    let index = LRepairIndex::build(rules);
     let program = RuleProgram::compile(rules);
 
     let mut group = c.benchmark_group("columnar_repair");
@@ -55,58 +86,46 @@ fn bench_columnar_repair(c: &mut Criterion) {
         let columns = ColumnTable::from(&table);
         group.throughput(Throughput::Elements(total as u64));
 
-        group.bench_with_input(BenchmarkId::new("compiled_cold", label), &(), |b, _| {
+        group.bench_with_input(BenchmarkId::new("cRepair", label), &(), |b, _| {
             let observer = MetricsObserver::new(b.metrics());
             b.iter_batched(
-                || (table.clone(), PlanCache::unbounded()),
-                |(mut t, cache)| {
-                    compiled_table_observed(
-                        rules,
-                        &program,
-                        CompiledEngine::Linear,
-                        Some(&cache),
-                        &mut t,
-                        &observer,
-                    )
-                },
+                || table.clone(),
+                |mut t| crepair_table(rules, &mut t, &observer),
                 criterion::BatchSize::LargeInput,
             )
         });
 
-        group.bench_with_input(BenchmarkId::new("compiled_warm", label), &(), |b, _| {
+        group.bench_with_input(BenchmarkId::new("lRepair", label), &(), |b, _| {
             let observer = MetricsObserver::new(b.metrics());
-            let cache = PlanCache::unbounded();
-            let mut warmup = table.clone();
-            compiled_table_observed(
-                rules,
-                &program,
-                CompiledEngine::Linear,
-                Some(&cache),
-                &mut warmup,
-                &obs::NoopObserver,
-            );
             b.iter_batched(
                 || table.clone(),
-                |mut t| {
-                    compiled_table_observed(
-                        rules,
-                        &program,
-                        CompiledEngine::Linear,
-                        Some(&cache),
-                        &mut t,
-                        &observer,
-                    )
-                },
+                |mut t| lrepair_table(rules, &index, &mut t, &observer),
                 criterion::BatchSize::LargeInput,
             )
         });
+
+        group.bench_with_input(
+            BenchmarkId::new("lRepair_attributed", label),
+            &(),
+            |b, _| {
+                let observer = MetricsObserver::new(b.metrics());
+                let attribution =
+                    AttributionObserver::new(&MetricsRegistry::new(), rule_labels(rules));
+                let teed = Tee(&observer, &attribution);
+                b.iter_batched(
+                    || table.clone(),
+                    |mut t| lrepair_table(rules, &index, &mut t, &teed),
+                    criterion::BatchSize::LargeInput,
+                )
+            },
+        );
 
         group.bench_with_input(BenchmarkId::new("columnar_cold", label), &(), |b, _| {
             let observer = MetricsObserver::new(b.metrics());
             b.iter_batched(
                 || (columns.clone(), PlanCache::unbounded()),
                 |(mut t, cache)| {
-                    columnar_table_observed(
+                    columnar_table(
                         rules,
                         &program,
                         CompiledEngine::Linear,
@@ -121,20 +140,11 @@ fn bench_columnar_repair(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("columnar_warm", label), &(), |b, _| {
             let observer = MetricsObserver::new(b.metrics());
-            let cache = PlanCache::unbounded();
-            let mut warmup = columns.clone();
-            columnar_table_observed(
-                rules,
-                &program,
-                CompiledEngine::Linear,
-                Some(&cache),
-                &mut warmup,
-                &obs::NoopObserver,
-            );
+            let cache = warm_cache(rules, &program, &columns);
             b.iter_batched(
                 || columns.clone(),
                 |mut t| {
-                    columnar_table_observed(
+                    columnar_table(
                         rules,
                         &program,
                         CompiledEngine::Linear,
@@ -146,6 +156,32 @@ fn bench_columnar_repair(c: &mut Criterion) {
                 criterion::BatchSize::LargeInput,
             )
         });
+
+        group.bench_with_input(
+            BenchmarkId::new("columnar_warm_attributed", label),
+            &(),
+            |b, _| {
+                let observer = MetricsObserver::new(b.metrics());
+                let attribution =
+                    AttributionObserver::new(&MetricsRegistry::new(), rule_labels(rules));
+                let teed = Tee(&observer, &attribution);
+                let cache = warm_cache(rules, &program, &columns);
+                b.iter_batched(
+                    || columns.clone(),
+                    |mut t| {
+                        columnar_table(
+                            rules,
+                            &program,
+                            CompiledEngine::Linear,
+                            Some(&cache),
+                            &mut t,
+                            &teed,
+                        )
+                    },
+                    criterion::BatchSize::LargeInput,
+                )
+            },
+        );
     }
     group.finish();
 }

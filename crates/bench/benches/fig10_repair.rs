@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use fixrules::repair::{crepair_table_observed, lrepair_table_observed, LRepairIndex};
+use fixrules::repair::{crepair_table, lrepair_table, LRepairIndex};
 use obs::MetricsObserver;
 
 fn bench_fig10_repair(c: &mut Criterion) {
@@ -17,7 +17,7 @@ fn bench_fig10_repair(c: &mut Criterion) {
         let observer = MetricsObserver::new(b.metrics());
         b.iter_batched(
             || workload.dirty.clone(),
-            |mut table| crepair_table_observed(&workload.rules, &mut table, &observer),
+            |mut table| crepair_table(&workload.rules, &mut table, &observer),
             criterion::BatchSize::LargeInput,
         )
     });
@@ -26,7 +26,7 @@ fn bench_fig10_repair(c: &mut Criterion) {
         let index = LRepairIndex::build(&workload.rules);
         b.iter_batched(
             || workload.dirty.clone(),
-            |mut table| lrepair_table_observed(&workload.rules, &index, &mut table, &observer),
+            |mut table| lrepair_table(&workload.rules, &index, &mut table, &observer),
             criterion::BatchSize::LargeInput,
         )
     });

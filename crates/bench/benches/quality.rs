@@ -1,7 +1,7 @@
 //! `bench quality` — sketch + window overhead of the repair-quality
 //! observatory on the 20k duplicated-tuple stream workload.
 //!
-//! Configurations, all one-pass `stream_repair_csv_observed` over the
+//! Configurations, all one-pass `stream_repair_csv` over the
 //! same in-memory CSV:
 //!
 //! * `unmonitored` — [`obs::NoopObserver`]: the `wants_rows` gate keeps
@@ -19,7 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use fixrules::repair::{stream_repair_csv_observed, LRepairIndex};
+use fixrules::repair::{stream_repair_csv, LRepairIndex};
 use obs::{NoopObserver, QualityConfig, QualityMonitor};
 use relation::{csv_io, Table};
 
@@ -67,7 +67,7 @@ fn bench_quality(c: &mut Criterion) {
         b.iter_batched(
             || workload.dataset.symbols.clone(),
             |mut symbols| {
-                stream_repair_csv_observed(
+                stream_repair_csv(
                     rules,
                     &index,
                     &mut symbols,
@@ -98,7 +98,7 @@ fn bench_quality(c: &mut Criterion) {
                         (workload.dataset.symbols.clone(), monitor)
                     },
                     |(mut symbols, monitor)| {
-                        let stats = stream_repair_csv_observed(
+                        let stats = stream_repair_csv(
                             rules,
                             &index,
                             &mut symbols,

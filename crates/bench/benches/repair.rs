@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use fixrules::repair::{crepair_table, lrepair_table, par_lrepair_table, LRepairIndex};
+use fixrules::repair::{
+    crepair_table, lrepair_table, par_lrepair_table, LRepairIndex, NoopObserver,
+};
 
 fn bench_repair(c: &mut Criterion) {
     let workload = bench::hosp_workload(10_000, 400);
@@ -15,7 +17,7 @@ fn bench_repair(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("cRepair", n), &n, |b, _| {
             b.iter_batched(
                 || workload.dirty.clone(),
-                |mut table| crepair_table(&subset, &mut table),
+                |mut table| crepair_table(&subset, &mut table, &NoopObserver),
                 criterion::BatchSize::LargeInput,
             )
         });
@@ -24,7 +26,7 @@ fn bench_repair(c: &mut Criterion) {
                 || workload.dirty.clone(),
                 |mut table| {
                     let index = LRepairIndex::build(&subset);
-                    lrepair_table(&subset, &index, &mut table)
+                    lrepair_table(&subset, &index, &mut table, &NoopObserver)
                 },
                 criterion::BatchSize::LargeInput,
             )
@@ -35,7 +37,7 @@ fn bench_repair(c: &mut Criterion) {
                 || workload.dirty.clone(),
                 |mut table| {
                     let index = LRepairIndex::build(&subset);
-                    par_lrepair_table(&subset, &index, &mut table, threads)
+                    par_lrepair_table(&subset, &index, &mut table, threads, &NoopObserver)
                 },
                 criterion::BatchSize::LargeInput,
             )

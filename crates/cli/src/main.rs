@@ -7,8 +7,7 @@
 //! fixctl resolve --rules rules.frl --data data.csv --out fixed_rules.frl
 //!                [--strategy shrink|drop]                 # §5.3 workflow
 //! fixctl repair  --rules rules.frl --data dirty.csv --out repaired.csv
-//!                [--engine lrepair|chase|compiled|compiled-chase|columnar|columnar-chase|stream]
-//!                [--plan-cache on|off|CAPACITY] [--threads N]
+//!                [--engine lrepair|chase|crepair|columnar|stream] [--threads N]
 //!                [--updates-log updates.csv]
 //!                [--trace trace.jsonl]                    # provenance journal
 //! fixctl stats   --rules rules.frl --data data.csv        # rule-set statistics
@@ -25,7 +24,7 @@
 //!                [--require-green]                        # (also reads a snapshot file;
 //!                                                         #  exit 1 on active alerts)
 //! fixctl serve  --rules rules.frl [--addr 127.0.0.1:0]    # long-running repair daemon
-//!               [--threads N] [--engine chase|linear] [--schema a,b,c]
+//!               [--threads N] [--engine chase|linear] [--schema a,b,c] [--plan-cache on|off]
 //!               [--warm data.csv] [--journal trace.jsonl] [--cache-shards N]
 //!               [--slo-window N] [--slo-min-samples N]
 //!               [--slo-max-error-rate F] [--slo-max-p99-ms N]
@@ -61,6 +60,9 @@
 //!   `--trace-clock logical|wall` picks timestamps: `logical` (default)
 //!   is byte-deterministic across runs, `wall` records microseconds.
 //!
+//! `repair` and `coverage` reject any flag they do not read (exit 2,
+//! `unknown flag --NAME`), so a typo never falls back to a default.
+//!
 //! The schema is taken from the CSV header; rule files use the
 //! [`fixrules::io`] line format:
 //!
@@ -80,10 +82,8 @@ use fixrules::consistency::{
 use fixrules::io::{format_rule, format_rules, parse_rules, parse_rules_spanned, Span};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
 use fixrules::repair::{
-    columnar_table_observed, compiled_table_observed, crepair_table_observed,
-    lrepair_table_observed, par_columnar_table_observed, par_compiled_table_observed,
-    par_lrepair_table_observed, stream_repair_csv_compiled_observed, CompiledEngine, LRepairIndex,
-    PlanCache, RepairOutcome, RuleProgram,
+    columnar_table, crepair_table, lrepair_table, par_columnar_table, par_lrepair_table,
+    stream_repair_csv, CompiledEngine, LRepairIndex, RepairOutcome, RuleProgram,
 };
 use fixrules::RuleSet;
 use obs::trace::{chrome_trace, parse_jsonl, TracePhase, TraceSpan};
@@ -184,6 +184,30 @@ struct Flags {
 /// Flags that are plain switches: present or absent, consuming no value.
 const SWITCH_FLAGS: &[&str] = &["profile", "lint", "quality-gate", "require-green"];
 
+/// Observability flags every command reads (see [`ObsCtx::from_flags`]).
+const OBS_FLAGS: &[&str] = &["log", "metrics", "trace", "trace-clock"];
+
+/// Flags `fixctl repair` reads, besides [`OBS_FLAGS`].
+const REPAIR_FLAGS: &[&str] = &[
+    "rules",
+    "data",
+    "out",
+    "engine",
+    "algo",
+    "threads",
+    "updates-log",
+    "profile",
+    "profile-json",
+    "expose",
+    "expose-hold",
+    "quality-window",
+    "quality-alert",
+    "quality-json",
+];
+
+/// Flags `fixctl coverage` reads, besides [`OBS_FLAGS`].
+const COVERAGE_FLAGS: &[&str] = &["rules", "data", "engine", "lint", "profile-json"];
+
 impl Flags {
     fn parse(args: &[String]) -> Result<Flags, String> {
         let mut values = HashMap::new();
@@ -220,6 +244,22 @@ impl Flags {
     /// Whether a switch flag (see [`SWITCH_FLAGS`]) was given.
     fn switch(&self, name: &str) -> bool {
         self.values.contains_key(name)
+    }
+
+    /// Reject every flag outside [`OBS_FLAGS`] and `known`, so a typo or
+    /// a retired flag fails instead of being silently ignored.
+    fn only(&self, known: &[&str]) -> Result<(), String> {
+        let mut unknown: Vec<&str> = self
+            .values
+            .keys()
+            .map(String::as_str)
+            .filter(|name| !OBS_FLAGS.contains(name) && !known.contains(name))
+            .collect();
+        unknown.sort_unstable();
+        match unknown.first() {
+            Some(name) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -296,8 +336,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn usage() -> String {
     "usage: fixctl <check|detect|discover|resolve|repair|stats|convert> --rules FILE --data FILE.csv \
-     [--out FILE] [--engine lrepair|chase|compiled|compiled-chase|columnar|columnar-chase|stream] \
-     [--plan-cache on|off|CAPACITY] [--threads N] [--strategy shrink|drop] [--updates-log FILE] \
+     [--out FILE] [--engine lrepair|chase|crepair|columnar|stream] \
+     [--threads N] [--strategy shrink|drop] [--updates-log FILE] \
      [--metrics FILE.json] [--log off|info|debug] [--trace FILE.jsonl] [--trace-clock logical|wall] \
      [--profile] [--profile-json FILE] [--expose ADDR] [--expose-hold N] \
      [--quality-window N] [--quality-alert SPEC,...] [--quality-json FILE] \
@@ -305,10 +345,10 @@ fn usage() -> String {
      [--deny warnings|FR001,...] \
      | certify RULES.frl [--schema a,b,c | --data FILE.csv] [--format human|json|sarif] \
      [--deny warnings|FR001,...] \
-     | coverage --rules FILE --data FILE.csv [--engine lrepair|chase|compiled] [--lint] \
+     | coverage --rules FILE --data FILE.csv [--engine lrepair|chase|crepair] [--lint] \
      | serve-metrics [--addr HOST:PORT] [--scrapes N] \
      | serve --rules FILE [--addr HOST:PORT] [--threads N] [--engine chase|linear] \
-     [--schema a,b,c] [--warm FILE.csv] [--journal FILE.jsonl] [--cache-shards N] \
+     [--plan-cache on|off] [--schema a,b,c] [--warm FILE.csv] [--journal FILE.jsonl] [--cache-shards N] \
      [--slo-window N] [--slo-min-samples N] [--slo-max-error-rate F] [--slo-max-p99-ms N] \
      [--trace-sample N] [--quality-window N] [--quality-alert SPEC,...] [--quality-gate] \
      | client repair|check FILE --addr HOST:PORT [--format csv|json] \
@@ -599,57 +639,6 @@ fn threads_flag(flags: &Flags) -> Result<usize, String> {
     }
 }
 
-/// `--plan-cache on|off|CAPACITY`; `None` means the flag was absent and the
-/// engine's default applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheSpec {
-    Off,
-    On,
-    Bounded(usize),
-}
-
-fn plan_cache_flag(flags: &Flags) -> Result<Option<CacheSpec>, String> {
-    match flags.optional("plan-cache") {
-        None => Ok(None),
-        Some("on") => Ok(Some(CacheSpec::On)),
-        Some("off") => Ok(Some(CacheSpec::Off)),
-        Some(n) => n
-            .parse::<usize>()
-            .ok()
-            .filter(|&c| c >= 1)
-            .map(|c| Some(CacheSpec::Bounded(c)))
-            .ok_or_else(|| format!("--plan-cache takes on, off, or a capacity >= 1 (got `{n}`)")),
-    }
-}
-
-/// Build the plan cache an engine run should use: sharded when parallel
-/// workers will share it, exact-LRU when a capacity was requested.
-fn build_plan_cache(spec: CacheSpec, threads: usize) -> Option<PlanCache> {
-    match (spec, threads) {
-        (CacheSpec::Off, _) => None,
-        (CacheSpec::On, 1) => Some(PlanCache::unbounded()),
-        (CacheSpec::On, t) => Some(PlanCache::sharded(t * 4)),
-        (CacheSpec::Bounded(c), 1) => Some(PlanCache::bounded_lru(c)),
-        (CacheSpec::Bounded(c), t) => Some(PlanCache::sharded_bounded(t * 4, c)),
-    }
-}
-
-/// Log and print one plan-cache summary line after a cached run.
-fn report_plan_cache(cache: &PlanCache) {
-    let stats = cache.stats();
-    obs::info!(
-        "plan_cache.done",
-        hits = stats.hits,
-        misses = stats.misses,
-        evictions = stats.evictions,
-        plans = stats.entries
-    );
-    println!(
-        "plan cache: {} hit(s), {} miss(es), {} eviction(s), {} plan(s) held",
-        stats.hits, stats.misses, stats.evictions, stats.entries
-    );
-}
-
 /// Labels for the attribution profiler: rule `i` becomes `r{i}`, tagged
 /// with the name of the attribute its fix writes (the rule's B attribute).
 fn rule_labels(rules: &RuleSet) -> Vec<RuleLabel> {
@@ -827,6 +816,7 @@ fn render_tuple(tuple: &[Symbol], symbols: &SymbolTable) -> String {
 /// the static analysis (FR007: live rule that never fired; FR008: rule
 /// flagged dead that did fire) and render the findings rustc-style.
 fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
+    flags.only(COVERAGE_FLAGS)?;
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
     let mut symbols = SymbolTable::new();
@@ -856,25 +846,12 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         match engine {
             "lrepair" => {
                 let index = LRepairIndex::build(&rules);
-                lrepair_table_observed(&rules, &index, &mut table, &observer);
+                lrepair_table(&rules, &index, &mut table, &observer);
             }
             "crepair" | "chase" => {
-                crepair_table_observed(&rules, &mut table, &observer);
+                crepair_table(&rules, &mut table, &observer);
             }
-            "compiled" | "compiled-chase" => {
-                let kind = if engine == "compiled" {
-                    CompiledEngine::Linear
-                } else {
-                    CompiledEngine::Chase
-                };
-                let program = RuleProgram::compile(&rules);
-                compiled_table_observed(&rules, &program, kind, None, &mut table, &observer);
-            }
-            other => {
-                return Err(format!(
-                    "unknown engine `{other}` (lrepair|chase|crepair|compiled|compiled-chase)"
-                ))
-            }
+            other => return Err(format!("unknown engine `{other}` (lrepair|chase|crepair)")),
         }
     }
     let profile = attribution.profile();
@@ -1250,9 +1227,23 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
 }
 
 fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
+    flags.only(REPAIR_FLAGS)?;
+    // `--engine` is the current spelling; `--algo` stays as an alias, and
+    // `chase` names the same engine `crepair` always did.
+    let algo = flags
+        .optional("engine")
+        .or_else(|| flags.optional("algo"))
+        .unwrap_or("lrepair");
+    if algo == "stream" {
+        return repair_stream(flags, obs_ctx);
+    }
+    if flags.optional("quality-window").is_some() {
+        return Err(format!(
+            "--quality-window only applies to the stream engine (got `{algo}`)"
+        ));
+    }
     let (mut table, rules, symbols) = load(flags, obs_ctx)?;
     let threads = threads_flag(flags)?;
-    let cache_spec = plan_cache_flag(flags)?;
     let hold = expose_hold_flag(flags)?;
     // The endpoint goes up before any repair work so a scraper can watch
     // the counters move while the run is in flight.
@@ -1263,175 +1254,6 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             "rule set has {} conflict(s); run `fixctl resolve` first",
             report.conflicts.len()
         ));
-    }
-    // `--engine` is the current spelling; `--algo` stays as an alias, and
-    // `chase` names the same engine `crepair` always did.
-    let algo = flags
-        .optional("engine")
-        .or_else(|| flags.optional("algo"))
-        .unwrap_or("lrepair");
-    if !matches!(
-        algo,
-        "compiled" | "compiled-chase" | "columnar" | "columnar-chase" | "stream"
-    ) && cache_spec.is_some()
-        && cache_spec != Some(CacheSpec::Off)
-    {
-        return Err(format!(
-            "--plan-cache only applies to the compiled, columnar, and stream engines (got `{algo}`)"
-        ));
-    }
-    if algo != "stream" && flags.optional("quality-window").is_some() {
-        return Err(format!(
-            "--quality-window only applies to the stream engine (got `{algo}`)"
-        ));
-    }
-    if algo == "stream" {
-        // One-pass constant-memory repair: re-read the data file and write
-        // records as they are repaired.
-        let data_path = flags.required("data")?;
-        let out = flags.required("out")?;
-        let mut symbols2 = SymbolTable::new();
-        // Rebuild the rules against a schema taken from the header so the
-        // attribute ids align with the stream (load() used its own table).
-        let header_table = relation::csv_io::read_csv_file(data_path, "data", &mut symbols2)
-            .map_err(|e| format!("reading {data_path}: {e}"))?;
-        let text = std::fs::read_to_string(flags.required("rules")?)
-            .map_err(|e| format!("re-reading rules: {e}"))?;
-        let rules2 = parse_rules(&text, header_table.schema(), &mut symbols2)
-            .map_err(|e| format!("parsing rules: {e}"))?;
-        if threads > 1 {
-            return Err(
-                "--threads does not apply to the stream engine (one pass, one reader)".to_string(),
-            );
-        }
-        let reader =
-            std::fs::File::open(data_path).map_err(|e| format!("opening {data_path}: {e}"))?;
-        let writer = std::io::BufWriter::new(
-            std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
-        );
-        let started = std::time::Instant::now();
-        let ledger = ProvenanceLedger::new();
-        // `--plan-cache` switches the stream onto the compiled engine with
-        // a bounded LRU memo (a stream has no end, so the cache must not
-        // grow without bound); default capacity holds 4096 plans.
-        let stream_cache = match cache_spec.unwrap_or(CacheSpec::Off) {
-            CacheSpec::Off => None,
-            CacheSpec::On => Some(PlanCache::bounded_lru(4096)),
-            CacheSpec::Bounded(c) => Some(PlanCache::bounded_lru(c)),
-        };
-        // `--quality-window` hangs a QualityMonitor off the same observer
-        // chain: tumbling windows of pre/post sketches over the stream,
-        // summarized as a per-window table after the run.
-        let quality = match flags.optional("quality-window") {
-            Some(n) => {
-                let window: usize = n
-                    .parse()
-                    .ok()
-                    .filter(|&w| w >= 1)
-                    .ok_or_else(|| format!("--quality-window: bad value `{n}` (rows >= 1)"))?;
-                let cfg = QualityConfig {
-                    window_rows: window,
-                    alerts: quality_alerts_flag(flags)?,
-                    ..QualityConfig::default()
-                };
-                let names = header_table
-                    .schema()
-                    .attr_names()
-                    .map(str::to_string)
-                    .collect();
-                Some(QualityMonitor::new(cfg, names).with_registry(&obs_ctx.registry))
-            }
-            None => None,
-        };
-        // Optional observers tee onto the metrics observer as trait
-        // objects; the blanket `&T` impl lets the generic drivers take the
-        // assembled `&dyn` chain without monomorphizing every combination.
-        let attribution = attribution_for(flags, obs_ctx, &rules2);
-        let prov = obs_ctx
-            .journal
-            .is_some()
-            .then(|| ProvenanceObserver::new(&rules2, &ledger));
-        let tee_prov;
-        let tee_attr;
-        let tee_quality;
-        let mut observer: &dyn RepairObserver = &obs_ctx.observer;
-        if let Some(p) = &prov {
-            tee_prov = Tee(observer, p as &dyn RepairObserver);
-            observer = &tee_prov;
-        }
-        if let Some(a) = &attribution {
-            tee_attr = Tee(observer, a as &dyn RepairObserver);
-            observer = &tee_attr;
-        }
-        if let Some(q) = &quality {
-            tee_quality = Tee(observer, q as &dyn RepairObserver);
-            observer = &tee_quality;
-        }
-        let stats = {
-            let _span = obs_ctx.span("repair");
-            let result = if let Some(cache) = &stream_cache {
-                let program = {
-                    let _span = obs_ctx.span("compile");
-                    RuleProgram::compile(&rules2)
-                };
-                stream_repair_csv_compiled_observed(
-                    &rules2,
-                    &program,
-                    CompiledEngine::Linear,
-                    Some(cache),
-                    &mut symbols2,
-                    reader,
-                    writer,
-                    &observer,
-                )
-            } else {
-                let index = {
-                    let _span = obs_ctx.span("index_build");
-                    LRepairIndex::build(&rules2)
-                };
-                fixrules::repair::stream_repair_csv_observed(
-                    &rules2,
-                    &index,
-                    &mut symbols2,
-                    reader,
-                    writer,
-                    &observer,
-                )
-            };
-            result.map_err(|e| format!("streaming: {e}"))?
-        };
-        if let Some(journal) = &obs_ctx.journal {
-            write_trace_events(journal, &rules2, &symbols2, &ledger, algo);
-        }
-        obs::info!(
-            "repair.done",
-            algo = algo,
-            rows = stats.rows,
-            updates = stats.updates,
-            rows_per_sec = format!("{:.0}", stats.rows_per_sec(started.elapsed()))
-        );
-        println!(
-            "{} update(s) across {} row(s) of {} (streamed)",
-            stats.updates, stats.rows_touched, stats.rows
-        );
-        if let Some(cache) = &stream_cache {
-            report_plan_cache(cache);
-        }
-        if let Some(quality) = &quality {
-            // Seal the trailing partial window so the table covers every
-            // row, then print the per-window signal summary.
-            quality.flush();
-            print!("{}", quality.render_table());
-            if let Some(path) = flags.optional("quality-json") {
-                std::fs::write(path, quality.snapshot().to_string_pretty() + "\n")
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                obs::info!("quality.written", path = path);
-            }
-        }
-        println!("wrote {out}");
-        emit_profile(flags, attribution.as_ref())?;
-        finish_expose(hold, server);
-        return Ok(());
     }
     let ledger = ProvenanceLedger::new();
     // Optional observers (provenance for `--trace`, attribution for
@@ -1463,99 +1285,45 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             };
             let _span = obs_ctx.span("repair");
             if threads > 1 {
-                par_lrepair_table_observed(&rules, &index, &mut table, threads, &observer)
+                par_lrepair_table(&rules, &index, &mut table, threads, &observer)
             } else {
-                lrepair_table_observed(&rules, &index, &mut table, &observer)
+                lrepair_table(&rules, &index, &mut table, &observer)
             }
         }
         "crepair" | "chase" => {
             if threads > 1 {
                 return Err(
-                    "--threads does not apply to the chase engine (use --engine compiled-chase)"
+                    "--threads does not apply to the chase engine (use --engine columnar)"
                         .to_string(),
                 );
             }
             let _span = obs_ctx.span("repair");
-            crepair_table_observed(&rules, &mut table, &observer)
+            crepair_table(&rules, &mut table, &observer)
         }
-        "compiled" | "compiled-chase" => {
-            let engine = if algo == "compiled" {
-                CompiledEngine::Linear
-            } else {
-                CompiledEngine::Chase
-            };
+        "columnar" => {
+            // No plan cache: grouping already runs the engine once per
+            // distinct signature, and a one-shot run has no later batch to
+            // reuse plans in.
             let program = {
                 let _span = obs_ctx.span("compile");
                 RuleProgram::compile(&rules)
-            };
-            let cache = {
-                let _span = obs_ctx.span("plan_cache");
-                build_plan_cache(cache_spec.unwrap_or(CacheSpec::On), threads)
-            };
-            let outcome = {
-                let _span = obs_ctx.span("repair");
-                if threads > 1 {
-                    par_compiled_table_observed(
-                        &rules,
-                        &program,
-                        engine,
-                        cache.as_ref(),
-                        &mut table,
-                        threads,
-                        &observer,
-                    )
-                } else {
-                    compiled_table_observed(
-                        &rules,
-                        &program,
-                        engine,
-                        cache.as_ref(),
-                        &mut table,
-                        &observer,
-                    )
-                }
-            };
-            if let Some(cache) = &cache {
-                report_plan_cache(cache);
-            }
-            outcome
-        }
-        "columnar" | "columnar-chase" => {
-            let engine = if algo == "columnar" {
-                CompiledEngine::Linear
-            } else {
-                CompiledEngine::Chase
-            };
-            let program = {
-                let _span = obs_ctx.span("compile");
-                RuleProgram::compile(&rules)
-            };
-            let cache = {
-                let _span = obs_ctx.span("plan_cache");
-                build_plan_cache(cache_spec.unwrap_or(CacheSpec::On), threads)
             };
             let mut columns = ColumnTable::from(&table);
             let (outcome, batch) = {
                 let _span = obs_ctx.span("repair");
+                let engine = CompiledEngine::Linear;
                 if threads > 1 {
-                    par_columnar_table_observed(
+                    par_columnar_table(
                         &rules,
                         &program,
                         engine,
-                        cache.as_ref(),
+                        None,
                         &mut columns,
                         threads,
                         &observer,
                     )
                 } else {
-                    columnar_table_observed(
-                        &rules,
-                        &program,
-                        engine,
-                        cache.as_ref(),
-                        &mut columns,
-                        &observer,
-                    )
+                    columnar_table(&rules, &program, engine, None, &mut columns, &observer)
                 }
             };
             table = columns.to_table();
@@ -1563,14 +1331,11 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
                 "batch: {} rows, {} distinct signatures ({} scattered)",
                 batch.rows, batch.groups, batch.scattered
             );
-            if let Some(cache) = &cache {
-                report_plan_cache(cache);
-            }
             outcome
         }
         other => {
             return Err(format!(
-                "unknown engine `{other}` (lrepair|chase|crepair|compiled|compiled-chase|columnar|columnar-chase|stream)"
+                "unknown engine `{other}` (lrepair|chase|crepair|columnar|stream)"
             ))
         }
     };
@@ -1613,6 +1378,131 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         std::fs::write(log_path, w).map_err(|e| format!("writing {log_path}: {e}"))?;
         println!("wrote {log_path}");
     }
+    emit_profile(flags, attribution.as_ref())?;
+    finish_expose(hold, server);
+    Ok(())
+}
+
+/// `fixctl repair --engine stream`: one-pass lRepair from the data file
+/// to `--out`. Only the CSV header is read up front (for the schema Σ is
+/// parsed against); the consistency gate runs before the output file is
+/// created, and records are repaired and written as they are read.
+fn repair_stream(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
+    if threads_flag(flags)? > 1 {
+        return Err(
+            "--threads does not apply to the stream engine (one pass, one reader)".to_string(),
+        );
+    }
+    let data_path = flags.required("data")?;
+    let rules_path = flags.required("rules")?;
+    let out = flags.required("out")?;
+    let mut symbols = SymbolTable::new();
+    let rules = {
+        let _span = obs_ctx.span("load");
+        let file =
+            std::fs::File::open(data_path).map_err(|e| format!("reading {data_path}: {e}"))?;
+        let schema = relation::csv_io::read_csv_header(file, "data")
+            .map_err(|e| format!("reading {data_path}: {e}"))?;
+        let text = std::fs::read_to_string(rules_path)
+            .map_err(|e| format!("reading {rules_path}: {e}"))?;
+        let rules = parse_rules(&text, &schema, &mut symbols)
+            .map_err(|e| format!("parsing {rules_path}: {e}"))?;
+        obs::info!("load.done", rules = rules.len(), vocab = symbols.len());
+        rules
+    };
+    let hold = expose_hold_flag(flags)?;
+    let server = start_expose(flags, obs_ctx)?;
+    let report = check_consistency_observed(&rules, obs_ctx, 1);
+    if !report.is_consistent() {
+        return Err(format!(
+            "rule set has {} conflict(s); run `fixctl resolve` first",
+            report.conflicts.len()
+        ));
+    }
+    // `--quality-window` hangs a QualityMonitor off the same observer
+    // chain: tumbling windows of pre/post sketches over the stream,
+    // summarized as a per-window table after the run.
+    let quality = match flags.optional("quality-window") {
+        Some(n) => {
+            let window: usize = n
+                .parse()
+                .ok()
+                .filter(|&w| w >= 1)
+                .ok_or_else(|| format!("--quality-window: bad value `{n}` (rows >= 1)"))?;
+            let cfg = QualityConfig {
+                window_rows: window,
+                alerts: quality_alerts_flag(flags)?,
+                ..QualityConfig::default()
+            };
+            let names = rules.schema().attr_names().map(str::to_string).collect();
+            Some(QualityMonitor::new(cfg, names).with_registry(&obs_ctx.registry))
+        }
+        None => None,
+    };
+    let ledger = ProvenanceLedger::new();
+    // Optional observers tee onto the metrics observer as trait objects,
+    // as in `cmd_repair`.
+    let attribution = attribution_for(flags, obs_ctx, &rules);
+    let prov = obs_ctx
+        .journal
+        .is_some()
+        .then(|| ProvenanceObserver::new(&rules, &ledger));
+    let tee_prov;
+    let tee_attr;
+    let tee_quality;
+    let mut observer: &dyn RepairObserver = &obs_ctx.observer;
+    if let Some(p) = &prov {
+        tee_prov = Tee(observer, p as &dyn RepairObserver);
+        observer = &tee_prov;
+    }
+    if let Some(a) = &attribution {
+        tee_attr = Tee(observer, a as &dyn RepairObserver);
+        observer = &tee_attr;
+    }
+    if let Some(q) = &quality {
+        tee_quality = Tee(observer, q as &dyn RepairObserver);
+        observer = &tee_quality;
+    }
+    let index = {
+        let _span = obs_ctx.span("index_build");
+        LRepairIndex::build(&rules)
+    };
+    let reader = std::fs::File::open(data_path).map_err(|e| format!("opening {data_path}: {e}"))?;
+    let writer = std::io::BufWriter::new(
+        std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
+    );
+    let started = std::time::Instant::now();
+    let stats = {
+        let _span = obs_ctx.span("repair");
+        stream_repair_csv(&rules, &index, &mut symbols, reader, writer, &observer)
+            .map_err(|e| format!("streaming: {e}"))?
+    };
+    if let Some(journal) = &obs_ctx.journal {
+        write_trace_events(journal, &rules, &symbols, &ledger, "stream");
+    }
+    obs::info!(
+        "repair.done",
+        algo = "stream",
+        rows = stats.rows,
+        updates = stats.updates,
+        rows_per_sec = format!("{:.0}", stats.rows_per_sec(started.elapsed()))
+    );
+    println!(
+        "{} update(s) across {} row(s) of {} (streamed)",
+        stats.updates, stats.rows_touched, stats.rows
+    );
+    if let Some(quality) = &quality {
+        // Seal the trailing partial window so the table covers every
+        // row, then print the per-window signal summary.
+        quality.flush();
+        print!("{}", quality.render_table());
+        if let Some(path) = flags.optional("quality-json") {
+            std::fs::write(path, quality.snapshot().to_string_pretty() + "\n")
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            obs::info!("quality.written", path = path);
+        }
+    }
+    println!("wrote {out}");
     emit_profile(flags, attribution.as_ref())?;
     finish_expose(hold, server);
     Ok(())

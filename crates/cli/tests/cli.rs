@@ -851,9 +851,8 @@ fn metrics_without_log_is_quiet() {
     assert!(snap.get("histograms").is_some());
 }
 
-/// Every engine spelling produces byte-identical repaired CSV, and the
-/// compiled engines do so with the plan cache on, off, bounded, and across
-/// worker threads.
+/// Every engine spelling produces byte-identical repaired CSV, the
+/// parallel engines across worker threads too.
 #[test]
 fn engines_agree_on_repaired_output() {
     let dir = tmpdir("engines_agree");
@@ -889,88 +888,26 @@ fn engines_agree_on_repaired_output() {
     assert!(base_stdout.contains("3 update(s)"), "{base_stdout}");
     for (label, extra) in [
         ("chase", &["--engine", "chase"][..]),
-        ("compiled_on", &["--engine", "compiled"][..]),
+        ("crepair", &["--engine", "crepair"][..]),
+        ("columnar", &["--engine", "columnar"][..]),
         (
-            "compiled_off",
-            &["--engine", "compiled", "--plan-cache", "off"][..],
-        ),
-        (
-            "compiled_cap",
-            &["--engine", "compiled", "--plan-cache", "2"][..],
-        ),
-        (
-            "compiled_chase",
-            &["--engine", "compiled-chase", "--plan-cache", "on"][..],
-        ),
-        (
-            "compiled_par",
-            &["--engine", "compiled", "--threads", "3"][..],
+            "columnar_par",
+            &["--engine", "columnar", "--threads", "3"][..],
         ),
         (
             "lrepair_par",
             &["--engine", "lrepair", "--threads", "2"][..],
         ),
+        ("stream", &["--engine", "stream"][..]),
     ] {
         let (csv, stdout) = run(label, extra);
         assert_eq!(csv, baseline, "{label} diverged from lrepair");
         assert!(stdout.contains("3 update(s)"), "{label}: {stdout}");
     }
-    // Cached compiled run reports the cache; uncached one does not.
-    let (_, cached) = run("cache_report", &["--engine", "compiled"]);
-    assert!(cached.contains("plan cache:"), "{cached}");
-    let (_, uncached) = run(
-        "cache_silent",
-        &["--engine", "compiled", "--plan-cache", "off"],
-    );
-    assert!(!uncached.contains("plan cache:"), "{uncached}");
 }
 
-/// `--engine stream --plan-cache N` streams through the compiled engine
-/// with a bounded LRU memo; output matches the plain stream byte for byte.
-#[test]
-fn stream_engine_with_plan_cache_matches_plain_stream() {
-    let dir = tmpdir("stream_cache");
-    let data = dir.join("t.csv");
-    let rules = dir.join("r.frl");
-    std::fs::write(&data, TRAVEL_CSV).unwrap();
-    std::fs::write(&rules, GOOD_RULES).unwrap();
-    let mut outputs = Vec::new();
-    for (label, extra) in [
-        ("plain", &[][..]),
-        ("cached", &["--plan-cache", "2"][..]),
-        ("cached_on", &["--plan-cache", "on"][..]),
-    ] {
-        let out_path = dir.join(format!("{label}.csv"));
-        let mut args = vec![
-            "repair",
-            "--engine",
-            "stream",
-            "--rules",
-            rules.to_str().unwrap(),
-            "--data",
-            data.to_str().unwrap(),
-            "--out",
-        ];
-        let out_str = out_path.to_str().unwrap().to_string();
-        args.push(&out_str);
-        args.extend_from_slice(extra);
-        let out = fixctl(&args);
-        assert!(
-            out.status.success(),
-            "{label}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        if !extra.is_empty() {
-            assert!(String::from_utf8_lossy(&out.stdout).contains("plan cache:"));
-        }
-        outputs.push(std::fs::read_to_string(&out_path).unwrap());
-    }
-    assert_eq!(outputs[0], outputs[1]);
-    assert_eq!(outputs[0], outputs[2]);
-}
-
-/// Flag validation: a plan cache on a non-memoizing engine, a bad capacity,
-/// and threads on engines that cannot use them are all rejected.
+/// Flag validation: removed engine names, and threads on engines that
+/// cannot use them, are rejected.
 #[test]
 fn engine_flag_validation() {
     let dir = tmpdir("engine_flags");
@@ -993,13 +930,14 @@ fn engine_flag_validation() {
         args.extend_from_slice(extra);
         fixctl(&args)
     };
-    let out = base(&["--engine", "lrepair", "--plan-cache", "on"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--plan-cache only applies"));
-
-    let out = base(&["--engine", "compiled", "--plan-cache", "zero"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--plan-cache takes"));
+    for engine in ["compiled", "compiled-chase", "columnar-chase", "warp"] {
+        let out = base(&["--engine", engine]);
+        assert_eq!(out.status.code(), Some(2), "{engine}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown engine"),
+            "{engine}"
+        );
+    }
 
     let out = base(&["--engine", "chase", "--threads", "2"]);
     assert_eq!(out.status.code(), Some(2));
@@ -1008,13 +946,75 @@ fn engine_flag_validation() {
     let out = base(&["--engine", "stream", "--threads", "2"]);
     assert_eq!(out.status.code(), Some(2));
 
-    let out = base(&["--engine", "warp"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown engine"));
-
     let out = base(&["--threads", "0"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--threads takes"));
+}
+
+/// `repair` and `coverage` reject flags they do not read — a typo such as
+/// `--engin` must not silently fall back to the default engine, and the
+/// retired `--plan-cache` must not be silently ignored.
+#[test]
+fn unknown_flags_are_rejected() {
+    let dir = tmpdir("unknown_flags");
+    let data = dir.join("t.csv");
+    let rules = dir.join("r.frl");
+    let out_path = dir.join("o.csv");
+    std::fs::write(&data, TRAVEL_CSV).unwrap();
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    for (command, flag, value) in [
+        ("repair", "engin", "columnar"),
+        ("repair", "plan-cache", "on"),
+        ("coverage", "engin", "chase"),
+    ] {
+        let flag_arg = format!("--{flag}");
+        let mut args = vec![
+            command,
+            "--rules",
+            rules.to_str().unwrap(),
+            "--data",
+            data.to_str().unwrap(),
+            &flag_arg,
+            value,
+        ];
+        if command == "repair" {
+            args.extend(["--out", out_path.to_str().unwrap()]);
+        }
+        let out = fixctl(&args);
+        assert_eq!(out.status.code(), Some(2), "{command} {flag_arg}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag_arg}")),
+            "{command}: {stderr}"
+        );
+        assert!(!out_path.exists(), "{command} {flag_arg} wrote output");
+    }
+}
+
+/// The stream engine gates on consistency before it creates the output
+/// file: an inconsistent Σ exits non-zero and leaves no `--out` behind.
+#[test]
+fn stream_engine_rejects_inconsistent_rules_before_writing() {
+    let dir = tmpdir("stream_inconsistent");
+    let data = dir.join("t.csv");
+    let rules = dir.join("r.frl");
+    let out_path = dir.join("o.csv");
+    std::fs::write(&data, TRAVEL_CSV).unwrap();
+    std::fs::write(&rules, BAD_RULES).unwrap();
+    let out = fixctl(&[
+        "repair",
+        "--engine",
+        "stream",
+        "--rules",
+        rules.to_str().unwrap(),
+        "--data",
+        data.to_str().unwrap(),
+        "--out",
+        out_path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("conflict"));
+    assert!(!out_path.exists(), "an inconsistent stream wrote output");
 }
 
 /// GOOD_RULES plus one rule whose evidence never occurs in TRAVEL_CSV —
@@ -1076,7 +1076,7 @@ fn profile_json_is_byte_deterministic() {
             "--out",
             dir.join(format!("{tag}.csv")).to_str().unwrap(),
             "--engine",
-            "compiled",
+            "columnar",
             "--profile",
             "--profile-json",
             json_path.to_str().unwrap(),

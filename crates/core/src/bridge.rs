@@ -160,7 +160,7 @@ mod tests {
         assert_eq!(cfd.violating_rows(&t), vec![0, 1]);
         let mut rules = crate::RuleSet::new(s);
         rules.push(rule);
-        let outcome = crate::repair::crepair_table(&rules, &mut t);
+        let outcome = crate::repair::crepair_table(&rules, &mut t, &obs::NoopObserver);
         assert_eq!(outcome.total_updates(), 1);
         assert_eq!(outcome.updates[0].row, 0);
     }

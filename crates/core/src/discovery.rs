@@ -272,7 +272,7 @@ mod tests {
             rules.push(d.rule);
         }
         assert!(rules.check_consistency().is_consistent());
-        let outcome = crate::repair::crepair_table(&rules, &mut t);
+        let outcome = crate::repair::crepair_table(&rules, &mut t, &obs::NoopObserver);
         assert_eq!(outcome.total_updates(), 2);
         let cap = schema.attr("capital").unwrap();
         assert_eq!(sy.resolve(t.cell(3, cap)), "Beijing");

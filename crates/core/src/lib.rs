@@ -43,7 +43,7 @@
 //!
 //! ```
 //! use relation::{Schema, SymbolTable, Table};
-//! use fixrules::{RuleSet, repair::{lrepair_table, LRepairIndex}};
+//! use fixrules::{RuleSet, repair::{lrepair_table, LRepairIndex, NoopObserver}};
 //!
 //! let schema = Schema::new("Travel", ["name", "country", "capital", "city", "conf"]).unwrap();
 //! let mut sy = SymbolTable::new();
@@ -60,7 +60,7 @@
 //! let mut table = Table::new(schema.clone());
 //! table.push_strs(&mut sy, &["Ian", "China", "Shanghai", "Hongkong", "ICDE"]).unwrap();
 //! let index = LRepairIndex::build(&rules);
-//! let outcome = lrepair_table(&rules, &index, &mut table);
+//! let outcome = lrepair_table(&rules, &index, &mut table, &NoopObserver);
 //! assert_eq!(outcome.total_updates(), 1);
 //! let capital = schema.attr("capital").unwrap();
 //! assert_eq!(sy.resolve(table.cell(0, capital)), "Beijing");

@@ -16,7 +16,7 @@
 //! The drivers feed the ledger through the value-carrying
 //! `cell_repaired` observer hook; wrap the ledger in a
 //! [`ProvenanceObserver`] (which knows the rule set and expands rule ids
-//! into evidence bindings) and pass it to any `*_observed` entry point.
+//! into evidence bindings) and pass it to any table or stream driver.
 //! As with every observer, the hook monomorphizes to nothing under
 //! `NoopObserver` — untraced repairs pay zero cost.
 
@@ -325,7 +325,7 @@ impl RepairObserver for ProvenanceObserver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::crepair_table_observed;
+    use crate::repair::crepair_table;
 
     fn schema() -> Schema {
         Schema::new("Travel", ["name", "country", "capital", "city", "conf"]).unwrap()
@@ -387,7 +387,7 @@ mod tests {
         let mut repaired = dirty.clone();
         let ledger = ProvenanceLedger::new();
         let observer = ProvenanceObserver::new(&rules, &ledger);
-        crepair_table_observed(&rules, &mut repaired, &observer);
+        crepair_table(&rules, &mut repaired, &observer);
         (rules, dirty, repaired, ledger)
     }
 

@@ -21,7 +21,7 @@ pub fn crepair_tuple(rules: &RuleSet, row: &mut [Symbol]) -> Vec<CellUpdate> {
 /// [`crepair_tuple`] with observer hooks: one `chase_round` per outer scan
 /// of Γ, `rule_applied` per fired rule, `tuple_done` at fixpoint. With
 /// [`NoopObserver`] this monomorphizes to the unobserved hot path.
-pub fn crepair_tuple_observed<O: RepairObserver>(
+pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
     rules: &RuleSet,
     row: &mut [Symbol],
     observer: &O,
@@ -77,15 +77,11 @@ pub fn crepair_tuple_observed<O: RepairObserver>(
     updates
 }
 
-/// Repair every tuple of a table in place with `cRepair`.
-pub fn crepair_table(rules: &RuleSet, table: &mut Table) -> RepairOutcome {
-    crepair_table_observed(rules, table, &NoopObserver)
-}
-
-/// [`crepair_table`] with observer hooks; additionally emits one
-/// `cell_repaired` per applied update (the table driver knows the row
-/// index; the per-tuple algorithm doesn't).
-pub fn crepair_table_observed<O: RepairObserver>(
+/// Repair every tuple of a table in place with `cRepair`. Observer hooks:
+/// the per-tuple hooks of [`crepair_tuple`] plus one `cell_repaired` per
+/// applied update (the table driver knows the row index; the per-tuple
+/// algorithm doesn't); pass [`NoopObserver`] for none.
+pub fn crepair_table<O: RepairObserver>(
     rules: &RuleSet,
     table: &mut Table,
     observer: &O,
@@ -173,7 +169,7 @@ mod tests {
         let rules = fig8_rules(&mut sy);
         assert!(rules.check_consistency().is_consistent());
         let mut table = fig1_table(&mut sy, &rules.schema().clone());
-        let outcome = crepair_table(&rules, &mut table);
+        let outcome = crepair_table(&rules, &mut table, &NoopObserver);
         // All four errors corrected: r2.capital, r2.city, r3.country,
         // r4.capital.
         assert_eq!(outcome.total_updates(), 4);
@@ -240,7 +236,7 @@ mod tests {
         let mut sy = SymbolTable::new();
         let rules = fig8_rules(&mut sy);
         let mut table = fig1_table(&mut sy, &rules.schema().clone());
-        let outcome = crepair_table(&rules, &mut table);
+        let outcome = crepair_table(&rules, &mut table, &NoopObserver);
         let u = outcome
             .updates
             .iter()
@@ -261,6 +257,6 @@ mod tests {
         table
             .push_strs(&mut sy, &["1", "2", "3", "4", "5"])
             .unwrap();
-        crepair_table(&rules, &mut table);
+        crepair_table(&rules, &mut table, &NoopObserver);
     }
 }

@@ -1,38 +1,34 @@
 //! Batched columnar repair: gather, group by signature, repair each
 //! group once.
 //!
-//! The row-oriented compiled drivers pay one signature allocation and
-//! one cache probe (or one engine run) per tuple even when a batch is
-//! dominated by duplicate evidence projections. This module exploits the
-//! same redundancy *within* a batch: [`RuleProgram::signature_hashes`]
-//! fingerprints every row with one tight column scan per relevant
-//! attribute, rows are grouped by fingerprint with exact verification
-//! against each group representative's cells, and each distinct
-//! signature runs the compiled engine exactly once — the resulting
-//! [`RepairPlan`] is scattered back to every member row. A batch with
-//! `k` distinct signatures therefore does `k` engine runs (and `k`
-//! cache probes and signature allocations) instead of `n`, on top of
-//! the existing cross-batch [`PlanCache`] replay.
+//! A batch dominated by duplicate evidence projections needs far fewer
+//! engine runs than rows. [`RuleProgram::signature_hashes`] fingerprints
+//! every row with one tight column scan per relevant attribute, rows are
+//! grouped by fingerprint with exact verification against each group
+//! representative's cells, and each distinct signature runs the compiled
+//! engine exactly once — the resulting [`RepairPlan`] is scattered back
+//! to every member row. A batch with `k` distinct signatures therefore
+//! does `k` engine runs (or `k` probes of an optional cross-batch
+//! [`PlanCache`]) instead of `n`.
 //!
 //! **Output equivalence.** Rows are visited in ascending order and each
-//! row emits the hooks the row driver would: a group's first row behaves
-//! like a plan-cache miss (or hit, when a previous batch already memoized
-//! the signature), and member rows replay the plan with the same per-fix
-//! `rule_applied`/`plan_replayed` calls a [`PlanCache`] hit produces —
-//! minus the cache probe, and with the members' `tuple_done`s coalesced
-//! into one [`RepairObserver::tuples_done`] per group (identical call
-//! multiset, so every final counter and histogram matches; per-call
-//! observer cost for a clean duplicate row drops to zero). Crucially
-//! `cell_repaired` fixes are still emitted per row in the identical
-//! `(row, ordinal)` order, so ledgers, repaired tables and output CSV
-//! are byte-identical to the row path (pinned by proptests); only the
-//! `repair.plan_cache.*` lookup counts (k probes instead of n) and the
-//! columnar-only `repair.batch.*` counters differ.
+//! row emits the hooks a per-tuple run would: a group's first row runs
+//! the engine (or, when a previous batch already memoized the signature,
+//! replays the cached plan), and member rows replay the plan with the
+//! per-fix `rule_applied`/`plan_replayed` calls, with the members'
+//! `tuple_done`s coalesced into one [`RepairObserver::tuples_done`] per
+//! group (identical call multiset, so every final counter and histogram
+//! matches; per-call observer cost for a clean duplicate row drops to
+//! zero). Crucially `cell_repaired` fixes are still emitted per row in
+//! the identical `(row, ordinal)` order, so ledgers, repaired tables and
+//! output CSV are byte-identical to `cRepair`/`lRepair` (pinned by
+//! proptests); only the `repair.plan_cache.*` lookup counts and the
+//! columnar-only `repair.batch.*` counters depend on the batching.
 
 use std::sync::Arc;
 
 use fxhash::FxHashMap;
-use obs::{NoopObserver, RepairObserver};
+use obs::RepairObserver;
 use relation::{AttrSet, ColumnTable, Symbol};
 
 use crate::repair::compile::{
@@ -112,8 +108,8 @@ fn run_group_rep<O: RepairObserver>(
     RepairPlan::new(updates, rounds, assured)
 }
 
-/// The grouped core, shared by the sequential, parallel and streaming
-/// columnar drivers (and by servers that hold raw column buffers):
+/// The grouped core, shared by the sequential and parallel columnar
+/// drivers (and by servers that hold raw column buffers):
 /// repair `cols` (one mutable slice per attribute, all the same length)
 /// in place, returning updates re-indexed from `base_row` plus the
 /// batch's group-by shape. Emits one `batch_grouped` hook per non-empty
@@ -186,7 +182,7 @@ pub fn repair_columns_grouped<O: RepairObserver>(
         }
     }
     // Phase 3 — repair ascending so the fix stream interleaves exactly
-    // like the row driver's: a group's representative resolves its plan
+    // like a per-tuple driver's: a group's representative resolves its plan
     // (cache probe or engine run — its row is still pre-repair at that
     // point, because it is the group's first row), members scatter it.
     // Scattered members' `tuple_done`s are coalesced: one `tuples_done`
@@ -285,23 +281,13 @@ pub fn repair_columns_grouped<O: RepairObserver>(
 
 /// Batched columnar repair of a whole [`ColumnTable`]: group-by-plan on
 /// top of the compiled engine. Produces exactly the table state and
-/// update log of [`crate::repair::compiled_table`] with the same
-/// `engine` (and therefore of the uncached driver it emulates), plus the
-/// batch's group-by shape.
-pub fn columnar_table(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-) -> (RepairOutcome, BatchStats) {
-    columnar_table_observed(rules, program, engine, cache, table, &NoopObserver)
-}
-
-/// [`columnar_table`] with observer hooks: the row driver's hooks minus
+/// update log of the driver `engine` emulates
+/// ([`crate::repair::crepair_table`] for [`CompiledEngine::Chase`],
+/// [`crate::repair::lrepair_table`] for [`CompiledEngine::Linear`]), plus
+/// the batch's group-by shape. Observer hooks: the per-tuple hooks minus
 /// the per-member cache probes, plus one `batch_grouped` per non-empty
-/// batch.
-pub fn columnar_table_observed<O: RepairObserver>(
+/// batch; pass [`obs::NoopObserver`] for none.
+pub fn columnar_table<O: RepairObserver>(
     rules: &RuleSet,
     program: &RuleProgram,
     engine: CompiledEngine,
@@ -328,96 +314,21 @@ pub fn columnar_table_observed<O: RepairObserver>(
     (RepairOutcome { updates }, stats)
 }
 
-/// Columnar `cRepair`: identical output to [`crate::repair::crepair_table`].
-pub fn crepair_columnar(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-) -> (RepairOutcome, BatchStats) {
-    columnar_table(rules, program, CompiledEngine::Chase, cache, table)
-}
-
-/// [`crepair_columnar`] with observer hooks.
-pub fn crepair_columnar_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-    observer: &O,
-) -> (RepairOutcome, BatchStats) {
-    columnar_table_observed(
-        rules,
-        program,
-        CompiledEngine::Chase,
-        cache,
-        table,
-        observer,
-    )
-}
-
-/// Columnar `lRepair`: identical output to [`crate::repair::lrepair_table`].
-pub fn lrepair_columnar(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-) -> (RepairOutcome, BatchStats) {
-    columnar_table(rules, program, CompiledEngine::Linear, cache, table)
-}
-
-/// [`lrepair_columnar`] with observer hooks.
-pub fn lrepair_columnar_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-    observer: &O,
-) -> (RepairOutcome, BatchStats) {
-    columnar_table_observed(
-        rules,
-        program,
-        CompiledEngine::Linear,
-        cache,
-        table,
-        observer,
-    )
-}
-
 /// Parallel columnar repair: columns are split into horizontal chunks
 /// (no transposition — each worker takes one disjoint slice per
 /// attribute), each worker runs its own local gather + group-by, and
-/// plans cross chunk boundaries only through the shared [`PlanCache`] —
-/// the same sharing contract as [`crate::repair::par_compiled_table`].
-/// The update log is byte-identical to the sequential columnar (and row)
-/// driver's after the final stable sort.
-pub fn par_columnar_table(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-    num_threads: usize,
-) -> (RepairOutcome, BatchStats) {
-    par_columnar_table_observed(
-        rules,
-        program,
-        engine,
-        cache,
-        table,
-        num_threads,
-        &NoopObserver,
-    )
-}
-
-/// [`par_columnar_table`] with observer hooks: per-row hooks from the
-/// shared observer (which must be `Sync`), one `batch_grouped` per
-/// worker chunk, and one `worker_done(worker, rows, updates, busy_ns)`
-/// per worker. The returned [`BatchStats`] sum the per-chunk stats, so
-/// `groups` may exceed the sequential driver's count when a signature
-/// spans chunks.
+/// plans cross chunk boundaries only through the shared [`PlanCache`]
+/// (use [`PlanCache::sharded`] to keep shard contention low). The update
+/// log is byte-identical to the sequential driver's after the final
+/// stable sort.
+///
+/// Observer hooks: per-row hooks from the shared observer (which must be
+/// `Sync`), one `batch_grouped` per worker chunk, and one
+/// `worker_done(worker, rows, updates, busy_ns)` per worker. The returned
+/// [`BatchStats`] sum the per-chunk stats, so `groups` may exceed the
+/// sequential driver's count when a signature spans chunks.
 #[allow(clippy::too_many_arguments)]
-pub fn par_columnar_table_observed<O: RepairObserver>(
+pub fn par_columnar_table<O: RepairObserver>(
     rules: &RuleSet,
     program: &RuleProgram,
     engine: CompiledEngine,
@@ -466,9 +377,9 @@ pub fn par_columnar_table_observed<O: RepairObserver>(
             total.merge(stats);
         }
     });
-    // Same stable-sort argument as the parallel row driver: chunks append
-    // in ascending base_row and per-row application order survives, so
-    // the log is byte-identical to the sequential driver's.
+    // Stable sort: chunks append in ascending base_row and per-row
+    // application order survives, so the log is byte-identical to the
+    // sequential driver's.
     all_updates.sort_by_key(|u| u.row);
     (
         RepairOutcome {
@@ -481,8 +392,10 @@ pub fn par_columnar_table_observed<O: RepairObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::compile::compiled_table;
+    use crate::repair::{crepair_table, lrepair_table, LRepairIndex};
+    use obs::{MetricsObserver, MetricsRegistry, NoopObserver};
     use relation::{Schema, SymbolTable, Table};
+    use std::collections::BTreeMap;
 
     fn schema() -> Schema {
         Schema::new("Travel", ["name", "country", "capital", "city", "conf"]).unwrap()
@@ -540,16 +453,25 @@ mod tests {
         let mut sy = SymbolTable::new();
         let rules = fig8_rules(&mut sy);
         let program = RuleProgram::compile(&rules);
+        let index = LRepairIndex::build(&rules);
         let table = dup_table(&rules, &mut sy, 20);
         for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
+            let mut row_t = table.clone();
+            let row_out = match engine {
+                CompiledEngine::Chase => crepair_table(&rules, &mut row_t, &NoopObserver),
+                CompiledEngine::Linear => lrepair_table(&rules, &index, &mut row_t, &NoopObserver),
+            };
             for cached in [false, true] {
                 let cache = cached.then(PlanCache::unbounded);
-                let mut row_t = table.clone();
-                let row_out = compiled_table(&rules, &program, engine, cache.as_ref(), &mut row_t);
-                let cache2 = cached.then(PlanCache::unbounded);
                 let mut col_t = ColumnTable::from_table(&table);
-                let (col_out, stats) =
-                    columnar_table(&rules, &program, engine, cache2.as_ref(), &mut col_t);
+                let (col_out, stats) = columnar_table(
+                    &rules,
+                    &program,
+                    engine,
+                    cache.as_ref(),
+                    &mut col_t,
+                    &NoopObserver,
+                );
                 assert_eq!(row_t.diff_cells(&col_t.to_table()).unwrap(), 0);
                 assert_eq!(row_out.updates, col_out.updates);
                 assert_eq!(stats.rows, 60);
@@ -566,17 +488,102 @@ mod tests {
         let program = RuleProgram::compile(&rules);
         let table = dup_table(&rules, &mut sy, 50);
         let cache = PlanCache::unbounded();
-        let mut col_t = ColumnTable::from_table(&table);
-        let (_, stats) = lrepair_columnar(&rules, &program, Some(&cache), &mut col_t);
+        let run = |t: &mut ColumnTable| {
+            columnar_table(
+                &rules,
+                &program,
+                CompiledEngine::Linear,
+                Some(&cache),
+                t,
+                &NoopObserver,
+            )
+            .1
+        };
+        let stats = run(&mut ColumnTable::from_table(&table));
         // One cache probe per group, not per row.
         let cs = cache.stats();
         assert_eq!(cs.hits + cs.misses, stats.groups as u64);
         assert_eq!(cs.misses, 3);
         // A second batch over a warm cache probes k times and hits k times.
-        let mut again = ColumnTable::from_table(&table);
-        let (_, stats2) = lrepair_columnar(&rules, &program, Some(&cache), &mut again);
+        let stats2 = run(&mut ColumnTable::from_table(&table));
         assert_eq!(stats2.groups, 3);
         assert_eq!(cache.stats().hits, 3);
+    }
+
+    /// `repair.*` counters and `repair.tuple_*` histograms of one run,
+    /// minus the families that count cache traffic, live engine work
+    /// (probes, and the chase flavour's rounds) and batching — the only
+    /// ones a plan cache may change.
+    fn repair_metrics(registry: &MetricsRegistry) -> BTreeMap<String, obs::Json> {
+        let snap = registry.snapshot();
+        let counters = snap.get("counters").and_then(|c| c.as_obj()).unwrap();
+        let histograms = snap.get("histograms").and_then(|h| h.as_obj()).unwrap();
+        counters
+            .iter()
+            .filter(|(k, _)| {
+                k.starts_with("repair.")
+                    && ![
+                        "repair.plan_cache.",
+                        "repair.plan.",
+                        "repair.batch.",
+                        "repair.chase.",
+                    ]
+                    .iter()
+                    .any(|p| k.starts_with(p))
+            })
+            .chain(
+                histograms
+                    .iter()
+                    .filter(|(k, _)| k.starts_with("repair.tuple_")),
+            )
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn warm_plan_cache_keeps_table_and_repair_counters() {
+        let mut sy = SymbolTable::new();
+        let rules = fig8_rules(&mut sy);
+        let program = RuleProgram::compile(&rules);
+        let table = dup_table(&rules, &mut sy, 30);
+        for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
+            let cold_registry = MetricsRegistry::new();
+            let mut cold = ColumnTable::from_table(&table);
+            let (cold_out, _) = columnar_table(
+                &rules,
+                &program,
+                engine,
+                None,
+                &mut cold,
+                &MetricsObserver::new(&cold_registry),
+            );
+            let cache = PlanCache::unbounded();
+            columnar_table(
+                &rules,
+                &program,
+                engine,
+                Some(&cache),
+                &mut ColumnTable::from_table(&table),
+                &NoopObserver,
+            );
+            let warm_registry = MetricsRegistry::new();
+            let mut warm = ColumnTable::from_table(&table);
+            let (warm_out, _) = columnar_table(
+                &rules,
+                &program,
+                engine,
+                Some(&cache),
+                &mut warm,
+                &MetricsObserver::new(&warm_registry),
+            );
+            assert_eq!(cold.to_table().diff_cells(&warm.to_table()).unwrap(), 0);
+            assert_eq!(cold_out.updates, warm_out.updates);
+            let cold_metrics = repair_metrics(&cold_registry);
+            assert!(cold_metrics.contains_key("repair.updates"));
+            assert_eq!(cold_metrics, repair_metrics(&warm_registry), "{engine:?}");
+            let hits = warm_registry.counter("repair.plan_cache.hits").get();
+            assert!(hits >= 1, "the warm run replays cached plans");
+        }
     }
 
     #[test]
@@ -586,7 +593,14 @@ mod tests {
         let program = RuleProgram::compile(&rules);
         let table = dup_table(&rules, &mut sy, 40);
         let mut seq_t = ColumnTable::from_table(&table);
-        let (seq_out, _) = lrepair_columnar(&rules, &program, None, &mut seq_t);
+        let (seq_out, _) = columnar_table(
+            &rules,
+            &program,
+            CompiledEngine::Linear,
+            None,
+            &mut seq_t,
+            &NoopObserver,
+        );
         for threads in [1usize, 4, 7] {
             let cache = PlanCache::sharded(4);
             let mut par_t = ColumnTable::from_table(&table);
@@ -597,6 +611,7 @@ mod tests {
                 Some(&cache),
                 &mut par_t,
                 threads,
+                &NoopObserver,
             );
             assert_eq!(seq_t.to_table().diff_cells(&par_t.to_table()).unwrap(), 0);
             assert_eq!(seq_out.updates, par_out.updates, "threads={threads}");
@@ -617,7 +632,14 @@ mod tests {
         }
         let cache = PlanCache::unbounded();
         let mut cols = ColumnTable::from_table(&t);
-        let (out, stats) = lrepair_columnar(&rules, &program, Some(&cache), &mut cols);
+        let (out, stats) = columnar_table(
+            &rules,
+            &program,
+            CompiledEngine::Linear,
+            Some(&cache),
+            &mut cols,
+            &NoopObserver,
+        );
         assert!(out.updates.is_empty());
         assert_eq!(stats.groups, 1, "all rows share the empty signature");
         assert_eq!(stats.scattered, 4);
@@ -630,11 +652,25 @@ mod tests {
         let rules = fig8_rules(&mut sy);
         let program = RuleProgram::compile(&rules);
         let mut empty = ColumnTable::new(rules.schema().clone());
-        let (out, stats) = lrepair_columnar(&rules, &program, None, &mut empty);
+        let (out, stats) = columnar_table(
+            &rules,
+            &program,
+            CompiledEngine::Linear,
+            None,
+            &mut empty,
+            &NoopObserver,
+        );
         assert!(out.updates.is_empty());
         assert_eq!(stats, BatchStats::default());
-        let (pout, pstats) =
-            par_columnar_table(&rules, &program, CompiledEngine::Chase, None, &mut empty, 4);
+        let (pout, pstats) = par_columnar_table(
+            &rules,
+            &program,
+            CompiledEngine::Chase,
+            None,
+            &mut empty,
+            4,
+            &NoopObserver,
+        );
         assert!(pout.updates.is_empty());
         assert_eq!(pstats, BatchStats::default());
     }

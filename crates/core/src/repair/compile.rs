@@ -13,15 +13,16 @@
 //!   computes the *relevant attribute closure* of Σ — every attribute any
 //!   rule reads (`X`, and `B` for the negative patterns) or writes (`B`) —
 //!   so each tuple reduces to a compact [`TupleSignature`].
-//! * [`PlanCache`] — signature → [`RepairPlan`] memoization. The first
-//!   tuple with a given signature runs the compiled engine and records the
-//!   ordered fix list (plus the assured-set delta); every later tuple with
-//!   the same signature replays the plan: one hash lookup, zero rule
-//!   evaluation. Sharded interior state lets the parallel driver share
-//!   hits across threads; [`PlanCache::unbounded`] is the single-shard
-//!   (uncontended, effectively lock-free) fast path for sequential
-//!   drivers, and [`PlanCache::bounded_lru`] gives the streaming driver an
-//!   exact least-recently-used eviction bound.
+//! * [`PlanCache`] — signature → [`RepairPlan`] memoization. The grouped
+//!   core ([`crate::repair::repair_columns_grouped`]) runs the compiled
+//!   engine once per distinct signature in a batch and records the ordered
+//!   fix list (plus the assured-set delta); a cache carries those plans
+//!   *across* batches, so a later batch with a known signature replays the
+//!   plan: one hash lookup, zero rule evaluation. Sharded interior state
+//!   lets parallel workers and daemon requests share hits;
+//!   [`PlanCache::unbounded`] is the single-shard (uncontended) fast path,
+//!   and [`PlanCache::bounded_lru`] gives an exact least-recently-used
+//!   eviction bound.
 //!
 //! **Why memoization is sound.** An engine run on a tuple `t` reads only
 //! `t[A]` for `A` in the relevant closure (evidence via `X`, negative
@@ -54,9 +55,9 @@ use std::sync::{Arc, Mutex};
 
 use fxhash::FxHashMap;
 use obs::{NoopObserver, RepairObserver};
-use relation::{AttrId, AttrSet, Symbol, Table};
+use relation::{AttrId, AttrSet, Symbol};
 
-use crate::repair::{CellUpdate, RepairOutcome};
+use crate::repair::CellUpdate;
 use crate::ruleset::{RuleId, RuleSet};
 use crate::semantics::{matches, properly_applicable};
 
@@ -107,7 +108,6 @@ pub struct RuleProgram {
     groups_by_attr: Vec<Vec<u32>>,
     /// Relevant attribute closure, sorted ascending — the signature layout.
     relevant_attrs: Vec<AttrId>,
-    relevant: AttrSet,
     num_rules: usize,
 }
 
@@ -146,38 +146,7 @@ impl RuleProgram {
             groups,
             groups_by_attr,
             relevant_attrs: relevant.iter().collect(),
-            relevant,
             num_rules: rules.len(),
-        }
-    }
-
-    /// The tuple's projection on the relevant attribute closure — the plan
-    /// cache key. Two rows with equal signatures are repaired identically.
-    #[inline]
-    pub fn signature(&self, row: &[Symbol]) -> TupleSignature {
-        TupleSignature(self.relevant_attrs.iter().map(|a| row[a.index()]).collect())
-    }
-
-    /// Gather every row's signature into `flat` as a dense row-major
-    /// `rows × closure-width` matrix: one tight pass per relevant
-    /// attribute instead of one strided row walk per tuple. Row `i`'s
-    /// signature is `flat[i*w..(i+1)*w]` for `w = relevant_attrs().len()`
-    /// — the same projection [`RuleProgram::signature`] computes, laid
-    /// out for the columnar group-by driver.
-    pub fn signatures_batch<C: AsRef<[Symbol]>>(
-        &self,
-        columns: &[C],
-        rows: usize,
-        flat: &mut Vec<Symbol>,
-    ) {
-        let w = self.relevant_attrs.len();
-        flat.clear();
-        flat.resize(rows * w, Symbol(0));
-        for (j, attr) in self.relevant_attrs.iter().enumerate() {
-            let col = columns[attr.index()].as_ref();
-            for (i, &sym) in col[..rows].iter().enumerate() {
-                flat[i * w + j] = sym;
-            }
         }
     }
 
@@ -205,14 +174,8 @@ impl RuleProgram {
         }
     }
 
-    /// The relevant attribute closure: every attribute some rule reads or
-    /// writes.
-    pub fn relevant(&self) -> AttrSet {
-        self.relevant
-    }
-
-    /// The relevant attribute closure as a sorted slice — the signature
-    /// layout ([`RuleProgram::signatures_batch`]'s column order).
+    /// The relevant attribute closure — every attribute some rule reads
+    /// or writes — as a sorted slice: the [`TupleSignature`] layout.
     pub fn relevant_attrs(&self) -> &[AttrId] {
         &self.relevant_attrs
     }
@@ -234,15 +197,10 @@ impl RuleProgram {
 pub struct TupleSignature(Box<[Symbol]>);
 
 impl TupleSignature {
-    /// Build a signature from an already-gathered projection (a row of
-    /// [`RuleProgram::signatures_batch`]'s matrix).
+    /// Build a signature from an already-gathered projection, in
+    /// [`RuleProgram::relevant_attrs`] order.
     pub(crate) fn from_slice(symbols: &[Symbol]) -> Self {
         TupleSignature(symbols.into())
-    }
-
-    /// The projected symbols, in relevant-attribute order.
-    pub fn symbols(&self) -> &[Symbol] {
-        &self.0
     }
 }
 
@@ -283,31 +241,6 @@ impl RepairPlan {
     pub fn assured(&self) -> AttrSet {
         self.assured
     }
-
-    /// True when the plan applies no fix (a clean signature).
-    pub fn is_clean(&self) -> bool {
-        self.updates.is_empty()
-    }
-
-    /// Apply the plan to `row`, emitting the same `rule_applied` /
-    /// `tuple_done` hook sequence the original engine run did, plus one
-    /// `plan_replayed` per fix so attribution can tell memoized
-    /// applications from live evaluations. Returns the updates (`row`
-    /// field 0) for the driver to re-index.
-    fn replay<O: RepairObserver>(&self, row: &mut [Symbol], observer: &O) -> Vec<CellUpdate> {
-        for u in &self.updates {
-            debug_assert_eq!(
-                row[u.attr.index()],
-                u.old,
-                "plan replayed on a row with a different signature"
-            );
-            row[u.attr.index()] = u.new;
-            observer.rule_applied(u.rule.index(), u.attr.index());
-            observer.plan_replayed(u.rule.index(), u.attr.index());
-        }
-        observer.tuple_done(self.rounds, self.updates.len());
-        self.updates.clone()
-    }
 }
 
 /// Hit/miss/eviction counters and current size of a [`PlanCache`].
@@ -337,11 +270,11 @@ struct Shard {
     tick: u64,
 }
 
-/// Signature → plan memo shared by the compiled drivers.
+/// Signature → plan memo shared across grouped-core batches.
 ///
 /// Interior state is sharded (`N` power-of-two shards, each behind its own
 /// mutex) so parallel workers share hits with minimal contention; the
-/// single-shard constructors serve the sequential drivers, where the one
+/// single-shard constructors serve sequential callers, where the one
 /// uncontended lock costs a single atomic exchange per probe. Capacity, if
 /// bounded, evicts the least-recently-used entry per shard.
 #[derive(Debug)]
@@ -375,22 +308,16 @@ impl PlanCache {
     }
 
     /// `shards` (rounded up to a power of two) mutex-guarded shards, no
-    /// capacity bound — for the parallel driver; size to ~4× the worker
+    /// capacity bound — for parallel workers; size to ~4× the worker
     /// count.
     pub fn sharded(shards: usize) -> Self {
         PlanCache::with_shards_and_capacity(shards, None)
     }
 
     /// Single shard holding at most `capacity` plans with exact
-    /// least-recently-used eviction — the streaming driver's bound.
+    /// least-recently-used eviction.
     pub fn bounded_lru(capacity: usize) -> Self {
         PlanCache::with_shards_and_capacity(1, Some(capacity))
-    }
-
-    /// Sharded *and* capacity-bounded (capacity split evenly across
-    /// shards, LRU within each shard).
-    pub fn sharded_bounded(shards: usize, capacity: usize) -> Self {
-        PlanCache::with_shards_and_capacity(shards, Some(capacity))
     }
 
     #[inline]
@@ -715,42 +642,6 @@ pub(crate) fn run_engine<O: RepairObserver>(
     }
 }
 
-/// Repair one row with the compiled engine, consulting `cache` when
-/// present: a hit replays the memoized plan, a miss runs the engine and
-/// memoizes the result. Returns the updates (`row` field 0; drivers
-/// re-index). Used by every compiled driver — sequential, parallel and
-/// streaming.
-pub fn repair_row_compiled<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    scratch: &mut CompiledScratch,
-    row: &mut [Symbol],
-    observer: &O,
-) -> Vec<CellUpdate> {
-    let Some(cache) = cache else {
-        let (updates, rounds) = run_engine(rules, program, engine, scratch, row, observer);
-        observer.tuple_done(rounds, updates.len());
-        return updates;
-    };
-    let sig = program.signature(row);
-    if let Some(plan) = cache.get(&sig) {
-        observer.plan_cache_lookup(true);
-        return plan.replay(row, observer);
-    }
-    observer.plan_cache_lookup(false);
-    let (updates, rounds) = run_engine(rules, program, engine, scratch, row, observer);
-    observer.tuple_done(rounds, updates.len());
-    let assured = updates.iter().fold(AttrSet::EMPTY, |acc, u| {
-        acc.union(rules.rule(u.rule).assured_delta())
-    });
-    for _ in 0..cache.insert(sig, RepairPlan::new(updates.clone(), rounds, assured)) {
-        observer.plan_cache_evicted();
-    }
-    updates
-}
-
 /// Repair one tuple with the compiled chase engine (no cache). Byte-
 /// compatible with [`crate::repair::crepair_tuple`].
 pub fn crepair_compiled_tuple(
@@ -759,148 +650,22 @@ pub fn crepair_compiled_tuple(
     scratch: &mut CompiledScratch,
     row: &mut [Symbol],
 ) -> Vec<CellUpdate> {
-    repair_row_compiled(
+    run_engine(
         rules,
         program,
         CompiledEngine::Chase,
-        None,
         scratch,
         row,
         &NoopObserver,
     )
-}
-
-/// Repair one tuple with the compiled linear engine (no cache). Byte-
-/// compatible with [`crate::repair::lrepair_tuple`].
-pub fn lrepair_compiled_tuple(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    scratch: &mut CompiledScratch,
-    row: &mut [Symbol],
-) -> Vec<CellUpdate> {
-    repair_row_compiled(
-        rules,
-        program,
-        CompiledEngine::Linear,
-        None,
-        scratch,
-        row,
-        &NoopObserver,
-    )
-}
-
-/// Table driver over [`repair_row_compiled`]: pass
-/// [`CompiledEngine::Chase`] for `cRepair`-identical output and
-/// [`CompiledEngine::Linear`] for `lRepair`-identical output, with
-/// optional plan memoization.
-pub fn compiled_table(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-) -> RepairOutcome {
-    compiled_table_observed(rules, program, engine, cache, table, &NoopObserver)
-}
-
-/// [`compiled_table`] with observer hooks: the per-tuple hooks of the
-/// emulated engine plus `plan_probe`, `plan_cache_lookup`,
-/// `plan_cache_evicted`, and one `cell_repaired` per applied update.
-pub fn compiled_table_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-    observer: &O,
-) -> RepairOutcome {
-    assert!(
-        rules.schema().same_as(table.schema()),
-        "rule set and table must share a schema"
-    );
-    let mut scratch = CompiledScratch::new(rules.len());
-    let mut outcome = RepairOutcome::default();
-    for i in 0..table.len() {
-        let mut ups = repair_row_compiled(
-            rules,
-            program,
-            engine,
-            cache,
-            &mut scratch,
-            table.row_mut(i),
-            observer,
-        );
-        for (k, u) in ups.iter_mut().enumerate() {
-            u.row = i;
-            observer.cell_repaired(u.as_fix(k));
-        }
-        outcome.updates.extend(ups);
-    }
-    outcome
-}
-
-/// Compiled `cRepair` over a table: identical table state, update log and
-/// provenance ledger to [`crate::repair::crepair_table`].
-pub fn crepair_compiled(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-) -> RepairOutcome {
-    compiled_table(rules, program, CompiledEngine::Chase, cache, table)
-}
-
-/// [`crepair_compiled`] with observer hooks.
-pub fn crepair_compiled_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-    observer: &O,
-) -> RepairOutcome {
-    compiled_table_observed(
-        rules,
-        program,
-        CompiledEngine::Chase,
-        cache,
-        table,
-        observer,
-    )
-}
-
-/// Compiled `lRepair` over a table: identical table state, update log and
-/// provenance ledger to [`crate::repair::lrepair_table`].
-pub fn lrepair_compiled(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-) -> RepairOutcome {
-    compiled_table(rules, program, CompiledEngine::Linear, cache, table)
-}
-
-/// [`lrepair_compiled`] with observer hooks.
-pub fn lrepair_compiled_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-    observer: &O,
-) -> RepairOutcome {
-    compiled_table_observed(
-        rules,
-        program,
-        CompiledEngine::Linear,
-        cache,
-        table,
-        observer,
-    )
+    .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::repair::chase::crepair_tuple;
+    use crate::repair::columnar::repair_columns_grouped;
     use crate::repair::linear::{lrepair_tuple, LRepairIndex, LRepairScratch};
     use relation::{Schema, SymbolTable};
 
@@ -957,6 +722,38 @@ mod tests {
         .collect()
     }
 
+    fn intern(sy: &mut SymbolTable, row: [&str; 5]) -> Vec<Symbol> {
+        row.iter().map(|v| sy.intern(v)).collect()
+    }
+
+    /// Repair one row as a one-row batch of the grouped core, so every
+    /// call makes exactly one cache probe.
+    fn repair_one(
+        rules: &RuleSet,
+        program: &RuleProgram,
+        engine: CompiledEngine,
+        cache: &PlanCache,
+        scratch: &mut CompiledScratch,
+        row: &mut [Symbol],
+    ) -> Vec<CellUpdate> {
+        let mut cols: Vec<Vec<Symbol>> = row.iter().map(|&s| vec![s]).collect();
+        let mut slices: Vec<&mut [Symbol]> = cols.iter_mut().map(|c| c.as_mut_slice()).collect();
+        let (updates, _) = repair_columns_grouped(
+            rules,
+            program,
+            engine,
+            Some(cache),
+            scratch,
+            &mut slices,
+            0,
+            &NoopObserver,
+        );
+        for (cell, col) in row.iter_mut().zip(&cols) {
+            *cell = col[0];
+        }
+        updates
+    }
+
     #[test]
     fn program_groups_and_closure() {
         let mut sy = SymbolTable::new();
@@ -974,8 +771,7 @@ mod tests {
             .collect();
         let mut expected_sorted = expected.clone();
         expected_sorted.sort();
-        assert_eq!(program.relevant_attrs, expected_sorted);
-        assert!(!program.relevant().contains(s.attr("name").unwrap()));
+        assert_eq!(program.relevant_attrs(), expected_sorted);
     }
 
     #[test]
@@ -983,20 +779,18 @@ mod tests {
         let mut sy = SymbolTable::new();
         let rules = fig8_rules(&mut sy);
         let program = RuleProgram::compile(&rules);
-        let a: Vec<Symbol> = ["Ian", "China", "Shanghai", "Hongkong", "ICDE"]
-            .iter()
-            .map(|v| sy.intern(v))
+        let rows = [
+            intern(&mut sy, ["Ian", "China", "Shanghai", "Hongkong", "ICDE"]),
+            intern(&mut sy, ["Zoe", "China", "Shanghai", "Hongkong", "ICDE"]),
+            intern(&mut sy, ["Ian", "China", "Hongkong", "Hongkong", "ICDE"]),
+        ];
+        let cols: Vec<Vec<Symbol>> = (0..5)
+            .map(|a| rows.iter().map(|r| r[a]).collect())
             .collect();
-        let b: Vec<Symbol> = ["Zoe", "China", "Shanghai", "Hongkong", "ICDE"]
-            .iter()
-            .map(|v| sy.intern(v))
-            .collect();
-        let c: Vec<Symbol> = ["Ian", "China", "Hongkong", "Hongkong", "ICDE"]
-            .iter()
-            .map(|v| sy.intern(v))
-            .collect();
-        assert_eq!(program.signature(&a), program.signature(&b));
-        assert_ne!(program.signature(&a), program.signature(&c));
+        let mut hashes = Vec::new();
+        program.signature_hashes(&cols, rows.len(), &mut hashes);
+        assert_eq!(hashes[0], hashes[1], "only `name` differs");
+        assert_ne!(hashes[0], hashes[2], "`capital` differs");
     }
 
     #[test]
@@ -1019,8 +813,14 @@ mod tests {
             let mut linear_row = row.clone();
             let mut compiled_row = row.clone();
             let linear_ups = lrepair_tuple(&rules, &index, &mut lscratch, &mut linear_row);
-            let compiled_ups =
-                lrepair_compiled_tuple(&rules, &program, &mut cscratch, &mut compiled_row);
+            let (compiled_ups, _) = run_engine(
+                &rules,
+                &program,
+                CompiledEngine::Linear,
+                &mut cscratch,
+                &mut compiled_row,
+                &NoopObserver,
+            );
             assert_eq!(linear_ups, compiled_ups, "linear flavor diverged");
             assert_eq!(linear_row, compiled_row);
         }
@@ -1033,33 +833,25 @@ mod tests {
         let program = RuleProgram::compile(&rules);
         let cache = PlanCache::unbounded();
         let mut scratch = CompiledScratch::new(rules.len());
-        let dirty: Vec<Symbol> = ["Ian", "China", "Shanghai", "Hongkong", "ICDE"]
-            .iter()
-            .map(|v| sy.intern(v))
-            .collect();
+        let dirty = intern(&mut sy, ["Ian", "China", "Shanghai", "Hongkong", "ICDE"]);
         let mut first = dirty.clone();
-        let miss_ups = repair_row_compiled(
+        let miss_ups = repair_one(
             &rules,
             &program,
             CompiledEngine::Linear,
-            Some(&cache),
+            &cache,
             &mut scratch,
             &mut first,
-            &NoopObserver,
         );
         // Same signature, different irrelevant attr: must hit and replay.
-        let mut second: Vec<Symbol> = ["Zoe", "China", "Shanghai", "Hongkong", "ICDE"]
-            .iter()
-            .map(|v| sy.intern(v))
-            .collect();
-        let hit_ups = repair_row_compiled(
+        let mut second = intern(&mut sy, ["Zoe", "China", "Shanghai", "Hongkong", "ICDE"]);
+        let hit_ups = repair_one(
             &rules,
             &program,
             CompiledEngine::Linear,
-            Some(&cache),
+            &cache,
             &mut scratch,
             &mut second,
-            &NoopObserver,
         );
         assert_eq!(miss_ups, hit_ups);
         assert_eq!(first[1..], second[1..]);
@@ -1067,9 +859,13 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.entries, 1);
         // The cached plan carries the assured delta of the applied rules.
-        let plan = cache.get(&program.signature(&dirty)).unwrap();
+        let sig: Vec<Symbol> = program
+            .relevant_attrs()
+            .iter()
+            .map(|a| dirty[a.index()])
+            .collect();
+        let plan = cache.get(&TupleSignature::from_slice(&sig)).unwrap();
         assert_eq!(plan.updates().len(), 2);
-        assert!(!plan.is_clean());
         let s = schema();
         assert!(plan.assured().contains(s.attr("capital").unwrap()));
         assert!(plan.assured().contains(s.attr("city").unwrap()));
@@ -1094,15 +890,51 @@ mod tests {
     }
 
     #[test]
+    fn lru_eviction_and_re_miss_yield_correct_plans() {
+        let mut sy = SymbolTable::new();
+        let rules = fig8_rules(&mut sy);
+        let program = RuleProgram::compile(&rules);
+        // Two dirty signatures alternating: a capacity-1 cache thrashes —
+        // every lookup after the first evicts the other signature's plan —
+        // yet each re-miss must re-plan correctly.
+        let china = intern(&mut sy, ["p", "China", "Shanghai", "x", "ICDE"]);
+        let canada = intern(&mut sy, ["q", "Canada", "Toronto", "y", "VLDB"]);
+        let (beijing, ottawa) = (sy.intern("Beijing"), sy.intern("Ottawa"));
+        let cache = PlanCache::bounded_lru(1);
+        let mut scratch = CompiledScratch::new(rules.len());
+        let mut updates = 0;
+        for i in 0..6 {
+            let (mut row, fixed) = if i % 2 == 0 {
+                (china.clone(), beijing)
+            } else {
+                (canada.clone(), ottawa)
+            };
+            updates += repair_one(
+                &rules,
+                &program,
+                CompiledEngine::Linear,
+                &cache,
+                &mut scratch,
+                &mut row,
+            )
+            .len();
+            assert_eq!(row[2], fixed, "row {i} repaired despite thrashing");
+        }
+        assert_eq!(updates, 6);
+        let cs = cache.stats();
+        assert_eq!(cs.hits, 0, "capacity 1 with alternating signatures");
+        assert_eq!(cs.misses, 6);
+        assert_eq!(cs.evictions, 5);
+        assert_eq!(cs.entries, 1);
+    }
+
+    #[test]
     fn sharded_cache_shares_plans_across_threads() {
         let mut sy = SymbolTable::new();
         let rules = fig8_rules(&mut sy);
         let program = RuleProgram::compile(&rules);
         let cache = PlanCache::sharded(8);
-        let dirty: Vec<Symbol> = ["Ian", "China", "Shanghai", "Hongkong", "ICDE"]
-            .iter()
-            .map(|v| sy.intern(v))
-            .collect();
+        let dirty = intern(&mut sy, ["Ian", "China", "Shanghai", "Hongkong", "ICDE"]);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let (rules, program, cache, dirty) = (&rules, &program, &cache, &dirty);
@@ -1110,14 +942,13 @@ mod tests {
                     let mut scratch = CompiledScratch::new(rules.len());
                     for _ in 0..50 {
                         let mut row = dirty.clone();
-                        repair_row_compiled(
+                        repair_one(
                             rules,
                             program,
                             CompiledEngine::Linear,
-                            Some(cache),
+                            cache,
                             &mut scratch,
                             &mut row,
-                            &NoopObserver,
                         );
                     }
                 });
@@ -1137,19 +968,15 @@ mod tests {
         assert_eq!(program.num_groups(), 0);
         let cache = PlanCache::unbounded();
         let mut scratch = CompiledScratch::new(0);
-        let mut row: Vec<Symbol> = ["a", "b", "c", "d", "e"]
-            .iter()
-            .map(|v| sy.intern(v))
-            .collect();
+        let mut row = intern(&mut sy, ["a", "b", "c", "d", "e"]);
         for _ in 0..3 {
-            let ups = repair_row_compiled(
+            let ups = repair_one(
                 &rules,
                 &program,
                 CompiledEngine::Chase,
-                Some(&cache),
+                &cache,
                 &mut scratch,
                 &mut row,
-                &NoopObserver,
             );
             assert!(ups.is_empty());
         }

@@ -120,7 +120,7 @@ mod tests {
         let index = LRepairIndex::build(&rules);
         let plan = detect_table(&rules, &index, &table);
         let mut repaired = table.clone();
-        let applied = lrepair_table(&rules, &index, &mut repaired);
+        let applied = lrepair_table(&rules, &index, &mut repaired, &obs::NoopObserver);
         assert_eq!(plan.updates, applied.updates);
         // Applying the plan manually reproduces the repair.
         let mut manual = table.clone();

@@ -152,7 +152,7 @@ pub fn lrepair_tuple(
 /// lookup, `counter_saturated` per hash counter reaching `|X_φ|`,
 /// `rule_applied` per fired rule, `tuple_done` (pops, updates) at the end.
 /// With [`NoopObserver`] this monomorphizes to the unobserved hot path.
-pub fn lrepair_tuple_observed<O: RepairObserver>(
+pub(crate) fn lrepair_tuple_observed<O: RepairObserver>(
     rules: &RuleSet,
     index: &LRepairIndex,
     scratch: &mut LRepairScratch,
@@ -236,15 +236,11 @@ pub fn lrepair_tuple_observed<O: RepairObserver>(
     updates
 }
 
-/// Repair every tuple of a table in place with `lRepair`.
-pub fn lrepair_table(rules: &RuleSet, index: &LRepairIndex, table: &mut Table) -> RepairOutcome {
-    lrepair_table_observed(rules, index, table, &NoopObserver)
-}
-
-/// [`lrepair_table`] with observer hooks; additionally emits one
-/// `cell_repaired` per applied update (the table driver knows the row
-/// index; the per-tuple algorithm doesn't).
-pub fn lrepair_table_observed<O: RepairObserver>(
+/// Repair every tuple of a table in place with `lRepair`. Observer hooks:
+/// the per-tuple hooks of [`lrepair_tuple`] plus one `cell_repaired` per
+/// applied update (the table driver knows the row index; the per-tuple
+/// algorithm doesn't); pass [`NoopObserver`] for none.
+pub fn lrepair_table<O: RepairObserver>(
     rules: &RuleSet,
     index: &LRepairIndex,
     table: &mut Table,
@@ -354,7 +350,7 @@ mod tests {
         let rules = fig8_rules(&mut sy);
         let index = LRepairIndex::build(&rules);
         let mut table = fig1_table(&mut sy, &rules.schema().clone());
-        let outcome = lrepair_table(&rules, &index, &mut table);
+        let outcome = lrepair_table(&rules, &index, &mut table, &NoopObserver);
         assert_eq!(outcome.total_updates(), 4);
         assert_eq!(
             table.row_strs(&sy, 0),
@@ -381,8 +377,8 @@ mod tests {
         let index = LRepairIndex::build(&rules);
         let mut a = fig1_table(&mut sy, &rules.schema().clone());
         let mut b = a.clone();
-        let oa = crepair_table(&rules, &mut a);
-        let ob = lrepair_table(&rules, &index, &mut b);
+        let oa = crepair_table(&rules, &mut a, &NoopObserver);
+        let ob = lrepair_table(&rules, &index, &mut b, &NoopObserver);
         assert_eq!(a.diff_cells(&b).unwrap(), 0);
         assert_eq!(oa.total_updates(), ob.total_updates());
     }
@@ -455,7 +451,7 @@ mod tests {
         let index = LRepairIndex::build(&rules);
         let mut table = fig1_table(&mut sy, &rules.schema().clone());
         let before = table.clone();
-        let outcome = lrepair_table(&rules, &index, &mut table);
+        let outcome = lrepair_table(&rules, &index, &mut table, &NoopObserver);
         assert_eq!(outcome.total_updates(), 0);
         assert_eq!(before.diff_cells(&table).unwrap(), 0);
     }

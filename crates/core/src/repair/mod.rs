@@ -1,6 +1,7 @@
 //! Repairing data with a consistent set of fixing rules (§6).
 //!
-//! Two per-tuple algorithms, matching the paper:
+//! Two per-tuple algorithms, matching the paper — the reference
+//! implementations behind the figures and the test oracles:
 //!
 //! * [`chase`] — `cRepair` (Fig 6): rescan the unused rules after every
 //!   update; `O(size(Σ)·|R|)` per tuple.
@@ -8,17 +9,22 @@
 //!   value)` keys to rules plus per-rule hash counters of matched evidence
 //!   cells; `O(size(Σ))` per tuple.
 //!
-//! [`parallel`] adds a table-level driver that shards rows across threads —
-//! sound because fixing rules are strictly per-tuple (unlike FD repair,
-//! which must reason across tuples).
+//! Each has a table driver ([`crepair_table`], [`lrepair_table`]);
+//! [`parallel`] shards `lRepair` rows across threads — sound because
+//! fixing rules are strictly per-tuple (unlike FD repair, which must
+//! reason across tuples) — and [`stream`] runs `lRepair` over a CSV
+//! stream in one pass.
 //!
-//! [`compile`] adds a third execution strategy on top of either algorithm:
-//! the rule set is compiled once into a [`RuleProgram`] (evidence-group
-//! hash dispatch + relevant attribute closure), and repair plans are
-//! memoized per [`TupleSignature`] in a [`PlanCache`], so duplicate dirty
-//! tuples are repaired by replaying a cached plan instead of re-running
-//! the engine. The compiled drivers reproduce the uncached drivers'
-//! output — including the provenance ledger — byte for byte.
+//! [`columnar`] is the grouped core: Σ is compiled once into a
+//! [`RuleProgram`] ([`compile`]), the rows of a column batch are grouped
+//! by [`TupleSignature`], and each distinct signature runs the compiled
+//! engine once ([`repair_columns_grouped`]); an optional [`PlanCache`]
+//! carries the resulting plans across batches. [`CompiledEngine::Chase`]
+//! and [`CompiledEngine::Linear`] reproduce `cRepair`'s and `lRepair`'s
+//! output — table, update log and provenance ledger — byte for byte.
+//!
+//! Every table and stream driver takes an `observer: &O`; pass
+//! [`NoopObserver`] when no hooks are wanted.
 //!
 //! Both algorithms require a **consistent** rule set; by the Church–Rosser
 //! property (§6.1) they then produce the same unique fix per tuple, which is
@@ -32,31 +38,17 @@ pub mod linear;
 pub mod parallel;
 pub mod stream;
 
-pub use chase::{crepair_table, crepair_table_observed, crepair_tuple, crepair_tuple_observed};
-pub use columnar::{
-    columnar_table, columnar_table_observed, crepair_columnar, crepair_columnar_observed,
-    lrepair_columnar, lrepair_columnar_observed, par_columnar_table, par_columnar_table_observed,
-    repair_columns_grouped, BatchStats,
-};
+pub use chase::{crepair_table, crepair_tuple};
+pub use columnar::{columnar_table, par_columnar_table, repair_columns_grouped, BatchStats};
 pub use compile::{
-    compiled_table, compiled_table_observed, crepair_compiled, crepair_compiled_observed,
-    crepair_compiled_tuple, lrepair_compiled, lrepair_compiled_observed, lrepair_compiled_tuple,
-    repair_row_compiled, CompiledEngine, CompiledScratch, PlanCache, PlanCacheStats, RepairPlan,
+    crepair_compiled_tuple, CompiledEngine, CompiledScratch, PlanCache, PlanCacheStats, RepairPlan,
     RuleProgram, TupleSignature,
 };
 pub use detect::{detect_table, explain};
-pub use linear::{
-    lrepair_table, lrepair_table_observed, lrepair_tuple, lrepair_tuple_observed, LRepairIndex,
-    LRepairScratch,
-};
-pub use parallel::{
-    par_compiled_table, par_compiled_table_observed, par_lrepair_table, par_lrepair_table_observed,
-};
-pub use stream::{
-    stream_repair_csv, stream_repair_csv_columnar, stream_repair_csv_columnar_observed,
-    stream_repair_csv_compiled, stream_repair_csv_compiled_observed, stream_repair_csv_observed,
-    StreamStats,
-};
+pub use linear::{lrepair_table, lrepair_tuple, LRepairIndex, LRepairScratch};
+pub use obs::NoopObserver;
+pub use parallel::par_lrepair_table;
+pub use stream::{stream_repair_csv, StreamStats};
 
 use relation::{AttrId, Symbol};
 

@@ -7,12 +7,9 @@
 //! extension beyond the paper (its experiments are single-threaded); the
 //! `repro` harness uses the sequential drivers so timings stay comparable.
 
-use obs::{NoopObserver, RepairObserver};
+use obs::RepairObserver;
 use relation::Table;
 
-use crate::repair::compile::{
-    repair_row_compiled, CompiledEngine, CompiledScratch, PlanCache, RuleProgram,
-};
 use crate::repair::linear::{lrepair_tuple_observed, LRepairIndex, LRepairScratch};
 use crate::repair::{CellUpdate, RepairOutcome};
 use crate::ruleset::RuleSet;
@@ -25,21 +22,13 @@ use crate::ruleset::RuleSet;
 /// in application order, and the final **stable** sort on `row` alone keeps
 /// that relative order within a row — so the log is byte-identical to the
 /// sequential driver's, which downstream diffing relies on.
-pub fn par_lrepair_table(
-    rules: &RuleSet,
-    index: &LRepairIndex,
-    table: &mut Table,
-    num_threads: usize,
-) -> RepairOutcome {
-    par_lrepair_table_observed(rules, index, table, num_threads, &NoopObserver)
-}
-
-/// [`par_lrepair_table`] with observer hooks: per-tuple hooks from the
-/// shared observer (which must therefore be `Sync`), one `cell_repaired`
-/// per applied update (in worker order — provenance consumers sort by
-/// `(row, ordinal)`), plus one `worker_done(worker, rows, updates,
-/// busy_ns)` per worker.
-pub fn par_lrepair_table_observed<O: RepairObserver>(
+///
+/// Observer hooks: per-tuple hooks from the shared observer (which must
+/// therefore be `Sync`), one `cell_repaired` per applied update (in worker
+/// order — provenance consumers sort by `(row, ordinal)`), plus one
+/// `worker_done(worker, rows, updates, busy_ns)` per worker; pass
+/// [`obs::NoopObserver`] for none.
+pub fn par_lrepair_table<O: RepairObserver>(
     rules: &RuleSet,
     index: &LRepairIndex,
     table: &mut Table,
@@ -94,102 +83,14 @@ pub fn par_lrepair_table_observed<O: RepairObserver>(
     }
 }
 
-/// Repair a table with the compiled engine across `num_threads` workers,
-/// sharing one [`PlanCache`] (use [`PlanCache::sharded`] to keep shard
-/// contention low). Produces exactly the same table state and update log
-/// as the sequential [`crate::repair::compiled_table`] with the same
-/// `engine` — and therefore as the uncached driver it emulates.
-pub fn par_compiled_table(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-    num_threads: usize,
-) -> RepairOutcome {
-    par_compiled_table_observed(
-        rules,
-        program,
-        engine,
-        cache,
-        table,
-        num_threads,
-        &NoopObserver,
-    )
-}
-
-/// [`par_compiled_table`] with observer hooks; same hook contract as
-/// [`par_lrepair_table_observed`] plus the plan-cache hooks.
-#[allow(clippy::too_many_arguments)]
-pub fn par_compiled_table_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut Table,
-    num_threads: usize,
-    observer: &O,
-) -> RepairOutcome {
-    assert!(
-        rules.schema().same_as(table.schema()),
-        "rule set and table must share a schema"
-    );
-    let num_threads = num_threads.max(1);
-    let rows = table.len();
-    if rows == 0 {
-        return RepairOutcome::default();
-    }
-    let arity = table.schema().arity();
-    let chunk_rows = rows.div_ceil(num_threads);
-    let mut all_updates: Vec<CellUpdate> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (chunk_idx, chunk) in table.rows_mut_chunks(chunk_rows).enumerate() {
-            let base_row = chunk_idx * chunk_rows;
-            handles.push(scope.spawn(move || {
-                let start = std::time::Instant::now();
-                let mut scratch = CompiledScratch::new(rules.len());
-                let mut local = Vec::new();
-                let mut worker_rows = 0usize;
-                for (r, row) in chunk.chunks_exact_mut(arity).enumerate() {
-                    let mut ups = repair_row_compiled(
-                        rules,
-                        program,
-                        engine,
-                        cache,
-                        &mut scratch,
-                        row,
-                        observer,
-                    );
-                    for (k, u) in ups.iter_mut().enumerate() {
-                        u.row = base_row + r;
-                        observer.cell_repaired(u.as_fix(k));
-                    }
-                    local.extend(ups);
-                    worker_rows += 1;
-                }
-                let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                observer.worker_done(chunk_idx, worker_rows, local.len(), busy_ns);
-                local
-            }));
-        }
-        for h in handles {
-            all_updates.extend(h.join().expect("repair worker panicked"));
-        }
-    });
-    // Same stable-sort argument as above: per-row application order
-    // survives, so the log is byte-identical to the sequential driver's.
-    all_updates.sort_by_key(|u| u.row);
-    RepairOutcome {
-        updates: all_updates,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::{lrepair_compiled, lrepair_table};
-    use relation::{Schema, SymbolTable};
+    use crate::repair::{
+        columnar_table, lrepair_table, par_columnar_table, CompiledEngine, PlanCache, RuleProgram,
+    };
+    use obs::NoopObserver;
+    use relation::{ColumnTable, Schema, SymbolTable};
 
     fn setup(rows: usize) -> (RuleSet, Table, SymbolTable) {
         let schema = Schema::new("Travel", ["name", "country", "capital", "city", "conf"]).unwrap();
@@ -233,8 +134,8 @@ mod tests {
         let index = LRepairIndex::build(&rules);
         let mut seq = table.clone();
         let mut par = table.clone();
-        let so = lrepair_table(&rules, &index, &mut seq);
-        let po = par_lrepair_table(&rules, &index, &mut par, 4);
+        let so = lrepair_table(&rules, &index, &mut seq, &NoopObserver);
+        let po = par_lrepair_table(&rules, &index, &mut par, 4, &NoopObserver);
         assert_eq!(seq.diff_cells(&par).unwrap(), 0);
         assert_eq!(so.total_updates(), po.total_updates());
     }
@@ -245,8 +146,8 @@ mod tests {
         let index = LRepairIndex::build(&rules);
         let mut seq = table.clone();
         let mut par = table.clone();
-        lrepair_table(&rules, &index, &mut seq);
-        par_lrepair_table(&rules, &index, &mut par, 1);
+        lrepair_table(&rules, &index, &mut seq, &NoopObserver);
+        par_lrepair_table(&rules, &index, &mut par, 1, &NoopObserver);
         assert_eq!(seq.diff_cells(&par).unwrap(), 0);
     }
 
@@ -255,7 +156,7 @@ mod tests {
         let (rules, table, _sy) = setup(3);
         let index = LRepairIndex::build(&rules);
         let mut par = table.clone();
-        let outcome = par_lrepair_table(&rules, &index, &mut par, 16);
+        let outcome = par_lrepair_table(&rules, &index, &mut par, 16, &NoopObserver);
         assert_eq!(outcome.total_updates(), 1);
     }
 
@@ -263,7 +164,7 @@ mod tests {
     fn empty_table_is_noop() {
         let (rules, mut table, _sy) = setup(0);
         let index = LRepairIndex::build(&rules);
-        let outcome = par_lrepair_table(&rules, &index, &mut table, 4);
+        let outcome = par_lrepair_table(&rules, &index, &mut table, 4, &NoopObserver);
         assert_eq!(outcome.total_updates(), 0);
     }
 
@@ -274,28 +175,45 @@ mod tests {
         let index = LRepairIndex::build(&rules);
         let cache = PlanCache::sharded(16);
         let mut seq = table.clone();
-        let mut par = table.clone();
-        let so = lrepair_table(&rules, &index, &mut seq);
-        let po = par_compiled_table(
+        let mut par = ColumnTable::from_table(&table);
+        let so = lrepair_table(&rules, &index, &mut seq, &NoopObserver);
+        let (po, batch) = par_columnar_table(
             &rules,
             &program,
             CompiledEngine::Linear,
             Some(&cache),
             &mut par,
             4,
+            &NoopObserver,
         );
-        assert_eq!(seq.diff_cells(&par).unwrap(), 0);
+        assert_eq!(seq.diff_cells(&par.to_table()).unwrap(), 0);
         assert_eq!(so.updates, po.updates, "full update logs must agree");
         let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 1000);
-        assert!(stats.hits >= 1000 - 4 * 2, "two signatures, four workers");
+        assert_eq!(stats.hits + stats.misses, batch.groups as u64);
+        assert_eq!(batch.groups, 8, "two signatures in each of four chunks");
+        assert_eq!(stats.entries, 2, "workers share one plan per signature");
 
         // Cache off, chase flavor, degenerate single worker.
-        let mut par1 = table.clone();
-        let p1 = par_compiled_table(&rules, &program, CompiledEngine::Chase, None, &mut par1, 1);
-        let mut seq1 = table.clone();
-        let s1 = lrepair_compiled(&rules, &program, None, &mut seq1);
-        assert_eq!(seq1.diff_cells(&par1).unwrap(), 0);
+        let mut par1 = ColumnTable::from_table(&table);
+        let (p1, _) = par_columnar_table(
+            &rules,
+            &program,
+            CompiledEngine::Chase,
+            None,
+            &mut par1,
+            1,
+            &NoopObserver,
+        );
+        let mut seq1 = ColumnTable::from_table(&table);
+        let (s1, _) = columnar_table(
+            &rules,
+            &program,
+            CompiledEngine::Linear,
+            None,
+            &mut seq1,
+            &NoopObserver,
+        );
+        assert_eq!(seq1.to_table().diff_cells(&par1.to_table()).unwrap(), 0);
         assert_eq!(p1.total_updates(), s1.total_updates());
     }
 
@@ -304,7 +222,7 @@ mod tests {
         let (rules, table, _sy) = setup(100);
         let index = LRepairIndex::build(&rules);
         let mut par = table.clone();
-        let outcome = par_lrepair_table(&rules, &index, &mut par, 7);
+        let outcome = par_lrepair_table(&rules, &index, &mut par, 7, &NoopObserver);
         for u in &outcome.updates {
             assert_eq!(u.row % 3, 0, "only every third row is dirty");
         }

@@ -17,10 +17,9 @@ use fixrules::consistency::resolve::{ensure_consistent, Strategy as ResolveStrat
 use fixrules::consistency::{is_consistent_characterize, is_consistent_parallel};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
-    columnar_table_observed, compiled_table_observed, crepair_table_observed, crepair_tuple,
-    lrepair_table_observed, lrepair_tuple, par_columnar_table_observed,
-    par_compiled_table_observed, par_lrepair_table, CompiledEngine, LRepairIndex, LRepairScratch,
-    PlanCache, RuleProgram,
+    columnar_table, crepair_compiled_tuple, crepair_table, crepair_tuple, lrepair_table,
+    lrepair_tuple, par_columnar_table, par_lrepair_table, repair_columns_grouped, CompiledEngine,
+    CompiledScratch, LRepairIndex, LRepairScratch, NoopObserver, PlanCache, RuleProgram,
 };
 use fixrules::semantics::{all_fixes, is_fixpoint};
 use fixrules::{FixingRule, RuleSet};
@@ -197,11 +196,11 @@ proptest! {
         }
         let index = LRepairIndex::build(&rs);
         let mut by_c = table.clone();
-        fixrules::repair::crepair_table(&rs, &mut by_c);
+        crepair_table(&rs, &mut by_c, &NoopObserver);
         let mut by_l = table.clone();
-        fixrules::repair::lrepair_table(&rs, &index, &mut by_l);
+        lrepair_table(&rs, &index, &mut by_l, &NoopObserver);
         let mut by_p = table.clone();
-        par_lrepair_table(&rs, &index, &mut by_p, 3);
+        par_lrepair_table(&rs, &index, &mut by_p, 3, &NoopObserver);
         prop_assert_eq!(by_c.diff_cells(&by_l).unwrap(), 0);
         prop_assert_eq!(by_c.diff_cells(&by_p).unwrap(), 0);
     }
@@ -221,12 +220,14 @@ proptest! {
         prop_assert!(is_fixpoint(rs.rules().iter(), &fixed, assured));
     }
 
-    /// The compiled engines are drop-in replacements: on random consistent
-    /// rule sets, `compiled(Chase)` reproduces `cRepair`'s provenance
-    /// ledger byte for byte and `compiled(Linear)` reproduces `lRepair`'s —
-    /// including the engine-specific `round` stamps — for every combination
-    /// of plan cache (off / on) and worker count (1 / 4), along with the
-    /// final table.
+    /// The compiled engines are drop-in replacements when driven through
+    /// the lower-level entry points a server uses: the grouped core fed
+    /// raw column chunks with running row offsets reproduces `cRepair`
+    /// (`Chase`) and `lRepair` (`Linear`) — final table, update log and
+    /// provenance ledger, `round` stamps included — at every chunk size,
+    /// with and without a plan cache shared across chunks; and the
+    /// uncached per-tuple `crepair_compiled_tuple` matches `crepair_tuple`
+    /// tuple by tuple.
     #[test]
     fn compiled_engines_reproduce_ledgers(rs in rulesets(),
                                           rows in proptest::collection::vec(tuples(), 1..24)) {
@@ -238,15 +239,88 @@ proptest! {
         for r in &rows {
             table0.push_row(r).unwrap();
         }
-        // References: the uncached sequential drivers.
         let mut chase_table = table0.clone();
         let chase_ledger = ProvenanceLedger::new();
-        crepair_table_observed(
+        let chase_out = crepair_table(
             &rs, &mut chase_table, &ProvenanceObserver::new(&rs, &chase_ledger));
         let chase_records = chase_ledger.records();
         let mut linear_table = table0.clone();
         let linear_ledger = ProvenanceLedger::new();
-        lrepair_table_observed(
+        let linear_out = lrepair_table(
+            &rs, &index, &mut linear_table, &ProvenanceObserver::new(&rs, &linear_ledger));
+        let linear_records = linear_ledger.records();
+
+        for (engine, ref_table, ref_updates, ref_records) in [
+            (CompiledEngine::Chase, &chase_table, &chase_out.updates, &chase_records),
+            (CompiledEngine::Linear, &linear_table, &linear_out.updates, &linear_records),
+        ] {
+            for chunk_rows in [1usize, 5, rows.len()] {
+                for cached in [false, true] {
+                    let cache = cached.then(PlanCache::unbounded);
+                    let mut cols = ColumnTable::from(&table0);
+                    let ledger = ProvenanceLedger::new();
+                    let obs = ProvenanceObserver::new(&rs, &ledger);
+                    let mut scratch = CompiledScratch::new(rs.len());
+                    let mut updates = Vec::new();
+                    for (k, mut chunk) in
+                        cols.columns_mut_chunks(chunk_rows).into_iter().enumerate()
+                    {
+                        let (u, _) = repair_columns_grouped(
+                            &rs, &program, engine, cache.as_ref(), &mut scratch,
+                            &mut chunk, k * chunk_rows, &obs);
+                        updates.extend(u);
+                    }
+                    let t = cols.to_table();
+                    prop_assert_eq!(ref_table.diff_cells(&t).unwrap(), 0,
+                        "{:?} cached={} chunk={}: tables diverged", engine, cached, chunk_rows);
+                    prop_assert_eq!(&updates, ref_updates,
+                        "{:?} cached={} chunk={}: update logs diverged", engine, cached, chunk_rows);
+                    prop_assert_eq!(&ledger.records(), ref_records,
+                        "{:?} cached={} chunk={}: ledgers diverged", engine, cached, chunk_rows);
+                }
+            }
+        }
+
+        let mut scratch = CompiledScratch::new(rs.len());
+        for r in &rows {
+            let mut by_chase = r.clone();
+            let chase_updates = crepair_tuple(&rs, &mut by_chase);
+            let mut by_compiled = r.clone();
+            let compiled_updates =
+                crepair_compiled_tuple(&rs, &program, &mut scratch, &mut by_compiled);
+            prop_assert_eq!(&by_chase, &by_compiled);
+            prop_assert_eq!(chase_updates, compiled_updates);
+        }
+    }
+
+    /// The columnar group-by-plan drivers are drop-in replacements for the
+    /// paper's drivers: on random consistent rule sets,
+    /// `columnar(Chase)` reproduces `cRepair`'s final table and provenance
+    /// ledger byte for byte and `columnar(Linear)` reproduces `lRepair`'s —
+    /// including the engine-specific `round` stamps — for every
+    /// combination of plan cache (off / on) and worker count (1 / 4).
+    /// Batch accounting must always tie out: every row is either a group
+    /// representative or scattered.
+    #[test]
+    fn columnar_drivers_reproduce_ledgers(rs in rulesets(),
+                                          rows in proptest::collection::vec(tuples(), 1..24)) {
+        let mut rs = rs;
+        ensure_consistent(&mut rs, ResolveStrategy::ShrinkNegatives);
+        let program = RuleProgram::compile(&rs);
+        let index = LRepairIndex::build(&rs);
+        let mut table0 = Table::new(rs.schema().clone());
+        for r in &rows {
+            table0.push_row(r).unwrap();
+        }
+        // References: the paper's sequential drivers.
+        let mut chase_table = table0.clone();
+        let chase_ledger = ProvenanceLedger::new();
+        crepair_table(
+            &rs, &mut chase_table, &ProvenanceObserver::new(&rs, &chase_ledger));
+        let chase_records = chase_ledger.records();
+        let mut linear_table = table0.clone();
+        let linear_ledger = ProvenanceLedger::new();
+        lrepair_table(
             &rs, &index, &mut linear_table, &ProvenanceObserver::new(&rs, &linear_ledger));
         let linear_records = linear_ledger.records();
 
@@ -261,70 +335,20 @@ proptest! {
                     } else {
                         PlanCache::unbounded()
                     });
-                    let mut t = table0.clone();
-                    let ledger = ProvenanceLedger::new();
-                    let obs = ProvenanceObserver::new(&rs, &ledger);
-                    if threads > 1 {
-                        par_compiled_table_observed(
-                            &rs, &program, engine, cache.as_ref(), &mut t, threads, &obs);
-                    } else {
-                        compiled_table_observed(
-                            &rs, &program, engine, cache.as_ref(), &mut t, &obs);
-                    }
-                    prop_assert_eq!(ref_table.diff_cells(&t).unwrap(), 0,
-                        "{:?} cached={} threads={}: tables diverged", engine, cached, threads);
-                    prop_assert_eq!(&ledger.records(), ref_records,
-                        "{:?} cached={} threads={}: ledgers diverged", engine, cached, threads);
-                }
-            }
-        }
-    }
-
-    /// The columnar group-by-plan drivers are drop-in replacements for the
-    /// row-at-a-time compiled drivers: identical final table and identical
-    /// provenance ledger — byte for byte, `round` stamps included — for
-    /// both engines, with and without a plan cache, sequential and
-    /// sharded across workers. Batch accounting must always tie out:
-    /// every row is either a group representative or scattered.
-    #[test]
-    fn columnar_drivers_reproduce_ledgers(rs in rulesets(),
-                                          rows in proptest::collection::vec(tuples(), 1..24)) {
-        let mut rs = rs;
-        ensure_consistent(&mut rs, ResolveStrategy::ShrinkNegatives);
-        let program = RuleProgram::compile(&rs);
-        let mut table0 = Table::new(rs.schema().clone());
-        for r in &rows {
-            table0.push_row(r).unwrap();
-        }
-        for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
-            // Reference: the row-at-a-time compiled driver, uncached.
-            let mut ref_table = table0.clone();
-            let ref_ledger = ProvenanceLedger::new();
-            compiled_table_observed(
-                &rs, &program, engine, None, &mut ref_table,
-                &ProvenanceObserver::new(&rs, &ref_ledger));
-            let ref_records = ref_ledger.records();
-            for threads in [1usize, 4] {
-                for cached in [false, true] {
-                    let cache = cached.then(|| if threads > 1 {
-                        PlanCache::sharded(4)
-                    } else {
-                        PlanCache::unbounded()
-                    });
                     let mut cols = ColumnTable::from(&table0);
                     let ledger = ProvenanceLedger::new();
                     let obs = ProvenanceObserver::new(&rs, &ledger);
                     let (_, batch) = if threads > 1 {
-                        par_columnar_table_observed(
+                        par_columnar_table(
                             &rs, &program, engine, cache.as_ref(), &mut cols, threads, &obs)
                     } else {
-                        columnar_table_observed(
+                        columnar_table(
                             &rs, &program, engine, cache.as_ref(), &mut cols, &obs)
                     };
                     let t = cols.to_table();
                     prop_assert_eq!(ref_table.diff_cells(&t).unwrap(), 0,
                         "{:?} cached={} threads={}: tables diverged", engine, cached, threads);
-                    prop_assert_eq!(&ledger.records(), &ref_records,
+                    prop_assert_eq!(&ledger.records(), ref_records,
                         "{:?} cached={} threads={}: ledgers diverged", engine, cached, threads);
                     prop_assert_eq!(batch.rows, rows.len());
                     prop_assert_eq!(batch.rows, batch.groups + batch.scattered,

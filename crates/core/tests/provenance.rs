@@ -5,8 +5,7 @@
 
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
-    crepair_table_observed, lrepair_table_observed, par_lrepair_table_observed,
-    stream_repair_csv_observed, LRepairIndex,
+    crepair_table, lrepair_table, par_lrepair_table, stream_repair_csv, LRepairIndex,
 };
 use fixrules::RuleSet;
 use obs::{MetricsObserver, MetricsRegistry, Tee};
@@ -116,7 +115,7 @@ fn crepair_ledger_replays_and_explains() {
     let mut repaired = dirty.clone();
     let ledger = ProvenanceLedger::new();
     let observer = ProvenanceObserver::new(&rules, &ledger);
-    let outcome = crepair_table_observed(&rules, &mut repaired, &observer);
+    let outcome = crepair_table(&rules, &mut repaired, &observer);
     assert_eq!(outcome.total_updates(), 4);
     verify_ledger(&dirty, &repaired, &ledger, 4);
 }
@@ -130,7 +129,7 @@ fn lrepair_ledger_replays_and_explains() {
     let mut repaired = dirty.clone();
     let ledger = ProvenanceLedger::new();
     let observer = ProvenanceObserver::new(&rules, &ledger);
-    let outcome = lrepair_table_observed(&rules, &index, &mut repaired, &observer);
+    let outcome = lrepair_table(&rules, &index, &mut repaired, &observer);
     assert_eq!(outcome.total_updates(), 4);
     verify_ledger(&dirty, &repaired, &ledger, 4);
 }
@@ -149,12 +148,12 @@ fn parallel_ledger_matches_sequential_canonical_order() {
     let mut seq = dirty.clone();
     let seq_ledger = ProvenanceLedger::new();
     let seq_obs = ProvenanceObserver::new(&rules, &seq_ledger);
-    let so = lrepair_table_observed(&rules, &index, &mut seq, &seq_obs);
+    let so = lrepair_table(&rules, &index, &mut seq, &seq_obs);
 
     let mut par = dirty.clone();
     let par_ledger = ProvenanceLedger::new();
     let par_obs = ProvenanceObserver::new(&rules, &par_ledger);
-    let po = par_lrepair_table_observed(&rules, &index, &mut par, 4, &par_obs);
+    let po = par_lrepair_table(&rules, &index, &mut par, 4, &par_obs);
 
     assert_eq!(so.total_updates(), po.total_updates());
     // Records arrive worker-interleaved but the canonical (row, ordinal)
@@ -176,8 +175,7 @@ fn stream_ledger_replays_against_materialized_table() {
     let observer = ProvenanceObserver::new(&rules, &ledger);
     let mut out = Vec::new();
     let stats =
-        stream_repair_csv_observed(&rules, &index, &mut sy, csv.as_bytes(), &mut out, &observer)
-            .unwrap();
+        stream_repair_csv(&rules, &index, &mut sy, csv.as_bytes(), &mut out, &observer).unwrap();
     assert_eq!(stats.updates, 4);
     let mut repaired = Table::new(rules.schema().clone());
     let streamed = String::from_utf8(out).unwrap();
@@ -198,7 +196,7 @@ fn ledger_composes_with_metrics_via_tee() {
     let metrics = MetricsObserver::new(&registry);
     let ledger = ProvenanceLedger::new();
     let prov = ProvenanceObserver::new(&rules, &ledger);
-    let outcome = crepair_table_observed(&rules, &mut repaired, &Tee(&metrics, &prov));
+    let outcome = crepair_table(&rules, &mut repaired, &Tee(&metrics, &prov));
     assert_eq!(outcome.total_updates(), 4);
     assert_eq!(ledger.len(), 4);
     let snapshot = registry.snapshot();

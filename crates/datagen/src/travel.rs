@@ -128,7 +128,7 @@ mod tests {
         assert!(rules.check_consistency().is_consistent());
         let mut dirty = dirty_instance(&mut sy, &schema);
         let clean = clean_instance(&mut sy, &schema);
-        fixrules::repair::crepair_table(&rules, &mut dirty);
+        fixrules::repair::crepair_table(&rules, &mut dirty, &fixrules::repair::NoopObserver);
         assert_eq!(dirty.diff_cells(&clean).unwrap(), 0);
     }
 

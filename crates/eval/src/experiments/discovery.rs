@@ -9,7 +9,7 @@
 
 use fixrules::consistency::resolve::ensure_consistent_batch;
 use fixrules::discovery::{discover_all, DiscoveryConfig};
-use fixrules::repair::{lrepair_table, LRepairIndex};
+use fixrules::repair::{lrepair_table, LRepairIndex, NoopObserver};
 use fixrules::RuleSet;
 
 use crate::config::ExpConfig;
@@ -36,7 +36,7 @@ pub fn run_discovery_ablation(which: Which, cfg: &ExpConfig) -> Vec<DiscoveryPoi
     // Oracle pipeline (already prepared).
     let index = LRepairIndex::build(&p.rules);
     let mut fixed = p.dirty.clone();
-    lrepair_table(&p.rules, &index, &mut fixed);
+    lrepair_table(&p.rules, &index, &mut fixed, &NoopObserver);
     out.push(DiscoveryPoint {
         source: "oracle",
         n_rules: p.rules.len(),
@@ -52,7 +52,7 @@ pub fn run_discovery_ablation(which: Which, cfg: &ExpConfig) -> Vec<DiscoveryPoi
     ensure_consistent_batch(&mut rules);
     let index = LRepairIndex::build(&rules);
     let mut fixed = p.dirty.clone();
-    lrepair_table(&rules, &index, &mut fixed);
+    lrepair_table(&rules, &index, &mut fixed, &NoopObserver);
     out.push(DiscoveryPoint {
         source: "discovered",
         n_rules: rules.len(),

@@ -7,7 +7,7 @@
 //!   evidence auto-confirmed) precision/recall.
 
 use baselines::{edit_repair, EditRuleSet};
-use fixrules::repair::{lrepair_table, LRepairIndex};
+use fixrules::repair::{lrepair_table, LRepairIndex, NoopObserver};
 
 use crate::config::ExpConfig;
 use crate::experiments::{prepare, Which};
@@ -45,7 +45,7 @@ pub fn run_fig12(which: Which, cfg: &ExpConfig, rule_target: usize) -> (Fig12a, 
     // Fix.
     let index = LRepairIndex::build(&p.rules);
     let mut fixed = p.dirty.clone();
-    let outcome = lrepair_table(&p.rules, &index, &mut fixed);
+    let outcome = lrepair_table(&p.rules, &index, &mut fixed, &NoopObserver);
     let fix_acc = score(clean, &p.dirty, &fixed);
 
     // Per-rule corrections: count only updates that matched the truth.

@@ -8,7 +8,7 @@
 
 use baselines::{csm_repair, heu_repair, heu_repair_with, HeuConfig};
 use datagen::noise::{inject, NoiseConfig};
-use fixrules::repair::{lrepair_table, LRepairIndex};
+use fixrules::repair::{lrepair_table, LRepairIndex, NoopObserver};
 use relation::Table;
 
 use crate::config::ExpConfig;
@@ -48,7 +48,7 @@ pub fn run_typo_sweep(which: Which, cfg: &ExpConfig) -> Vec<AccuracyPoint> {
         // Fix.
         let index = LRepairIndex::build(&p.rules);
         let mut fixed = p.dirty.clone();
-        lrepair_table(&p.rules, &index, &mut fixed);
+        lrepair_table(&p.rules, &index, &mut fixed, &NoopObserver);
         out.push(AccuracyPoint {
             x: typo_fraction,
             algo: "Fix",
@@ -101,7 +101,7 @@ pub fn run_rulecount_sweep(which: Which, cfg: &ExpConfig) -> Vec<AccuracyPoint> 
         subset.truncate(k);
         let index = LRepairIndex::build(&subset);
         let mut fixed = p.dirty.clone();
-        lrepair_table(&subset, &index, &mut fixed);
+        lrepair_table(&subset, &index, &mut fixed, &NoopObserver);
         out.push(AccuracyPoint {
             x: k as f64,
             algo: "Fix",
@@ -190,7 +190,7 @@ pub fn fix_accuracy_on(
     );
     let index = LRepairIndex::build(&rules);
     let mut fixed: Table = dirty.clone();
-    lrepair_table(&rules, &index, &mut fixed);
+    lrepair_table(&rules, &index, &mut fixed, &NoopObserver);
     score(&dataset.clean, &dirty, &fixed)
 }
 

@@ -6,7 +6,9 @@
 //! * the §7.2 runtime table — `lRepair` vs `Heu` vs `Csm` end-to-end.
 
 use baselines::{csm_repair, heu_repair};
-use fixrules::repair::{crepair_table, lrepair_table, par_lrepair_table, LRepairIndex};
+use fixrules::repair::{
+    crepair_table, lrepair_table, par_lrepair_table, LRepairIndex, NoopObserver,
+};
 
 use crate::config::ExpConfig;
 use crate::experiments::{prepare, rule_steps, Which};
@@ -31,7 +33,9 @@ pub fn run_fig13(which: Which, cfg: &ExpConfig) -> Vec<Fig13Point> {
         let mut subset = p.rules.clone();
         subset.truncate(k);
         let mut table_c = p.dirty.clone();
-        let (_, ms_c) = stage_ms("repair", || crepair_table(&subset, &mut table_c));
+        let (_, ms_c) = stage_ms("repair", || {
+            crepair_table(&subset, &mut table_c, &NoopObserver)
+        });
         out.push(Fig13Point {
             n_rules: k,
             algo: "cRepair",
@@ -42,7 +46,9 @@ pub fn run_fig13(which: Which, cfg: &ExpConfig) -> Vec<Fig13Point> {
         // the two stages separately keeps the `stage.*` histogram names
         // aligned with `fixctl repair --metrics`.
         let (index, ms_build) = stage_ms("index_build", || LRepairIndex::build(&subset));
-        let (_, ms_run) = stage_ms("repair", || lrepair_table(&subset, &index, &mut table_l));
+        let (_, ms_run) = stage_ms("repair", || {
+            lrepair_table(&subset, &index, &mut table_l, &NoopObserver)
+        });
         out.push(Fig13Point {
             n_rules: k,
             algo: "lRepair",
@@ -73,7 +79,9 @@ pub fn run_runtime_table(which: Which, cfg: &ExpConfig) -> Vec<RuntimeRow> {
 
     let mut t = p.dirty.clone();
     let (index, ms_build) = stage_ms("index_build", || LRepairIndex::build(&p.rules));
-    let (_, ms_run) = stage_ms("repair", || lrepair_table(&p.rules, &index, &mut t));
+    let (_, ms_run) = stage_ms("repair", || {
+        lrepair_table(&p.rules, &index, &mut t, &NoopObserver)
+    });
     out.push(RuntimeRow {
         dataset: name,
         algo: "lRepair",
@@ -84,7 +92,7 @@ pub fn run_runtime_table(which: Which, cfg: &ExpConfig) -> Vec<RuntimeRow> {
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let (_, ms) = time_ms(|| {
         let index = LRepairIndex::build(&p.rules);
-        par_lrepair_table(&p.rules, &index, &mut t, threads)
+        par_lrepair_table(&p.rules, &index, &mut t, threads, &NoopObserver)
     });
     out.push(RuntimeRow {
         dataset: name,

@@ -5,7 +5,7 @@
 //! * **(b)** — Fix precision/recall as the *total* number of negative
 //!   patterns grows (sweeping the enrichment factor).
 
-use fixrules::repair::{lrepair_table, LRepairIndex};
+use fixrules::repair::{lrepair_table, LRepairIndex, NoopObserver};
 
 use crate::config::ExpConfig;
 use crate::experiments::{prepare, Which};
@@ -70,7 +70,7 @@ pub fn run_fig11b(which: Which, cfg: &ExpConfig, factors: &[f64]) -> Vec<Fig11bP
             let total = capped.rules().iter().map(|r| r.neg().len()).sum();
             let index = LRepairIndex::build(&capped);
             let mut fixed = dirty.clone();
-            lrepair_table(&capped, &index, &mut fixed);
+            lrepair_table(&capped, &index, &mut fixed, &NoopObserver);
             Fig11bPoint {
                 factor,
                 total_neg_patterns: total,

@@ -238,7 +238,12 @@ mod tests {
         );
         let index = fixrules::repair::LRepairIndex::build(&rules);
         let mut repaired = dirty.clone();
-        fixrules::repair::lrepair_table(&rules, &index, &mut repaired);
+        fixrules::repair::lrepair_table(
+            &rules,
+            &index,
+            &mut repaired,
+            &fixrules::repair::NoopObserver,
+        );
         let acc = crate::metrics::score(&d.clean, &dirty, &repaired);
         assert!(acc.updates > 0, "no rule fired");
         assert!(

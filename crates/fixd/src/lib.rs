@@ -93,8 +93,7 @@ use std::time::{Duration, Instant};
 use fixrules::io::{infer_schema, parse_rules_spanned};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
-    repair_columns_grouped, repair_row_compiled, CompiledEngine, CompiledScratch, PlanCache,
-    RuleProgram,
+    repair_columns_grouped, CellUpdate, CompiledEngine, CompiledScratch, PlanCache, RuleProgram,
 };
 use fixrules::RuleSet;
 use obs::http::{Request, Response};
@@ -498,31 +497,52 @@ impl Daemon {
     }
 }
 
-/// Repair every row of `path` once so its tuple signatures are memoized
-/// before the first request. Deliberately invisible: no provenance, no
-/// request metrics, no global row ids consumed.
+/// The bundle's plan cache, unless the daemon runs with caching off.
 fn plan_cache<'a>(state: &DaemonState, bundle: &'a ProgramBundle) -> Option<&'a PlanCache> {
     state.use_cache.then_some(&bundle.cache)
 }
 
+/// Repair every row of `path` once so its tuple signatures are memoized
+/// before the first request. Deliberately invisible: no provenance, no
+/// request metrics, no global row ids consumed.
 fn warm_cache(state: &DaemonState, path: &str) -> Result<usize, SrvError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| SrvError::new(400, format!("reading {path}: {e}")))?;
-    let mut rows = parse_csv_rows(state, &text)?;
+    let rows = parse_csv_rows(state, &text)?;
     let bundle = state.bundle();
     let mut scratch = CompiledScratch::new(bundle.rules.len());
-    for row in &mut rows {
-        repair_row_compiled(
-            &bundle.rules,
-            &bundle.program,
-            state.engine,
-            plan_cache(state, &bundle),
-            &mut scratch,
-            row,
-            &obs::NoopObserver,
-        );
-    }
+    repair_rows_unrecorded(state, &bundle, &mut scratch, &rows);
     Ok(rows.len())
+}
+
+/// Repair `rows` with the grouped core, on a column-major copy built the
+/// way `/repair` builds it, without recording anything (no provenance,
+/// no metrics, no global row ids). Returns the updates, `row` indexed
+/// from 0.
+fn repair_rows_unrecorded(
+    state: &DaemonState,
+    bundle: &ProgramBundle,
+    scratch: &mut CompiledScratch,
+    rows: &[Vec<Symbol>],
+) -> Vec<CellUpdate> {
+    let mut cols: Vec<Vec<Symbol>> = vec![Vec::with_capacity(rows.len()); state.schema.arity()];
+    for row in rows.iter() {
+        for (col, &sym) in cols.iter_mut().zip(row.iter()) {
+            col.push(sym);
+        }
+    }
+    let mut col_slices: Vec<&mut [Symbol]> = cols.iter_mut().map(|c| c.as_mut_slice()).collect();
+    repair_columns_grouped(
+        &bundle.rules,
+        &bundle.program,
+        state.engine,
+        plan_cache(state, bundle),
+        scratch,
+        &mut col_slices,
+        0,
+        &obs::NoopObserver,
+    )
+    .0
 }
 
 /// Accept loop + fixed worker pool. Runs until the stop flag is set, then
@@ -1024,27 +1044,16 @@ fn handle_check(
             ("trace_id", Json::from(trace_id.as_str())),
         ]),
     );
-    let mut rows = parse_rows(state, request)?;
+    let rows = parse_rows(state, request)?;
     let bundle = state.bundle();
-    let mut per_row = Vec::with_capacity(rows.len());
-    let mut dirty_rows = 0usize;
-    let mut total_updates = 0usize;
-    for row in rows.iter_mut() {
-        let updates = repair_row_compiled(
-            &bundle.rules,
-            &bundle.program,
-            state.engine,
-            plan_cache(state, &bundle),
-            scratch,
-            row,
-            &obs::NoopObserver,
-        );
-        if !updates.is_empty() {
-            dirty_rows += 1;
-            total_updates += updates.len();
-        }
-        per_row.push(Json::from(updates.len()));
+    let updates = repair_rows_unrecorded(state, &bundle, scratch, &rows);
+    let mut counts = vec![0usize; rows.len()];
+    for update in &updates {
+        counts[update.row] += 1;
     }
+    let dirty_rows = counts.iter().filter(|&&n| n > 0).count();
+    let total_updates = updates.len();
+    let per_row: Vec<Json> = counts.into_iter().map(Json::from).collect();
     state.journal.event(
         "request.end",
         span.id(),

@@ -57,6 +57,15 @@ pub fn read_csv_file<P: AsRef<Path>>(
     read_csv(file, relation_name, symbols)
 }
 
+/// Read only the header row of CSV text: the schema [`read_csv`] would
+/// build, without reading a single record.
+pub fn read_csv_header<R: Read>(reader: R, relation_name: &str) -> Result<Schema> {
+    let mut rdr = csv::ReaderBuilder::new()
+        .has_headers(true)
+        .from_reader(reader);
+    Schema::new(relation_name, rdr.headers()?.iter())
+}
+
 /// Write a table as CSV with a header row.
 pub fn write_csv<W: Write>(writer: W, table: &Table, symbols: &SymbolTable) -> Result<()> {
     let mut wtr = csv::Writer::from_writer(writer);
@@ -191,5 +200,18 @@ mod tests {
         let t2 = read_csv_file(&path, "Cap", &mut sy2).unwrap();
         assert_eq!(t2.len(), 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn header_read_matches_full_read() {
+        let schema = read_csv_header(SAMPLE.as_bytes(), "Cap").unwrap();
+        let mut sy = SymbolTable::new();
+        let full = read_csv(SAMPLE.as_bytes(), "Cap", &mut sy).unwrap();
+        assert_eq!(schema.name(), full.schema().name());
+        assert!(schema.attr_names().eq(full.schema().attr_names()));
+        assert_eq!(
+            schema.attr_names().collect::<Vec<_>>(),
+            ["country", "capital"]
+        );
     }
 }

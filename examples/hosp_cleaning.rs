@@ -15,7 +15,7 @@ use std::time::Instant;
 use datagen::noise::{inject, NoiseConfig};
 use eval::rules::{build_ruleset, RuleGenConfig};
 use eval::score;
-use fixrules::repair::{par_lrepair_table, LRepairIndex};
+use fixrules::repair::{par_lrepair_table, LRepairIndex, NoopObserver};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,7 +72,7 @@ fn main() {
     let index = LRepairIndex::build(&rules);
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let mut repaired = dirty.clone();
-    let outcome = par_lrepair_table(&rules, &index, &mut repaired, threads);
+    let outcome = par_lrepair_table(&rules, &index, &mut repaired, threads, &NoopObserver);
     println!(
         "lRepair({} threads): {} updates on {} rows in {:.1?}",
         threads,

@@ -8,7 +8,7 @@
 //! cargo run -p examples --bin quickstart
 //! ```
 
-use fixrules::repair::{lrepair_table, LRepairIndex};
+use fixrules::repair::{lrepair_table, LRepairIndex, NoopObserver};
 use fixrules::RuleSet;
 use relation::{Schema, SymbolTable, Table};
 
@@ -87,7 +87,7 @@ fn main() {
 
     // §6.2: lRepair with inverted lists + hash counters.
     let index = LRepairIndex::build(&rules);
-    let outcome = lrepair_table(&rules, &index, &mut table);
+    let outcome = lrepair_table(&rules, &index, &mut table, &NoopObserver);
 
     println!("\napplied updates (Fig 8):");
     for u in &outcome.updates {

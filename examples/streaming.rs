@@ -14,7 +14,7 @@ use std::time::Instant;
 use datagen::noise::{inject, NoiseConfig};
 use eval::rules::{build_ruleset, RuleGenConfig};
 use fixrules::io::parse_rules;
-use fixrules::repair::{stream_repair_csv, LRepairIndex};
+use fixrules::repair::{stream_repair_csv, LRepairIndex, NoopObserver};
 use relation::SymbolTable;
 
 fn main() {
@@ -82,8 +82,8 @@ fn main() {
         std::fs::File::create(&repaired_path).expect("create repaired csv"),
     );
     let t0 = Instant::now();
-    let stats =
-        stream_repair_csv(&rules, &index, &mut symbols, reader, writer).expect("stream repair");
+    let stats = stream_repair_csv(&rules, &index, &mut symbols, reader, writer, &NoopObserver)
+        .expect("stream repair");
     println!(
         "streamed {} rows in {:.1?}: {} updates on {} rows -> {}",
         stats.rows,

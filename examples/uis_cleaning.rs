@@ -9,7 +9,7 @@ use baselines::{csm_repair, heu_repair};
 use datagen::noise::{inject, NoiseConfig};
 use eval::rules::{build_ruleset, RuleGenConfig};
 use eval::score;
-use fixrules::repair::{lrepair_table, LRepairIndex};
+use fixrules::repair::{lrepair_table, LRepairIndex, NoopObserver};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,7 +42,7 @@ fn main() {
     // Fix.
     let index = LRepairIndex::build(&rules);
     let mut fixed = dirty.clone();
-    lrepair_table(&rules, &index, &mut fixed);
+    lrepair_table(&rules, &index, &mut fixed, &NoopObserver);
     let fix = score(&dataset.clean, &dirty, &fixed);
 
     // Heu.

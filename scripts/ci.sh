@@ -100,67 +100,49 @@ grep -q traceEvents "$TRACE_DIR/chrome.json" \
     || { echo "chrome export has no traceEvents" >&2; exit 1; }
 echo "-- chrome export valid"
 
-echo "== plan-cache equivalence smoke =="
-# The compiled engine must be byte-identical with the plan cache on and
-# off: same repaired CSV, same repair counters in --metrics (DESIGN.md
-# §12 "metrics parity"). Only repair.plan_cache.*/repair.plan.* counters
-# may differ — they count cache traffic and actual engine work. Tile the
-# example rows so repeated signatures actually hit the cache.
+echo "== columnar group-by-plan equivalence smoke =="
+# The columnar engine must reproduce lRepair byte for byte (DESIGN.md
+# §17), sequentially and across worker threads: same repaired CSV, same
+# repair.cell provenance records, and the same rule-application counters.
+# The index.*/plan.*/queue.* counters count each engine's own work and
+# differ by design. Journal seq numbers are position-dependent, so they
+# are stripped before comparing. Tile the example rows so signature
+# groups actually have members. (Plan-cache parity is pinned by
+# `warm_plan_cache_keeps_table_and_repair_counters` in columnar.rs.)
 {
     cat examples/data/hosp_dirty.csv
     tail -n +2 examples/data/hosp_dirty.csv
     tail -n +2 examples/data/hosp_dirty.csv
 } > "$TRACE_DIR/hosp_dup.csv"
-for cache in on off; do
+for run in lrepair:1 columnar:1 columnar:3; do
+    engine="${run%:*}"
+    threads="${run#*:}"
+    tag="${engine}_$threads"
     "$FIXCTL" repair \
         --rules examples/rulesets/hosp_zip.frl \
         --data "$TRACE_DIR/hosp_dup.csv" \
-        --engine compiled --plan-cache "$cache" \
-        --out "$TRACE_DIR/compiled_$cache.csv" \
-        --metrics "$TRACE_DIR/metrics_$cache.json" >/dev/null
-    grep -o '"repair\.[a-z_.]*": [0-9][0-9]*' "$TRACE_DIR/metrics_$cache.json" \
-        | grep -v 'repair\.plan' > "$TRACE_DIR/counters_$cache.txt"
-    sed -n '/"repair\.tuple_/,/}/p' "$TRACE_DIR/metrics_$cache.json" \
-        >> "$TRACE_DIR/counters_$cache.txt"
+        --engine "$engine" --threads "$threads" \
+        --out "$TRACE_DIR/eng_$tag.csv" \
+        --metrics "$TRACE_DIR/eng_metrics_$tag.json" \
+        --trace "$TRACE_DIR/eng_trace_$tag.jsonl" >/dev/null
+    grep -oE '"repair\.(rules_applied|tuples|tuples_touched|updates)": [0-9]+' \
+        "$TRACE_DIR/eng_metrics_$tag.json" > "$TRACE_DIR/eng_counters_$tag.txt"
+    grep '"repair\.cell"' "$TRACE_DIR/eng_trace_$tag.jsonl" \
+        | sed -E 's/"seq": *[0-9]+, *//' > "$TRACE_DIR/eng_cells_$tag.txt"
 done
-cmp "$TRACE_DIR/compiled_on.csv" "$TRACE_DIR/compiled_off.csv" \
-    || { echo "compiled output differs with plan cache on vs off" >&2; exit 1; }
-diff "$TRACE_DIR/counters_on.txt" "$TRACE_DIR/counters_off.txt" \
-    || { echo "repair metrics differ with plan cache on vs off" >&2; exit 1; }
-grep -q '"repair\.plan_cache\.hits": [1-9]' "$TRACE_DIR/metrics_on.json" \
-    || { echo "cached run recorded no plan-cache hits" >&2; exit 1; }
-echo "-- compiled output and repair counters byte-identical, cache on/off"
-
-echo "== columnar group-by-plan equivalence smoke =="
-# The columnar engine must reproduce the row-at-a-time compiled engine
-# byte for byte (DESIGN.md §17): same repaired CSV, same repair counters
-# — only the repair.plan_cache.* probe counts (k probes instead of n)
-# and the columnar-only repair.batch.* group-by counters may differ —
-# and the same repair.cell provenance records. Journal seq numbers are
-# position-dependent, so they are stripped before comparing.
-for engine in compiled columnar; do
-    "$FIXCTL" repair \
-        --rules examples/rulesets/hosp_zip.frl \
-        --data "$TRACE_DIR/hosp_dup.csv" \
-        --engine "$engine" \
-        --out "$TRACE_DIR/eng_$engine.csv" \
-        --metrics "$TRACE_DIR/eng_metrics_$engine.json" \
-        --trace "$TRACE_DIR/eng_trace_$engine.jsonl" >/dev/null
-    grep -o '"repair\.[a-z_.]*": [0-9][0-9]*' "$TRACE_DIR/eng_metrics_$engine.json" \
-        | grep -v 'repair\.plan_cache' | grep -v 'repair\.batch' \
-        > "$TRACE_DIR/eng_counters_$engine.txt"
-    grep '"repair\.cell"' "$TRACE_DIR/eng_trace_$engine.jsonl" \
-        | sed -E 's/"seq": *[0-9]+, *//' > "$TRACE_DIR/eng_cells_$engine.txt"
+[ "$(wc -l < "$TRACE_DIR/eng_counters_lrepair_1.txt")" -eq 4 ] \
+    || { echo "lrepair run is missing repair counters" >&2; exit 1; }
+for tag in columnar_1 columnar_3; do
+    cmp "$TRACE_DIR/eng_lrepair_1.csv" "$TRACE_DIR/eng_$tag.csv" \
+        || { echo "$tag output differs from lrepair" >&2; exit 1; }
+    diff "$TRACE_DIR/eng_counters_lrepair_1.txt" "$TRACE_DIR/eng_counters_$tag.txt" \
+        || { echo "repair counters differ, lrepair vs $tag" >&2; exit 1; }
+    cmp "$TRACE_DIR/eng_cells_lrepair_1.txt" "$TRACE_DIR/eng_cells_$tag.txt" \
+        || { echo "repair.cell provenance differs, lrepair vs $tag" >&2; exit 1; }
+    grep -q '"repair\.batch\.groups": [1-9]' "$TRACE_DIR/eng_metrics_$tag.json" \
+        || { echo "$tag run recorded no signature groups" >&2; exit 1; }
 done
-cmp "$TRACE_DIR/eng_compiled.csv" "$TRACE_DIR/eng_columnar.csv" \
-    || { echo "columnar output differs from compiled" >&2; exit 1; }
-diff "$TRACE_DIR/eng_counters_compiled.txt" "$TRACE_DIR/eng_counters_columnar.txt" \
-    || { echo "repair counters differ, compiled vs columnar" >&2; exit 1; }
-cmp "$TRACE_DIR/eng_cells_compiled.txt" "$TRACE_DIR/eng_cells_columnar.txt" \
-    || { echo "repair.cell provenance differs, compiled vs columnar" >&2; exit 1; }
-grep -q '"repair\.batch\.groups": [1-9]' "$TRACE_DIR/eng_metrics_columnar.json" \
-    || { echo "columnar run recorded no signature groups" >&2; exit 1; }
-echo "-- columnar matches compiled: CSV, repair counters, provenance"
+echo "-- columnar (1 and 3 threads) matches lrepair: CSV, repair counters, provenance"
 
 echo "== CSV quoting round-trip smoke =="
 # The fixture's cells hold quoted commas, "" escapes, an embedded newline,
@@ -184,7 +166,7 @@ for run in 1 2; do
     "$FIXCTL" repair \
         --rules examples/rulesets/hosp_zip.frl \
         --data "$TRACE_DIR/hosp_dup.csv" \
-        --engine compiled \
+        --engine columnar \
         --out "$TRACE_DIR/profiled_$run.csv" \
         --profile-json "$TRACE_DIR/profile_$run.json" >/dev/null
 done

@@ -6,7 +6,9 @@ use baselines::{csm_repair, edit_repair, heu_repair, EditRuleSet};
 use datagen::noise::{inject, NoiseConfig};
 use eval::rules::{build_ruleset, RuleGenConfig};
 use eval::score;
-use fixrules::repair::{crepair_table, lrepair_table, par_lrepair_table, LRepairIndex};
+use fixrules::repair::{
+    crepair_table, lrepair_table, par_lrepair_table, LRepairIndex, NoopObserver,
+};
 
 fn pipeline(
     mut dataset: datagen::Dataset,
@@ -42,7 +44,7 @@ fn hosp_pipeline_repairs_with_high_precision() {
     assert!(rules.check_consistency().is_consistent());
     let index = LRepairIndex::build(&rules);
     let mut repaired = dirty.clone();
-    let outcome = lrepair_table(&rules, &index, &mut repaired);
+    let outcome = lrepair_table(&rules, &index, &mut repaired, &NoopObserver);
     assert!(outcome.total_updates() > 0);
     let acc = score(&dataset.clean, &dirty, &repaired);
     assert!(acc.precision() > 0.85, "{acc:?}");
@@ -56,9 +58,9 @@ fn all_three_repair_drivers_agree_on_hosp() {
     let mut by_chase = dirty.clone();
     let mut by_linear = dirty.clone();
     let mut by_parallel = dirty.clone();
-    let oc = crepair_table(&rules, &mut by_chase);
-    let ol = lrepair_table(&rules, &index, &mut by_linear);
-    let op = par_lrepair_table(&rules, &index, &mut by_parallel, 4);
+    let oc = crepair_table(&rules, &mut by_chase, &NoopObserver);
+    let ol = lrepair_table(&rules, &index, &mut by_linear, &NoopObserver);
+    let op = par_lrepair_table(&rules, &index, &mut by_parallel, 4, &NoopObserver);
     assert_eq!(by_chase.diff_cells(&by_linear).unwrap(), 0);
     assert_eq!(by_chase.diff_cells(&by_parallel).unwrap(), 0);
     assert_eq!(oc.total_updates(), ol.total_updates());
@@ -75,9 +77,9 @@ fn repair_is_idempotent_for_oracle_coherent_rules() {
     let (_dataset, dirty, rules) = pipeline(datagen::uis::generate(2_000, 33), 60);
     let index = LRepairIndex::build(&rules);
     let mut once = dirty.clone();
-    lrepair_table(&rules, &index, &mut once);
+    lrepair_table(&rules, &index, &mut once, &NoopObserver);
     let mut twice = once.clone();
-    let second = lrepair_table(&rules, &index, &mut twice);
+    let second = lrepair_table(&rules, &index, &mut twice, &NoopObserver);
     assert_eq!(second.total_updates(), 0);
     assert_eq!(once.diff_cells(&twice).unwrap(), 0);
 }
@@ -87,7 +89,7 @@ fn fix_has_higher_precision_than_heuristics_and_automated_edit() {
     let (mut dataset, dirty, rules) = pipeline(datagen::hosp::generate(3_000, 34), 120);
     let index = LRepairIndex::build(&rules);
     let mut fixed = dirty.clone();
-    lrepair_table(&rules, &index, &mut fixed);
+    lrepair_table(&rules, &index, &mut fixed, &NoopObserver);
     let fix = score(&dataset.clean, &dirty, &fixed);
 
     let mut heu_t = dirty.clone();
@@ -142,7 +144,7 @@ fn csv_round_trip_preserves_repair_results() {
     let (dataset, dirty, rules) = pipeline(datagen::uis::generate(500, 36), 30);
     let index = LRepairIndex::build(&rules);
     let mut repaired = dirty.clone();
-    lrepair_table(&rules, &index, &mut repaired);
+    lrepair_table(&rules, &index, &mut repaired, &NoopObserver);
 
     let mut buf = Vec::new();
     relation::csv_io::write_csv(&mut buf, &repaired, &dataset.symbols).unwrap();
@@ -163,7 +165,7 @@ fn pipeline_is_deterministic_per_seed() {
         let (dataset, dirty, rules) = pipeline(datagen::uis::generate(800, 37), 40);
         let index = LRepairIndex::build(&rules);
         let mut repaired = dirty.clone();
-        lrepair_table(&rules, &index, &mut repaired);
+        lrepair_table(&rules, &index, &mut repaired, &NoopObserver);
         let acc = score(&dataset.clean, &dirty, &repaired);
         (rules.len(), acc.updates, acc.corrected, acc.errors)
     };

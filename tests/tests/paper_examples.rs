@@ -3,7 +3,7 @@
 //! (inconsistency), Fig 8 (lRepair trace), and the §5.3 resolution.
 
 use fixrules::consistency::resolve::{ensure_consistent, Strategy};
-use fixrules::repair::{crepair_table, lrepair_table, LRepairIndex};
+use fixrules::repair::{crepair_table, lrepair_table, LRepairIndex, NoopObserver};
 use fixrules::semantics::all_fixes;
 use fixrules::{FixingRule, RuleId};
 use relation::SymbolTable;
@@ -35,7 +35,7 @@ fn fig1_fig3_phi1_phi2_fix_two_of_four_errors() {
             "Ottawa",
         )
         .unwrap();
-    let outcome = crepair_table(&rules, &mut dirty);
+    let outcome = crepair_table(&rules, &mut dirty, &NoopObserver);
     assert_eq!(outcome.total_updates(), 2);
     // Two errors remain (r2.city, r3.country).
     assert_eq!(dirty.diff_cells(&clean).unwrap(), 2);
@@ -54,9 +54,9 @@ fn fig8_full_rule_set_fixes_everything_with_both_algorithms() {
         let mut dirty = datagen::travel::dirty_instance(&mut sy, &schema);
         if use_linear {
             let index = LRepairIndex::build(&rules);
-            lrepair_table(&rules, &index, &mut dirty);
+            lrepair_table(&rules, &index, &mut dirty, &NoopObserver);
         } else {
-            crepair_table(&rules, &mut dirty);
+            crepair_table(&rules, &mut dirty, &NoopObserver);
         }
         assert_eq!(dirty.diff_cells(&clean).unwrap(), 0, "linear={use_linear}");
     }
@@ -136,7 +136,7 @@ fn fig2_master_data_drives_rule_generation() {
         rules.push(s);
     }
     let mut repaired = dirty.clone();
-    let outcome = crepair_table(&rules, &mut repaired);
+    let outcome = crepair_table(&rules, &mut repaired, &NoopObserver);
     // Both China capital errors (r2 Shanghai, r3 Tokyo) are rewritten to
     // Beijing; for r3 that is exactly the dependable-but-wrong trade the
     // paper resolves by *removing* Tokyo from the negatives (§5.3).
@@ -152,7 +152,7 @@ fn fig8_lrepair_trace_matches_walkthrough() {
     let rules = datagen::travel::fig8_rules(&mut sy, &schema);
     let index = LRepairIndex::build(&rules);
     let mut dirty = datagen::travel::dirty_instance(&mut sy, &schema);
-    let outcome = lrepair_table(&rules, &index, &mut dirty);
+    let outcome = lrepair_table(&rules, &index, &mut dirty, &NoopObserver);
 
     let rules_for_row = |row: usize| -> Vec<RuleId> {
         outcome

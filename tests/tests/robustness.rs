@@ -6,7 +6,7 @@ use datagen::noise::{inject, NoiseConfig};
 use eval::rules::{build_ruleset, RuleGenConfig};
 use eval::score;
 use fixrules::generation::MasterIndex;
-use fixrules::repair::{crepair_table, lrepair_table, LRepairIndex};
+use fixrules::repair::{crepair_table, lrepair_table, LRepairIndex, NoopObserver};
 use fixrules::{FixingRule, RuleSet};
 use relation::{Schema, SymbolTable, Table};
 
@@ -53,7 +53,7 @@ fn poisoned_master_data_degrades_gracefully() {
     assert!(rules.check_consistency().is_consistent());
     let index = LRepairIndex::build(&rules);
     let mut repaired = dirty.clone();
-    lrepair_table(&rules, &index, &mut repaired); // must not panic
+    lrepair_table(&rules, &index, &mut repaired, &NoopObserver); // must not panic
 }
 
 #[test]
@@ -76,9 +76,9 @@ fn inconsistent_rules_still_terminate_per_tuple() {
     t.push_strs(&mut sy, &["k", "x", "z"]).unwrap();
     let index = LRepairIndex::build(&rules);
     let mut by_l = t.clone();
-    let out_l = lrepair_table(&rules, &index, &mut by_l);
+    let out_l = lrepair_table(&rules, &index, &mut by_l, &NoopObserver);
     let mut by_c = t.clone();
-    let out_c = crepair_table(&rules, &mut by_c);
+    let out_c = crepair_table(&rules, &mut by_c, &NoopObserver);
     // Each algorithm applied at most |R| rules and terminated; with an
     // inconsistent set they may legitimately disagree.
     assert!(out_l.total_updates() <= 3);
@@ -104,7 +104,7 @@ fn unicode_values_flow_through_the_whole_stack() {
     t.push_strs(&mut sy, &["中国", "上海"]).unwrap();
     t.push_strs(&mut sy, &["日本", "東京"]).unwrap();
     let index = LRepairIndex::build(&rules);
-    let out = lrepair_table(&rules, &index, &mut t);
+    let out = lrepair_table(&rules, &index, &mut t, &NoopObserver);
     assert_eq!(out.total_updates(), 1);
     assert_eq!(sy.resolve(t.cell(0, schema.attr("首都").unwrap())), "北京");
 
@@ -154,7 +154,7 @@ fn extreme_noise_rates_are_handled() {
         );
         let index = LRepairIndex::build(&rules);
         let mut repaired = dirty.clone();
-        lrepair_table(&rules, &index, &mut repaired);
+        lrepair_table(&rules, &index, &mut repaired, &NoopObserver);
         let acc = score(&d.clean, &dirty, &repaired);
         assert!(acc.precision() >= 0.0 && acc.precision() <= 1.0);
     }
@@ -197,7 +197,7 @@ fn rule_against_every_attribute_width() {
     let mut t = Table::new(schema.clone());
     t.push_strs(&mut sy, &row).unwrap();
     let index = LRepairIndex::build(&rules);
-    let out = lrepair_table(&rules, &index, &mut t);
+    let out = lrepair_table(&rules, &index, &mut t, &NoopObserver);
     assert_eq!(out.total_updates(), 1);
     assert_eq!(sy.resolve(t.cell(0, schema.attr("a64").unwrap())), "good");
 }
@@ -213,16 +213,25 @@ fn single_row_and_single_rule_minimal_cases() {
     // Empty table.
     let mut empty = Table::new(schema.clone());
     let index = LRepairIndex::build(&rules);
-    assert_eq!(lrepair_table(&rules, &index, &mut empty).total_updates(), 0);
+    assert_eq!(
+        lrepair_table(&rules, &index, &mut empty, &NoopObserver).total_updates(),
+        0
+    );
     // One matching row.
     let mut one = Table::new(schema.clone());
     one.push_strs(&mut sy, &["a", "1"]).unwrap();
-    assert_eq!(lrepair_table(&rules, &index, &mut one).total_updates(), 1);
+    assert_eq!(
+        lrepair_table(&rules, &index, &mut one, &NoopObserver).total_updates(),
+        1
+    );
     // Rule with evidence value never present.
     let phi = FixingRule::from_named(&schema, &mut sy, &[("k", "zz")], "v", &["1"], "3").unwrap();
     let mut rs2 = RuleSet::new(schema.clone());
     rs2.push(phi);
     let index2 = LRepairIndex::build(&rs2);
     let mut again = one.clone();
-    assert_eq!(lrepair_table(&rs2, &index2, &mut again).total_updates(), 0);
+    assert_eq!(
+        lrepair_table(&rs2, &index2, &mut again, &NoopObserver).total_updates(),
+        0
+    );
 }
