@@ -36,6 +36,12 @@
 //! fixctl client shutdown        --addr HOST:PORT          # graceful drain
 //! ```
 //!
+//! `repair --threads N` sets the workers for the CSV load, the lRepair
+//! repair and the CSV write; it defaults to the available cores, and the
+//! output is byte-identical at any N. Only an explicit N > 1 makes the
+//! consistency gate parallel (it then stops at the first conflict) and
+//! shards `--engine columnar`; `chase` and `stream` refuse it.
+//!
 //! `repair` additionally takes the profiling/exposition flags:
 //!
 //! * `--profile` — print a ranked per-rule attribution table after the run;
@@ -337,7 +343,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 fn usage() -> String {
     "usage: fixctl <check|detect|discover|resolve|repair|stats|convert> --rules FILE --data FILE.csv \
      [--out FILE] [--engine lrepair|chase|crepair|columnar|stream] \
-     [--threads N] [--strategy shrink|drop] [--updates-log FILE] \
+     [--threads N (default: all cores)] [--strategy shrink|drop] [--updates-log FILE] \
      [--metrics FILE.json] [--log off|info|debug] [--trace FILE.jsonl] [--trace-clock logical|wall] \
      [--profile] [--profile-json FILE] [--expose ADDR] [--expose-hold N] \
      [--quality-window N] [--quality-alert SPEC,...] [--quality-json FILE] \
@@ -573,7 +579,7 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
 /// without writing anything.
 fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let (table, rules, symbols) = load(flags, obs_ctx)?;
-    let report = check_consistency_observed(&rules, obs_ctx, threads_flag(flags)?);
+    let report = check_consistency_observed(&rules, obs_ctx, gate_threads(flags)?);
     if !report.is_consistent() {
         return Err(format!(
             "rule set has {} conflict(s); run `fixctl resolve` first",
@@ -606,13 +612,15 @@ fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     Ok(())
 }
 
-/// Load the CSV (schema from header) and the rule file against it.
+/// Load the CSV (schema from header) and the rule file against it; the
+/// CSV is parsed in [`worker_threads`] chunks.
 fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable), String> {
+    let threads = worker_threads(flags)?;
     let _span = obs_ctx.span("load");
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
     let mut symbols = SymbolTable::new();
-    let table = relation::csv_io::read_csv_file(data_path, "data", &mut symbols)
+    let table = relation::csv_io::par_read_csv_file(data_path, "data", &mut symbols, threads)
         .map_err(|e| format!("reading {data_path}: {e}"))?;
     let text =
         std::fs::read_to_string(rules_path).map_err(|e| format!("reading {rules_path}: {e}"))?;
@@ -627,16 +635,33 @@ fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable)
     Ok((table, rules, symbols))
 }
 
-/// `--threads N` (default 1 = sequential).
-fn threads_flag(flags: &Flags) -> Result<usize, String> {
-    match flags.optional("threads") {
-        Some(t) => t
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| "--threads takes a worker count >= 1".to_string()),
-        None => Ok(1),
-    }
+/// `--threads N` as given, or `None` when absent.
+fn threads_flag(flags: &Flags) -> Result<Option<usize>, String> {
+    flags
+        .optional("threads")
+        .map(|t| {
+            t.parse::<usize>()
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| "--threads takes a worker count >= 1".to_string())
+        })
+        .transpose()
+}
+
+/// Workers for the stages whose output does not depend on the worker
+/// count — CSV load, lRepair and CSV write: `--threads`, or every
+/// available core.
+fn worker_threads(flags: &Flags) -> Result<usize, String> {
+    Ok(threads_flag(flags)?
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())))
+}
+
+/// Workers for the consistency gate and the engines that are sequential
+/// by default: only an explicit `--threads` raises it above 1. The
+/// parallel checker stops at the first conflict and its pair count
+/// depends on timing.
+fn gate_threads(flags: &Flags) -> Result<usize, String> {
+    Ok(threads_flag(flags)?.unwrap_or(1))
 }
 
 /// Labels for the attribution profiler: rule `i` becomes `r{i}`, tagged
@@ -750,7 +775,7 @@ fn check_consistency_observed(
 
 fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let (_table, rules, symbols) = load(flags, obs_ctx)?;
-    let report = check_consistency_observed(&rules, obs_ctx, threads_flag(flags)?);
+    let report = check_consistency_observed(&rules, obs_ctx, gate_threads(flags)?);
     println!(
         "{} rules, size(Σ) = {}, {} pairs checked",
         rules.len(),
@@ -1243,12 +1268,13 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         ));
     }
     let (mut table, rules, symbols) = load(flags, obs_ctx)?;
-    let threads = threads_flag(flags)?;
+    let threads = worker_threads(flags)?;
+    let explicit_threads = gate_threads(flags)?;
     let hold = expose_hold_flag(flags)?;
     // The endpoint goes up before any repair work so a scraper can watch
     // the counters move while the run is in flight.
     let server = start_expose(flags, obs_ctx)?;
-    let report = check_consistency_observed(&rules, obs_ctx, threads);
+    let report = check_consistency_observed(&rules, obs_ctx, explicit_threads);
     if !report.is_consistent() {
         return Err(format!(
             "rule set has {} conflict(s); run `fixctl resolve` first",
@@ -1291,7 +1317,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             }
         }
         "crepair" | "chase" => {
-            if threads > 1 {
+            if explicit_threads > 1 {
                 return Err(
                     "--threads does not apply to the chase engine (use --engine columnar)"
                         .to_string(),
@@ -1303,7 +1329,10 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         "columnar" => {
             // No plan cache: grouping already runs the engine once per
             // distinct signature, and a one-shot run has no later batch to
-            // reuse plans in.
+            // reuse plans in. Groups are formed per worker, so the printed
+            // group count depends on the worker count: only an explicit
+            // `--threads` shards this engine.
+            let threads = explicit_threads;
             let program = {
                 let _span = obs_ctx.span("compile");
                 RuleProgram::compile(&rules)
@@ -1359,7 +1388,9 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let out = flags.required("out")?;
     {
         let _span = obs_ctx.span("write");
-        relation::csv_io::write_csv_file(out, &table, &symbols)
+        std::fs::File::create(out)
+            .map_err(relation::RelationError::from)
+            .and_then(|file| relation::csv_io::par_write_csv(file, &table, &symbols, threads))
             .map_err(|e| format!("writing {out}: {e}"))?;
     }
     println!("wrote {out}");
@@ -1388,7 +1419,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
 /// parsed against); the consistency gate runs before the output file is
 /// created, and records are repaired and written as they are read.
 fn repair_stream(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    if threads_flag(flags)? > 1 {
+    if gate_threads(flags)? > 1 {
         return Err(
             "--threads does not apply to the stream engine (one pass, one reader)".to_string(),
         );

@@ -1637,3 +1637,203 @@ fn quality_window_rejects_non_stream_engines() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("stream engine"));
 }
+
+// ---- worker-count parity -------------------------------------------------
+
+/// A ~3 MiB table, so the reader cuts it into chunks: Fig 1's rows tiled,
+/// with quoted commas, `""` escapes, quoted line breaks and CRLF rows
+/// mixed in, and three dirty rows in 40.
+fn tiled_travel_csv() -> String {
+    let mut text = String::from("name,country,capital,city,conf\n");
+    for i in 0..50_000 {
+        let name = match i % 4 {
+            0 => format!("p{i}"),
+            1 => format!("\"Doe, J{}\"", i % 97),
+            2 => format!("\"say \"\"{}\"\"\nok\"", i % 13),
+            _ => format!("q{}", i % 501),
+        };
+        let row = match i % 40 {
+            0 => "China,Shanghai,Hongkong,ICDE",
+            20 => "Canada,Toronto,Toronto,VLDB",
+            13 => "China,Tokyo,Tokyo,ICDE",
+            _ => "China,Beijing,Beijing,SIGMOD",
+        };
+        let end = if i % 3 == 0 { "\r\n" } else { "\n" };
+        text += &format!("{name},{row}{end}");
+    }
+    text
+}
+
+/// The counters and histograms of a `--metrics` snapshot, minus the ones
+/// that describe the workers themselves (`repair.worker.*`) or measure
+/// time (`stage.*`).
+fn worker_independent_metrics(path: &std::path::Path) -> Vec<(String, String)> {
+    let snap = obs::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let mut out = Vec::new();
+    for section in ["counters", "histograms"] {
+        for (name, value) in snap.get(section).unwrap().as_obj().unwrap() {
+            if !name.starts_with("repair.worker.") && !name.starts_with("stage.") {
+                out.push((format!("{section}.{name}"), value.to_string()));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn repair_output_is_identical_at_any_worker_count() {
+    let dir = tmpdir("thread_parity");
+    let data = dir.join("t.csv");
+    let rules = dir.join("r.frl");
+    std::fs::write(&data, tiled_travel_csv()).unwrap();
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    let run = |tag: &str, threads: &[&str]| {
+        let file = |name: &str| dir.join(format!("{tag}_{name}"));
+        let paths = [
+            file("out.csv"),
+            file("updates.csv"),
+            file("profile.json"),
+            file("metrics.json"),
+            file("trace.jsonl"),
+        ];
+        let p: Vec<&str> = paths.iter().map(|p| p.to_str().unwrap()).collect();
+        let mut args = vec![
+            "repair",
+            "--rules",
+            rules.to_str().unwrap(),
+            "--data",
+            data.to_str().unwrap(),
+            "--out",
+            p[0],
+            "--updates-log",
+            p[1],
+            "--profile-json",
+            p[2],
+            "--metrics",
+            p[3],
+            "--trace",
+            p[4],
+        ];
+        args.extend_from_slice(threads);
+        let out = fixctl(&args);
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // Output paths differ per run; everything else must not.
+        let stdout = String::from_utf8_lossy(&out.stdout).replace(tag, "RUN");
+        let read = |i: usize| std::fs::read(&paths[i]).unwrap();
+        (
+            stdout,
+            [read(0), read(1), read(2), read(4)],
+            worker_independent_metrics(&paths[3]),
+        )
+    };
+    let one = run("one", &["--threads", "1"]);
+    assert!(one.0.contains("3750 row(s) of 50000"), "{}", one.0);
+    for (tag, threads) in [("three", &["--threads", "3"][..]), ("default", &[][..])] {
+        let other = run(tag, threads);
+        assert_eq!(other.0, one.0, "{tag}: stdout");
+        for (i, what) in ["--out", "--updates-log", "--profile-json", "--trace"]
+            .iter()
+            .enumerate()
+        {
+            assert!(other.1[i] == one.1[i], "{tag}: {what} differs");
+        }
+        assert_eq!(other.2, one.2, "{tag}: metrics");
+    }
+}
+
+/// Three rules, two conflicting pairs: the sequential gate reports both,
+/// where the parallel checker would stop at the first.
+const THREE_CONFLICTS: &str = r#"
+IF country = "China" AND capital IN {"Shanghai", "Tokyo"} THEN capital := "Beijing"
+IF country = "China" AND capital IN {"Shanghai"} THEN capital := "Nanjing"
+IF capital = "Tokyo" AND city = "Tokyo" AND conf = "ICDE" AND country IN {"China"} THEN country := "Japan"
+"#;
+
+#[test]
+fn consistency_gate_stays_sequential_without_threads() {
+    let dir = tmpdir("gate_default");
+    let data = dir.join("t.csv");
+    let rules = dir.join("r.frl");
+    std::fs::write(&data, TRAVEL_CSV).unwrap();
+    std::fs::write(&rules, THREE_CONFLICTS).unwrap();
+    for command in ["check", "repair"] {
+        let run = |tag: &str, threads: &[&str]| {
+            let metrics = dir.join(format!("{command}_{tag}.json"));
+            let out_csv = dir.join("x.csv");
+            let mut args = vec![
+                command,
+                "--rules",
+                rules.to_str().unwrap(),
+                "--data",
+                data.to_str().unwrap(),
+                "--metrics",
+                metrics.to_str().unwrap(),
+            ];
+            if command == "repair" {
+                args.extend(["--out", out_csv.to_str().unwrap()]);
+            }
+            args.extend_from_slice(threads);
+            let out = fixctl(&args);
+            assert!(!out.status.success(), "{command} {tag}");
+            let snap = obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+            let consistency: Vec<String> = snap
+                .get("counters")
+                .unwrap()
+                .as_obj()
+                .unwrap()
+                .iter()
+                .filter(|(name, _)| name.starts_with("consistency."))
+                .map(|(name, value)| format!("{name}={value}"))
+                .collect();
+            (
+                String::from_utf8_lossy(&out.stdout).into_owned(),
+                String::from_utf8_lossy(&out.stderr).into_owned(),
+                consistency,
+            )
+        };
+        let default = run("default", &[]);
+        let one = run("one", &["--threads", "1"]);
+        assert_eq!(default, one, "{command}");
+        assert!(
+            default.2.contains(&"consistency.conflicts=2".to_string()),
+            "{command}: {:?}",
+            default.2
+        );
+        if command == "repair" {
+            assert!(default.1.contains("2 conflict(s)"), "{}", default.1);
+        }
+    }
+}
+
+#[test]
+fn chase_and_stream_engines_run_without_threads() {
+    let dir = tmpdir("engines_default_threads");
+    let data = dir.join("t.csv");
+    let rules = dir.join("r.frl");
+    std::fs::write(&data, TRAVEL_CSV).unwrap();
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    for engine in ["chase", "stream"] {
+        let out_path = dir.join(format!("{engine}.csv"));
+        let out = fixctl(&[
+            "repair",
+            "--rules",
+            rules.to_str().unwrap(),
+            "--data",
+            data.to_str().unwrap(),
+            "--engine",
+            engine,
+            "--out",
+            out_path.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{engine}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("3 update(s)"));
+    }
+}

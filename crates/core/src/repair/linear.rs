@@ -20,6 +20,11 @@
 //!
 //! Counters are epoch-stamped so repairing the next tuple costs `O(1)` to
 //! "clear" them instead of `O(|Σ|)`.
+//!
+//! What the observer learns per probe and per tuple (probe and enqueue
+//! counts, each tuple's pops and updates) is tallied in the scratch with
+//! plain adds and handed over every 4,096 tuples, so
+//! workers sharing one observer touch no shared counter per tuple.
 
 use fxhash::FxHashMap;
 use obs::{NoopObserver, RepairObserver};
@@ -73,8 +78,87 @@ impl LRepairIndex {
     }
 }
 
-/// Reusable per-thread scratch space: epoch-stamped counters and the
-/// candidate queue.
+/// Tuples between two hand-overs of a scratch's tallies to the observer.
+pub(crate) const TALLY_FLUSH_TUPLES: usize = 4096;
+
+/// Tuples whose pops and updates are both below this are tallied in a
+/// dense grid; the rest in a map.
+const TALLY_GRID: usize = 16;
+
+/// Observer tallies a worker keeps in its own memory between flushes.
+#[derive(Debug)]
+struct LRepairTally {
+    probes: u64,
+    probe_hits: u64,
+    enqueued: u64,
+    /// Tuples per `(pops, updates)`, at `pops * TALLY_GRID + updates`.
+    grid: [u64; TALLY_GRID * TALLY_GRID],
+    beyond_grid: FxHashMap<(usize, usize), u64>,
+    /// Tuples since the last flush.
+    tuples: usize,
+}
+
+impl Default for LRepairTally {
+    fn default() -> Self {
+        LRepairTally {
+            probes: 0,
+            probe_hits: 0,
+            enqueued: 0,
+            grid: [0; TALLY_GRID * TALLY_GRID],
+            beyond_grid: FxHashMap::default(),
+            tuples: 0,
+        }
+    }
+}
+
+impl LRepairTally {
+    #[inline]
+    fn tuple_done(
+        &mut self,
+        pops: usize,
+        updates: usize,
+        probes: usize,
+        probe_hits: usize,
+        enqueued: usize,
+    ) {
+        self.probes += probes as u64;
+        self.probe_hits += probe_hits as u64;
+        self.enqueued += enqueued as u64;
+        self.tuples += 1;
+        if pops < TALLY_GRID && updates < TALLY_GRID {
+            self.grid[pops * TALLY_GRID + updates] += 1;
+        } else {
+            *self.beyond_grid.entry((pops, updates)).or_default() += 1;
+        }
+    }
+
+    /// Hand every tally to `observer` as batched hooks and reset it. Cold
+    /// and out of line: it runs once per [`TALLY_FLUSH_TUPLES`] tuples,
+    /// and inlined it would bloat the per-tuple loop.
+    #[cold]
+    #[inline(never)]
+    fn flush<O: RepairObserver>(&mut self, observer: &O) {
+        for (cell, count) in self.grid.iter_mut().enumerate() {
+            if *count > 0 {
+                observer.tuples_done(cell / TALLY_GRID, cell % TALLY_GRID, *count as usize);
+                *count = 0;
+            }
+        }
+        for ((pops, updates), count) in self.beyond_grid.drain() {
+            observer.tuples_done(pops, updates, count as usize);
+        }
+        if self.probes > 0 || self.enqueued > 0 {
+            observer.lrepair_probes(self.probes, self.probe_hits, self.enqueued);
+        }
+        self.probes = 0;
+        self.probe_hits = 0;
+        self.enqueued = 0;
+        self.tuples = 0;
+    }
+}
+
+/// Reusable per-thread scratch space: epoch-stamped counters, the
+/// candidate queue, and the observer tallies.
 #[derive(Debug, Default)]
 pub struct LRepairScratch {
     epoch: u32,
@@ -82,6 +166,7 @@ pub struct LRepairScratch {
     count: Vec<u16>,
     enqueued_stamp: Vec<u32>,
     queue: Vec<RuleId>,
+    tally: LRepairTally,
 }
 
 impl LRepairScratch {
@@ -93,7 +178,17 @@ impl LRepairScratch {
             count: vec![0; num_rules],
             enqueued_stamp: vec![0; num_rules],
             queue: Vec::new(),
+            tally: LRepairTally::default(),
         }
+    }
+
+    /// Hand the tallies gathered since the last flush to `observer`: one
+    /// [`RepairObserver::tuples_done`] per distinct `(pops, updates)` and
+    /// one [`RepairObserver::lrepair_probes`]. Table and stream drivers
+    /// call this after their last tuple; [`TALLY_FLUSH_TUPLES`] tuples
+    /// after the previous flush, repairing a tuple flushes on its own.
+    pub(crate) fn flush_tallies<O: RepairObserver>(&mut self, observer: &O) {
+        self.tally.flush(observer);
     }
 
     fn begin_tuple(&mut self, num_rules: usize) {
@@ -148,10 +243,11 @@ pub fn lrepair_tuple(
     lrepair_tuple_observed(rules, index, scratch, row, &NoopObserver)
 }
 
-/// [`lrepair_tuple`] with observer hooks: `index_probe` per inverted-list
-/// lookup, `counter_saturated` per hash counter reaching `|X_φ|`,
-/// `rule_applied` per fired rule, `tuple_done` (pops, updates) at the end.
-/// With [`NoopObserver`] this monomorphizes to the unobserved hot path.
+/// [`lrepair_tuple`] with observer hooks: `rule_applied` per fired rule,
+/// and `rule_rejected`/`rule_latency` as asked. Inverted-list probes,
+/// counters reaching `|X_φ|` and the tuple's (pops, updates) go to the
+/// scratch's tallies, flushed to `observer` every [`TALLY_FLUSH_TUPLES`]
+/// tuples. With [`NoopObserver`] the tallies are plain adds.
 pub(crate) fn lrepair_tuple_observed<O: RepairObserver>(
     rules: &RuleSet,
     index: &LRepairIndex,
@@ -160,17 +256,20 @@ pub(crate) fn lrepair_tuple_observed<O: RepairObserver>(
     observer: &O,
 ) -> Vec<CellUpdate> {
     scratch.begin_tuple(rules.len());
+    // The tuple's tallies stay in locals (registers) until it is done.
+    let mut probe_hits = 0;
+    let mut enqueued = 0;
     // Lines 3–7: seed counters from every cell; enqueue fully-matched
     // rules.
     for (a, &value) in row.iter().enumerate() {
         let attr = AttrId(a as u16);
         let hits = index.rules_for(attr, value);
-        observer.index_probe(hits.len());
+        probe_hits += hits.len();
         for &rid in hits {
             let c = scratch.count_of(rid) + 1;
             scratch.set_count(rid, c);
             if c == index.evidence_len[rid.index()] {
-                observer.counter_saturated();
+                enqueued += 1;
                 scratch.try_enqueue(rid);
             }
         }
@@ -216,28 +315,34 @@ pub(crate) fn lrepair_tuple_observed<O: RepairObserver>(
         });
         // Lines 13–15: recalculate counters for the updated cell only.
         let stale = index.rules_for(b, old);
-        observer.index_probe(stale.len());
+        let fresh = index.rules_for(b, new);
+        probe_hits += stale.len() + fresh.len();
         for &other in stale {
             let c = scratch.count_of(other);
             scratch.set_count(other, c.saturating_sub(1));
         }
-        let fresh = index.rules_for(b, new);
-        observer.index_probe(fresh.len());
         for &other in fresh {
             let c = scratch.count_of(other) + 1;
             scratch.set_count(other, c);
             if c == index.evidence_len[other.index()] {
-                observer.counter_saturated();
+                enqueued += 1;
                 scratch.try_enqueue(other);
             }
         }
     }
-    observer.tuple_done(pops, updates.len());
+    // One probe per cell, then two per applied update.
+    let probes = row.len() + 2 * updates.len();
+    scratch
+        .tally
+        .tuple_done(pops, updates.len(), probes, probe_hits, enqueued);
+    if scratch.tally.tuples >= TALLY_FLUSH_TUPLES {
+        scratch.tally.flush(observer);
+    }
     updates
 }
 
 /// Repair every tuple of a table in place with `lRepair`. Observer hooks:
-/// the per-tuple hooks of [`lrepair_tuple`] plus one `cell_repaired` per
+/// the hooks and tallies of [`lrepair_tuple`] plus one `cell_repaired` per
 /// applied update (the table driver knows the row index; the per-tuple
 /// algorithm doesn't); pass [`NoopObserver`] for none.
 pub fn lrepair_table<O: RepairObserver>(
@@ -261,6 +366,7 @@ pub fn lrepair_table<O: RepairObserver>(
         }
         outcome.updates.extend(ups);
     }
+    scratch.flush_tallies(observer);
     outcome
 }
 

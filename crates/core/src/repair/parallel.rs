@@ -16,16 +16,18 @@ use crate::ruleset::RuleSet;
 
 /// Repair a table with `lRepair` across `num_threads` workers.
 ///
-/// Produces exactly the same table state and update multiset as the
-/// sequential [`crate::repair::lrepair_table`]; updates are returned sorted
-/// by `(row, application order)`. Each worker records its chunk's updates
-/// in application order, and the final **stable** sort on `row` alone keeps
-/// that relative order within a row — so the log is byte-identical to the
-/// sequential driver's, which downstream diffing relies on.
+/// Produces exactly the same table state and update log as the sequential
+/// [`crate::repair::lrepair_table`]. Each worker repairs one contiguous
+/// range of rows and records its updates in (row, application order);
+/// joining the workers in range order concatenates those logs into the
+/// sequential driver's log, byte for byte.
 ///
-/// Observer hooks: per-tuple hooks from the shared observer (which must
-/// therefore be `Sync`), one `cell_repaired` per applied update (in worker
-/// order — provenance consumers sort by `(row, ordinal)`), plus one
+/// Observer hooks: each worker keeps the per-tuple tallies in its own
+/// [`LRepairScratch`] and flushes them every 4,096 tuples and once at the
+/// end, so the shared observer (which must therefore be `Sync`) sees no
+/// per-tuple traffic but the same totals.
+/// Per-update hooks (`rule_applied`, `cell_repaired`, ...) fire in worker
+/// order — provenance consumers sort by `(row, ordinal)` — plus one
 /// `worker_done(worker, rows, updates, busy_ns)` per worker; pass
 /// [`obs::NoopObserver`] for none.
 pub fn par_lrepair_table<O: RepairObserver>(
@@ -65,6 +67,7 @@ pub fn par_lrepair_table<O: RepairObserver>(
                     local.extend(ups);
                     worker_rows += 1;
                 }
+                scratch.flush_tallies(observer);
                 let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 observer.worker_done(chunk_idx, worker_rows, local.len(), busy_ns);
                 local
@@ -74,10 +77,6 @@ pub fn par_lrepair_table<O: RepairObserver>(
             all_updates.extend(h.join().expect("repair worker panicked"));
         }
     });
-    // Stable sort: chunks were appended in ascending base_row, and within a
-    // chunk updates are already in (row, application order). `sort_by_key`
-    // is stable, so per-row application order survives.
-    all_updates.sort_by_key(|u| u.row);
     RepairOutcome {
         updates: all_updates,
     }
@@ -137,7 +136,7 @@ mod tests {
         let so = lrepair_table(&rules, &index, &mut seq, &NoopObserver);
         let po = par_lrepair_table(&rules, &index, &mut par, 4, &NoopObserver);
         assert_eq!(seq.diff_cells(&par).unwrap(), 0);
-        assert_eq!(so.total_updates(), po.total_updates());
+        assert_eq!(so.updates, po.updates, "full update logs must agree");
     }
 
     #[test]
@@ -227,5 +226,36 @@ mod tests {
             assert_eq!(u.row % 3, 0, "only every third row is dirty");
         }
         assert_eq!(outcome.total_updates(), 34);
+    }
+
+    #[test]
+    fn worker_tallies_add_up_to_the_sequential_counters() {
+        use obs::{MetricsObserver, MetricsRegistry};
+        let (rules, table, _sy) = setup(10_000);
+        let index = LRepairIndex::build(&rules);
+        let metrics = |threads: usize| {
+            let reg = MetricsRegistry::new();
+            let mut t = table.clone();
+            if threads == 0 {
+                lrepair_table(&rules, &index, &mut t, &MetricsObserver::new(&reg));
+            } else {
+                par_lrepair_table(&rules, &index, &mut t, threads, &MetricsObserver::new(&reg));
+            }
+            let snap = reg.snapshot();
+            let mut out = Vec::new();
+            for section in ["counters", "histograms"] {
+                for (name, value) in snap.get(section).unwrap().as_obj().unwrap() {
+                    if name.starts_with("repair.") && !name.starts_with("repair.worker.") {
+                        out.push(format!("{name}={value}"));
+                    }
+                }
+            }
+            out
+        };
+        let sequential = metrics(0);
+        assert!(sequential.contains(&"repair.tuples=10000".to_string()));
+        for threads in [1, 2, 3, 7] {
+            assert_eq!(metrics(threads), sequential, "threads={threads}");
+        }
     }
 }

@@ -32,9 +32,11 @@ pub type StreamStats = RepairStats;
 /// names, same order) — the rules' attribute ids index positionally into
 /// each record.
 ///
-/// Observer hooks: per-tuple hooks from `lRepair`, one `cell_repaired` per
-/// applied update (`row` = 0-based record index), plus one
-/// `stream_record(vocab)` per record carrying the interner size (the
+/// Observer hooks: the hooks of `lRepair`, whose tallies reach the
+/// observer every 4,096 records and at the end, so live counters keep
+/// moving during a long stream; one `cell_repaired` per applied update
+/// (`row` = 0-based record index), plus one `stream_record(vocab)` per
+/// record carrying the interner size (the
 /// memory-bounding quantity of this driver). When the observer answers
 /// `wants_rows`, each record's *pre-repair* symbol ids are also reported
 /// through `row_observed` (before any rule fires), so a quality monitor
@@ -71,27 +73,34 @@ pub fn stream_repair_csv<R: Read, W: Write, O: RepairObserver>(
     let mut pre: Vec<u32> = Vec::with_capacity(schema.arity());
     let mut stats = StreamStats::default();
     let mut record = csv::StringRecord::new();
-    while rdr.read_record(&mut record)? {
-        row.clear();
-        row.extend(record.iter().map(|cell| symbols.intern(cell)));
-        if observer.wants_rows() {
-            pre.clear();
-            pre.extend(row.iter().map(|s| s.0));
-            observer.row_observed(&pre);
+    let streamed = (|| -> Result<(), RelationError> {
+        while rdr.read_record(&mut record)? {
+            row.clear();
+            row.extend(record.iter().map(|cell| symbols.intern(cell)));
+            if observer.wants_rows() {
+                pre.clear();
+                pre.extend(row.iter().map(|s| s.0));
+                observer.row_observed(&pre);
+            }
+            let mut updates =
+                lrepair_tuple_observed(rules, index, &mut scratch, &mut row, observer);
+            if !updates.is_empty() {
+                stats.rows_touched += 1;
+                stats.updates += updates.len();
+            }
+            for (k, u) in updates.iter_mut().enumerate() {
+                u.row = stats.rows;
+                observer.cell_repaired(u.as_fix(k));
+            }
+            stats.rows += 1;
+            observer.stream_record(symbols.len());
+            wtr.write_record(row.iter().map(|&s| symbols.resolve(s)))?;
         }
-        let mut updates = lrepair_tuple_observed(rules, index, &mut scratch, &mut row, observer);
-        if !updates.is_empty() {
-            stats.rows_touched += 1;
-            stats.updates += updates.len();
-        }
-        for (k, u) in updates.iter_mut().enumerate() {
-            u.row = stats.rows;
-            observer.cell_repaired(u.as_fix(k));
-        }
-        stats.rows += 1;
-        observer.stream_record(symbols.len());
-        wtr.write_record(row.iter().map(|&s| symbols.resolve(s)))?;
-    }
+        Ok(())
+    })();
+    // Records repaired before an error still reach the observer.
+    scratch.flush_tallies(observer);
+    streamed?;
     wtr.flush()?;
     Ok(stats)
 }
@@ -272,5 +281,73 @@ Mike,Canada,Toronto,Toronto,VLDB
         )
         .unwrap();
         assert_eq!(stats, StreamStats::default());
+    }
+
+    #[test]
+    fn tallies_reach_the_observer_during_and_after_the_stream() {
+        use crate::repair::linear::{lrepair_table, TALLY_FLUSH_TUPLES};
+        use obs::{MetricsObserver, MetricsRegistry, RepairObserver, Tee};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Counts tally hand-overs.
+        struct Flushes(AtomicUsize);
+        impl RepairObserver for Flushes {
+            fn lrepair_probes(&self, _probes: u64, _hits: u64, _enqueued: u64) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        let (rules, mut sy) = setup();
+        let index = LRepairIndex::build(&rules);
+        let rows = 2 * TALLY_FLUSH_TUPLES + 100;
+        let mut text = String::from("name,country,capital,city,conf\n");
+        for i in 0..rows {
+            text += match i % 3 {
+                0 => "Ian,China,Shanghai,Hongkong,ICDE\n",
+                1 => "Mike,Canada,Toronto,Toronto,VLDB\n",
+                _ => "George,China,Beijing,Beijing,SIGMOD\n",
+            };
+        }
+        let streamed = MetricsRegistry::new();
+        let flushes = Flushes(AtomicUsize::new(0));
+        let observer = Tee(&MetricsObserver::new(&streamed), &flushes);
+        let mut out = Vec::new();
+        stream_repair_csv(
+            &rules,
+            &index,
+            &mut sy,
+            text.as_bytes(),
+            &mut out,
+            &observer,
+        )
+        .unwrap();
+        // Two hand-overs mid-stream, one at the end.
+        assert_eq!(flushes.0.load(Ordering::Relaxed), 3);
+
+        // Every repair.* counter and histogram equals the table driver's
+        // (on a table over the rules' own schema instance).
+        let loaded = relation::csv_io::read_csv(text.as_bytes(), "Travel", &mut sy).unwrap();
+        let mut table = relation::Table::new(rules.schema().clone());
+        for row in loaded.rows() {
+            table.push_row(row).unwrap();
+        }
+        let tabled = MetricsRegistry::new();
+        lrepair_table(&rules, &index, &mut table, &MetricsObserver::new(&tabled));
+        let repair_metrics = |reg: &MetricsRegistry| {
+            let snap = reg.snapshot();
+            let mut out = Vec::new();
+            for section in ["counters", "histograms"] {
+                for (name, value) in snap.get(section).unwrap().as_obj().unwrap() {
+                    if name.starts_with("repair.") {
+                        out.push(format!("{name}={value}"));
+                    }
+                }
+            }
+            out
+        };
+        let want = repair_metrics(&tabled);
+        assert!(want.contains(&format!("repair.tuples={rows}")), "{want:?}");
+        assert!(want.iter().any(|m| m.starts_with("repair.index.probes=")));
+        assert_eq!(repair_metrics(&streamed), want);
     }
 }

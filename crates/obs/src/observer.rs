@@ -74,15 +74,16 @@ pub trait RepairObserver: Sync {
         }
     }
 
-    /// `lRepair` consulted an inverted list and found `rules_hit` rules.
+    /// `lRepair` tallies of a run of tuples: `probes` inverted-list
+    /// lookups found `hits` rules in all, and `enqueued` rules entered the
+    /// candidate queue because their hash counter reached `|X|`. Drivers
+    /// keep these in worker-local memory and report them every few
+    /// thousand tuples and at the end, so no shared counter is touched per
+    /// probe.
     #[inline]
-    fn index_probe(&self, rules_hit: usize) {
-        let _ = rules_hit;
+    fn lrepair_probes(&self, probes: u64, hits: u64, enqueued: u64) {
+        let _ = (probes, hits, enqueued);
     }
-
-    /// A hash counter reached its `|X|` target and the rule was enqueued.
-    #[inline]
-    fn counter_saturated(&self) {}
 
     /// A parallel worker finished its shard.
     #[inline]
@@ -260,13 +261,8 @@ impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     }
 
     #[inline]
-    fn index_probe(&self, rules_hit: usize) {
-        (**self).index_probe(rules_hit);
-    }
-
-    #[inline]
-    fn counter_saturated(&self) {
-        (**self).counter_saturated();
+    fn lrepair_probes(&self, probes: u64, hits: u64, enqueued: u64) {
+        (**self).lrepair_probes(probes, hits, enqueued);
     }
 
     #[inline]
@@ -412,15 +408,9 @@ impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for 
     }
 
     #[inline]
-    fn index_probe(&self, rules_hit: usize) {
-        self.0.index_probe(rules_hit);
-        self.1.index_probe(rules_hit);
-    }
-
-    #[inline]
-    fn counter_saturated(&self) {
-        self.0.counter_saturated();
-        self.1.counter_saturated();
+    fn lrepair_probes(&self, probes: u64, hits: u64, enqueued: u64) {
+        self.0.lrepair_probes(probes, hits, enqueued);
+        self.1.lrepair_probes(probes, hits, enqueued);
     }
 
     #[inline]
@@ -697,14 +687,10 @@ impl RepairObserver for MetricsObserver {
     }
 
     #[inline]
-    fn index_probe(&self, rules_hit: usize) {
-        self.probes.inc();
-        self.probe_hits.add(rules_hit as u64);
-    }
-
-    #[inline]
-    fn counter_saturated(&self) {
-        self.enqueued.inc();
+    fn lrepair_probes(&self, probes: u64, hits: u64, enqueued: u64) {
+        self.probes.add(probes);
+        self.probe_hits.add(hits);
+        self.enqueued.add(enqueued);
     }
 
     #[inline]
@@ -852,9 +838,7 @@ mod tests {
         obs.rule_applied(3, 1);
         obs.tuple_done(2, 2);
         obs.tuple_done(1, 0);
-        obs.index_probe(3);
-        obs.index_probe(0);
-        obs.counter_saturated();
+        obs.lrepair_probes(2, 3, 1);
         obs.plan_probe(2);
         obs.plan_probe(0);
         obs.plan_cache_lookup(true);
@@ -924,8 +908,7 @@ mod tests {
         obs.chase_round();
         obs.rule_applied(0, 0);
         obs.tuple_done(1, 1);
-        obs.index_probe(1);
-        obs.counter_saturated();
+        obs.lrepair_probes(1, 1, 1);
         obs.plan_probe(1);
         obs.plan_cache_lookup(true);
         obs.plan_cache_lookup(false);

@@ -105,33 +105,51 @@ echo "== columnar group-by-plan equivalence smoke =="
 # §17), sequentially and across worker threads: same repaired CSV, same
 # repair.cell provenance records, and the same rule-application counters.
 # The index.*/plan.*/queue.* counters count each engine's own work and
-# differ by design. Journal seq numbers are position-dependent, so they
-# are stripped before comparing. Tile the example rows so signature
-# groups actually have members. (Plan-cache parity is pinned by
-# `warm_plan_cache_keeps_table_and_repair_counters` in columnar.rs.)
+# differ by design. lRepair itself must not depend on the worker count
+# (DESIGN.md §18): at 2 workers and at the default (every core) it
+# matches 1 worker on the CSV, the provenance and every repair.* counter
+# but the per-worker ones. Journal seq numbers are position-dependent,
+# so they are stripped before comparing. Tile the example rows so
+# signature groups actually have members. (Plan-cache parity is pinned
+# by `warm_plan_cache_keeps_table_and_repair_counters` in columnar.rs.)
 {
     cat examples/data/hosp_dirty.csv
     tail -n +2 examples/data/hosp_dirty.csv
     tail -n +2 examples/data/hosp_dirty.csv
 } > "$TRACE_DIR/hosp_dup.csv"
-for run in lrepair:1 columnar:1 columnar:3; do
+for run in lrepair:1 lrepair:2 lrepair:default columnar:1 columnar:3; do
     engine="${run%:*}"
     threads="${run#*:}"
     tag="${engine}_$threads"
+    threads_args=()
+    [ "$threads" = default ] || threads_args=(--threads "$threads")
     "$FIXCTL" repair \
         --rules examples/rulesets/hosp_zip.frl \
         --data "$TRACE_DIR/hosp_dup.csv" \
-        --engine "$engine" --threads "$threads" \
+        --engine "$engine" "${threads_args[@]}" \
         --out "$TRACE_DIR/eng_$tag.csv" \
         --metrics "$TRACE_DIR/eng_metrics_$tag.json" \
         --trace "$TRACE_DIR/eng_trace_$tag.jsonl" >/dev/null
     grep -oE '"repair\.(rules_applied|tuples|tuples_touched|updates)": [0-9]+' \
         "$TRACE_DIR/eng_metrics_$tag.json" > "$TRACE_DIR/eng_counters_$tag.txt"
+    grep -oE '"repair\.[a-z_.]+": [0-9]+' "$TRACE_DIR/eng_metrics_$tag.json" \
+        | grep -v '"repair\.worker\.' > "$TRACE_DIR/eng_all_counters_$tag.txt"
     grep '"repair\.cell"' "$TRACE_DIR/eng_trace_$tag.jsonl" \
         | sed -E 's/"seq": *[0-9]+, *//' > "$TRACE_DIR/eng_cells_$tag.txt"
 done
 [ "$(wc -l < "$TRACE_DIR/eng_counters_lrepair_1.txt")" -eq 4 ] \
     || { echo "lrepair run is missing repair counters" >&2; exit 1; }
+grep -q '"repair\.index\.probes": [1-9]' "$TRACE_DIR/eng_all_counters_lrepair_1.txt" \
+    || { echo "lrepair run recorded no index probes" >&2; exit 1; }
+for tag in lrepair_2 lrepair_default; do
+    cmp "$TRACE_DIR/eng_lrepair_1.csv" "$TRACE_DIR/eng_$tag.csv" \
+        || { echo "$tag output differs from lrepair_1" >&2; exit 1; }
+    diff "$TRACE_DIR/eng_all_counters_lrepair_1.txt" "$TRACE_DIR/eng_all_counters_$tag.txt" \
+        || { echo "repair.* counters differ, lrepair_1 vs $tag" >&2; exit 1; }
+    cmp "$TRACE_DIR/eng_cells_lrepair_1.txt" "$TRACE_DIR/eng_cells_$tag.txt" \
+        || { echo "repair.cell provenance differs, lrepair_1 vs $tag" >&2; exit 1; }
+done
+echo "-- lrepair at 2 and at the default worker count matches 1: CSV, repair.* counters, provenance"
 for tag in columnar_1 columnar_3; do
     cmp "$TRACE_DIR/eng_lrepair_1.csv" "$TRACE_DIR/eng_$tag.csv" \
         || { echo "$tag output differs from lrepair" >&2; exit 1; }

@@ -14,6 +14,13 @@
 //! [`Reader::read_record`] refills a caller's record without allocating
 //! and UTF-8 is validated once per record. The writer renders into one
 //! owned buffer and hands it to the sink in 64 KiB chunks.
+//!
+//! Two small additions serve readers that start in the middle of a file
+//! (the chunk-parallel loader in `relation`): [`Reader::record_offset`]
+//! reports the byte at which the next record starts, and
+//! [`ReaderBuilder::expect_fields`] sets the field count a header would
+//! have set. [`push_field`] and [`needs_quotes`] expose the writer's
+//! quoting rule to renderers that build their own buffers.
 
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -126,6 +133,7 @@ impl<'a> IntoIterator for &'a StringRecord {
 pub struct ReaderBuilder {
     has_headers: bool,
     flexible: bool,
+    expected_fields: Option<usize>,
 }
 
 impl Default for ReaderBuilder {
@@ -133,6 +141,7 @@ impl Default for ReaderBuilder {
         ReaderBuilder {
             has_headers: true,
             flexible: false,
+            expected_fields: None,
         }
     }
 }
@@ -154,6 +163,13 @@ impl ReaderBuilder {
         self
     }
 
+    /// Require `n` fields per record (unless flexible), as a header row of
+    /// `n` fields would: for a reader that starts past the header.
+    pub fn expect_fields(&mut self, n: usize) -> &mut Self {
+        self.expected_fields = Some(n);
+        self
+    }
+
     pub fn from_reader<R: Read>(&self, reader: R) -> Reader<R> {
         Reader {
             input: BufReader::with_capacity(CHUNK, reader),
@@ -161,8 +177,9 @@ impl ReaderBuilder {
             flexible: self.flexible,
             headers: None,
             headers_read: false,
-            expected_arity: None,
+            expected_arity: self.expected_fields,
             skip_lf: false,
+            offset: 0,
         }
     }
 }
@@ -189,6 +206,8 @@ pub struct Reader<R: Read> {
     /// The last record ended on `\r`; a `\n` right after it belongs to the
     /// same terminator.
     skip_lf: bool,
+    /// Bytes consumed from the input so far.
+    offset: u64,
 }
 
 impl<R: Read> Reader<R> {
@@ -232,6 +251,27 @@ impl<R: Read> Reader<R> {
         RecordsIter { rdr: self }
     }
 
+    /// Byte offset, from the start of the input, at which the next record
+    /// starts: past every record read so far, including the `\n` of a
+    /// `\r\n` terminator. At end of input it is the input's length.
+    pub fn record_offset(&mut self) -> Result<u64, Error> {
+        self.take_pending_lf()?;
+        Ok(self.offset)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.input.consume(n);
+        self.offset += n as u64;
+    }
+
+    /// Skip the `\n` of a `\r\n` whose `\r` ended the last record.
+    fn take_pending_lf(&mut self) -> Result<(), Error> {
+        if std::mem::take(&mut self.skip_lf) && self.input.fill_buf()?.first() == Some(&b'\n') {
+            self.consume(1);
+        }
+        Ok(())
+    }
+
     /// Parse one record into `record` and validate its UTF-8, or return
     /// `false` at end of input.
     fn read_raw(&mut self, record: &mut StringRecord) -> Result<bool, Error> {
@@ -261,9 +301,7 @@ impl<R: Read> Reader<R> {
     /// Copy one record's field bytes into `bytes` and each field's end
     /// offset into `ends`, or return `false` at end of input.
     fn scan_record(&mut self, bytes: &mut Vec<u8>, ends: &mut Vec<usize>) -> Result<bool, Error> {
-        if std::mem::take(&mut self.skip_lf) && self.input.fill_buf()?.first() == Some(&b'\n') {
-            self.input.consume(1);
-        }
+        self.take_pending_lf()?;
         let mut state = FieldState::Unquoted;
         let mut saw_any = false;
         loop {
@@ -280,7 +318,7 @@ impl<R: Read> Reader<R> {
             }
             saw_any = true;
             let (used, terminator) = scan_slice(buf, &mut state, bytes, ends);
-            self.input.consume(used);
+            self.consume(used);
             if let Some(terminator) = terminator {
                 self.skip_lf = terminator == b'\r';
                 return Ok(true);
@@ -303,10 +341,7 @@ fn scan_slice(
         let rest = &buf[i..];
         match *state {
             FieldState::Unquoted => {
-                let Some(k) = rest
-                    .iter()
-                    .position(|&b| matches!(b, b',' | b'\n' | b'\r' | b'"'))
-                else {
+                let Some(k) = find_any(rest, [b',', b'\n', b'\r', b'"']) else {
                     bytes.extend_from_slice(rest);
                     break;
                 };
@@ -326,7 +361,7 @@ fn scan_slice(
                 }
             }
             FieldState::Quoted => {
-                let Some(k) = rest.iter().position(|&b| b == b'"') else {
+                let Some(k) = find_any(rest, [b'"']) else {
                     bytes.extend_from_slice(rest);
                     break;
                 };
@@ -346,6 +381,33 @@ fn scan_slice(
         }
     }
     (buf.len(), None)
+}
+
+/// Index of the first byte of `bytes` that is one of `needles`. Tests
+/// eight bytes per step: for a word `w`, `(w - 0x01..) & !w & 0x80..` has
+/// its lowest set bit in the lowest zero byte of `w` (higher bits may be
+/// spurious), so the lowest bit over `w ^ needle` for every needle is the
+/// first match.
+#[inline]
+fn find_any<const N: usize>(bytes: &[u8], needles: [u8; N]) -> Option<usize> {
+    const LO: u64 = u64::from_le_bytes([0x01; 8]);
+    const HI: u64 = u64::from_le_bytes([0x80; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (k, word) in (&mut words).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        let hits = needles.iter().fold(0, |acc, &n| {
+            let x = w ^ (LO * u64::from(n));
+            acc | (x.wrapping_sub(LO) & !x & HI)
+        });
+        if hits != 0 {
+            return Some(8 * k + hits.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let base = bytes.len() - tail.len();
+    tail.iter()
+        .position(|b| needles.contains(b))
+        .map(|i| base + i)
 }
 
 /// The error for the first field in `ends` that is not valid UTF-8.
@@ -405,19 +467,7 @@ impl<W: Write> Writer<W> {
             if k > 0 {
                 self.buf.push(b',');
             }
-            let f = field.as_ref().as_bytes();
-            if f.iter().any(|&b| matches!(b, b'"' | b',' | b'\n' | b'\r')) {
-                self.buf.push(b'"');
-                for (i, part) in f.split(|&b| b == b'"').enumerate() {
-                    if i > 0 {
-                        self.buf.extend_from_slice(b"\"\"");
-                    }
-                    self.buf.extend_from_slice(part);
-                }
-                self.buf.push(b'"');
-            } else {
-                self.buf.extend_from_slice(f);
-            }
+            push_field(&mut self.buf, field.as_ref());
         }
         self.buf.push(b'\n');
         if self.buf.len() >= CHUNK {
@@ -438,6 +488,31 @@ impl<W: Write> Writer<W> {
         self.buf.clear();
         Ok(result?)
     }
+}
+
+/// Whether [`Writer`] quotes `field`: it holds a delimiter, a quote or a
+/// line break.
+pub fn needs_quotes(field: &str) -> bool {
+    field
+        .bytes()
+        .any(|b| matches!(b, b'"' | b',' | b'\n' | b'\r'))
+}
+
+/// Append `field` to `buf` exactly as [`Writer`] renders it: verbatim, or
+/// quoted with each `"` doubled when [`needs_quotes`] says so.
+pub fn push_field(buf: &mut Vec<u8>, field: &str) {
+    if !needs_quotes(field) {
+        buf.extend_from_slice(field.as_bytes());
+        return;
+    }
+    buf.push(b'"');
+    for (i, part) in field.as_bytes().split(|&b| b == b'"').enumerate() {
+        if i > 0 {
+            buf.extend_from_slice(b"\"\"");
+        }
+        buf.extend_from_slice(part);
+    }
+    buf.push(b'"');
 }
 
 impl<W: Write> Drop for Writer<W> {
@@ -589,6 +664,68 @@ mod tests {
             assert!(w.buf.len() < CHUNK);
         }
         assert_eq!(out.len(), 100 * 1001);
+    }
+
+    #[test]
+    fn record_offset_counts_terminators_and_pending_lf() {
+        let mut rdr = ReaderBuilder::new().from_reader("a,b\r\n1,\"x\ny\"\r\n2,3".as_bytes());
+        assert_eq!(rdr.record_offset().unwrap(), 0);
+        rdr.headers().unwrap();
+        // The header ended on `\r`; its `\n` is part of the terminator.
+        assert_eq!(rdr.record_offset().unwrap(), 5);
+        let mut record = StringRecord::new();
+        assert!(rdr.read_record(&mut record).unwrap());
+        assert_eq!(record.get(1), Some("x\ny"));
+        assert_eq!(rdr.record_offset().unwrap(), 14);
+        assert!(rdr.read_record(&mut record).unwrap());
+        assert_eq!(rdr.record_offset().unwrap(), 17);
+        assert!(!rdr.read_record(&mut record).unwrap());
+    }
+
+    #[test]
+    fn expect_fields_checks_arity_without_a_header() {
+        let mut rdr = ReaderBuilder::new()
+            .has_headers(false)
+            .expect_fields(2)
+            .from_reader("1\n".as_bytes());
+        let err = rdr.records().next().unwrap().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "CSV error: record has 1 fields, but the previous record has 2"
+        );
+    }
+
+    #[test]
+    fn find_any_matches_a_byte_scan() {
+        // Needles at every position of word-sized and tail-sized inputs,
+        // next to bytes that set the high bit or sit one above a needle.
+        let filler = [b'a', 0x80, 0xFF, b'#', b'-', 0x00];
+        for len in 0..40 {
+            for at in 0..=len {
+                for &fill in &filler {
+                    let mut bytes = vec![fill; len];
+                    if at < len {
+                        bytes[at] = b'\r';
+                    }
+                    let want = bytes.iter().position(|b| b",\n\r\"".contains(b));
+                    assert_eq!(find_any(&bytes, [b',', b'\n', b'\r', b'"']), want);
+                    assert_eq!(find_any(&bytes, [b'\r']), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_field_matches_the_writer() {
+        for field in ["plain", "", "a,b", "say \"hi\"", "x\ny", "\r", "é"] {
+            let mut out = Vec::new();
+            Writer::from_writer(&mut out).write_record([field]).unwrap();
+            let mut buf = Vec::new();
+            push_field(&mut buf, field);
+            buf.push(b'\n');
+            assert_eq!(buf, out, "{field:?}");
+            assert_eq!(needs_quotes(field), buf[0] == b'"', "{field:?}");
+        }
     }
 
     /// The byte-at-a-time parser this crate shipped before the slice
