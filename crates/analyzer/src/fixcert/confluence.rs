@@ -27,7 +27,6 @@ use fixrules::consistency::enumerate::{candidate_values, enumeration_size, WILDC
 use fixrules::consistency::{conflict_witness, is_consistent_characterize};
 use fixrules::repair::{crepair_compiled_tuple, CellUpdate, CompiledScratch, RuleProgram};
 use fixrules::RuleSet;
-use obs::RepairObserver;
 use relation::{Symbol, SymbolTable};
 
 use crate::diagnostic::{Code, Diagnostic};
@@ -59,13 +58,12 @@ struct OrderRun {
 }
 
 /// Run the pass over every interacting pair.
-pub(crate) fn run<O: RepairObserver>(
+pub(crate) fn run(
     rules: &RuleSet,
     spans: &[Span],
     symbols: &SymbolTable,
     graph: &InteractionGraph,
     opts: &CertOptions,
-    observer: &O,
 ) -> (ConfluenceSummary, Vec<Diagnostic>) {
     let mut summary = ConfluenceSummary::default();
     let mut diags = Vec::new();
@@ -93,7 +91,6 @@ pub(crate) fn run<O: RepairObserver>(
             continue;
         };
         summary.witness_runs += 1;
-        observer.cert_witness_run();
         let (run_a, run_b) = chase_both_orders(rules, i, j, &witness.tuple);
         // The pair conflicts, but the surrounding rules can mask the
         // divergence under these two particular orders; fall back to the
@@ -135,7 +132,6 @@ pub(crate) fn run<O: RepairObserver>(
             let mut violation = None;
             for tuple in candidate_tuples(rules, i, j) {
                 summary.witness_runs += 1;
-                observer.cert_witness_run();
                 let (run_a, run_b) = chase_both_orders(rules, i, j, &tuple);
                 if run_a.end != run_b.end {
                     violation = Some((tuple, run_a, run_b));
@@ -152,7 +148,6 @@ pub(crate) fn run<O: RepairObserver>(
         }
     }
 
-    observer.cert_pair_checked(summary.pairs_checked);
     (summary, diags)
 }
 

@@ -30,7 +30,7 @@ pub use graph::InteractionGraph;
 
 use fixrules::consistency::is_consistent_characterize;
 use fixrules::RuleSet;
-use obs::{Json, NoopObserver, RepairObserver};
+use obs::{Event, Json, RepairObserver};
 use relation::SymbolTable;
 
 use crate::diagnostic::{Code, Diagnostic};
@@ -93,13 +93,23 @@ impl Certificate {
         self.report.errors() == 0
     }
 
-    /// Feed one `cert_finding` per diagnostic plus the final verdict into
-    /// an observer (the CLI and `fixd` wire this to the `cert.*` metrics).
+    /// Feed the confluence pass's pair and witness-run counts, one
+    /// `CertFinding` per diagnostic and the final verdict into an observer
+    /// (the CLI and `fixd` wire this to the `cert.*` metrics).
     pub fn observe<O: RepairObserver>(&self, observer: &O) {
+        observer.event(Event::CertChecked {
+            pairs: self.confluence.pairs_checked,
+            witness_runs: self.confluence.witness_runs,
+        });
         for diag in &self.report.diagnostics {
-            observer.cert_finding(diag.code.as_str(), diag.severity.as_str());
+            observer.event(Event::CertFinding {
+                code: diag.code.as_str(),
+                severity: diag.severity.as_str(),
+            });
         }
-        observer.cert_completed(self.is_certified());
+        observer.event(Event::CertCompleted {
+            certified: self.is_certified(),
+        });
     }
 
     /// The certificate as a JSON document:
@@ -138,19 +148,6 @@ pub fn certify(
     symbols: &SymbolTable,
     opts: &CertOptions,
 ) -> Certificate {
-    certify_observed(rules, spans, symbols, opts, &NoopObserver)
-}
-
-/// [`certify`] with observer hooks (`cert_pair_checked`,
-/// `cert_witness_run` — the per-finding and verdict hooks fire from
-/// [`Certificate::observe`], which callers invoke once per report sink).
-pub fn certify_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    spans: &[Span],
-    symbols: &SymbolTable,
-    opts: &CertOptions,
-    observer: &O,
-) -> Certificate {
     let interaction = InteractionGraph::build(rules);
     let mut diags: Vec<Diagnostic> = Vec::new();
 
@@ -164,7 +161,7 @@ pub fn certify_observed<O: RepairObserver>(
     }
 
     let (confluence, mut confluence_diags) =
-        confluence::run(rules, spans, symbols, &interaction, opts, observer);
+        confluence::run(rules, spans, symbols, &interaction, opts);
     diags.append(&mut confluence_diags);
 
     Certificate {
@@ -344,12 +341,11 @@ IF conf = "ICDE" AND capital IN {"Shanghai"} THEN capital := "Nanjing"
             &mut symbols,
         )
         .unwrap();
-        let cert = certify_observed(
+        let cert = certify(
             &parsed.rules,
             &parsed.spans,
             &symbols,
             &CertOptions::default(),
-            &metrics,
         );
         cert.observe(&metrics);
         let snap = registry.snapshot();
@@ -357,6 +353,14 @@ IF conf = "ICDE" AND capital IN {"Shanghai"} THEN capital := "Nanjing"
         let get = |name: &str| counters.get(name).and_then(Json::as_i64).unwrap_or(0);
         assert!(get("cert.pairs_checked") >= 1);
         assert!(get("cert.witness_runs") >= 1);
+        assert_eq!(
+            get("cert.pairs_checked"),
+            cert.confluence.pairs_checked as i64
+        );
+        assert_eq!(
+            get("cert.witness_runs"),
+            cert.confluence.witness_runs as i64
+        );
         assert_eq!(get("cert.findings.FR009"), 1);
         assert_eq!(get("cert.rejected"), 1);
     }

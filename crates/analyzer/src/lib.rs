@@ -56,7 +56,7 @@ pub mod render;
 
 pub use coverage::{coverage_join, RuleActivity};
 pub use diagnostic::{Code, Diagnostic, Related, Severity};
-pub use fixcert::{certify, certify_observed, CertOptions, Certificate};
+pub use fixcert::{certify, CertOptions, Certificate};
 pub use fixrules::io::Span;
 pub use render::{render, render_block, render_report, render_sarif, Excerpt};
 
@@ -188,11 +188,14 @@ impl LintReport {
         self.diagnostics.iter().filter(|d| deny.is_fatal(d)).count()
     }
 
-    /// Feed one `lint_finding` per diagnostic into an observer (the CLI
-    /// wires this to the `lint.findings*` metrics).
+    /// Feed one `LintFinding` event per diagnostic into an observer (the
+    /// CLI wires this to the `lint.findings*` metrics).
     pub fn observe<O: obs::RepairObserver>(&self, observer: &O) {
         for diag in &self.diagnostics {
-            observer.lint_finding(diag.code.as_str(), diag.severity.as_str());
+            observer.event(obs::Event::LintFinding {
+                code: diag.code.as_str(),
+                severity: diag.severity.as_str(),
+            });
         }
     }
 

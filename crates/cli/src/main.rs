@@ -7,7 +7,7 @@
 //! fixctl resolve --rules rules.frl --data data.csv --out fixed_rules.frl
 //!                [--strategy shrink|drop]                 # §5.3 workflow
 //! fixctl repair  --rules rules.frl --data dirty.csv --out repaired.csv
-//!                [--engine lrepair|chase|crepair|columnar|stream] [--threads N]
+//!                [--engine lrepair|chase|columnar|stream] [--threads N]
 //!                [--updates-log updates.csv]
 //!                [--trace trace.jsonl]                    # provenance journal
 //! fixctl stats   --rules rules.frl --data data.csv        # rule-set statistics
@@ -24,7 +24,7 @@
 //!                [--require-green]                        # (also reads a snapshot file;
 //!                                                         #  exit 1 on active alerts)
 //! fixctl serve  --rules rules.frl [--addr 127.0.0.1:0]    # long-running repair daemon
-//!               [--threads N] [--engine chase|linear] [--schema a,b,c] [--plan-cache on|off]
+//!               [--threads N] [--schema a,b,c] [--plan-cache on|off]
 //!               [--warm data.csv] [--journal trace.jsonl] [--cache-shards N]
 //!               [--slo-window N] [--slo-min-samples N]
 //!               [--slo-max-error-rate F] [--slo-max-p99-ms N]
@@ -82,8 +82,8 @@ use std::process::ExitCode;
 
 use fixrules::consistency::resolve::{ensure_consistent, Strategy};
 use fixrules::consistency::{
-    conflict_witness, enumerate::WILDCARD, is_consistent_characterize_observed,
-    is_consistent_parallel_observed, ConsistencyReport,
+    conflict_witness, enumerate::WILDCARD, is_consistent_characterize, is_consistent_parallel,
+    ConsistencyReport,
 };
 use fixrules::io::{format_rule, format_rules, parse_rules, parse_rules_spanned, Span};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
@@ -94,7 +94,7 @@ use fixrules::repair::{
 use fixrules::RuleSet;
 use obs::trace::{chrome_trace, parse_jsonl, TracePhase, TraceSpan};
 use obs::{
-    http_get, parse_prometheus, render_snapshot, AlertRule, AttributionObserver, Json,
+    http_get, parse_prometheus, render_snapshot, AlertRule, AttributionObserver, Event, Json,
     MetricsObserver, MetricsRegistry, MetricsServer, QualityConfig, QualityMonitor, RepairObserver,
     RuleLabel, Tee, TraceClock, TraceJournal,
 };
@@ -199,7 +199,6 @@ const REPAIR_FLAGS: &[&str] = &[
     "data",
     "out",
     "engine",
-    "algo",
     "threads",
     "updates-log",
     "profile",
@@ -213,6 +212,26 @@ const REPAIR_FLAGS: &[&str] = &[
 
 /// Flags `fixctl coverage` reads, besides [`OBS_FLAGS`].
 const COVERAGE_FLAGS: &[&str] = &["rules", "data", "engine", "lint", "profile-json"];
+
+/// Flags `fixctl serve` reads, besides [`OBS_FLAGS`].
+const SERVE_FLAGS: &[&str] = &[
+    "rules",
+    "addr",
+    "threads",
+    "cache-shards",
+    "schema",
+    "plan-cache",
+    "journal",
+    "warm",
+    "slo-window",
+    "slo-min-samples",
+    "slo-max-error-rate",
+    "slo-max-p99-ms",
+    "trace-sample",
+    "quality-window",
+    "quality-alert",
+    "quality-gate",
+];
 
 impl Flags {
     fn parse(args: &[String]) -> Result<Flags, String> {
@@ -342,7 +361,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn usage() -> String {
     "usage: fixctl <check|detect|discover|resolve|repair|stats|convert> --rules FILE --data FILE.csv \
-     [--out FILE] [--engine lrepair|chase|crepair|columnar|stream] \
+     [--out FILE] [--engine lrepair|chase|columnar|stream] \
      [--threads N (default: all cores)] [--strategy shrink|drop] [--updates-log FILE] \
      [--metrics FILE.json] [--log off|info|debug] [--trace FILE.jsonl] [--trace-clock logical|wall] \
      [--profile] [--profile-json FILE] [--expose ADDR] [--expose-hold N] \
@@ -351,10 +370,10 @@ fn usage() -> String {
      [--deny warnings|FR001,...] \
      | certify RULES.frl [--schema a,b,c | --data FILE.csv] [--format human|json|sarif] \
      [--deny warnings|FR001,...] \
-     | coverage --rules FILE --data FILE.csv [--engine lrepair|chase|crepair] [--lint] \
+     | coverage --rules FILE --data FILE.csv [--engine lrepair|chase] [--lint] \
      | serve-metrics [--addr HOST:PORT] [--scrapes N] \
-     | serve --rules FILE [--addr HOST:PORT] [--threads N] [--engine chase|linear] \
-     [--plan-cache on|off] [--schema a,b,c] [--warm FILE.csv] [--journal FILE.jsonl] [--cache-shards N] \
+     | serve --rules FILE [--addr HOST:PORT] [--threads N] [--plan-cache on|off] \
+     [--schema a,b,c] [--warm FILE.csv] [--journal FILE.jsonl] [--cache-shards N] \
      [--slo-window N] [--slo-min-samples N] [--slo-max-error-rate F] [--slo-max-p99-ms N] \
      [--trace-sample N] [--quality-window N] [--quality-alert SPEC,...] [--quality-gate] \
      | client repair|check FILE --addr HOST:PORT [--format csv|json] \
@@ -466,12 +485,11 @@ fn cmd_certify(
     let cert = {
         let _span = obs_ctx.span("certify");
         match fixrules::io::parse_rules_spanned(&text, &schema, &mut symbols) {
-            Ok(parsed) => fixlint::certify_observed(
+            Ok(parsed) => fixlint::certify(
                 &parsed.rules,
                 &parsed.spans,
                 &symbols,
                 &fixlint::CertOptions::default(),
-                &obs_ctx.observer,
             ),
             Err(error) => fixlint::Certificate {
                 report: fixlint::parse_error_report(&error),
@@ -579,7 +597,7 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
 /// without writing anything.
 fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let (table, rules, symbols) = load(flags, obs_ctx)?;
-    let report = check_consistency_observed(&rules, obs_ctx, gate_threads(flags)?);
+    let report = check_consistency(&rules, obs_ctx, gate_threads(flags)?);
     if !report.is_consistent() {
         return Err(format!(
             "rule set has {} conflict(s); run `fixctl resolve` first",
@@ -754,17 +772,14 @@ fn finish_expose(hold: Option<u64>, server: Option<MetricsServer>) {
 /// The pairwise `isConsist_r` check, timed and fed into the observer;
 /// `threads > 1` partitions the pairs across workers (stopping at the
 /// lowest-indexed conflict).
-fn check_consistency_observed(
-    rules: &RuleSet,
-    obs_ctx: &ObsCtx,
-    threads: usize,
-) -> ConsistencyReport {
+fn check_consistency(rules: &RuleSet, obs_ctx: &ObsCtx, threads: usize) -> ConsistencyReport {
     let _span = obs_ctx.span("consistency_check");
     let report = if threads > 1 {
-        is_consistent_parallel_observed(rules, threads, &obs_ctx.observer)
+        is_consistent_parallel(rules, threads)
     } else {
-        is_consistent_characterize_observed(rules, usize::MAX, &obs_ctx.observer)
+        is_consistent_characterize(rules, usize::MAX)
     };
+    report.observe(&obs_ctx.observer);
     obs::info!(
         "consistency.done",
         pairs_checked = report.pairs_checked,
@@ -775,7 +790,7 @@ fn check_consistency_observed(
 
 fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let (_table, rules, symbols) = load(flags, obs_ctx)?;
-    let report = check_consistency_observed(&rules, obs_ctx, gate_threads(flags)?);
+    let report = check_consistency(&rules, obs_ctx, gate_threads(flags)?);
     println!(
         "{} rules, size(Σ) = {}, {} pairs checked",
         rules.len(),
@@ -804,7 +819,7 @@ fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             // candidate space is small enough; each one is counted in the
             // `consistency.witness_found` metric.
             if let Some(w) = conflict_witness(&rules, c, 4096) {
-                obs_ctx.observer.witness_found();
+                obs_ctx.observer.event(Event::WitnessFound);
                 println!(
                     "    witness: ({}) can end as ({}) or ({})",
                     render_tuple(&w.tuple, &symbols),
@@ -855,7 +870,7 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let parsed = parse_rules_spanned(&text, table.schema(), &mut symbols)
         .map_err(|e| format!("parsing {rules_path}: {e}"))?;
     let rules = parsed.rules;
-    let report = check_consistency_observed(&rules, obs_ctx, 1);
+    let report = check_consistency(&rules, obs_ctx, 1);
     if !report.is_consistent() {
         return Err(format!(
             "rule set has {} conflict(s); run `fixctl resolve` first",
@@ -873,10 +888,10 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
                 let index = LRepairIndex::build(&rules);
                 lrepair_table(&rules, &index, &mut table, &observer);
             }
-            "crepair" | "chase" => {
+            "chase" => {
                 crepair_table(&rules, &mut table, &observer);
             }
-            other => return Err(format!("unknown engine `{other}` (lrepair|chase|crepair)")),
+            other => return Err(format!("unknown engine `{other}` (lrepair|chase)")),
         }
     }
     let profile = attribution.profile();
@@ -1062,6 +1077,7 @@ fn cmd_quality(positional: Option<&str>, flags: &Flags) -> Result<ExitCode, Stri
 /// loaded, linted, and compiled once, then every `POST /repair` batch
 /// shares one warm plan cache. Blocks until `POST /shutdown` drains it.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
+    flags.only(SERVE_FLAGS)?;
     let mut config = fixd::DaemonConfig {
         rules: fixd::RulesSource::Path(flags.required("rules")?.to_string()),
         ..fixd::DaemonConfig::default()
@@ -1082,13 +1098,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if let Some(names) = flags.optional("schema") {
         config.schema =
             fixd::SchemaSource::Names(names.split(',').map(|s| s.trim().to_string()).collect());
-    }
-    if let Some(engine) = flags.optional("engine") {
-        config.engine = match engine {
-            "chase" => CompiledEngine::Chase,
-            "linear" | "lrepair" => CompiledEngine::Linear,
-            other => return Err(format!("unknown serve engine `{other}` (chase|linear)")),
-        };
     }
     if let Some(cache) = flags.optional("plan-cache") {
         config.plan_cache = match cache {
@@ -1253,12 +1262,7 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
 
 fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(REPAIR_FLAGS)?;
-    // `--engine` is the current spelling; `--algo` stays as an alias, and
-    // `chase` names the same engine `crepair` always did.
-    let algo = flags
-        .optional("engine")
-        .or_else(|| flags.optional("algo"))
-        .unwrap_or("lrepair");
+    let algo = flags.optional("engine").unwrap_or("lrepair");
     if algo == "stream" {
         return repair_stream(flags, obs_ctx);
     }
@@ -1274,7 +1278,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     // The endpoint goes up before any repair work so a scraper can watch
     // the counters move while the run is in flight.
     let server = start_expose(flags, obs_ctx)?;
-    let report = check_consistency_observed(&rules, obs_ctx, explicit_threads);
+    let report = check_consistency(&rules, obs_ctx, explicit_threads);
     if !report.is_consistent() {
         return Err(format!(
             "rule set has {} conflict(s); run `fixctl resolve` first",
@@ -1316,7 +1320,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
                 lrepair_table(&rules, &index, &mut table, &observer)
             }
         }
-        "crepair" | "chase" => {
+        "chase" => {
             if explicit_threads > 1 {
                 return Err(
                     "--threads does not apply to the chase engine (use --engine columnar)"
@@ -1364,7 +1368,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         }
         other => {
             return Err(format!(
-                "unknown engine `{other}` (lrepair|chase|crepair|columnar|stream)"
+                "unknown engine `{other}` (lrepair|chase|columnar|stream)"
             ))
         }
     };
@@ -1443,7 +1447,7 @@ fn repair_stream(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     };
     let hold = expose_hold_flag(flags)?;
     let server = start_expose(flags, obs_ctx)?;
-    let report = check_consistency_observed(&rules, obs_ctx, 1);
+    let report = check_consistency(&rules, obs_ctx, 1);
     if !report.is_consistent() {
         return Err(format!(
             "rule set has {} conflict(s); run `fixctl resolve` first",

@@ -163,7 +163,7 @@ fn stream_algo_matches_lrepair() {
             data.to_str().unwrap(),
             "--out",
             out_path.to_str().unwrap(),
-            "--algo",
+            "--engine",
             algo,
         ]);
         assert!(
@@ -184,7 +184,7 @@ fn crepair_algo_matches_lrepair() {
     std::fs::write(&data, TRAVEL_CSV).unwrap();
     std::fs::write(&rules, GOOD_RULES).unwrap();
     let mut outputs = Vec::new();
-    for algo in ["lrepair", "crepair"] {
+    for algo in ["lrepair", "chase"] {
         let out_path = dir.join(format!("{algo}.csv"));
         let out = fixctl(&[
             "repair",
@@ -194,7 +194,7 @@ fn crepair_algo_matches_lrepair() {
             data.to_str().unwrap(),
             "--out",
             out_path.to_str().unwrap(),
-            "--algo",
+            "--engine",
             algo,
         ]);
         assert!(
@@ -601,7 +601,7 @@ fn repair_with_trace(dir: &std::path::Path, algo: &str, tag: &str) -> String {
         dir.join("t.csv").to_str().unwrap(),
         "--out",
         dir.join(format!("{tag}.csv")).to_str().unwrap(),
-        "--algo",
+        "--engine",
         algo,
         "--trace",
         trace.to_str().unwrap(),
@@ -884,11 +884,10 @@ fn engines_agree_on_repaired_output() {
             String::from_utf8_lossy(&out.stdout).into_owned(),
         )
     };
-    let (baseline, base_stdout) = run("lrepair", &["--algo", "lrepair"]);
+    let (baseline, base_stdout) = run("lrepair", &["--engine", "lrepair"]);
     assert!(base_stdout.contains("3 update(s)"), "{base_stdout}");
     for (label, extra) in [
         ("chase", &["--engine", "chase"][..]),
-        ("crepair", &["--engine", "crepair"][..]),
         ("columnar", &["--engine", "columnar"][..]),
         (
             "columnar_par",
@@ -930,12 +929,21 @@ fn engine_flag_validation() {
         args.extend_from_slice(extra);
         fixctl(&args)
     };
-    for engine in ["compiled", "compiled-chase", "columnar-chase", "warp"] {
+    for engine in [
+        "compiled",
+        "compiled-chase",
+        "columnar-chase",
+        "crepair",
+        "warp",
+    ] {
         let out = base(&["--engine", engine]);
         assert_eq!(out.status.code(), Some(2), "{engine}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains("unknown engine"),
-            "{engine}"
+            stderr.contains(&format!(
+                "unknown engine `{engine}` (lrepair|chase|columnar|stream)"
+            )),
+            "{engine}: {stderr}"
         );
     }
 
@@ -951,9 +959,10 @@ fn engine_flag_validation() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--threads takes"));
 }
 
-/// `repair` and `coverage` reject flags they do not read — a typo such as
-/// `--engin` must not silently fall back to the default engine, and the
-/// retired `--plan-cache` must not be silently ignored.
+/// `repair`, `coverage` and `serve` reject flags they do not read — a typo
+/// such as `--engin` must not silently fall back to the default engine,
+/// and the retired `repair --plan-cache`, `--algo` and `serve --engine`
+/// must not be silently ignored.
 #[test]
 fn unknown_flags_are_rejected() {
     let dir = tmpdir("unknown_flags");
@@ -965,6 +974,7 @@ fn unknown_flags_are_rejected() {
     for (command, flag, value) in [
         ("repair", "engin", "columnar"),
         ("repair", "plan-cache", "on"),
+        ("repair", "algo", "lrepair"),
         ("coverage", "engin", "chase"),
     ] {
         let flag_arg = format!("--{flag}");
@@ -989,6 +999,18 @@ fn unknown_flags_are_rejected() {
         );
         assert!(!out_path.exists(), "{command} {flag_arg} wrote output");
     }
+
+    // `serve` has no engine choice: the flag is refused before boot.
+    let out = fixctl(&[
+        "serve",
+        "--rules",
+        rules.to_str().unwrap(),
+        "--engine",
+        "linear",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --engine"), "serve: {stderr}");
 }
 
 /// The stream engine gates on consistency before it creates the output

@@ -79,16 +79,6 @@ pub fn check_pair(a: &FixingRule, b: &FixingRule) -> Option<ConflictCase> {
 /// `max_conflicts` conflicts (pass 1 for the paper's "real case" behaviour
 /// of Fig 9, `usize::MAX` for the worst case that inspects all pairs).
 pub fn is_consistent_characterize(rules: &RuleSet, max_conflicts: usize) -> ConsistencyReport {
-    is_consistent_characterize_observed(rules, max_conflicts, &obs::NoopObserver)
-}
-
-/// [`is_consistent_characterize`] with observer hooks (`pairs_checked`,
-/// one `conflict_found` per conflicting pair).
-pub fn is_consistent_characterize_observed<O: obs::RepairObserver>(
-    rules: &RuleSet,
-    max_conflicts: usize,
-    observer: &O,
-) -> ConsistencyReport {
     let mut report = ConsistencyReport::default();
     let n = rules.len();
     'outer: for i in 0..n {
@@ -109,7 +99,6 @@ pub fn is_consistent_characterize_observed<O: obs::RepairObserver>(
             }
         }
     }
-    report.observe(observer);
     report
 }
 

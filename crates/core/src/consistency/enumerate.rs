@@ -95,16 +95,6 @@ fn classify(a: &FixingRule, b: &FixingRule) -> ConflictCase {
 /// Check a whole rule set pairwise by tuple enumeration, stopping after
 /// `max_conflicts` conflicts.
 pub fn is_consistent_enumerate(rules: &RuleSet, max_conflicts: usize) -> ConsistencyReport {
-    is_consistent_enumerate_observed(rules, max_conflicts, &obs::NoopObserver)
-}
-
-/// [`is_consistent_enumerate`] with observer hooks (`pairs_checked`, one
-/// `conflict_found` per conflicting pair).
-pub fn is_consistent_enumerate_observed<O: obs::RepairObserver>(
-    rules: &RuleSet,
-    max_conflicts: usize,
-    observer: &O,
-) -> ConsistencyReport {
     let arity = rules.schema().arity();
     let mut report = ConsistencyReport::default();
     let n = rules.len();
@@ -125,7 +115,6 @@ pub fn is_consistent_enumerate_observed<O: obs::RepairObserver>(
             }
         }
     }
-    report.observe(observer);
     report
 }
 

@@ -17,11 +17,12 @@ pub mod characterize;
 pub mod enumerate;
 pub mod resolve;
 
-pub use characterize::{is_consistent_characterize, is_consistent_characterize_observed};
-pub use enumerate::{is_consistent_enumerate, is_consistent_enumerate_observed};
+pub use characterize::is_consistent_characterize;
+pub use enumerate::is_consistent_enumerate;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use obs::Event;
 use relation::Symbol;
 
 use crate::ruleset::{RuleId, RuleSet};
@@ -83,11 +84,15 @@ impl ConsistencyReport {
     }
 
     /// Feed this run's counts into an observer: total pairs examined, one
-    /// `conflict_found` per conflict (tagged with its Fig 4 case name).
+    /// `ConflictFound` per conflict (tagged with its Fig 4 case name).
     pub fn observe<O: obs::RepairObserver>(&self, observer: &O) {
-        observer.pairs_checked(self.pairs_checked);
+        observer.event(Event::PairsChecked {
+            pairs: self.pairs_checked,
+        });
         for conflict in &self.conflicts {
-            observer.conflict_found(conflict.case.name());
+            observer.event(Event::ConflictFound {
+                case: conflict.case.name(),
+            });
         }
     }
 
@@ -210,22 +215,10 @@ fn pair_at(n: usize, mut p: usize) -> (usize, usize) {
 /// before noticing); it is still bounded by the total pair count and equals
 /// it on consistent sets.
 pub fn is_consistent_parallel(rules: &RuleSet, num_threads: usize) -> ConsistencyReport {
-    is_consistent_parallel_observed(rules, num_threads, &obs::NoopObserver)
-}
-
-/// [`is_consistent_parallel`] with observer hooks (`pairs_checked`, one
-/// `conflict_found` for the winning conflict, as in the sequential
-/// checker).
-pub fn is_consistent_parallel_observed<O: obs::RepairObserver>(
-    rules: &RuleSet,
-    num_threads: usize,
-    observer: &O,
-) -> ConsistencyReport {
     let n = rules.len();
     let total = n.saturating_sub(1) * n / 2;
     let mut report = ConsistencyReport::default();
     if total == 0 {
-        report.observe(observer);
         return report;
     }
     let num_threads = num_threads.max(1).min(total);
@@ -296,7 +289,6 @@ pub fn is_consistent_parallel_observed<O: obs::RepairObserver>(
     });
     report.pairs_checked = examined_total;
     report.conflicts.extend(winner.map(|(_, c)| c));
-    report.observe(observer);
     report
 }
 

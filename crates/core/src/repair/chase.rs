@@ -19,8 +19,8 @@ pub fn crepair_tuple(rules: &RuleSet, row: &mut [Symbol]) -> Vec<CellUpdate> {
 }
 
 /// [`crepair_tuple`] with observer hooks: one `chase_round` per outer scan
-/// of Γ, `rule_applied` per fired rule, `tuple_done` at fixpoint. With
-/// [`NoopObserver`] this monomorphizes to the unobserved hot path.
+/// of Γ, `rule_applied` per fired rule, `tuples_done(.., 1)` at fixpoint.
+/// With [`NoopObserver`] this monomorphizes to the unobserved hot path.
 pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
     rules: &RuleSet,
     row: &mut [Symbol],
@@ -73,7 +73,7 @@ pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
             });
         }
     }
-    observer.tuple_done(rounds, updates.len());
+    observer.tuples_done(rounds, updates.len(), 1);
     updates
 }
 

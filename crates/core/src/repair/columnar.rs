@@ -16,10 +16,10 @@
 //! the engine (or, when a previous batch already memoized the signature,
 //! replays the cached plan), and member rows replay the plan with the
 //! per-fix `rule_applied`/`plan_replayed` calls, with the members'
-//! `tuple_done`s coalesced into one [`RepairObserver::tuples_done`] per
-//! group (identical call multiset, so every final counter and histogram
-//! matches; per-call observer cost for a clean duplicate row drops to
-//! zero). Crucially `cell_repaired` fixes are still emitted per row in
+//! single-tuple `tuples_done`s coalesced into one
+//! [`RepairObserver::tuples_done`] per group (every final counter and
+//! histogram matches; per-call observer cost for a clean duplicate row
+//! drops to zero). Crucially `cell_repaired` fixes are still emitted per row in
 //! the identical `(row, ordinal)` order, so ledgers, repaired tables and
 //! output CSV are byte-identical to `cRepair`/`lRepair` (pinned by
 //! proptests); only the `repair.plan_cache.*` lookup counts and the
@@ -28,7 +28,7 @@
 use std::sync::Arc;
 
 use fxhash::FxHashMap;
-use obs::RepairObserver;
+use obs::{Event, RepairObserver};
 use relation::{AttrSet, ColumnTable, Symbol};
 
 use crate::repair::compile::{
@@ -62,8 +62,8 @@ impl BatchStats {
 
 /// Scatter a group's plan onto row `i` of the columns, emitting the
 /// per-fix hooks a [`PlanCache`] replay does. The caller accounts for
-/// `tuple_done` — per rep for group representatives, coalesced into one
-/// [`RepairObserver::tuples_done`] per group for scattered members.
+/// `tuples_done` — once per rep for group representatives, coalesced
+/// into one call per group for scattered members.
 fn scatter_plan<O: RepairObserver>(
     plan: &RepairPlan,
     cols: &mut [&mut [Symbol]],
@@ -98,7 +98,7 @@ fn run_group_rep<O: RepairObserver>(
     row_buf.clear();
     row_buf.extend(cols.iter().map(|c| c[i]));
     let (updates, rounds) = run_engine(rules, program, engine, scratch, row_buf, observer);
-    observer.tuple_done(rounds, updates.len());
+    observer.tuples_done(rounds, updates.len(), 1);
     for u in &updates {
         cols[u.attr.index()][i] = u.new;
     }
@@ -112,8 +112,8 @@ fn run_group_rep<O: RepairObserver>(
 /// drivers (and by servers that hold raw column buffers):
 /// repair `cols` (one mutable slice per attribute, all the same length)
 /// in place, returning updates re-indexed from `base_row` plus the
-/// batch's group-by shape. Emits one `batch_grouped` hook per non-empty
-/// batch. The columns must follow the attribute order of `rules`'
+/// batch's group-by shape. Emits one [`Event::BatchGrouped`] per
+/// non-empty batch. The columns must follow the attribute order of `rules`'
 /// schema.
 #[allow(clippy::too_many_arguments)]
 pub fn repair_columns_grouped<O: RepairObserver>(
@@ -185,12 +185,12 @@ pub fn repair_columns_grouped<O: RepairObserver>(
     // like a per-tuple driver's: a group's representative resolves its plan
     // (cache probe or engine run — its row is still pre-repair at that
     // point, because it is the group's first row), members scatter it.
-    // Scattered members' `tuple_done`s are coalesced: one `tuples_done`
-    // per group after the scan (all members share the plan's rounds and
-    // update count), so a clean duplicate row costs zero observer
-    // atomics instead of five. Only aggregating observers implement
-    // `tuple_done`, so the call multiset — and every final counter — is
-    // unchanged; `cell_repaired` stays strictly per-row and in order.
+    // Scattered members' `tuples_done`s are coalesced: one call per group
+    // after the scan (all members share the plan's rounds and update
+    // count), so a clean duplicate row costs zero observer atomics
+    // instead of five. Only aggregating observers implement
+    // `tuples_done`, so every final counter is unchanged;
+    // `cell_repaired` stays strictly per-row and in order.
     let groups = reps.len();
     let mut plans: Vec<Option<Arc<RepairPlan>>> = vec![None; groups];
     let mut members: Vec<u32> = vec![0; groups];
@@ -221,13 +221,13 @@ pub fn repair_columns_grouped<O: RepairObserver>(
                 let sig = TupleSignature::from_slice(&sig_buf);
                 match cache.get(&sig) {
                     Some(plan) => {
-                        observer.plan_cache_lookup(true);
+                        observer.event(Event::PlanCacheLookup { hit: true });
                         scatter_plan(&plan, cols, i, observer);
-                        observer.tuple_done(plan.rounds(), plan.updates().len());
+                        observer.tuples_done(plan.rounds(), plan.updates().len(), 1);
                         plan
                     }
                     None => {
-                        observer.plan_cache_lookup(false);
+                        observer.event(Event::PlanCacheLookup { hit: false });
                         let plan = run_group_rep(
                             rules,
                             program,
@@ -239,7 +239,7 @@ pub fn repair_columns_grouped<O: RepairObserver>(
                             observer,
                         );
                         for _ in 0..cache.insert(sig, plan.clone()) {
-                            observer.plan_cache_evicted();
+                            observer.event(Event::PlanCacheEvicted);
                         }
                         Arc::new(plan)
                     }
@@ -275,7 +275,11 @@ pub fn repair_columns_grouped<O: RepairObserver>(
         groups,
         scattered,
     };
-    observer.batch_grouped(rows, groups, scattered);
+    observer.event(Event::BatchGrouped {
+        rows,
+        groups,
+        scattered,
+    });
     (all_updates, stats)
 }
 
@@ -285,8 +289,8 @@ pub fn repair_columns_grouped<O: RepairObserver>(
 /// ([`crate::repair::crepair_table`] for [`CompiledEngine::Chase`],
 /// [`crate::repair::lrepair_table`] for [`CompiledEngine::Linear`]), plus
 /// the batch's group-by shape. Observer hooks: the per-tuple hooks minus
-/// the per-member cache probes, plus one `batch_grouped` per non-empty
-/// batch; pass [`obs::NoopObserver`] for none.
+/// the per-member cache probes, plus one [`Event::BatchGrouped`] per
+/// non-empty batch; pass [`obs::NoopObserver`] for none.
 pub fn columnar_table<O: RepairObserver>(
     rules: &RuleSet,
     program: &RuleProgram,
@@ -323,8 +327,8 @@ pub fn columnar_table<O: RepairObserver>(
 /// stable sort.
 ///
 /// Observer hooks: per-row hooks from the shared observer (which must be
-/// `Sync`), one `batch_grouped` per worker chunk, and one
-/// `worker_done(worker, rows, updates, busy_ns)` per worker. The returned
+/// `Sync`), one [`Event::BatchGrouped`] per worker chunk, and one
+/// [`Event::WorkerDone`] per worker. The returned
 /// [`BatchStats`] sum the per-chunk stats, so `groups` may exceed the
 /// sequential driver's count when a signature spans chunks.
 #[allow(clippy::too_many_arguments)]
@@ -367,7 +371,12 @@ pub fn par_columnar_table<O: RepairObserver>(
                     observer,
                 );
                 let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                observer.worker_done(chunk_idx, stats.rows, local.len(), busy_ns);
+                observer.event(Event::WorkerDone {
+                    worker: chunk_idx,
+                    rows: stats.rows,
+                    updates: local.len(),
+                    busy_ns,
+                });
                 (local, stats)
             }));
         }

@@ -212,7 +212,7 @@ pub struct RepairPlan {
     /// re-index), with the engine's original `round` stamps.
     updates: Vec<CellUpdate>,
     /// Chase rounds / queue pops of the original run — replayed into
-    /// `tuple_done` so cached and uncached metrics agree.
+    /// `tuples_done` so cached and uncached metrics agree.
     rounds: usize,
     /// Union of the applied rules' assured sets (`X ∪ {B}` per rule).
     assured: AttrSet,

@@ -27,7 +27,7 @@
 //! workers sharing one observer touch no shared counter per tuple.
 
 use fxhash::FxHashMap;
-use obs::{NoopObserver, RepairObserver};
+use obs::{Event, NoopObserver, RepairObserver};
 use relation::{AttrId, AttrSet, Symbol, Table};
 
 use crate::repair::{CellUpdate, RepairOutcome};
@@ -148,7 +148,11 @@ impl LRepairTally {
             observer.tuples_done(pops, updates, count as usize);
         }
         if self.probes > 0 || self.enqueued > 0 {
-            observer.lrepair_probes(self.probes, self.probe_hits, self.enqueued);
+            observer.event(Event::LRepairProbes {
+                probes: self.probes,
+                hits: self.probe_hits,
+                enqueued: self.enqueued,
+            });
         }
         self.probes = 0;
         self.probe_hits = 0;
@@ -184,7 +188,7 @@ impl LRepairScratch {
 
     /// Hand the tallies gathered since the last flush to `observer`: one
     /// [`RepairObserver::tuples_done`] per distinct `(pops, updates)` and
-    /// one [`RepairObserver::lrepair_probes`]. Table and stream drivers
+    /// one [`Event::LRepairProbes`]. Table and stream drivers
     /// call this after their last tuple; [`TALLY_FLUSH_TUPLES`] tuples
     /// after the previous flush, repairing a tuple flushes on its own.
     pub(crate) fn flush_tallies<O: RepairObserver>(&mut self, observer: &O) {

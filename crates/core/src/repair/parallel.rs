@@ -7,7 +7,7 @@
 //! extension beyond the paper (its experiments are single-threaded); the
 //! `repro` harness uses the sequential drivers so timings stay comparable.
 
-use obs::RepairObserver;
+use obs::{Event, RepairObserver};
 use relation::Table;
 
 use crate::repair::linear::{lrepair_tuple_observed, LRepairIndex, LRepairScratch};
@@ -28,7 +28,7 @@ use crate::ruleset::RuleSet;
 /// per-tuple traffic but the same totals.
 /// Per-update hooks (`rule_applied`, `cell_repaired`, ...) fire in worker
 /// order — provenance consumers sort by `(row, ordinal)` — plus one
-/// `worker_done(worker, rows, updates, busy_ns)` per worker; pass
+/// [`Event::WorkerDone`] per worker; pass
 /// [`obs::NoopObserver`] for none.
 pub fn par_lrepair_table<O: RepairObserver>(
     rules: &RuleSet,
@@ -69,7 +69,12 @@ pub fn par_lrepair_table<O: RepairObserver>(
                 }
                 scratch.flush_tallies(observer);
                 let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                observer.worker_done(chunk_idx, worker_rows, local.len(), busy_ns);
+                observer.event(Event::WorkerDone {
+                    worker: chunk_idx,
+                    rows: worker_rows,
+                    updates: local.len(),
+                    busy_ns,
+                });
                 local
             }));
         }

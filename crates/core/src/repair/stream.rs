@@ -286,14 +286,16 @@ Mike,Canada,Toronto,Toronto,VLDB
     #[test]
     fn tallies_reach_the_observer_during_and_after_the_stream() {
         use crate::repair::linear::{lrepair_table, TALLY_FLUSH_TUPLES};
-        use obs::{MetricsObserver, MetricsRegistry, RepairObserver, Tee};
+        use obs::{Event, MetricsObserver, MetricsRegistry, RepairObserver, Tee};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         /// Counts tally hand-overs.
         struct Flushes(AtomicUsize);
         impl RepairObserver for Flushes {
-            fn lrepair_probes(&self, _probes: u64, _hits: u64, _enqueued: u64) {
-                self.0.fetch_add(1, Ordering::Relaxed);
+            fn event(&self, e: Event) {
+                if matches!(e, Event::LRepairProbes { .. }) {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
 

@@ -116,6 +116,11 @@ const ROW_EVENT_SAMPLE: usize = 16;
 /// 0 disables quality monitoring entirely).
 const QUALITY_WINDOW: usize = 256;
 
+/// The compiled engine that serves every repair: the cRepair chase order.
+/// The lRepair order writes byte-identical output (the engine-equivalence
+/// proptests pin that), so there is nothing to choose between.
+const ENGINE: CompiledEngine = CompiledEngine::Chase;
+
 /// Where the daemon's rule text comes from.
 #[derive(Debug, Clone)]
 pub enum RulesSource {
@@ -138,7 +143,7 @@ pub enum SchemaSource {
 }
 
 /// Everything [`Daemon::start`] needs; `Default` is a loopback daemon on
-/// an ephemeral port with the chase engine and default SLOs.
+/// an ephemeral port with default SLOs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Rule text source. The default (empty inline text) is only useful
@@ -146,8 +151,6 @@ pub struct DaemonConfig {
     pub rules: RulesSource,
     /// Schema source (default: infer from the rules).
     pub schema: SchemaSource,
-    /// Which compiled engine serves repairs (default: chase).
-    pub engine: CompiledEngine,
     /// Bind address (default `127.0.0.1:0` — ephemeral port).
     pub addr: String,
     /// Worker threads handling connections (default 4, clamped ≥ 1).
@@ -186,7 +189,6 @@ impl Default for DaemonConfig {
         DaemonConfig {
             rules: RulesSource::Inline(String::new()),
             schema: SchemaSource::Infer,
-            engine: CompiledEngine::Chase,
             addr: "127.0.0.1:0".to_string(),
             threads: 4,
             cache_shards: 8,
@@ -254,7 +256,6 @@ struct ProgramBundle {
 struct DaemonState {
     schema: Schema,
     bundle: RwLock<Arc<ProgramBundle>>,
-    engine: CompiledEngine,
     cache_shards: usize,
     symbols: RwLock<SymbolTable>,
     registry: MetricsRegistry,
@@ -399,7 +400,6 @@ impl Daemon {
         let state = Arc::new(DaemonState {
             schema,
             bundle: RwLock::new(Arc::new(bundle)),
-            engine: config.engine,
             cache_shards,
             symbols: RwLock::new(symbols),
             registry: registry.clone(),
@@ -535,7 +535,7 @@ fn repair_rows_unrecorded(
     repair_columns_grouped(
         &bundle.rules,
         &bundle.program,
-        state.engine,
+        ENGINE,
         plan_cache(state, bundle),
         scratch,
         &mut col_slices,
@@ -884,7 +884,7 @@ fn handle_repair(
         let (all_updates, _batch) = repair_columns_grouped(
             &bundle.rules,
             &bundle.program,
-            state.engine,
+            ENGINE,
             plan_cache(state, &bundle),
             scratch,
             &mut col_slices,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fixd --rules rules.frl [--addr 127.0.0.1:0] [--threads 4]
-//!      [--engine chase|linear] [--schema a,b,c] [--warm data.csv]
+//!      [--schema a,b,c] [--warm data.csv]
 //!      [--journal trace.jsonl] [--trace-clock logical|wall]
 //!      [--cache-shards 8] [--slo-window N] [--slo-min-samples N]
 //!      [--slo-max-error-rate F] [--slo-max-p99-ms N]
@@ -15,7 +15,6 @@
 use std::process::ExitCode;
 
 use fixd::{Daemon, DaemonConfig, RulesSource, SchemaSource};
-use fixrules::repair::CompiledEngine;
 use obs::TraceClock;
 
 fn main() -> ExitCode {
@@ -54,13 +53,6 @@ fn run() -> Result<ExitCode, String> {
                         .map(|s| s.trim().to_string())
                         .collect(),
                 )
-            }
-            "--engine" => {
-                config.engine = match value("--engine")?.as_str() {
-                    "chase" => CompiledEngine::Chase,
-                    "linear" => CompiledEngine::Linear,
-                    other => return Err(format!("unknown engine {other:?} (chase|linear)")),
-                }
             }
             "--journal" => config.journal_path = Some(value("--journal")?.clone()),
             "--plan-cache" => {
@@ -118,7 +110,6 @@ OPTIONS:
     --rules <file>            rule file to load, lint, and compile (required)
     --addr <host:port>        bind address (default 127.0.0.1:0)
     --threads <n>             worker threads (default 4)
-    --engine <chase|linear>   compiled engine (default chase)
     --schema <a,b,c>          explicit schema (default: inferred from rules)
     --warm <file.csv>         pre-warm the plan cache from a CSV at startup
     --journal <file.jsonl>    flush the trace journal here on shutdown

@@ -467,6 +467,55 @@ fn hot_swap_never_promotes_an_uncertified_rule_set() {
 }
 
 #[test]
+fn cert_counters_match_the_certificates_confluence_counts() {
+    // One conflicting pair: the confluence pass checks it and chases one
+    // witness tuple.
+    let text = include_str!("../../../examples/lint/conflicting.frl");
+    let schema = fixrules::io::infer_schema(text, "R").unwrap();
+    let mut symbols = relation::SymbolTable::new();
+    let parsed = fixrules::io::parse_rules_spanned(text, &schema, &mut symbols).unwrap();
+    let cert = fixlint::certify(
+        &parsed.rules,
+        &parsed.spans,
+        &symbols,
+        &fixlint::CertOptions::default(),
+    );
+    let expected = (
+        cert.confluence.pairs_checked as i64,
+        cert.confluence.witness_runs as i64,
+    );
+    assert_eq!(expected, (1, 1));
+
+    let daemon = Daemon::start(DaemonConfig {
+        rules: RulesSource::Inline(text.to_string()),
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let cert_counters = || {
+        let (status, body) = http_get(&url(&daemon, "/metrics.json")).unwrap();
+        assert_eq!(status, 200);
+        let snapshot = parse_json(&body);
+        let counters = snapshot.get("counters").unwrap();
+        let get = |name: &str| counters.get(name).and_then(Json::as_i64).unwrap_or(0);
+        (get("cert.pairs_checked"), get("cert.witness_runs"))
+    };
+    assert_eq!(cert_counters(), expected, "boot certificate");
+
+    // A swap certifies the candidate, so its counts add to the boot's.
+    let reply = http_post(&url(&daemon, "/rules"), "text/plain", text.as_bytes()).unwrap();
+    assert_eq!(
+        reply.status, 422,
+        "a conflicting candidate must not promote"
+    );
+    assert_eq!(
+        cert_counters(),
+        (2 * expected.0, 2 * expected.1),
+        "boot and swap certificates"
+    );
+    daemon.shutdown();
+}
+
+#[test]
 fn hot_swap_promotes_certified_rules_and_invalidates_the_plan_cache() {
     let daemon = daemon();
     let batch = "zip,city,state\n36545,Jaxon,AL\n";

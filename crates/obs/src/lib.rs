@@ -56,7 +56,7 @@
 //!     // ... build the index ...
 //! }
 //! observer.rule_applied(0, 2);
-//! observer.tuple_done(1, 1);
+//! observer.tuples_done(1, 1, 1);
 //! let snapshot = registry.snapshot(); // deterministic JSON
 //! assert_eq!(
 //!     snapshot.get("counters").unwrap().get("repair.rules_applied").unwrap().as_i64(),
@@ -85,7 +85,9 @@ pub use http::{http_get, http_post, http_request, http_request_with_headers, Htt
 pub use json::Json;
 pub use log::Level;
 pub use metrics::{series_key, Counter, Gauge, Histogram, MetricsRegistry, SpanTimer};
-pub use observer::{CellFix, MetricsObserver, NoopObserver, RepairObserver, Tee, METRIC_NAMES};
+pub use observer::{
+    CellFix, Event, MetricsObserver, NoopObserver, RepairObserver, Tee, METRIC_NAMES,
+};
 pub use quality::{
     render_snapshot, AlertEvent, AlertRule, AttrSummary, QualityConfig, QualityMonitor, Signal,
     WindowSummary,

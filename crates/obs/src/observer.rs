@@ -38,7 +38,76 @@ pub struct CellFix {
     pub round: u32,
 }
 
+/// One cold observation: a hook that fires at most once per flush,
+/// group, batch, worker, check or finding, never per rule evaluation or
+/// per cell. Observers that care match the variants they need and ignore
+/// the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// `lRepair` tallies of a run of tuples: `probes` inverted-list
+    /// lookups found `hits` rules in all, and `enqueued` rules entered the
+    /// candidate queue because their hash counter reached `|X|`. Drivers
+    /// keep these in worker-local memory and report them every few
+    /// thousand tuples and at the end, so no shared counter is touched per
+    /// probe.
+    LRepairProbes {
+        probes: u64,
+        hits: u64,
+        enqueued: u64,
+    },
+    /// A compiled driver looked a group's tuple signature up in the plan
+    /// cache.
+    PlanCacheLookup { hit: bool },
+    /// The plan cache evicted an entry to stay within its capacity.
+    PlanCacheEvicted,
+    /// The columnar driver grouped one batch by tuple signature: `rows`
+    /// rows fell into `groups` distinct signatures, and `scattered` rows
+    /// were repaired by scattering a group plan instead of an engine run
+    /// or cache probe.
+    BatchGrouped {
+        rows: usize,
+        groups: usize,
+        scattered: usize,
+    },
+    /// A parallel worker finished its shard.
+    WorkerDone {
+        worker: usize,
+        rows: usize,
+        updates: usize,
+        busy_ns: u64,
+    },
+    /// A consistency check examined `pairs` rule pairs.
+    PairsChecked { pairs: usize },
+    /// A consistency check found a conflicting pair; `case` is the Fig 4
+    /// characterization case name.
+    ConflictFound { case: &'static str },
+    /// A witness tuple was materialized for a conflict.
+    WitnessFound,
+    /// The static analyzer (`fixlint`) reported one finding; `code` is the
+    /// stable diagnostic code (`FR001`, ...) and `severity` its severity
+    /// name (`error`/`warning`/`note`).
+    LintFinding {
+        code: &'static str,
+        severity: &'static str,
+    },
+    /// The certifier (`fixcert`) examined `pairs` interaction-graph pairs
+    /// for confluence and chased `witness_runs` synthesized witness tuples
+    /// through the compiled engine (two rule orders count as one run).
+    CertChecked { pairs: usize, witness_runs: usize },
+    /// The certifier reported one finding (`FR009`/`FR010`/`FR011`).
+    CertFinding {
+        code: &'static str,
+        severity: &'static str,
+    },
+    /// A certification pass finished; `certified` is the verdict.
+    CertCompleted { certified: bool },
+}
+
 /// Hooks called from the repair stack. All default to no-ops.
+///
+/// The per-rule, per-tuple and per-row hooks are methods of their own so
+/// the drivers' hot loops call them directly; everything rarer arrives
+/// through [`RepairObserver::event`].
 ///
 /// `Sync` is required because the parallel driver shares one observer
 /// across workers.
@@ -53,51 +122,17 @@ pub trait RepairObserver: Sync {
         let _ = (rule, attr);
     }
 
-    /// A tuple finished repairing after `rounds` chase rounds / queue pops
-    /// with `updates` cell updates.
-    #[inline]
-    fn tuple_done(&self, rounds: usize, updates: usize) {
-        let _ = (rounds, updates);
-    }
-
-    /// `count` tuples finished with identical per-tuple stats — the
-    /// columnar driver coalesces the members of one signature group into a
-    /// single call so aggregating observers pay O(1) instead of O(members).
-    /// The default replays [`RepairObserver::tuple_done`] `count` times, so
-    /// per-tuple observers see the same call multiset (batched calls are
-    /// flushed per batch, so ordering relative to other hooks may differ
-    /// from the row-at-a-time drivers; final aggregates do not).
+    /// `count` tuples finished repairing, each after `rounds` chase rounds
+    /// / queue pops with `updates` cell updates. Row-at-a-time drivers
+    /// pass `count = 1`; the columnar driver coalesces the members of one
+    /// signature group, and the lRepair drivers their worker-local tallies,
+    /// into one call each, so aggregating observers pay O(1) instead of
+    /// O(members). Batched calls are flushed per batch, so their order
+    /// relative to other hooks may differ from the row-at-a-time drivers;
+    /// final aggregates do not.
     #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
-        for _ in 0..count {
-            self.tuple_done(rounds, updates);
-        }
-    }
-
-    /// `lRepair` tallies of a run of tuples: `probes` inverted-list
-    /// lookups found `hits` rules in all, and `enqueued` rules entered the
-    /// candidate queue because their hash counter reached `|X|`. Drivers
-    /// keep these in worker-local memory and report them every few
-    /// thousand tuples and at the end, so no shared counter is touched per
-    /// probe.
-    #[inline]
-    fn lrepair_probes(&self, probes: u64, hits: u64, enqueued: u64) {
-        let _ = (probes, hits, enqueued);
-    }
-
-    /// A parallel worker finished its shard.
-    #[inline]
-    fn worker_done(&self, worker: usize, rows: usize, updates: usize, busy_ns: u64) {
-        let _ = (worker, rows, updates, busy_ns);
-    }
-
-    /// The columnar driver grouped one batch by tuple signature: `rows`
-    /// rows fell into `groups` distinct signatures, and `scattered` rows
-    /// were repaired by scattering a group plan instead of an engine run
-    /// or cache probe.
-    #[inline]
-    fn batch_grouped(&self, rows: usize, groups: usize, scattered: usize) {
-        let _ = (rows, groups, scattered);
+        let _ = (rounds, updates, count);
     }
 
     /// The streaming driver wrote one record; `vocab` is the interner size.
@@ -111,37 +146,6 @@ pub trait RepairObserver: Sync {
     #[inline]
     fn plan_probe(&self, rules_hit: usize) {
         let _ = rules_hit;
-    }
-
-    /// A compiled driver looked a tuple signature up in the plan cache.
-    #[inline]
-    fn plan_cache_lookup(&self, hit: bool) {
-        let _ = hit;
-    }
-
-    /// The plan cache evicted an entry to stay within its capacity.
-    #[inline]
-    fn plan_cache_evicted(&self) {}
-
-    /// A consistency checker examined `pairs` rule pairs.
-    #[inline]
-    fn pairs_checked(&self, pairs: usize) {
-        let _ = pairs;
-    }
-
-    /// A consistency checker found a conflicting pair; `case` is the
-    /// Fig 4 characterization case name.
-    #[inline]
-    fn conflict_found(&self, case: &'static str) {
-        let _ = case;
-    }
-
-    /// The static analyzer (`fixlint`) emitted one finding; `code` is the
-    /// stable diagnostic code (`FR001`, ...) and `severity` its severity
-    /// name (`error`/`warning`/`note`).
-    #[inline]
-    fn lint_finding(&self, code: &'static str, severity: &'static str) {
-        let _ = (code, severity);
     }
 
     /// A table/stream driver applied one fix, with full values — the
@@ -179,34 +183,6 @@ pub trait RepairObserver: Sync {
         let _ = (rule, attr);
     }
 
-    /// A consistency checker materialized a witness tuple for a conflict.
-    #[inline]
-    fn witness_found(&self) {}
-
-    /// The certifier (`fixcert`) examined `pairs` interaction-graph pairs
-    /// for confluence.
-    #[inline]
-    fn cert_pair_checked(&self, pairs: usize) {
-        let _ = pairs;
-    }
-
-    /// The certifier executed one synthesized witness tuple through the
-    /// compiled chase engine (two rule orders count as one run).
-    #[inline]
-    fn cert_witness_run(&self) {}
-
-    /// The certifier emitted one finding (`FR009`/`FR010`/`FR011`).
-    #[inline]
-    fn cert_finding(&self, code: &'static str, severity: &'static str) {
-        let _ = (code, severity);
-    }
-
-    /// A certification pass finished; `certified` is the verdict.
-    #[inline]
-    fn cert_completed(&self, certified: bool) {
-        let _ = certified;
-    }
-
     /// Whether this observer consumes [`RepairObserver::rule_latency`].
     /// Defaults to false; under [`NoopObserver`] the drivers' timing
     /// branches monomorphize away, keeping the uninstrumented hot path.
@@ -234,6 +210,12 @@ pub trait RepairObserver: Sync {
     fn wants_rows(&self) -> bool {
         false
     }
+
+    /// One cold [`Event`] from a repair driver or an analysis report.
+    #[inline]
+    fn event(&self, e: Event) {
+        let _ = e;
+    }
 }
 
 /// Observers forward through references, so generic drivers can take a
@@ -251,28 +233,8 @@ impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     }
 
     #[inline]
-    fn tuple_done(&self, rounds: usize, updates: usize) {
-        (**self).tuple_done(rounds, updates);
-    }
-
-    #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         (**self).tuples_done(rounds, updates, count);
-    }
-
-    #[inline]
-    fn lrepair_probes(&self, probes: u64, hits: u64, enqueued: u64) {
-        (**self).lrepair_probes(probes, hits, enqueued);
-    }
-
-    #[inline]
-    fn worker_done(&self, worker: usize, rows: usize, updates: usize, busy_ns: u64) {
-        (**self).worker_done(worker, rows, updates, busy_ns);
-    }
-
-    #[inline]
-    fn batch_grouped(&self, rows: usize, groups: usize, scattered: usize) {
-        (**self).batch_grouped(rows, groups, scattered);
     }
 
     #[inline]
@@ -283,31 +245,6 @@ impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     #[inline]
     fn plan_probe(&self, rules_hit: usize) {
         (**self).plan_probe(rules_hit);
-    }
-
-    #[inline]
-    fn plan_cache_lookup(&self, hit: bool) {
-        (**self).plan_cache_lookup(hit);
-    }
-
-    #[inline]
-    fn plan_cache_evicted(&self) {
-        (**self).plan_cache_evicted();
-    }
-
-    #[inline]
-    fn pairs_checked(&self, pairs: usize) {
-        (**self).pairs_checked(pairs);
-    }
-
-    #[inline]
-    fn conflict_found(&self, case: &'static str) {
-        (**self).conflict_found(case);
-    }
-
-    #[inline]
-    fn lint_finding(&self, code: &'static str, severity: &'static str) {
-        (**self).lint_finding(code, severity);
     }
 
     #[inline]
@@ -331,31 +268,6 @@ impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     }
 
     #[inline]
-    fn witness_found(&self) {
-        (**self).witness_found();
-    }
-
-    #[inline]
-    fn cert_pair_checked(&self, pairs: usize) {
-        (**self).cert_pair_checked(pairs);
-    }
-
-    #[inline]
-    fn cert_witness_run(&self) {
-        (**self).cert_witness_run();
-    }
-
-    #[inline]
-    fn cert_finding(&self, code: &'static str, severity: &'static str) {
-        (**self).cert_finding(code, severity);
-    }
-
-    #[inline]
-    fn cert_completed(&self, certified: bool) {
-        (**self).cert_completed(certified);
-    }
-
-    #[inline]
     fn wants_rule_timing(&self) -> bool {
         (**self).wants_rule_timing()
     }
@@ -368,6 +280,11 @@ impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     #[inline]
     fn wants_rows(&self) -> bool {
         (**self).wants_rows()
+    }
+
+    #[inline]
+    fn event(&self, e: Event) {
+        (**self).event(e);
     }
 }
 
@@ -396,33 +313,9 @@ impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for 
     }
 
     #[inline]
-    fn tuple_done(&self, rounds: usize, updates: usize) {
-        self.0.tuple_done(rounds, updates);
-        self.1.tuple_done(rounds, updates);
-    }
-
-    #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         self.0.tuples_done(rounds, updates, count);
         self.1.tuples_done(rounds, updates, count);
-    }
-
-    #[inline]
-    fn lrepair_probes(&self, probes: u64, hits: u64, enqueued: u64) {
-        self.0.lrepair_probes(probes, hits, enqueued);
-        self.1.lrepair_probes(probes, hits, enqueued);
-    }
-
-    #[inline]
-    fn worker_done(&self, worker: usize, rows: usize, updates: usize, busy_ns: u64) {
-        self.0.worker_done(worker, rows, updates, busy_ns);
-        self.1.worker_done(worker, rows, updates, busy_ns);
-    }
-
-    #[inline]
-    fn batch_grouped(&self, rows: usize, groups: usize, scattered: usize) {
-        self.0.batch_grouped(rows, groups, scattered);
-        self.1.batch_grouped(rows, groups, scattered);
     }
 
     #[inline]
@@ -435,36 +328,6 @@ impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for 
     fn plan_probe(&self, rules_hit: usize) {
         self.0.plan_probe(rules_hit);
         self.1.plan_probe(rules_hit);
-    }
-
-    #[inline]
-    fn plan_cache_lookup(&self, hit: bool) {
-        self.0.plan_cache_lookup(hit);
-        self.1.plan_cache_lookup(hit);
-    }
-
-    #[inline]
-    fn plan_cache_evicted(&self) {
-        self.0.plan_cache_evicted();
-        self.1.plan_cache_evicted();
-    }
-
-    #[inline]
-    fn pairs_checked(&self, pairs: usize) {
-        self.0.pairs_checked(pairs);
-        self.1.pairs_checked(pairs);
-    }
-
-    #[inline]
-    fn conflict_found(&self, case: &'static str) {
-        self.0.conflict_found(case);
-        self.1.conflict_found(case);
-    }
-
-    #[inline]
-    fn lint_finding(&self, code: &'static str, severity: &'static str) {
-        self.0.lint_finding(code, severity);
-        self.1.lint_finding(code, severity);
     }
 
     #[inline]
@@ -492,36 +355,6 @@ impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for 
     }
 
     #[inline]
-    fn witness_found(&self) {
-        self.0.witness_found();
-        self.1.witness_found();
-    }
-
-    #[inline]
-    fn cert_pair_checked(&self, pairs: usize) {
-        self.0.cert_pair_checked(pairs);
-        self.1.cert_pair_checked(pairs);
-    }
-
-    #[inline]
-    fn cert_witness_run(&self) {
-        self.0.cert_witness_run();
-        self.1.cert_witness_run();
-    }
-
-    #[inline]
-    fn cert_finding(&self, code: &'static str, severity: &'static str) {
-        self.0.cert_finding(code, severity);
-        self.1.cert_finding(code, severity);
-    }
-
-    #[inline]
-    fn cert_completed(&self, certified: bool) {
-        self.0.cert_completed(certified);
-        self.1.cert_completed(certified);
-    }
-
-    #[inline]
     fn wants_rule_timing(&self) -> bool {
         self.0.wants_rule_timing() || self.1.wants_rule_timing()
     }
@@ -535,6 +368,12 @@ impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for 
     #[inline]
     fn wants_rows(&self) -> bool {
         self.0.wants_rows() || self.1.wants_rows()
+    }
+
+    #[inline]
+    fn event(&self, e: Event) {
+        self.0.event(e);
+        self.1.event(e);
     }
 }
 
@@ -661,17 +500,6 @@ impl RepairObserver for MetricsObserver {
     }
 
     #[inline]
-    fn tuple_done(&self, rounds: usize, updates: usize) {
-        self.tuples.inc();
-        if updates > 0 {
-            self.tuples_touched.inc();
-            self.updates.add(updates as u64);
-        }
-        self.tuple_rounds.record(rounds as u64);
-        self.tuple_updates.record(updates as u64);
-    }
-
-    #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         if count == 0 {
             return;
@@ -687,52 +515,9 @@ impl RepairObserver for MetricsObserver {
     }
 
     #[inline]
-    fn lrepair_probes(&self, probes: u64, hits: u64, enqueued: u64) {
-        self.probes.add(probes);
-        self.probe_hits.add(hits);
-        self.enqueued.add(enqueued);
-    }
-
-    #[inline]
     fn plan_probe(&self, rules_hit: usize) {
         self.plan_probes.inc();
         self.plan_probe_hits.add(rules_hit as u64);
-    }
-
-    #[inline]
-    fn plan_cache_lookup(&self, hit: bool) {
-        if hit {
-            self.plan_hits.inc();
-        } else {
-            self.plan_misses.inc();
-        }
-    }
-
-    #[inline]
-    fn plan_cache_evicted(&self) {
-        self.plan_evictions.inc();
-    }
-
-    #[inline]
-    fn batch_grouped(&self, rows: usize, groups: usize, scattered: usize) {
-        self.batch_rows.add(rows as u64);
-        self.batch_groups.add(groups as u64);
-        self.batch_scattered.add(scattered as u64);
-    }
-
-    fn worker_done(&self, worker: usize, rows: usize, updates: usize, busy_ns: u64) {
-        self.registry
-            .counter(&format!("repair.worker.{worker}.rows"))
-            .add(rows as u64);
-        self.registry
-            .counter(&format!("repair.worker.{worker}.updates"))
-            .add(updates as u64);
-        self.registry
-            .counter(&format!("repair.worker.{worker}.busy_ns"))
-            .add(busy_ns);
-        self.registry
-            .histogram("repair.worker.busy_ns")
-            .record(busy_ns);
     }
 
     #[inline]
@@ -741,62 +526,91 @@ impl RepairObserver for MetricsObserver {
         self.stream_vocab.max(vocab as i64);
     }
 
-    #[inline]
-    fn pairs_checked(&self, pairs: usize) {
-        self.pairs_checked.add(pairs as u64);
-    }
-
-    fn conflict_found(&self, case: &'static str) {
-        self.conflicts.inc();
-        self.registry
-            .counter(&format!("consistency.conflicts.{case}"))
-            .inc();
-    }
-
-    #[inline]
-    fn witness_found(&self) {
-        self.witnesses.inc();
-    }
-
-    fn lint_finding(&self, code: &'static str, severity: &'static str) {
-        self.lint_findings.inc();
-        self.registry
-            .counter(&format!("lint.findings.{code}"))
-            .inc();
-        self.registry
-            .counter(&format!("lint.severity.{severity}"))
-            .inc();
-    }
-
-    #[inline]
-    fn cert_pair_checked(&self, pairs: usize) {
-        self.cert_pairs.add(pairs as u64);
-    }
-
-    #[inline]
-    fn cert_witness_run(&self) {
-        self.cert_witness_runs.inc();
-    }
-
-    fn cert_finding(&self, code: &'static str, severity: &'static str) {
-        self.cert_findings.inc();
-        self.registry
-            .counter(&format!("cert.findings.{code}"))
-            .inc();
-        self.registry
-            .counter(&format!("cert.severity.{severity}"))
-            .inc();
-    }
-
-    fn cert_completed(&self, certified: bool) {
-        self.cert_passes.inc();
-        self.registry
-            .counter(if certified {
-                "cert.certified"
-            } else {
-                "cert.rejected"
-            })
-            .inc();
+    fn event(&self, e: Event) {
+        match e {
+            Event::LRepairProbes {
+                probes,
+                hits,
+                enqueued,
+            } => {
+                self.probes.add(probes);
+                self.probe_hits.add(hits);
+                self.enqueued.add(enqueued);
+            }
+            Event::PlanCacheLookup { hit: true } => self.plan_hits.inc(),
+            Event::PlanCacheLookup { hit: false } => self.plan_misses.inc(),
+            Event::PlanCacheEvicted => self.plan_evictions.inc(),
+            Event::BatchGrouped {
+                rows,
+                groups,
+                scattered,
+            } => {
+                self.batch_rows.add(rows as u64);
+                self.batch_groups.add(groups as u64);
+                self.batch_scattered.add(scattered as u64);
+            }
+            Event::WorkerDone {
+                worker,
+                rows,
+                updates,
+                busy_ns,
+            } => {
+                self.registry
+                    .counter(&format!("repair.worker.{worker}.rows"))
+                    .add(rows as u64);
+                self.registry
+                    .counter(&format!("repair.worker.{worker}.updates"))
+                    .add(updates as u64);
+                self.registry
+                    .counter(&format!("repair.worker.{worker}.busy_ns"))
+                    .add(busy_ns);
+                self.registry
+                    .histogram("repair.worker.busy_ns")
+                    .record(busy_ns);
+            }
+            Event::PairsChecked { pairs } => self.pairs_checked.add(pairs as u64),
+            Event::ConflictFound { case } => {
+                self.conflicts.inc();
+                self.registry
+                    .counter(&format!("consistency.conflicts.{case}"))
+                    .inc();
+            }
+            Event::WitnessFound => self.witnesses.inc(),
+            Event::LintFinding { code, severity } => {
+                self.lint_findings.inc();
+                self.registry
+                    .counter(&format!("lint.findings.{code}"))
+                    .inc();
+                self.registry
+                    .counter(&format!("lint.severity.{severity}"))
+                    .inc();
+            }
+            Event::CertChecked {
+                pairs,
+                witness_runs,
+            } => {
+                self.cert_pairs.add(pairs as u64);
+                self.cert_witness_runs.add(witness_runs as u64);
+            }
+            Event::CertFinding { code, severity } => {
+                self.cert_findings.inc();
+                self.registry
+                    .counter(&format!("cert.findings.{code}"))
+                    .inc();
+                self.registry
+                    .counter(&format!("cert.severity.{severity}"))
+                    .inc();
+            }
+            Event::CertCompleted { certified } => {
+                self.cert_passes.inc();
+                let verdict = if certified {
+                    "cert.certified"
+                } else {
+                    "cert.rejected"
+                };
+                self.registry.counter(verdict).inc();
+            }
+        }
     }
 }
 
@@ -812,21 +626,62 @@ mod tests {
     #[test]
     fn batched_tuples_done_matches_repeated_tuple_done() {
         // The columnar driver's coalesced hook must leave every counter
-        // and histogram exactly where `count` individual calls would.
+        // and histogram exactly where `count` single-tuple calls would.
         let reg_one = MetricsRegistry::new();
         let reg_n = MetricsRegistry::new();
         let one = MetricsObserver::new(&reg_one);
         let batched = MetricsObserver::new(&reg_n);
         for _ in 0..7 {
-            one.tuple_done(2, 3);
+            one.tuples_done(2, 3, 1);
         }
         for _ in 0..5 {
-            one.tuple_done(1, 0);
+            one.tuples_done(1, 0, 1);
         }
         batched.tuples_done(2, 3, 7);
         batched.tuples_done(1, 0, 5);
         batched.tuples_done(9, 9, 0); // no-op
         assert_eq!(reg_one.snapshot().to_string(), reg_n.snapshot().to_string());
+    }
+
+    /// Every [`Event`] variant once (both plan-cache outcomes).
+    fn every_event() -> Vec<Event> {
+        vec![
+            Event::LRepairProbes {
+                probes: 2,
+                hits: 3,
+                enqueued: 1,
+            },
+            Event::PlanCacheLookup { hit: true },
+            Event::PlanCacheLookup { hit: false },
+            Event::PlanCacheEvicted,
+            Event::BatchGrouped {
+                rows: 100,
+                groups: 7,
+                scattered: 93,
+            },
+            Event::WorkerDone {
+                worker: 1,
+                rows: 500,
+                updates: 20,
+                busy_ns: 1_000,
+            },
+            Event::PairsChecked { pairs: 6 },
+            Event::ConflictFound { case: "mutual" },
+            Event::WitnessFound,
+            Event::LintFinding {
+                code: "FR001",
+                severity: "error",
+            },
+            Event::CertChecked {
+                pairs: 3,
+                witness_runs: 4,
+            },
+            Event::CertFinding {
+                code: "FR009",
+                severity: "error",
+            },
+            Event::CertCompleted { certified: false },
+        ]
     }
 
     #[test]
@@ -836,23 +691,42 @@ mod tests {
         obs.chase_round();
         obs.rule_applied(0, 2);
         obs.rule_applied(3, 1);
-        obs.tuple_done(2, 2);
-        obs.tuple_done(1, 0);
-        obs.lrepair_probes(2, 3, 1);
+        obs.tuples_done(2, 2, 1);
+        obs.tuples_done(1, 0, 1);
+        obs.event(Event::LRepairProbes {
+            probes: 2,
+            hits: 3,
+            enqueued: 1,
+        });
         obs.plan_probe(2);
         obs.plan_probe(0);
-        obs.plan_cache_lookup(true);
-        obs.plan_cache_lookup(true);
-        obs.plan_cache_lookup(false);
-        obs.plan_cache_evicted();
-        obs.batch_grouped(100, 7, 93);
-        obs.worker_done(1, 500, 20, 1_000);
+        obs.event(Event::PlanCacheLookup { hit: true });
+        obs.event(Event::PlanCacheLookup { hit: true });
+        obs.event(Event::PlanCacheLookup { hit: false });
+        obs.event(Event::PlanCacheEvicted);
+        obs.event(Event::BatchGrouped {
+            rows: 100,
+            groups: 7,
+            scattered: 93,
+        });
+        obs.event(Event::WorkerDone {
+            worker: 1,
+            rows: 500,
+            updates: 20,
+            busy_ns: 1_000,
+        });
         obs.stream_record(128);
         obs.stream_record(256);
-        obs.pairs_checked(6);
-        obs.conflict_found("Mutual");
-        obs.lint_finding("FR001", "error");
-        obs.lint_finding("FR002", "warning");
+        obs.event(Event::PairsChecked { pairs: 6 });
+        obs.event(Event::ConflictFound { case: "Mutual" });
+        obs.event(Event::LintFinding {
+            code: "FR001",
+            severity: "error",
+        });
+        obs.event(Event::LintFinding {
+            code: "FR002",
+            severity: "warning",
+        });
 
         let snap = reg.snapshot();
         let counters = snap.get("counters").unwrap();
@@ -907,22 +781,12 @@ mod tests {
         let obs = MetricsObserver::new(&reg);
         obs.chase_round();
         obs.rule_applied(0, 0);
-        obs.tuple_done(1, 1);
-        obs.lrepair_probes(1, 1, 1);
+        obs.tuples_done(1, 1, 1);
         obs.plan_probe(1);
-        obs.plan_cache_lookup(true);
-        obs.plan_cache_lookup(false);
-        obs.plan_cache_evicted();
-        obs.batch_grouped(2, 1, 1);
         obs.stream_record(1);
-        obs.pairs_checked(1);
-        obs.conflict_found("BiInXj");
-        obs.witness_found();
-        obs.lint_finding("FR001", "error");
-        obs.cert_pair_checked(3);
-        obs.cert_witness_run();
-        obs.cert_finding("FR009", "error");
-        obs.cert_completed(false);
+        for e in every_event() {
+            obs.event(e);
+        }
         let snap = reg.snapshot();
         let counters = snap.get("counters").unwrap().as_obj().unwrap();
         for name in METRIC_NAMES {
@@ -931,5 +795,55 @@ mod tests {
                 "missing documented metric {name}"
             );
         }
+    }
+
+    /// Calls every hook of the trait once, and sends every [`Event`].
+    fn drive<O: RepairObserver + ?Sized>(o: &O) {
+        o.chase_round();
+        o.rule_applied(1, 2);
+        o.tuples_done(2, 1, 3);
+        o.stream_record(64);
+        o.plan_probe(2);
+        o.cell_repaired(CellFix {
+            row: 4,
+            ordinal: 0,
+            rule: 1,
+            attr: 2,
+            old: 10,
+            new: 11,
+            round: 1,
+        });
+        o.rule_rejected(0);
+        o.rule_latency(1, 500);
+        o.plan_replayed(1, 2);
+        o.row_observed(&[1, 2, 3]);
+        for e in every_event() {
+            o.event(e);
+        }
+    }
+
+    #[test]
+    fn tee_and_dyn_forward_every_hook_and_event() {
+        let direct_reg = MetricsRegistry::new();
+        drive(&MetricsObserver::new(&direct_reg));
+        let direct = direct_reg.snapshot().to_string();
+
+        let (reg1, reg2) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let (m1, m2) = (MetricsObserver::new(&reg1), MetricsObserver::new(&reg2));
+        drive(&Tee(&m1, &m2));
+        assert_eq!(reg1.snapshot().to_string(), direct);
+        assert_eq!(reg2.snapshot().to_string(), direct);
+
+        // The same fan-out assembled from trait objects, as `fixctl repair`
+        // builds it: `&dyn` through the `&T` forwarding impl into a Tee of
+        // `&dyn`s.
+        let (reg1, reg2) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let (m1, m2) = (MetricsObserver::new(&reg1), MetricsObserver::new(&reg2));
+        let tee = Tee(&m1 as &dyn RepairObserver, &m2 as &dyn RepairObserver);
+        let dynamic: &dyn RepairObserver = &tee;
+        drive(&dynamic);
+        assert!(!dynamic.wants_rule_timing() && !dynamic.wants_rows());
+        assert_eq!(reg1.snapshot().to_string(), direct);
+        assert_eq!(reg2.snapshot().to_string(), direct);
     }
 }

@@ -11,6 +11,12 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== perfbench builds against the workspace crates =="
+# perfbench is a package of its own (see perfbench/Cargo.toml), so the
+# workspace commands above never compile it; an API change that breaks it
+# must fail here, not when the benchmark runs.
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test =="
 cargo test --workspace -q
 
