@@ -16,20 +16,14 @@
 //! fixctl coverage --rules rules.frl --data data.csv [--lint]
 //!                                                         # per-rule attribution profile,
 //!                                                         # joined against the linter
-//! fixctl serve-metrics [--addr 127.0.0.1:0] [--scrapes N] # standalone scrape endpoint
 //! fixctl scrape http://HOST:PORT/metrics [--require NAME] # fetch + validate exposition
 //!                                                         # NAME may be a labeled series:
 //!                                                         #   http.requests{endpoint="repair"}
 //! fixctl quality http://HOST:PORT [--window W]            # repair-quality window table
 //!                [--require-green]                        # (also reads a snapshot file;
 //!                                                         #  exit 1 on active alerts)
-//! fixctl serve  --rules rules.frl [--addr 127.0.0.1:0]    # long-running repair daemon
-//!               [--threads N] [--schema a,b,c] [--plan-cache on|off]
-//!               [--warm data.csv] [--journal trace.jsonl] [--cache-shards N]
-//!               [--slo-window N] [--slo-min-samples N]
-//!               [--slo-max-error-rate F] [--slo-max-p99-ms N]
-//!               [--trace-sample N] [--quality-window N]
-//!               [--quality-alert drift>0.5,repair_rate:city>0.25] [--quality-gate]
+//! fixctl serve  --rules rules.frl [fixd flags]            # the `fixd` repair daemon
+//!                                                         # (`fixctl serve --help`)
 //! fixctl client repair rows.csv --addr HOST:PORT [--format csv]
 //! fixctl client check  rows.csv --addr HOST:PORT          # dry run, nothing recorded
 //! fixctl client get    /readyz  --addr HOST:PORT          # any GET endpoint
@@ -42,17 +36,13 @@
 //! consistency gate parallel (it then stops at the first conflict) and
 //! shards `--engine columnar`; `chase` and `stream` refuse it.
 //!
-//! `repair` additionally takes the profiling/exposition flags:
+//! `repair` additionally takes the profiling flags:
 //!
 //! * `--profile` — print a ranked per-rule attribution table after the run;
 //! * `--profile-json FILE` — write the profile as deterministic JSON (counts
-//!   only, no wall-clock: two identical runs are byte-identical);
-//! * `--expose ADDR` — serve `GET /metrics` (Prometheus text format),
-//!   `/metrics.json`, and `/healthz` from the live registry during the run;
-//! * `--expose-hold N` — keep the process (and endpoint) alive after the
-//!   repair until `N` scrapes have been served, then shut down.
+//!   only, no wall-clock: two identical runs are byte-identical).
 //!
-//! Every command also takes the observability flags:
+//! Every command but `serve` also takes the observability flags:
 //!
 //! * `--metrics <path>` — write a deterministic JSON snapshot of per-stage
 //!   timings (`stage.*_ns` histograms) and pipeline counters
@@ -66,8 +56,11 @@
 //!   `--trace-clock logical|wall` picks timestamps: `logical` (default)
 //!   is byte-deterministic across runs, `wall` records microseconds.
 //!
-//! `repair` and `coverage` reject any flag they do not read (exit 2,
-//! `unknown flag --NAME`), so a typo never falls back to a default.
+//! `repair`, `coverage` and `serve` reject any flag they do not read
+//! (exit 2, `unknown flag --NAME`), so a typo never falls back to a
+//! default. `serve` hands its arguments to the `fixd` parser
+//! ([`fixd::cli::run`]); the daemon's telemetry is at `GET /metrics` and
+//! its journal is `--journal`, so it takes no `--metrics` or `--trace`.
 //!
 //! The schema is taken from the CSV header; rule files use the
 //! [`fixrules::io`] line format:
@@ -77,7 +70,6 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::process::ExitCode;
 
 use fixrules::consistency::resolve::{ensure_consistent, Strategy};
@@ -95,8 +87,8 @@ use fixrules::RuleSet;
 use obs::trace::{chrome_trace, parse_jsonl, TracePhase, TraceSpan};
 use obs::{
     http_get, parse_prometheus, render_snapshot, AlertRule, AttributionObserver, Event, Json,
-    MetricsObserver, MetricsRegistry, MetricsServer, QualityConfig, QualityMonitor, RepairObserver,
-    RuleLabel, Tee, TraceClock, TraceJournal,
+    MetricsObserver, MetricsRegistry, QualityConfig, QualityMonitor, RepairObserver, RuleLabel,
+    Tee, TraceClock, TraceJournal,
 };
 use relation::{ColumnTable, Schema, Symbol, SymbolTable, Table};
 
@@ -188,7 +180,7 @@ struct Flags {
 }
 
 /// Flags that are plain switches: present or absent, consuming no value.
-const SWITCH_FLAGS: &[&str] = &["profile", "lint", "quality-gate", "require-green"];
+const SWITCH_FLAGS: &[&str] = &["profile", "lint", "require-green"];
 
 /// Observability flags every command reads (see [`ObsCtx::from_flags`]).
 const OBS_FLAGS: &[&str] = &["log", "metrics", "trace", "trace-clock"];
@@ -203,8 +195,6 @@ const REPAIR_FLAGS: &[&str] = &[
     "updates-log",
     "profile",
     "profile-json",
-    "expose",
-    "expose-hold",
     "quality-window",
     "quality-alert",
     "quality-json",
@@ -212,26 +202,6 @@ const REPAIR_FLAGS: &[&str] = &[
 
 /// Flags `fixctl coverage` reads, besides [`OBS_FLAGS`].
 const COVERAGE_FLAGS: &[&str] = &["rules", "data", "engine", "lint", "profile-json"];
-
-/// Flags `fixctl serve` reads, besides [`OBS_FLAGS`].
-const SERVE_FLAGS: &[&str] = &[
-    "rules",
-    "addr",
-    "threads",
-    "cache-shards",
-    "schema",
-    "plan-cache",
-    "journal",
-    "warm",
-    "slo-window",
-    "slo-min-samples",
-    "slo-max-error-rate",
-    "slo-max-p99-ms",
-    "trace-sample",
-    "quality-window",
-    "quality-alert",
-    "quality-gate",
-];
 
 impl Flags {
     fn parse(args: &[String]) -> Result<Flags, String> {
@@ -292,6 +262,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(command) = args.first() else {
         return Err(usage());
     };
+    if command == "serve" {
+        return fixd::cli::run(&args[1..]).map(|()| ExitCode::SUCCESS);
+    }
     // `lint`, `certify` and `explain` take a file as a positional argument
     // (like rustc), `trace` has an `export` subcommand; every other
     // command is pure `--flag value` pairs.
@@ -344,9 +317,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "repair" => cmd_repair(&flags, &obs_ctx).map(|()| ExitCode::SUCCESS),
         "scrape" => cmd_scrape(positional, &flags),
         "quality" => cmd_quality(positional, &flags),
-        "serve" => cmd_serve(&flags).map(|()| ExitCode::SUCCESS),
         "client" => cmd_client(args[1].as_str(), positional, &flags),
-        "serve-metrics" => cmd_serve_metrics(&flags, &obs_ctx).map(|()| ExitCode::SUCCESS),
         "stats" => cmd_stats(&flags, &obs_ctx).map(|()| ExitCode::SUCCESS),
         "trace" => cmd_trace_export(positional, &flags).map(|()| ExitCode::SUCCESS),
         "help" | "--help" | "-h" => {
@@ -364,18 +335,14 @@ fn usage() -> String {
      [--out FILE] [--engine lrepair|chase|columnar|stream] \
      [--threads N (default: all cores)] [--strategy shrink|drop] [--updates-log FILE] \
      [--metrics FILE.json] [--log off|info|debug] [--trace FILE.jsonl] [--trace-clock logical|wall] \
-     [--profile] [--profile-json FILE] [--expose ADDR] [--expose-hold N] \
+     [--profile] [--profile-json FILE] \
      [--quality-window N] [--quality-alert SPEC,...] [--quality-json FILE] \
      | lint RULES.frl [--schema a,b,c | --data FILE.csv] [--format human|json|sarif] \
      [--deny warnings|FR001,...] \
      | certify RULES.frl [--schema a,b,c | --data FILE.csv] [--format human|json|sarif] \
      [--deny warnings|FR001,...] \
      | coverage --rules FILE --data FILE.csv [--engine lrepair|chase] [--lint] \
-     | serve-metrics [--addr HOST:PORT] [--scrapes N] \
-     | serve --rules FILE [--addr HOST:PORT] [--threads N] [--plan-cache on|off] \
-     [--schema a,b,c] [--warm FILE.csv] [--journal FILE.jsonl] [--cache-shards N] \
-     [--slo-window N] [--slo-min-samples N] [--slo-max-error-rate F] [--slo-max-p99-ms N] \
-     [--trace-sample N] [--quality-window N] [--quality-alert SPEC,...] [--quality-gate] \
+     | serve --rules FILE [fixd flags: fixctl serve --help] \
      | client repair|check FILE --addr HOST:PORT [--format csv|json] \
      | client rules RULES.frl --addr HOST:PORT \
      | client get PATH --addr HOST:PORT | client shutdown --addr HOST:PORT \
@@ -727,48 +694,6 @@ fn emit_profile(flags: &Flags, attribution: Option<&AttributionObserver>) -> Res
     Ok(())
 }
 
-/// `--expose-hold N`: how many scrapes to wait for before shutting the
-/// endpoint down after the run.
-fn expose_hold_flag(flags: &Flags) -> Result<Option<u64>, String> {
-    match flags.optional("expose-hold") {
-        None => Ok(None),
-        Some(n) => n
-            .parse::<u64>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .map(Some)
-            .ok_or_else(|| "--expose-hold takes a scrape count >= 1".to_string()),
-    }
-}
-
-/// `--expose ADDR`: start the scrape endpoint over the shared registry
-/// before the repair runs, printing the resolved URL (`:0` binds an
-/// ephemeral port) on a flushed line so a harness can scrape mid-run.
-fn start_expose(flags: &Flags, obs_ctx: &ObsCtx) -> Result<Option<MetricsServer>, String> {
-    let Some(addr) = flags.optional("expose") else {
-        if flags.optional("expose-hold").is_some() {
-            return Err("--expose-hold needs --expose ADDR".to_string());
-        }
-        return Ok(None);
-    };
-    let server = MetricsServer::bind(addr, obs_ctx.registry.clone())
-        .map_err(|e| format!("binding {addr}: {e}"))?;
-    println!("serving metrics on http://{}/metrics", server.addr());
-    std::io::stdout().flush().ok();
-    obs::info!("expose.bound", addr = format!("{}", server.addr()));
-    Ok(Some(server))
-}
-
-/// Honor `--expose-hold`, then stop the endpoint.
-fn finish_expose(hold: Option<u64>, server: Option<MetricsServer>) {
-    let Some(server) = server else { return };
-    if let Some(n) = hold {
-        server.wait_for_scrapes(n);
-        println!("served {} scrape(s)", server.scrapes());
-    }
-    server.shutdown();
-}
-
 /// The pairwise `isConsist_r` check, timed and fed into the observer;
 /// `threads > 1` partitions the pairs across workers (stopping at the
 /// lowest-indexed conflict).
@@ -929,33 +854,6 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     Ok(())
 }
 
-/// Standalone scrape endpoint over this process's registry — the mount
-/// point external harnesses poll. `--scrapes N` exits after `N` scrapes
-/// have been served; without it the server runs until killed.
-fn cmd_serve_metrics(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let addr = flags.optional("addr").unwrap_or("127.0.0.1:0");
-    let server = MetricsServer::bind(addr, obs_ctx.registry.clone())
-        .map_err(|e| format!("binding {addr}: {e}"))?;
-    println!("serving metrics on http://{}/metrics", server.addr());
-    std::io::stdout().flush().ok();
-    match flags.optional("scrapes") {
-        Some(n) => {
-            let n: u64 = n
-                .parse()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| "--scrapes takes a count >= 1".to_string())?;
-            server.wait_for_scrapes(n);
-            println!("served {} scrape(s)", server.scrapes());
-            server.shutdown();
-            Ok(())
-        }
-        None => loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        },
-    }
-}
-
 /// Fetch a Prometheus exposition (over HTTP, or from a file written by a
 /// previous scrape) and validate it with the in-repo text-format parser.
 /// Exit 1 when `--require NAME` names a metric the exposition lacks.
@@ -1073,95 +971,6 @@ fn cmd_quality(positional: Option<&str>, flags: &Flags) -> Result<ExitCode, Stri
     Ok(ExitCode::SUCCESS)
 }
 
-/// Run the long-lived `fixd` repair daemon in the foreground: rules are
-/// loaded, linted, and compiled once, then every `POST /repair` batch
-/// shares one warm plan cache. Blocks until `POST /shutdown` drains it.
-fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    flags.only(SERVE_FLAGS)?;
-    let mut config = fixd::DaemonConfig {
-        rules: fixd::RulesSource::Path(flags.required("rules")?.to_string()),
-        ..fixd::DaemonConfig::default()
-    };
-    if let Some(addr) = flags.optional("addr") {
-        config.addr = addr.to_string();
-    }
-    if let Some(threads) = flags.optional("threads") {
-        config.threads = threads
-            .parse()
-            .map_err(|_| format!("--threads: bad value `{threads}`"))?;
-    }
-    if let Some(shards) = flags.optional("cache-shards") {
-        config.cache_shards = shards
-            .parse()
-            .map_err(|_| format!("--cache-shards: bad value `{shards}`"))?;
-    }
-    if let Some(names) = flags.optional("schema") {
-        config.schema =
-            fixd::SchemaSource::Names(names.split(',').map(|s| s.trim().to_string()).collect());
-    }
-    if let Some(cache) = flags.optional("plan-cache") {
-        config.plan_cache = match cache {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("unknown --plan-cache `{other}` (on|off)")),
-        };
-    }
-    if let Some(path) = flags.optional("journal") {
-        config.journal_path = Some(path.to_string());
-    }
-    if let Some(path) = flags.optional("warm") {
-        config.warm = Some(path.to_string());
-    }
-    if let Some(clock) = flags.optional("trace-clock") {
-        config.trace_clock = match clock {
-            "logical" => TraceClock::Logical,
-            "wall" => TraceClock::Wall,
-            other => return Err(format!("unknown --trace-clock `{other}` (logical|wall)")),
-        };
-    }
-    if let Some(window) = flags.optional("slo-window") {
-        config.slo.window = window
-            .parse()
-            .map_err(|_| format!("--slo-window: bad value `{window}`"))?;
-    }
-    if let Some(min) = flags.optional("slo-min-samples") {
-        config.slo.min_samples = min
-            .parse()
-            .map_err(|_| format!("--slo-min-samples: bad value `{min}`"))?;
-    }
-    if let Some(rate) = flags.optional("slo-max-error-rate") {
-        config.slo.max_error_rate = rate
-            .parse()
-            .map_err(|_| format!("--slo-max-error-rate: bad value `{rate}`"))?;
-    }
-    if let Some(ms) = flags.optional("slo-max-p99-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("--slo-max-p99-ms: bad value `{ms}`"))?;
-        config.slo.max_p99_ns = ms.saturating_mul(1_000_000);
-    }
-    if let Some(sample) = flags.optional("trace-sample") {
-        config.trace_sample = sample
-            .parse()
-            .map_err(|_| format!("--trace-sample: bad value `{sample}` (rows per request)"))?;
-    }
-    if let Some(window) = flags.optional("quality-window") {
-        config.quality_window = window
-            .parse()
-            .map_err(|_| format!("--quality-window: bad value `{window}` (rows, 0 disables)"))?;
-    }
-    config.quality_alerts = quality_alerts_flag(flags)?;
-    config.quality_gate = flags.switch("quality-gate");
-    if config.quality_gate && config.quality_window == 0 {
-        return Err("--quality-gate needs quality monitoring (--quality-window > 0)".to_string());
-    }
-    let daemon = fixd::Daemon::start(config).map_err(|e| format!("starting fixd: {e}"))?;
-    println!("fixd listening on http://{}", daemon.addr());
-    daemon.wait();
-    println!("fixd drained and stopped");
-    Ok(())
-}
-
 /// Normalize `--addr` into a base URL (a bare `host:port` is accepted).
 fn client_base(flags: &Flags) -> Result<String, String> {
     let addr = flags.required("addr")?;
@@ -1274,10 +1083,6 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let (mut table, rules, symbols) = load(flags, obs_ctx)?;
     let threads = worker_threads(flags)?;
     let explicit_threads = gate_threads(flags)?;
-    let hold = expose_hold_flag(flags)?;
-    // The endpoint goes up before any repair work so a scraper can watch
-    // the counters move while the run is in flight.
-    let server = start_expose(flags, obs_ctx)?;
     let report = check_consistency(&rules, obs_ctx, explicit_threads);
     if !report.is_consistent() {
         return Err(format!(
@@ -1414,7 +1219,6 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         println!("wrote {log_path}");
     }
     emit_profile(flags, attribution.as_ref())?;
-    finish_expose(hold, server);
     Ok(())
 }
 
@@ -1445,8 +1249,6 @@ fn repair_stream(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         obs::info!("load.done", rules = rules.len(), vocab = symbols.len());
         rules
     };
-    let hold = expose_hold_flag(flags)?;
-    let server = start_expose(flags, obs_ctx)?;
     let report = check_consistency(&rules, obs_ctx, 1);
     if !report.is_consistent() {
         return Err(format!(
@@ -1539,7 +1341,6 @@ fn repair_stream(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     }
     println!("wrote {out}");
     emit_profile(flags, attribution.as_ref())?;
-    finish_expose(hold, server);
     Ok(())
 }
 

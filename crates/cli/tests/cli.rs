@@ -961,8 +961,10 @@ fn engine_flag_validation() {
 
 /// `repair`, `coverage` and `serve` reject flags they do not read — a typo
 /// such as `--engin` must not silently fall back to the default engine,
-/// and the retired `repair --plan-cache`, `--algo` and `serve --engine`
-/// must not be silently ignored.
+/// and the retired `repair --plan-cache`, `--algo`, `--expose` and
+/// `serve --engine` must not be silently ignored. `serve` takes no
+/// `--metrics`/`--trace`: the daemon's telemetry is at `GET /metrics`
+/// and its journal is `--journal`.
 #[test]
 fn unknown_flags_are_rejected() {
     let dir = tmpdir("unknown_flags");
@@ -975,6 +977,7 @@ fn unknown_flags_are_rejected() {
         ("repair", "engin", "columnar"),
         ("repair", "plan-cache", "on"),
         ("repair", "algo", "lrepair"),
+        ("repair", "expose", "127.0.0.1:0"),
         ("coverage", "engin", "chase"),
     ] {
         let flag_arg = format!("--{flag}");
@@ -1000,17 +1003,34 @@ fn unknown_flags_are_rejected() {
         assert!(!out_path.exists(), "{command} {flag_arg} wrote output");
     }
 
-    // `serve` has no engine choice: the flag is refused before boot.
-    let out = fixctl(&[
-        "serve",
-        "--rules",
-        rules.to_str().unwrap(),
-        "--engine",
-        "linear",
-    ]);
+    // `serve` has no engine choice, and no CLI-side metrics or trace
+    // files: each flag is refused before boot.
+    let sink = dir.join("sink");
+    for flag in ["--engine", "--metrics", "--trace"] {
+        let out = fixctl(&[
+            "serve",
+            "--rules",
+            rules.to_str().unwrap(),
+            flag,
+            sink.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(2), "serve {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "serve: {stderr}"
+        );
+        assert!(!sink.exists(), "serve {flag} wrote a file");
+    }
+
+    // The standalone scrape listener is gone.
+    let out = fixctl(&["serve-metrics", "--addr", "127.0.0.1:0"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag --engine"), "serve: {stderr}");
+    assert!(
+        stderr.contains("unknown command `serve-metrics`"),
+        "serve-metrics: {stderr}"
+    );
 }
 
 /// The stream engine gates on consistency before it creates the output
@@ -1126,104 +1146,6 @@ fn profile_json_is_byte_deterministic() {
     assert_eq!(rules[3].get("applied").and_then(|a| a.as_i64()), Some(0));
     let totals = doc.get("totals").expect("totals");
     assert_eq!(totals.get("applied").and_then(|a| a.as_i64()), Some(3));
-}
-
-/// `--expose` serves Prometheus text and the JSON snapshot from a live
-/// process; `--expose-hold 1` keeps it up until we have scraped, and
-/// `fixctl scrape` validates the exposition end to end.
-#[test]
-fn expose_serves_prometheus_during_repair() {
-    use std::io::BufRead;
-    let dir = tmpdir("expose");
-    std::fs::write(dir.join("t.csv"), TRAVEL_CSV).unwrap();
-    std::fs::write(dir.join("r.frl"), GOOD_RULES).unwrap();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_fixctl"))
-        .args([
-            "repair",
-            "--rules",
-            dir.join("r.frl").to_str().unwrap(),
-            "--data",
-            dir.join("t.csv").to_str().unwrap(),
-            "--out",
-            dir.join("o.csv").to_str().unwrap(),
-            "--expose",
-            "127.0.0.1:0",
-            "--expose-hold",
-            "1",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn fixctl");
-    // First stdout line announces the resolved ephemeral URL.
-    let stdout = child.stdout.take().unwrap();
-    let mut lines = std::io::BufReader::new(stdout).lines();
-    let announce = lines.next().unwrap().unwrap();
-    let url = announce
-        .strip_prefix("serving metrics on ")
-        .unwrap_or_else(|| panic!("unexpected announce line: {announce}"));
-
-    // /healthz first: it does not count as a scrape, so the hold keeps
-    // the endpoint alive until the /metrics fetch below satisfies it.
-    let base = url.strip_suffix("/metrics").unwrap();
-    let (status, body) = obs::http_get(&format!("{base}/healthz")).unwrap();
-    assert_eq!((status, body.as_str()), (200, "ok\n"));
-
-    let (status, text) = obs::http_get(url).expect("scrape the live endpoint");
-    assert_eq!(status, 200);
-    let samples = obs::parse_prometheus(&text).expect("valid exposition");
-    assert!(
-        samples.iter().any(|s| s.name == "repair_rules_applied"),
-        "{text}"
-    );
-
-    let exit = child.wait().unwrap();
-    assert!(exit.success());
-    let rest: Vec<String> = lines.map(|l| l.unwrap()).collect();
-    let tail = rest.join("\n");
-    assert!(tail.contains("served 1 scrape(s)"), "{tail}");
-
-    // The CLI's own validator agrees with the library parser.
-    let exposition = dir.join("metrics.prom");
-    std::fs::write(&exposition, &text).unwrap();
-    let out = fixctl(&[
-        "scrape",
-        exposition.to_str().unwrap(),
-        "--require",
-        "repair_rules_applied",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let out = fixctl(&[
-        "scrape",
-        exposition.to_str().unwrap(),
-        "--require",
-        "no_such_metric",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-}
-
-/// `--expose-hold` without `--expose` is an operational error.
-#[test]
-fn expose_hold_requires_expose() {
-    let dir = tmpdir("expose_hold");
-    std::fs::write(dir.join("t.csv"), TRAVEL_CSV).unwrap();
-    std::fs::write(dir.join("r.frl"), GOOD_RULES).unwrap();
-    let out = fixctl(&[
-        "repair",
-        "--rules",
-        dir.join("r.frl").to_str().unwrap(),
-        "--data",
-        dir.join("t.csv").to_str().unwrap(),
-        "--out",
-        dir.join("o.csv").to_str().unwrap(),
-        "--expose-hold",
-        "1",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--expose-hold needs --expose"));
 }
 
 /// `coverage --lint` joins the runtime profile against the static passes:

@@ -82,6 +82,8 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
+
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -102,7 +104,7 @@ use obs::{
     TraceJournal, TracePhase, TraceRecord,
 };
 use obs::{AlertRule, HealthEvaluator, QualityConfig, QualityMonitor, Tee};
-use relation::{csv_io, Schema, Symbol, SymbolTable};
+use relation::{csv_io, Schema, Symbol, SymbolTable, Table};
 
 /// How many recent trace ids stay resolvable via `GET /trace/{id}`.
 const TRACE_INDEX_CAP: usize = 1024;
@@ -115,6 +117,9 @@ const ROW_EVENT_SAMPLE: usize = 16;
 /// Default rows per repair-quality window ([`DaemonConfig::quality_window`];
 /// 0 disables quality monitoring entirely).
 const QUALITY_WINDOW: usize = 256;
+
+/// Shards of each rule set's shared [`PlanCache`].
+const CACHE_SHARDS: usize = 8;
 
 /// The compiled engine that serves every repair: the cRepair chase order.
 /// The lRepair order writes byte-identical output (the engine-equivalence
@@ -155,8 +160,6 @@ pub struct DaemonConfig {
     pub addr: String,
     /// Worker threads handling connections (default 4, clamped ≥ 1).
     pub threads: usize,
-    /// Shards for the shared [`PlanCache`] (default 8).
-    pub cache_shards: usize,
     /// SLO thresholds for `GET /readyz`.
     pub slo: SloConfig,
     /// Trace clock for the journal (default logical — byte-deterministic).
@@ -191,7 +194,6 @@ impl Default for DaemonConfig {
             schema: SchemaSource::Infer,
             addr: "127.0.0.1:0".to_string(),
             threads: 4,
-            cache_shards: 8,
             slo: SloConfig::default(),
             trace_clock: TraceClock::Logical,
             journal_path: None,
@@ -256,7 +258,6 @@ struct ProgramBundle {
 struct DaemonState {
     schema: Schema,
     bundle: RwLock<Arc<ProgramBundle>>,
-    cache_shards: usize,
     symbols: RwLock<SymbolTable>,
     registry: MetricsRegistry,
     health: HealthEvaluator,
@@ -288,7 +289,6 @@ fn build_bundle(
     text: &str,
     schema: &Schema,
     symbols: &mut SymbolTable,
-    cache_shards: usize,
     generation: u64,
 ) -> Result<
     (ProgramBundle, fixlint::Certificate, Vec<fixrules::io::Span>),
@@ -311,7 +311,7 @@ fn build_bundle(
     let bundle = ProgramBundle {
         consistent: parsed.rules.check_consistency().is_consistent(),
         program,
-        cache: PlanCache::sharded(cache_shards.max(1)),
+        cache: PlanCache::sharded(CACHE_SHARDS),
         lint_errors: lint.errors(),
         certified: cert.is_certified(),
         cert_errors: cert.report.errors(),
@@ -379,12 +379,11 @@ impl Daemon {
                 .map_err(|e| invalid(e.to_string()))?,
         };
         let mut symbols = SymbolTable::new();
-        let cache_shards = config.cache_shards.max(1);
         // Boot runs the same build as a hot-swap (lint + certify + compile),
         // but tolerates red verdicts — `GET /readyz` reports them as 503
         // instead, so a probe can distinguish "bad rules" from "down".
-        let (bundle, cert, _spans) = build_bundle(&text, &schema, &mut symbols, cache_shards, 0)
-            .map_err(|e| invalid(e.message()))?;
+        let (bundle, cert, _spans) =
+            build_bundle(&text, &schema, &mut symbols, 0).map_err(|e| invalid(e.message()))?;
         cert.observe(&MetricsObserver::new(&registry));
 
         let quality = (config.quality_window > 0).then(|| {
@@ -400,7 +399,6 @@ impl Daemon {
         let state = Arc::new(DaemonState {
             schema,
             bundle: RwLock::new(Arc::new(bundle)),
-            cache_shards,
             symbols: RwLock::new(symbols),
             registry: registry.clone(),
             health: HealthEvaluator::new(config.slo),
@@ -1013,17 +1011,18 @@ fn handle_repair(
     Ok(response.with_header("X-Trace-Id", &trace_id))
 }
 
+/// The repaired batch as CSV with a header row, quoted exactly as
+/// `fixctl repair` writes its output file.
 fn render_csv(state: &DaemonState, rows: &[Vec<Symbol>]) -> Vec<u8> {
-    let symbols = state.symbols.read().unwrap();
-    let mut out = String::new();
-    out.push_str(&state.schema.attr_names().collect::<Vec<_>>().join(","));
-    out.push('\n');
+    let mut table = Table::with_capacity(state.schema.clone(), rows.len());
     for row in rows {
-        let cells: Vec<&str> = row.iter().map(|&sym| symbols.resolve(sym)).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
+        // Request parsing maps every row onto the daemon's schema.
+        table.push_row(row).expect("row arity matches the schema");
     }
-    out.into_bytes()
+    let mut out = Vec::new();
+    csv_io::write_csv(&mut out, &table, &state.symbols.read().unwrap())
+        .expect("writing to a Vec cannot fail");
+    out
 }
 
 /// Dry-run repair: same parsing and the same shared plan cache (a check
@@ -1105,9 +1104,8 @@ fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {
     // write lock across the whole build so rule symbols intern against a
     // stable table (no lost-intern race with concurrent batches).
     let mut symbols = state.symbols.write().unwrap();
-    let (mut candidate, cert, spans) =
-        build_bundle(&text, &state.schema, &mut symbols, state.cache_shards, 0)
-            .map_err(|e| bad_request(format!("rules: {}", e.message())))?;
+    let (mut candidate, cert, spans) = build_bundle(&text, &state.schema, &mut symbols, 0)
+        .map_err(|e| bad_request(format!("rules: {}", e.message())))?;
     cert.observe(&MetricsObserver::new(&state.registry));
     let serving = state.bundle();
     let delta = fixlint::fixcert::diff(

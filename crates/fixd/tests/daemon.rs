@@ -315,6 +315,30 @@ fn csv_header_with_no_rows_repairs_nothing() {
     daemon.shutdown();
 }
 
+/// `?format=csv` quotes cells exactly as `fixctl repair` writes its
+/// output file: quoted commas, `""` escapes, an embedded newline and a
+/// repaired value that itself needs quotes all survive the round trip.
+#[test]
+fn csv_responses_quote_cells_like_the_cli_output() {
+    let example = |path: &str| format!("{}/../../examples/{path}", env!("CARGO_MANIFEST_DIR"));
+    let daemon = Daemon::start(DaemonConfig {
+        rules: RulesSource::Path(example("rulesets/quoting.frl")),
+        schema: SchemaSource::Names(
+            ["name", "city", "country", "note"]
+                .map(String::from)
+                .to_vec(),
+        ),
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let body = std::fs::read(example("data/quoting.csv")).unwrap();
+    let reply = http_post(&url(&daemon, "/repair?format=csv"), "text/csv", &body).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let golden = std::fs::read_to_string(example("data/quoting_repaired.csv")).unwrap();
+    assert_eq!(reply.body, golden);
+    daemon.shutdown();
+}
+
 #[test]
 fn warm_file_and_explicit_schema_make_a_daemon_ready_at_boot() {
     let dir = std::env::temp_dir().join("fixd-test-warm");

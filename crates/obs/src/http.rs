@@ -1,10 +1,10 @@
-//! Hand-rolled HTTP/1.1 plumbing shared by every in-repo endpoint.
+//! Hand-rolled HTTP/1.1 plumbing for the `fixd` repair daemon and its
+//! clients.
 //!
-//! One implementation of request parsing, response writing, and a minimal
-//! client, used by both the [`crate::serve::MetricsServer`] scrape
-//! endpoint and the `fixd` repair daemon — the same dep-free discipline as
-//! the workspace shims, factored out so the socket code exists exactly
-//! once.
+//! One implementation of request parsing and response writing (the
+//! daemon's side) and a minimal client (`fixctl client`, `fixctl scrape`,
+//! tests and benches) — the same dep-free discipline as the workspace
+//! shims.
 //!
 //! Scope is deliberately small: `HTTP/1.1`, `Connection: close`, no
 //! keep-alive, no TLS, no chunked transfer encoding. Request bodies are

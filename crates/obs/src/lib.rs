@@ -21,12 +21,11 @@
 //!   (`repair.rule.applied{attr="city",rule="r3"}`), with a ranked
 //!   [`AttributionProfile`] report ([`attribution`]);
 //! * Prometheus text-format v0.0.4 exposition over any snapshot plus a
-//!   matching validator parser ([`expose`]), and a std-only HTTP/1.1
-//!   scrape endpoint serving `GET /metrics`, `/metrics.json`, and
-//!   `/healthz` from a live registry ([`serve`]);
-//! * shared hand-rolled HTTP/1.1 plumbing — request parsing, response
-//!   writing, a one-shot client — used by the scrape endpoint and the
-//!   `fixd` repair daemon ([`http`]);
+//!   matching validator parser ([`expose`]); `fixd` serves it live at
+//!   `GET /metrics`;
+//! * hand-rolled HTTP/1.1 plumbing — request parsing, response writing,
+//!   a one-shot client — for the `fixd` repair daemon and its clients
+//!   ([`http`]);
 //! * [`HealthEvaluator`] — a rolling window of request outcomes judged
 //!   against error-rate and p99-latency SLO thresholds, the readiness
 //!   signal behind `fixd`'s `GET /readyz` ([`health`]);
@@ -74,7 +73,6 @@ pub mod log;
 pub mod metrics;
 pub mod observer;
 pub mod quality;
-pub mod serve;
 pub mod sketch;
 pub mod trace;
 
@@ -92,6 +90,5 @@ pub use quality::{
     render_snapshot, AlertEvent, AlertRule, AttrSummary, QualityConfig, QualityMonitor, Signal,
     WindowSummary,
 };
-pub use serve::MetricsServer;
 pub use sketch::{CountMinSketch, DistinctCounter, Reservoir, SlotBloom};
 pub use trace::{TraceClock, TraceJournal, TracePhase, TraceRecord};

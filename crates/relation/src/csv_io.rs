@@ -135,7 +135,8 @@ pub fn write_csv_file<P: AsRef<Path>>(path: P, table: &Table, symbols: &SymbolTa
 /// quotes them.
 ///
 /// Whether a value needs quotes is decided once per symbol of `symbols`,
-/// not once per cell. Worker `w` of `n` renders blocks `w`, `w + n`, ...
+/// not once per cell, unless the table has fewer cells than `symbols`
+/// has symbols. Worker `w` of `n` renders blocks `w`, `w + n`, ...
 /// into its own buffers and hands each to the writer, which takes them in
 /// row order; a hand-over waits for the writer, so each worker has at
 /// most two blocks in memory: one it renders, one being written. Workers
@@ -161,7 +162,10 @@ pub fn par_write_csv<W: Write>(
         writer.flush()?;
         return Ok(());
     }
-    let quoted: Vec<bool> = symbols.iter().map(|(_, v)| csv::needs_quotes(v)).collect();
+    // A small batch rendered against a large shared symbol table (a `fixd`
+    // response) decides per cell instead.
+    let quoted: Option<Vec<bool>> = (table.len() * table.schema().arity() >= symbols.len())
+        .then(|| symbols.iter().map(|(_, v)| csv::needs_quotes(v)).collect());
     let render = |block: usize, buf: &mut Vec<u8>| {
         buf.clear();
         let first = block * RENDER_BLOCK_ROWS;
@@ -171,7 +175,11 @@ pub fn par_write_csv<W: Write>(
                     buf.push(b',');
                 }
                 let value = symbols.resolve(s);
-                if quoted[s.index()] {
+                let quote = match &quoted {
+                    Some(quoted) => quoted[s.index()],
+                    None => csv::needs_quotes(value),
+                };
+                if quote {
                     csv::push_field(buf, value);
                 } else {
                     buf.extend_from_slice(value.as_bytes());

@@ -200,32 +200,6 @@ grep -q '"rule": "r0"' "$TRACE_DIR/profile_1.json" \
     || { echo "profile JSON has no per-rule rows" >&2; exit 1; }
 echo "-- profile JSON byte-identical across two runs"
 
-echo "== metrics exposition smoke =="
-# repair --expose binds an ephemeral scrape endpoint; --expose-hold 1
-# keeps it alive until one /metrics scrape lands. fixctl scrape fetches
-# it over HTTP and validates the exposition with the in-repo Prometheus
-# text parser.
-"$FIXCTL" repair \
-    --rules examples/rulesets/hosp_zip.frl \
-    --data "$TRACE_DIR/hosp_dup.csv" \
-    --out "$TRACE_DIR/exposed.csv" \
-    --expose 127.0.0.1:0 --expose-hold 1 > "$TRACE_DIR/expose.log" &
-EXPOSE_PID=$!
-URL=""
-for _ in $(seq 1 100); do
-    URL=$(grep -o 'http://[0-9.:]*/metrics' "$TRACE_DIR/expose.log" || true)
-    [ -n "$URL" ] && break
-    sleep 0.05
-done
-[ -n "$URL" ] || { echo "repair --expose never announced its endpoint" >&2; exit 1; }
-"$FIXCTL" scrape "$URL" --require repair_rules_applied \
-    || { echo "scrape endpoint did not serve valid Prometheus text" >&2; exit 1; }
-wait "$EXPOSE_PID" \
-    || { echo "repair --expose exited nonzero after scrape" >&2; exit 1; }
-grep -q 'served 1 scrape(s)' "$TRACE_DIR/expose.log" \
-    || { echo "repair --expose did not count the scrape" >&2; exit 1; }
-echo "-- live endpoint served valid exposition and shut down cleanly"
-
 echo "== fixd end-to-end smoke =="
 # Boot the repair daemon on an ephemeral port, drive every endpoint a
 # client would touch, then drain it: repair a batch, check readiness,
@@ -253,6 +227,8 @@ grep -q '"repaired_rows":' "$TRACE_DIR/fixd_repair.json" \
 "$FIXCTL" scrape "$ADDR/metrics" \
     --require 'http_requests{endpoint="repair",status="200"}' \
     || { echo "live /metrics missing labeled repair series" >&2; exit 1; }
+"$FIXCTL" scrape "$ADDR/metrics" --require repair_rules_applied \
+    || { echo "live /metrics missing the repair counters" >&2; exit 1; }
 TRACE_ID=$(grep -o 'trace id: t[0-9a-f]*' "$TRACE_DIR/fixd_repair.err" | cut -d' ' -f3)
 [ -n "$TRACE_ID" ] || { echo "client repair reported no trace id" >&2; exit 1; }
 "$FIXCTL" client get "/trace/$TRACE_ID" --addr "$ADDR" \
@@ -322,6 +298,30 @@ grep -q traceEvents "$TRACE_DIR/fixd_chrome.json" \
     || { echo "fixd journal chrome export has no traceEvents" >&2; exit 1; }
 echo "-- daemon served repair/readyz/metrics/trace and drained cleanly"
 
+echo "== fixd CSV response smoke =="
+# POST /repair?format=csv must quote cells exactly as fixctl repair writes
+# its output file: the quoting fixture's golden repair, byte for byte.
+"$FIXCTL" serve \
+    --rules examples/rulesets/quoting.frl \
+    --schema name,city,country,note > "$TRACE_DIR/fixd_csv.log" &
+CSV_PID=$!
+CSV_ADDR=""
+for _ in $(seq 1 100); do
+    CSV_ADDR=$(grep -o 'http://[0-9.:]*' "$TRACE_DIR/fixd_csv.log" || true)
+    [ -n "$CSV_ADDR" ] && break
+    sleep 0.05
+done
+[ -n "$CSV_ADDR" ] || { echo "CSV fixd never announced its address" >&2; exit 1; }
+"$FIXCTL" client repair examples/data/quoting.csv --addr "$CSV_ADDR" --format csv \
+    > "$TRACE_DIR/fixd_quoting.csv" 2>/dev/null \
+    || { echo "fixd POST /repair?format=csv failed" >&2; exit 1; }
+cmp "$TRACE_DIR/fixd_quoting.csv" examples/data/quoting_repaired.csv \
+    || { echo "fixd CSV response drifted from quoting_repaired.csv" >&2; exit 1; }
+"$FIXCTL" client shutdown --addr "$CSV_ADDR" >/dev/null \
+    || { echo "CSV fixd refused the drain" >&2; exit 1; }
+wait "$CSV_PID" || { echo "CSV fixd exited nonzero" >&2; exit 1; }
+echo "-- CSV response matches the golden file"
+
 echo "== repair-quality observatory smoke =="
 # Windowed quality monitoring is deterministic under the logical clock:
 # two identical stream-engine runs must render byte-identical window
@@ -345,13 +345,17 @@ cmp "$TRACE_DIR/quality_table_1.txt" "$TRACE_DIR/quality_table_2.txt" \
 echo "-- window summaries and snapshots byte-identical across two runs"
 # A skewed batch (one dirty tuple repeated) must fire the repair-rate
 # alert, and the alert flips /readyz only when the daemon opted into
-# --quality-gate; without the gate it is reported but never gates.
+# --quality-gate; without the gate it is reported but never gates. This
+# loop boots the fixd binary (the smokes above boot fixctl serve), so
+# both entry points run through the shared flag parser.
+cargo build -q -p fixd
+FIXD=target/debug/fixd
 printf 'zip,city,state\n36545,Jaxon,AK\n36545,Jaxon,AK\n36545,Jaxon,AK\n36545,Jaxon,AK\n' \
     > "$TRACE_DIR/skewed.csv"
 for gate in on off; do
     GATE_FLAG=""
     [ "$gate" = on ] && GATE_FLAG="--quality-gate"
-    "$FIXCTL" serve \
+    "$FIXD" \
         --rules examples/rulesets/hosp_zip.frl \
         --quality-window 2 --quality-alert 'repair_rate>0.5' $GATE_FLAG \
         > "$TRACE_DIR/fixd_quality_$gate.log" &
