@@ -911,18 +911,6 @@ fn require_present(samples: &[obs::PromSample], required: &str) -> Result<bool, 
     }))
 }
 
-/// Parse `--quality-alert` as comma-separated [`AlertRule`] specs, e.g.
-/// `drift>0.5,repair_rate:city>0.25`.
-fn quality_alerts_flag(flags: &Flags) -> Result<Vec<AlertRule>, String> {
-    match flags.optional("quality-alert") {
-        Some(specs) => specs
-            .split(',')
-            .map(|spec| AlertRule::parse(spec.trim()))
-            .collect(),
-        None => Ok(Vec::new()),
-    }
-}
-
 /// Fetch a repair-quality snapshot — from a running daemon's
 /// `GET /quality`, or from a file written by `repair --quality-json` —
 /// and render the per-window signal table. Exit 1 when `--require-green`
@@ -1268,7 +1256,9 @@ fn repair_stream(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
                 .ok_or_else(|| format!("--quality-window: bad value `{n}` (rows >= 1)"))?;
             let cfg = QualityConfig {
                 window_rows: window,
-                alerts: quality_alerts_flag(flags)?,
+                alerts: flags
+                    .optional("quality-alert")
+                    .map_or(Ok(Vec::new()), AlertRule::parse_list)?,
                 ..QualityConfig::default()
             };
             let names = rules.schema().attr_names().map(str::to_string).collect();

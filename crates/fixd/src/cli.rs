@@ -98,12 +98,7 @@ fn parse(args: &[String]) -> Result<(DaemonConfig, Option<Level>), String> {
                 config.slo.max_p99_ns = ms.saturating_mul(1_000_000);
             }
             "--quality-window" => config.quality_window = parse_value(flag, value()?)?,
-            "--quality-alert" => {
-                config.quality_alerts = value()?
-                    .split(',')
-                    .map(|spec| AlertRule::parse(spec.trim()))
-                    .collect::<Result<_, _>>()?
-            }
+            "--quality-alert" => config.quality_alerts = AlertRule::parse_list(value()?)?,
             "--quality-gate" => config.quality_gate = true,
             "--log" => log = Some(value()?.parse()?),
             other => return Err(format!("unknown flag {other} (try --help)")),

@@ -104,7 +104,7 @@ use obs::{
     TraceJournal, TracePhase, TraceRecord,
 };
 use obs::{AlertRule, HealthEvaluator, QualityConfig, QualityMonitor, Tee};
-use relation::{csv_io, Schema, Symbol, SymbolTable, Table};
+use relation::{csv_io, Schema, Symbol, SymbolTable};
 
 /// How many recent trace ids stay resolvable via `GET /trace/{id}`.
 const TRACE_INDEX_CAP: usize = 1024;
@@ -1014,14 +1014,12 @@ fn handle_repair(
 /// The repaired batch as CSV with a header row, quoted exactly as
 /// `fixctl repair` writes its output file.
 fn render_csv(state: &DaemonState, rows: &[Vec<Symbol>]) -> Vec<u8> {
-    let mut table = Table::with_capacity(state.schema.clone(), rows.len());
-    for row in rows {
-        // Request parsing maps every row onto the daemon's schema.
-        table.push_row(row).expect("row arity matches the schema");
-    }
+    let symbols = state.symbols.read().unwrap();
     let mut out = Vec::new();
-    csv_io::write_csv(&mut out, &table, &state.symbols.read().unwrap())
-        .expect("writing to a Vec cannot fail");
+    csv_io::push_record(&mut out, state.schema.attr_names());
+    for row in rows {
+        csv_io::push_record(&mut out, row.iter().map(|&s| symbols.resolve(s)));
+    }
     out
 }
 

@@ -119,6 +119,15 @@ impl AlertRule {
             threshold,
         })
     }
+
+    /// Parse a comma-separated list of [`AlertRule::parse`] specs, e.g.
+    /// `drift>0.5,repair_rate:city>0.25` (the `--quality-alert` flag).
+    pub fn parse_list(specs: &str) -> Result<Vec<AlertRule>, String> {
+        specs
+            .split(',')
+            .map(|spec| AlertRule::parse(spec.trim()))
+            .collect()
+    }
 }
 
 impl FromStr for AlertRule {
@@ -1053,6 +1062,10 @@ mod tests {
         assert!(AlertRule::parse("drift=0.5").is_err());
         assert!(AlertRule::parse("drift>1.5").is_err());
         assert_eq!(r.to_string(), "repair_rate:city>0.25");
+        let list = AlertRule::parse_list("drift>0.5, repair_rate:city>0.25").unwrap();
+        assert_eq!(list.len(), 2);
+        assert_eq!(list[1], r);
+        assert!(AlertRule::parse_list("drift>0.5,bogus>0.5").is_err());
     }
 
     #[test]

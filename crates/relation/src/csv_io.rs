@@ -118,6 +118,18 @@ pub fn read_csv_header<R: Read>(reader: R, relation_name: &str) -> Result<Schema
     Schema::new(relation_name, rdr.headers()?.iter())
 }
 
+/// Append one CSV record and its line end to `buf`, quoting each field
+/// exactly as `csv::Writer` quotes it.
+pub fn push_record<'a>(buf: &mut Vec<u8>, fields: impl IntoIterator<Item = &'a str>) {
+    for (k, field) in fields.into_iter().enumerate() {
+        if k > 0 {
+            buf.push(b',');
+        }
+        csv::push_field(buf, field);
+    }
+    buf.push(b'\n');
+}
+
 /// Write a table as CSV with a header row, rendering on the calling
 /// thread ([`par_write_csv`] with one worker).
 pub fn write_csv<W: Write>(writer: W, table: &Table, symbols: &SymbolTable) -> Result<()> {
@@ -135,8 +147,7 @@ pub fn write_csv_file<P: AsRef<Path>>(path: P, table: &Table, symbols: &SymbolTa
 /// quotes them.
 ///
 /// Whether a value needs quotes is decided once per symbol of `symbols`,
-/// not once per cell, unless the table has fewer cells than `symbols`
-/// has symbols. Worker `w` of `n` renders blocks `w`, `w + n`, ...
+/// not once per cell. Worker `w` of `n` renders blocks `w`, `w + n`, ...
 /// into its own buffers and hands each to the writer, which takes them in
 /// row order; a hand-over waits for the writer, so each worker has at
 /// most two blocks in memory: one it renders, one being written. Workers
@@ -149,23 +160,14 @@ pub fn par_write_csv<W: Write>(
     threads: usize,
 ) -> Result<()> {
     let mut header = Vec::new();
-    for (k, name) in table.schema().attr_names().enumerate() {
-        if k > 0 {
-            header.push(b',');
-        }
-        csv::push_field(&mut header, name);
-    }
-    header.push(b'\n');
+    push_record(&mut header, table.schema().attr_names());
     writer.write_all(&header)?;
     let blocks = table.len().div_ceil(RENDER_BLOCK_ROWS);
     if blocks == 0 {
         writer.flush()?;
         return Ok(());
     }
-    // A small batch rendered against a large shared symbol table (a `fixd`
-    // response) decides per cell instead.
-    let quoted: Option<Vec<bool>> = (table.len() * table.schema().arity() >= symbols.len())
-        .then(|| symbols.iter().map(|(_, v)| csv::needs_quotes(v)).collect());
+    let quoted: Vec<bool> = symbols.iter().map(|(_, v)| csv::needs_quotes(v)).collect();
     let render = |block: usize, buf: &mut Vec<u8>| {
         buf.clear();
         let first = block * RENDER_BLOCK_ROWS;
@@ -175,11 +177,7 @@ pub fn par_write_csv<W: Write>(
                     buf.push(b',');
                 }
                 let value = symbols.resolve(s);
-                let quote = match &quoted {
-                    Some(quoted) => quoted[s.index()],
-                    None => csv::needs_quotes(value),
-                };
-                if quote {
+                if quoted[s.index()] {
                     csv::push_field(buf, value);
                 } else {
                     buf.extend_from_slice(value.as_bytes());
