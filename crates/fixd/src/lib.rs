@@ -99,14 +99,17 @@ use fixrules::repair::{
 };
 use fixrules::RuleSet;
 use obs::http::{Request, Response};
+use obs::trace::TraceSpan;
 use obs::{
     prometheus_text, Json, MetricsObserver, MetricsRegistry, RepairObserver, SloConfig, TraceClock,
     TraceJournal, TracePhase, TraceRecord,
 };
 use obs::{AlertRule, HealthEvaluator, QualityConfig, QualityMonitor, Tee};
-use relation::{csv_io, Schema, Symbol, SymbolTable};
+use relation::{csv_io, ColumnTable, RelationError, Schema, Symbol, SymbolTable};
 
-/// How many recent trace ids stay resolvable via `GET /trace/{id}`.
+/// How many recent trace ids stay resolvable via `GET /trace/{id}`: the
+/// trace index is a ring of `(trace_id, root span id)`, so old requests
+/// age out once this many newer ones have been served.
 const TRACE_INDEX_CAP: usize = 1024;
 
 /// Default per-request cap on `row.repaired` journal events
@@ -207,30 +210,6 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Ring-buffered `trace_id → root span id` index: old requests age out of
-/// `GET /trace/{id}` once [`TRACE_INDEX_CAP`] newer ones have been served.
-#[derive(Debug, Default)]
-struct TraceIndex {
-    entries: VecDeque<(String, u64)>,
-}
-
-impl TraceIndex {
-    fn insert(&mut self, trace_id: String, span: u64) {
-        if self.entries.len() == TRACE_INDEX_CAP {
-            self.entries.pop_front();
-        }
-        self.entries.push_back((trace_id, span));
-    }
-
-    fn lookup(&self, trace_id: &str) -> Option<u64> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(id, _)| id == trace_id)
-            .map(|&(_, span)| span)
-    }
-}
-
 /// Everything that must swap *atomically* when `POST /rules` promotes a
 /// new rule set: the rules, their compiled program, the plan cache keyed
 /// to them, and the analysis verdicts `GET /readyz` reports. Handlers
@@ -263,7 +242,7 @@ struct DaemonState {
     health: HealthEvaluator,
     journal: TraceJournal,
     ledger: ProvenanceLedger,
-    trace_index: Mutex<TraceIndex>,
+    trace_index: Mutex<VecDeque<(String, u64)>>,
     trace_seq: AtomicU64,
     rows_served: AtomicUsize,
     use_cache: bool,
@@ -404,7 +383,7 @@ impl Daemon {
             health: HealthEvaluator::new(config.slo),
             journal: TraceJournal::new(config.trace_clock),
             ledger: ProvenanceLedger::new(),
-            trace_index: Mutex::new(TraceIndex::default()),
+            trace_index: Mutex::default(),
             trace_seq: AtomicU64::new(0),
             rows_served: AtomicUsize::new(0),
             use_cache: config.plan_cache,
@@ -426,8 +405,23 @@ impl Daemon {
             ]),
         );
 
-        if let Some(warm_path) = &config.warm {
-            warm_cache(&state, warm_path).map_err(|e| invalid(e.message))?;
+        // Repair the warm file once so its tuple signatures are memoized
+        // before the first request. Deliberately invisible: no provenance,
+        // no request metrics, no global row ids consumed.
+        if let Some(path) = &config.warm {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| invalid(format!("reading {path}: {e}")))?;
+            let mut batch = intake(&state, &text, false).map_err(|e| invalid(e.message))?;
+            let bundle = state.bundle();
+            let mut scratch = CompiledScratch::new(bundle.rules.len());
+            repair_batch(
+                &state,
+                &bundle,
+                &mut scratch,
+                &mut batch,
+                0,
+                &obs::NoopObserver,
+            );
         }
 
         let listener = TcpListener::bind(&config.addr)?;
@@ -495,50 +489,28 @@ impl Daemon {
     }
 }
 
-/// The bundle's plan cache, unless the daemon runs with caching off.
-fn plan_cache<'a>(state: &DaemonState, bundle: &'a ProgramBundle) -> Option<&'a PlanCache> {
-    state.use_cache.then_some(&bundle.cache)
-}
-
-/// Repair every row of `path` once so its tuple signatures are memoized
-/// before the first request. Deliberately invisible: no provenance, no
-/// request metrics, no global row ids consumed.
-fn warm_cache(state: &DaemonState, path: &str) -> Result<usize, SrvError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| SrvError::new(400, format!("reading {path}: {e}")))?;
-    let rows = parse_csv_rows(state, &text)?;
-    let bundle = state.bundle();
-    let mut scratch = CompiledScratch::new(bundle.rules.len());
-    repair_rows_unrecorded(state, &bundle, &mut scratch, &rows);
-    Ok(rows.len())
-}
-
-/// Repair `rows` with the grouped core, on a column-major copy built the
-/// way `/repair` builds it, without recording anything (no provenance,
-/// no metrics, no global row ids). Returns the updates, `row` indexed
-/// from 0.
-fn repair_rows_unrecorded(
+/// Repair `batch` in place with the grouped core against `bundle`'s
+/// program and the shared plan cache (unless the daemon runs with caching
+/// off), numbering rows from `row_base` for `observer`. Returns the
+/// updates in application order, grouped by row. `/repair`, `/check` and
+/// `--warm` all repair through here, with different observers.
+fn repair_batch<O: RepairObserver>(
     state: &DaemonState,
     bundle: &ProgramBundle,
     scratch: &mut CompiledScratch,
-    rows: &[Vec<Symbol>],
+    batch: &mut ColumnTable,
+    row_base: usize,
+    observer: &O,
 ) -> Vec<CellUpdate> {
-    let mut cols: Vec<Vec<Symbol>> = vec![Vec::with_capacity(rows.len()); state.schema.arity()];
-    for row in rows.iter() {
-        for (col, &sym) in cols.iter_mut().zip(row.iter()) {
-            col.push(sym);
-        }
-    }
-    let mut col_slices: Vec<&mut [Symbol]> = cols.iter_mut().map(|c| c.as_mut_slice()).collect();
     repair_columns_grouped(
         &bundle.rules,
         &bundle.program,
         ENGINE,
-        plan_cache(state, bundle),
+        state.use_cache.then_some(&bundle.cache),
         scratch,
-        &mut col_slices,
-        0,
-        &obs::NoopObserver,
+        &mut batch.columns_mut(),
+        row_base,
+        observer,
     )
     .0
 }
@@ -692,101 +664,122 @@ fn route(
     }
 }
 
-/// Parse a request body into rows in daemon-schema attribute order,
-/// interning new values into the shared symbol table.
-fn parse_rows(state: &DaemonState, request: &Request) -> Result<Vec<Vec<Symbol>>, SrvError> {
-    let body = request.body_str();
+/// The request body as a batch: UTF-8 text (a body that does not decode
+/// is rejected, never rewritten), read as JSON when the content type says
+/// so (or, without one, when it starts like JSON) and as CSV otherwise.
+fn request_batch(state: &DaemonState, request: &Request) -> Result<ColumnTable, SrvError> {
+    let body = request
+        .body_text()
+        .map_err(|e| bad_request(format!("request body is not UTF-8: {e}")))?;
     if body.trim().is_empty() {
         return Err(bad_request("empty request body"));
     }
-    let is_json = request
+    let json = request
         .header("content-type")
         .map(|ct| ct.contains("json"))
         .unwrap_or_else(|| matches!(body.trim_start().as_bytes().first(), Some(b'{' | b'[')));
-    if is_json {
-        parse_json_rows(state, &body)
+    intake(state, body, json)
+}
+
+/// Read a batch into one column per daemon-schema attribute, in shared
+/// symbols. Cells are interned into a request-local dictionary as they
+/// are parsed and written straight into the columns; then each distinct
+/// value is mapped onto the shared [`SymbolTable`] and the columns are
+/// rewritten in place. Steady-state traffic (every value already interned
+/// by an earlier batch or the rule set) resolves under the read lock
+/// alone, so concurrent batches do not serialize; only a batch carrying
+/// new values takes the write lock. Both readers number local values row
+/// by row, in schema order, at first occurrence, so new values enter the
+/// shared table in that order — the order `/quality`'s sketches hash.
+fn intake(state: &DaemonState, body: &str, json: bool) -> Result<ColumnTable, SrvError> {
+    let mut local = SymbolTable::new();
+    let mut batch = ColumnTable::new(state.schema.clone());
+    if json {
+        read_json_rows(state, body, &mut local, &mut batch)?;
     } else {
-        parse_csv_rows(state, &body)
+        read_csv_rows(state, body.as_bytes(), &mut local, &mut batch)?;
     }
+    let known: Option<Vec<Symbol>> = {
+        let symbols = state.symbols.read().unwrap();
+        local.iter().map(|(_, value)| symbols.get(value)).collect()
+    };
+    let shared = known.unwrap_or_else(|| {
+        let mut symbols = state.symbols.write().unwrap();
+        local
+            .iter()
+            .map(|(_, value)| symbols.intern(value))
+            .collect()
+    });
+    for column in batch.columns_mut() {
+        for cell in column.iter_mut() {
+            *cell = shared[cell.index()];
+        }
+    }
+    Ok(batch)
 }
 
 /// CSV with a header row. Columns may come in any order; every daemon
 /// schema attribute must be present and unknown columns are rejected —
 /// silently dropping a column the rules constrain would repair against
 /// evidence the client never sent.
-///
-/// Parsing interns into a request-local [`SymbolTable`], then maps the
-/// cells onto the shared table via [`intern_rows`] — so concurrent
-/// batches parse in parallel instead of serializing on the write lock.
-fn parse_csv_rows(state: &DaemonState, body: &str) -> Result<Vec<Vec<Symbol>>, SrvError> {
-    let mut local = SymbolTable::new();
-    let table = csv_io::read_csv(body.as_bytes(), "request", &mut local)
+fn read_csv_rows(
+    state: &DaemonState,
+    body: &[u8],
+    local: &mut SymbolTable,
+    batch: &mut ColumnTable,
+) -> Result<(), SrvError> {
+    let csv_error = |e: csv::Error| bad_request(format!("csv: {}", RelationError::from(e)));
+    let mut rdr = csv::ReaderBuilder::new()
+        .has_headers(true)
+        .flexible(false)
+        .from_reader(body);
+    let header = Schema::new("request", rdr.headers().map_err(csv_error)?.iter())
         .map_err(|e| bad_request(format!("csv: {e}")))?;
-    for name in table.schema().attr_names() {
+    for name in header.attr_names() {
         if state.schema.attr(name).is_none() {
             return Err(bad_request(format!("unknown column {name:?}")));
         }
     }
-    let mut columns = Vec::with_capacity(state.schema.arity());
+    // Schema attribute `a` is field `field[a]` of every record.
+    let mut field = Vec::with_capacity(state.schema.arity());
     for name in state.schema.attr_names() {
-        let id = table
-            .schema()
+        let k = header
             .attr(name)
             .ok_or_else(|| bad_request(format!("missing column {name:?}")))?;
-        columns.push(id);
+        field.push(k.index());
     }
-    let rows: Vec<Vec<&str>> = (0..table.len())
-        .map(|i| {
-            columns
-                .iter()
-                .map(|&c| local.resolve(table.cell(i, c)))
-                .collect()
-        })
-        .collect();
-    Ok(intern_rows(state, &rows))
-}
-
-/// Map parsed string cells onto the shared symbol table. Steady-state
-/// traffic (every value already interned by an earlier batch or the
-/// rule set) resolves under the read lock alone; only a batch carrying
-/// genuinely new values falls back to the write lock.
-fn intern_rows(state: &DaemonState, rows: &[Vec<&str>]) -> Vec<Vec<Symbol>> {
-    {
-        let symbols = state.symbols.read().unwrap();
-        let mut out = Vec::with_capacity(rows.len());
-        let mut all_known = true;
-        'rows: for row in rows {
-            let mut mapped = Vec::with_capacity(row.len());
-            for cell in row {
-                match symbols.get(cell) {
-                    Some(sym) => mapped.push(sym),
-                    None => {
-                        all_known = false;
-                        break 'rows;
-                    }
-                }
+    // As in `csv_io::read_csv`: a cell equal to the cell above reuses its
+    // symbol without a hash probe.
+    let mut row = vec![Symbol(0); field.len()];
+    let mut record = csv::StringRecord::new();
+    let mut above = csv::StringRecord::new();
+    while rdr.read_record(&mut record).map_err(csv_error)? {
+        for (cell, &k) in row.iter_mut().zip(&field) {
+            let value = record.get(k).unwrap_or_default();
+            if above.get(k) != Some(value) {
+                *cell = local.intern(value);
             }
-            out.push(mapped);
         }
-        if all_known {
-            return out;
-        }
+        batch.push_row(&row).expect("a row per schema attribute");
+        std::mem::swap(&mut record, &mut above);
     }
-    let mut symbols = state.symbols.write().unwrap();
-    rows.iter()
-        .map(|row| row.iter().map(|cell| symbols.intern(cell)).collect())
-        .collect()
+    Ok(())
 }
 
 /// JSON rows: either a bare array or `{"rows": [...]}`, each row an
 /// object with exactly the daemon schema's attributes as string values.
-fn parse_json_rows(state: &DaemonState, body: &str) -> Result<Vec<Vec<Symbol>>, SrvError> {
+fn read_json_rows(
+    state: &DaemonState,
+    body: &str,
+    local: &mut SymbolTable,
+    batch: &mut ColumnTable,
+) -> Result<(), SrvError> {
     let value = obs::json::parse(body).map_err(|e| bad_request(format!("json: {e}")))?;
     let rows_value = value.get("rows").unwrap_or(&value);
     let items = rows_value.as_arr().ok_or_else(|| {
         bad_request("expected a JSON array of row objects (or {\"rows\": [...]})")
     })?;
-    let mut rows = Vec::with_capacity(items.len());
+    let mut row = vec![Symbol(0); state.schema.arity()];
     for (i, item) in items.iter().enumerate() {
         let obj = item
             .as_obj()
@@ -796,17 +789,16 @@ fn parse_json_rows(state: &DaemonState, body: &str) -> Result<Vec<Vec<Symbol>>, 
                 return Err(bad_request(format!("row {i}: unknown attribute {key:?}")));
             }
         }
-        let mut row = Vec::with_capacity(state.schema.arity());
-        for name in state.schema.attr_names() {
-            let cell = obj
+        for (cell, name) in row.iter_mut().zip(state.schema.attr_names()) {
+            let value = obj
                 .get(name)
                 .and_then(Json::as_str)
                 .ok_or_else(|| bad_request(format!("row {i}: missing attribute {name:?}")))?;
-            row.push(cell);
+            *cell = local.intern(value);
         }
-        rows.push(row);
+        batch.push_row(&row).expect("a row per schema attribute");
     }
-    Ok(intern_rows(state, &rows))
+    Ok(())
 }
 
 /// `t` plus exactly eight lowercase hex digits — the shape every
@@ -820,24 +812,52 @@ fn valid_trace_id(id: &str) -> bool {
             .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(b))
 }
 
-/// Register `span` under the request's trace id and return it. A caller
-/// may supply its own id in an `X-Trace-Id` request header to correlate
-/// its logs with the daemon's journal end-to-end; it is honored iff it
-/// has the canonical `t%08x` shape (anything else falls back to a
+/// Open a request's root span, give the request its trace id, and
+/// journal its `request.begin` record (with the body size, where the
+/// endpoint reports one).
+///
+/// A caller may supply its own id in an `X-Trace-Id` request header to
+/// correlate its logs with the daemon's journal end-to-end; it is honored
+/// iff it has the canonical `t%08x` shape (anything else falls back to a
 /// generated id — a malformed or hostile header must not pollute the
 /// index). `GET /trace/{id}` resolves the newest request under an id, so
 /// a caller reusing one id simply shadows its older requests.
-fn new_trace_id(state: &DaemonState, span: u64, request: &Request) -> String {
+fn begin_request<'s>(
+    state: &'s DaemonState,
+    request: &Request,
+    endpoint: &str,
+    bytes: Option<usize>,
+) -> (TraceSpan<'s>, String) {
+    let span = state.journal.span("request", 0);
     let trace_id = match request.header("x-trace-id").filter(|id| valid_trace_id(id)) {
         Some(id) => id.to_string(),
         None => format!("t{:08x}", state.trace_seq.fetch_add(1, Ordering::SeqCst)),
     };
-    state
-        .trace_index
-        .lock()
-        .unwrap()
-        .insert(trace_id.clone(), span);
-    trace_id
+    let mut index = state.trace_index.lock().unwrap();
+    if index.len() == TRACE_INDEX_CAP {
+        index.pop_front();
+    }
+    index.push_back((trace_id.clone(), span.id()));
+    drop(index);
+    let mut fields = Json::obj([
+        ("endpoint", Json::from(endpoint)),
+        ("trace_id", Json::from(trace_id.as_str())),
+    ]);
+    if let Some(bytes) = bytes {
+        fields.set("bytes", bytes);
+    }
+    state.journal.event("request.begin", span.id(), fields);
+    (span, trace_id)
+}
+
+/// The `?format=` a request asks for: one of `known`, whose first entry
+/// is the default when the query names none. Any other value is a `400`.
+fn response_format<'a>(request: &Request, known: &[&'a str]) -> Result<&'a str, SrvError> {
+    let format = request.query_param("format").unwrap_or(known[0]);
+    known.iter().copied().find(|&k| k == format).ok_or_else(|| {
+        let expected = known.join("|");
+        bad_request(format!("unknown format {format:?} (expected {expected})"))
+    })
 }
 
 fn handle_repair(
@@ -845,99 +865,22 @@ fn handle_repair(
     scratch: &mut CompiledScratch,
     request: &Request,
 ) -> SrvResult {
-    let span = state.journal.span("request", 0);
-    let trace_id = new_trace_id(state, span.id(), request);
-    state.journal.event(
-        "request.begin",
-        span.id(),
-        Json::obj([
-            ("bytes", Json::from(request.body.len())),
-            ("endpoint", Json::from("repair")),
-            ("trace_id", Json::from(trace_id.as_str())),
-        ]),
-    );
-    let mut rows = parse_rows(state, request)?;
+    let csv = response_format(request, &["json", "csv"])? == "csv";
+    let (span, trace_id) = begin_request(state, request, "repair", Some(request.body.len()));
+    let mut batch = request_batch(state, request)?;
     // One bundle snapshot for the whole batch: a concurrent hot-swap must
     // never mix old-rules plans with new-rules attribution mid-request.
     let bundle = state.bundle();
-    let row_base = state.rows_served.fetch_add(rows.len(), Ordering::SeqCst);
+    let row_base = state.rows_served.fetch_add(batch.len(), Ordering::SeqCst);
     let metrics = MetricsObserver::new(&state.registry);
     let provenance = ProvenanceObserver::new(&bundle.rules, &state.ledger);
     let observer = Tee(&metrics, &provenance);
-    let mut repaired_rows = 0usize;
     let repair_started = Instant::now();
-    let all_updates = {
+    let (updates, repaired_rows) = {
         let repair_span = state.journal.span("repair", span.id());
-        // Column-major copy of the batch for the group-by-plan core;
-        // `rows` keeps the pre-repair values until the quality replay
-        // below has scored the incoming distribution.
-        let mut cols: Vec<Vec<Symbol>> = vec![Vec::with_capacity(rows.len()); state.schema.arity()];
-        for row in &rows {
-            for (col, &sym) in cols.iter_mut().zip(row.iter()) {
-                col.push(sym);
-            }
-        }
-        let mut col_slices: Vec<&mut [Symbol]> =
-            cols.iter_mut().map(|c| c.as_mut_slice()).collect();
-        let (all_updates, _batch) = repair_columns_grouped(
-            &bundle.rules,
-            &bundle.program,
-            ENGINE,
-            plan_cache(state, &bundle),
-            scratch,
-            &mut col_slices,
-            row_base,
-            &observer,
-        );
-        // Replay the fix stream per row for the quality monitor, which
-        // attributes repairs to the window that observed the row — so
-        // each row's `row_observed` (on the *incoming* values) must
-        // immediately precede its `cell_repaired`s, exactly as in the
-        // row-at-a-time loop.
-        let mut pre: Vec<u32> = Vec::with_capacity(state.schema.arity());
-        let mut cursor = 0usize;
-        for (i, row) in rows.iter().enumerate() {
-            if let Some(quality) = &state.quality {
-                pre.clear();
-                pre.extend(row.iter().map(|s| s.0));
-                quality.row_observed(&pre);
-            }
-            let start = cursor;
-            while cursor < all_updates.len() && all_updates[cursor].row == row_base + i {
-                cursor += 1;
-            }
-            if start == cursor {
-                continue;
-            }
-            repaired_rows += 1;
-            if let Some(quality) = &state.quality {
-                for (ordinal, update) in all_updates[start..cursor].iter().enumerate() {
-                    quality.cell_repaired(update.as_fix(ordinal));
-                }
-            }
-            // Row-level detail is sampled: a large dirty batch would
-            // otherwise append thousands of journal records per request
-            // (one global mutex hit each) and grow the in-memory journal
-            // without bound under sustained traffic. The request.end
-            // record always carries the exact totals.
-            if repaired_rows <= state.trace_sample {
-                state.journal.event(
-                    "row.repaired",
-                    repair_span.id(),
-                    Json::obj([
-                        ("row", Json::from(row_base + i)),
-                        ("updates", Json::from(cursor - start)),
-                    ]),
-                );
-            }
-        }
-        // Apply the fixes to the row-major batch for the response (the
-        // updates are in application order per row, so the last write to
-        // a cell wins — the same final value the columns hold).
-        for update in &all_updates {
-            rows[update.row - row_base][update.attr.index()] = update.new;
-        }
-        all_updates
+        let updates = repair_batch(state, &bundle, scratch, &mut batch, row_base, &observer);
+        let repaired_rows = replay_rows(state, &batch, &updates, row_base, repair_span.id());
+        (updates, repaired_rows)
     };
     // Stage-level latency: end-to-end `http.latency_ns` is dominated by
     // transport and (de)serialization, so the plan-cache effect is only
@@ -958,13 +901,28 @@ fn handle_repair(
                 "rows_sampled",
                 Json::from(repaired_rows.min(state.trace_sample)),
             ),
-            ("rows", Json::from(rows.len())),
-            ("updates", Json::from(all_updates.len())),
+            ("rows", Json::from(batch.len())),
+            ("updates", Json::from(updates.len())),
         ]),
     );
-    let updates_json: Vec<Json> = {
-        let symbols = state.symbols.read().unwrap();
-        all_updates
+    // One read of the symbol table renders the whole response.
+    let columns = batch.columns();
+    let guard = state.symbols.read().unwrap();
+    let symbols: &SymbolTable = &guard;
+    let row_values = |i: usize| columns.iter().map(move |column| symbols.resolve(column[i]));
+    let response = if csv {
+        // Quoted exactly as `fixctl repair` writes its output file.
+        let mut out = Vec::new();
+        csv_io::push_record(&mut out, state.schema.attr_names());
+        for i in 0..batch.len() {
+            csv_io::push_record(&mut out, row_values(i));
+        }
+        Response::new(200, "text/csv; charset=utf-8", out)
+    } else {
+        let rows_json: Vec<Json> = (0..batch.len())
+            .map(|i| Json::Arr(row_values(i).map(Json::from).collect()))
+            .collect();
+        let updates_json: Vec<Json> = updates
             .iter()
             .map(|update| {
                 Json::obj([
@@ -976,95 +934,113 @@ fn handle_repair(
                     ("rule", Json::from(update.rule.index())),
                 ])
             })
-            .collect()
-    };
-    let response = if request.query.contains("format=csv") {
-        Response::new(200, "text/csv; charset=utf-8", render_csv(state, &rows))
-    } else {
-        let symbols = state.symbols.read().unwrap();
-        let rows_json: Vec<Json> = rows
-            .iter()
-            .map(|row| {
-                Json::Arr(
-                    row.iter()
-                        .map(|&sym| Json::from(symbols.resolve(sym)))
-                        .collect(),
-                )
-            })
             .collect();
-        let columns: Vec<Json> = state.schema.attr_names().map(Json::from).collect();
-        Response::json(
-            200,
-            format!(
-                "{}\n",
-                Json::obj([
-                    ("columns", Json::Arr(columns)),
-                    ("repaired_rows", Json::from(repaired_rows)),
-                    ("row_base", Json::from(row_base)),
-                    ("rows", Json::Arr(rows_json)),
-                    ("trace_id", Json::from(trace_id.as_str())),
-                    ("updates", Json::Arr(updates_json)),
-                ])
+        let body = Json::obj([
+            (
+                "columns",
+                Json::Arr(state.schema.attr_names().map(Json::from).collect()),
             ),
-        )
+            ("repaired_rows", Json::from(repaired_rows)),
+            ("row_base", Json::from(row_base)),
+            ("rows", Json::Arr(rows_json)),
+            ("trace_id", Json::from(trace_id.as_str())),
+            ("updates", Json::Arr(updates_json)),
+        ]);
+        Response::json(200, format!("{body}\n"))
     };
     Ok(response.with_header("X-Trace-Id", &trace_id))
 }
 
-/// The repaired batch as CSV with a header row, quoted exactly as
-/// `fixctl repair` writes its output file.
-fn render_csv(state: &DaemonState, rows: &[Vec<Symbol>]) -> Vec<u8> {
-    let symbols = state.symbols.read().unwrap();
-    let mut out = Vec::new();
-    csv_io::push_record(&mut out, state.schema.attr_names());
-    for row in rows {
-        csv_io::push_record(&mut out, row.iter().map(|&s| symbols.resolve(s)));
+/// Walk a repaired batch row by row: feed the quality monitor each row's
+/// *incoming* values and then that row's fixes (it attributes repairs to
+/// the window that observed the row), and journal a sampled
+/// `row.repaired` event under `parent` per repaired row. Returns the
+/// number of repaired rows.
+fn replay_rows(
+    state: &DaemonState,
+    batch: &ColumnTable,
+    updates: &[CellUpdate],
+    row_base: usize,
+    parent: u64,
+) -> usize {
+    let columns = batch.columns();
+    let mut incoming: Vec<u32> = Vec::with_capacity(columns.len());
+    let mut repaired_rows = 0usize;
+    let mut cursor = 0usize;
+    for i in 0..batch.len() {
+        let start = cursor;
+        while cursor < updates.len() && updates[cursor].row == row_base + i {
+            cursor += 1;
+        }
+        let fixes = &updates[start..cursor];
+        if let Some(quality) = &state.quality {
+            // The columns hold the repaired row: undoing its fixes, last
+            // first, recovers the values that arrived.
+            incoming.clear();
+            incoming.extend(columns.iter().map(|column| column[i].0));
+            for fix in fixes.iter().rev() {
+                incoming[fix.attr.index()] = fix.old.0;
+            }
+            quality.row_observed(&incoming);
+            for (ordinal, fix) in fixes.iter().enumerate() {
+                quality.cell_repaired(fix.as_fix(ordinal));
+            }
+        }
+        if fixes.is_empty() {
+            continue;
+        }
+        repaired_rows += 1;
+        // Row-level detail is sampled: a large dirty batch would otherwise
+        // append thousands of journal records per request (one global
+        // mutex hit each) and grow the in-memory journal without bound
+        // under sustained traffic. The request.end record always carries
+        // the exact totals.
+        if repaired_rows <= state.trace_sample {
+            state.journal.event(
+                "row.repaired",
+                parent,
+                Json::obj([
+                    ("row", Json::from(row_base + i)),
+                    ("updates", Json::from(fixes.len())),
+                ]),
+            );
+        }
     }
-    out
+    repaired_rows
 }
 
 /// Dry-run repair: same parsing and the same shared plan cache (a check
 /// warms plans for the repair that follows), but nothing is recorded —
-/// no ledger rows, no global row ids.
+/// no ledger rows, no global row ids, no quality observations.
 fn handle_check(
     state: &DaemonState,
     scratch: &mut CompiledScratch,
     request: &Request,
 ) -> SrvResult {
-    let span = state.journal.span("request", 0);
-    let trace_id = new_trace_id(state, span.id(), request);
-    state.journal.event(
-        "request.begin",
-        span.id(),
-        Json::obj([
-            ("endpoint", Json::from("check")),
-            ("trace_id", Json::from(trace_id.as_str())),
-        ]),
-    );
-    let rows = parse_rows(state, request)?;
+    let (span, trace_id) = begin_request(state, request, "check", None);
+    let mut batch = request_batch(state, request)?;
     let bundle = state.bundle();
-    let updates = repair_rows_unrecorded(state, &bundle, scratch, &rows);
-    let mut counts = vec![0usize; rows.len()];
+    let updates = repair_batch(state, &bundle, scratch, &mut batch, 0, &obs::NoopObserver);
+    let mut counts = vec![0usize; batch.len()];
     for update in &updates {
         counts[update.row] += 1;
     }
     let dirty_rows = counts.iter().filter(|&&n| n > 0).count();
-    let total_updates = updates.len();
     let per_row: Vec<Json> = counts.into_iter().map(Json::from).collect();
     state.journal.event(
         "request.end",
         span.id(),
         Json::obj([
             ("dirty_rows", Json::from(dirty_rows)),
-            ("rows", Json::from(rows.len())),
+            ("rows", Json::from(batch.len())),
         ]),
     );
     let body = Json::obj([
         ("clean", Json::from(dirty_rows == 0)),
         ("dirty_rows", Json::from(dirty_rows)),
         ("per_row", Json::Arr(per_row)),
-        ("rows", Json::from(rows.len())),
-        ("total_updates", Json::from(total_updates)),
+        ("rows", Json::from(batch.len())),
+        ("total_updates", Json::from(updates.len())),
         ("trace_id", Json::from(trace_id.as_str())),
     ]);
     Ok(Response::json(200, format!("{body}\n")).with_header("X-Trace-Id", &trace_id))
@@ -1083,26 +1059,18 @@ fn handle_check(
 ///   [`ProgramBundle`] with an **empty plan cache** — memoized plans
 ///   from the old rules must never replay against the new ones.
 fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {
-    let span = state.journal.span("request", 0);
-    let trace_id = new_trace_id(state, span.id(), request);
-    let text = request.body_str();
+    let (span, trace_id) = begin_request(state, request, "rules", Some(request.body.len()));
+    let text = request
+        .body_text()
+        .map_err(|e| bad_request(format!("rule text is not UTF-8: {e}")))?;
     if text.trim().is_empty() {
         return Err(bad_request("empty rule text"));
     }
-    state.journal.event(
-        "request.begin",
-        span.id(),
-        Json::obj([
-            ("bytes", Json::from(request.body.len())),
-            ("endpoint", Json::from("rules")),
-            ("trace_id", Json::from(trace_id.as_str())),
-        ]),
-    );
     // Swaps are rare administrative operations: hold the symbol-table
     // write lock across the whole build so rule symbols intern against a
     // stable table (no lost-intern race with concurrent batches).
     let mut symbols = state.symbols.write().unwrap();
-    let (mut candidate, cert, spans) = build_bundle(&text, &state.schema, &mut symbols, 0)
+    let (mut candidate, cert, spans) = build_bundle(text, &state.schema, &mut symbols, 0)
         .map_err(|e| bad_request(format!("rules: {}", e.message())))?;
     cert.observe(&MetricsObserver::new(&state.registry));
     let serving = state.bundle();
@@ -1201,12 +1169,15 @@ fn handle_explain(state: &DaemonState, request: &Request) -> SrvResult {
 /// journal: the root `request` span plus every descendant, in journal
 /// order. `?format=chrome` converts to the Chrome trace-event JSON.
 fn handle_trace(state: &DaemonState, request: &Request) -> SrvResult {
+    let chrome = response_format(request, &["jsonl", "chrome"])? == "chrome";
     let trace_id = request.path.trim_start_matches("/trace/");
     let root = state
         .trace_index
         .lock()
         .unwrap()
-        .lookup(trace_id)
+        .iter()
+        .rev()
+        .find_map(|(id, span)| (id == trace_id).then_some(*span))
         .ok_or_else(|| SrvError::new(404, format!("unknown trace id {trace_id:?}")))?;
     // Parents always precede children in append order, so one forward
     // pass with a membership set reconstructs the subtree.
@@ -1225,7 +1196,7 @@ fn handle_trace(state: &DaemonState, request: &Request) -> SrvResult {
             false
         })
         .collect();
-    if request.query.contains("format=chrome") {
+    if chrome {
         let chrome = obs::trace::chrome_trace(&subtree);
         return Ok(Response::json(200, format!("{chrome}\n")));
     }

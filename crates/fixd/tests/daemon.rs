@@ -231,14 +231,149 @@ fn check_is_a_dry_run_over_the_shared_cache() {
     let per_row = json.get("per_row").unwrap().as_arr().unwrap();
     assert_eq!(per_row[0].as_i64(), Some(1));
     assert_eq!(per_row[1].as_i64(), Some(0));
-    // Dry runs consume no global row ids and write no provenance, but do
-    // warm the shared cache.
+    // The same rows as a JSON body check the same way.
+    let body = r#"[{"zip":"36545","city":"Jaxon","state":"AL"},
+                   {"state":"NY","zip":"10001","city":"New York"}]"#;
+    let reply = http_post(&url(&daemon, "/check"), "application/json", body.as_bytes()).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let json = parse_json(&reply.body);
+    assert_eq!(json.get("dirty_rows").unwrap().as_i64(), Some(1));
+    assert_eq!(json.get("total_updates").unwrap().as_i64(), Some(1));
+    // Dry runs consume no global row ids, write no provenance and feed
+    // no quality window, but do warm the shared cache.
     let (_, readyz) = http_get(&url(&daemon, "/readyz")).unwrap();
     let readyz = parse_json(&readyz);
     assert_eq!(readyz.get("rows_served").unwrap().as_i64(), Some(0));
     assert_eq!(readyz.get("cache_warm").unwrap().as_bool(), Some(true));
     let reply = http_get(&url(&daemon, "/explain/0/city")).unwrap();
     assert_eq!(reply.0, 404, "check must not create provenance");
+    let (status, quality) = http_get(&url(&daemon, "/quality")).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(
+        parse_json(&quality).get("clock").unwrap().as_i64(),
+        Some(0),
+        "check must not feed the quality monitor"
+    );
+    daemon.shutdown();
+}
+
+/// A batch repairs and is observed the same whether it arrives as CSV in
+/// schema order, as CSV with its columns reordered, or as JSON. Values no
+/// rule mentions enter the shared symbol table row by row in schema
+/// order, whatever the body's column order; `/quality`'s sketches hash
+/// their ids, so its body pins that order.
+#[test]
+fn every_intake_form_gives_the_same_repair_and_quality() {
+    let rows = [
+        ["36545", "Jaxon", "AK"],
+        ["99999", "Springfield", "IL"],
+        ["10001", "NYC", "NY"],
+        ["55555", "Nowhere", "ZZ"],
+        ["99999", "Springfield", "AK"],
+        ["36545", "Jackson", "AL"],
+    ];
+    let mut in_order = String::from("zip,city,state\n");
+    let mut reordered = String::from("state,city,zip\n");
+    let mut objects = Vec::new();
+    for [zip, city, state] in rows {
+        in_order.push_str(&format!("{zip},{city},{state}\n"));
+        reordered.push_str(&format!("{state},{city},{zip}\n"));
+        objects.push(format!(
+            r#"{{"state":"{state}","city":"{city}","zip":"{zip}"}}"#
+        ));
+    }
+    let json = format!(r#"{{"rows":[{}]}}"#, objects.join(","));
+    let run = |content_type: &str, body: &str| {
+        let daemon = daemon();
+        let reply = http_post(&url(&daemon, "/repair"), content_type, body.as_bytes()).unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let repaired = parse_json(&reply.body);
+        let (status, quality) = http_get(&url(&daemon, "/quality")).unwrap();
+        assert_eq!(status, 200);
+        daemon.shutdown();
+        (
+            repaired.get("rows").unwrap().to_string(),
+            repaired.get("updates").unwrap().to_string(),
+            quality,
+        )
+    };
+    let expected = run("text/csv", &in_order);
+    assert!(expected.0.contains("Springfield") && expected.1.contains("Jackson"));
+    // The monitor saw the incoming cities (Jaxon and NYC among them), not
+    // the four distinct repaired ones.
+    let quality = parse_json(&expected.2);
+    let city = &quality
+        .get("current")
+        .unwrap()
+        .get("attrs")
+        .unwrap()
+        .as_arr()
+        .unwrap()[1];
+    assert_eq!(city.get("distinct").unwrap().as_i64(), Some(5));
+    assert_eq!(run("text/csv", &reordered), expected, "reordered CSV");
+    assert_eq!(run("application/json", &json), expected, "JSON");
+}
+
+/// A body that is not UTF-8 is rejected with a 400, never rewritten into
+/// U+FFFD cells that would then be "repaired" and echoed back.
+#[test]
+fn non_utf8_bodies_are_rejected() {
+    let daemon = daemon();
+    let body = b"zip,city,state\n36545,Ja\xffxon,AK\n";
+    for path in ["/repair", "/check"] {
+        let reply = http_post(&url(&daemon, path), "text/csv", body).unwrap();
+        assert_eq!(reply.status, 400, "{path}: {}", reply.body);
+        let error = parse_json(&reply.body);
+        let message = error.get("error").unwrap().as_str().unwrap();
+        assert!(message.contains("UTF-8"), "{path}: {message}");
+    }
+    let rules = b"IF zip = \"36545\" AND city IN {\"Ja\xffxon\"} THEN city := \"Jackson\"\n";
+    let reply = http_post(&url(&daemon, "/rules"), "text/plain", rules).unwrap();
+    assert_eq!(reply.status, 400, "/rules: {}", reply.body);
+    let (_, readyz) = http_get(&url(&daemon, "/readyz")).unwrap();
+    let readyz = parse_json(&readyz);
+    assert_eq!(readyz.get("rows_served").unwrap().as_i64(), Some(0));
+    assert_eq!(readyz.get("generation").unwrap().as_i64(), Some(0));
+    daemon.shutdown();
+}
+
+/// `?format=` is one exact query parameter: a longer name or value that
+/// merely contains `format=csv` is not it, and an unknown value is a 400.
+#[test]
+fn format_is_an_exact_query_parameter() {
+    let daemon = daemon();
+    let post = |path: &str| {
+        let body = b"zip,city,state\n36545,Jaxon,AK\n";
+        http_post(&url(&daemon, path), "text/csv", body).unwrap()
+    };
+    for path in ["/repair?format=csv", "/repair?trace=1&format=csv"] {
+        let reply = post(path);
+        assert_eq!(reply.status, 200, "{path}");
+        assert_eq!(reply.body, "zip,city,state\n36545,Jackson,AL\n", "{path}");
+    }
+    let reply = post("/repair?xformat=csv");
+    assert_eq!(reply.status, 200);
+    let trace_id = parse_json(&reply.body)
+        .get("trace_id")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    for path in ["/repair?format=csvz", "/repair?format="] {
+        let reply = post(path);
+        assert_eq!(reply.status, 400, "{path}: {}", reply.body);
+        assert!(parse_json(&reply.body).get("error").is_some(), "{path}");
+    }
+    let trace =
+        |query: &str| http_get(&url(&daemon, &format!("/trace/{trace_id}{query}"))).unwrap();
+    let (status, body) = trace("?xformat=chrome");
+    assert_eq!(status, 200);
+    assert!(
+        obs::trace::parse_jsonl(&body).is_ok(),
+        "JSONL, not chrome: {body}"
+    );
+    assert_eq!(trace("?format=chromez").0, 400);
+    assert_eq!(trace("?format=chrome").0, 200);
     daemon.shutdown();
 }
 

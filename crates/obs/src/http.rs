@@ -45,9 +45,20 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The body as UTF-8 (lossy).
-    pub fn body_str(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
+    /// The body as UTF-8 text, or the error locating its first invalid
+    /// byte: a body is never rewritten to make it decode.
+    pub fn body_text(&self) -> Result<&str, std::str::Utf8Error> {
+        std::str::from_utf8(&self.body)
+    }
+
+    /// The value of query parameter `name`: the first `name=value` pair
+    /// of the query string whose name is exactly `name` (a bare `name`
+    /// gives `""`). Values are returned as sent, without percent-decoding.
+    pub fn query_param(&self, name: &str) -> Option<&str> {
+        self.query.split('&').find_map(|pair| {
+            let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+            (key == name).then_some(value)
+        })
     }
 
     /// Read and parse one request from `stream`: head until `\r\n\r\n`,
@@ -393,6 +404,25 @@ mod tests {
         // Close the server side so the client's read unblocks before join.
         drop(stream);
         client.join().unwrap();
+    }
+
+    #[test]
+    fn query_params_match_names_exactly() {
+        let request = |query: &str| Request {
+            method: "GET".into(),
+            path: "/repair".into(),
+            query: query.into(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        assert_eq!(request("format=csv").query_param("format"), Some("csv"));
+        assert_eq!(
+            request("a=1&format=csvz").query_param("format"),
+            Some("csvz")
+        );
+        assert_eq!(request("xformat=csv").query_param("format"), None);
+        assert_eq!(request("format").query_param("format"), Some(""));
+        assert_eq!(request("").query_param("format"), None);
     }
 
     #[test]

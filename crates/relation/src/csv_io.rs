@@ -6,10 +6,10 @@
 //! cell goes through the shared [`SymbolTable`] so a loaded table is
 //! immediately usable by the rule engine.
 //!
-//! [`read_csv`] reads any stream, one record at a time; fixd reads request
-//! bodies with it, and it is the reference for [`par_read_csv_file`],
-//! which splits a file after its header into chunks that workers parse at
-//! once, each into a chunk-local dictionary, and gives exactly
+//! [`read_csv`] reads any stream, one record at a time. It is the
+//! reference for [`par_read_csv_file`], which splits a file after its
+//! header into chunks that workers parse at once, each into a
+//! chunk-local dictionary, and gives exactly
 //! [`read_csv`]'s result (DESIGN.md §18). [`par_write_csv`] renders blocks
 //! of rows on several workers and writes them in order; [`write_csv`] is
 //! its one-worker case.

@@ -300,7 +300,8 @@ echo "-- daemon served repair/readyz/metrics/trace and drained cleanly"
 
 echo "== fixd CSV response smoke =="
 # POST /repair?format=csv must quote cells exactly as fixctl repair writes
-# its output file: the quoting fixture's golden repair, byte for byte.
+# its output file: the quoting fixture's golden repair, byte for byte, also
+# when the request carries the fixture's columns in another order.
 "$FIXCTL" serve \
     --rules examples/rulesets/quoting.frl \
     --schema name,city,country,note > "$TRACE_DIR/fixd_csv.log" &
@@ -317,10 +318,15 @@ done
     || { echo "fixd POST /repair?format=csv failed" >&2; exit 1; }
 cmp "$TRACE_DIR/fixd_quoting.csv" examples/data/quoting_repaired.csv \
     || { echo "fixd CSV response drifted from quoting_repaired.csv" >&2; exit 1; }
+"$FIXCTL" client repair examples/data/quoting_reordered.csv --addr "$CSV_ADDR" --format csv \
+    > "$TRACE_DIR/fixd_quoting_reordered.csv" 2>/dev/null \
+    || { echo "fixd POST /repair?format=csv of reordered columns failed" >&2; exit 1; }
+cmp "$TRACE_DIR/fixd_quoting_reordered.csv" examples/data/quoting_repaired.csv \
+    || { echo "fixd CSV response to reordered columns drifted from quoting_repaired.csv" >&2; exit 1; }
 "$FIXCTL" client shutdown --addr "$CSV_ADDR" >/dev/null \
     || { echo "CSV fixd refused the drain" >&2; exit 1; }
 wait "$CSV_PID" || { echo "CSV fixd exited nonzero" >&2; exit 1; }
-echo "-- CSV response matches the golden file"
+echo "-- CSV responses to both column orders match the golden file"
 
 echo "== repair-quality observatory smoke =="
 # Windowed quality monitoring is deterministic under the logical clock:
