@@ -2,7 +2,7 @@
 //! set the certifier passes really is order-independent in practice.
 //!
 //! For every randomly generated rule set that certifies green, every
-//! engine (chase, linear, columnar chase/linear, parallel columnar) under
+//! engine (chase, linear, columnar chase/linear, parallel linear) under
 //! every tested rule-order permutation must produce the *same* repaired
 //! table and the same normalized provenance ledger. A single divergence
 //! here means the certificate lied — the critical-pair analysis missed an
@@ -22,7 +22,7 @@ use fixlint::{certify, CertOptions};
 use fixrules::io::Span;
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
 use fixrules::repair::{
-    columnar_table, crepair_table, lrepair_table, par_columnar_table, CompiledEngine, LRepairIndex,
+    columnar_table, crepair_table, lrepair_table, par_lrepair_table, CompiledEngine, LRepairIndex,
     PlanCache, RuleProgram,
 };
 use fixrules::{FixingRule, RuleSet};
@@ -179,13 +179,11 @@ proptest! {
                 runs.push(("columnar", cols.to_table(), ledger.records()));
             }
             {
-                let cache = PlanCache::sharded(4);
-                let mut cols = ColumnTable::from(&table0);
+                let mut t = table0.clone();
                 let ledger = ProvenanceLedger::new();
-                par_columnar_table(
-                    &prs, &program, CompiledEngine::Chase, Some(&cache), &mut cols, 4,
-                    &ProvenanceObserver::new(&prs, &ledger));
-                runs.push(("parallel", cols.to_table(), ledger.records()));
+                par_lrepair_table(
+                    &prs, &index, &mut t, 4, &ProvenanceObserver::new(&prs, &ledger));
+                runs.push(("parallel", t, ledger.records()));
             }
 
             for (name, t, records) in &runs {

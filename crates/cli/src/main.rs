@@ -7,7 +7,7 @@
 //! fixctl resolve --rules rules.frl --data data.csv --out fixed_rules.frl
 //!                [--strategy shrink|drop]                 # §5.3 workflow
 //! fixctl repair  --rules rules.frl --data dirty.csv --out repaired.csv
-//!                [--engine lrepair|chase|columnar|stream] [--threads N]
+//!                [--engine lrepair|stream] [--threads N]
 //!                [--updates-log updates.csv]
 //!                [--trace trace.jsonl]                    # provenance journal
 //! fixctl stats   --rules rules.frl --data data.csv        # rule-set statistics
@@ -30,11 +30,14 @@
 //! fixctl client shutdown        --addr HOST:PORT          # graceful drain
 //! ```
 //!
-//! `repair --threads N` sets the workers for the CSV load, the lRepair
-//! repair and the CSV write; it defaults to the available cores, and the
-//! output is byte-identical at any N. Only an explicit N > 1 makes the
-//! consistency gate parallel (it then stops at the first conflict) and
-//! shards `--engine columnar`; `chase` and `stream` refuse it.
+//! `repair` has two engines, and they write the same output: `lrepair`
+//! (the default) loads the table and splits its rows across workers;
+//! `stream` repairs one record at a time as it reads them, so its memory
+//! does not grow with the input. `--threads N` only sets the worker count
+//! for the CSV load, the lRepair repair and the CSV write. It defaults to
+//! the available cores, and no output depends on it. `stream` refuses an
+//! N > 1 and `--updates-log`. `check`, `detect`, `repair` and `coverage`
+//! check every rule pair on one thread and report every conflict.
 //!
 //! `repair` additionally takes the profiling flags:
 //!
@@ -74,14 +77,12 @@ use std::process::ExitCode;
 
 use fixrules::consistency::resolve::{ensure_consistent, Strategy};
 use fixrules::consistency::{
-    conflict_witness, enumerate::WILDCARD, is_consistent_characterize, is_consistent_parallel,
-    ConsistencyReport,
+    conflict_witness, enumerate::WILDCARD, is_consistent_characterize, ConsistencyReport,
 };
 use fixrules::io::{format_rule, format_rules, parse_rules, parse_rules_spanned, Span};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
 use fixrules::repair::{
-    columnar_table, crepair_table, lrepair_table, par_columnar_table, par_lrepair_table,
-    stream_repair_csv, CompiledEngine, LRepairIndex, RepairOutcome, RuleProgram,
+    lrepair_table, par_lrepair_table, stream_repair_csv, LRepairIndex, RepairOutcome,
 };
 use fixrules::RuleSet;
 use obs::trace::{chrome_trace, parse_jsonl, TracePhase, TraceSpan};
@@ -90,7 +91,7 @@ use obs::{
     MetricsObserver, MetricsRegistry, QualityConfig, QualityMonitor, RepairObserver, RuleLabel,
     Tee, TraceClock, TraceJournal,
 };
-use relation::{ColumnTable, Schema, Symbol, SymbolTable, Table};
+use relation::{Schema, Symbol, SymbolTable, Table};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -201,7 +202,7 @@ const REPAIR_FLAGS: &[&str] = &[
 ];
 
 /// Flags `fixctl coverage` reads, besides [`OBS_FLAGS`].
-const COVERAGE_FLAGS: &[&str] = &["rules", "data", "engine", "lint", "profile-json"];
+const COVERAGE_FLAGS: &[&str] = &["rules", "data", "lint", "profile-json"];
 
 impl Flags {
     fn parse(args: &[String]) -> Result<Flags, String> {
@@ -332,7 +333,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn usage() -> String {
     "usage: fixctl <check|detect|discover|resolve|repair|stats|convert> --rules FILE --data FILE.csv \
-     [--out FILE] [--engine lrepair|chase|columnar|stream] \
+     [--out FILE] [--engine lrepair|stream] \
      [--threads N (default: all cores)] [--strategy shrink|drop] [--updates-log FILE] \
      [--metrics FILE.json] [--log off|info|debug] [--trace FILE.jsonl] [--trace-clock logical|wall] \
      [--profile] [--profile-json FILE] \
@@ -341,7 +342,7 @@ fn usage() -> String {
      [--deny warnings|FR001,...] \
      | certify RULES.frl [--schema a,b,c | --data FILE.csv] [--format human|json|sarif] \
      [--deny warnings|FR001,...] \
-     | coverage --rules FILE --data FILE.csv [--engine lrepair|chase] [--lint] \
+     | coverage --rules FILE --data FILE.csv [--lint] [--profile-json FILE] \
      | serve --rules FILE [fixd flags: fixctl serve --help] \
      | client repair|check FILE --addr HOST:PORT [--format csv|json] \
      | client rules RULES.frl --addr HOST:PORT \
@@ -564,13 +565,7 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
 /// without writing anything.
 fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let (table, rules, symbols) = load(flags, obs_ctx)?;
-    let report = check_consistency(&rules, obs_ctx, gate_threads(flags)?);
-    if !report.is_consistent() {
-        return Err(format!(
-            "rule set has {} conflict(s); run `fixctl resolve` first",
-            report.conflicts.len()
-        ));
-    }
+    require_consistent(&rules, obs_ctx)?;
     let index = {
         let _span = obs_ctx.span("index_build");
         LRepairIndex::build(&rules)
@@ -607,10 +602,7 @@ fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable)
     let mut symbols = SymbolTable::new();
     let table = relation::csv_io::par_read_csv_file(data_path, "data", &mut symbols, threads)
         .map_err(|e| format!("reading {data_path}: {e}"))?;
-    let text =
-        std::fs::read_to_string(rules_path).map_err(|e| format!("reading {rules_path}: {e}"))?;
-    let rules = parse_rules(&text, table.schema(), &mut symbols)
-        .map_err(|e| format!("parsing {rules_path}: {e}"))?;
+    let rules = read_rules(rules_path, table.schema(), &mut symbols)?;
     obs::info!(
         "load.done",
         rows = table.len(),
@@ -618,6 +610,12 @@ fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable)
         vocab = symbols.len()
     );
     Ok((table, rules, symbols))
+}
+
+/// Read and parse the rule file at `path` against `schema`.
+fn read_rules(path: &str, schema: &Schema, symbols: &mut SymbolTable) -> Result<RuleSet, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    parse_rules(&text, schema, symbols).map_err(|e| format!("parsing {path}: {e}"))
 }
 
 /// `--threads N` as given, or `None` when absent.
@@ -633,20 +631,11 @@ fn threads_flag(flags: &Flags) -> Result<Option<usize>, String> {
         .transpose()
 }
 
-/// Workers for the stages whose output does not depend on the worker
-/// count — CSV load, lRepair and CSV write: `--threads`, or every
-/// available core.
+/// Workers for CSV load, lRepair and CSV write, none of whose output
+/// depends on the worker count: `--threads`, or every available core.
 fn worker_threads(flags: &Flags) -> Result<usize, String> {
     Ok(threads_flag(flags)?
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())))
-}
-
-/// Workers for the consistency gate and the engines that are sequential
-/// by default: only an explicit `--threads` raises it above 1. The
-/// parallel checker stops at the first conflict and its pair count
-/// depends on timing.
-fn gate_threads(flags: &Flags) -> Result<usize, String> {
-    Ok(threads_flag(flags)?.unwrap_or(1))
 }
 
 /// Labels for the attribution profiler: rule `i` becomes `r{i}`, tagged
@@ -694,16 +683,11 @@ fn emit_profile(flags: &Flags, attribution: Option<&AttributionObserver>) -> Res
     Ok(())
 }
 
-/// The pairwise `isConsist_r` check, timed and fed into the observer;
-/// `threads > 1` partitions the pairs across workers (stopping at the
-/// lowest-indexed conflict).
-fn check_consistency(rules: &RuleSet, obs_ctx: &ObsCtx, threads: usize) -> ConsistencyReport {
+/// The pairwise `isConsist_r` check over every pair (it reports every
+/// conflict), timed and fed into the observer.
+fn check_consistency(rules: &RuleSet, obs_ctx: &ObsCtx) -> ConsistencyReport {
     let _span = obs_ctx.span("consistency_check");
-    let report = if threads > 1 {
-        is_consistent_parallel(rules, threads)
-    } else {
-        is_consistent_characterize(rules, usize::MAX)
-    };
+    let report = is_consistent_characterize(rules, usize::MAX);
     report.observe(&obs_ctx.observer);
     obs::info!(
         "consistency.done",
@@ -713,9 +697,23 @@ fn check_consistency(rules: &RuleSet, obs_ctx: &ObsCtx, threads: usize) -> Consi
     report
 }
 
+/// The gate in front of every repair: [`check_consistency`], failing on
+/// any conflict.
+fn require_consistent(rules: &RuleSet, obs_ctx: &ObsCtx) -> Result<(), String> {
+    let report = check_consistency(rules, obs_ctx);
+    if report.is_consistent() {
+        Ok(())
+    } else {
+        Err(format!(
+            "rule set has {} conflict(s); run `fixctl resolve` first",
+            report.conflicts.len()
+        ))
+    }
+}
+
 fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let (_table, rules, symbols) = load(flags, obs_ctx)?;
-    let report = check_consistency(&rules, obs_ctx, gate_threads(flags)?);
+    let report = check_consistency(&rules, obs_ctx);
     println!(
         "{} rules, size(Σ) = {}, {} pairs checked",
         rules.len(),
@@ -776,7 +774,7 @@ fn render_tuple(tuple: &[Symbol], symbols: &SymbolTable) -> String {
         .join(", ")
 }
 
-/// Run a repair with the attribution profiler attached and print the
+/// Run lRepair with the attribution profiler attached and print the
 /// ranked per-rule table; with `--lint`, join the runtime profile against
 /// the static analysis (FR007: live rule that never fired; FR008: rule
 /// flagged dead that did fire) and render the findings rustc-style.
@@ -795,29 +793,14 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let parsed = parse_rules_spanned(&text, table.schema(), &mut symbols)
         .map_err(|e| format!("parsing {rules_path}: {e}"))?;
     let rules = parsed.rules;
-    let report = check_consistency(&rules, obs_ctx, 1);
-    if !report.is_consistent() {
-        return Err(format!(
-            "rule set has {} conflict(s); run `fixctl resolve` first",
-            report.conflicts.len()
-        ));
-    }
+    require_consistent(&rules, obs_ctx)?;
     let attribution =
         AttributionObserver::new(&obs_ctx.registry, rule_labels(&rules)).with_timing(true);
     let observer = Tee(&obs_ctx.observer, &attribution);
-    let engine = flags.optional("engine").unwrap_or("lrepair");
     {
         let _span = obs_ctx.span("repair");
-        match engine {
-            "lrepair" => {
-                let index = LRepairIndex::build(&rules);
-                lrepair_table(&rules, &index, &mut table, &observer);
-            }
-            "chase" => {
-                crepair_table(&rules, &mut table, &observer);
-            }
-            other => return Err(format!("unknown engine `{other}` (lrepair|chase)")),
-        }
+        let index = LRepairIndex::build(&rules);
+        lrepair_table(&rules, &index, &mut table, &observer);
     }
     let profile = attribution.profile();
     print!("{}", profile.render_table());
@@ -1057,196 +1040,59 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     Ok(())
 }
 
+/// `fixctl repair`: gate Σ, then repair every row into `--out`. The two
+/// engines differ only in how rows are read, repaired and written:
+/// `lrepair` loads the whole table, splits its rows across the
+/// `--threads` workers and writes it back; `stream` reads only the CSV
+/// header up front and repairs each record as it is read, so its memory
+/// does not grow with the input. Both gate before `--out` is created.
 fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(REPAIR_FLAGS)?;
-    let algo = flags.optional("engine").unwrap_or("lrepair");
-    if algo == "stream" {
-        return repair_stream(flags, obs_ctx);
-    }
-    if flags.optional("quality-window").is_some() {
-        return Err(format!(
-            "--quality-window only applies to the stream engine (got `{algo}`)"
-        ));
-    }
-    let (mut table, rules, symbols) = load(flags, obs_ctx)?;
-    let threads = worker_threads(flags)?;
-    let explicit_threads = gate_threads(flags)?;
-    let report = check_consistency(&rules, obs_ctx, explicit_threads);
-    if !report.is_consistent() {
-        return Err(format!(
-            "rule set has {} conflict(s); run `fixctl resolve` first",
-            report.conflicts.len()
-        ));
-    }
-    let ledger = ProvenanceLedger::new();
-    // Optional observers (provenance for `--trace`, attribution for
-    // `--profile*`) tee onto the metrics observer as trait objects. The
-    // blanket `impl RepairObserver for &T` lets every generic driver take
-    // the assembled `&dyn` chain, instead of monomorphizing each Tee/no-Tee
-    // combination per engine.
-    let attribution = attribution_for(flags, obs_ctx, &rules);
-    let prov = obs_ctx
-        .journal
-        .is_some()
-        .then(|| ProvenanceObserver::new(&rules, &ledger));
-    let tee_prov;
-    let tee_attr;
-    let mut observer: &dyn RepairObserver = &obs_ctx.observer;
-    if let Some(p) = &prov {
-        tee_prov = Tee(observer, p as &dyn RepairObserver);
-        observer = &tee_prov;
-    }
-    if let Some(a) = &attribution {
-        tee_attr = Tee(observer, a as &dyn RepairObserver);
-        observer = &tee_attr;
-    }
-    let outcome: RepairOutcome = match algo {
-        "lrepair" => {
-            let index = {
-                let _span = obs_ctx.span("index_build");
-                LRepairIndex::build(&rules)
-            };
-            let _span = obs_ctx.span("repair");
-            if threads > 1 {
-                par_lrepair_table(&rules, &index, &mut table, threads, &observer)
-            } else {
-                lrepair_table(&rules, &index, &mut table, &observer)
-            }
-        }
-        "chase" => {
-            if explicit_threads > 1 {
-                return Err(
-                    "--threads does not apply to the chase engine (use --engine columnar)"
-                        .to_string(),
-                );
-            }
-            let _span = obs_ctx.span("repair");
-            crepair_table(&rules, &mut table, &observer)
-        }
-        "columnar" => {
-            // No plan cache: grouping already runs the engine once per
-            // distinct signature, and a one-shot run has no later batch to
-            // reuse plans in. Groups are formed per worker, so the printed
-            // group count depends on the worker count: only an explicit
-            // `--threads` shards this engine.
-            let threads = explicit_threads;
-            let program = {
-                let _span = obs_ctx.span("compile");
-                RuleProgram::compile(&rules)
-            };
-            let mut columns = ColumnTable::from(&table);
-            let (outcome, batch) = {
-                let _span = obs_ctx.span("repair");
-                let engine = CompiledEngine::Linear;
-                if threads > 1 {
-                    par_columnar_table(
-                        &rules,
-                        &program,
-                        engine,
-                        None,
-                        &mut columns,
-                        threads,
-                        &observer,
-                    )
-                } else {
-                    columnar_table(&rules, &program, engine, None, &mut columns, &observer)
-                }
-            };
-            table = columns.to_table();
-            println!(
-                "batch: {} rows, {} distinct signatures ({} scattered)",
-                batch.rows, batch.groups, batch.scattered
-            );
-            outcome
-        }
-        other => {
-            return Err(format!(
-                "unknown engine `{other}` (lrepair|chase|columnar|stream)"
-            ))
-        }
+    let engine = flags.optional("engine").unwrap_or("lrepair");
+    let stream = match engine {
+        "lrepair" => false,
+        "stream" => true,
+        other => return Err(format!("unknown engine `{other}` (lrepair|stream)")),
     };
-    if let Some(journal) = &obs_ctx.journal {
-        write_trace_events(journal, &rules, &symbols, &ledger, algo);
-    }
-    let stats = outcome.stats(table.len());
-    obs::info!(
-        "repair.done",
-        algo = algo,
-        rows = stats.rows,
-        updates = stats.updates,
-        rows_touched = stats.rows_touched
-    );
-    println!(
-        "{} update(s) across {} row(s) of {}",
-        outcome.total_updates(),
-        outcome.rows_touched(),
-        table.len()
-    );
-    let out = flags.required("out")?;
-    {
-        let _span = obs_ctx.span("write");
-        std::fs::File::create(out)
-            .map_err(relation::RelationError::from)
-            .and_then(|file| relation::csv_io::par_write_csv(file, &table, &symbols, threads))
-            .map_err(|e| format!("writing {out}: {e}"))?;
-    }
-    println!("wrote {out}");
-    if let Some(log_path) = flags.optional("updates-log") {
-        let mut w = String::from("row,attribute,old,new,rule\n");
-        for u in &outcome.updates {
-            w.push_str(&format!(
-                "{},{},{},{},{}\n",
-                u.row,
-                table.schema().attr_name(u.attr),
-                symbols.resolve(u.old),
-                symbols.resolve(u.new),
-                u.rule.0
-            ));
+    if stream {
+        if threads_flag(flags)?.is_some_and(|n| n > 1) {
+            return Err(
+                "--threads does not apply to the stream engine (one pass, one reader)".to_string(),
+            );
         }
-        std::fs::write(log_path, w).map_err(|e| format!("writing {log_path}: {e}"))?;
-        println!("wrote {log_path}");
-    }
-    emit_profile(flags, attribution.as_ref())?;
-    Ok(())
-}
-
-/// `fixctl repair --engine stream`: one-pass lRepair from the data file
-/// to `--out`. Only the CSV header is read up front (for the schema Σ is
-/// parsed against); the consistency gate runs before the output file is
-/// created, and records are repaired and written as they are read.
-fn repair_stream(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    if gate_threads(flags)? > 1 {
+        if flags.optional("updates-log").is_some() {
+            return Err(
+                "--updates-log does not apply to the stream engine (it keeps no update log)"
+                    .to_string(),
+            );
+        }
+    } else if flags.optional("quality-window").is_some() {
         return Err(
-            "--threads does not apply to the stream engine (one pass, one reader)".to_string(),
+            "--quality-window only applies to the stream engine (got `lrepair`)".to_string(),
         );
     }
+    let threads = worker_threads(flags)?;
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
     let out = flags.required("out")?;
-    let mut symbols = SymbolTable::new();
-    let rules = {
+    let (mut table, rules, mut symbols) = if stream {
         let _span = obs_ctx.span("load");
         let file =
             std::fs::File::open(data_path).map_err(|e| format!("reading {data_path}: {e}"))?;
         let schema = relation::csv_io::read_csv_header(file, "data")
             .map_err(|e| format!("reading {data_path}: {e}"))?;
-        let text = std::fs::read_to_string(rules_path)
-            .map_err(|e| format!("reading {rules_path}: {e}"))?;
-        let rules = parse_rules(&text, &schema, &mut symbols)
-            .map_err(|e| format!("parsing {rules_path}: {e}"))?;
+        let mut symbols = SymbolTable::new();
+        let rules = read_rules(rules_path, &schema, &mut symbols)?;
         obs::info!("load.done", rules = rules.len(), vocab = symbols.len());
-        rules
+        (None, rules, symbols)
+    } else {
+        let (table, rules, symbols) = load(flags, obs_ctx)?;
+        (Some(table), rules, symbols)
     };
-    let report = check_consistency(&rules, obs_ctx, 1);
-    if !report.is_consistent() {
-        return Err(format!(
-            "rule set has {} conflict(s); run `fixctl resolve` first",
-            report.conflicts.len()
-        ));
-    }
-    // `--quality-window` hangs a QualityMonitor off the same observer
-    // chain: tumbling windows of pre/post sketches over the stream,
-    // summarized as a per-window table after the run.
+    require_consistent(&rules, obs_ctx)?;
+    // `--quality-window` hangs a QualityMonitor off the observer chain:
+    // tumbling windows of pre/post sketches over the stream, summarized
+    // as a per-window table after the run.
     let quality = match flags.optional("quality-window") {
         Some(n) => {
             let window: usize = n
@@ -1267,8 +1113,11 @@ fn repair_stream(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         None => None,
     };
     let ledger = ProvenanceLedger::new();
-    // Optional observers tee onto the metrics observer as trait objects,
-    // as in `cmd_repair`.
+    // Optional observers (provenance for `--trace`, attribution for
+    // `--profile*`, quality for `--quality-window`) tee onto the metrics
+    // observer as trait objects. The blanket `impl RepairObserver for &T`
+    // lets every generic driver take the assembled `&dyn` chain, instead
+    // of monomorphizing each Tee/no-Tee combination per engine.
     let attribution = attribution_for(flags, obs_ctx, &rules);
     let prov = obs_ctx
         .journal
@@ -1294,30 +1143,52 @@ fn repair_stream(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         let _span = obs_ctx.span("index_build");
         LRepairIndex::build(&rules)
     };
-    let reader = std::fs::File::open(data_path).map_err(|e| format!("opening {data_path}: {e}"))?;
-    let writer = std::io::BufWriter::new(
-        std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
-    );
-    let started = std::time::Instant::now();
-    let stats = {
-        let _span = obs_ctx.span("repair");
-        stream_repair_csv(&rules, &index, &mut symbols, reader, writer, &observer)
-            .map_err(|e| format!("streaming: {e}"))?
+    let (stats, outcome) = match &mut table {
+        Some(table) => {
+            let _span = obs_ctx.span("repair");
+            let outcome = if threads > 1 {
+                par_lrepair_table(&rules, &index, table, threads, &observer)
+            } else {
+                lrepair_table(&rules, &index, table, &observer)
+            };
+            (outcome.stats(table.len()), outcome)
+        }
+        None => {
+            let reader =
+                std::fs::File::open(data_path).map_err(|e| format!("opening {data_path}: {e}"))?;
+            let writer = std::io::BufWriter::new(
+                std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
+            );
+            let _span = obs_ctx.span("repair");
+            let stats = stream_repair_csv(&rules, &index, &mut symbols, reader, writer, &observer)
+                .map_err(|e| format!("streaming: {e}"))?;
+            (stats, RepairOutcome::default())
+        }
     };
     if let Some(journal) = &obs_ctx.journal {
-        write_trace_events(journal, &rules, &symbols, &ledger, "stream");
+        write_trace_events(journal, &rules, &symbols, &ledger, engine);
     }
     obs::info!(
         "repair.done",
-        algo = "stream",
+        algo = engine,
         rows = stats.rows,
         updates = stats.updates,
-        rows_per_sec = format!("{:.0}", stats.rows_per_sec(started.elapsed()))
+        rows_touched = stats.rows_touched
     );
     println!(
-        "{} update(s) across {} row(s) of {} (streamed)",
-        stats.updates, stats.rows_touched, stats.rows
+        "{} update(s) across {} row(s) of {}{}",
+        stats.updates,
+        stats.rows_touched,
+        stats.rows,
+        if stream { " (streamed)" } else { "" }
     );
+    if let Some(table) = &table {
+        let _span = obs_ctx.span("write");
+        std::fs::File::create(out)
+            .map_err(relation::RelationError::from)
+            .and_then(|file| relation::csv_io::par_write_csv(file, table, &symbols, threads))
+            .map_err(|e| format!("writing {out}: {e}"))?;
+    }
     if let Some(quality) = &quality {
         // Seal the trailing partial window so the table covers every
         // row, then print the per-window signal summary.
@@ -1330,6 +1201,26 @@ fn repair_stream(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         }
     }
     println!("wrote {out}");
+    if let Some(log_path) = flags.optional("updates-log") {
+        let schema = rules.schema();
+        let mut log = Vec::new();
+        relation::csv_io::push_record(&mut log, ["row", "attribute", "old", "new", "rule"]);
+        for u in &outcome.updates {
+            let (row, rule) = (u.row.to_string(), u.rule.0.to_string());
+            relation::csv_io::push_record(
+                &mut log,
+                [
+                    row.as_str(),
+                    schema.attr_name(u.attr),
+                    symbols.resolve(u.old),
+                    symbols.resolve(u.new),
+                    rule.as_str(),
+                ],
+            );
+        }
+        std::fs::write(log_path, log).map_err(|e| format!("writing {log_path}: {e}"))?;
+        println!("wrote {log_path}");
+    }
     emit_profile(flags, attribution.as_ref())?;
     Ok(())
 }

@@ -176,35 +176,40 @@ fn stream_algo_matches_lrepair() {
     assert_eq!(outputs[0], outputs[1]);
 }
 
+/// `fixctl repair` writes exactly the table the paper's cRepair (Fig 6)
+/// produces: for a consistent Σ every tuple has one fix, so the engine
+/// choice never changes the result.
 #[test]
 fn crepair_algo_matches_lrepair() {
     let dir = tmpdir("algos");
     let data = dir.join("t.csv");
     let rules = dir.join("r.frl");
+    let out_path = dir.join("lrepair.csv");
     std::fs::write(&data, TRAVEL_CSV).unwrap();
     std::fs::write(&rules, GOOD_RULES).unwrap();
-    let mut outputs = Vec::new();
-    for algo in ["lrepair", "chase"] {
-        let out_path = dir.join(format!("{algo}.csv"));
-        let out = fixctl(&[
-            "repair",
-            "--rules",
-            rules.to_str().unwrap(),
-            "--data",
-            data.to_str().unwrap(),
-            "--out",
-            out_path.to_str().unwrap(),
-            "--engine",
-            algo,
-        ]);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        outputs.push(std::fs::read_to_string(&out_path).unwrap());
-    }
-    assert_eq!(outputs[0], outputs[1]);
+    let out = fixctl(&[
+        "repair",
+        "--rules",
+        rules.to_str().unwrap(),
+        "--data",
+        data.to_str().unwrap(),
+        "--out",
+        out_path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut symbols = relation::SymbolTable::new();
+    let mut table = relation::csv_io::read_csv_file(&data, "data", &mut symbols).unwrap();
+    let sigma = fixrules::io::parse_rules(GOOD_RULES, table.schema(), &mut symbols).unwrap();
+    let chased =
+        fixrules::repair::crepair_table(&sigma, &mut table, &fixrules::repair::NoopObserver);
+    assert_eq!(chased.total_updates(), 3);
+    let mut expected = Vec::new();
+    relation::csv_io::write_csv(&mut expected, &table, &symbols).unwrap();
+    assert_eq!(std::fs::read(&out_path).unwrap(), expected);
 }
 
 #[test]
@@ -851,8 +856,9 @@ fn metrics_without_log_is_quiet() {
     assert!(snap.get("histograms").is_some());
 }
 
-/// Every engine spelling produces byte-identical repaired CSV, the
-/// parallel engines across worker threads too.
+/// Both engines produce byte-identical repaired CSV, lRepair across
+/// worker threads too. The stream run takes no `--threads`, so the
+/// default worker count must not trip its `--threads N > 1` refusal.
 #[test]
 fn engines_agree_on_repaired_output() {
     let dir = tmpdir("engines_agree");
@@ -887,12 +893,6 @@ fn engines_agree_on_repaired_output() {
     let (baseline, base_stdout) = run("lrepair", &["--engine", "lrepair"]);
     assert!(base_stdout.contains("3 update(s)"), "{base_stdout}");
     for (label, extra) in [
-        ("chase", &["--engine", "chase"][..]),
-        ("columnar", &["--engine", "columnar"][..]),
-        (
-            "columnar_par",
-            &["--engine", "columnar", "--threads", "3"][..],
-        ),
         (
             "lrepair_par",
             &["--engine", "lrepair", "--threads", "2"][..],
@@ -905,8 +905,8 @@ fn engines_agree_on_repaired_output() {
     }
 }
 
-/// Flag validation: removed engine names, and threads on engines that
-/// cannot use them, are rejected.
+/// Flag validation: removed engine names, and flags the stream engine
+/// cannot honour, are rejected before `--out` is created.
 #[test]
 fn engine_flag_validation() {
     let dir = tmpdir("engine_flags");
@@ -930,6 +930,8 @@ fn engine_flag_validation() {
         fixctl(&args)
     };
     for engine in [
+        "chase",
+        "columnar",
         "compiled",
         "compiled-chase",
         "columnar-chase",
@@ -940,19 +942,23 @@ fn engine_flag_validation() {
         assert_eq!(out.status.code(), Some(2), "{engine}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains(&format!(
-                "unknown engine `{engine}` (lrepair|chase|columnar|stream)"
-            )),
+            stderr.contains(&format!("unknown engine `{engine}` (lrepair|stream)")),
             "{engine}: {stderr}"
         );
     }
 
-    let out = base(&["--engine", "chase", "--threads", "2"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads does not apply"));
-
-    let out = base(&["--engine", "stream", "--threads", "2"]);
-    assert_eq!(out.status.code(), Some(2));
+    let log = dir.join("u.csv");
+    for (flag, value) in [("--threads", "2"), ("--updates-log", log.to_str().unwrap())] {
+        let out = base(&["--engine", "stream", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} does not apply to the stream engine")),
+            "{flag}: {stderr}"
+        );
+        assert!(!dir.join("o.csv").exists(), "{flag}: wrote output");
+    }
+    assert!(!log.exists(), "a rejected stream wrote an update log");
 
     let out = base(&["--threads", "0"]);
     assert_eq!(out.status.code(), Some(2));
@@ -979,6 +985,7 @@ fn unknown_flags_are_rejected() {
         ("repair", "algo", "lrepair"),
         ("repair", "expose", "127.0.0.1:0"),
         ("coverage", "engin", "chase"),
+        ("coverage", "engine", "lrepair"),
     ] {
         let flag_arg = format!("--{flag}");
         let mut args = vec![
@@ -1059,6 +1066,35 @@ fn stream_engine_rejects_inconsistent_rules_before_writing() {
     assert!(!out_path.exists(), "an inconsistent stream wrote output");
 }
 
+/// `--updates-log` quotes each cell as the repaired CSV does: the
+/// quoting fixture's fix to `Japan, "Nihon"` stays one field.
+#[test]
+fn updates_log_quotes_cells() {
+    let dir = tmpdir("updates_log_quoting");
+    let log = dir.join("updates.csv");
+    let out = fixctl(&[
+        "repair",
+        "--rules",
+        &example("rulesets/quoting.frl"),
+        "--data",
+        &example("data/quoting.csv"),
+        "--out",
+        dir.join("out.csv").to_str().unwrap(),
+        "--updates-log",
+        log.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = std::fs::read(example("data/quoting_updates.csv")).unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&std::fs::read(&log).unwrap()),
+        String::from_utf8_lossy(&golden)
+    );
+}
+
 /// GOOD_RULES plus one rule whose evidence never occurs in TRAVEL_CSV —
 /// the attribution profiler must rank it last and flag it as unfired.
 const RULES_WITH_UNFIRED: &str = r#"
@@ -1117,8 +1153,6 @@ fn profile_json_is_byte_deterministic() {
             dir.join("t.csv").to_str().unwrap(),
             "--out",
             dir.join(format!("{tag}.csv")).to_str().unwrap(),
-            "--engine",
-            "columnar",
             "--profile",
             "--profile-json",
             json_path.to_str().unwrap(),
@@ -1223,30 +1257,6 @@ fn check_materializes_conflict_witness() {
             .and_then(|v| v.as_i64()),
         Some(1)
     );
-}
-
-/// `check --threads N` runs the parallel pairwise checker and still finds
-/// the (lowest-indexed) conflict.
-#[test]
-fn parallel_check_finds_conflict() {
-    let dir = tmpdir("par_check");
-    let data = dir.join("t.csv");
-    let rules = dir.join("r.frl");
-    std::fs::write(&data, TRAVEL_CSV).unwrap();
-    std::fs::write(&rules, BAD_RULES).unwrap();
-    let out = fixctl(&[
-        "check",
-        "--rules",
-        rules.to_str().unwrap(),
-        "--data",
-        data.to_str().unwrap(),
-        "--threads",
-        "4",
-    ]);
-    assert!(!out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("INCONSISTENT"), "{stdout}");
-    assert!(stdout.contains("[0] vs [1]"), "{stdout}");
 }
 
 // ---- scrape --require with labeled series -------------------------------
@@ -1689,8 +1699,8 @@ fn repair_output_is_identical_at_any_worker_count() {
     }
 }
 
-/// Three rules, two conflicting pairs: the sequential gate reports both,
-/// where the parallel checker would stop at the first.
+/// Three rules, two conflicting pairs: the gate reports both, at any
+/// worker count.
 const THREE_CONFLICTS: &str = r#"
 IF country = "China" AND capital IN {"Shanghai", "Tokyo"} THEN capital := "Beijing"
 IF country = "China" AND capital IN {"Shanghai"} THEN capital := "Nanjing"
@@ -1704,7 +1714,7 @@ fn consistency_gate_stays_sequential_without_threads() {
     let rules = dir.join("r.frl");
     std::fs::write(&data, TRAVEL_CSV).unwrap();
     std::fs::write(&rules, THREE_CONFLICTS).unwrap();
-    for command in ["check", "repair"] {
+    for command in ["check", "detect", "repair"] {
         let run = |tag: &str, threads: &[&str]| {
             let metrics = dir.join(format!("{command}_{tag}.json"));
             let out_csv = dir.join("x.csv");
@@ -1740,44 +1750,23 @@ fn consistency_gate_stays_sequential_without_threads() {
             )
         };
         let default = run("default", &[]);
-        let one = run("one", &["--threads", "1"]);
-        assert_eq!(default, one, "{command}");
+        for (tag, threads) in [("one", "1"), ("three", "3")] {
+            assert_eq!(
+                default,
+                run(tag, &["--threads", threads]),
+                "{command} {tag}"
+            );
+        }
         assert!(
             default.2.contains(&"consistency.conflicts=2".to_string()),
             "{command}: {:?}",
             default.2
         );
-        if command == "repair" {
+        if command == "check" {
+            assert!(default.0.contains("INCONSISTENT"), "{}", default.0);
+            assert!(default.0.contains("[0] vs [1]"), "{}", default.0);
+        } else {
             assert!(default.1.contains("2 conflict(s)"), "{}", default.1);
         }
-    }
-}
-
-#[test]
-fn chase_and_stream_engines_run_without_threads() {
-    let dir = tmpdir("engines_default_threads");
-    let data = dir.join("t.csv");
-    let rules = dir.join("r.frl");
-    std::fs::write(&data, TRAVEL_CSV).unwrap();
-    std::fs::write(&rules, GOOD_RULES).unwrap();
-    for engine in ["chase", "stream"] {
-        let out_path = dir.join(format!("{engine}.csv"));
-        let out = fixctl(&[
-            "repair",
-            "--rules",
-            rules.to_str().unwrap(),
-            "--data",
-            data.to_str().unwrap(),
-            "--engine",
-            engine,
-            "--out",
-            out_path.to_str().unwrap(),
-        ]);
-        assert!(
-            out.status.success(),
-            "{engine}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(String::from_utf8_lossy(&out.stdout).contains("3 update(s)"));
     }
 }

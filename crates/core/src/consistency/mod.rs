@@ -20,8 +20,6 @@ pub mod resolve;
 pub use characterize::is_consistent_characterize;
 pub use enumerate::is_consistent_enumerate;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use obs::Event;
 use relation::Symbol;
 
@@ -187,111 +185,6 @@ pub fn conflict_witness(
     }
 }
 
-/// Map a linear pair index `p` (row-major over the strict upper triangle)
-/// back to the `(i, j)` it enumerates, `i < j < n`.
-fn pair_at(n: usize, mut p: usize) -> (usize, usize) {
-    let mut i = 0;
-    loop {
-        let row = n - 1 - i;
-        if p < row {
-            return (i, i + 1 + p);
-        }
-        p -= row;
-        i += 1;
-    }
-}
-
-/// Parallel `isConsist_r`: partition the `|Σ|·(|Σ|-1)/2` rule pairs into
-/// contiguous chunks across `num_threads` scoped workers, each deciding its
-/// pairs with [`characterize::check_pair`] in ascending pair order.
-///
-/// Semantics match [`is_consistent_characterize`] with `max_conflicts = 1`
-/// (the paper's "real case" of Fig 9): the check stops at the first
-/// inconsistency. Workers publish the lowest conflicting pair index they
-/// find through a shared atomic and bail out once every pair they still owe
-/// is above it, so the reported conflict is **deterministically the
-/// lowest-indexed conflicting pair** regardless of thread timing. Only
-/// `pairs_checked` is timing-dependent (how far the losing workers got
-/// before noticing); it is still bounded by the total pair count and equals
-/// it on consistent sets.
-pub fn is_consistent_parallel(rules: &RuleSet, num_threads: usize) -> ConsistencyReport {
-    let n = rules.len();
-    let total = n.saturating_sub(1) * n / 2;
-    let mut report = ConsistencyReport::default();
-    if total == 0 {
-        return report;
-    }
-    let num_threads = num_threads.max(1).min(total);
-    let chunk = total.div_ceil(num_threads);
-    // Lowest conflicting pair index seen so far, across all workers.
-    let best = AtomicUsize::new(usize::MAX);
-    let mut examined_total = 0usize;
-    let mut winner: Option<(usize, Conflict)> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..num_threads {
-            let start = w * chunk;
-            let end = total.min(start + chunk);
-            if start >= end {
-                break;
-            }
-            let best = &best;
-            handles.push(scope.spawn(move || {
-                let (mut i, mut j) = pair_at(n, start);
-                let mut examined = 0usize;
-                let mut found: Option<(usize, Conflict)> = None;
-                for p in start..end {
-                    // Someone already has a conflict at a lower index than
-                    // anything left in this chunk: nothing we could find
-                    // would win, stop early.
-                    if p >= best.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    examined += 1;
-                    if let Some(case) = characterize::check_pair(
-                        rules.rule(RuleId(i as u32)),
-                        rules.rule(RuleId(j as u32)),
-                    ) {
-                        best.fetch_min(p, Ordering::Relaxed);
-                        found = Some((
-                            p,
-                            Conflict {
-                                first: RuleId(i as u32),
-                                second: RuleId(j as u32),
-                                case,
-                                witness: None,
-                            },
-                        ));
-                        break;
-                    }
-                    j += 1;
-                    if j == n {
-                        i += 1;
-                        j = i + 1;
-                    }
-                }
-                (examined, found)
-            }));
-        }
-        for h in handles {
-            let (examined, found) = h.join().expect("consistency worker panicked");
-            examined_total += examined;
-            // A worker only ever reports its chunk's first conflict; keep
-            // the globally lowest pair index. The worker owning that pair
-            // always reaches it (no lower conflict exists to stop it), so
-            // the winner is deterministic.
-            if let Some((p, conflict)) = found {
-                if winner.as_ref().is_none_or(|(wp, _)| p < *wp) {
-                    winner = Some((p, conflict));
-                }
-            }
-        }
-    });
-    report.pairs_checked = examined_total;
-    report.conflicts.extend(winner.map(|(_, c)| c));
-    report
-}
-
 /// Convenience: check a whole rule set with both algorithms and assert they
 /// agree (used by tests and the eval harness in debug runs).
 pub fn check_both_agree(rules: &RuleSet) -> (ConsistencyReport, ConsistencyReport) {
@@ -383,100 +276,6 @@ mod tests {
         );
         // A zero budget refuses to enumerate.
         assert_eq!(conflict_witness(&rules, &report.conflicts[0], 0), None);
-    }
-
-    #[test]
-    fn pair_index_mapping_roundtrips() {
-        let n = 7;
-        let mut p = 0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                assert_eq!(pair_at(n, p), (i, j));
-                p += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_checker_matches_sequential() {
-        let schema = Schema::new("Travel", ["name", "country", "capital", "city", "conf"]).unwrap();
-        let mut sy = SymbolTable::new();
-
-        // Consistent set: all pairs examined, no conflict, any thread count.
-        let mut good = RuleSet::new(schema.clone());
-        good.push_named(
-            &mut sy,
-            &[("country", "China")],
-            "capital",
-            &["Shanghai", "Hongkong"],
-            "Beijing",
-        )
-        .unwrap();
-        good.push_named(
-            &mut sy,
-            &[("country", "Canada")],
-            "capital",
-            &["Toronto"],
-            "Ottawa",
-        )
-        .unwrap();
-        good.push_named(
-            &mut sy,
-            &[("country", "Japan")],
-            "capital",
-            &["Kyoto"],
-            "Tokyo",
-        )
-        .unwrap();
-        for threads in [1, 2, 8] {
-            let rep = is_consistent_parallel(&good, threads);
-            assert!(rep.is_consistent());
-            assert_eq!(rep.pairs_checked, 3, "consistent: every pair examined");
-        }
-        assert!(good.check_consistency_parallel(4).is_consistent());
-
-        // Inconsistent set with two conflicting pairs: every thread count
-        // reports exactly the lowest-indexed one (same as the sequential
-        // checker stopped at the first conflict).
-        let mut bad = RuleSet::new(schema);
-        bad.push_named(
-            &mut sy,
-            &[("country", "China")],
-            "capital",
-            &["Shanghai", "Hongkong", "Tokyo"],
-            "Beijing",
-        )
-        .unwrap();
-        bad.push_named(
-            &mut sy,
-            &[("country", "China")],
-            "capital",
-            &["Shanghai"],
-            "Nanjing",
-        )
-        .unwrap();
-        bad.push_named(
-            &mut sy,
-            &[("capital", "Tokyo"), ("city", "Tokyo"), ("conf", "ICDE")],
-            "country",
-            &["China"],
-            "Japan",
-        )
-        .unwrap();
-        let seq = is_consistent_characterize(&bad, 1);
-        assert_eq!(seq.conflicts.len(), 1);
-        for threads in [1, 2, 3, 16] {
-            let par = is_consistent_parallel(&bad, threads);
-            assert_eq!(par.conflicts.len(), 1);
-            let (s, p) = (&seq.conflicts[0], &par.conflicts[0]);
-            assert_eq!((s.first, s.second, s.case), (p.first, p.second, p.case));
-            assert!(par.pairs_checked <= 3);
-        }
-
-        // Degenerate sets.
-        let empty = RuleSet::new(Schema::new("T", ["a", "b"]).unwrap());
-        assert!(is_consistent_parallel(&empty, 4).is_consistent());
-        assert_eq!(is_consistent_parallel(&empty, 4).pairs_checked, 0);
     }
 
     #[test]

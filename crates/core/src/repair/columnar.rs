@@ -50,16 +50,6 @@ pub struct BatchStats {
     pub scattered: usize,
 }
 
-impl BatchStats {
-    /// Accumulate another batch's stats (per-chunk totals in the
-    /// parallel driver, per-batch totals in the streaming driver).
-    pub fn merge(&mut self, other: BatchStats) {
-        self.rows += other.rows;
-        self.groups += other.groups;
-        self.scattered += other.scattered;
-    }
-}
-
 /// Scatter a group's plan onto row `i` of the columns, emitting the
 /// per-fix hooks a [`PlanCache`] replay does. The caller accounts for
 /// `tuples_done` — once per rep for group representatives, coalesced
@@ -108,8 +98,8 @@ fn run_group_rep<O: RepairObserver>(
     RepairPlan::new(updates, rounds, assured)
 }
 
-/// The grouped core, shared by the sequential and parallel columnar
-/// drivers (and by servers that hold raw column buffers):
+/// The grouped core behind [`columnar_table`] (and servers that hold raw
+/// column buffers):
 /// repair `cols` (one mutable slice per attribute, all the same length)
 /// in place, returning updates re-indexed from `base_row` plus the
 /// batch's group-by shape. Emits one [`Event::BatchGrouped`] per
@@ -318,86 +308,6 @@ pub fn columnar_table<O: RepairObserver>(
     (RepairOutcome { updates }, stats)
 }
 
-/// Parallel columnar repair: columns are split into horizontal chunks
-/// (no transposition — each worker takes one disjoint slice per
-/// attribute), each worker runs its own local gather + group-by, and
-/// plans cross chunk boundaries only through the shared [`PlanCache`]
-/// (use [`PlanCache::sharded`] to keep shard contention low). The update
-/// log is byte-identical to the sequential driver's after the final
-/// stable sort.
-///
-/// Observer hooks: per-row hooks from the shared observer (which must be
-/// `Sync`), one [`Event::BatchGrouped`] per worker chunk, and one
-/// [`Event::WorkerDone`] per worker. The returned
-/// [`BatchStats`] sum the per-chunk stats, so `groups` may exceed the
-/// sequential driver's count when a signature spans chunks.
-#[allow(clippy::too_many_arguments)]
-pub fn par_columnar_table<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    cache: Option<&PlanCache>,
-    table: &mut ColumnTable,
-    num_threads: usize,
-    observer: &O,
-) -> (RepairOutcome, BatchStats) {
-    assert!(
-        rules.schema().same_as(table.schema()),
-        "rule set and table must share a schema"
-    );
-    let num_threads = num_threads.max(1);
-    let rows = table.len();
-    if rows == 0 {
-        return (RepairOutcome::default(), BatchStats::default());
-    }
-    let chunk_rows = rows.div_ceil(num_threads);
-    let mut all_updates: Vec<CellUpdate> = Vec::new();
-    let mut total = BatchStats::default();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (chunk_idx, mut chunk) in table.columns_mut_chunks(chunk_rows).into_iter().enumerate() {
-            let base_row = chunk_idx * chunk_rows;
-            handles.push(scope.spawn(move || {
-                let start = std::time::Instant::now();
-                let mut scratch = CompiledScratch::new(rules.len());
-                let (local, stats) = repair_columns_grouped(
-                    rules,
-                    program,
-                    engine,
-                    cache,
-                    &mut scratch,
-                    &mut chunk,
-                    base_row,
-                    observer,
-                );
-                let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                observer.event(Event::WorkerDone {
-                    worker: chunk_idx,
-                    rows: stats.rows,
-                    updates: local.len(),
-                    busy_ns,
-                });
-                (local, stats)
-            }));
-        }
-        for h in handles {
-            let (local, stats) = h.join().expect("repair worker panicked");
-            all_updates.extend(local);
-            total.merge(stats);
-        }
-    });
-    // Stable sort: chunks append in ascending base_row and per-row
-    // application order survives, so the log is byte-identical to the
-    // sequential driver's.
-    all_updates.sort_by_key(|u| u.row);
-    (
-        RepairOutcome {
-            updates: all_updates,
-        },
-        total,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,39 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_columnar_matches_sequential() {
-        let mut sy = SymbolTable::new();
-        let rules = fig8_rules(&mut sy);
-        let program = RuleProgram::compile(&rules);
-        let table = dup_table(&rules, &mut sy, 40);
-        let mut seq_t = ColumnTable::from_table(&table);
-        let (seq_out, _) = columnar_table(
-            &rules,
-            &program,
-            CompiledEngine::Linear,
-            None,
-            &mut seq_t,
-            &NoopObserver,
-        );
-        for threads in [1usize, 4, 7] {
-            let cache = PlanCache::sharded(4);
-            let mut par_t = ColumnTable::from_table(&table);
-            let (par_out, stats) = par_columnar_table(
-                &rules,
-                &program,
-                CompiledEngine::Linear,
-                Some(&cache),
-                &mut par_t,
-                threads,
-                &NoopObserver,
-            );
-            assert_eq!(seq_t.to_table().diff_cells(&par_t.to_table()).unwrap(), 0);
-            assert_eq!(seq_out.updates, par_out.updates, "threads={threads}");
-            assert_eq!(stats.rows, 120);
-        }
-    }
-
-    #[test]
     fn empty_ruleset_gives_one_clean_group() {
         let mut sy = SymbolTable::new();
         let rules = RuleSet::new(schema());
@@ -671,16 +548,5 @@ mod tests {
         );
         assert!(out.updates.is_empty());
         assert_eq!(stats, BatchStats::default());
-        let (pout, pstats) = par_columnar_table(
-            &rules,
-            &program,
-            CompiledEngine::Chase,
-            None,
-            &mut empty,
-            4,
-            &NoopObserver,
-        );
-        assert!(pout.updates.is_empty());
-        assert_eq!(pstats, BatchStats::default());
     }
 }

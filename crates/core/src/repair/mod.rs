@@ -39,7 +39,7 @@ pub mod parallel;
 pub mod stream;
 
 pub use chase::{crepair_table, crepair_tuple};
-pub use columnar::{columnar_table, par_columnar_table, repair_columns_grouped, BatchStats};
+pub use columnar::{columnar_table, repair_columns_grouped, BatchStats};
 pub use compile::{
     crepair_compiled_tuple, CompiledEngine, CompiledScratch, PlanCache, PlanCacheStats, RepairPlan,
     RuleProgram, TupleSignature,

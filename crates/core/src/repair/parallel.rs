@@ -90,11 +90,9 @@ pub fn par_lrepair_table<O: RepairObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::{
-        columnar_table, lrepair_table, par_columnar_table, CompiledEngine, PlanCache, RuleProgram,
-    };
+    use crate::repair::lrepair_table;
     use obs::NoopObserver;
-    use relation::{ColumnTable, Schema, SymbolTable};
+    use relation::{Schema, SymbolTable};
 
     fn setup(rows: usize) -> (RuleSet, Table, SymbolTable) {
         let schema = Schema::new("Travel", ["name", "country", "capital", "city", "conf"]).unwrap();
@@ -170,55 +168,6 @@ mod tests {
         let index = LRepairIndex::build(&rules);
         let outcome = par_lrepair_table(&rules, &index, &mut table, 4, &NoopObserver);
         assert_eq!(outcome.total_updates(), 0);
-    }
-
-    #[test]
-    fn compiled_parallel_matches_sequential_compiled_and_uncached() {
-        let (rules, table, _sy) = setup(1000);
-        let program = RuleProgram::compile(&rules);
-        let index = LRepairIndex::build(&rules);
-        let cache = PlanCache::sharded(16);
-        let mut seq = table.clone();
-        let mut par = ColumnTable::from_table(&table);
-        let so = lrepair_table(&rules, &index, &mut seq, &NoopObserver);
-        let (po, batch) = par_columnar_table(
-            &rules,
-            &program,
-            CompiledEngine::Linear,
-            Some(&cache),
-            &mut par,
-            4,
-            &NoopObserver,
-        );
-        assert_eq!(seq.diff_cells(&par.to_table()).unwrap(), 0);
-        assert_eq!(so.updates, po.updates, "full update logs must agree");
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, batch.groups as u64);
-        assert_eq!(batch.groups, 8, "two signatures in each of four chunks");
-        assert_eq!(stats.entries, 2, "workers share one plan per signature");
-
-        // Cache off, chase flavor, degenerate single worker.
-        let mut par1 = ColumnTable::from_table(&table);
-        let (p1, _) = par_columnar_table(
-            &rules,
-            &program,
-            CompiledEngine::Chase,
-            None,
-            &mut par1,
-            1,
-            &NoopObserver,
-        );
-        let mut seq1 = ColumnTable::from_table(&table);
-        let (s1, _) = columnar_table(
-            &rules,
-            &program,
-            CompiledEngine::Linear,
-            None,
-            &mut seq1,
-            &NoopObserver,
-        );
-        assert_eq!(seq1.to_table().diff_cells(&par1.to_table()).unwrap(), 0);
-        assert_eq!(p1.total_updates(), s1.total_updates());
     }
 
     #[test]

@@ -131,13 +131,6 @@ impl RuleSet {
         consistency::is_consistent_characterize(self, usize::MAX)
     }
 
-    /// Check consistency across `num_threads` workers, stopping at the
-    /// first (lowest-indexed) conflicting pair; see
-    /// [`consistency::is_consistent_parallel`].
-    pub fn check_consistency_parallel(&self, num_threads: usize) -> ConsistencyReport {
-        consistency::is_consistent_parallel(self, num_threads)
-    }
-
     /// Push `rule` only if it keeps the set consistent (assuming the set
     /// already is — Proposition 3 makes the incremental pairwise check
     /// sufficient). On conflict the rule is rejected and the conflicts

@@ -13,13 +13,13 @@
 
 use proptest::prelude::*;
 
+use fixrules::consistency::is_consistent_characterize;
 use fixrules::consistency::resolve::{ensure_consistent, Strategy as ResolveStrategy};
-use fixrules::consistency::{is_consistent_characterize, is_consistent_parallel};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
-    columnar_table, crepair_compiled_tuple, crepair_table, crepair_tuple, lrepair_table,
-    lrepair_tuple, par_columnar_table, par_lrepair_table, repair_columns_grouped, CompiledEngine,
-    CompiledScratch, LRepairIndex, LRepairScratch, NoopObserver, PlanCache, RuleProgram,
+    crepair_compiled_tuple, crepair_table, crepair_tuple, lrepair_table, lrepair_tuple,
+    par_lrepair_table, repair_columns_grouped, CompiledEngine, CompiledScratch, LRepairIndex,
+    LRepairScratch, NoopObserver, PlanCache, RuleProgram,
 };
 use fixrules::semantics::{all_fixes, is_fixpoint};
 use fixrules::{FixingRule, RuleSet};
@@ -225,7 +225,8 @@ proptest! {
     /// raw column chunks with running row offsets reproduces `cRepair`
     /// (`Chase`) and `lRepair` (`Linear`) — final table, update log and
     /// provenance ledger, `round` stamps included — at every chunk size,
-    /// with and without a plan cache shared across chunks; and the
+    /// with and without a plan cache shared across chunks, with every row
+    /// either a group representative or scattered; and the
     /// uncached per-tuple `crepair_compiled_tuple` matches `crepair_tuple`
     /// tuple by tuple.
     #[test]
@@ -265,9 +266,12 @@ proptest! {
                     for (k, mut chunk) in
                         cols.columns_mut_chunks(chunk_rows).into_iter().enumerate()
                     {
-                        let (u, _) = repair_columns_grouped(
+                        let (u, batch) = repair_columns_grouped(
                             &rs, &program, engine, cache.as_ref(), &mut scratch,
                             &mut chunk, k * chunk_rows, &obs);
+                        prop_assert_eq!(batch.rows, batch.groups + batch.scattered,
+                            "{:?} cached={} chunk={}: batch accounting",
+                            engine, cached, chunk_rows);
                         updates.extend(u);
                     }
                     let t = cols.to_table();
@@ -290,88 +294,6 @@ proptest! {
                 crepair_compiled_tuple(&rs, &program, &mut scratch, &mut by_compiled);
             prop_assert_eq!(&by_chase, &by_compiled);
             prop_assert_eq!(chase_updates, compiled_updates);
-        }
-    }
-
-    /// The columnar group-by-plan drivers are drop-in replacements for the
-    /// paper's drivers: on random consistent rule sets,
-    /// `columnar(Chase)` reproduces `cRepair`'s final table and provenance
-    /// ledger byte for byte and `columnar(Linear)` reproduces `lRepair`'s —
-    /// including the engine-specific `round` stamps — for every
-    /// combination of plan cache (off / on) and worker count (1 / 4).
-    /// Batch accounting must always tie out: every row is either a group
-    /// representative or scattered.
-    #[test]
-    fn columnar_drivers_reproduce_ledgers(rs in rulesets(),
-                                          rows in proptest::collection::vec(tuples(), 1..24)) {
-        let mut rs = rs;
-        ensure_consistent(&mut rs, ResolveStrategy::ShrinkNegatives);
-        let program = RuleProgram::compile(&rs);
-        let index = LRepairIndex::build(&rs);
-        let mut table0 = Table::new(rs.schema().clone());
-        for r in &rows {
-            table0.push_row(r).unwrap();
-        }
-        // References: the paper's sequential drivers.
-        let mut chase_table = table0.clone();
-        let chase_ledger = ProvenanceLedger::new();
-        crepair_table(
-            &rs, &mut chase_table, &ProvenanceObserver::new(&rs, &chase_ledger));
-        let chase_records = chase_ledger.records();
-        let mut linear_table = table0.clone();
-        let linear_ledger = ProvenanceLedger::new();
-        lrepair_table(
-            &rs, &index, &mut linear_table, &ProvenanceObserver::new(&rs, &linear_ledger));
-        let linear_records = linear_ledger.records();
-
-        for (engine, ref_table, ref_records) in [
-            (CompiledEngine::Chase, &chase_table, &chase_records),
-            (CompiledEngine::Linear, &linear_table, &linear_records),
-        ] {
-            for threads in [1usize, 4] {
-                for cached in [false, true] {
-                    let cache = cached.then(|| if threads > 1 {
-                        PlanCache::sharded(4)
-                    } else {
-                        PlanCache::unbounded()
-                    });
-                    let mut cols = ColumnTable::from(&table0);
-                    let ledger = ProvenanceLedger::new();
-                    let obs = ProvenanceObserver::new(&rs, &ledger);
-                    let (_, batch) = if threads > 1 {
-                        par_columnar_table(
-                            &rs, &program, engine, cache.as_ref(), &mut cols, threads, &obs)
-                    } else {
-                        columnar_table(
-                            &rs, &program, engine, cache.as_ref(), &mut cols, &obs)
-                    };
-                    let t = cols.to_table();
-                    prop_assert_eq!(ref_table.diff_cells(&t).unwrap(), 0,
-                        "{:?} cached={} threads={}: tables diverged", engine, cached, threads);
-                    prop_assert_eq!(&ledger.records(), ref_records,
-                        "{:?} cached={} threads={}: ledgers diverged", engine, cached, threads);
-                    prop_assert_eq!(batch.rows, rows.len());
-                    prop_assert_eq!(batch.rows, batch.groups + batch.scattered,
-                        "{:?} cached={} threads={}: batch accounting", engine, cached, threads);
-                }
-            }
-        }
-    }
-
-    /// The parallel pairwise consistency checker agrees with the sequential
-    /// one on the verdict, and on inconsistent sets reports exactly the
-    /// lowest-indexed conflicting pair, at any worker count.
-    #[test]
-    fn parallel_consistency_agrees(rs in rulesets()) {
-        let seq = is_consistent_characterize(&rs, 1);
-        for threads in [1usize, 3, 8] {
-            let par = is_consistent_parallel(&rs, threads);
-            prop_assert_eq!(seq.is_consistent(), par.is_consistent());
-            if let (Some(s), Some(p)) = (seq.conflicts.first(), par.conflicts.first()) {
-                prop_assert_eq!(s.first, p.first);
-                prop_assert_eq!(s.second, p.second);
-                prop_assert_eq!(s.case, p.case);
-            }
         }
     }
 

@@ -106,24 +106,19 @@ grep -q traceEvents "$TRACE_DIR/chrome.json" \
     || { echo "chrome export has no traceEvents" >&2; exit 1; }
 echo "-- chrome export valid"
 
-echo "== columnar group-by-plan equivalence smoke =="
-# The columnar engine must reproduce lRepair byte for byte (DESIGN.md
-# §17), sequentially and across worker threads: same repaired CSV, same
-# repair.cell provenance records, and the same rule-application counters.
-# The index.*/plan.*/queue.* counters count each engine's own work and
-# differ by design. lRepair itself must not depend on the worker count
-# (DESIGN.md §18): at 2 workers and at the default (every core) it
-# matches 1 worker on the CSV, the provenance and every repair.* counter
-# but the per-worker ones. Journal seq numbers are position-dependent,
-# so they are stripped before comparing. Tile the example rows so
-# signature groups actually have members. (Plan-cache parity is pinned
-# by `warm_plan_cache_keeps_table_and_repair_counters` in columnar.rs.)
+echo "== engine and worker-count equivalence smoke =="
+# lRepair must not depend on the worker count (DESIGN.md §18), and the
+# stream engine must reproduce it byte for byte: at 2 workers, at the
+# default (every core) and streamed, each run matches 1 worker on the
+# CSV, the provenance and every repair.* counter but the per-worker
+# ones. Journal seq numbers are position-dependent, so they are stripped
+# before comparing. The example rows are tiled so repeated rows occur.
 {
     cat examples/data/hosp_dirty.csv
     tail -n +2 examples/data/hosp_dirty.csv
     tail -n +2 examples/data/hosp_dirty.csv
 } > "$TRACE_DIR/hosp_dup.csv"
-for run in lrepair:1 lrepair:2 lrepair:default columnar:1 columnar:3; do
+for run in lrepair:1 lrepair:2 lrepair:default stream:1; do
     engine="${run%:*}"
     threads="${run#*:}"
     tag="${engine}_$threads"
@@ -136,18 +131,17 @@ for run in lrepair:1 lrepair:2 lrepair:default columnar:1 columnar:3; do
         --out "$TRACE_DIR/eng_$tag.csv" \
         --metrics "$TRACE_DIR/eng_metrics_$tag.json" \
         --trace "$TRACE_DIR/eng_trace_$tag.jsonl" >/dev/null
-    grep -oE '"repair\.(rules_applied|tuples|tuples_touched|updates)": [0-9]+' \
-        "$TRACE_DIR/eng_metrics_$tag.json" > "$TRACE_DIR/eng_counters_$tag.txt"
     grep -oE '"repair\.[a-z_.]+": [0-9]+' "$TRACE_DIR/eng_metrics_$tag.json" \
         | grep -v '"repair\.worker\.' > "$TRACE_DIR/eng_all_counters_$tag.txt"
     grep '"repair\.cell"' "$TRACE_DIR/eng_trace_$tag.jsonl" \
         | sed -E 's/"seq": *[0-9]+, *//' > "$TRACE_DIR/eng_cells_$tag.txt"
 done
-[ "$(wc -l < "$TRACE_DIR/eng_counters_lrepair_1.txt")" -eq 4 ] \
+[ "$(grep -cE '"repair\.(rules_applied|tuples|tuples_touched|updates)"' \
+    "$TRACE_DIR/eng_all_counters_lrepair_1.txt")" -eq 4 ] \
     || { echo "lrepair run is missing repair counters" >&2; exit 1; }
 grep -q '"repair\.index\.probes": [1-9]' "$TRACE_DIR/eng_all_counters_lrepair_1.txt" \
     || { echo "lrepair run recorded no index probes" >&2; exit 1; }
-for tag in lrepair_2 lrepair_default; do
+for tag in lrepair_2 lrepair_default stream_1; do
     cmp "$TRACE_DIR/eng_lrepair_1.csv" "$TRACE_DIR/eng_$tag.csv" \
         || { echo "$tag output differs from lrepair_1" >&2; exit 1; }
     diff "$TRACE_DIR/eng_all_counters_lrepair_1.txt" "$TRACE_DIR/eng_all_counters_$tag.txt" \
@@ -155,33 +149,27 @@ for tag in lrepair_2 lrepair_default; do
     cmp "$TRACE_DIR/eng_cells_lrepair_1.txt" "$TRACE_DIR/eng_cells_$tag.txt" \
         || { echo "repair.cell provenance differs, lrepair_1 vs $tag" >&2; exit 1; }
 done
-echo "-- lrepair at 2 and at the default worker count matches 1: CSV, repair.* counters, provenance"
-for tag in columnar_1 columnar_3; do
-    cmp "$TRACE_DIR/eng_lrepair_1.csv" "$TRACE_DIR/eng_$tag.csv" \
-        || { echo "$tag output differs from lrepair" >&2; exit 1; }
-    diff "$TRACE_DIR/eng_counters_lrepair_1.txt" "$TRACE_DIR/eng_counters_$tag.txt" \
-        || { echo "repair counters differ, lrepair vs $tag" >&2; exit 1; }
-    cmp "$TRACE_DIR/eng_cells_lrepair_1.txt" "$TRACE_DIR/eng_cells_$tag.txt" \
-        || { echo "repair.cell provenance differs, lrepair vs $tag" >&2; exit 1; }
-    grep -q '"repair\.batch\.groups": [1-9]' "$TRACE_DIR/eng_metrics_$tag.json" \
-        || { echo "$tag run recorded no signature groups" >&2; exit 1; }
-done
-echo "-- columnar (1 and 3 threads) matches lrepair: CSV, repair counters, provenance"
+echo "-- lrepair at 2 and at the default worker count, and stream, match lrepair at 1: CSV, repair.* counters, provenance"
 
 echo "== CSV quoting round-trip smoke =="
 # The fixture's cells hold quoted commas, "" escapes, an embedded newline,
 # CRLF rows and non-ASCII text; both the table and the streaming drivers
-# must reproduce the golden repair byte for byte.
+# must reproduce the golden repair byte for byte, and lrepair's
+# --updates-log must quote its cells the same way.
 for engine in lrepair stream; do
+    updates_args=()
+    [ "$engine" = stream ] || updates_args=(--updates-log "$TRACE_DIR/quoting_updates.csv")
     "$FIXCTL" repair \
         --rules examples/rulesets/quoting.frl \
         --data examples/data/quoting.csv \
-        --engine "$engine" \
+        --engine "$engine" "${updates_args[@]}" \
         --out "$TRACE_DIR/quoting_$engine.csv" >/dev/null
     cmp "$TRACE_DIR/quoting_$engine.csv" examples/data/quoting_repaired.csv \
         || { echo "--engine $engine drifted from quoting_repaired.csv" >&2; exit 1; }
 done
-echo "-- lrepair and stream outputs match the golden file"
+cmp "$TRACE_DIR/quoting_updates.csv" examples/data/quoting_updates.csv \
+    || { echo "--updates-log drifted from quoting_updates.csv" >&2; exit 1; }
+echo "-- lrepair and stream outputs and the update log match the golden files"
 
 echo "== attribution profile determinism smoke =="
 # Two identical --profile-json runs must be byte-identical: the profile
@@ -190,7 +178,6 @@ for run in 1 2; do
     "$FIXCTL" repair \
         --rules examples/rulesets/hosp_zip.frl \
         --data "$TRACE_DIR/hosp_dup.csv" \
-        --engine columnar \
         --out "$TRACE_DIR/profiled_$run.csv" \
         --profile-json "$TRACE_DIR/profile_$run.json" >/dev/null
 done
