@@ -3,22 +3,17 @@
 //! batches, pinning multi-client throughput (rows/sec) and the daemon's
 //! own per-endpoint latency telemetry into `BENCH_serve_repair.json`.
 //!
-//! Configurations:
-//!
-//! * `shared_cache/1|4|8` — the production shape: every request repairs
-//!   against one shared warm [`PlanCache`], so after the first batch
-//!   almost every row replays a memoized plan;
-//! * `no_cache/8` — the ablation: plan memoization off, every row pays
-//!   full compiled-engine evaluation.
+//! Configurations: `clients/1|4|8`. Every request repairs on its own:
+//! the grouped core runs the engine once per distinct signature in the
+//! batch, and nothing is kept between requests.
 //!
 //! Each benchmark passes its metrics registry into the daemon
 //! ([`Daemon::start_with_registry`]), so the pinned JSON embeds the
-//! served-side `http.requests{endpoint="repair",status="200"}` counters
-//! and latency histograms next to the client-side wall clock. The
-//! headline comparison is `serve.repair_stage_ns{cache="on"|"off"}`:
-//! end-to-end wall clock is dominated by transport and (de)serialization,
-//! but the repair stage itself replays memoized plans ~2× faster at the
-//! median than re-running the compiled engine per row.
+//! served-side `http.requests{endpoint="repair",status="200"}` counters,
+//! the `http.latency_ns` and `serve.repair_stage_ns` histograms next to
+//! the client-side wall clock. End-to-end wall clock is dominated by
+//! transport and (de)serialization; the repair stage histogram isolates
+//! the repair loop itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -31,7 +26,7 @@ use relation::{csv_io, Table};
 const DISTINCT_ROWS: usize = 100;
 /// Rows per `POST /repair` batch (each distinct row appears ~10×).
 const BATCH_ROWS: usize = 1_000;
-/// Concurrent client counts for the shared-cache sweep.
+/// Concurrent client counts of the sweep.
 const CLIENTS: [usize; 3] = [1, 4, 8];
 
 /// Render a duplicate-heavy CSV batch from the workload's dirty table.
@@ -47,7 +42,7 @@ fn batch_csv(workload: &bench::Workload) -> Vec<u8> {
     out
 }
 
-fn daemon_config(workload: &bench::Workload, plan_cache: bool) -> DaemonConfig {
+fn daemon_config(workload: &bench::Workload) -> DaemonConfig {
     DaemonConfig {
         rules: RulesSource::Inline(format_rules(&workload.rules, &workload.dataset.symbols)),
         // The full dataset schema, so the batch CSV header always maps.
@@ -60,7 +55,6 @@ fn daemon_config(workload: &bench::Workload, plan_cache: bool) -> DaemonConfig {
                 .collect(),
         ),
         threads: 8,
-        plan_cache,
         ..DaemonConfig::default()
     }
 }
@@ -86,43 +80,23 @@ fn bench_serve_repair(c: &mut Criterion) {
     for clients in CLIENTS {
         group.throughput(Throughput::Elements((clients * BATCH_ROWS) as u64));
         group.bench_with_input(
-            BenchmarkId::new("shared_cache", clients),
+            BenchmarkId::new("clients", clients),
             &clients,
             |b, &clients| {
-                let daemon = Daemon::start_with_registry(
-                    daemon_config(&workload, true),
-                    b.metrics().clone(),
-                )
-                .expect("start fixd");
+                let daemon =
+                    Daemon::start_with_registry(daemon_config(&workload), b.metrics().clone())
+                        .expect("start fixd");
                 // CSV echo: the cheap response path, so the measurement
                 // tracks repair throughput, not JSON tree rendering.
                 let url = format!("http://{}/repair?format=csv", daemon.addr());
-                // Warm round: memoize every distinct signature once, so
-                // the timed rounds measure the shared-cache steady state.
+                // Warm-up round: intern every batch value once, so the
+                // timed rounds measure the steady state.
                 drive(&url, &body, 1);
                 b.iter(|| drive(&url, &body, clients));
                 daemon.shutdown();
             },
         );
     }
-
-    // Ablation: same traffic, memoization off — the daemon re-runs the
-    // compiled engine for every row of every request.
-    let clients = *CLIENTS.last().unwrap();
-    group.throughput(Throughput::Elements((clients * BATCH_ROWS) as u64));
-    group.bench_with_input(
-        BenchmarkId::new("no_cache", clients),
-        &clients,
-        |b, &clients| {
-            let daemon =
-                Daemon::start_with_registry(daemon_config(&workload, false), b.metrics().clone())
-                    .expect("start fixd");
-            let url = format!("http://{}/repair?format=csv", daemon.addr());
-            drive(&url, &body, 1);
-            b.iter(|| drive(&url, &body, clients));
-            daemon.shutdown();
-        },
-    );
     group.finish();
 }
 

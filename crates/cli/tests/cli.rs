@@ -1403,7 +1403,7 @@ fn serve_and_client_roundtrip_with_journal() {
         "client should surface the X-Trace-Id header"
     );
 
-    // After one repair the cache is warm and readiness is green.
+    // Readiness is green.
     let out = fixctl(&["client", "get", "/readyz", "--addr", &addr]);
     assert!(
         out.status.success(),
@@ -1444,18 +1444,19 @@ fn serve_and_client_roundtrip_with_journal() {
 #[test]
 fn client_surfaces_daemon_errors_as_exit_one() {
     let dir = tmpdir("serve_client_errors");
-    let rules = dir.join("r.frl");
     let bad = dir.join("bad.csv");
-    std::fs::write(&rules, HOSP_RULES).unwrap();
     std::fs::write(&bad, "zip,nope\n1,2\n").unwrap();
-    let (mut child, addr, _serve_stdout) = spawn_serve(&["--rules", rules.to_str().unwrap()]);
+    // An inconsistent Σ boots (readiness reports it) but never serves as
+    // ready.
+    let rules = example("lint/conflicting.frl");
+    let (mut child, addr, _serve_stdout) = spawn_serve(&["--rules", &rules]);
     let out = fixctl(&["client", "repair", bad.to_str().unwrap(), "--addr", &addr]);
     assert_eq!(out.status.code(), Some(1), "daemon 4xx maps to exit 1");
     assert!(String::from_utf8_lossy(&out.stdout).contains("error"));
-    // Cold cache: readiness is red, and the client reports it.
+    // Readiness is red (503), and the client reports it as exit 1.
     let out = fixctl(&["client", "get", "/readyz", "--addr", &addr]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("\"cache_warm\":false"));
+    assert_eq!(out.status.code(), Some(1), "daemon 503 maps to exit 1");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"consistent\":false"));
     let out = fixctl(&["client", "shutdown", "--addr", &addr]);
     assert!(out.status.success());
     assert!(child.wait().unwrap().success());

@@ -8,13 +8,13 @@
 //! representative's cells, and each distinct signature runs the compiled
 //! engine exactly once — the resulting [`RepairPlan`] is scattered back
 //! to every member row. A batch with `k` distinct signatures therefore
-//! does `k` engine runs (or `k` probes of an optional cross-batch
-//! [`PlanCache`]) instead of `n`.
+//! does `k` engine runs instead of `n`. Plans live for one call: nothing
+//! is shared between batches unless a caller passes a [`PlanCache`],
+//! which only the benchmark harness still does.
 //!
 //! **Output equivalence.** Rows are visited in ascending order and each
 //! row emits the hooks a per-tuple run would: a group's first row runs
-//! the engine (or, when a previous batch already memoized the signature,
-//! replays the cached plan), and member rows replay the plan with the
+//! the engine, and member rows replay the plan with the
 //! per-fix `rule_applied`/`plan_replayed` calls, with the members'
 //! single-tuple `tuples_done`s coalesced into one
 //! [`RepairObserver::tuples_done`] per group (every final counter and
@@ -22,8 +22,8 @@
 //! drops to zero). Crucially `cell_repaired` fixes are still emitted per row in
 //! the identical `(row, ordinal)` order, so ledgers, repaired tables and
 //! output CSV are byte-identical to `cRepair`/`lRepair` (pinned by
-//! proptests); only the `repair.plan_cache.*` lookup counts and the
-//! columnar-only `repair.batch.*` counters depend on the batching.
+//! proptests); only the columnar-only `repair.batch.*` counters depend on
+//! the batching.
 
 use std::sync::Arc;
 
@@ -211,13 +211,11 @@ pub fn repair_columns_grouped<O: RepairObserver>(
                 let sig = TupleSignature::from_slice(&sig_buf);
                 match cache.get(&sig) {
                     Some(plan) => {
-                        observer.event(Event::PlanCacheLookup { hit: true });
                         scatter_plan(&plan, cols, i, observer);
                         observer.tuples_done(plan.rounds(), plan.updates().len(), 1);
                         plan
                     }
                     None => {
-                        observer.event(Event::PlanCacheLookup { hit: false });
                         let plan = run_group_rep(
                             rules,
                             program,
@@ -228,9 +226,7 @@ pub fn repair_columns_grouped<O: RepairObserver>(
                             &mut row_buf,
                             observer,
                         );
-                        for _ in 0..cache.insert(sig, plan.clone()) {
-                            observer.event(Event::PlanCacheEvicted);
-                        }
+                        cache.insert(sig, plan.clone());
                         Arc::new(plan)
                     }
                 }
@@ -278,9 +274,9 @@ pub fn repair_columns_grouped<O: RepairObserver>(
 /// update log of the driver `engine` emulates
 /// ([`crate::repair::crepair_table`] for [`CompiledEngine::Chase`],
 /// [`crate::repair::lrepair_table`] for [`CompiledEngine::Linear`]), plus
-/// the batch's group-by shape. Observer hooks: the per-tuple hooks minus
-/// the per-member cache probes, plus one [`Event::BatchGrouped`] per
-/// non-empty batch; pass [`obs::NoopObserver`] for none.
+/// the batch's group-by shape. Observer hooks: the per-tuple hooks, plus
+/// one [`Event::BatchGrouped`] per non-empty batch; pass
+/// [`obs::NoopObserver`] for none.
 pub fn columnar_table<O: RepairObserver>(
     rules: &RuleSet,
     program: &RuleProgram,
@@ -430,9 +426,9 @@ mod tests {
     }
 
     /// `repair.*` counters and `repair.tuple_*` histograms of one run,
-    /// minus the families that count cache traffic, live engine work
-    /// (probes, and the chase flavour's rounds) and batching — the only
-    /// ones a plan cache may change.
+    /// minus the families that count live engine work (probes, and the
+    /// chase flavour's rounds) and batching — the only ones a plan cache
+    /// may change.
     fn repair_metrics(registry: &MetricsRegistry) -> BTreeMap<String, obs::Json> {
         let snap = registry.snapshot();
         let counters = snap.get("counters").and_then(|c| c.as_obj()).unwrap();
@@ -441,14 +437,9 @@ mod tests {
             .iter()
             .filter(|(k, _)| {
                 k.starts_with("repair.")
-                    && ![
-                        "repair.plan_cache.",
-                        "repair.plan.",
-                        "repair.batch.",
-                        "repair.chase.",
-                    ]
-                    .iter()
-                    .any(|p| k.starts_with(p))
+                    && !["repair.plan.", "repair.batch.", "repair.chase."]
+                        .iter()
+                        .any(|p| k.starts_with(p))
             })
             .chain(
                 histograms
@@ -500,8 +491,7 @@ mod tests {
             let cold_metrics = repair_metrics(&cold_registry);
             assert!(cold_metrics.contains_key("repair.updates"));
             assert_eq!(cold_metrics, repair_metrics(&warm_registry), "{engine:?}");
-            let hits = warm_registry.counter("repair.plan_cache.hits").get();
-            assert!(hits >= 1, "the warm run replays cached plans");
+            assert!(cache.stats().hits >= 1, "the warm run replays cached plans");
         }
     }
 

@@ -18,11 +18,9 @@
 //!   engine once per distinct signature in a batch and records the ordered
 //!   fix list (plus the assured-set delta); a cache carries those plans
 //!   *across* batches, so a later batch with a known signature replays the
-//!   plan: one hash lookup, zero rule evaluation. Sharded interior state
-//!   lets parallel workers and daemon requests share hits;
-//!   [`PlanCache::unbounded`] is the single-shard (uncontended) fast path,
-//!   and [`PlanCache::bounded_lru`] gives an exact least-recently-used
-//!   eviction bound.
+//!   plan. No production path passes one: within-batch grouping already
+//!   does the work, and only the benchmark harness still measures the
+//!   cross-batch case.
 //!
 //! **Why memoization is sound.** An engine run on a tuple `t` reads only
 //! `t[A]` for `A` in the relevant closure (evidence via `X`, negative
@@ -243,81 +241,57 @@ impl RepairPlan {
     }
 }
 
-/// Hit/miss/eviction counters and current size of a [`PlanCache`].
+/// Hit/miss counters and current size of a [`PlanCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups that found a plan.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries evicted to stay within capacity.
-    pub evictions: u64,
     /// Plans currently cached.
     pub entries: usize,
 }
 
-#[derive(Debug)]
-struct CacheEntry {
-    plan: Arc<RepairPlan>,
-    last_used: u64,
-}
+type Shard = FxHashMap<TupleSignature, Arc<RepairPlan>>;
 
-#[derive(Debug, Default)]
-struct Shard {
-    map: FxHashMap<TupleSignature, CacheEntry>,
-    /// Per-shard logical clock; bumped on every lookup/insert, stamped
-    /// into entries for exact LRU eviction.
-    tick: u64,
-}
-
-/// Signature → plan memo shared across grouped-core batches.
+/// Signature → plan memo shared across grouped-core batches, with no
+/// capacity bound.
+///
+/// It has no production caller: `fixd` and `fixctl` repair every batch
+/// with within-batch grouping alone. The benchmark harness still builds
+/// one, so it goes, together with the `cache` parameter of
+/// [`crate::repair::repair_columns_grouped`] and the `cache` label on
+/// fixd's `serve.repair_stage_ns`, in the next change to the benchmark.
 ///
 /// Interior state is sharded (`N` power-of-two shards, each behind its own
 /// mutex) so parallel workers share hits with minimal contention; the
-/// single-shard constructors serve sequential callers, where the one
-/// uncontended lock costs a single atomic exchange per probe. Capacity, if
-/// bounded, evicts the least-recently-used entry per shard.
+/// single-shard constructor serves sequential callers, where the one
+/// uncontended lock costs a single atomic exchange per probe.
 #[derive(Debug)]
 pub struct PlanCache {
     shards: Box<[Mutex<Shard>]>,
     /// `64 - log2(shards.len())`; shard index = top hash bits.
     shift: u32,
-    shard_capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl PlanCache {
-    fn with_shards_and_capacity(shards: usize, capacity: Option<usize>) -> Self {
+    /// Single shard, no capacity bound — the sequential fast path.
+    pub fn unbounded() -> Self {
+        PlanCache::sharded(1)
+    }
+
+    /// `shards` (rounded up to a power of two) mutex-guarded shards — for
+    /// parallel workers; size to ~4× the worker count.
+    pub fn sharded(shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
-        let shard_capacity = capacity.map(|c| c.max(1).div_ceil(shards));
         PlanCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             shift: 64 - shards.trailing_zeros(),
-            shard_capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
-    }
-
-    /// Single-shard, no capacity bound — the sequential fast path.
-    pub fn unbounded() -> Self {
-        PlanCache::with_shards_and_capacity(1, None)
-    }
-
-    /// `shards` (rounded up to a power of two) mutex-guarded shards, no
-    /// capacity bound — for parallel workers; size to ~4× the worker
-    /// count.
-    pub fn sharded(shards: usize) -> Self {
-        PlanCache::with_shards_and_capacity(shards, None)
-    }
-
-    /// Single shard holding at most `capacity` plans with exact
-    /// least-recently-used eviction.
-    pub fn bounded_lru(capacity: usize) -> Self {
-        PlanCache::with_shards_and_capacity(1, Some(capacity))
     }
 
     #[inline]
@@ -329,63 +303,35 @@ impl PlanCache {
         }
     }
 
-    /// Look a signature up, bumping its recency on hit.
+    /// Look a signature up.
     pub fn get(&self, sig: &TupleSignature) -> Option<Arc<RepairPlan>> {
-        let mut shard = self.shards[self.shard_for(sig)].lock().unwrap();
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(sig) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.plan))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let plan = self.shards[self.shard_for(sig)]
+            .lock()
+            .expect("plan cache shard poisoned")
+            .get(sig)
+            .cloned();
+        let counter = if plan.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        plan
     }
 
-    /// Insert a plan, evicting the shard's least-recently-used entry if at
-    /// capacity. Returns the number of evictions (0 or 1).
-    pub fn insert(&self, sig: TupleSignature, plan: RepairPlan) -> usize {
-        let mut shard = self.shards[self.shard_for(&sig)].lock().unwrap();
-        shard.tick += 1;
-        let tick = shard.tick;
-        let mut evicted = 0;
-        if let Some(cap) = self.shard_capacity {
-            if shard.map.len() >= cap && !shard.map.contains_key(&sig) {
-                // Exact LRU: ticks are unique per shard, so the minimum is
-                // deterministic. Linear scan is fine — bounded caches are
-                // small by construction and eviction is the rare path.
-                if let Some(victim) = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                {
-                    shard.map.remove(&victim);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    evicted = 1;
-                }
-            }
-        }
-        shard.map.insert(
-            sig,
-            CacheEntry {
-                plan: Arc::new(plan),
-                last_used: tick,
-            },
-        );
-        evicted
+    /// Insert a plan.
+    pub fn insert(&self, sig: TupleSignature, plan: RepairPlan) {
+        self.shards[self.shard_for(&sig)]
+            .lock()
+            .expect("plan cache shard poisoned")
+            .insert(sig, Arc::new(plan));
     }
 
     /// Plans currently cached, summed over shards.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap().map.len())
+            .map(|s| s.lock().expect("plan cache shard poisoned").len())
             .sum()
     }
 
@@ -394,12 +340,11 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Snapshot of the hit/miss/eviction counters and current size.
+    /// Snapshot of the hit/miss counters and current size.
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len(),
         }
     }
@@ -870,62 +815,6 @@ mod tests {
         assert!(plan.assured().contains(s.attr("capital").unwrap()));
         assert!(plan.assured().contains(s.attr("city").unwrap()));
         assert!(!plan.assured().contains(s.attr("name").unwrap()));
-    }
-
-    #[test]
-    fn bounded_cache_evicts_least_recently_used() {
-        let cache = PlanCache::bounded_lru(2);
-        let sig = |v: u32| TupleSignature(vec![Symbol(v)].into_boxed_slice());
-        assert_eq!(cache.insert(sig(1), RepairPlan::default()), 0);
-        assert_eq!(cache.insert(sig(2), RepairPlan::default()), 0);
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.get(&sig(1)).is_some());
-        assert_eq!(cache.insert(sig(3), RepairPlan::default()), 1);
-        assert!(cache.get(&sig(2)).is_none(), "LRU entry evicted");
-        assert!(cache.get(&sig(1)).is_some());
-        assert!(cache.get(&sig(3)).is_some());
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.entries, 2);
-    }
-
-    #[test]
-    fn lru_eviction_and_re_miss_yield_correct_plans() {
-        let mut sy = SymbolTable::new();
-        let rules = fig8_rules(&mut sy);
-        let program = RuleProgram::compile(&rules);
-        // Two dirty signatures alternating: a capacity-1 cache thrashes —
-        // every lookup after the first evicts the other signature's plan —
-        // yet each re-miss must re-plan correctly.
-        let china = intern(&mut sy, ["p", "China", "Shanghai", "x", "ICDE"]);
-        let canada = intern(&mut sy, ["q", "Canada", "Toronto", "y", "VLDB"]);
-        let (beijing, ottawa) = (sy.intern("Beijing"), sy.intern("Ottawa"));
-        let cache = PlanCache::bounded_lru(1);
-        let mut scratch = CompiledScratch::new(rules.len());
-        let mut updates = 0;
-        for i in 0..6 {
-            let (mut row, fixed) = if i % 2 == 0 {
-                (china.clone(), beijing)
-            } else {
-                (canada.clone(), ottawa)
-            };
-            updates += repair_one(
-                &rules,
-                &program,
-                CompiledEngine::Linear,
-                &cache,
-                &mut scratch,
-                &mut row,
-            )
-            .len();
-            assert_eq!(row[2], fixed, "row {i} repaired despite thrashing");
-        }
-        assert_eq!(updates, 6);
-        let cs = cache.stats();
-        assert_eq!(cs.hits, 0, "capacity 1 with alternating signatures");
-        assert_eq!(cs.misses, 6);
-        assert_eq!(cs.evictions, 5);
-        assert_eq!(cs.entries, 1);
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! [`columnar`] is the grouped core: Σ is compiled once into a
 //! [`RuleProgram`] ([`compile`]), the rows of a column batch are grouped
 //! by [`TupleSignature`], and each distinct signature runs the compiled
-//! engine once ([`repair_columns_grouped`]); an optional [`PlanCache`]
-//! carries the resulting plans across batches. [`CompiledEngine::Chase`]
+//! engine once ([`repair_columns_grouped`]). [`CompiledEngine::Chase`]
 //! and [`CompiledEngine::Linear`] reproduce `cRepair`'s and `lRepair`'s
 //! output — table, update log and provenance ledger — byte for byte.
 //!

@@ -18,9 +18,7 @@ OPTIONS:
     --addr <host:port>        bind address (default 127.0.0.1:0)
     --threads <n>             worker threads (default 4)
     --schema <a,b,c>          explicit schema (default: inferred from rules)
-    --warm <file.csv>         pre-warm the plan cache from a CSV at startup
     --journal <file.jsonl>    flush the trace journal here on shutdown
-    --plan-cache <on|off>     shared repair-plan memoization (default on)
     --trace-clock <logical|wall>  journal clock (default logical)
     --trace-sample <n>        row.repaired journal events per request (default 16)
     --slo-window <n>          rolling SLO window size (default 512)
@@ -79,15 +77,7 @@ fn parse(args: &[String]) -> Result<(DaemonConfig, Option<Level>), String> {
                 config.schema =
                     SchemaSource::Names(value()?.split(',').map(|s| s.trim().to_string()).collect())
             }
-            "--warm" => config.warm = Some(value()?.to_string()),
             "--journal" => config.journal_path = Some(value()?.to_string()),
-            "--plan-cache" => {
-                config.plan_cache = match value()? {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--plan-cache: bad value `{other}` (on|off)")),
-                }
-            }
             "--trace-clock" => config.trace_clock = value()?.parse()?,
             "--trace-sample" => config.trace_sample = parse_value(flag, value()?)?,
             "--slo-window" => config.slo.window = parse_value(flag, value()?)?,
@@ -151,13 +141,9 @@ mod tests {
                 Some("a, b"),
                 |c, _| matches!(&c.schema, SchemaSource::Names(n) if n == &["a", "b"]),
             ),
-            ("warm", Some("w.csv"), |c, _| {
-                c.warm.as_deref() == Some("w.csv")
-            }),
             ("journal", Some("j.jsonl"), |c, _| {
                 c.journal_path.as_deref() == Some("j.jsonl")
             }),
-            ("plan-cache", Some("off"), |c, _| !c.plan_cache),
             ("trace-clock", Some("wall"), |c, _| {
                 c.trace_clock == obs::TraceClock::Wall
             }),
@@ -213,8 +199,12 @@ mod tests {
                 "--threads: bad value `many`",
             ),
             (
-                &["--rules", "r.frl", "--plan-cache", "maybe"],
-                "--plan-cache: bad value",
+                &["--rules", "r.frl", "--warm", "w.csv"],
+                "unknown flag --warm (try --help)",
+            ),
+            (
+                &["--rules", "r.frl", "--plan-cache", "on"],
+                "unknown flag --plan-cache (try --help)",
             ),
             (
                 &["--rules", "r.frl", "--trace-clock", "sundial"],

@@ -9,9 +9,9 @@
 //! [`obs::http`]):
 //!
 //! * rules are parsed, linted, and compiled **once** into a
-//!   [`RuleProgram`]; every request repairs against the same program and
-//!   one shared warm [`PlanCache`], so duplicate dirty signatures across
-//!   requests replay memoized plans instead of re-running the chase;
+//!   [`RuleProgram`]; every request repairs against the same program,
+//!   running the engine once per distinct tuple signature in its batch.
+//!   No repair state outlives a request;
 //! * every request gets a **trace id** (`X-Trace-Id` response header) and
 //!   a span scope in a global [`TraceJournal`]; `GET /trace/{id}` replays
 //!   the request's records as JSONL (or `?format=chrome` for
@@ -22,7 +22,7 @@
 //! * a rolling-window [`HealthEvaluator`] judges recent request outcomes
 //!   against error-rate and p99-latency SLOs; `GET /healthz` is pure
 //!   liveness while `GET /readyz` is readiness — lint-clean rules,
-//!   consistent rule set, warm plan cache, green SLOs;
+//!   consistent and certified rule set, green SLOs — from boot on;
 //! * repairs append to a [`ProvenanceLedger`] with daemon-global row ids
 //!   (`row_base` in each response), so `GET /explain/{row}/{attr}` can
 //!   justify any cell the daemon ever changed;
@@ -37,10 +37,10 @@
 //!   gate**: the candidate text is linted, certified by `fixcert`
 //!   (termination + confluence), and semantically diffed against the
 //!   serving set; only a green certificate atomically promotes a freshly
-//!   compiled program bundle — with a *new* plan cache, since memoized
-//!   plans from the old rules must never replay against the new ones. A
-//!   red candidate is rejected wholesale and the old program keeps
-//!   serving, so a bad rule set can never reach the data path;
+//!   compiled program bundle, which serves (and reports ready) from the
+//!   next request on. A red candidate is rejected wholesale and the old
+//!   program keeps serving, so a bad rule set can never reach the data
+//!   path;
 //! * `POST /shutdown` (or [`Daemon::shutdown`]) drains in-flight requests
 //!   and flushes the trace journal to disk.
 //!
@@ -95,7 +95,7 @@ use std::time::{Duration, Instant};
 use fixrules::io::{infer_schema, parse_rules_spanned};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
-    repair_columns_grouped, CellUpdate, CompiledEngine, CompiledScratch, PlanCache, RuleProgram,
+    repair_columns_grouped, CellUpdate, CompiledEngine, CompiledScratch, RuleProgram,
 };
 use fixrules::RuleSet;
 use obs::http::{Request, Response};
@@ -120,9 +120,6 @@ const ROW_EVENT_SAMPLE: usize = 16;
 /// Default rows per repair-quality window ([`DaemonConfig::quality_window`];
 /// 0 disables quality monitoring entirely).
 const QUALITY_WINDOW: usize = 256;
-
-/// Shards of each rule set's shared [`PlanCache`].
-const CACHE_SHARDS: usize = 8;
 
 /// The compiled engine that serves every repair: the cRepair chase order.
 /// The lRepair order writes byte-identical output (the engine-equivalence
@@ -169,13 +166,6 @@ pub struct DaemonConfig {
     pub trace_clock: TraceClock,
     /// If set, the journal is flushed here (JSONL) on graceful shutdown.
     pub journal_path: Option<String>,
-    /// Optional CSV to repair at startup, pre-warming the plan cache
-    /// before the first request (not recorded in the provenance ledger).
-    pub warm: Option<String>,
-    /// Share one plan cache across all requests (default). Disabling it
-    /// exists for the `bench serve` ablation — every row then pays full
-    /// engine evaluation.
-    pub plan_cache: bool,
     /// Per-request cap on sampled `row.repaired` journal events
     /// (default 16; 0 = no row events). Recorded in the journal's
     /// `trace.meta` record so a trace reader knows the sampling regime.
@@ -200,8 +190,6 @@ impl Default for DaemonConfig {
             slo: SloConfig::default(),
             trace_clock: TraceClock::Logical,
             journal_path: None,
-            warm: None,
-            plan_cache: true,
             trace_sample: ROW_EVENT_SAMPLE,
             quality_window: QUALITY_WINDOW,
             quality_alerts: Vec::new(),
@@ -211,18 +199,14 @@ impl Default for DaemonConfig {
 }
 
 /// Everything that must swap *atomically* when `POST /rules` promotes a
-/// new rule set: the rules, their compiled program, the plan cache keyed
-/// to them, and the analysis verdicts `GET /readyz` reports. Handlers
-/// take one `Arc` snapshot at request start, so an in-flight batch keeps
-/// a consistent rules/program/cache view across a concurrent swap.
+/// new rule set: the rules, their compiled program, and the analysis
+/// verdicts `GET /readyz` reports. Handlers take one `Arc` snapshot at
+/// request start, so an in-flight batch keeps a consistent rules/program
+/// view across a concurrent swap.
 #[derive(Debug)]
 struct ProgramBundle {
     rules: RuleSet,
     program: RuleProgram,
-    /// Fresh per bundle: a memoized plan references rule ids and facts of
-    /// the set it was recorded under, so promotion *must* discard every
-    /// old plan (pinned by the hot-swap ledger-equality test).
-    cache: PlanCache,
     lint_errors: usize,
     consistent: bool,
     certified: bool,
@@ -232,7 +216,7 @@ struct ProgramBundle {
 }
 
 /// Shared daemon state: the swappable [`ProgramBundle`] plus the
-/// concurrent journals and caches every worker thread touches.
+/// concurrent journals every worker thread touches.
 #[derive(Debug)]
 struct DaemonState {
     schema: Schema,
@@ -245,7 +229,6 @@ struct DaemonState {
     trace_index: Mutex<VecDeque<(String, u64)>>,
     trace_seq: AtomicU64,
     rows_served: AtomicUsize,
-    use_cache: bool,
     trace_sample: usize,
     quality: Option<QualityMonitor>,
     quality_gate: bool,
@@ -290,7 +273,6 @@ fn build_bundle(
     let bundle = ProgramBundle {
         consistent: parsed.rules.check_consistency().is_consistent(),
         program,
-        cache: PlanCache::sharded(CACHE_SHARDS),
         lint_errors: lint.errors(),
         certified: cert.is_certified(),
         cert_errors: cert.report.errors(),
@@ -386,7 +368,6 @@ impl Daemon {
             trace_index: Mutex::default(),
             trace_seq: AtomicU64::new(0),
             rows_served: AtomicUsize::new(0),
-            use_cache: config.plan_cache,
             trace_sample: config.trace_sample,
             quality,
             quality_gate: config.quality_gate,
@@ -404,25 +385,6 @@ impl Daemon {
                 ("source", Json::from("fixd")),
             ]),
         );
-
-        // Repair the warm file once so its tuple signatures are memoized
-        // before the first request. Deliberately invisible: no provenance,
-        // no request metrics, no global row ids consumed.
-        if let Some(path) = &config.warm {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| invalid(format!("reading {path}: {e}")))?;
-            let mut batch = intake(&state, &text, false).map_err(|e| invalid(e.message))?;
-            let bundle = state.bundle();
-            let mut scratch = CompiledScratch::new(bundle.rules.len());
-            repair_batch(
-                &state,
-                &bundle,
-                &mut scratch,
-                &mut batch,
-                0,
-                &obs::NoopObserver,
-            );
-        }
 
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -448,16 +410,6 @@ impl Daemon {
     /// The registry collecting per-endpoint telemetry.
     pub fn registry(&self) -> MetricsRegistry {
         self.state.registry.clone()
-    }
-
-    /// Memoized repair plans currently in the serving bundle's cache.
-    pub fn plan_cache_len(&self) -> usize {
-        self.state.bundle().cache.len()
-    }
-
-    /// Hit/miss/eviction counters of the serving bundle's plan cache.
-    pub fn plan_cache_stats(&self) -> fixrules::repair::PlanCacheStats {
-        self.state.bundle().cache.stats()
     }
 
     /// The generation of the serving rule set: 0 at boot, +1 per
@@ -490,12 +442,10 @@ impl Daemon {
 }
 
 /// Repair `batch` in place with the grouped core against `bundle`'s
-/// program and the shared plan cache (unless the daemon runs with caching
-/// off), numbering rows from `row_base` for `observer`. Returns the
-/// updates in application order, grouped by row. `/repair`, `/check` and
-/// `--warm` all repair through here, with different observers.
+/// program, numbering rows from `row_base` for `observer`. Returns the
+/// updates in application order, grouped by row. `/repair` and `/check`
+/// both repair through here, with different observers.
 fn repair_batch<O: RepairObserver>(
-    state: &DaemonState,
     bundle: &ProgramBundle,
     scratch: &mut CompiledScratch,
     batch: &mut ColumnTable,
@@ -506,7 +456,7 @@ fn repair_batch<O: RepairObserver>(
         &bundle.rules,
         &bundle.program,
         ENGINE,
-        state.use_cache.then_some(&bundle.cache),
+        None,
         scratch,
         &mut batch.columns_mut(),
         row_base,
@@ -878,19 +828,16 @@ fn handle_repair(
     let repair_started = Instant::now();
     let (updates, repaired_rows) = {
         let repair_span = state.journal.span("repair", span.id());
-        let updates = repair_batch(state, &bundle, scratch, &mut batch, row_base, &observer);
+        let updates = repair_batch(&bundle, scratch, &mut batch, row_base, &observer);
         let repaired_rows = replay_rows(state, &batch, &updates, row_base, repair_span.id());
         (updates, repaired_rows)
     };
     // Stage-level latency: end-to-end `http.latency_ns` is dominated by
-    // transport and (de)serialization, so the plan-cache effect is only
-    // visible on the repair loop itself.
+    // transport and (de)serialization.
+    // perfbench's `server_metrics` parses this exact key, label included.
     state
         .registry
-        .histogram_with(
-            "serve.repair_stage_ns",
-            &[("cache", if state.use_cache { "on" } else { "off" })],
-        )
+        .histogram_with("serve.repair_stage_ns", &[("cache", "on")])
         .record(repair_started.elapsed().as_nanos() as u64);
     state.journal.event(
         "request.end",
@@ -1009,9 +956,9 @@ fn replay_rows(
     repaired_rows
 }
 
-/// Dry-run repair: same parsing and the same shared plan cache (a check
-/// warms plans for the repair that follows), but nothing is recorded —
-/// no ledger rows, no global row ids, no quality observations.
+/// Dry-run repair: same parsing and the same repair as `/repair`, but
+/// nothing is recorded — no ledger rows, no global row ids, no quality
+/// observations.
 fn handle_check(
     state: &DaemonState,
     scratch: &mut CompiledScratch,
@@ -1020,7 +967,7 @@ fn handle_check(
     let (span, trace_id) = begin_request(state, request, "check", None);
     let mut batch = request_batch(state, request)?;
     let bundle = state.bundle();
-    let updates = repair_batch(state, &bundle, scratch, &mut batch, 0, &obs::NoopObserver);
+    let updates = repair_batch(&bundle, scratch, &mut batch, 0, &obs::NoopObserver);
     let mut counts = vec![0usize; batch.len()];
     for update in &updates {
         counts[update.row] += 1;
@@ -1056,8 +1003,8 @@ fn handle_check(
 ///   every rejection the old bundle keeps serving untouched and the
 ///   response says why (`promoted: false`, the findings, the diff);
 /// * a green certificate atomically swaps in a freshly compiled
-///   [`ProgramBundle`] with an **empty plan cache** — memoized plans
-///   from the old rules must never replay against the new ones.
+///   [`ProgramBundle`]; every later request repairs against it, and
+///   `GET /readyz` reports it at once.
 fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {
     let (span, trace_id) = begin_request(state, request, "rules", Some(request.body.len()));
     let text = request
@@ -1244,32 +1191,22 @@ fn handle_metrics(state: &DaemonState, request: &Request) -> Response {
 }
 
 /// Readiness: lint-clean rules, a consistent rule set, a green `fixcert`
-/// certificate (termination + confluence), at least one memoized plan
-/// (the cache is warm), and green SLOs. With the opt-in quality gate,
-/// active quality alerts also flip readiness (without the gate they are
-/// reported but never gate). `503` otherwise, with every sub-verdict in
-/// the JSON body.
+/// certificate (termination + confluence), and green SLOs. With the
+/// opt-in quality gate, active quality alerts also flip readiness
+/// (without the gate they are reported but never gate). `503` otherwise,
+/// with every sub-verdict in the JSON body. Nothing waits on traffic: a
+/// booted or just-promoted rule set is ready at once.
 fn handle_readyz(state: &DaemonState) -> Response {
     let report = state.health.report();
     let bundle = state.bundle();
     let lint_clean = bundle.lint_errors == 0;
-    // With the cache disabled there is nothing to warm; don't gate
-    // readiness on it.
-    let cache_warm = !state.use_cache || !bundle.cache.is_empty();
     let quality_alerts = state
         .quality
         .as_ref()
         .map_or(0, |quality| quality.active_alerts().len());
     let quality_ok = !state.quality_gate || quality_alerts == 0;
-    let ready = lint_clean
-        && bundle.consistent
-        && bundle.certified
-        && cache_warm
-        && report.healthy
-        && quality_ok;
+    let ready = lint_clean && bundle.consistent && bundle.certified && report.healthy && quality_ok;
     let body = Json::obj([
-        ("cache_plans", Json::from(bundle.cache.len())),
-        ("cache_warm", Json::from(cache_warm)),
         ("cert_errors", Json::from(bundle.cert_errors)),
         ("certified", Json::from(bundle.certified)),
         ("consistent", Json::from(bundle.consistent)),

@@ -1,9 +1,7 @@
 //! End-to-end tests of the `fixd` daemon over real loopback sockets:
-//! batch repair in both body formats, the shared warm plan cache under
-//! concurrent clients, trace retrieval, SLO-driven readiness, provenance
-//! explain, error paths, and graceful shutdown with a parseable journal.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! batch repair in both body formats, concurrent clients, trace
+//! retrieval, readiness from boot on, provenance explain, error paths,
+//! and graceful shutdown with a parseable journal.
 
 use fixd::{Daemon, DaemonConfig, RulesSource, SchemaSource};
 use obs::http::{http_get, http_post, http_request};
@@ -125,64 +123,90 @@ fn accepts_json_rows_and_reordered_csv_columns() {
 }
 
 #[test]
-fn concurrent_batches_share_one_warm_plan_cache() {
+fn concurrent_batches_repair_alike_under_global_row_ids() {
     let daemon = daemon();
     let repair_url = url(&daemon, "/repair");
     // 4 distinct dirty signatures, hammered by 8 clients × 5 batches.
     let batch = "zip,city,state\n\
                  36545,Jaxon,AL\n36545,Jackson,AK\n10001,NYC,NY\n10001,New York,NJ\n";
-    let served = AtomicUsize::new(0);
+    let repaired = r#"[["36545","Jackson","AL"],["36545","Jackson","AL"],["10001","New York","NY"],["10001","New York","NY"]]"#;
+    let row_bases = std::sync::Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for _ in 0..8 {
-            let repair_url = &repair_url;
-            let served = &served;
+            let (repair_url, row_bases) = (&repair_url, &row_bases);
             s.spawn(move || {
                 for _ in 0..5 {
                     let reply = http_post(repair_url, "text/csv", batch.as_bytes()).unwrap();
                     assert_eq!(reply.status, 200);
                     let json = parse_json(&reply.body);
                     assert_eq!(json.get("repaired_rows").unwrap().as_i64(), Some(4));
-                    served.fetch_add(1, Ordering::Relaxed);
+                    let rows = json.get("rows").unwrap().to_string();
+                    assert_eq!(rows, repaired, "every request repairs alike");
+                    let row_base = json.get("row_base").unwrap().as_i64().unwrap();
+                    row_bases.lock().unwrap().push(row_base);
                 }
             });
         }
     });
-    assert_eq!(served.load(Ordering::Relaxed), 40);
-    // 160 rows, only 4 distinct signatures: the shared cache holds the 4
-    // plans and almost every row replayed a memoized plan.
-    let stats = daemon.plan_cache_stats();
-    assert_eq!(stats.entries, 4);
-    assert_eq!(stats.hits + stats.misses, 160);
-    assert!(stats.hits >= 156, "cross-request hits, got {stats:?}");
-    // Each batch is a distinct request with its own trace id and global
-    // row ids: 40 requests × 4 rows.
+    // Each batch is a distinct request with its own global row ids:
+    // 40 requests × 4 rows, in disjoint ranges.
+    let mut row_bases = row_bases.into_inner().unwrap();
+    row_bases.sort_unstable();
+    assert_eq!(row_bases, (0..40).map(|i| i * 4).collect::<Vec<i64>>());
     let (_, readyz) = http_get(&url(&daemon, "/readyz")).unwrap();
     let json = parse_json(&readyz);
     assert_eq!(json.get("rows_served").unwrap().as_i64(), Some(160));
     daemon.shutdown();
 }
 
+/// Readiness waits on no traffic: a daemon is ready the moment it boots,
+/// and again the moment a certified swap promotes.
 #[test]
-fn readyz_needs_a_warm_cache_and_green_slos() {
-    let daemon = daemon();
-    // Liveness is unconditional; readiness wants a warm plan cache.
+fn readyz_is_green_at_boot_and_right_after_a_promotion() {
+    // Explicit schema: an attribute the rules never mention is legal.
+    let daemon = Daemon::start(DaemonConfig {
+        rules: RulesSource::Inline(RULES.to_string()),
+        schema: SchemaSource::Names(
+            ["zip", "city", "state", "note"]
+                .map(str::to_string)
+                .to_vec(),
+        ),
+        ..DaemonConfig::default()
+    })
+    .unwrap();
     let (status, body) = http_get(&url(&daemon, "/healthz")).unwrap();
     assert_eq!((status, body.as_str()), (200, "ok\n"));
     let (status, body) = http_get(&url(&daemon, "/readyz")).unwrap();
-    assert_eq!(status, 503);
+    assert_eq!(status, 200, "ready at boot, before any traffic: {body}");
     let json = parse_json(&body);
-    assert_eq!(json.get("cache_warm").unwrap().as_bool(), Some(false));
+    assert_eq!(json.get("ready").unwrap().as_bool(), Some(true));
     assert_eq!(json.get("lint_clean").unwrap().as_bool(), Some(true));
     assert_eq!(json.get("consistent").unwrap().as_bool(), Some(true));
+    assert_eq!(json.get("rows_served").unwrap().as_i64(), Some(0));
+    assert_eq!(json.get("generation").unwrap().as_i64(), Some(0));
 
-    // The first repair warms the cache; readiness flips green.
-    let body = "zip,city,state\n36545,Jaxon,AL\n";
-    http_post(&url(&daemon, "/repair"), "text/csv", body.as_bytes()).unwrap();
+    let swapped = "IF zip = \"36545\" AND city IN {\"Jaxon\"} THEN city := \"Jacksonville\"\n";
+    let reply = http_post(&url(&daemon, "/rules"), "text/plain", swapped.as_bytes()).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
     let (status, body) = http_get(&url(&daemon, "/readyz")).unwrap();
-    assert_eq!(status, 200);
+    assert_eq!(status, 200, "ready right after the promotion: {body}");
+    let json = parse_json(&body);
+    assert_eq!(json.get("generation").unwrap().as_i64(), Some(1));
+    assert_eq!(json.get("rows_served").unwrap().as_i64(), Some(0));
+
+    // The unmentioned attribute is carried through untouched.
+    let body = "note,zip,city,state\nkeep me,36545,Jaxon,AL\n";
+    let reply = http_request(
+        "POST",
+        &url(&daemon, "/repair?format=csv"),
+        "text/csv",
+        body.as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
     assert_eq!(
-        parse_json(&body).get("ready").unwrap().as_bool(),
-        Some(true)
+        reply.body,
+        "zip,city,state,note\n36545,Jacksonville,AL,keep me\n"
     );
     daemon.shutdown();
 }
@@ -209,7 +233,6 @@ fn slo_breach_turns_readiness_red_while_liveness_stays_green() {
     let (status, readyz) = http_get(&url(&daemon, "/readyz")).unwrap();
     assert_eq!(status, 503, "latency SLO breach must fail readiness");
     let json = parse_json(&readyz);
-    assert_eq!(json.get("cache_warm").unwrap().as_bool(), Some(true));
     let health = json.get("health").unwrap();
     assert_eq!(health.get("healthy").unwrap().as_bool(), Some(false));
     assert_eq!(health.get("latency_ok").unwrap().as_bool(), Some(false));
@@ -219,7 +242,7 @@ fn slo_breach_turns_readiness_red_while_liveness_stays_green() {
 }
 
 #[test]
-fn check_is_a_dry_run_over_the_shared_cache() {
+fn check_is_a_dry_run_that_records_nothing() {
     let daemon = daemon();
     let body = "zip,city,state\n36545,Jaxon,AL\n10001,New York,NY\n";
     let reply = http_post(&url(&daemon, "/check"), "text/csv", body.as_bytes()).unwrap();
@@ -240,11 +263,10 @@ fn check_is_a_dry_run_over_the_shared_cache() {
     assert_eq!(json.get("dirty_rows").unwrap().as_i64(), Some(1));
     assert_eq!(json.get("total_updates").unwrap().as_i64(), Some(1));
     // Dry runs consume no global row ids, write no provenance and feed
-    // no quality window, but do warm the shared cache.
+    // no quality window.
     let (_, readyz) = http_get(&url(&daemon, "/readyz")).unwrap();
     let readyz = parse_json(&readyz);
     assert_eq!(readyz.get("rows_served").unwrap().as_i64(), Some(0));
-    assert_eq!(readyz.get("cache_warm").unwrap().as_bool(), Some(true));
     let reply = http_get(&url(&daemon, "/explain/0/city")).unwrap();
     assert_eq!(reply.0, 404, "check must not create provenance");
     let (status, quality) = http_get(&url(&daemon, "/quality")).unwrap();
@@ -475,33 +497,6 @@ fn csv_responses_quote_cells_like_the_cli_output() {
 }
 
 #[test]
-fn warm_file_and_explicit_schema_make_a_daemon_ready_at_boot() {
-    let dir = std::env::temp_dir().join("fixd-test-warm");
-    std::fs::create_dir_all(&dir).unwrap();
-    let warm = dir.join("warm.csv");
-    std::fs::write(&warm, "zip,city,state,extra_ignored\n").ok();
-    // Explicit schema: an attribute the rules never mention is legal.
-    std::fs::write(&warm, "zip,city,state\n36545,Jaxon,AL\n").unwrap();
-    let daemon = Daemon::start(DaemonConfig {
-        rules: RulesSource::Inline(RULES.to_string()),
-        schema: SchemaSource::Names(vec![
-            "zip".to_string(),
-            "city".to_string(),
-            "state".to_string(),
-        ]),
-        warm: Some(warm.display().to_string()),
-        ..DaemonConfig::default()
-    })
-    .unwrap();
-    let (status, body) = http_get(&url(&daemon, "/readyz")).unwrap();
-    assert_eq!(status, 200, "warm file readies the daemon before traffic");
-    let json = parse_json(&body);
-    assert_eq!(json.get("rows_served").unwrap().as_i64(), Some(0));
-    assert!(json.get("cache_plans").unwrap().as_i64().unwrap() >= 1);
-    daemon.shutdown();
-}
-
-#[test]
 fn shutdown_endpoint_drains_and_flushes_a_parseable_journal() {
     let dir = std::env::temp_dir().join("fixd-test-journal");
     std::fs::create_dir_all(&dir).unwrap();
@@ -675,16 +670,16 @@ fn cert_counters_match_the_certificates_confluence_counts() {
 }
 
 #[test]
-fn hot_swap_promotes_certified_rules_and_invalidates_the_plan_cache() {
+fn hot_swap_promotes_certified_rules_and_repairs_with_them_at_once() {
     let daemon = daemon();
     let batch = "zip,city,state\n36545,Jaxon,AL\n";
     let reply = http_post(&url(&daemon, "/repair"), "text/csv", batch.as_bytes()).unwrap();
     assert_eq!(reply.status, 200);
-    assert!(daemon.plan_cache_len() >= 1, "first batch memoizes a plan");
     assert_eq!(daemon.rules_generation(), 0);
 
     // The replacement set repairs the SAME dirty signature differently:
-    // a stale memoized plan would keep producing "Jackson".
+    // any repair state left over from the old rules would keep producing
+    // "Jackson".
     let swapped = "IF zip = \"36545\" AND city IN {\"Jaxon\", \"Jackson Heights\"} THEN city := \"Jacksonville\"\n\
                    IF zip = \"10001\" AND state IN {\"NJ\"} THEN state := \"NY\"\n";
     let reply = http_post(&url(&daemon, "/rules"), "text/plain", swapped.as_bytes()).unwrap();
@@ -698,15 +693,10 @@ fn hot_swap_promotes_certified_rules_and_invalidates_the_plan_cache() {
     assert_eq!(json.get("certified").unwrap().as_bool(), Some(true));
     assert_eq!(json.get("generation").unwrap().as_i64(), Some(1));
     assert!(json.get("diff").unwrap().get("entries").is_some());
-    assert_eq!(
-        daemon.plan_cache_len(),
-        0,
-        "promotion must discard every old-rules plan"
-    );
 
     // Ledger equality with a fresh daemon booted directly on the new set:
     // the swapped daemon's updates must match field-for-field (modulo the
-    // daemon-global row id), proving no old plan replayed.
+    // daemon-global row id), proving nothing of the old rules replayed.
     let fresh = Daemon::start(DaemonConfig {
         rules: RulesSource::Inline(swapped.to_string()),
         schema: SchemaSource::Names(vec![
@@ -750,7 +740,7 @@ fn hot_swap_promotes_certified_rules_and_invalidates_the_plan_cache() {
     assert_eq!(status, 200);
     assert!(chain.contains("Jacksonville"), "{chain}");
 
-    // Readiness is green again once the new cache warms, on generation 1.
+    // Readiness is green on generation 1.
     let (status, body) = http_get(&url(&daemon, "/readyz")).unwrap();
     assert_eq!(status, 200);
     let readyz = parse_json(&body);

@@ -55,15 +55,9 @@ pub enum Event {
         hits: u64,
         enqueued: u64,
     },
-    /// A compiled driver looked a group's tuple signature up in the plan
-    /// cache.
-    PlanCacheLookup { hit: bool },
-    /// The plan cache evicted an entry to stay within its capacity.
-    PlanCacheEvicted,
     /// The columnar driver grouped one batch by tuple signature: `rows`
     /// rows fell into `groups` distinct signatures, and `scattered` rows
-    /// were repaired by scattering a group plan instead of an engine run
-    /// or cache probe.
+    /// were repaired by scattering a group plan instead of an engine run.
     BatchGrouped {
         rows: usize,
         groups: usize,
@@ -397,9 +391,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "repair.index.probes",
     "repair.plan.probe_hits",
     "repair.plan.probes",
-    "repair.plan_cache.evictions",
-    "repair.plan_cache.hits",
-    "repair.plan_cache.misses",
     "repair.queue.enqueued",
     "repair.rules_applied",
     "repair.tuples",
@@ -431,9 +422,6 @@ pub struct MetricsObserver {
     probe_hits: Counter,
     plan_probes: Counter,
     plan_probe_hits: Counter,
-    plan_hits: Counter,
-    plan_misses: Counter,
-    plan_evictions: Counter,
     enqueued: Counter,
     stream_records: Counter,
     stream_vocab: Gauge,
@@ -464,9 +452,6 @@ impl MetricsObserver {
             probe_hits: registry.counter("repair.index.probe_hits"),
             plan_probes: registry.counter("repair.plan.probes"),
             plan_probe_hits: registry.counter("repair.plan.probe_hits"),
-            plan_hits: registry.counter("repair.plan_cache.hits"),
-            plan_misses: registry.counter("repair.plan_cache.misses"),
-            plan_evictions: registry.counter("repair.plan_cache.evictions"),
             enqueued: registry.counter("repair.queue.enqueued"),
             stream_records: registry.counter("stream.records"),
             stream_vocab: registry.gauge("stream.vocab"),
@@ -537,9 +522,6 @@ impl RepairObserver for MetricsObserver {
                 self.probe_hits.add(hits);
                 self.enqueued.add(enqueued);
             }
-            Event::PlanCacheLookup { hit: true } => self.plan_hits.inc(),
-            Event::PlanCacheLookup { hit: false } => self.plan_misses.inc(),
-            Event::PlanCacheEvicted => self.plan_evictions.inc(),
             Event::BatchGrouped {
                 rows,
                 groups,
@@ -643,7 +625,7 @@ mod tests {
         assert_eq!(reg_one.snapshot().to_string(), reg_n.snapshot().to_string());
     }
 
-    /// Every [`Event`] variant once (both plan-cache outcomes).
+    /// Every [`Event`] variant once.
     fn every_event() -> Vec<Event> {
         vec![
             Event::LRepairProbes {
@@ -651,9 +633,6 @@ mod tests {
                 hits: 3,
                 enqueued: 1,
             },
-            Event::PlanCacheLookup { hit: true },
-            Event::PlanCacheLookup { hit: false },
-            Event::PlanCacheEvicted,
             Event::BatchGrouped {
                 rows: 100,
                 groups: 7,
@@ -700,10 +679,6 @@ mod tests {
         });
         obs.plan_probe(2);
         obs.plan_probe(0);
-        obs.event(Event::PlanCacheLookup { hit: true });
-        obs.event(Event::PlanCacheLookup { hit: true });
-        obs.event(Event::PlanCacheLookup { hit: false });
-        obs.event(Event::PlanCacheEvicted);
         obs.event(Event::BatchGrouped {
             rows: 100,
             groups: 7,
@@ -741,9 +716,6 @@ mod tests {
         assert_eq!(get("repair.queue.enqueued"), 1);
         assert_eq!(get("repair.plan.probes"), 2);
         assert_eq!(get("repair.plan.probe_hits"), 2);
-        assert_eq!(get("repair.plan_cache.hits"), 2);
-        assert_eq!(get("repair.plan_cache.misses"), 1);
-        assert_eq!(get("repair.plan_cache.evictions"), 1);
         assert_eq!(get("repair.batch.rows"), 100);
         assert_eq!(get("repair.batch.groups"), 7);
         assert_eq!(get("repair.batch.scattered"), 93);

@@ -189,12 +189,11 @@ echo "-- profile JSON byte-identical across two runs"
 
 echo "== fixd end-to-end smoke =="
 # Boot the repair daemon on an ephemeral port, drive every endpoint a
-# client would touch, then drain it: repair a batch, check readiness,
+# client would touch, then drain it: check readiness, repair a batch,
 # scrape a labeled per-endpoint series, fetch the request's trace, and
 # assert the flushed journal is a parseable trace export.
 "$FIXCTL" serve \
     --rules examples/rulesets/hosp_zip.frl \
-    --warm examples/data/hosp_dirty.csv \
     --journal "$TRACE_DIR/fixd_journal.jsonl" > "$TRACE_DIR/fixd.log" &
 FIXD_PID=$!
 ADDR=""
@@ -204,13 +203,13 @@ for _ in $(seq 1 100); do
     sleep 0.05
 done
 [ -n "$ADDR" ] || { echo "fixctl serve never announced its address" >&2; exit 1; }
+"$FIXCTL" client get /readyz --addr "$ADDR" | grep -q '"ready":true' \
+    || { echo "fixd /readyz not green at boot, before any traffic" >&2; exit 1; }
 "$FIXCTL" client repair examples/data/hosp_dirty.csv --addr "$ADDR" \
     > "$TRACE_DIR/fixd_repair.json" 2> "$TRACE_DIR/fixd_repair.err" \
     || { echo "fixd POST /repair failed" >&2; exit 1; }
 grep -q '"repaired_rows":' "$TRACE_DIR/fixd_repair.json" \
     || { echo "repair response has no repaired_rows" >&2; exit 1; }
-"$FIXCTL" client get /readyz --addr "$ADDR" | grep -q '"ready":true' \
-    || { echo "fixd /readyz not green after repair traffic" >&2; exit 1; }
 "$FIXCTL" scrape "$ADDR/metrics" \
     --require 'http_requests{endpoint="repair",status="200"}' \
     || { echo "live /metrics missing labeled repair series" >&2; exit 1; }
@@ -244,7 +243,7 @@ grep -q '"generation":0' "$TRACE_DIR/readyz_after_bad.json" \
     || { echo "rejected swap must not advance the generation" >&2; exit 1; }
 echo "-- uncertified candidate rejected, old program still ready"
 # A certified candidate promotes atomically: generation advances, the
-# warm plan cache is discarded, and repairs reflect the new rules.
+# daemon is ready on the new rules at once, and repairs reflect them.
 cat > "$TRACE_DIR/good_rules.frl" <<'EOF'
 IF zip = "36545" AND city IN {"Jackson Heights", "Jaxon"} THEN city := "Jacksonville"
 IF zip = "36545" AND state IN {"AK"} THEN state := "AL"
@@ -256,24 +255,25 @@ grep -q '"promoted":true' "$TRACE_DIR/swap_good.json" \
     || { echo "good swap response missing promoted:true" >&2; exit 1; }
 grep -q '"generation":1' "$TRACE_DIR/swap_good.json" \
     || { echo "good swap did not advance to generation 1" >&2; exit 1; }
-# The promoted bundle starts with an EMPTY plan cache (the invalidation):
-# the same signatures repaired before the swap must now be recomputed
-# under the new rules, not replayed from stale plans.
-"$FIXCTL" client get /readyz --addr "$ADDR" > "$TRACE_DIR/readyz_after_good.json" || true
-grep -q '"cache_plans":0' "$TRACE_DIR/readyz_after_good.json" \
-    || { echo "promotion did not invalidate the plan cache" >&2; exit 1; }
+# Ready right after the promotion, before any repair on the new rules.
+"$FIXCTL" client get /readyz --addr "$ADDR" > "$TRACE_DIR/readyz_after_good.json" \
+    || { echo "fixd /readyz not green right after the promotion" >&2; exit 1; }
+grep -q '"generation":1' "$TRACE_DIR/readyz_after_good.json" \
+    || { echo "fixd /readyz does not report the promoted generation" >&2; exit 1; }
+grep -q '"ready":true' "$TRACE_DIR/readyz_after_good.json" \
+    || { echo "fixd /readyz not ready on the promoted generation" >&2; exit 1; }
+# The same signatures repaired before the swap must now be repaired under
+# the new rules, not from anything the old rules left behind.
 "$FIXCTL" client repair examples/data/hosp_dirty.csv --addr "$ADDR" \
     > "$TRACE_DIR/fixd_repair_swapped.json" 2>/dev/null \
     || { echo "fixd POST /repair failed after the swap" >&2; exit 1; }
 grep -q '"new":"Jacksonville"' "$TRACE_DIR/fixd_repair_swapped.json" \
     || { echo "post-swap repair does not reflect the new rules" >&2; exit 1; }
 if grep -q '"new":"Jackson"' "$TRACE_DIR/fixd_repair_swapped.json"; then
-    echo "post-swap repair replayed a stale plan from the old rules" >&2
+    echo "post-swap repair reproduced the old rules' fix" >&2
     exit 1
 fi
-"$FIXCTL" client get /readyz --addr "$ADDR" | grep -q '"ready":true' \
-    || { echo "fixd /readyz not green after the promoted swap warmed" >&2; exit 1; }
-echo "-- certified candidate promoted, cache invalidated, new rules serving"
+echo "-- certified candidate promoted, ready at once, new rules serving"
 "$FIXCTL" client shutdown --addr "$ADDR" | grep -q draining \
     || { echo "fixd /shutdown did not acknowledge the drain" >&2; exit 1; }
 wait "$FIXD_PID" \
