@@ -31,7 +31,9 @@
 //! ```
 //!
 //! `repair` has two engines, and they write the same output: `lrepair`
-//! (the default) loads the table and splits its rows across workers;
+//! (the default) loads the table, each cell as one of Σ's constants or as
+//! ⊥, splits its rows across workers and writes untouched rows back from
+//! the input's own bytes;
 //! `stream` repairs one record at a time as it reads them, so its memory
 //! does not grow with the input. `--threads N` only sets the worker count
 //! for the CSV load, the lRepair repair and the CSV write. It defaults to
@@ -91,6 +93,7 @@ use obs::{
     MetricsObserver, MetricsRegistry, QualityConfig, QualityMonitor, RepairObserver, RuleLabel,
     Tee, TraceClock, TraceJournal,
 };
+use relation::csv_io::{par_read_csv_constants, par_write_repaired_csv, RowSpans};
 use relation::{Schema, Symbol, SymbolTable, Table};
 
 fn main() -> ExitCode {
@@ -511,7 +514,7 @@ fn cmd_certify(
 /// picking the direction from the output extension.
 fn cmd_convert(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let out = flags.required("out")?;
-    let (_table, rules, symbols) = load(flags, obs_ctx)?;
+    let (_table, rules, symbols, _rows) = load(flags, obs_ctx)?;
     if out.ends_with(".json") {
         let doc = fixrules::io::to_portable(&rules, &symbols);
         std::fs::write(out, doc.to_json_string()).map_err(|e| format!("writing {out}: {e}"))?;
@@ -564,7 +567,7 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
 /// Audit mode: report and explain every update a repair would apply,
 /// without writing anything.
 fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (table, rules, symbols) = load(flags, obs_ctx)?;
+    let (table, rules, symbols, _rows) = load(flags, obs_ctx)?;
     require_consistent(&rules, obs_ctx)?;
     let index = {
         let _span = obs_ctx.span("index_build");
@@ -592,24 +595,44 @@ fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     Ok(())
 }
 
-/// Load the CSV (schema from header) and the rule file against it; the
-/// CSV is parsed in [`worker_threads`] chunks.
-fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable), String> {
+/// Load the rule file against the CSV header, then the CSV in
+/// [`worker_threads`] chunks with each cell a constant of Σ or ⊥: a tuple
+/// meets a fixing rule only through equality with its constants, so no
+/// other value can change a repair (DESIGN.md §18). The symbol table holds
+/// Σ's constants alone, numbered as if every value had been interned, and
+/// the row spans let the repair be written back from the file's bytes.
+fn load(
+    flags: &Flags,
+    obs_ctx: &ObsCtx,
+) -> Result<(Table, RuleSet, SymbolTable, RowSpans), String> {
     let threads = worker_threads(flags)?;
     let _span = obs_ctx.span("load");
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
-    let mut symbols = SymbolTable::new();
-    let table = relation::csv_io::par_read_csv_file(data_path, "data", &mut symbols, threads)
+    let schema = std::fs::File::open(data_path)
+        .map_err(relation::RelationError::from)
+        .and_then(|file| relation::csv_io::read_csv_header(file, "data"))
         .map_err(|e| format!("reading {data_path}: {e}"))?;
-    let rules = read_rules(rules_path, table.schema(), &mut symbols)?;
+    let mut symbols = SymbolTable::new();
+    // A bad rule file is reported only once the data has loaded, so a bad
+    // data file is the first error reported.
+    let rules = read_rules(rules_path, &schema, &mut symbols);
+    if rules.is_err() {
+        symbols = SymbolTable::new();
+    }
+    let loaded = par_read_csv_constants(data_path, &schema, &mut symbols, threads)
+        .map_err(|e| format!("reading {data_path}: {e}"))?;
+    let mut rules = rules?;
+    if let Some(renumber) = &loaded.renumber {
+        rules.rename_symbols(|s| renumber[s.index()]);
+    }
     obs::info!(
         "load.done",
-        rows = table.len(),
+        rows = loaded.table.len(),
         rules = rules.len(),
-        vocab = symbols.len()
+        constants = symbols.len()
     );
-    Ok((table, rules, symbols))
+    Ok((loaded.table, rules, symbols, loaded.rows))
 }
 
 /// Read and parse the rule file at `path` against `schema`.
@@ -712,7 +735,7 @@ fn require_consistent(rules: &RuleSet, obs_ctx: &ObsCtx) -> Result<(), String> {
 }
 
 fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (_table, rules, symbols) = load(flags, obs_ctx)?;
+    let (_table, rules, symbols, _rows) = load(flags, obs_ctx)?;
     let report = check_consistency(&rules, obs_ctx);
     println!(
         "{} rules, size(Σ) = {}, {} pairs checked",
@@ -1014,7 +1037,7 @@ fn cmd_client(sub: &str, positional: Option<&str>, flags: &Flags) -> Result<Exit
 }
 
 fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (_table, mut rules, symbols) = load(flags, obs_ctx)?;
+    let (_table, mut rules, symbols, _rows) = load(flags, obs_ctx)?;
     let strategy = match flags.optional("strategy").unwrap_or("shrink") {
         "shrink" => Strategy::ShrinkNegatives,
         "drop" => Strategy::Conservative,
@@ -1042,8 +1065,9 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
 
 /// `fixctl repair`: gate Σ, then repair every row into `--out`. The two
 /// engines differ only in how rows are read, repaired and written:
-/// `lrepair` loads the whole table, splits its rows across the
-/// `--threads` workers and writes it back; `stream` reads only the CSV
+/// `lrepair` loads the whole table ([`load`]), splits its rows across the
+/// `--threads` workers and writes it back from the input, re-rendering
+/// only the rows it touched or that hold a `"`; `stream` reads only the CSV
 /// header up front and repairs each record as it is read, so its memory
 /// does not grow with the input. Both gate before `--out` is created.
 fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
@@ -1083,11 +1107,11 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             .map_err(|e| format!("reading {data_path}: {e}"))?;
         let mut symbols = SymbolTable::new();
         let rules = read_rules(rules_path, &schema, &mut symbols)?;
-        obs::info!("load.done", rules = rules.len(), vocab = symbols.len());
+        obs::info!("load.done", rules = rules.len(), constants = symbols.len());
         (None, rules, symbols)
     } else {
-        let (table, rules, symbols) = load(flags, obs_ctx)?;
-        (Some(table), rules, symbols)
+        let (table, rules, symbols, rows) = load(flags, obs_ctx)?;
+        (Some((table, rows)), rules, symbols)
     };
     require_consistent(&rules, obs_ctx)?;
     // `--quality-window` hangs a QualityMonitor off the observer chain:
@@ -1144,7 +1168,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         LRepairIndex::build(&rules)
     };
     let (stats, outcome) = match &mut table {
-        Some(table) => {
+        Some((table, _)) => {
             let _span = obs_ctx.span("repair");
             let outcome = if threads > 1 {
                 par_lrepair_table(&rules, &index, table, threads, &observer)
@@ -1182,11 +1206,12 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         stats.rows,
         if stream { " (streamed)" } else { "" }
     );
-    if let Some(table) = &table {
+    if let Some((table, rows)) = &mut table {
         let _span = obs_ctx.span("write");
-        std::fs::File::create(out)
-            .map_err(relation::RelationError::from)
-            .and_then(|file| relation::csv_io::par_write_csv(file, table, &symbols, threads))
+        for u in &outcome.updates {
+            rows.touch(u.row);
+        }
+        par_write_repaired_csv(out, data_path, table, rows, &symbols, threads)
             .map_err(|e| format!("writing {out}: {e}"))?;
     }
     if let Some(quality) = &quality {
@@ -1405,7 +1430,7 @@ fn cmd_trace_export(positional: Option<&str>, flags: &Flags) -> Result<(), Strin
 }
 
 fn cmd_stats(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (table, rules, _symbols) = load(flags, obs_ctx)?;
+    let (table, rules, _symbols, _rows) = load(flags, obs_ctx)?;
     println!("schema: {}", table.schema());
     println!("data:   {} rows", table.len());
     println!("rules:  {} (size(Σ) = {})", rules.len(), rules.size());

@@ -1771,3 +1771,40 @@ fn consistency_gate_stays_sequential_without_threads() {
         }
     }
 }
+
+#[test]
+fn load_keeps_only_rule_constants_and_repair_can_overwrite_its_input() {
+    let dir = tmpdir("constants_only");
+    let data = dir.join("t.csv");
+    let rules = dir.join("r.frl");
+    let fixed = dir.join("fixed.csv");
+    std::fs::write(&data, TRAVEL_CSV).unwrap();
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    let (data, rules, fixed) = (
+        data.to_str().unwrap(),
+        rules.to_str().unwrap(),
+        fixed.to_str().unwrap(),
+    );
+    // Σ's distinct constants: China, Shanghai, Hongkong, Beijing, Canada,
+    // Toronto, Ottawa, Tokyo, ICDE, Japan. The data's other values
+    // (names, SIGMOD, VLDB) are never interned.
+    for command in ["check", "repair"] {
+        let mut args = vec![command, "--rules", rules, "--data", data, "--log", "info"];
+        if command == "repair" {
+            args.extend(["--out", fixed]);
+        }
+        let out = fixctl(&args);
+        assert!(out.status.success(), "{command}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("event=load.done rows=4 rules=3 constants=10\n"),
+            "{command}: {stderr}"
+        );
+    }
+    let want = std::fs::read(fixed).unwrap();
+    assert!(String::from_utf8_lossy(&want).contains("Peter,Japan,Tokyo,Tokyo,ICDE\n"));
+    // Written over its own input, the repair still reads every row first.
+    let out = fixctl(&["repair", "--rules", rules, "--data", data, "--out", data]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(std::fs::read(data).unwrap(), want);
+}

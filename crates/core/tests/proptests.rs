@@ -9,7 +9,11 @@
 //! 3. for consistent Σ, all application orders agree (Church–Rosser) and
 //!    `cRepair` = `lRepair`;
 //! 4. repaired tuples are fixpoints;
-//! 5. resolution always terminates in a consistent set.
+//! 5. resolution always terminates in a consistent set;
+//! 6. values outside Σ's constants are interchangeable: mapping them all
+//!    to ⊥ leaves cRepair and lRepair unchanged (exact value abstraction).
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
 
@@ -18,8 +22,8 @@ use fixrules::consistency::resolve::{ensure_consistent, Strategy as ResolveStrat
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
     crepair_compiled_tuple, crepair_table, crepair_tuple, lrepair_table, lrepair_tuple,
-    par_lrepair_table, repair_columns_grouped, CompiledEngine, CompiledScratch, LRepairIndex,
-    LRepairScratch, NoopObserver, PlanCache, RuleProgram,
+    par_lrepair_table, repair_columns_grouped, CellUpdate, CompiledEngine, CompiledScratch,
+    LRepairIndex, LRepairScratch, NoopObserver, PlanCache, RuleProgram,
 };
 use fixrules::semantics::{all_fixes, is_fixpoint};
 use fixrules::{FixingRule, RuleSet};
@@ -326,6 +330,56 @@ proptest! {
             let before = assured;
             assured.union_with(rs.rule(u.rule).assured_delta());
             prop_assert!(before.is_subset(assured));
+        }
+    }
+
+    /// Exact value abstraction (Defs 3.1/3.2): a tuple meets a rule only
+    /// through equality with Σ's constants, so mapping every other value
+    /// to ⊥ changes neither cRepair nor lRepair. Both give the same fix
+    /// once the ⊥ cells are restored and the same update log, and every
+    /// old and new value in it is a constant. Tuples draw from a wider
+    /// vocabulary than the rules, so some values are never constants.
+    #[test]
+    fn repairs_ignore_values_outside_the_constants(
+        rs in rulesets(),
+        t in proptest::collection::vec(0u32..VOCAB + 3, ARITY..=ARITY),
+    ) {
+        let mut rs = rs;
+        ensure_consistent(&mut rs, ResolveStrategy::ShrinkNegatives);
+        let constants: HashSet<Symbol> = rs
+            .rules()
+            .iter()
+            .flat_map(|r| r.tp().iter().chain(r.neg()).copied().chain([r.fact()]))
+            .collect();
+        let t: Vec<Symbol> = t.into_iter().map(Symbol).collect();
+        let abstracted: Vec<Symbol> = t
+            .iter()
+            .map(|s| if constants.contains(s) { *s } else { Symbol::BOTTOM })
+            .collect();
+        let restored = |row: &[Symbol]| -> Vec<Symbol> {
+            row.iter()
+                .zip(&t)
+                .map(|(&now, &was)| if now == Symbol::BOTTOM { was } else { now })
+                .collect()
+        };
+        let log = |ups: &[CellUpdate]| -> Vec<_> {
+            ups.iter().map(|u| (u.attr, u.old, u.new, u.rule, u.round)).collect()
+        };
+        let (mut full, mut abs) = (t.clone(), abstracted.clone());
+        let by_c = crepair_tuple(&rs, &mut full);
+        let by_c_abs = crepair_tuple(&rs, &mut abs);
+        prop_assert_eq!(restored(&abs), full);
+        prop_assert_eq!(log(&by_c_abs), log(&by_c));
+
+        let index = LRepairIndex::build(&rs);
+        let mut scratch = LRepairScratch::new(rs.len());
+        let (mut full, mut abs) = (t.clone(), abstracted);
+        let by_l = lrepair_tuple(&rs, &index, &mut scratch, &mut full);
+        let by_l_abs = lrepair_tuple(&rs, &index, &mut scratch, &mut abs);
+        prop_assert_eq!(restored(&abs), full);
+        prop_assert_eq!(log(&by_l_abs), log(&by_l));
+        for u in by_c.iter().chain(&by_l) {
+            prop_assert!(constants.contains(&u.old) && constants.contains(&u.new), "{:?}", u);
         }
     }
 }

@@ -227,6 +227,9 @@ struct DaemonState {
     journal: TraceJournal,
     ledger: ProvenanceLedger,
     trace_index: Mutex<VecDeque<(String, u64)>>,
+    /// Held by `POST /rules` from its first step to its promotion, so
+    /// swaps run one at a time; repairs never take it.
+    swap: Mutex<()>,
     trace_seq: AtomicU64,
     rows_served: AtomicUsize,
     trace_sample: usize,
@@ -243,20 +246,15 @@ impl DaemonState {
     }
 }
 
-/// Parse, lint, certify, and compile one rule text into a promotable
-/// bundle. Never rejects analysis findings — the verdicts ride along for
-/// the caller (boot surfaces them via `/readyz`; the hot-swap gate
-/// refuses to promote on them).
+/// Lint, certify, and compile parsed rules into a promotable bundle;
+/// `symbols` needs only the rules' constants. Never rejects analysis
+/// findings — the verdicts ride along for the caller (boot surfaces them
+/// via `/readyz`; the hot-swap gate refuses to promote on them).
 fn build_bundle(
-    text: &str,
-    schema: &Schema,
-    symbols: &mut SymbolTable,
+    parsed: fixrules::io::SpannedRuleSet,
+    symbols: &SymbolTable,
     generation: u64,
-) -> Result<
-    (ProgramBundle, fixlint::Certificate, Vec<fixrules::io::Span>),
-    fixrules::io::RuleParseError,
-> {
-    let parsed = parse_rules_spanned(text, schema, symbols)?;
+) -> (ProgramBundle, fixlint::Certificate, Vec<fixrules::io::Span>) {
     let lint = fixlint::lint(
         &parsed.rules,
         &parsed.spans,
@@ -279,7 +277,7 @@ fn build_bundle(
         generation,
         rules: parsed.rules,
     };
-    Ok((bundle, cert, parsed.spans))
+    (bundle, cert, parsed.spans)
 }
 
 /// A handler-level failure: an HTTP status plus a message the client sees
@@ -343,8 +341,9 @@ impl Daemon {
         // Boot runs the same build as a hot-swap (lint + certify + compile),
         // but tolerates red verdicts — `GET /readyz` reports them as 503
         // instead, so a probe can distinguish "bad rules" from "down".
-        let (bundle, cert, _spans) =
-            build_bundle(&text, &schema, &mut symbols, 0).map_err(|e| invalid(e.message()))?;
+        let parsed =
+            parse_rules_spanned(&text, &schema, &mut symbols).map_err(|e| invalid(e.message()))?;
+        let (bundle, cert, _spans) = build_bundle(parsed, &symbols, 0);
         cert.observe(&MetricsObserver::new(&registry));
 
         let quality = (config.quality_window > 0).then(|| {
@@ -366,6 +365,7 @@ impl Daemon {
             journal: TraceJournal::new(config.trace_clock),
             ledger: ProvenanceLedger::new(),
             trace_index: Mutex::default(),
+            swap: Mutex::default(),
             trace_seq: AtomicU64::new(0),
             rows_served: AtomicUsize::new(0),
             trace_sample: config.trace_sample,
@@ -1006,6 +1006,10 @@ fn handle_check(
 ///   [`ProgramBundle`]; every later request repairs against it, and
 ///   `GET /readyz` reports it at once.
 fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {
+    // Swaps run one at a time, in the order they take this lock (which is
+    // also the order of their trace ids), so each one diffs against and
+    // replaces the set the previous one promoted.
+    let _swap = state.swap.lock().unwrap();
     let (span, trace_id) = begin_request(state, request, "rules", Some(request.body.len()));
     let text = request
         .body_text()
@@ -1013,14 +1017,17 @@ fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {
     if text.trim().is_empty() {
         return Err(bad_request("empty rule text"));
     }
-    // Swaps are rare administrative operations: hold the symbol-table
-    // write lock across the whole build so rule symbols intern against a
-    // stable table (no lost-intern race with concurrent batches).
-    let mut symbols = state.symbols.write().unwrap();
-    let (mut candidate, cert, spans) = build_bundle(text, &state.schema, &mut symbols, 0)
-        .map_err(|e| bad_request(format!("rules: {}", e.message())))?;
-    cert.observe(&MetricsObserver::new(&state.registry));
+    // Only the parse interns, so only the parse holds the symbol-table
+    // write lock. Lint, certify and the diff, which can take seconds on a
+    // large Σ, read a snapshot taken after the parse: it holds every
+    // constant of the candidate and of the serving set, which no other
+    // swap can replace meanwhile. Batches keep interning and repairing.
     let serving = state.bundle();
+    let parsed = parse_rules_spanned(text, &state.schema, &mut state.symbols.write().unwrap())
+        .map_err(|e| bad_request(format!("rules: {}", e.message())))?;
+    let symbols = state.symbols.read().unwrap().clone();
+    let (mut candidate, cert, spans) = build_bundle(parsed, &symbols, 0);
+    cert.observe(&MetricsObserver::new(&state.registry));
     let delta = fixlint::fixcert::diff(
         &serving.rules,
         &candidate.rules,
@@ -1044,12 +1051,9 @@ fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {
     let lint_errors = candidate.lint_errors;
     let accepted = lint_errors == 0 && candidate.certified;
     let generation = if accepted {
-        // Fix the generation under the bundle write lock so concurrent
-        // swaps serialize into strictly increasing generations.
-        let mut slot = state.bundle.write().unwrap();
-        candidate.generation = slot.generation + 1;
+        candidate.generation = serving.generation + 1;
         let generation = candidate.generation;
-        *slot = Arc::new(candidate);
+        *state.bundle.write().unwrap() = Arc::new(candidate);
         generation
     } else {
         serving.generation

@@ -972,3 +972,90 @@ fn quality_gate_flips_readyz_only_when_opted_in() {
     assert_eq!(status, 200);
     gated.shutdown();
 }
+
+/// 100 chained pairs of certified rules: certifying them takes a while
+/// (about 2 s in a debug build), parsing them a few milliseconds.
+fn slow_rules() -> String {
+    (0..100)
+        .map(|i| {
+            format!(
+                "IF zip = \"z{i}\" AND city IN {{\"c{i}\", \"Jaxon\"}} THEN city := \"d{i}\"\n\
+                 IF city = \"d{i}\" AND state IN {{\"s{i}\", \"AK\"}} THEN state := \"t{i}\"\n"
+            )
+        })
+        .collect()
+}
+
+/// Polls until the daemon has begun the request with `trace_id`.
+fn wait_for_trace(daemon: &Daemon, trace_id: &str) {
+    while http_get(&url(daemon, &format!("/trace/{trace_id}")))
+        .unwrap()
+        .0
+        != 200
+    {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_hot_swap_does_not_stall_repairs_of_known_values() {
+    let daemon = daemon();
+    let batch = "zip,city,state\n36545,Jaxon,AK\n";
+    let repair = || http_post(&url(&daemon, "/repair"), "text/csv", batch.as_bytes()).unwrap();
+    // Trace t00000000: from here on the batch's values are all known.
+    assert_eq!(repair().status, 200);
+    let rules = slow_rules();
+    std::thread::scope(|scope| {
+        let swapper =
+            scope.spawn(|| http_post(&url(&daemon, "/rules"), "text/plain", rules.as_bytes()));
+        // Trace t00000001 is the swap: once it has begun, the parse (a few
+        // ms) and then the certification (seconds) follow.
+        wait_for_trace(&daemon, "t00000001");
+        assert_eq!(repair().status, 200);
+        // The swap journals `rules.swap` when it is done; a repair that
+        // waited for the swap would return only after that.
+        let (_, swap_trace) = http_get(&url(&daemon, "/trace/t00000001")).unwrap();
+        assert!(
+            !swap_trace.contains("rules.swap"),
+            "a /repair of known values waited for the hot swap"
+        );
+        assert_eq!(swapper.join().unwrap().unwrap().status, 200);
+    });
+    daemon.shutdown();
+}
+
+#[test]
+fn concurrent_swaps_run_in_order_and_the_last_posted_serves() {
+    let daemon = daemon();
+    let slow = slow_rules();
+    // Posted second and certified at once; "Jacksonville" is a constant
+    // the daemon has not seen before.
+    let fast = "IF zip = \"36545\" AND city IN {\"Jaxon\"} THEN city := \"Jacksonville\"\n";
+    let post =
+        |text: &str| http_post(&url(&daemon, "/rules"), "text/plain", text.as_bytes()).unwrap();
+    let (first, second) = std::thread::scope(|scope| {
+        let first = scope.spawn(|| post(&slow));
+        // The slow swap has begun (trace t00000000) before the fast one is sent.
+        wait_for_trace(&daemon, "t00000000");
+        let second = post(fast);
+        (first.join().unwrap(), second)
+    });
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(second.status, 200, "{}", second.body);
+    let generation = |body: &str| parse_json(body).get("generation").unwrap().as_i64();
+    assert_eq!(generation(&first.body), Some(1));
+    assert_eq!(generation(&second.body), Some(2));
+    assert_eq!(daemon.rules_generation(), 2);
+    let reply = http_post(
+        &url(&daemon, "/repair"),
+        "text/csv",
+        b"zip,city,state\n36545,Jaxon,AK\n",
+    )
+    .unwrap();
+    assert!(
+        reply.body.contains("\"new\":\"Jacksonville\""),
+        "the last swap posted must be the one serving: {}",
+        reply.body
+    );
+    daemon.shutdown();
+}

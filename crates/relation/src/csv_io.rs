@@ -2,19 +2,29 @@
 //!
 //! The paper's datasets (hosp, uis) ship as delimited files; experiments in
 //! `crates/eval` can persist generated datasets and repaired outputs so runs
-//! are inspectable. Readers are buffered (`csv` buffers internally) and every
-//! cell goes through the shared [`SymbolTable`] so a loaded table is
-//! immediately usable by the rule engine.
+//! are inspectable. Every cell a reader keeps goes through a
+//! [`SymbolTable`], so a loaded table is immediately usable by the rule
+//! engine.
 //!
-//! [`read_csv`] reads any stream, one record at a time. It is the
-//! reference for [`par_read_csv_file`], which splits a file after its
-//! header into chunks that workers parse at once, each into a
-//! chunk-local dictionary, and gives exactly
-//! [`read_csv`]'s result (DESIGN.md §18). [`par_write_csv`] renders blocks
-//! of rows on several workers and writes them in order; [`write_csv`] is
-//! its one-worker case.
+//! [`read_csv`] reads any stream, one record at a time, with the `csv`
+//! reader. It is the reference for the two chunked file readers, which
+//! split a file after its header into chunks that workers scan at once
+//! (DESIGN.md §18) with one record scanner, and differ only in what a cell
+//! becomes:
+//!
+//! * [`par_read_csv_file`] interns every cell, each chunk into a
+//!   chunk-local dictionary, and gives exactly [`read_csv`]'s result;
+//! * [`par_read_csv_constants`] keeps only the values a table of constants
+//!   already holds, loads every other cell as [`Symbol::BOTTOM`], and
+//!   records where each row sits in the file.
+//!
+//! [`par_write_csv`] renders blocks of rows on several workers and writes
+//! them in order; [`write_csv`] is its one-worker case.
+//! [`par_write_repaired_csv`] writes a table that
+//! [`par_read_csv_constants`] loaded back out of its file's own bytes.
 
 use std::fs::File;
+use std::hash::Hasher;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::mpsc;
@@ -30,8 +40,13 @@ const MIN_CHUNK_BYTES: u64 = 1 << 20;
 /// it holds at most one block beyond the table itself.
 const BLOCK_CELLS: usize = 1 << 16;
 
-/// Rows rendered per block by [`par_write_csv`].
+/// Rows rendered per block by [`par_write_csv`] and
+/// [`par_write_repaired_csv`].
 const RENDER_BLOCK_ROWS: usize = 512;
+
+/// Bytes a chunk scanner reads at a time. Its window grows past this only
+/// for a record that does not fit.
+const WINDOW_BYTES: usize = 256 << 10;
 
 /// Read a table from CSV text with a header row.
 ///
@@ -82,15 +97,15 @@ pub fn read_csv_file<P: AsRef<Path>>(
 ///
 /// The bytes after the header are cut into at most `threads` chunks of at
 /// least 1 MiB each. A chunk speculatively starts just past the first
-/// `\n` at or after its cut, and its worker parses the records that start
+/// `\n` at or after its cut, and its worker scans the records that start
 /// before the next chunk's start, interning them into a chunk-local
 /// dictionary. A chunk is kept only if it starts exactly where the
-/// previous chunk's parser stopped; otherwise its cut fell inside a
-/// record (a quoted line break) and it is parsed again from that true
-/// boundary. The dictionaries are then interned into `symbols` in chunk
-/// order, so the table, the symbols and their order, and any error are
-/// exactly what [`read_csv`] gives on the same bytes. The file is opened
-/// once; workers read it at their own offsets.
+/// previous chunk's scan stopped; otherwise its cut fell inside a record
+/// (a quoted line break) and it is scanned again from that true boundary.
+/// The dictionaries are then interned into `symbols` in chunk order, so
+/// the table, the symbols and their order, and any error are exactly what
+/// [`read_csv`] gives on the same bytes. The file is opened once; workers
+/// read it at their own offsets.
 pub fn par_read_csv_file<P: AsRef<Path>>(
     path: P,
     relation_name: &str,
@@ -98,15 +113,45 @@ pub fn par_read_csv_file<P: AsRef<Path>>(
     threads: usize,
 ) -> Result<Table> {
     let file = File::open(path)?;
-    let len = file.metadata()?.len();
-    let threads = threads.max(1) as u64;
-    read_chunked(&file, relation_name, symbols, |data_start| {
-        let span = len.saturating_sub(data_start);
-        let chunks = (span / MIN_CHUNK_BYTES).clamp(1, threads);
-        (1..chunks)
-            .map(|k| data_start + span * k / chunks)
-            .collect()
-    })
+    let cuts = even_cuts(file.metadata()?.len(), threads);
+    read_interned(&file, relation_name, symbols, cuts)
+}
+
+/// A table [`par_read_csv_constants`] loaded: each cell a constant or ⊥.
+#[derive(Debug)]
+pub struct ConstantLoad {
+    pub table: Table,
+    /// Where each row sits in the file, for [`par_write_repaired_csv`].
+    pub rows: RowSpans,
+    /// `renumber[old]` is the symbol that the constant `old` of the table
+    /// passed in has in the renumbered table; `None` when every constant
+    /// kept its symbol.
+    pub renumber: Option<Vec<Symbol>>,
+}
+
+/// Load a CSV file on disk with up to `threads` workers, keeping only the
+/// values that `constants` holds: every other cell becomes
+/// [`Symbol::BOTTOM`]. No value outside `constants` is stored anywhere.
+/// `schema` is the file's header, as [`read_csv_header`] read it; the
+/// table is built on it, so rules parsed against it apply to the table.
+///
+/// Chunks are cut, scanned and checked as in [`par_read_csv_file`], so
+/// the rows and any error are [`read_csv`]'s, with each cell outside
+/// `constants` replaced by ⊥. Then `constants` is renumbered into the
+/// order [`read_csv`] followed by interning the constants would give: the
+/// constants the file holds by first occurrence in row-major order, then
+/// the others in their old order. The table's cells carry the new ids;
+/// apply [`ConstantLoad::renumber`] to anything else that holds the old
+/// ones. Each row's byte offset is recorded, and whether it holds no `"`.
+pub fn par_read_csv_constants<P: AsRef<Path>>(
+    path: P,
+    schema: &Schema,
+    constants: &mut SymbolTable,
+    threads: usize,
+) -> Result<ConstantLoad> {
+    let file = File::open(path)?;
+    let cuts = even_cuts(file.metadata()?.len(), threads);
+    read_constants(&file, schema, constants, cuts)
 }
 
 /// Read only the header row of CSV text: the schema [`read_csv`] would
@@ -143,16 +188,9 @@ pub fn write_csv_file<P: AsRef<Path>>(path: P, table: &Table, symbols: &SymbolTa
 }
 
 /// Write a table as CSV with a header row, with up to `threads` workers
-/// rendering blocks of rows. Fields are quoted exactly as `csv::Writer`
-/// quotes them.
-///
-/// Whether a value needs quotes is decided once per symbol of `symbols`,
-/// not once per cell. Worker `w` of `n` renders blocks `w`, `w + n`, ...
-/// into its own buffers and hands each to the writer, which takes them in
-/// row order; a hand-over waits for the writer, so each worker has at
-/// most two blocks in memory: one it renders, one being written. Workers
-/// get at least two blocks each; with one worker, rendering stays on the
-/// calling thread.
+/// rendering blocks of rows, written in order. Fields are quoted exactly
+/// as `csv::Writer` quotes them; whether a value needs quotes is decided
+/// once per symbol of `symbols`, not once per cell.
 pub fn par_write_csv<W: Write>(
     mut writer: W,
     table: &Table,
@@ -162,67 +200,224 @@ pub fn par_write_csv<W: Write>(
     let mut header = Vec::new();
     push_record(&mut header, table.schema().attr_names());
     writer.write_all(&header)?;
-    let blocks = table.len().div_ceil(RENDER_BLOCK_ROWS);
-    if blocks == 0 {
-        writer.flush()?;
-        return Ok(());
-    }
     let quoted: Vec<bool> = symbols.iter().map(|(_, v)| csv::needs_quotes(v)).collect();
-    let render = |block: usize, buf: &mut Vec<u8>| {
-        buf.clear();
-        let first = block * RENDER_BLOCK_ROWS;
-        for i in first..(first + RENDER_BLOCK_ROWS).min(table.len()) {
-            for (k, &s) in table.row(i).iter().enumerate() {
+    write_blocks(
+        &mut writer,
+        table.len(),
+        threads,
+        |_: &mut (), block, buf| {
+            for i in block_rows(block, table.len()) {
+                for (k, &s) in table.row(i).iter().enumerate() {
+                    if k > 0 {
+                        buf.push(b',');
+                    }
+                    let value = symbols.resolve(s);
+                    if quoted[s.index()] {
+                        csv::push_field(buf, value);
+                    } else {
+                        buf.extend_from_slice(value.as_bytes());
+                    }
+                }
+                buf.push(b'\n');
+            }
+            Ok(())
+        },
+    )?;
+    writer.flush()?;
+    Ok(())
+}
+
+/// Byte offsets of a loaded table's rows in their file, and which rows
+/// [`par_write_repaired_csv`] may copy as they are.
+#[derive(Debug, Clone, Default)]
+pub struct RowSpans {
+    /// Where row `i` starts; one more entry marks where the data ends.
+    starts: Vec<u64>,
+    /// Row `i` holds no `"` and is not [touched](RowSpans::touch).
+    verbatim: Vec<bool>,
+}
+
+impl RowSpans {
+    /// Mark row `i` as changed: [`par_write_repaired_csv`] renders it from
+    /// the table instead of copying its bytes.
+    pub fn touch(&mut self, i: usize) {
+        self.verbatim[i] = false;
+    }
+}
+
+/// Write `table`, which [`par_read_csv_constants`] loaded from the CSV
+/// file at `data`, to a new file at `out`, with up to `threads` workers.
+///
+/// The bytes are those [`write_csv`] gives for the same table loaded with
+/// every value interned. Workers re-read the rows from `data` in blocks: a
+/// row that holds no `"` and is not touched is copied with its line end
+/// made `\n`, since `csv::Writer` would render its fields unchanged. Every
+/// other row is scanned again and rendered field by field, each cell from
+/// `symbols` unless it is ⊥, in which case from the file. So `data` must
+/// not change in between; if `out` is `data`, `data` is read whole before
+/// `out` is created.
+pub fn par_write_repaired_csv<P: AsRef<Path>, Q: AsRef<Path>>(
+    out: P,
+    data: Q,
+    table: &Table,
+    rows: &RowSpans,
+    symbols: &SymbolTable,
+    threads: usize,
+) -> Result<()> {
+    let (out, data) = (out.as_ref(), data.as_ref());
+    let mut file = File::open(data)?;
+    if same_file(data, out) {
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        write_repaired(
+            File::create(out)?,
+            &bytes[..],
+            table,
+            rows,
+            symbols,
+            threads,
+        )
+    } else {
+        write_repaired(File::create(out)?, &file, table, rows, symbols, threads)
+    }
+}
+
+/// Whether two paths name one file.
+fn same_file(a: &Path, b: &Path) -> bool {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        match (std::fs::metadata(a), std::fs::metadata(b)) {
+            (Ok(a), Ok(b)) => a.dev() == b.dev() && a.ino() == b.ino(),
+            _ => false,
+        }
+    }
+    #[cfg(not(unix))]
+    {
+        matches!((a.canonicalize(), b.canonicalize()), (Ok(a), Ok(b)) if a == b)
+    }
+}
+
+/// The renderer behind [`par_write_repaired_csv`], reading rows from `src`.
+fn write_repaired<W: Write, S: ReadAt + ?Sized>(
+    mut writer: W,
+    src: &S,
+    table: &Table,
+    rows: &RowSpans,
+    symbols: &SymbolTable,
+    threads: usize,
+) -> Result<()> {
+    let mut header = Vec::new();
+    push_record(&mut header, table.schema().attr_names());
+    writer.write_all(&header)?;
+    let arity = table.schema().arity();
+    let changed = || RelationError::Io("the CSV input changed after it was loaded".to_string());
+    let render = |(raw, record): &mut (Vec<u8>, Record), block, buf: &mut Vec<u8>| {
+        let range = block_rows(block, table.len());
+        let base = rows.starts[range.start];
+        raw.resize((rows.starts[range.end] - base) as usize, 0);
+        let mut filled = 0;
+        while filled < raw.len() {
+            match src.read_at(&mut raw[filled..], base + filled as u64)? {
+                0 => return Err(changed()),
+                n => filled += n,
+            }
+        }
+        for i in range {
+            let bytes =
+                &raw[(rows.starts[i] - base) as usize..(rows.starts[i + 1] - base) as usize];
+            if rows.verbatim[i] {
+                let line = bytes.strip_suffix(b"\n").unwrap_or(bytes);
+                buf.extend_from_slice(line.strip_suffix(b"\r").unwrap_or(line));
+                buf.push(b'\n');
+                continue;
+            }
+            match scan_record(bytes, true, record) {
+                Scan::Record { len, .. } if len == bytes.len() && record.fields.len() == arity => {}
+                _ => return Err(changed()),
+            }
+            for (k, &cell) in table.row(i).iter().enumerate() {
                 if k > 0 {
                     buf.push(b',');
                 }
-                let value = symbols.resolve(s);
-                if quoted[s.index()] {
-                    csv::push_field(buf, value);
+                let value = if cell == Symbol::BOTTOM {
+                    std::str::from_utf8(record.field(bytes, k)).map_err(|_| changed())?
                 } else {
-                    buf.extend_from_slice(value.as_bytes());
-                }
+                    symbols.resolve(cell)
+                };
+                csv::push_field(buf, value);
             }
             buf.push(b'\n');
         }
+        Ok(())
     };
-    let workers = threads.min(blocks / 2).max(1);
-    if workers == 1 {
-        let mut buf = Vec::new();
-        for block in 0..blocks {
-            render(block, &mut buf);
-            writer.write_all(&buf)?;
-        }
-    } else {
-        std::thread::scope(|scope| -> Result<()> {
-            let render = &render;
-            let lanes: Vec<_> = (0..workers)
-                .map(|w| {
-                    let (full_tx, full_rx) = mpsc::sync_channel::<Vec<u8>>(0);
-                    let (spent_tx, spent_rx) = mpsc::channel::<Vec<u8>>();
-                    scope.spawn(move || {
-                        for block in (w..blocks).step_by(workers) {
-                            let mut buf = spent_rx.try_recv().unwrap_or_default();
-                            render(block, &mut buf);
-                            if full_tx.send(buf).is_err() {
-                                return; // the writer failed and hung up
-                            }
-                        }
-                    });
-                    (full_rx, spent_tx)
-                })
-                .collect();
-            for block in 0..blocks {
-                let (full_rx, spent_tx) = &lanes[block % workers];
-                let buf = full_rx.recv().expect("CSV render worker panicked");
-                writer.write_all(&buf)?;
-                let _ = spent_tx.send(buf);
-            }
-            Ok(())
-        })?;
-    }
+    write_blocks(&mut writer, table.len(), threads, render)?;
     writer.flush()?;
     Ok(())
+}
+
+/// The rows of render block `block` of a table of `rows` rows.
+fn block_rows(block: usize, rows: usize) -> std::ops::Range<usize> {
+    let first = block * RENDER_BLOCK_ROWS;
+    first..(first + RENDER_BLOCK_ROWS).min(rows)
+}
+
+/// Render the [`RENDER_BLOCK_ROWS`]-row blocks of a table of `rows` rows
+/// with up to `threads` workers and write them to `writer` in row order.
+///
+/// `render` fills a cleared buffer with one block, given the calling
+/// worker's own scratch. Worker `w` of `n` renders blocks `w`, `w + n`,
+/// ... and hands each buffer to the writer, which takes them in order; a
+/// hand-over waits for the writer, so each worker has at most two blocks
+/// in memory: one it renders, one being written. Workers get at least two
+/// blocks each; with one worker, rendering stays on the calling thread.
+fn write_blocks<W: Write, T: Default>(
+    writer: &mut W,
+    rows: usize,
+    threads: usize,
+    render: impl Fn(&mut T, usize, &mut Vec<u8>) -> Result<()> + Sync,
+) -> Result<()> {
+    let blocks = rows.div_ceil(RENDER_BLOCK_ROWS);
+    let workers = threads.min(blocks / 2).max(1);
+    if workers == 1 {
+        let (mut scratch, mut buf) = (T::default(), Vec::new());
+        for block in 0..blocks {
+            buf.clear();
+            render(&mut scratch, block, &mut buf)?;
+            writer.write_all(&buf)?;
+        }
+        return Ok(());
+    }
+    std::thread::scope(|scope| {
+        let render = &render;
+        let lanes: Vec<_> = (0..workers)
+            .map(|w| {
+                let (full_tx, full_rx) = mpsc::sync_channel::<Result<Vec<u8>>>(0);
+                let (spent_tx, spent_rx) = mpsc::channel::<Vec<u8>>();
+                scope.spawn(move || {
+                    let mut scratch = T::default();
+                    for block in (w..blocks).step_by(workers) {
+                        let mut buf = spent_rx.try_recv().unwrap_or_default();
+                        buf.clear();
+                        let rendered = render(&mut scratch, block, &mut buf).map(|()| buf);
+                        let failed = rendered.is_err();
+                        // A failed send means the writer failed and hung up.
+                        if full_tx.send(rendered).is_err() || failed {
+                            return;
+                        }
+                    }
+                });
+                (full_rx, spent_tx)
+            })
+            .collect();
+        for block in 0..blocks {
+            let (full_rx, spent_tx) = &lanes[block % workers];
+            let buf = full_rx.recv().expect("CSV render worker panicked")?;
+            writer.write_all(&buf)?;
+            let _ = spent_tx.send(buf);
+        }
+        Ok(())
+    })
 }
 
 /// Worker count for the file readers and writers: the available cores.
@@ -249,7 +444,6 @@ impl ReadAt for File {
     }
 }
 
-#[cfg(test)]
 impl ReadAt for [u8] {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
         let rest = self.get(offset as usize..).unwrap_or_default();
@@ -287,59 +481,33 @@ fn next_line_start<S: ReadAt + ?Sized>(src: &S, mut at: u64) -> io::Result<u64> 
     }
 }
 
-/// The chunked reader behind [`par_read_csv_file`]. `cuts` maps the
+/// Cut offsets for a file of `len` bytes: at most `threads` chunks of at
+/// least [`MIN_CHUNK_BYTES`] each, given where the data starts.
+fn even_cuts(len: u64, threads: usize) -> impl FnOnce(u64) -> Vec<u64> {
+    move |data_start| {
+        let span = len.saturating_sub(data_start);
+        let chunks = (span / MIN_CHUNK_BYTES).clamp(1, threads.max(1) as u64);
+        (1..chunks)
+            .map(|k| data_start + span * k / chunks)
+            .collect()
+    }
+}
+
+/// The interning reader behind [`par_read_csv_file`]. `cuts` maps the
 /// offset where the data starts (just past the header) to the offsets at
 /// which chunks after the first are cut.
-fn read_chunked<S: ReadAt + ?Sized>(
+fn read_interned<S: ReadAt + ?Sized>(
     src: &S,
     relation_name: &str,
     symbols: &mut SymbolTable,
     cuts: impl FnOnce(u64) -> Vec<u64>,
 ) -> Result<Table> {
-    let mut rdr = csv::ReaderBuilder::new()
-        .has_headers(true)
-        .flexible(false)
-        .from_reader(ReadFrom { src, pos: 0 });
-    let schema = Schema::new(relation_name, rdr.headers()?.iter())?;
-    let arity = schema.arity();
-    let data_start = rdr.record_offset()?;
-    let mut starts = vec![data_start];
-    for cut in cuts(data_start) {
-        let start = next_line_start(src, cut.max(data_start))?;
-        if start > starts[starts.len() - 1] {
-            starts.push(start);
-        }
-    }
-    // Each chunk stops before the next one's start; the last runs to EOF.
-    let bounds: Vec<u64> = starts[1..].iter().copied().chain([u64::MAX]).collect();
-    let chunks: Vec<Chunk> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (1..starts.len())
-            .map(|k| {
-                let (start, bound) = (starts[k], bounds[k]);
-                scope.spawn(move || parse_chunk(src, start, bound, arity))
-            })
-            .collect();
-        // The first chunk continues on the header's reader, on this thread,
-        // so a one-chunk input is the sequential parse.
-        let mut first = Chunk::new(data_start, bounds[0], usize::MAX);
-        first.fill(&mut rdr, 0, arity);
-        std::iter::once(first)
-            .chain(
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("CSV chunk parser panicked")),
-            )
-            .collect()
-    });
+    let (schema, chunks) = read_chunked(src, relation_name, cuts, LocalDict::default)?;
     let mut cells: Vec<Symbol> = Vec::new();
-    // Where the sequential parse would stand after the chunks merged so far.
-    let mut boundary = data_start;
-    for mut chunk in chunks {
-        if chunk.start != boundary {
-            chunk = parse_chunk(src, boundary, chunk.bound, arity);
-        }
-        boundary = chunk.end;
-        let map: Vec<Symbol> = chunk.dict.values().map(|v| symbols.intern(v)).collect();
+    for chunk in chunks {
+        // The values of the rows before an error are interned, as in
+        // `read_csv`.
+        let map: Vec<Symbol> = chunk.sink.values().map(|v| symbols.intern(v)).collect();
         let identity = map.iter().enumerate().all(|(i, s)| s.index() == i);
         for block in chunk.blocks {
             if cells.is_empty() {
@@ -358,74 +526,319 @@ fn read_chunked<S: ReadAt + ?Sized>(
     Ok(Table::from_cells(schema, cells))
 }
 
-/// Parse the chunk of records that start in `[start, bound)` with a
-/// reader of its own.
-fn parse_chunk<S: ReadAt + ?Sized>(src: &S, start: u64, bound: u64, arity: usize) -> Chunk {
-    let mut rdr = csv::ReaderBuilder::new()
-        .has_headers(false)
-        .flexible(false)
-        .expect_fields(arity)
-        .from_reader(ReadFrom { src, pos: start });
-    let mut chunk = Chunk::new(start, bound, BLOCK_CELLS);
-    chunk.fill(&mut rdr, start, arity);
-    chunk
+/// The constants-only reader behind [`par_read_csv_constants`].
+fn read_constants<S: ReadAt + ?Sized>(
+    src: &S,
+    schema: &Schema,
+    constants: &mut SymbolTable,
+    cuts: impl FnOnce(u64) -> Vec<u64>,
+) -> Result<ConstantLoad> {
+    let index = ConstantIndex::new(constants);
+    let (header, mut chunks) = read_chunked(src, schema.name(), cuts, || Constants {
+        index: &index,
+        seen: vec![false; constants.len()],
+        first_seen: Vec::new(),
+    })?;
+    let n = constants.len();
+    if let Some(error) = chunks.last_mut().and_then(|c| c.error.take()) {
+        return Err(error);
+    }
+    if !header.attr_names().eq(schema.attr_names()) {
+        return Err(RelationError::Io(
+            "the CSV header differs from the schema it was read as".to_string(),
+        ));
+    }
+    let mut seen = vec![false; n];
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    for &id in chunks.iter().flat_map(|c| &c.sink.first_seen) {
+        if !std::mem::replace(&mut seen[id as usize], true) {
+            order.push(id);
+        }
+    }
+    order.extend((0..n as u32).filter(|&id| !seen[id as usize]));
+    let identity = order
+        .iter()
+        .enumerate()
+        .all(|(new, &old)| new == old as usize);
+    let mut renumber = vec![Symbol(0); order.len()];
+    for (new, &old) in order.iter().enumerate() {
+        renumber[old as usize] = Symbol(new as u32);
+    }
+    let rename = |s: Symbol| {
+        if s == Symbol::BOTTOM {
+            s
+        } else {
+            renumber[s.index()]
+        }
+    };
+    let mut cells: Vec<Symbol> = Vec::new();
+    let mut rows = RowSpans::default();
+    let mut end = 0;
+    for chunk in chunks {
+        rows.starts.extend(chunk.row_starts);
+        rows.verbatim.extend(chunk.plain);
+        end = chunk.end;
+        for block in chunk.blocks {
+            if cells.is_empty() {
+                cells = block;
+                if !identity {
+                    cells.iter_mut().for_each(|s| *s = rename(*s));
+                }
+            } else {
+                cells.extend(block.iter().map(|&s| rename(s)));
+            }
+        }
+    }
+    rows.starts.push(end);
+    let table = Table::from_cells(schema.clone(), cells);
+    if identity {
+        return Ok(ConstantLoad {
+            table,
+            rows,
+            renumber: None,
+        });
+    }
+    let mut renamed = SymbolTable::with_capacity(order.len());
+    for &old in &order {
+        renamed.intern(constants.resolve(Symbol(old)));
+    }
+    *constants = renamed;
+    Ok(ConstantLoad {
+        table,
+        rows,
+        renumber: Some(renumber),
+    })
 }
 
-/// One chunk's parse: its rows as chunk-local ids, the chunk's dictionary,
-/// and where its parser stopped.
-struct Chunk {
-    /// Where the parser started.
+/// What a chunk scan turns a cell into.
+trait CellSink {
+    fn cell(&mut self, value: &[u8]) -> Symbol;
+}
+
+/// Interning: every value gets a chunk-local id.
+impl CellSink for LocalDict {
+    #[inline]
+    fn cell(&mut self, value: &[u8]) -> Symbol {
+        Symbol(self.intern(value))
+    }
+}
+
+/// Constant lookup: a value gets its constant's id, or ⊥; the constants
+/// are listed in the order the chunk first shows them.
+struct Constants<'a> {
+    index: &'a ConstantIndex<'a>,
+    seen: Vec<bool>,
+    first_seen: Vec<u32>,
+}
+
+/// A read-only hash index over the values of a symbol table, which it
+/// does not copy: it builds in a fraction of the time a [`LocalDict`] of
+/// the same values takes, which is part of every `fixctl` run's setup.
+struct ConstantIndex<'a> {
+    symbols: &'a SymbolTable,
+    /// As [`LocalDict::slots`], with symbols for ids; at most half full.
+    slots: Vec<u64>,
+}
+
+impl<'a> ConstantIndex<'a> {
+    fn new(symbols: &'a SymbolTable) -> Self {
+        let mut slots = vec![0; (2 * symbols.len() + 1).next_power_of_two().max(64)];
+        for (s, value) in symbols.iter() {
+            let hash = hash_bytes(value.as_bytes());
+            let value_of = |id| symbols.resolve(Symbol(id)).as_bytes();
+            if let Err(i) = probe(&slots, hash, value.as_bytes(), value_of) {
+                slots[i] = (hash & HASH_TOP) | u64::from(s.0 + 1);
+            }
+        }
+        ConstantIndex { symbols, slots }
+    }
+
+    #[inline]
+    fn get(&self, value: &[u8]) -> Option<u32> {
+        probe(&self.slots, hash_bytes(value), value, |id| {
+            self.symbols.resolve(Symbol(id)).as_bytes()
+        })
+        .ok()
+    }
+}
+
+impl CellSink for Constants<'_> {
+    #[inline]
+    fn cell(&mut self, value: &[u8]) -> Symbol {
+        let Some(id) = self.index.get(value) else {
+            return Symbol::BOTTOM;
+        };
+        if !std::mem::replace(&mut self.seen[id as usize], true) {
+            self.first_seen.push(id);
+        }
+        Symbol(id)
+    }
+}
+
+/// Parse the header and scan the chunks of the data after it, one worker
+/// per chunk, each with a fresh sink. `cuts` maps the offset where the
+/// data starts (just past the header) to the offsets at which chunks after
+/// the first are cut. The chunks come back in order, each starting where
+/// the one before it stopped, and end with the first one that failed.
+fn read_chunked<S, K>(
+    src: &S,
+    relation_name: &str,
+    cuts: impl FnOnce(u64) -> Vec<u64>,
+    sink: impl Fn() -> K + Sync,
+) -> Result<(Schema, Vec<Chunk<K>>)>
+where
+    S: ReadAt + ?Sized,
+    K: CellSink + Send,
+{
+    let mut rdr = csv::ReaderBuilder::new()
+        .has_headers(true)
+        .flexible(false)
+        .from_reader(ReadFrom { src, pos: 0 });
+    let schema = Schema::new(relation_name, rdr.headers()?.iter())?;
+    let arity = schema.arity();
+    let data_start = rdr.record_offset()?;
+    let mut starts = vec![data_start];
+    for cut in cuts(data_start) {
+        let start = next_line_start(src, cut.max(data_start))?;
+        if start > starts[starts.len() - 1] {
+            starts.push(start);
+        }
+    }
+    // Each chunk stops before the next one's start; the last runs to EOF.
+    let bounds: Vec<u64> = starts[1..].iter().copied().chain([u64::MAX]).collect();
+    let sink = &sink;
+    let mut chunks: Vec<Chunk<K>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..starts.len())
+            .map(|k| {
+                let (start, bound) = (starts[k], bounds[k]);
+                scope.spawn(move || Chunk::scan(src, start, bound, arity, sink(), BLOCK_CELLS))
+            })
+            .collect();
+        // The first chunk is scanned on this thread, so a one-chunk input
+        // spawns no worker.
+        let first = Chunk::scan(src, data_start, bounds[0], arity, sink(), usize::MAX);
+        std::iter::once(first)
+            .chain(
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("CSV chunk scanner panicked")),
+            )
+            .collect()
+    });
+    // Where the sequential scan would stand after the chunks kept so far.
+    let mut boundary = data_start;
+    for k in 0..chunks.len() {
+        if chunks[k].start != boundary {
+            let bound = chunks[k].bound;
+            chunks[k] = Chunk::scan(src, boundary, bound, arity, sink(), BLOCK_CELLS);
+        }
+        boundary = chunks[k].end;
+        if chunks[k].error.is_some() {
+            chunks.truncate(k + 1);
+            break;
+        }
+    }
+    Ok((schema, chunks))
+}
+
+/// One chunk's scan: its rows as the sink's symbols, where each row starts
+/// and whether it holds a `"`, and where the scan stopped.
+struct Chunk<K> {
+    /// Where the scan started.
     start: u64,
-    /// The parser stops at the first record starting at or past this.
+    /// The scan stops at the first record starting at or past this.
     bound: u64,
     /// Where the record after the chunk's last one starts.
     end: u64,
     /// Row-major cells, at most `block_cells` per block.
     blocks: Vec<Vec<Symbol>>,
     block_cells: usize,
-    dict: LocalDict,
-    /// The error that stopped the parse before `bound`, if any.
+    sink: K,
+    row_starts: Vec<u64>,
+    /// Row `i` holds no `"`.
+    plain: Vec<bool>,
+    /// The error that stopped the scan before `bound`, if any.
     error: Option<RelationError>,
 }
 
-impl Chunk {
-    fn new(start: u64, bound: u64, block_cells: usize) -> Self {
-        Chunk {
+impl<K: CellSink> Chunk<K> {
+    /// Scan the records that start in `[start, bound)`.
+    fn scan<S: ReadAt + ?Sized>(
+        src: &S,
+        start: u64,
+        bound: u64,
+        arity: usize,
+        sink: K,
+        block_cells: usize,
+    ) -> Self {
+        let mut chunk = Chunk {
             start,
             bound,
             end: start,
             blocks: vec![Vec::with_capacity(block_cells.min(BLOCK_CELLS))],
             block_cells,
-            dict: LocalDict::default(),
+            sink,
+            row_starts: Vec::new(),
+            plain: Vec::new(),
             error: None,
+        };
+        if let Err(e) = chunk.fill(src, arity) {
+            chunk.error = Some(e);
         }
+        chunk
     }
 
-    /// Parse records with `rdr`, whose input begins at offset `base`.
-    fn fill<R: Read>(&mut self, rdr: &mut csv::Reader<R>, base: u64, arity: usize) {
-        if let Err(e) = self.try_fill(rdr, base, arity) {
-            self.error = Some(e);
-        }
-    }
-
-    fn try_fill<R: Read>(
-        &mut self,
-        rdr: &mut csv::Reader<R>,
-        base: u64,
-        arity: usize,
-    ) -> Result<()> {
-        // As in `read_csv`: a cell equal to the cell above skips the probe.
+    fn fill<S: ReadAt + ?Sized>(&mut self, src: &S, arity: usize) -> Result<()> {
+        let mut window = Window {
+            src,
+            buf: Vec::new(),
+            len: 0,
+            base: self.start,
+            pos: 0,
+            eof: false,
+            utf8_upto: 0,
+        };
         let mut row = vec![Symbol(0); arity];
-        let mut record = csv::StringRecord::new();
-        let mut above = csv::StringRecord::new();
+        // As in `read_csv`, a cell equal to the cell above skips the sink.
+        // `above_at` is where the record above starts in the window, while
+        // the window still holds it.
+        let mut record = Record::default();
+        let mut above = Record::default();
+        let mut above_at: Option<usize> = None;
         loop {
-            self.end = base + rdr.record_offset()?;
-            if self.end >= self.bound || !rdr.read_record(&mut record)? {
+            self.end = window.base + window.pos as u64;
+            if self.end >= self.bound {
                 return Ok(());
             }
-            for (i, cell) in record.iter().enumerate() {
-                if above.get(i) != Some(cell) {
-                    row[i] = Symbol(self.dict.intern(cell));
+            let bytes = &window.buf[window.pos..window.len];
+            let (len, plain) = match scan_record(bytes, window.eof, &mut record) {
+                Scan::Record { len, plain } => (len, plain),
+                Scan::Partial => {
+                    window.refill().map_err(|e| csv_error(e.to_string()))?;
+                    above_at = None;
+                    continue;
+                }
+                Scan::End => return Ok(()),
+                Scan::Unterminated => {
+                    check_utf8(bytes, &record)?;
+                    return Err(csv_error("unterminated quoted field".to_string()));
+                }
+            };
+            let raw = &bytes[..len];
+            if window.pos + len > window.utf8_upto {
+                check_utf8(raw, &record)?;
+            }
+            if record.fields.len() != arity {
+                return Err(csv_error(format!(
+                    "record has {} fields, but the previous record has {arity}",
+                    record.fields.len()
+                )));
+            }
+            let above_raw = above_at.map(|at| &window.buf[at..]);
+            for (i, slot) in row.iter_mut().enumerate() {
+                let cell = record.field(raw, i);
+                if above_raw.is_none_or(|a| above.field(a, i) != cell) {
+                    *slot = self.sink.cell(cell);
                 }
             }
             if self.blocks[self.blocks.len() - 1].len() + arity > self.block_cells {
@@ -433,90 +846,334 @@ impl Chunk {
             }
             let last = self.blocks.len() - 1;
             self.blocks[last].extend_from_slice(&row);
+            self.row_starts.push(self.end);
+            self.plain.push(plain);
             std::mem::swap(&mut record, &mut above);
+            above_at = Some(window.pos);
+            window.pos += len;
         }
     }
 }
 
-/// A chunk-local string dictionary: each distinct value stored once in
-/// one arena, under an id in first-occurrence order. The dictionaries
-/// coexist with the table at peak memory, so they keep no allocation per
-/// value (an `FxHashMap<Box<str>, u32>` measured 4 MiB more peak RSS on a
-/// 200k-row, 49k-value input). It lives for one load, so it hashes with
-/// FxHash instead of the [`SymbolTable`]'s SipHash; each value is interned
-/// into the shared table once, at the merge.
-#[derive(Default)]
-struct LocalDict {
-    text: String,
-    /// End of value `i` in `text`; it starts where value `i - 1` ends.
-    ends: Vec<usize>,
-    hashes: Vec<u64>,
-    /// Open addressing with linear probing: `id + 1`, or 0 when empty.
-    /// The length is zero or a power of two.
-    slots: Vec<u32>,
+/// The part of a [`ReadAt`] source that a chunk scan holds in memory.
+struct Window<'a, S: ?Sized> {
+    src: &'a S,
+    buf: Vec<u8>,
+    /// Bytes of `buf` that hold data.
+    len: usize,
+    /// Where `buf` starts in the source.
+    base: u64,
+    /// Where the next record starts in `buf`.
+    pos: usize,
+    /// `buf[..len]` runs to the end of the source.
+    eof: bool,
+    /// `buf[pos..utf8_upto]` is valid UTF-8, so the records in it need no
+    /// check of their own.
+    utf8_upto: usize,
 }
 
+impl<S: ReadAt + ?Sized> Window<'_, S> {
+    /// Drop the bytes before `pos`, then read until the window is full or
+    /// the source ends. The window starts at 4 KiB and doubles on each
+    /// refill up to [`WINDOW_BYTES`], so a small input touches little
+    /// memory; past that, it doubles only when `pos` frees nothing.
+    fn refill(&mut self) -> io::Result<()> {
+        self.buf.copy_within(self.pos..self.len, 0);
+        self.base += self.pos as u64;
+        self.len -= self.pos;
+        self.pos = 0;
+        if self.len == self.buf.len() || self.buf.len() < WINDOW_BYTES {
+            let size = (2 * self.buf.len()).clamp(4096, WINDOW_BYTES);
+            self.buf.resize(size.max(2 * self.len), 0);
+        }
+        while self.len < self.buf.len() {
+            match self
+                .src
+                .read_at(&mut self.buf[self.len..], self.base + self.len as u64)?
+            {
+                0 => {
+                    self.eof = true;
+                    break;
+                }
+                n => self.len += n,
+            }
+        }
+        self.utf8_upto = match std::str::from_utf8(&self.buf[..self.len]) {
+            Ok(_) => self.len,
+            Err(e) => e.valid_up_to(),
+        };
+        Ok(())
+    }
+}
+
+/// A CSV error, worded as the `csv` reader words it.
+fn csv_error(message: String) -> RelationError {
+    RelationError::Io(format!("CSV error: {message}"))
+}
+
+/// One record's fields. A field that does not start with `"` is a range
+/// of the record's own bytes; a quoted one is decoded into `decoded`.
+#[derive(Default)]
+struct Record {
+    fields: Vec<Field>,
+    decoded: Vec<u8>,
+}
+
+#[derive(Clone, Copy)]
+struct Field {
+    start: usize,
+    end: usize,
+    decoded: bool,
+}
+
+impl Record {
+    /// Field `i`'s value, given the record's bytes.
+    fn field<'a>(&'a self, raw: &'a [u8], i: usize) -> &'a [u8] {
+        let f = self.fields[i];
+        if f.decoded {
+            &self.decoded[f.start..f.end]
+        } else {
+            &raw[f.start..f.end]
+        }
+    }
+}
+
+/// What [`scan_record`] found at the start of its bytes.
+enum Scan {
+    /// A whole record of `len` bytes, its line end included (both bytes
+    /// of a `\r\n`). It is `plain` when it holds no `"`: then each field
+    /// is its own bytes, none needs quotes, and `csv::Writer` renders the
+    /// record as the bytes before its line end.
+    Record { len: usize, plain: bool },
+    /// The bytes end inside the record, or right after a `\r` that the
+    /// next byte may join, and more input follows.
+    Partial,
+    /// The input ends inside a quoted field.
+    Unterminated,
+    /// No bytes are left.
+    End,
+}
+
+/// Split the record at the start of `bytes` into `record`'s fields exactly
+/// as the `csv` reader does: `,` separates fields; `\n`, `\r\n` and a lone
+/// `\r` end a record, and so does the end of the input; a `"` opens
+/// quotes only as a field's first byte and is literal anywhere else; and
+/// inside quotes, `""` is one `"`. `eof` says whether `bytes` runs to the
+/// end of the input. UTF-8 is not checked here ([`check_utf8`]).
+fn scan_record(bytes: &[u8], eof: bool, record: &mut Record) -> Scan {
+    record.fields.clear();
+    record.decoded.clear();
+    if bytes.is_empty() {
+        return if eof { Scan::End } else { Scan::Partial };
+    }
+    let mut plain = true;
+    let mut i = 0;
+    loop {
+        let quoted = bytes.get(i) == Some(&b'"');
+        let start = if quoted {
+            plain = false;
+            let start = record.decoded.len();
+            i += 1;
+            loop {
+                let Some(k) = csv::find_any(&bytes[i..], [b'"']) else {
+                    return if eof {
+                        Scan::Unterminated
+                    } else {
+                        Scan::Partial
+                    };
+                };
+                record.decoded.extend_from_slice(&bytes[i..i + k]);
+                i += k + 1;
+                match bytes.get(i) {
+                    Some(b'"') => {
+                        record.decoded.push(b'"');
+                        i += 1;
+                    }
+                    None if !eof => return Scan::Partial,
+                    _ => break,
+                }
+            }
+            start
+        } else {
+            i
+        };
+        // The field runs on unquoted, after the closing quote if any.
+        let Some(k) = unquoted_len(&bytes[i..], &mut plain).or(eof.then(|| bytes.len() - i)) else {
+            return Scan::Partial;
+        };
+        let field = if quoted {
+            record.decoded.extend_from_slice(&bytes[i..i + k]);
+            Field {
+                start,
+                end: record.decoded.len(),
+                decoded: true,
+            }
+        } else {
+            Field {
+                start,
+                end: i + k,
+                decoded: false,
+            }
+        };
+        i += k;
+        record.fields.push(field);
+        match bytes.get(i) {
+            Some(b',') => i += 1,
+            Some(b'\n') => return Scan::Record { len: i + 1, plain },
+            Some(_) => {
+                // A `\r`, which takes a `\n` right after it along.
+                return match bytes.get(i + 1) {
+                    Some(b'\n') => Scan::Record { len: i + 2, plain },
+                    None if !eof => Scan::Partial,
+                    _ => Scan::Record { len: i + 1, plain },
+                };
+            }
+            None => return Scan::Record { len: i, plain },
+        }
+    }
+}
+
+/// The length of the unquoted run at the start of `bytes`, up to the `,`,
+/// `\n` or `\r` that ends its field, or `None` if the bytes end first. A
+/// `"` in the run is literal and clears `plain`.
+fn unquoted_len(bytes: &[u8], plain: &mut bool) -> Option<usize> {
+    let mut i = 0;
+    loop {
+        let k = i + csv::find_any(&bytes[i..], [b',', b'\n', b'\r', b'"'])?;
+        if bytes[k] != b'"' {
+            return Some(k);
+        }
+        *plain = false;
+        i = k + 1;
+    }
+}
+
+/// Fail on the first of `record`'s fields that is not UTF-8, as the `csv`
+/// reader does; `raw` holds the record's bytes. Fields split valid UTF-8
+/// only at ASCII bytes, so valid `raw` needs no check per field.
+fn check_utf8(raw: &[u8], record: &Record) -> Result<()> {
+    if std::str::from_utf8(raw).is_ok() {
+        return Ok(());
+    }
+    for i in 0..record.fields.len() {
+        if let Err(e) = std::str::from_utf8(record.field(raw, i)) {
+            return Err(csv_error(format!("invalid UTF-8 in field: {e}")));
+        }
+    }
+    Ok(())
+}
+
+/// A chunk-local dictionary of byte strings: each distinct value stored
+/// once in one arena, under an id in first-occurrence order. The
+/// dictionaries coexist with the table at peak memory, so they keep no
+/// allocation per value (an `FxHashMap<Box<str>, u32>` measured 4 MiB more
+/// peak RSS on a 200k-row, 49k-value input). It lives for one load, so it
+/// hashes with FxHash instead of the [`SymbolTable`]'s SipHash; each value
+/// is interned into the shared table once, at the merge.
+#[derive(Default)]
+struct LocalDict {
+    text: Vec<u8>,
+    /// End of value `i` in `text`; it starts where value `i - 1` ends.
+    ends: Vec<usize>,
+    /// Open addressing with linear probing: the value's hash in the top
+    /// half and `id + 1` in the bottom half, or 0 when empty. A probe
+    /// compares values only on equal top halves. The length is zero or a
+    /// power of two, at most 2^32.
+    slots: Vec<u64>,
+}
+
+/// The top half of a hash, which a [`LocalDict`] slot keeps.
+const HASH_TOP: u64 = !0 << 32;
+
 impl LocalDict {
-    fn value(&self, id: usize) -> &str {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn value(&self, id: usize) -> &[u8] {
         let start = if id == 0 { 0 } else { self.ends[id - 1] };
         &self.text[start..self.ends[id]]
     }
 
-    /// The values in id order.
+    /// The values in id order. Scans intern only checked UTF-8.
     fn values(&self) -> impl Iterator<Item = &str> {
-        (0..self.ends.len()).map(|id| self.value(id))
+        (0..self.len()).map(|id| std::str::from_utf8(self.value(id)).expect("values are UTF-8"))
     }
 
-    fn intern(&mut self, value: &str) -> u32 {
-        if 2 * self.hashes.len() >= self.slots.len() {
+    fn intern(&mut self, value: &[u8]) -> u32 {
+        if 2 * self.len() >= self.slots.len() {
             self.grow();
         }
-        let hash = fxhash::hash64(value);
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
-        loop {
-            match self.slots[i] {
-                0 => {
-                    let id = self.hashes.len();
-                    self.text.push_str(value);
-                    self.ends.push(self.text.len());
-                    self.hashes.push(hash);
-                    self.slots[i] = id as u32 + 1;
-                    return id as u32;
-                }
-                slot => {
-                    let id = slot as usize - 1;
-                    if self.hashes[id] == hash && self.value(id) == value {
-                        return id as u32;
-                    }
-                }
+        let hash = hash_bytes(value);
+        match probe(&self.slots, hash, value, |id| self.value(id as usize)) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = self.len() as u32;
+                self.text.extend_from_slice(value);
+                self.ends.push(self.text.len());
+                self.slots[slot] = (hash & HASH_TOP) | u64::from(id + 1);
+                id
             }
-            i = (i + 1) & mask;
         }
-    }
-
-    /// The first slot to probe: the hash's top bits, which FxHash's final
-    /// multiply mixes best.
-    fn home(&self, hash: u64) -> usize {
-        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
     fn grow(&mut self) {
-        self.slots = vec![0; (2 * self.slots.len()).max(1024)];
+        let size = (2 * self.slots.len()).max(1024);
+        let old = std::mem::replace(&mut self.slots, vec![0; size]);
         let mask = self.slots.len() - 1;
-        for (id, &hash) in self.hashes.iter().enumerate() {
-            let mut i = self.home(hash);
+        for slot in old.into_iter().filter(|&slot| slot != 0) {
+            let mut i = home(slot, self.slots.len());
             while self.slots[i] != 0 {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = id as u32 + 1;
+            self.slots[i] = slot;
         }
     }
+}
+
+/// Probe `slots` (see [`LocalDict::slots`]) for `value`, whose hash is
+/// `hash` and where `value_of(id)` gives the value stored under `id`: its
+/// id, or else the empty slot where it would go.
+#[inline]
+fn probe<'v>(
+    slots: &[u64],
+    hash: u64,
+    value: &[u8],
+    value_of: impl Fn(u32) -> &'v [u8],
+) -> std::result::Result<u32, usize> {
+    let mask = slots.len() - 1;
+    let mut i = home(hash, slots.len());
+    loop {
+        match slots[i] {
+            0 => return Err(i),
+            slot if slot & HASH_TOP == hash & HASH_TOP => {
+                let id = slot as u32 - 1;
+                if value_of(id) == value {
+                    return Ok(id);
+                }
+            }
+            _ => {}
+        }
+        i = (i + 1) & mask;
+    }
+}
+
+/// The first slot to probe in a table of `slots` slots: the hash's top
+/// bits, which FxHash's final multiply mixes best.
+fn home(hash: u64, slots: usize) -> usize {
+    (hash >> (64 - slots.trailing_zeros())) as usize
+}
+
+fn hash_bytes(value: &[u8]) -> u64 {
+    let mut hasher = fxhash::FxHasher::default();
+    hasher.write(value);
+    hasher.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AttrId;
 
     const SAMPLE: &str = "country,capital\nChina,Beijing\nCanada,Ottawa\n";
 
@@ -672,13 +1329,122 @@ mod tests {
         let mut want_sy = seeded_symbols();
         let want = outcome(read_csv(data, "R", &mut want_sy), &want_sy);
         let mut got_sy = seeded_symbols();
-        let got = read_chunked(data, "R", &mut got_sy, |_| cuts.to_vec());
+        let got = read_interned(data, "R", &mut got_sy, |_| cuts.to_vec());
         assert_eq!(
             outcome(got, &got_sy),
             want,
             "input {:?} cut at {cuts:?}",
             String::from_utf8_lossy(data)
         );
+        assert_constants_match(data, cuts);
+    }
+
+    /// Σ's constants for the constants-only reader: values the inputs
+    /// below hold (quoted, escaped, multi-line, empty) and one they never do.
+    const CONSTANTS: [&str; 11] = [
+        "never",
+        "y",
+        "1\n2",
+        "é",
+        "x",
+        "q\"",
+        "say \"hi\"",
+        "a",
+        "",
+        "4",
+        "zz",
+    ];
+
+    type Projected = std::result::Result<Vec<Vec<Option<String>>>, String>;
+
+    /// The constants-only reader against `read_csv` on the same bytes: the
+    /// rows projected onto [`CONSTANTS`] (any other value is ⊥), the same
+    /// error text, and the constants renumbered into the order that
+    /// interning the file and then the constants gives. Then repair the
+    /// table by hand and check that the repaired-table writer gives the
+    /// bytes `write_csv` gives for the fully interned table.
+    fn assert_constants_match(data: &[u8], cuts: &[u64]) {
+        let context = format!("input {:?} cut at {cuts:?}", String::from_utf8_lossy(data));
+        let mut want_sy = SymbolTable::new();
+        let want_table = read_csv(data, "R", &mut want_sy);
+        let want: Projected = match &want_table {
+            Ok(t) => Ok(t
+                .rows()
+                .map(|row| {
+                    row.iter()
+                        .map(|&s| {
+                            let v = want_sy.resolve(s);
+                            CONSTANTS.contains(&v).then(|| v.to_string())
+                        })
+                        .collect()
+                })
+                .collect()),
+            Err(e) => Err(e.to_string()),
+        };
+        let mut constants = SymbolTable::new();
+        for c in CONSTANTS {
+            constants.intern(c);
+        }
+        let before = constants.clone();
+        let loaded = read_csv_header(data, "R")
+            .and_then(|schema| read_constants(data, &schema, &mut constants, |_| cuts.to_vec()));
+        let got: Projected = match &loaded {
+            Ok(l) => Ok(l
+                .table
+                .rows()
+                .map(|row| {
+                    row.iter()
+                        .map(|&s| (s != Symbol::BOTTOM).then(|| constants.resolve(s).to_string()))
+                        .collect()
+                })
+                .collect()),
+            Err(e) => Err(e.to_string()),
+        };
+        assert_eq!(got, want, "{context}");
+        let (Ok(mut want_table), Ok(mut loaded)) = (want_table, loaded) else {
+            return;
+        };
+        for c in CONSTANTS {
+            want_sy.intern(c);
+        }
+        let order: Vec<&str> = want_sy
+            .iter()
+            .map(|(_, v)| v)
+            .filter(|v| CONSTANTS.contains(v))
+            .collect();
+        assert!(constants.iter().map(|(_, v)| v).eq(order), "{context}");
+        for (old, v) in before.iter() {
+            let new = loaded.renumber.as_ref().map_or(old, |r| r[old.index()]);
+            assert_eq!(constants.resolve(new), v, "{context}");
+        }
+        // Every third row gets a constant in its first cell.
+        let (want_zz, got_zz) = (want_sy.intern("zz"), constants.get("zz").unwrap());
+        let first = AttrId(0);
+        for i in (1..want_table.len()).step_by(3) {
+            want_table.set_cell(i, first, want_zz);
+            loaded.table.set_cell(i, first, got_zz);
+            loaded.rows.touch(i);
+        }
+        let mut want_out = Vec::new();
+        write_csv(&mut want_out, &want_table, &want_sy).unwrap();
+        for threads in [1, 2] {
+            let mut out = Vec::new();
+            write_repaired(
+                &mut out,
+                data,
+                &loaded.table,
+                &loaded.rows,
+                &constants,
+                threads,
+            )
+            .unwrap();
+            assert!(
+                out == want_out,
+                "{context} threads={threads}: wrote {:?}, want {:?}",
+                String::from_utf8_lossy(&out),
+                String::from_utf8_lossy(&want_out)
+            );
+        }
     }
 
     #[test]
@@ -830,16 +1596,87 @@ mod tests {
             par_write_csv(&mut out, &got, &sy, threads).unwrap();
             assert!(out == want_out, "render differs at threads={threads}");
         }
+        // The constants-only reader and the repaired-table writer, with a
+        // constant written into some rows, some of them quoted in the file.
+        let names = [
+            "plain",
+            "q3",
+            "line\nbreak 1",
+            "a,b \"5\"",
+            "name7",
+            "n5",
+            "r9",
+        ];
+        let mut want_repaired = want.clone();
+        let plain = want_sy.intern("plain");
+        let note = AttrId(2);
+        for i in (7..want.len()).step_by(997) {
+            want_repaired.set_cell(i, note, plain);
+        }
+        let want_repaired_out = render(&want_repaired, &want_sy);
+        let out_path = dir.join("out.csv");
+        for threads in 1..=4 {
+            let mut constants = SymbolTable::new();
+            for v in names {
+                constants.intern(v);
+            }
+            let schema = want.schema();
+            let mut got = par_read_csv_constants(&path, schema, &mut constants, threads).unwrap();
+            assert_eq!(got.table.len(), want.len());
+            for (g, w) in got.table.rows().zip(want.rows()) {
+                for (&g, &w) in g.iter().zip(w.iter()) {
+                    let w = want_sy.resolve(w);
+                    let g = (g != Symbol::BOTTOM).then(|| constants.resolve(g));
+                    assert_eq!(g, names.contains(&w).then_some(w), "threads={threads}");
+                }
+            }
+            par_write_repaired_csv(&out_path, &path, &got.table, &got.rows, &constants, threads)
+                .unwrap();
+            assert!(
+                std::fs::read(&out_path).unwrap() == want_out,
+                "threads={threads}"
+            );
+            let plain = constants.get("plain").unwrap();
+            for i in (7..want.len()).step_by(997) {
+                got.table.set_cell(i, note, plain);
+                got.rows.touch(i);
+            }
+            par_write_repaired_csv(&out_path, &path, &got.table, &got.rows, &constants, threads)
+                .unwrap();
+            let repaired = std::fs::read(&out_path).unwrap();
+            assert!(repaired == want_repaired_out, "threads={threads}");
+        }
+        // Written over its own input, the file is read before it is
+        // truncated.
+        let mut constants = SymbolTable::new();
+        let got = par_read_csv_constants(&path, want.schema(), &mut constants, 2).unwrap();
+        par_write_repaired_csv(&path, &path, &got.table, &got.rows, &constants, 2).unwrap();
+        assert!(std::fs::read(&path).unwrap() == want_out);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn constant_index_finds_every_symbol_and_nothing_else() {
+        let mut symbols = SymbolTable::new();
+        for i in 0..3_000 {
+            symbols.intern(&format!("v{i}"));
+        }
+        symbols.intern("");
+        let index = ConstantIndex::new(&symbols);
+        for (s, v) in symbols.iter() {
+            assert_eq!(index.get(v.as_bytes()), Some(s.0));
+        }
+        assert_eq!(index.get(b"v3000"), None);
+        assert_eq!(ConstantIndex::new(&SymbolTable::new()).get(b""), None);
     }
 
     #[test]
     fn local_dict_keeps_first_occurrence_ids_across_growth() {
         let mut dict = LocalDict::default();
         let values: Vec<String> = (0..5_000).map(|i| format!("v{}", i % 3_000)).collect();
-        let ids: Vec<u32> = values.iter().map(|v| dict.intern(v)).collect();
+        let ids: Vec<u32> = values.iter().map(|v| dict.intern(v.as_bytes())).collect();
         for (v, &id) in values.iter().zip(&ids) {
-            assert_eq!(dict.value(id as usize), v);
+            assert_eq!(dict.value(id as usize), v.as_bytes());
         }
         assert_eq!(dict.values().count(), 3_000);
         assert!(dict.values().eq((0..3_000).map(|i| format!("v{i}"))));

@@ -17,6 +17,11 @@ use std::fmt;
 pub struct Symbol(pub u32);
 
 impl Symbol {
+    /// ⊥: a cell whose value is none of the constants a loader keeps
+    /// (`csv_io::par_read_csv_constants`). No table hands it out, so it never
+    /// equals a constant and is never resolved.
+    pub const BOTTOM: Symbol = Symbol(u32::MAX - 1);
+
     /// Raw index into the owning table's storage.
     #[inline]
     pub fn index(self) -> usize {

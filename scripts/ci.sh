@@ -171,6 +171,40 @@ cmp "$TRACE_DIR/quoting_updates.csv" examples/data/quoting_updates.csv \
     || { echo "--updates-log drifted from quoting_updates.csv" >&2; exit 1; }
 echo "-- lrepair and stream outputs and the update log match the golden files"
 
+echo "== constants-only load and verbatim write smoke =="
+# fixctl loads each cell as a rule constant or as a value no rule mentions,
+# and writes untouched rows back from the input's bytes. The edge fixture
+# has redundantly quoted cells (one of them repaired), a value equal to a
+# constant of another attribute, CRLF and lone-CR rows, and no final
+# newline; its golden repair predates that loader.
+for threads in 1 2; do
+    "$FIXCTL" repair --rules examples/rulesets/quoting_edge.frl \
+        --data examples/data/quoting_edge.csv --threads "$threads" \
+        --out "$TRACE_DIR/quoting_edge_$threads.csv" >/dev/null
+    cmp "$TRACE_DIR/quoting_edge_$threads.csv" examples/data/quoting_edge_repaired.csv \
+        || { echo "--threads $threads drifted from quoting_edge_repaired.csv" >&2; exit 1; }
+done
+# A ragged row near the end of a file the loader splits (over 2 MiB) fails
+# the run with the CSV reader's message, and no --out file is created.
+{
+    echo "name,city,country,capital"
+    seq 1 110000 | awk '{ print "n" $1 ",Lyon,FR,Lyon" }'
+    echo "short,row"
+    echo "last,Nice,FR,Paris"
+} > "$TRACE_DIR/ragged.csv"
+[ "$(wc -c < "$TRACE_DIR/ragged.csv")" -gt 2097152 ] || { echo "ragged.csv is too small" >&2; exit 1; }
+for threads in 1 2; do
+    status=0
+    "$FIXCTL" repair --rules examples/rulesets/quoting_edge.frl \
+        --data "$TRACE_DIR/ragged.csv" --threads "$threads" \
+        --out "$TRACE_DIR/ragged_out.csv" >/dev/null 2>"$TRACE_DIR/ragged.err" || status=$?
+    [ "$status" -eq 2 ] || { echo "ragged input exited $status, not 2" >&2; exit 1; }
+    grep -qx "fixctl: reading $TRACE_DIR/ragged.csv: I/O error: CSV error: record has 2 fields, but the previous record has 4" \
+        "$TRACE_DIR/ragged.err" || { echo "ragged input gave: $(cat "$TRACE_DIR/ragged.err")" >&2; exit 1; }
+    [ ! -e "$TRACE_DIR/ragged_out.csv" ] || { echo "ragged input created --out" >&2; exit 1; }
+done
+echo "-- edge fixture matches its golden repair at 1 and 2 workers; a late ragged row fails before --out exists"
+
 echo "== attribution profile determinism smoke =="
 # Two identical --profile-json runs must be byte-identical: the profile
 # deliberately excludes measured nanoseconds (DESIGN.md §13).

@@ -15,12 +15,12 @@
 //! and UTF-8 is validated once per record. The writer renders into one
 //! owned buffer and hands it to the sink in 64 KiB chunks.
 //!
-//! Two small additions serve readers that start in the middle of a file
-//! (the chunk-parallel loader in `relation`): [`Reader::record_offset`]
-//! reports the byte at which the next record starts, and
-//! [`ReaderBuilder::expect_fields`] sets the field count a header would
-//! have set. [`push_field`] and [`needs_quotes`] expose the writer's
-//! quoting rule to renderers that build their own buffers.
+//! One small addition serves the chunk-parallel loader in `relation`,
+//! which scans the records after the header itself:
+//! [`Reader::record_offset`] reports the byte at which the next record
+//! starts. [`push_field`] and [`needs_quotes`] expose the writer's
+//! quoting rule to renderers that build their own buffers, and
+//! [`find_any`] the reader's byte search to scanners that parse their own.
 
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -133,7 +133,6 @@ impl<'a> IntoIterator for &'a StringRecord {
 pub struct ReaderBuilder {
     has_headers: bool,
     flexible: bool,
-    expected_fields: Option<usize>,
 }
 
 impl Default for ReaderBuilder {
@@ -141,7 +140,6 @@ impl Default for ReaderBuilder {
         ReaderBuilder {
             has_headers: true,
             flexible: false,
-            expected_fields: None,
         }
     }
 }
@@ -163,13 +161,6 @@ impl ReaderBuilder {
         self
     }
 
-    /// Require `n` fields per record (unless flexible), as a header row of
-    /// `n` fields would: for a reader that starts past the header.
-    pub fn expect_fields(&mut self, n: usize) -> &mut Self {
-        self.expected_fields = Some(n);
-        self
-    }
-
     pub fn from_reader<R: Read>(&self, reader: R) -> Reader<R> {
         Reader {
             input: BufReader::with_capacity(CHUNK, reader),
@@ -177,7 +168,7 @@ impl ReaderBuilder {
             flexible: self.flexible,
             headers: None,
             headers_read: false,
-            expected_arity: self.expected_fields,
+            expected_arity: None,
             skip_lf: false,
             offset: 0,
         }
@@ -389,7 +380,7 @@ fn scan_slice(
 /// spurious), so the lowest bit over `w ^ needle` for every needle is the
 /// first match.
 #[inline]
-fn find_any<const N: usize>(bytes: &[u8], needles: [u8; N]) -> Option<usize> {
+pub fn find_any<const N: usize>(bytes: &[u8], needles: [u8; N]) -> Option<usize> {
     const LO: u64 = u64::from_le_bytes([0x01; 8]);
     const HI: u64 = u64::from_le_bytes([0x80; 8]);
     let mut words = bytes.chunks_exact(8);
@@ -680,19 +671,6 @@ mod tests {
         assert!(rdr.read_record(&mut record).unwrap());
         assert_eq!(rdr.record_offset().unwrap(), 17);
         assert!(!rdr.read_record(&mut record).unwrap());
-    }
-
-    #[test]
-    fn expect_fields_checks_arity_without_a_header() {
-        let mut rdr = ReaderBuilder::new()
-            .has_headers(false)
-            .expect_fields(2)
-            .from_reader("1\n".as_bytes());
-        let err = rdr.records().next().unwrap().unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "CSV error: record has 1 fields, but the previous record has 2"
-        );
     }
 
     #[test]
