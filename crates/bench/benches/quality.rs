@@ -64,21 +64,17 @@ fn bench_quality(c: &mut Criterion) {
     group.throughput(Throughput::Elements(TOTAL_ROWS as u64));
 
     group.bench_with_input(BenchmarkId::new("unmonitored", "stream"), &(), |b, _| {
-        b.iter_batched(
-            || workload.dataset.symbols.clone(),
-            |mut symbols| {
-                stream_repair_csv(
-                    rules,
-                    &index,
-                    &mut symbols,
-                    &csv[..],
-                    std::io::sink(),
-                    &NoopObserver,
-                )
-                .unwrap()
-            },
-            criterion::BatchSize::LargeInput,
-        )
+        b.iter(|| {
+            stream_repair_csv(
+                rules,
+                &index,
+                &workload.dataset.symbols,
+                &csv[..],
+                std::io::sink(),
+                &NoopObserver,
+            )
+            .unwrap()
+        })
     });
 
     for window in [256usize, 1024] {
@@ -93,15 +89,13 @@ fn bench_quality(c: &mut Criterion) {
                             window_rows: window,
                             ..QualityConfig::default()
                         };
-                        let monitor =
-                            QualityMonitor::new(cfg, attr_names.clone()).with_registry(&registry);
-                        (workload.dataset.symbols.clone(), monitor)
+                        QualityMonitor::new(cfg, attr_names.clone()).with_registry(&registry)
                     },
-                    |(mut symbols, monitor)| {
+                    |monitor| {
                         let stats = stream_repair_csv(
                             rules,
                             &index,
-                            &mut symbols,
+                            &workload.dataset.symbols,
                             &csv[..],
                             std::io::sink(),
                             &monitor,

@@ -377,10 +377,7 @@ fn cmd_lint(positional: Option<&str>, flags: &Flags, obs_ctx: &ObsCtx) -> Result
     let schema = if let Some(names) = flags.optional("schema") {
         relation::Schema::new("R", names.split(',').map(str::trim)).map_err(|e| e.to_string())?
     } else if let Some(data_path) = flags.optional("data") {
-        relation::csv_io::read_csv_file(data_path, "data", &mut symbols)
-            .map_err(|e| format!("reading {data_path}: {e}"))?
-            .schema()
-            .clone()
+        read_header(data_path)?
     } else {
         match fixrules::io::infer_schema(&text, "R") {
             Ok(schema) => schema,
@@ -442,10 +439,7 @@ fn cmd_certify(
     let schema = if let Some(names) = flags.optional("schema") {
         relation::Schema::new("R", names.split(',').map(str::trim)).map_err(|e| e.to_string())?
     } else if let Some(data_path) = flags.optional("data") {
-        relation::csv_io::read_csv_file(data_path, "data", &mut symbols)
-            .map_err(|e| format!("reading {data_path}: {e}"))?
-            .schema()
-            .clone()
+        read_header(data_path)?
     } else {
         match fixrules::io::infer_schema(&text, "R") {
             Ok(schema) => schema,
@@ -599,8 +593,8 @@ fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
 /// [`worker_threads`] chunks with each cell a constant of Σ or ⊥: a tuple
 /// meets a fixing rule only through equality with its constants, so no
 /// other value can change a repair (DESIGN.md §18). The symbol table holds
-/// Σ's constants alone, numbered as if every value had been interned, and
-/// the row spans let the repair be written back from the file's bytes.
+/// Σ's constants alone, in rule-parse order, and the row spans let the
+/// repair be written back from the file's bytes.
 fn load(
     flags: &Flags,
     obs_ctx: &ObsCtx,
@@ -609,10 +603,7 @@ fn load(
     let _span = obs_ctx.span("load");
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
-    let schema = std::fs::File::open(data_path)
-        .map_err(relation::RelationError::from)
-        .and_then(|file| relation::csv_io::read_csv_header(file, "data"))
-        .map_err(|e| format!("reading {data_path}: {e}"))?;
+    let schema = read_header(data_path)?;
     let mut symbols = SymbolTable::new();
     // A bad rule file is reported only once the data has loaded, so a bad
     // data file is the first error reported.
@@ -620,12 +611,9 @@ fn load(
     if rules.is_err() {
         symbols = SymbolTable::new();
     }
-    let loaded = par_read_csv_constants(data_path, &schema, &mut symbols, threads)
+    let loaded = par_read_csv_constants(data_path, &schema, &symbols, threads)
         .map_err(|e| format!("reading {data_path}: {e}"))?;
-    let mut rules = rules?;
-    if let Some(renumber) = &loaded.renumber {
-        rules.rename_symbols(|s| renumber[s.index()]);
-    }
+    let rules = rules?;
     obs::info!(
         "load.done",
         rows = loaded.table.len(),
@@ -633,6 +621,14 @@ fn load(
         constants = symbols.len()
     );
     Ok((loaded.table, rules, symbols, loaded.rows))
+}
+
+/// The schema of the CSV file at `path`, read from its header row alone.
+fn read_header(path: &str) -> Result<Schema, String> {
+    std::fs::File::open(path)
+        .map_err(relation::RelationError::from)
+        .and_then(|file| relation::csv_io::read_csv_header(file, "data"))
+        .map_err(|e| format!("reading {path}: {e}"))
 }
 
 /// Read and parse the rule file at `path` against `schema`.
@@ -1099,12 +1095,9 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
     let out = flags.required("out")?;
-    let (mut table, rules, mut symbols) = if stream {
+    let (mut table, rules, symbols) = if stream {
         let _span = obs_ctx.span("load");
-        let file =
-            std::fs::File::open(data_path).map_err(|e| format!("reading {data_path}: {e}"))?;
-        let schema = relation::csv_io::read_csv_header(file, "data")
-            .map_err(|e| format!("reading {data_path}: {e}"))?;
+        let schema = read_header(data_path)?;
         let mut symbols = SymbolTable::new();
         let rules = read_rules(rules_path, &schema, &mut symbols)?;
         obs::info!("load.done", rules = rules.len(), constants = symbols.len());
@@ -1115,7 +1108,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     };
     require_consistent(&rules, obs_ctx)?;
     // `--quality-window` hangs a QualityMonitor off the observer chain:
-    // tumbling windows of pre/post sketches over the stream, summarized
+    // tumbling windows of sketches over the incoming stream, summarized
     // as a per-window table after the run.
     let quality = match flags.optional("quality-window") {
         Some(n) => {
@@ -1184,7 +1177,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
                 std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
             );
             let _span = obs_ctx.span("repair");
-            let stats = stream_repair_csv(&rules, &index, &mut symbols, reader, writer, &observer)
+            let stats = stream_repair_csv(&rules, &index, &symbols, reader, writer, &observer)
                 .map_err(|e| format!("streaming: {e}"))?;
             (stats, RepairOutcome::default())
         }
@@ -1451,7 +1444,7 @@ fn cmd_stats(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         );
     }
     let mut attrs: Vec<(&str, usize)> = by_b.into_iter().collect();
-    attrs.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+    attrs.sort_by_key(|&(attr, n)| (std::cmp::Reverse(n), attr));
     println!("rules per repaired attribute:");
     for (attr, n) in attrs {
         println!("  {attr:<20} {n}");

@@ -1808,3 +1808,124 @@ fn load_keeps_only_rule_constants_and_repair_can_overwrite_its_input() {
     assert!(out.status.success(), "{out:?}");
     assert_eq!(std::fs::read(data).unwrap(), want);
 }
+
+/// A copy of `data` that keeps its header row and drops every record.
+fn header_only(data: &str, dir: &std::path::Path) -> String {
+    let text = std::fs::read_to_string(data).unwrap();
+    let header = dir.join("header.csv");
+    std::fs::write(&header, format!("{}\n", text.lines().next().unwrap())).unwrap();
+    header.to_str().unwrap().to_string()
+}
+
+#[test]
+fn lint_and_certify_read_only_the_header_of_data() {
+    let dir = tmpdir("lint_header");
+    let cases = [
+        ("rulesets/hosp_zip.frl", "data/hosp_dirty.csv"),
+        ("lint/dead_redundant.frl", "lint/profile_dirty.csv"),
+        ("lint/conflicting.frl", "lint/profile_dirty.csv"),
+    ];
+    for (rules, data) in cases {
+        let (rules, data) = (example(rules), example(data));
+        let header = header_only(&data, &dir);
+        for command in ["lint", "certify"] {
+            for format in ["human", "json"] {
+                let run =
+                    |data: &str| fixctl(&[command, &rules, "--data", data, "--format", format]);
+                let (full, head) = (run(&data), run(&header));
+                assert_eq!(full.status.code(), head.status.code(), "{command} {rules}");
+                assert!(
+                    full.stdout == head.stdout,
+                    "{command} {format} {rules}: --data changed the output\n{}\n---\n{}",
+                    String::from_utf8_lossy(&full.stdout),
+                    String::from_utf8_lossy(&head.stdout)
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn convert_prints_constants_in_rule_parse_order() {
+    let dir = tmpdir("convert_order");
+    let (rules, data) = (
+        example("rulesets/hosp_zip.frl"),
+        example("data/hosp_dirty.csv"),
+    );
+    let header = header_only(&data, &dir);
+    let out = dir.join("out.frl");
+    let out = out.to_str().unwrap();
+    let convert = |data: &str| {
+        let run = fixctl(&["convert", "--rules", &rules, "--data", data, "--out", out]);
+        assert!(run.status.success(), "{run:?}");
+        std::fs::read_to_string(out).unwrap()
+    };
+    let (full, head) = (convert(&data), convert(&header));
+    assert_eq!(full, head);
+    // `Tp[B]` keeps the order the rule file lists it in, whatever the
+    // data holds.
+    assert!(
+        full.contains(r#"city IN {"Jackson Heights", "Jaxon"}"#),
+        "{full}"
+    );
+}
+
+#[test]
+fn stats_lists_tied_attributes_by_name() {
+    let dir = tmpdir("stats_ties");
+    let data = dir.join("t.csv");
+    let rules = dir.join("r.frl");
+    std::fs::write(&data, TRAVEL_CSV).unwrap();
+    // One rule per repaired attribute: four attributes tie at 1.
+    std::fs::write(
+        &rules,
+        r#"
+IF conf = "VLDB" AND name IN {"Mik"} THEN name := "Mike"
+IF name = "Ian" AND city IN {"Hongkong"} THEN city := "Shanghai"
+IF country = "China" AND capital IN {"Shanghai"} THEN capital := "Beijing"
+IF capital = "Tokyo" AND conf = "ICDE" AND country IN {"China"} THEN country := "Japan"
+"#,
+    )
+    .unwrap();
+    let out = fixctl(&[
+        "stats",
+        "--rules",
+        rules.to_str().unwrap(),
+        "--data",
+        data.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let listed: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| *l != "rules per repaired attribute:")
+        .skip(1)
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    assert_eq!(listed, ["capital", "city", "country", "name"], "{stdout}");
+}
+
+#[test]
+fn both_engines_report_a_missing_data_file_alike() {
+    let dir = tmpdir("missing_data");
+    let rules = example("rulesets/hosp_zip.frl");
+    let (data, out) = (dir.join("absent.csv"), dir.join("out.csv"));
+    let stderr = |engine: &str| {
+        let run = fixctl(&[
+            "repair",
+            "--rules",
+            &rules,
+            "--data",
+            data.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+            "--engine",
+            engine,
+        ]);
+        assert_eq!(run.status.code(), Some(2), "{engine}: {run:?}");
+        String::from_utf8(run.stderr).unwrap()
+    };
+    let lrepair = stderr("lrepair");
+    assert!(lrepair.contains("absent.csv: I/O error: "), "{lrepair}");
+    assert_eq!(stderr("stream"), lrepair);
+}

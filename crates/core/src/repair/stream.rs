@@ -1,17 +1,21 @@
 //! Streaming CSV repair.
 //!
 //! Fixing rules are strictly per-tuple — unlike FD repair, no cross-tuple
-//! state exists — so a table of any size can be repaired in one pass with
-//! O(rules + vocabulary) memory: read a record, run `lRepair` on it, write
-//! it out. This is an engineering extension beyond the paper (its
-//! experiments materialise tables), enabled by exactly the per-tuple
-//! property the paper's complexity analysis relies on.
+//! state exists — so a table of any size can be repaired in one pass: read
+//! a record, run `lRepair` on it, write it out. This is an engineering
+//! extension beyond the paper (its experiments materialise tables),
+//! enabled by exactly the per-tuple property the paper's complexity
+//! analysis relies on.
 //!
-//! Memory note: the [`SymbolTable`] interns every distinct cell value seen,
-//! so memory is bounded by the input's *vocabulary*, not its row count.
+//! Memory note: a tuple meets a rule only through equality with Σ's
+//! constants, so each cell is looked up in the read-only [`SymbolTable`]
+//! of those constants and every other value is ⊥ ([`Symbol::BOTTOM`]),
+//! written back from the record itself. Memory is O(|Σ| + one record),
+//! whatever the input's row count or vocabulary.
 
 use std::io::{Read, Write};
 
+use obs::quality::value_key;
 use obs::RepairObserver;
 use relation::{RelationError, Symbol, SymbolTable};
 
@@ -26,7 +30,9 @@ use crate::ruleset::RuleSet;
 pub type StreamStats = RepairStats;
 
 /// Repair CSV records from `reader` to `writer` in one pass with
-/// `lRepair`.
+/// `lRepair`. `symbols` is the table `rules` were parsed into; it is only
+/// read: a cell that is none of its values is ⊥ for the repair and is
+/// written out as the record holds it.
 ///
 /// The CSV header must match the rule set's schema attribute names (same
 /// names, same order) — the rules' attribute ids index positionally into
@@ -35,17 +41,15 @@ pub type StreamStats = RepairStats;
 /// Observer hooks: the hooks of `lRepair`, whose tallies reach the
 /// observer every 4,096 records and at the end, so live counters keep
 /// moving during a long stream; one `cell_repaired` per applied update
-/// (`row` = 0-based record index), plus one `stream_record(vocab)` per
-/// record carrying the interner size (the
-/// memory-bounding quantity of this driver). When the observer answers
-/// `wants_rows`, each record's *pre-repair* symbol ids are also reported
-/// through `row_observed` (before any rule fires), so a quality monitor
-/// sees the incoming distribution, not the repaired one. Pass
-/// [`obs::NoopObserver`] for no hooks.
+/// (`row` = 0-based record index). When the observer answers
+/// `wants_rows`, each record's *pre-repair* values are also reported
+/// through `row_observed` as [`value_key`]s (before any rule fires), so a
+/// quality monitor sees the incoming distribution, not the repaired one.
+/// Pass [`obs::NoopObserver`] for no hooks.
 pub fn stream_repair_csv<R: Read, W: Write, O: RepairObserver>(
     rules: &RuleSet,
     index: &LRepairIndex,
-    symbols: &mut SymbolTable,
+    symbols: &SymbolTable,
     reader: R,
     writer: W,
     observer: &O,
@@ -76,10 +80,14 @@ pub fn stream_repair_csv<R: Read, W: Write, O: RepairObserver>(
     let streamed = (|| -> Result<(), RelationError> {
         while rdr.read_record(&mut record)? {
             row.clear();
-            row.extend(record.iter().map(|cell| symbols.intern(cell)));
+            row.extend(
+                record
+                    .iter()
+                    .map(|cell| symbols.get(cell).unwrap_or(Symbol::BOTTOM)),
+            );
             if observer.wants_rows() {
                 pre.clear();
-                pre.extend(row.iter().map(|s| s.0));
+                pre.extend(record.iter().map(value_key));
                 observer.row_observed(&pre);
             }
             let mut updates =
@@ -93,8 +101,13 @@ pub fn stream_repair_csv<R: Read, W: Write, O: RepairObserver>(
                 observer.cell_repaired(u.as_fix(k));
             }
             stats.rows += 1;
-            observer.stream_record(symbols.len());
-            wtr.write_record(row.iter().map(|&s| symbols.resolve(s)))?;
+            wtr.write_record(row.iter().zip(&record).map(|(&s, cell)| {
+                if s == Symbol::BOTTOM {
+                    cell
+                } else {
+                    symbols.resolve(s)
+                }
+            }))?;
         }
         Ok(())
     })();
@@ -146,13 +159,13 @@ Mike,Canada,Toronto,Toronto,VLDB
 
     #[test]
     fn streams_and_repairs() {
-        let (rules, mut sy) = setup();
+        let (rules, sy) = setup();
         let index = LRepairIndex::build(&rules);
         let mut out = Vec::new();
         let stats = stream_repair_csv(
             &rules,
             &index,
-            &mut sy,
+            &sy,
             DIRTY.as_bytes(),
             &mut out,
             &NoopObserver,
@@ -171,6 +184,7 @@ Mike,Canada,Toronto,Toronto,VLDB
     #[test]
     fn streaming_matches_table_repair() {
         let (rules, mut sy) = setup();
+        let constants = sy.clone();
         let index = LRepairIndex::build(&rules);
         // Table path.
         let mut table = relation::csv_io::read_csv(DIRTY.as_bytes(), "Travel", &mut sy).unwrap();
@@ -180,12 +194,12 @@ Mike,Canada,Toronto,Toronto,VLDB
         for i in 0..table.len() {
             lrepair_tuple(&rules, &index, &mut scratch, table.row_mut(i));
         }
-        // Stream path.
+        // Stream path, over Σ's constants alone.
         let mut out = Vec::new();
         stream_repair_csv(
             &rules,
             &index,
-            &mut sy,
+            &constants,
             DIRTY.as_bytes(),
             &mut out,
             &NoopObserver,
@@ -201,20 +215,12 @@ Mike,Canada,Toronto,Toronto,VLDB
     #[test]
     fn quality_monitor_watches_the_stream() {
         use obs::{QualityConfig, QualityMonitor};
-        let (rules, mut sy) = setup();
+        let (rules, sy) = setup();
         let index = LRepairIndex::build(&rules);
         let names: Vec<String> = rules.schema().attr_names().map(str::to_string).collect();
         let monitor = QualityMonitor::new(QualityConfig::with_window(2), names);
         let mut out = Vec::new();
-        stream_repair_csv(
-            &rules,
-            &index,
-            &mut sy,
-            DIRTY.as_bytes(),
-            &mut out,
-            &monitor,
-        )
-        .unwrap();
+        stream_repair_csv(&rules, &index, &sy, DIRTY.as_bytes(), &mut out, &monitor).unwrap();
         monitor.flush();
         let windows = monitor.summaries();
         assert_eq!(windows.len(), 2, "3 records at window 2 → 2 windows");
@@ -232,32 +238,25 @@ Mike,Canada,Toronto,Toronto,VLDB
 
     #[test]
     fn header_mismatch_rejected() {
-        let (rules, mut sy) = setup();
+        let (rules, sy) = setup();
         let index = LRepairIndex::build(&rules);
         let bad = "a,b,c\n1,2,3\n";
         let mut out = Vec::new();
-        let err = stream_repair_csv(
-            &rules,
-            &index,
-            &mut sy,
-            bad.as_bytes(),
-            &mut out,
-            &NoopObserver,
-        )
-        .unwrap_err();
+        let err = stream_repair_csv(&rules, &index, &sy, bad.as_bytes(), &mut out, &NoopObserver)
+            .unwrap_err();
         assert!(err.to_string().contains("does not match"));
     }
 
     #[test]
     fn header_order_matters() {
-        let (rules, mut sy) = setup();
+        let (rules, sy) = setup();
         let index = LRepairIndex::build(&rules);
         let reordered = "country,name,capital,city,conf\nChina,Ian,Shanghai,x,c\n";
         let mut out = Vec::new();
         assert!(stream_repair_csv(
             &rules,
             &index,
-            &mut sy,
+            &sy,
             reordered.as_bytes(),
             &mut out,
             &NoopObserver
@@ -267,14 +266,14 @@ Mike,Canada,Toronto,Toronto,VLDB
 
     #[test]
     fn empty_body_is_fine() {
-        let (rules, mut sy) = setup();
+        let (rules, sy) = setup();
         let index = LRepairIndex::build(&rules);
         let empty = "name,country,capital,city,conf\n";
         let mut out = Vec::new();
         let stats = stream_repair_csv(
             &rules,
             &index,
-            &mut sy,
+            &sy,
             empty.as_bytes(),
             &mut out,
             &NoopObserver,
@@ -314,15 +313,7 @@ Mike,Canada,Toronto,Toronto,VLDB
         let flushes = Flushes(AtomicUsize::new(0));
         let observer = Tee(&MetricsObserver::new(&streamed), &flushes);
         let mut out = Vec::new();
-        stream_repair_csv(
-            &rules,
-            &index,
-            &mut sy,
-            text.as_bytes(),
-            &mut out,
-            &observer,
-        )
-        .unwrap();
+        stream_repair_csv(&rules, &index, &sy, text.as_bytes(), &mut out, &observer).unwrap();
         // Two hand-overs mid-stream, one at the end.
         assert_eq!(flushes.0.load(Ordering::Relaxed), 3);
 

@@ -230,21 +230,6 @@ impl FixingRule {
             .expect("rebuilding a valid rule with filtered negatives cannot fail")
     }
 
-    /// The rule with every constant `v` renamed to `rename(v)`, which must
-    /// be one to one on the rule's constants. `Tp[B]` is sorted again, so
-    /// its order follows the new symbols.
-    pub fn renamed(&self, rename: impl Fn(Symbol) -> Symbol) -> Self {
-        let evidence = self
-            .x
-            .iter()
-            .zip(&self.tp)
-            .map(|(&a, &v)| (a, rename(v)))
-            .collect();
-        let neg = self.neg.iter().map(|&v| rename(v)).collect();
-        FixingRule::new(evidence, self.b, neg, rename(self.fact))
-            .expect("renaming constants one to one keeps a rule valid")
-    }
-
     /// Rebuild the rule keeping only the first `n` negative patterns (at
     /// least one). Since every inconsistency condition of Fig 4 requires
     /// membership in `Tp[B]`, capping negatives preserves consistency of

@@ -1,6 +1,6 @@
 //! Rule sets `Σ` and their bookkeeping.
 
-use relation::{Schema, Symbol, SymbolTable};
+use relation::{Schema, SymbolTable};
 
 use crate::consistency::{self, ConsistencyReport};
 use crate::rule::{FixRuleError, FixingRule};
@@ -96,14 +96,6 @@ impl RuleSet {
             .iter()
             .enumerate()
             .map(|(i, r)| (RuleId(i as u32), r))
-    }
-
-    /// Rename every constant of every rule ([`FixingRule::renamed`]), as
-    /// when the symbol table the rules were parsed into is renumbered.
-    pub fn rename_symbols(&mut self, rename: impl Fn(Symbol) -> Symbol) {
-        for rule in &mut self.rules {
-            *rule = rule.renamed(&rename);
-        }
     }
 
     /// Remove a set of rules by id, compacting the set. Ids of remaining

@@ -335,14 +335,16 @@ proptest! {
 
     /// Exact value abstraction (Defs 3.1/3.2): a tuple meets a rule only
     /// through equality with Σ's constants, so mapping every other value
-    /// to ⊥ changes neither cRepair nor lRepair. Both give the same fix
+    /// to ⊥ changes no engine: cRepair, lRepair, and the grouped core over
+    /// several rows with both compiled engines. Each gives the same fix
     /// once the ⊥ cells are restored and the same update log, and every
     /// old and new value in it is a constant. Tuples draw from a wider
     /// vocabulary than the rules, so some values are never constants.
     #[test]
     fn repairs_ignore_values_outside_the_constants(
         rs in rulesets(),
-        t in proptest::collection::vec(0u32..VOCAB + 3, ARITY..=ARITY),
+        ts in proptest::collection::vec(
+            proptest::collection::vec(0u32..VOCAB + 3, ARITY..=ARITY), 1..8),
     ) {
         let mut rs = rs;
         ensure_consistent(&mut rs, ResolveStrategy::ShrinkNegatives);
@@ -351,35 +353,68 @@ proptest! {
             .iter()
             .flat_map(|r| r.tp().iter().chain(r.neg()).copied().chain([r.fact()]))
             .collect();
-        let t: Vec<Symbol> = t.into_iter().map(Symbol).collect();
-        let abstracted: Vec<Symbol> = t
-            .iter()
-            .map(|s| if constants.contains(s) { *s } else { Symbol::BOTTOM })
-            .collect();
-        let restored = |row: &[Symbol]| -> Vec<Symbol> {
+        let abstract_row = |t: &[Symbol]| -> Vec<Symbol> {
+            t.iter()
+                .map(|s| if constants.contains(s) { *s } else { Symbol::BOTTOM })
+                .collect()
+        };
+        let restored = |row: &[Symbol], t: &[Symbol]| -> Vec<Symbol> {
             row.iter()
-                .zip(&t)
+                .zip(t)
                 .map(|(&now, &was)| if now == Symbol::BOTTOM { was } else { now })
                 .collect()
         };
         let log = |ups: &[CellUpdate]| -> Vec<_> {
             ups.iter().map(|u| (u.attr, u.old, u.new, u.rule, u.round)).collect()
         };
-        let (mut full, mut abs) = (t.clone(), abstracted.clone());
-        let by_c = crepair_tuple(&rs, &mut full);
-        let by_c_abs = crepair_tuple(&rs, &mut abs);
-        prop_assert_eq!(restored(&abs), full);
-        prop_assert_eq!(log(&by_c_abs), log(&by_c));
-
         let index = LRepairIndex::build(&rs);
         let mut scratch = LRepairScratch::new(rs.len());
-        let (mut full, mut abs) = (t.clone(), abstracted);
-        let by_l = lrepair_tuple(&rs, &index, &mut scratch, &mut full);
-        let by_l_abs = lrepair_tuple(&rs, &index, &mut scratch, &mut abs);
-        prop_assert_eq!(restored(&abs), full);
-        prop_assert_eq!(log(&by_l_abs), log(&by_l));
-        for u in by_c.iter().chain(&by_l) {
-            prop_assert!(constants.contains(&u.old) && constants.contains(&u.new), "{:?}", u);
+        let ts: Vec<Vec<Symbol>> = ts
+            .into_iter()
+            .map(|t| t.into_iter().map(Symbol).collect())
+            .collect();
+        for t in &ts {
+            let abstracted = abstract_row(t);
+            let (mut full, mut abs) = (t.clone(), abstracted.clone());
+            let by_c = crepair_tuple(&rs, &mut full);
+            let by_c_abs = crepair_tuple(&rs, &mut abs);
+            prop_assert_eq!(restored(&abs, t), full);
+            prop_assert_eq!(log(&by_c_abs), log(&by_c));
+
+            let (mut full, mut abs) = (t.clone(), abstracted);
+            let by_l = lrepair_tuple(&rs, &index, &mut scratch, &mut full);
+            let by_l_abs = lrepair_tuple(&rs, &index, &mut scratch, &mut abs);
+            prop_assert_eq!(restored(&abs, t), full);
+            prop_assert_eq!(log(&by_l_abs), log(&by_l));
+            for u in by_c.iter().chain(&by_l) {
+                prop_assert!(constants.contains(&u.old) && constants.contains(&u.new), "{:?}", u);
+            }
+        }
+
+        let program = RuleProgram::compile(&rs);
+        let mut scratch = CompiledScratch::new(rs.len());
+        for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
+            let (mut full, mut abs) = (ColumnTable::new(schema()), ColumnTable::new(schema()));
+            for t in &ts {
+                full.push_row(t).unwrap();
+                abs.push_row(&abstract_row(t)).unwrap();
+            }
+            let mut grouped = |cols: &mut ColumnTable| {
+                repair_columns_grouped(
+                    &rs, &program, engine, None, &mut scratch,
+                    &mut cols.columns_mut(), 0, &NoopObserver).0
+            };
+            let by_full = grouped(&mut full);
+            let by_abs = grouped(&mut abs);
+            let (full, abs) = (full.to_table(), abs.to_table());
+            for (i, t) in ts.iter().enumerate() {
+                prop_assert_eq!(restored(abs.row(i), t), full.row(i).to_vec(),
+                    "{:?}: row {} repaired differently under ⊥", engine, i);
+            }
+            prop_assert_eq!(&by_abs, &by_full, "{:?}: update logs diverged", engine);
+            for u in &by_full {
+                prop_assert!(constants.contains(&u.old) && constants.contains(&u.new), "{:?}", u);
+            }
         }
     }
 }

@@ -175,7 +175,7 @@ fn stream_ledger_replays_against_materialized_table() {
     let observer = ProvenanceObserver::new(&rules, &ledger);
     let mut out = Vec::new();
     let stats =
-        stream_repair_csv(&rules, &index, &mut sy, csv.as_bytes(), &mut out, &observer).unwrap();
+        stream_repair_csv(&rules, &index, &sy, csv.as_bytes(), &mut out, &observer).unwrap();
     assert_eq!(stats.updates, 4);
     let mut repaired = Table::new(rules.schema().clone());
     let streamed = String::from_utf8(out).unwrap();

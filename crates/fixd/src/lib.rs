@@ -99,6 +99,7 @@ use fixrules::repair::{
 };
 use fixrules::RuleSet;
 use obs::http::{Request, Response};
+use obs::quality::value_key;
 use obs::trace::TraceSpan;
 use obs::{
     prometheus_text, Json, MetricsObserver, MetricsRegistry, RepairObserver, SloConfig, TraceClock,
@@ -199,13 +200,19 @@ impl Default for DaemonConfig {
 }
 
 /// Everything that must swap *atomically* when `POST /rules` promotes a
-/// new rule set: the rules, their compiled program, and the analysis
-/// verdicts `GET /readyz` reports. Handlers take one `Arc` snapshot at
-/// request start, so an in-flight batch keeps a consistent rules/program
-/// view across a concurrent swap.
+/// new rule set: the rules, their constants, their compiled program, and
+/// the analysis verdicts `GET /readyz` reports. Handlers take one `Arc`
+/// snapshot at request start, so an in-flight batch keeps a consistent
+/// rules/program view across a concurrent swap.
 #[derive(Debug)]
 struct ProgramBundle {
     rules: RuleSet,
+    /// The constants of this rule set and of every generation before it,
+    /// numbered at parse and never written afterwards. A tuple meets a
+    /// rule only through them, so every other request value is ⊥ for the
+    /// repair; and since each generation's table extends the last one's,
+    /// every symbol the ledger holds resolves in the newest table.
+    symbols: SymbolTable,
     program: RuleProgram,
     lint_errors: usize,
     consistent: bool,
@@ -221,7 +228,6 @@ struct ProgramBundle {
 struct DaemonState {
     schema: Schema,
     bundle: RwLock<Arc<ProgramBundle>>,
-    symbols: RwLock<SymbolTable>,
     registry: MetricsRegistry,
     health: HealthEvaluator,
     journal: TraceJournal,
@@ -246,25 +252,25 @@ impl DaemonState {
     }
 }
 
-/// Lint, certify, and compile parsed rules into a promotable bundle;
-/// `symbols` needs only the rules' constants. Never rejects analysis
+/// Lint, certify, and compile parsed rules into a promotable bundle that
+/// owns `symbols`, the table they were parsed into. Never rejects analysis
 /// findings — the verdicts ride along for the caller (boot surfaces them
 /// via `/readyz`; the hot-swap gate refuses to promote on them).
 fn build_bundle(
     parsed: fixrules::io::SpannedRuleSet,
-    symbols: &SymbolTable,
+    symbols: SymbolTable,
     generation: u64,
 ) -> (ProgramBundle, fixlint::Certificate, Vec<fixrules::io::Span>) {
     let lint = fixlint::lint(
         &parsed.rules,
         &parsed.spans,
-        symbols,
+        &symbols,
         &fixlint::LintOptions::default(),
     );
     let cert = fixlint::certify(
         &parsed.rules,
         &parsed.spans,
-        symbols,
+        &symbols,
         &fixlint::CertOptions::default(),
     );
     let program = RuleProgram::compile(&parsed.rules);
@@ -276,6 +282,7 @@ fn build_bundle(
         cert_errors: cert.report.errors(),
         generation,
         rules: parsed.rules,
+        symbols,
     };
     (bundle, cert, parsed.spans)
 }
@@ -343,8 +350,9 @@ impl Daemon {
         // instead, so a probe can distinguish "bad rules" from "down".
         let parsed =
             parse_rules_spanned(&text, &schema, &mut symbols).map_err(|e| invalid(e.message()))?;
-        let (bundle, cert, _spans) = build_bundle(parsed, &symbols, 0);
+        let (bundle, cert, _spans) = build_bundle(parsed, symbols, 0);
         cert.observe(&MetricsObserver::new(&registry));
+        publish_symbols(&registry, &bundle);
 
         let quality = (config.quality_window > 0).then(|| {
             let qcfg = QualityConfig {
@@ -359,7 +367,6 @@ impl Daemon {
         let state = Arc::new(DaemonState {
             schema,
             bundle: RwLock::new(Arc::new(bundle)),
-            symbols: RwLock::new(symbols),
             registry: registry.clone(),
             health: HealthEvaluator::new(config.slo),
             journal: TraceJournal::new(config.trace_clock),
@@ -441,6 +448,15 @@ impl Daemon {
     }
 }
 
+/// Set the `fixd.symbols` gauge to the size of `bundle`'s constants table:
+/// it moves only when `POST /rules` promotes new constants, never with
+/// traffic.
+fn publish_symbols(registry: &MetricsRegistry, bundle: &ProgramBundle) {
+    registry
+        .gauge("fixd.symbols")
+        .set(bundle.symbols.len() as i64);
+}
+
 /// Repair `batch` in place with the grouped core against `bundle`'s
 /// program, numbering rows from `row_base` for `observer`. Returns the
 /// updates in application order, grouped by row. `/repair` and `/check`
@@ -448,7 +464,7 @@ impl Daemon {
 fn repair_batch<O: RepairObserver>(
     bundle: &ProgramBundle,
     scratch: &mut CompiledScratch,
-    batch: &mut ColumnTable,
+    batch: &mut Batch,
     row_base: usize,
     observer: &O,
 ) -> Vec<CellUpdate> {
@@ -458,7 +474,7 @@ fn repair_batch<O: RepairObserver>(
         ENGINE,
         None,
         scratch,
-        &mut batch.columns_mut(),
+        &mut batch.repair.columns_mut(),
         row_base,
         observer,
     )
@@ -614,10 +630,32 @@ fn route(
     }
 }
 
+/// One request's rows over the daemon schema, in two column buffers.
+/// `sent` holds each cell as the request sent it, an id into the
+/// request-local dictionary `local`; `repair`, which the repair reads and
+/// writes, holds each cell's constant in the serving bundle's table, or ⊥
+/// for a value Σ never mentions. A fix writes a constant over a constant,
+/// so a cell still ⊥ after the repair renders from `sent`.
+struct Batch {
+    local: SymbolTable,
+    sent: ColumnTable,
+    repair: ColumnTable,
+}
+
+impl Batch {
+    fn len(&self) -> usize {
+        self.sent.len()
+    }
+}
+
 /// The request body as a batch: UTF-8 text (a body that does not decode
 /// is rejected, never rewritten), read as JSON when the content type says
 /// so (or, without one, when it starts like JSON) and as CSV otherwise.
-fn request_batch(state: &DaemonState, request: &Request) -> Result<ColumnTable, SrvError> {
+fn request_batch(
+    state: &DaemonState,
+    bundle: &ProgramBundle,
+    request: &Request,
+) -> Result<Batch, SrvError> {
     let body = request
         .body_text()
         .map_err(|e| bad_request(format!("request body is not UTF-8: {e}")))?;
@@ -628,44 +666,42 @@ fn request_batch(state: &DaemonState, request: &Request) -> Result<ColumnTable, 
         .header("content-type")
         .map(|ct| ct.contains("json"))
         .unwrap_or_else(|| matches!(body.trim_start().as_bytes().first(), Some(b'{' | b'[')));
-    intake(state, body, json)
+    intake(state, bundle, body, json)
 }
 
-/// Read a batch into one column per daemon-schema attribute, in shared
-/// symbols. Cells are interned into a request-local dictionary as they
-/// are parsed and written straight into the columns; then each distinct
-/// value is mapped onto the shared [`SymbolTable`] and the columns are
-/// rewritten in place. Steady-state traffic (every value already interned
-/// by an earlier batch or the rule set) resolves under the read lock
-/// alone, so concurrent batches do not serialize; only a batch carrying
-/// new values takes the write lock. Both readers number local values row
-/// by row, in schema order, at first occurrence, so new values enter the
-/// shared table in that order — the order `/quality`'s sketches hash.
-fn intake(state: &DaemonState, body: &str, json: bool) -> Result<ColumnTable, SrvError> {
+/// Read a batch into one column per daemon-schema attribute. Cells are
+/// interned into a request-local dictionary as they are parsed and written
+/// straight into the columns; then each distinct value is looked up once
+/// in `bundle`'s constants, which no request writes, so batches share no
+/// lock and leave nothing behind.
+fn intake(
+    state: &DaemonState,
+    bundle: &ProgramBundle,
+    body: &str,
+    json: bool,
+) -> Result<Batch, SrvError> {
     let mut local = SymbolTable::new();
-    let mut batch = ColumnTable::new(state.schema.clone());
+    let mut sent = ColumnTable::new(state.schema.clone());
     if json {
-        read_json_rows(state, body, &mut local, &mut batch)?;
+        read_json_rows(state, body, &mut local, &mut sent)?;
     } else {
-        read_csv_rows(state, body.as_bytes(), &mut local, &mut batch)?;
+        read_csv_rows(state, body.as_bytes(), &mut local, &mut sent)?;
     }
-    let known: Option<Vec<Symbol>> = {
-        let symbols = state.symbols.read().unwrap();
-        local.iter().map(|(_, value)| symbols.get(value)).collect()
-    };
-    let shared = known.unwrap_or_else(|| {
-        let mut symbols = state.symbols.write().unwrap();
-        local
-            .iter()
-            .map(|(_, value)| symbols.intern(value))
-            .collect()
-    });
-    for column in batch.columns_mut() {
+    let constant: Vec<Symbol> = local
+        .iter()
+        .map(|(_, value)| bundle.symbols.get(value).unwrap_or(Symbol::BOTTOM))
+        .collect();
+    let mut repair = sent.clone();
+    for column in repair.columns_mut() {
         for cell in column.iter_mut() {
-            *cell = shared[cell.index()];
+            *cell = constant[cell.index()];
         }
     }
-    Ok(batch)
+    Ok(Batch {
+        local,
+        sent,
+        repair,
+    })
 }
 
 /// CSV with a header row. Columns may come in any order; every daemon
@@ -817,10 +853,11 @@ fn handle_repair(
 ) -> SrvResult {
     let csv = response_format(request, &["json", "csv"])? == "csv";
     let (span, trace_id) = begin_request(state, request, "repair", Some(request.body.len()));
-    let mut batch = request_batch(state, request)?;
-    // One bundle snapshot for the whole batch: a concurrent hot-swap must
-    // never mix old-rules plans with new-rules attribution mid-request.
+    // One bundle snapshot for the whole batch, from intake to render: a
+    // concurrent hot-swap must never mix old-rules plans with new-rules
+    // attribution mid-request.
     let bundle = state.bundle();
+    let mut batch = request_batch(state, &bundle, request)?;
     let row_base = state.rows_served.fetch_add(batch.len(), Ordering::SeqCst);
     let metrics = MetricsObserver::new(&state.registry);
     let provenance = ProvenanceObserver::new(&bundle.rules, &state.ledger);
@@ -852,11 +889,14 @@ fn handle_repair(
             ("updates", Json::from(updates.len())),
         ]),
     );
-    // One read of the symbol table renders the whole response.
-    let columns = batch.columns();
-    let guard = state.symbols.read().unwrap();
-    let symbols: &SymbolTable = &guard;
-    let row_values = |i: usize| columns.iter().map(move |column| symbols.resolve(column[i]));
+    let (symbols, local) = (&bundle.symbols, &batch.local);
+    let (repaired, sent) = (batch.repair.columns(), batch.sent.columns());
+    let row_values = |i: usize| {
+        repaired.iter().zip(&sent).map(move |(r, s)| match r[i] {
+            Symbol::BOTTOM => local.resolve(s[i]),
+            constant => symbols.resolve(constant),
+        })
+    };
     let response = if csv {
         // Quoted exactly as `fixctl repair` writes its output file.
         let mut out = Vec::new();
@@ -898,19 +938,23 @@ fn handle_repair(
     Ok(response.with_header("X-Trace-Id", &trace_id))
 }
 
-/// Walk a repaired batch row by row: feed the quality monitor each row's
-/// *incoming* values and then that row's fixes (it attributes repairs to
-/// the window that observed the row), and journal a sampled
-/// `row.repaired` event under `parent` per repaired row. Returns the
-/// number of repaired rows.
+/// Walk a repaired batch row by row: feed the quality monitor the
+/// [`value_key`]s of each row's *incoming* values and then that row's
+/// fixes (it attributes repairs to the window that observed the row), and
+/// journal a sampled `row.repaired` event under `parent` per repaired row.
+/// Returns the number of repaired rows.
 fn replay_rows(
     state: &DaemonState,
-    batch: &ColumnTable,
+    batch: &Batch,
     updates: &[CellUpdate],
     row_base: usize,
     parent: u64,
 ) -> usize {
-    let columns = batch.columns();
+    let columns = batch.sent.columns();
+    let keys: Vec<u32> = match &state.quality {
+        Some(_) => batch.local.iter().map(|(_, v)| value_key(v)).collect(),
+        None => Vec::new(),
+    };
     let mut incoming: Vec<u32> = Vec::with_capacity(columns.len());
     let mut repaired_rows = 0usize;
     let mut cursor = 0usize;
@@ -921,13 +965,8 @@ fn replay_rows(
         }
         let fixes = &updates[start..cursor];
         if let Some(quality) = &state.quality {
-            // The columns hold the repaired row: undoing its fixes, last
-            // first, recovers the values that arrived.
             incoming.clear();
-            incoming.extend(columns.iter().map(|column| column[i].0));
-            for fix in fixes.iter().rev() {
-                incoming[fix.attr.index()] = fix.old.0;
-            }
+            incoming.extend(columns.iter().map(|column| keys[column[i].index()]));
             quality.row_observed(&incoming);
             for (ordinal, fix) in fixes.iter().enumerate() {
                 quality.cell_repaired(fix.as_fix(ordinal));
@@ -965,8 +1004,8 @@ fn handle_check(
     request: &Request,
 ) -> SrvResult {
     let (span, trace_id) = begin_request(state, request, "check", None);
-    let mut batch = request_batch(state, request)?;
     let bundle = state.bundle();
+    let mut batch = request_batch(state, &bundle, request)?;
     let updates = repair_batch(&bundle, scratch, &mut batch, 0, &obs::NoopObserver);
     let mut counts = vec![0usize; batch.len()];
     for update in &updates {
@@ -1017,22 +1056,21 @@ fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {
     if text.trim().is_empty() {
         return Err(bad_request("empty rule text"));
     }
-    // Only the parse interns, so only the parse holds the symbol-table
-    // write lock. Lint, certify and the diff, which can take seconds on a
-    // large Σ, read a snapshot taken after the parse: it holds every
-    // constant of the candidate and of the serving set, which no other
-    // swap can replace meanwhile. Batches keep interning and repairing.
+    // The candidate is parsed into a copy of the serving table, so it
+    // keeps every constant of every earlier generation under its id, and
+    // the ledger's symbols resolve in it. Batches never wait on a swap:
+    // they read the serving bundle until the promotion replaces it.
     let serving = state.bundle();
-    let parsed = parse_rules_spanned(text, &state.schema, &mut state.symbols.write().unwrap())
+    let mut symbols = serving.symbols.clone();
+    let parsed = parse_rules_spanned(text, &state.schema, &mut symbols)
         .map_err(|e| bad_request(format!("rules: {}", e.message())))?;
-    let symbols = state.symbols.read().unwrap().clone();
-    let (mut candidate, cert, spans) = build_bundle(parsed, &symbols, 0);
+    let (mut candidate, cert, spans) = build_bundle(parsed, symbols, 0);
     cert.observe(&MetricsObserver::new(&state.registry));
     let delta = fixlint::fixcert::diff(
         &serving.rules,
         &candidate.rules,
         &spans,
-        &symbols,
+        &candidate.symbols,
         &fixlint::CertOptions::default(),
     );
     let findings: Vec<Json> = cert
@@ -1053,6 +1091,7 @@ fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {
     let generation = if accepted {
         candidate.generation = serving.generation + 1;
         let generation = candidate.generation;
+        publish_symbols(&state.registry, &candidate);
         *state.bundle.write().unwrap() = Arc::new(candidate);
         generation
     } else {
@@ -1103,10 +1142,12 @@ fn handle_explain(state: &DaemonState, request: &Request) -> SrvResult {
             format!("no provenance for row {row} attribute {attr_name:?}"),
         ));
     }
-    let symbols = state.symbols.read().unwrap();
+    // Every generation's table extends the one before, so the newest
+    // resolves the symbols of records written under any of them.
+    let bundle = state.bundle();
     let mut body = String::new();
     for record in &chain {
-        body.push_str(&record.to_json(&state.schema, &symbols).to_string());
+        body.push_str(&record.to_json(&state.schema, &bundle.symbols).to_string());
         body.push('\n');
     }
     Ok(Response::new(

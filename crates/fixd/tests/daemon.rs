@@ -1000,10 +1000,13 @@ fn wait_for_trace(daemon: &Daemon, trace_id: &str) {
 #[test]
 fn a_hot_swap_does_not_stall_repairs_of_known_values() {
     let daemon = daemon();
-    let batch = "zip,city,state\n36545,Jaxon,AK\n";
-    let repair = || http_post(&url(&daemon, "/repair"), "text/csv", batch.as_bytes()).unwrap();
-    // Trace t00000000: from here on the batch's values are all known.
-    assert_eq!(repair().status, 200);
+    let known = "zip,city,state\n36545,Jaxon,AK\n";
+    // Values no request and no rule has carried before.
+    let fresh = "zip,city,state\n36545,Nowhere-1,ZZ\n10001,NYC,Nowhere-2\n";
+    let repair =
+        |batch: &str| http_post(&url(&daemon, "/repair"), "text/csv", batch.as_bytes()).unwrap();
+    // Trace t00000000: from here on the known batch's values were all seen.
+    assert_eq!(repair(known).status, 200);
     let rules = slow_rules();
     std::thread::scope(|scope| {
         let swapper =
@@ -1011,16 +1014,100 @@ fn a_hot_swap_does_not_stall_repairs_of_known_values() {
         // Trace t00000001 is the swap: once it has begun, the parse (a few
         // ms) and then the certification (seconds) follow.
         wait_for_trace(&daemon, "t00000001");
-        assert_eq!(repair().status, 200);
-        // The swap journals `rules.swap` when it is done; a repair that
-        // waited for the swap would return only after that.
-        let (_, swap_trace) = http_get(&url(&daemon, "/trace/t00000001")).unwrap();
-        assert!(
-            !swap_trace.contains("rules.swap"),
-            "a /repair of known values waited for the hot swap"
-        );
+        for batch in [known, fresh] {
+            let reply = repair(batch);
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            // The swap journals `rules.swap` when it is done; a repair
+            // that waited for the swap would return only after that.
+            let (_, swap_trace) = http_get(&url(&daemon, "/trace/t00000001")).unwrap();
+            assert!(
+                !swap_trace.contains("rules.swap"),
+                "a /repair of {batch:?} waited for the hot swap"
+            );
+        }
         assert_eq!(swapper.join().unwrap().unwrap().status, 200);
     });
+    daemon.shutdown();
+}
+
+/// The `fixd.symbols` gauge: the size of the serving constants table.
+fn symbols_gauge(daemon: &Daemon) -> Option<i64> {
+    daemon
+        .registry()
+        .snapshot()
+        .get("gauges")
+        .and_then(|g| g.get("fixd.symbols"))
+        .and_then(Json::as_i64)
+}
+
+#[test]
+fn never_seen_values_leave_the_constants_table_as_booted() {
+    let daemon = daemon();
+    // RULES holds 12 distinct constants.
+    assert_eq!(symbols_gauge(&daemon), Some(12));
+    for b in 0..60 {
+        // Every cell but the repaired ones is a value no earlier request
+        // sent; each comes back as it was sent.
+        let mut csv = String::from("zip,city,state\n");
+        let mut want = csv.clone();
+        for r in 0..20 {
+            csv += &format!("z{b}-{r},\"c {b},{r}\",s{b}-{r}\n");
+            want += &format!("z{b}-{r},\"c {b},{r}\",s{b}-{r}\n");
+        }
+        csv += &format!("36545,Jaxon,fresh-{b}\n");
+        want += &format!("36545,Jackson,fresh-{b}\n");
+        let reply = http_post(
+            &url(&daemon, "/repair?format=csv"),
+            "text/csv",
+            csv.as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(reply.body, want);
+        let json = format!("[{{\"zip\":\"j{b}\",\"city\":\"NYC\",\"state\":\"x{b}\"}}]");
+        let reply = http_post(
+            &url(&daemon, "/repair"),
+            "application/json",
+            json.as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert!(
+            reply.body.contains(&format!("[\"j{b}\",\"NYC\",\"x{b}\"]")),
+            "{}",
+            reply.body
+        );
+        assert_eq!(
+            symbols_gauge(&daemon),
+            Some(12),
+            "batch {b} grew the constants table"
+        );
+    }
+    daemon.shutdown();
+}
+
+#[test]
+fn explain_renders_rows_repaired_before_a_swap_with_their_own_values() {
+    let daemon = daemon();
+    let batch = "zip,city,state\n36545,Jaxon,AK\n";
+    let reply = http_post(&url(&daemon, "/repair"), "text/csv", batch.as_bytes()).unwrap();
+    assert_eq!(reply.status, 200);
+    let explain = |attr: &str| http_get(&url(&daemon, &format!("/explain/0/{attr}"))).unwrap();
+    let (city, state) = (explain("city"), explain("state"));
+    assert_eq!((city.0, state.0), (200, 200));
+    assert!(city.1.contains("\"old\":\"Jaxon\"") && city.1.contains("\"new\":\"Jackson\""));
+    assert!(state.1.contains("\"old\":\"AK\"") && state.1.contains("\"new\":\"AL\""));
+    // The new set leads with constants the daemon has never held, so a
+    // table numbered afresh would give them the ids of the old ones.
+    let swapped = "IF zip = \"99999\" AND city IN {\"Zed\"} THEN city := \"Zulu\"\n\
+                   IF zip = \"36545\" AND city IN {\"Jaxon\"} THEN city := \"Jacksonville\"\n";
+    let reply = http_post(&url(&daemon, "/rules"), "text/plain", swapped.as_bytes()).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(daemon.rules_generation(), 1);
+    // Four new constants: 99999, Zed, Zulu, Jacksonville.
+    assert_eq!(symbols_gauge(&daemon), Some(16));
+    assert_eq!(explain("city"), city, "pre-swap row rendered differently");
+    assert_eq!(explain("state"), state, "pre-swap row rendered differently");
     daemon.shutdown();
 }
 

@@ -287,7 +287,7 @@ mod tests {
         reg.counter("repair.rules_applied").add(7);
         reg.counter_with("repair.rule.applied", &[("rule", "r0"), ("attr", "city")])
             .add(3);
-        reg.gauge("stream.vocab").set(42);
+        reg.gauge("fixd.symbols").set(42);
         let h = reg.histogram_with("repair.rule.latency_ns", &[("rule", "r0")]);
         h.record(100);
         h.record(200);

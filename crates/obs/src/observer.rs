@@ -11,7 +11,7 @@
 //! Hook arguments are plain `usize`/`u64` so this crate stays a leaf with
 //! no knowledge of relational types; callers pass `RuleId::index()` etc.
 
-use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+use crate::metrics::{Counter, Histogram, MetricsRegistry};
 
 /// Value-carrying description of one applied fix, passed to
 /// [`RepairObserver::cell_repaired`] by the table and stream drivers.
@@ -129,12 +129,6 @@ pub trait RepairObserver: Sync {
         let _ = (rounds, updates, count);
     }
 
-    /// The streaming driver wrote one record; `vocab` is the interner size.
-    #[inline]
-    fn stream_record(&self, vocab: usize) {
-        let _ = vocab;
-    }
-
     /// A compiled driver probed one evidence-group dispatch table and found
     /// `rules_hit` matching rules.
     #[inline]
@@ -185,8 +179,9 @@ pub trait RepairObserver: Sync {
         false
     }
 
-    /// A driver is about to repair one row; `values` are the row's
-    /// *pre-repair* interned symbol ids in attribute order. The quality
+    /// A driver is about to repair one row; `values` are the
+    /// [`crate::quality::value_key`]s of the row's *pre-repair* values in
+    /// attribute order. The quality
     /// monitor's window-feeding hook — pairs with
     /// [`RepairObserver::cell_repaired`], which reports what changed.
     /// Drivers only call this when [`RepairObserver::wants_rows`]
@@ -229,11 +224,6 @@ impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         (**self).tuples_done(rounds, updates, count);
-    }
-
-    #[inline]
-    fn stream_record(&self, vocab: usize) {
-        (**self).stream_record(vocab);
     }
 
     #[inline]
@@ -310,12 +300,6 @@ impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for 
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         self.0.tuples_done(rounds, updates, count);
         self.1.tuples_done(rounds, updates, count);
-    }
-
-    #[inline]
-    fn stream_record(&self, vocab: usize) {
-        self.0.stream_record(vocab);
-        self.1.stream_record(vocab);
     }
 
     #[inline]
@@ -396,7 +380,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "repair.tuples",
     "repair.tuples_touched",
     "repair.updates",
-    "stream.records",
 ];
 
 /// A [`RepairObserver`] that aggregates into a [`MetricsRegistry`].
@@ -423,8 +406,6 @@ pub struct MetricsObserver {
     plan_probes: Counter,
     plan_probe_hits: Counter,
     enqueued: Counter,
-    stream_records: Counter,
-    stream_vocab: Gauge,
     pairs_checked: Counter,
     conflicts: Counter,
     witnesses: Counter,
@@ -453,8 +434,6 @@ impl MetricsObserver {
             plan_probes: registry.counter("repair.plan.probes"),
             plan_probe_hits: registry.counter("repair.plan.probe_hits"),
             enqueued: registry.counter("repair.queue.enqueued"),
-            stream_records: registry.counter("stream.records"),
-            stream_vocab: registry.gauge("stream.vocab"),
             pairs_checked: registry.counter("consistency.pairs_checked"),
             conflicts: registry.counter("consistency.conflicts"),
             witnesses: registry.counter("consistency.witness_found"),
@@ -503,12 +482,6 @@ impl RepairObserver for MetricsObserver {
     fn plan_probe(&self, rules_hit: usize) {
         self.plan_probes.inc();
         self.plan_probe_hits.add(rules_hit as u64);
-    }
-
-    #[inline]
-    fn stream_record(&self, vocab: usize) {
-        self.stream_records.inc();
-        self.stream_vocab.max(vocab as i64);
     }
 
     fn event(&self, e: Event) {
@@ -690,8 +663,6 @@ mod tests {
             updates: 20,
             busy_ns: 1_000,
         });
-        obs.stream_record(128);
-        obs.stream_record(256);
         obs.event(Event::PairsChecked { pairs: 6 });
         obs.event(Event::ConflictFound { case: "Mutual" });
         obs.event(Event::LintFinding {
@@ -720,21 +691,12 @@ mod tests {
         assert_eq!(get("repair.batch.groups"), 7);
         assert_eq!(get("repair.batch.scattered"), 93);
         assert_eq!(get("repair.worker.1.rows"), 500);
-        assert_eq!(get("stream.records"), 2);
         assert_eq!(get("consistency.pairs_checked"), 6);
         assert_eq!(get("consistency.conflicts"), 1);
         assert_eq!(get("consistency.conflicts.Mutual"), 1);
         assert_eq!(get("lint.findings"), 2);
         assert_eq!(get("lint.findings.FR001"), 1);
         assert_eq!(get("lint.severity.warning"), 1);
-        assert_eq!(
-            snap.get("gauges")
-                .unwrap()
-                .get("stream.vocab")
-                .unwrap()
-                .as_i64(),
-            Some(256)
-        );
         assert_eq!(
             snap.get("histograms")
                 .unwrap()
@@ -755,7 +717,6 @@ mod tests {
         obs.rule_applied(0, 0);
         obs.tuples_done(1, 1, 1);
         obs.plan_probe(1);
-        obs.stream_record(1);
         for e in every_event() {
             obs.event(e);
         }
@@ -774,7 +735,6 @@ mod tests {
         o.chase_round();
         o.rule_applied(1, 2);
         o.tuples_done(2, 1, 3);
-        o.stream_record(64);
         o.plan_probe(2);
         o.cell_repaired(CellFix {
             row: 4,

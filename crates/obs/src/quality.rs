@@ -3,9 +3,11 @@
 //! [`QualityMonitor`] is a [`RepairObserver`] that watches the *data*
 //! flowing through a repair driver, not the driver itself. Rows are
 //! bucketed into tumbling windows of a fixed row count; each window keeps,
-//! per attribute, a pre-repair and a post-repair [`CountMinSketch`], a
-//! [`DistinctCounter`], and a [`Reservoir`] sample. Sealing a window
-//! computes three signals per attribute:
+//! per attribute, a pre-repair [`CountMinSketch`], a [`DistinctCounter`],
+//! a [`Reservoir`] sample and a repair count. Values arrive as
+//! [`value_key`]s, a content hash of each cell's text, so a monitor's
+//! state does not depend on how any caller numbers its values. Sealing a
+//! window computes three signals per attribute:
 //!
 //! * **repair rate** — cells repaired / rows in the window;
 //! * **new-value ratio** — fraction of rows whose pre-repair value was
@@ -269,7 +271,7 @@ pub struct AttrSummary {
     pub drift_permille: i64,
     /// Approximate distinct pre-repair values in the window.
     pub distinct: u64,
-    /// Sorted reservoir sample of pre-repair symbol ids.
+    /// Sorted reservoir sample of pre-repair [`value_key`]s.
     pub sample: Vec<u32>,
 }
 
@@ -381,11 +383,6 @@ impl WindowSummary {
 #[derive(Debug, Clone)]
 struct AttrWindow {
     pre: CountMinSketch,
-    /// Repairs only (`old → new` moves one unit of mass). The sketch is
-    /// linear, so the post-repair distribution is exactly `pre +
-    /// post_delta` — clean rows never touch this sketch, which keeps the
-    /// per-row hot path to one count-min update.
-    post_delta: CountMinSketch,
     distinct: DistinctCounter,
     /// Reservoir-sampled values. The selection decisions live in the
     /// shared [`Inner::sampler`] (every attribute sees exactly one value
@@ -400,22 +397,27 @@ impl AttrWindow {
     fn new(cfg: &QualityConfig) -> Self {
         AttrWindow {
             pre: CountMinSketch::new(cfg.sketch_width, cfg.sketch_depth),
-            post_delta: CountMinSketch::new(cfg.sketch_width, cfg.sketch_depth),
             distinct: DistinctCounter::new(cfg.distinct_bits),
             sample: Vec::with_capacity(cfg.reservoir),
             repaired: 0,
             new_values: 0,
         }
     }
-
-    /// Post-repair point estimate: the pre sketch plus the repair delta.
-    #[cfg(test)]
-    fn post_estimate(&self, key: u32) -> i64 {
-        self.pre.merged_estimate(&self.post_delta, key)
-    }
 }
 
-/// Deterministic 64-bit hash of a whole row of interned values (FNV-1a
+/// The key a [`QualityMonitor`] knows a cell's value by: FNV-1a over its
+/// bytes, finished with [`splitmix64`]. It depends on the text alone, so
+/// every caller feeds one value the same key whatever symbol table it
+/// holds; a collision only merges two values in the sketches.
+pub fn value_key(value: &str) -> u32 {
+    let mut acc = 0xcbf2_9ce4_8422_2325u64;
+    for &b in value.as_bytes() {
+        acc = (acc ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    }
+    splitmix64(acc) as u32
+}
+
+/// Deterministic 64-bit hash of a whole row of value keys (FNV-1a
 /// over the words, finished with [`splitmix64`]): one multiply per
 /// attribute, an order of magnitude cheaper than per-attribute sketch
 /// updates. Collisions only cost a full-row comparison, never
@@ -860,7 +862,6 @@ impl QualityMonitor {
             seen.absorb(&aw.pre);
             std::mem::swap(&mut aw.pre, prev);
             aw.pre.clear();
-            aw.post_delta.clear();
             aw.distinct.clear();
             aw.sample.clear();
             aw.repaired = 0;
@@ -915,8 +916,6 @@ impl RepairObserver for QualityMonitor {
         let mut inner = self.inner.lock().unwrap();
         if let Some(aw) = inner.attrs.get_mut(fix.attr) {
             aw.repaired += 1;
-            aw.post_delta.add(fix.old, -1);
-            aw.post_delta.add(fix.new, 1);
         }
     }
 
@@ -1273,18 +1272,10 @@ mod tests {
     }
 
     #[test]
-    fn post_sketch_tracks_repairs() {
-        // Not directly exposed in summaries, but the delta discipline
-        // must keep the post sketch linear: repairing old→new moves one
-        // unit of mass.
-        let m = QualityMonitor::new(QualityConfig::with_window(4), names(1));
-        feed(&m, &[&[5], &[5]]);
-        m.cell_repaired(fix(0, 5, 6));
-        // Drain the distinct-row batch so the live pre sketch is current.
-        m.snapshot();
-        let inner = m.inner.lock().unwrap();
-        assert_eq!(inner.attrs[0].pre.estimate(5), 2);
-        assert_eq!(inner.attrs[0].post_estimate(5), 1);
-        assert_eq!(inner.attrs[0].post_estimate(6), 1);
+    fn value_keys_depend_on_the_text_alone() {
+        let owned = String::from("Beijing");
+        assert_eq!(value_key("Beijing"), value_key(&owned));
+        assert_ne!(value_key("Beijing"), value_key("Shanghai"));
+        assert_ne!(value_key(""), value_key(" "));
     }
 }

@@ -174,27 +174,6 @@ impl CountMinSketch {
         }
     }
 
-    /// Point estimate over the cell-wise sum of `self` and `delta`
-    /// (same dimensions required): exactly what materializing
-    /// `self.merge(delta)` and estimating would return, without the
-    /// allocation. The quality monitor derives post-repair estimates
-    /// from the pre sketch plus a repairs-only delta sketch this way.
-    pub fn merged_estimate(&self, delta: &CountMinSketch, key: u32) -> i64 {
-        assert_eq!(
-            (self.width, self.depth),
-            (delta.width, delta.depth),
-            "cannot combine count-min sketches of different dimensions"
-        );
-        let h = Self::hash_key(key);
-        (0..self.depth)
-            .map(|row| {
-                let slot = self.row_slot(h, row);
-                i64::from(self.cells[slot]) + i64::from(delta.cells[slot])
-            })
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Total weight added (sum of one hash row; every row sums to the
     /// same total).
     pub fn total(&self) -> i64 {

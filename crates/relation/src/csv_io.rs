@@ -123,30 +123,23 @@ pub struct ConstantLoad {
     pub table: Table,
     /// Where each row sits in the file, for [`par_write_repaired_csv`].
     pub rows: RowSpans,
-    /// `renumber[old]` is the symbol that the constant `old` of the table
-    /// passed in has in the renumbered table; `None` when every constant
-    /// kept its symbol.
-    pub renumber: Option<Vec<Symbol>>,
 }
 
 /// Load a CSV file on disk with up to `threads` workers, keeping only the
-/// values that `constants` holds: every other cell becomes
-/// [`Symbol::BOTTOM`]. No value outside `constants` is stored anywhere.
-/// `schema` is the file's header, as [`read_csv_header`] read it; the
-/// table is built on it, so rules parsed against it apply to the table.
+/// values that `constants` holds: every cell becomes its constant's symbol
+/// or [`Symbol::BOTTOM`]. No value outside `constants` is stored anywhere,
+/// and `constants` is only read. `schema` is the file's header, as
+/// [`read_csv_header`] read it; the table is built on it, so rules parsed
+/// against it apply to the table.
 ///
 /// Chunks are cut, scanned and checked as in [`par_read_csv_file`], so
 /// the rows and any error are [`read_csv`]'s, with each cell outside
-/// `constants` replaced by ⊥. Then `constants` is renumbered into the
-/// order [`read_csv`] followed by interning the constants would give: the
-/// constants the file holds by first occurrence in row-major order, then
-/// the others in their old order. The table's cells carry the new ids;
-/// apply [`ConstantLoad::renumber`] to anything else that holds the old
-/// ones. Each row's byte offset is recorded, and whether it holds no `"`.
+/// `constants` replaced by ⊥. Each row's byte offset is recorded, and
+/// whether it holds no `"`.
 pub fn par_read_csv_constants<P: AsRef<Path>>(
     path: P,
     schema: &Schema,
-    constants: &mut SymbolTable,
+    constants: &SymbolTable,
     threads: usize,
 ) -> Result<ConstantLoad> {
     let file = File::open(path)?;
@@ -530,16 +523,11 @@ fn read_interned<S: ReadAt + ?Sized>(
 fn read_constants<S: ReadAt + ?Sized>(
     src: &S,
     schema: &Schema,
-    constants: &mut SymbolTable,
+    constants: &SymbolTable,
     cuts: impl FnOnce(u64) -> Vec<u64>,
 ) -> Result<ConstantLoad> {
     let index = ConstantIndex::new(constants);
-    let (header, mut chunks) = read_chunked(src, schema.name(), cuts, || Constants {
-        index: &index,
-        seen: vec![false; constants.len()],
-        first_seen: Vec::new(),
-    })?;
-    let n = constants.len();
+    let (header, mut chunks) = read_chunked(src, schema.name(), cuts, || &index)?;
     if let Some(error) = chunks.last_mut().and_then(|c| c.error.take()) {
         return Err(error);
     }
@@ -548,29 +536,6 @@ fn read_constants<S: ReadAt + ?Sized>(
             "the CSV header differs from the schema it was read as".to_string(),
         ));
     }
-    let mut seen = vec![false; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    for &id in chunks.iter().flat_map(|c| &c.sink.first_seen) {
-        if !std::mem::replace(&mut seen[id as usize], true) {
-            order.push(id);
-        }
-    }
-    order.extend((0..n as u32).filter(|&id| !seen[id as usize]));
-    let identity = order
-        .iter()
-        .enumerate()
-        .all(|(new, &old)| new == old as usize);
-    let mut renumber = vec![Symbol(0); order.len()];
-    for (new, &old) in order.iter().enumerate() {
-        renumber[old as usize] = Symbol(new as u32);
-    }
-    let rename = |s: Symbol| {
-        if s == Symbol::BOTTOM {
-            s
-        } else {
-            renumber[s.index()]
-        }
-    };
     let mut cells: Vec<Symbol> = Vec::new();
     let mut rows = RowSpans::default();
     let mut end = 0;
@@ -581,32 +546,15 @@ fn read_constants<S: ReadAt + ?Sized>(
         for block in chunk.blocks {
             if cells.is_empty() {
                 cells = block;
-                if !identity {
-                    cells.iter_mut().for_each(|s| *s = rename(*s));
-                }
             } else {
-                cells.extend(block.iter().map(|&s| rename(s)));
+                cells.extend(block);
             }
         }
     }
     rows.starts.push(end);
-    let table = Table::from_cells(schema.clone(), cells);
-    if identity {
-        return Ok(ConstantLoad {
-            table,
-            rows,
-            renumber: None,
-        });
-    }
-    let mut renamed = SymbolTable::with_capacity(order.len());
-    for &old in &order {
-        renamed.intern(constants.resolve(Symbol(old)));
-    }
-    *constants = renamed;
     Ok(ConstantLoad {
-        table,
+        table: Table::from_cells(schema.clone(), cells),
         rows,
-        renumber: Some(renumber),
     })
 }
 
@@ -621,14 +569,6 @@ impl CellSink for LocalDict {
     fn cell(&mut self, value: &[u8]) -> Symbol {
         Symbol(self.intern(value))
     }
-}
-
-/// Constant lookup: a value gets its constant's id, or ⊥; the constants
-/// are listed in the order the chunk first shows them.
-struct Constants<'a> {
-    index: &'a ConstantIndex<'a>,
-    seen: Vec<bool>,
-    first_seen: Vec<u32>,
 }
 
 /// A read-only hash index over the values of a symbol table, which it
@@ -662,16 +602,11 @@ impl<'a> ConstantIndex<'a> {
     }
 }
 
-impl CellSink for Constants<'_> {
+/// Constant lookup: a value gets its constant's id, or ⊥.
+impl CellSink for &ConstantIndex<'_> {
     #[inline]
     fn cell(&mut self, value: &[u8]) -> Symbol {
-        let Some(id) = self.index.get(value) else {
-            return Symbol::BOTTOM;
-        };
-        if !std::mem::replace(&mut self.seen[id as usize], true) {
-            self.first_seen.push(id);
-        }
-        Symbol(id)
+        self.get(value).map_or(Symbol::BOTTOM, Symbol)
     }
 }
 
@@ -1358,11 +1293,10 @@ mod tests {
     type Projected = std::result::Result<Vec<Vec<Option<String>>>, String>;
 
     /// The constants-only reader against `read_csv` on the same bytes: the
-    /// rows projected onto [`CONSTANTS`] (any other value is ⊥), the same
-    /// error text, and the constants renumbered into the order that
-    /// interning the file and then the constants gives. Then repair the
-    /// table by hand and check that the repaired-table writer gives the
-    /// bytes `write_csv` gives for the fully interned table.
+    /// rows projected onto [`CONSTANTS`] (any other value is ⊥) and the
+    /// same error text. Then repair the table by hand and check that the
+    /// repaired-table writer gives the bytes `write_csv` gives for the
+    /// fully interned table.
     fn assert_constants_match(data: &[u8], cuts: &[u64]) {
         let context = format!("input {:?} cut at {cuts:?}", String::from_utf8_lossy(data));
         let mut want_sy = SymbolTable::new();
@@ -1385,9 +1319,8 @@ mod tests {
         for c in CONSTANTS {
             constants.intern(c);
         }
-        let before = constants.clone();
         let loaded = read_csv_header(data, "R")
-            .and_then(|schema| read_constants(data, &schema, &mut constants, |_| cuts.to_vec()));
+            .and_then(|schema| read_constants(data, &schema, &constants, |_| cuts.to_vec()));
         let got: Projected = match &loaded {
             Ok(l) => Ok(l
                 .table
@@ -1404,19 +1337,6 @@ mod tests {
         let (Ok(mut want_table), Ok(mut loaded)) = (want_table, loaded) else {
             return;
         };
-        for c in CONSTANTS {
-            want_sy.intern(c);
-        }
-        let order: Vec<&str> = want_sy
-            .iter()
-            .map(|(_, v)| v)
-            .filter(|v| CONSTANTS.contains(v))
-            .collect();
-        assert!(constants.iter().map(|(_, v)| v).eq(order), "{context}");
-        for (old, v) in before.iter() {
-            let new = loaded.renumber.as_ref().map_or(old, |r| r[old.index()]);
-            assert_eq!(constants.resolve(new), v, "{context}");
-        }
         // Every third row gets a constant in its first cell.
         let (want_zz, got_zz) = (want_sy.intern("zz"), constants.get("zz").unwrap());
         let first = AttrId(0);
@@ -1621,7 +1541,7 @@ mod tests {
                 constants.intern(v);
             }
             let schema = want.schema();
-            let mut got = par_read_csv_constants(&path, schema, &mut constants, threads).unwrap();
+            let mut got = par_read_csv_constants(&path, schema, &constants, threads).unwrap();
             assert_eq!(got.table.len(), want.len());
             for (g, w) in got.table.rows().zip(want.rows()) {
                 for (&g, &w) in g.iter().zip(w.iter()) {
@@ -1648,8 +1568,8 @@ mod tests {
         }
         // Written over its own input, the file is read before it is
         // truncated.
-        let mut constants = SymbolTable::new();
-        let got = par_read_csv_constants(&path, want.schema(), &mut constants, 2).unwrap();
+        let constants = SymbolTable::new();
+        let got = par_read_csv_constants(&path, want.schema(), &constants, 2).unwrap();
         par_write_repaired_csv(&path, &path, &got.table, &got.rows, &constants, 2).unwrap();
         assert!(std::fs::read(&path).unwrap() == want_out);
         std::fs::remove_dir_all(&dir).ok();

@@ -17,9 +17,10 @@ use std::fmt;
 pub struct Symbol(pub u32);
 
 impl Symbol {
-    /// ⊥: a cell whose value is none of the constants a loader keeps
-    /// (`csv_io::par_read_csv_constants`). No table hands it out, so it never
-    /// equals a constant and is never resolved.
+    /// ⊥: a cell whose value is none of Σ's constants, as
+    /// `csv_io::par_read_csv_constants`, the stream engine and `fixd` read
+    /// it. No table hands it out, so it never equals a constant and is
+    /// never resolved; its text stays with the input it came from.
     pub const BOTTOM: Symbol = Symbol(u32::MAX - 1);
 
     /// Raw index into the owning table's storage.

@@ -66,13 +66,14 @@ fn main() {
         rules.len()
     );
 
-    // 2. Stream-repair the file as an independent consumer: fresh interner,
-    // schema from the CSV header, rules parsed from the rule file.
+    // 2. Stream-repair the file as an independent consumer: schema from the
+    // CSV header, rules parsed from the rule file into a table that holds
+    // their constants alone.
+    let header = std::fs::File::open(&dirty_path).expect("open dirty csv");
+    let schema = relation::csv_io::read_csv_header(header, "uis").expect("read header");
     let mut symbols = SymbolTable::new();
-    let header_table =
-        relation::csv_io::read_csv_file(&dirty_path, "uis", &mut symbols).expect("read header");
     let text = std::fs::read_to_string(&rules_path).expect("read rules");
-    let rules = parse_rules(&text, header_table.schema(), &mut symbols).expect("parse rules");
+    let rules = parse_rules(&text, &schema, &mut symbols).expect("parse rules");
     assert!(rules.check_consistency().is_consistent());
     let index = LRepairIndex::build(&rules);
 
@@ -82,7 +83,7 @@ fn main() {
         std::fs::File::create(&repaired_path).expect("create repaired csv"),
     );
     let t0 = Instant::now();
-    let stats = stream_repair_csv(&rules, &index, &mut symbols, reader, writer, &NoopObserver)
+    let stats = stream_repair_csv(&rules, &index, &symbols, reader, writer, &NoopObserver)
         .expect("stream repair");
     println!(
         "streamed {} rows in {:.1?}: {} updates on {} rows -> {}",

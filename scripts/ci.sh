@@ -110,9 +110,10 @@ echo "== engine and worker-count equivalence smoke =="
 # lRepair must not depend on the worker count (DESIGN.md §18), and the
 # stream engine must reproduce it byte for byte: at 2 workers, at the
 # default (every core) and streamed, each run matches 1 worker on the
-# CSV, the provenance and every repair.* counter but the per-worker
-# ones. Journal seq numbers are position-dependent, so they are stripped
-# before comparing. The example rows are tiled so repeated rows occur.
+# CSV, the provenance, the rule texts the journal records and every
+# repair.* counter but the per-worker ones. Journal seq numbers are
+# position-dependent, so they are stripped before comparing. The example
+# rows are tiled so repeated rows occur.
 {
     cat examples/data/hosp_dirty.csv
     tail -n +2 examples/data/hosp_dirty.csv
@@ -135,7 +136,11 @@ for run in lrepair:1 lrepair:2 lrepair:default stream:1; do
         | grep -v '"repair\.worker\.' > "$TRACE_DIR/eng_all_counters_$tag.txt"
     grep '"repair\.cell"' "$TRACE_DIR/eng_trace_$tag.jsonl" \
         | sed -E 's/"seq": *[0-9]+, *//' > "$TRACE_DIR/eng_cells_$tag.txt"
+    grep '"name": *"rule"' "$TRACE_DIR/eng_trace_$tag.jsonl" \
+        | sed -E 's/"seq": *[0-9]+, *//' > "$TRACE_DIR/eng_rules_$tag.txt"
 done
+[ "$(wc -l < "$TRACE_DIR/eng_rules_lrepair_1.txt")" -eq 4 ] \
+    || { echo "lrepair journal does not record the 4 rules" >&2; exit 1; }
 [ "$(grep -cE '"repair\.(rules_applied|tuples|tuples_touched|updates)"' \
     "$TRACE_DIR/eng_all_counters_lrepair_1.txt")" -eq 4 ] \
     || { echo "lrepair run is missing repair counters" >&2; exit 1; }
@@ -148,8 +153,23 @@ for tag in lrepair_2 lrepair_default stream_1; do
         || { echo "repair.* counters differ, lrepair_1 vs $tag" >&2; exit 1; }
     cmp "$TRACE_DIR/eng_cells_lrepair_1.txt" "$TRACE_DIR/eng_cells_$tag.txt" \
         || { echo "repair.cell provenance differs, lrepair_1 vs $tag" >&2; exit 1; }
+    cmp "$TRACE_DIR/eng_rules_lrepair_1.txt" "$TRACE_DIR/eng_rules_$tag.txt" \
+        || { echo "journaled rule texts differ, lrepair_1 vs $tag" >&2; exit 1; }
 done
-echo "-- lrepair at 2 and at the default worker count, and stream, match lrepair at 1: CSV, repair.* counters, provenance"
+echo "-- lrepair at 2 and at the default worker count, and stream, match lrepair at 1: CSV, repair.* counters, provenance, rule texts"
+
+echo "== rule printing does not depend on the data =="
+# Σ's constants are numbered as the rule file lists them, so a rule prints
+# the same whatever rows --data holds: the full file and a copy that keeps
+# only its header convert to the same bytes.
+head -n 1 examples/data/hosp_dirty.csv > "$TRACE_DIR/hosp_header.csv"
+for data in examples/data/hosp_dirty.csv "$TRACE_DIR/hosp_header.csv"; do
+    "$FIXCTL" convert --rules examples/rulesets/hosp_zip.frl --data "$data" \
+        --out "$TRACE_DIR/convert_$(basename "$data" .csv).frl" >/dev/null
+done
+cmp "$TRACE_DIR/convert_hosp_dirty.frl" "$TRACE_DIR/convert_hosp_header.frl" \
+    || { echo "convert output depends on the rows of --data" >&2; exit 1; }
+echo "-- convert with the full file and with its header alone match"
 
 echo "== CSV quoting round-trip smoke =="
 # The fixture's cells hold quoted commas, "" escapes, an embedded newline,
@@ -254,6 +274,24 @@ TRACE_ID=$(grep -o 'trace id: t[0-9a-f]*' "$TRACE_DIR/fixd_repair.err" | cut -d'
 "$FIXCTL" client get "/trace/$TRACE_ID" --addr "$ADDR" \
     | grep -q '"name": *"request"\|"name":"request"' \
     || { echo "GET /trace/$TRACE_ID returned no request span" >&2; exit 1; }
+# fixd holds Σ's constants alone: batches of values no request sent before
+# must leave the fixd.symbols gauge where boot put it.
+symbols_gauge() {
+    "$FIXCTL" client get /metrics --addr "$ADDR" | sed -n 's/^fixd_symbols \([0-9]*\)$/\1/p'
+}
+BOOT_SYMBOLS=$(symbols_gauge)
+[ -n "$BOOT_SYMBOLS" ] || { echo "fixd /metrics has no fixd_symbols gauge" >&2; exit 1; }
+for b in $(seq 1 20); do
+    {
+        echo "zip,city,state"
+        seq 1 50 | awk -v b="$b" '{ print "z" b "-" $1 ",c" b "-" $1 ",s" b "-" $1 }'
+    } > "$TRACE_DIR/fresh.csv"
+    "$FIXCTL" client repair "$TRACE_DIR/fresh.csv" --addr "$ADDR" >/dev/null 2>&1 \
+        || { echo "fixd POST /repair of fresh values failed" >&2; exit 1; }
+done
+[ "$(symbols_gauge)" = "$BOOT_SYMBOLS" ] \
+    || { echo "fresh values moved fixd_symbols from $BOOT_SYMBOLS to $(symbols_gauge)" >&2; exit 1; }
+echo "-- 20 batches of fresh values left fixd_symbols at its boot value ($BOOT_SYMBOLS)"
 
 echo "== fixd certified hot-swap e2e =="
 # A conflicting candidate must be rejected by the certification gate with
