@@ -11,7 +11,7 @@
 //! defined over a consistent Σ) and for rules the shadow pass already
 //! proved dead (shadowing is a stronger, cheaper form of redundancy).
 
-use fixrules::implication::{implies, model_size, ImplicationOutcome};
+use fixrules::implication::{implies, ImplicationOutcome};
 use fixrules::RuleSet;
 
 use crate::diagnostic::{Code, Diagnostic};
@@ -55,8 +55,7 @@ pub fn run(ctx: &Ctx<'_>, consistent: bool, dead: &[bool]) -> Vec<Diagnostic> {
                     ),
                 )
                 .with_note(format!(
-                    "re-run with a budget of at least {} to decide this rule",
-                    model_size(&rest, rule)
+                    "re-run with a budget of at least {candidates} to decide this rule"
                 )),
             ),
             // NotImplied: the rule pulls its weight. ExtensionInconsistent

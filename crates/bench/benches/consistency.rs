@@ -1,9 +1,10 @@
 //! Fig 9 bench: consistency checking, `isConsist_r` vs `isConsist_t`,
 //! worst case (all pairs) and real case (stop at first conflict).
+//! `isConsist_r` is the published all-pairs loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use fixrules::consistency::{is_consistent_characterize, is_consistent_enumerate};
+use fixrules::consistency::{is_consistent_all_pairs, is_consistent_enumerate};
 use fixrules::FixingRule;
 
 fn bench_consistency(c: &mut Criterion) {
@@ -13,7 +14,7 @@ fn bench_consistency(c: &mut Criterion) {
         let mut subset = workload.rules.clone();
         subset.truncate(n);
         group.bench_with_input(BenchmarkId::new("isConsist_r_worst", n), &n, |b, _| {
-            b.iter(|| is_consistent_characterize(&subset, usize::MAX))
+            b.iter(|| is_consistent_all_pairs(&subset, usize::MAX))
         });
         group.bench_with_input(BenchmarkId::new("isConsist_t_worst", n), &n, |b, _| {
             b.iter(|| is_consistent_enumerate(&subset, usize::MAX))
@@ -33,7 +34,7 @@ fn bench_consistency(c: &mut Criterion) {
         dirty_set
             .push(FixingRule::new(evidence, victim.b(), victim.neg().to_vec(), fresh).unwrap());
         group.bench_with_input(BenchmarkId::new("isConsist_r_real", n), &n, |b, _| {
-            b.iter(|| is_consistent_characterize(&dirty_set, 1))
+            b.iter(|| is_consistent_all_pairs(&dirty_set, 1))
         });
         group.bench_with_input(BenchmarkId::new("isConsist_t_real", n), &n, |b, _| {
             b.iter(|| is_consistent_enumerate(&dirty_set, 1))

@@ -702,7 +702,7 @@ fn emit_profile(flags: &Flags, attribution: Option<&AttributionObserver>) -> Res
     Ok(())
 }
 
-/// The pairwise `isConsist_r` check over every pair (it reports every
+/// The pairwise `isConsist_r` check run to the end (it reports every
 /// conflict), timed and fed into the observer.
 fn check_consistency(rules: &RuleSet, obs_ctx: &ObsCtx) -> ConsistencyReport {
     let _span = obs_ctx.span("consistency_check");

@@ -15,8 +15,20 @@
 //!   commute.
 //!
 //! Negative-pattern membership is a binary search over a tiny sorted vec, so
-//! deciding one pair is `O(|Tp_i| + |Tp_j| + |Xi ∩ Xj|)` and the whole check
-//! is `O(size(Σ)²)` as stated in the paper.
+//! deciding one pair is `O(|Tp_i| + |Tp_j| + |Xi ∩ Xj|)` and the published
+//! check, [`is_consistent_all_pairs`], is `O(size(Σ)²)` as stated in the
+//! paper.
+//!
+//! Every conflicting case rests on an equality between two constants of the
+//! pair: a shared value in `Tp_i[B] ∩ Tp_j[B]` (case 1) or an evidence
+//! constant `tp_j[Bi]` inside `Tp_i[Bi]` (cases 2a–2c). So
+//! [`is_consistent_characterize`] indexes Σ's negative patterns by
+//! `(B, v)` and its evidence cells by `(A, tp[A])`, joins each rule's
+//! constants against them, and runs [`check_pair`] only on the pairs the
+//! join returns; every other pair is consistent by Fig 4. The report is the
+//! one the all-pairs loop produces, `pairs_checked` included.
+
+use relation::{AttrId, Symbol};
 
 use crate::consistency::{evidence_compatible, Conflict, ConflictCase, ConsistencyReport};
 use crate::rule::FixingRule;
@@ -78,7 +90,79 @@ pub fn check_pair(a: &FixingRule, b: &FixingRule) -> Option<ConflictCase> {
 /// Check a whole rule set pairwise (Proposition 3), stopping after
 /// `max_conflicts` conflicts (pass 1 for the paper's "real case" behaviour
 /// of Fig 9, `usize::MAX` for the worst case that inspects all pairs).
+///
+/// Only the pairs that share a constant through the indexes described in
+/// the module doc are decided, but the report is exactly that of
+/// [`is_consistent_all_pairs`]: the same conflicts in the same `(i, j)`
+/// order, and `pairs_checked` counts the pairs the all-pairs loop would
+/// have examined — `n(n−1)/2`, or the rank of the pair that reached
+/// `max_conflicts`.
 pub fn is_consistent_characterize(rules: &RuleSet, max_conflicts: usize) -> ConsistencyReport {
+    let all = rules.rules();
+    let n = all.len();
+    let negatives = PatternIndex::new(all.iter().enumerate().flat_map(|(j, rule)| {
+        rule.neg()
+            .iter()
+            .map(move |&v| (pattern_key(rule.b(), v), j as u32))
+    }));
+    let evidence = PatternIndex::new(all.iter().enumerate().flat_map(|(j, rule)| {
+        rule.x()
+            .iter()
+            .zip(rule.tp())
+            .map(move |(&a, &c)| (pattern_key(a, c), j as u32))
+    }));
+    let mut report = ConsistencyReport::default();
+    // `stamp[j] == i` once j is among rule i's partners.
+    let mut stamp = vec![u32::MAX; n];
+    let mut partners: Vec<u32> = Vec::new();
+    for (i, rule) in all.iter().enumerate() {
+        let i = i as u32;
+        partners.clear();
+        let mut collect = |js: &[u32]| {
+            for &j in js {
+                if stamp[j as usize] != i {
+                    stamp[j as usize] = i;
+                    partners.push(j);
+                }
+            }
+        };
+        for &v in rule.neg() {
+            let key = pattern_key(rule.b(), v);
+            // Case 1: v is a negative of another rule repairing B.
+            collect(negatives.after(key, i));
+            // Cases 2(a)/2(c): another rule has B = v as evidence.
+            collect(evidence.after(key, i));
+        }
+        for (&a, &c) in rule.x().iter().zip(rule.tp()) {
+            // Cases 2(b)/2(c): this rule's evidence A = c is a negative of
+            // another rule repairing A.
+            collect(negatives.after(pattern_key(a, c), i));
+        }
+        partners.sort_unstable();
+        for &j in &partners {
+            if let Some(case) = check_pair(rule, &all[j as usize]) {
+                report.conflicts.push(Conflict {
+                    first: RuleId(i),
+                    second: RuleId(j),
+                    case,
+                    witness: None,
+                });
+                if report.conflicts.len() >= max_conflicts {
+                    report.pairs_checked = pair_rank(n, i as usize, j as usize);
+                    return report;
+                }
+            }
+        }
+    }
+    report.pairs_checked = n * n.saturating_sub(1) / 2;
+    report
+}
+
+/// `isConsist_r` exactly as published: decide all `n(n−1)/2` pairs in
+/// `(i, j)` order, stopping after `max_conflicts` conflicts. The reference
+/// for [`is_consistent_characterize`], and the algorithm Exp-1 (Fig 9)
+/// times.
+pub fn is_consistent_all_pairs(rules: &RuleSet, max_conflicts: usize) -> ConsistencyReport {
     let mut report = ConsistencyReport::default();
     let n = rules.len();
     'outer: for i in 0..n {
@@ -100,6 +184,42 @@ pub fn is_consistent_characterize(rules: &RuleSet, max_conflicts: usize) -> Cons
         }
     }
     report
+}
+
+/// 1-based position of pair `(i, j)`, `i < j`, in the all-pairs order
+/// `(0, 1), (0, 2), …, (n−2, n−1)`.
+fn pair_rank(n: usize, i: usize, j: usize) -> usize {
+    // Rows 0..i hold (n−1) + (n−2) + … + (n−i) pairs.
+    i * (n - 1) - i * i.saturating_sub(1) / 2 + (j - i)
+}
+
+/// An `(attribute, constant)` pair packed into one sortable key.
+fn pattern_key(attr: AttrId, value: Symbol) -> u64 {
+    (u64::from(attr.0) << 32) | u64::from(value.0)
+}
+
+/// Read-only map from [`pattern_key`] to the ascending ids of the rules
+/// that carry it, as one sorted array.
+struct PatternIndex {
+    keys: Vec<u64>,
+    rules: Vec<u32>,
+}
+
+impl PatternIndex {
+    fn new(entries: impl Iterator<Item = (u64, u32)>) -> Self {
+        let mut entries: Vec<(u64, u32)> = entries.collect();
+        entries.sort_unstable();
+        let (keys, rules) = entries.into_iter().unzip();
+        PatternIndex { keys, rules }
+    }
+
+    /// The rules with id greater than `i` that carry `key`.
+    fn after(&self, key: u64, i: u32) -> &[u32] {
+        let lo = self.keys.partition_point(|&k| k < key);
+        let hi = lo + self.keys[lo..].partition_point(|&k| k == key);
+        let run = &self.rules[lo..hi];
+        &run[run.partition_point(|&j| j <= i)..]
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! pairs of distinct rules and decide each pair:
 //!
 //! * [`characterize`] — `isConsist_r` (Fig 4): decide a pair by a constant
-//!   number of pattern-set tests; `O(size(Σ)²)` overall.
+//!   number of pattern-set tests; `O(size(Σ)²)` overall as published
+//!   ([`is_consistent_all_pairs`]), and only over the pairs that share a
+//!   constant in [`is_consistent_characterize`].
 //! * [`enumerate`] — `isConsist_t` (§5.2.1): build the finite witness-tuple
 //!   space from the pair's constants and chase every candidate in all
 //!   orders.
@@ -17,7 +19,7 @@ pub mod characterize;
 pub mod enumerate;
 pub mod resolve;
 
-pub use characterize::is_consistent_characterize;
+pub use characterize::{is_consistent_all_pairs, is_consistent_characterize};
 pub use enumerate::is_consistent_enumerate;
 
 use obs::Event;
@@ -124,7 +126,7 @@ pub(crate) fn evidence_compatible(
 /// Incrementally check one candidate rule against an already-consistent
 /// set: by Proposition 3 only the `|Σ|` new pairs need inspection, so
 /// authoring workflows can validate each added rule in `O(size(Σ))` instead
-/// of re-running the full `O(size(Σ)²)` check.
+/// of re-running the whole-set check.
 ///
 /// Returns the conflicts the candidate would introduce (empty = safe to
 /// push).

@@ -95,7 +95,7 @@ pub fn ensure_consistent(rules: &mut RuleSet, strategy: Strategy) -> ResolutionL
 /// [`Strategy::ShrinkNegatives`]: each round runs one full pairwise check,
 /// applies the shrink move for *every* reported conflict, defers rule
 /// removals to the end of the round (so conflict rule-ids stay valid), and
-/// repeats. Equivalent fixpoint guarantees, far fewer `O(size(Σ)²)` check
+/// repeats. Equivalent fixpoint guarantees, far fewer whole-set check
 /// rounds — use this for machine-generated rule sets in the thousands.
 pub fn ensure_consistent_batch(rules: &mut RuleSet) -> ResolutionLog {
     let mut log = ResolutionLog::default();

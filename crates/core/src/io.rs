@@ -22,6 +22,7 @@
 //! `THEN` attribute. Values are double-quoted with `\"` and `\\` escapes,
 //! so arbitrary cell content round-trips.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use obs::Json;
@@ -268,15 +269,25 @@ fn line_span(raw: &str, line_no: usize) -> Span {
     }
 }
 
-/// An attribute-name token with its source column.
+/// 1-based character column of byte offset `off` in `line`. Only error
+/// paths call this, so the lexer itself stays linear in the line length.
+fn char_col(line: &str, off: usize) -> usize {
+    line[..off].chars().count() + 1
+}
+
+/// An attribute-name token with its byte offset in the line.
 struct RawToken<'a> {
     text: &'a str,
-    col: usize,
+    off: usize,
 }
 
 impl RawToken<'_> {
-    fn span(&self, line: usize) -> Span {
-        Span::new(line, self.col, self.text.chars().count().max(1))
+    fn span(&self, line_no: usize, line: &str) -> Span {
+        Span::new(
+            line_no,
+            char_col(line, self.off),
+            self.text.chars().count().max(1),
+        )
     }
 }
 
@@ -287,27 +298,25 @@ impl RawToken<'_> {
 /// schema exists.
 struct RawRule<'a> {
     line: usize,
-    evidence: Vec<(RawToken<'a>, String)>,
+    text: &'a str,
+    evidence: Vec<(RawToken<'a>, Cow<'a, str>)>,
     neg_attr: RawToken<'a>,
-    negatives: Vec<String>,
+    negatives: Vec<Cow<'a, str>>,
     then_attr: RawToken<'a>,
-    fact: String,
+    fact: Cow<'a, str>,
 }
 
 fn parse_raw(line: &str, line_no: usize) -> Result<RawRule<'_>, RuleParseError> {
-    let syntax = |e: LexError| RuleParseError::Syntax {
-        span: Span::point(line_no, e.col),
-        message: e.message,
-    };
-    let at = |col: usize, message: String| RuleParseError::Syntax {
-        span: Span::point(line_no, col),
+    let at = |off: usize, message: String| RuleParseError::Syntax {
+        span: Span::point(line_no, char_col(line, off)),
         message,
     };
+    let syntax = |e: LexError| at(e.off, e.message);
     let mut lex = Lexer::new(line);
     lex.expect_word("IF").map_err(syntax)?;
 
-    let mut evidence: Vec<(RawToken<'_>, String)> = Vec::new();
-    let mut neg_clause: Option<(RawToken<'_>, Vec<String>)> = None;
+    let mut evidence: Vec<(RawToken<'_>, Cow<'_, str>)> = Vec::new();
+    let mut neg_clause: Option<(RawToken<'_>, Vec<Cow<'_, str>>)> = None;
     loop {
         let attr = lex.ident().map_err(syntax)?;
         if lex.try_word("=") {
@@ -315,7 +324,7 @@ fn parse_raw(line: &str, line_no: usize) -> Result<RawRule<'_>, RuleParseError> 
             evidence.push((attr, value));
         } else if lex.try_word("IN") {
             if neg_clause.is_some() {
-                return Err(at(attr.col, "more than one IN clause".into()));
+                return Err(at(attr.off, "more than one IN clause".into()));
             }
             lex.expect_word("{").map_err(syntax)?;
             let mut values = Vec::new();
@@ -329,9 +338,8 @@ fn parse_raw(line: &str, line_no: usize) -> Result<RawRule<'_>, RuleParseError> 
             }
             neg_clause = Some((attr, values));
         } else {
-            let col = lex.next_col();
             return Err(at(
-                col,
+                lex.next_off(),
                 format!("expected `=` or `IN` after `{}`", attr.text),
             ));
         }
@@ -347,12 +355,12 @@ fn parse_raw(line: &str, line_no: usize) -> Result<RawRule<'_>, RuleParseError> 
     lex.expect_end().map_err(syntax)?;
 
     let Some((neg_attr, negatives)) = neg_clause else {
-        let span = line_span(line, line_no);
-        return Err(at(span.col, "missing IN clause (negative patterns)".into()));
+        let leading = line.len() - line.trim_start().len();
+        return Err(at(leading, "missing IN clause (negative patterns)".into()));
     };
     if neg_attr.text != then_attr.text {
         return Err(at(
-            then_attr.col,
+            then_attr.off,
             format!(
                 "IN attribute `{}` does not match THEN attribute `{}`",
                 neg_attr.text, then_attr.text
@@ -361,6 +369,7 @@ fn parse_raw(line: &str, line_no: usize) -> Result<RawRule<'_>, RuleParseError> 
     }
     Ok(RawRule {
         line: line_no,
+        text: line,
         evidence,
         neg_attr,
         negatives,
@@ -379,7 +388,7 @@ fn resolve_raw(
         schema
             .attr(token.text)
             .ok_or_else(|| RuleParseError::Syntax {
-                span: token.span(raw.line),
+                span: token.span(raw.line, raw.text),
                 message: format!("attribute `{}` is not in schema {schema}", token.text),
             })
     };
@@ -619,16 +628,16 @@ fn quote(value: &str) -> String {
     out
 }
 
-/// A lexing failure: 1-based column of the offending character plus the
-/// message. Converted to [`RuleParseError::Syntax`] by the caller, which
-/// knows the line number.
+/// A lexing failure: byte offset of the offending character in the line
+/// plus the message. Converted to [`RuleParseError::Syntax`] by the caller,
+/// which knows the line and turns the offset into a character column.
 struct LexError {
-    col: usize,
+    off: usize,
     message: String,
 }
 
-/// Minimal hand-rolled tokenizer over one line, tracking the column of the
-/// next unconsumed character so errors can point into the source.
+/// Minimal hand-rolled tokenizer over one line, tracking the byte offset of
+/// the next unconsumed character so errors can point into the source.
 struct Lexer<'a> {
     full: &'a str,
     rest: &'a str,
@@ -646,15 +655,14 @@ impl<'a> Lexer<'a> {
         self.rest = self.rest.trim_start();
     }
 
-    /// 1-based column (in characters) of the next unconsumed character.
-    fn next_col(&self) -> usize {
-        let consumed = self.full.len() - self.rest.len();
-        self.full[..consumed].chars().count() + 1
+    /// Byte offset of the next unconsumed character.
+    fn next_off(&self) -> usize {
+        self.full.len() - self.rest.len()
     }
 
     fn err<T>(&self, message: String) -> Result<T, LexError> {
         Err(LexError {
-            col: self.next_col(),
+            off: self.next_off(),
             message,
         })
     }
@@ -685,7 +693,7 @@ impl<'a> Lexer<'a> {
     /// Attribute identifier: up to whitespace or a reserved delimiter.
     fn ident(&mut self) -> Result<RawToken<'a>, LexError> {
         self.skip_ws();
-        let col = self.next_col();
+        let off = self.next_off();
         let end = self
             .rest
             .find(|c: char| c.is_whitespace() || "={},".contains(c))
@@ -698,32 +706,38 @@ impl<'a> Lexer<'a> {
         }
         let (ident, rest) = self.rest.split_at(end);
         self.rest = rest;
-        Ok(RawToken { text: ident, col })
+        Ok(RawToken { text: ident, off })
     }
 
-    /// Double-quoted string with `\"`/`\\` escapes.
-    fn quoted(&mut self) -> Result<String, LexError> {
+    /// Double-quoted string with `\"`/`\\` escapes. A value without a
+    /// backslash is borrowed from the line as is.
+    fn quoted(&mut self) -> Result<Cow<'a, str>, LexError> {
         self.skip_ws();
-        let start_col = self.next_col();
-        let mut chars = self.rest.char_indices();
-        match chars.next() {
-            Some((_, '"')) => {}
-            _ => {
-                return self.err(format!(
-                    "expected quoted value, found `{}`",
-                    self.rest.chars().take(12).collect::<String>()
-                ))
-            }
+        let start = self.next_off();
+        let Some(body) = self.rest.strip_prefix('"') else {
+            return self.err(format!(
+                "expected quoted value, found `{}`",
+                self.rest.chars().take(12).collect::<String>()
+            ));
+        };
+        let unterminated = || LexError {
+            off: start,
+            message: "unterminated quoted value".into(),
+        };
+        let stop = body.find(['"', '\\']).ok_or_else(unterminated)?;
+        if body.as_bytes()[stop] == b'"' {
+            self.rest = &body[stop + 1..];
+            return Ok(Cow::Borrowed(&body[..stop]));
         }
-        let mut out = String::new();
+        let mut out = String::from(&body[..stop]);
         let mut escaped = false;
-        for (i, ch) in chars {
+        for (i, ch) in body[stop..].char_indices() {
             if escaped {
                 match ch {
                     '"' | '\\' => out.push(ch),
                     other => {
                         return Err(LexError {
-                            col: start_col,
+                            off: start,
                             message: format!("bad escape `\\{other}`"),
                         })
                     }
@@ -732,16 +746,13 @@ impl<'a> Lexer<'a> {
             } else if ch == '\\' {
                 escaped = true;
             } else if ch == '"' {
-                self.rest = &self.rest[i + 1..];
-                return Ok(out);
+                self.rest = &body[stop + i + 1..];
+                return Ok(Cow::Owned(out));
             } else {
                 out.push(ch);
             }
         }
-        Err(LexError {
-            col: start_col,
-            message: "unterminated quoted value".into(),
-        })
+        Err(unterminated())
     }
 
     fn expect_end(&mut self) -> Result<(), LexError> {
@@ -891,6 +902,51 @@ IF country = "Canada" AND capital IN {"Toronto"} THEN capital := "Ottawa"
         let span = err.span();
         assert_eq!((span.line, span.col, span.len), (7, 4, 6));
         assert!(err.to_string().starts_with("line 7:4: "), "{err}");
+    }
+
+    #[test]
+    fn error_columns_count_characters_after_multibyte_values() {
+        let schema = schema();
+        let mut sy = SymbolTable::new();
+        // `=` in place of `:=` is character 82 of the line (byte 91).
+        let line = r#"IF city = "Zürich" AND conf = "北京 say \"hi\"" AND capital IN {"上海"} THEN capital = "Beijing""#;
+        let err = parse_rule_line(line, 2, &schema, &mut sy).unwrap_err();
+        assert!(matches!(err, RuleParseError::Syntax { .. }), "{err:?}");
+        let span = err.span();
+        assert_eq!((span.line, span.col, span.len), (2, 82, 1));
+        assert_eq!(
+            err.to_string(),
+            r#"line 2:82: expected `:=`, found `= "Beijing"`"#
+        );
+        // Unknown attribute `länd`: character 51 (byte 56), 4 characters
+        // long (5 bytes).
+        let line = r#"IF city = "Zürich" AND conf = "北京 say \"hi\"" AND länd = "中国" AND capital IN {"上海"} THEN capital := "Beijing""#;
+        let err = parse_rule_line(line, 3, &schema, &mut sy).unwrap_err();
+        let span = err.span();
+        assert_eq!((span.line, span.col, span.len), (3, 51, 4));
+        assert!(
+            err.to_string().starts_with("line 3:51: attribute `länd`"),
+            "{err}"
+        );
+        // A bad escape points at the opening quote of its value.
+        let line = r#"IF city = "Zürich" AND conf = "a\q" AND capital IN {"上海"} THEN capital := "Beijing""#;
+        let err = parse_rule_line(line, 4, &schema, &mut sy).unwrap_err();
+        assert_eq!(err.to_string(), r#"line 4:31: bad escape `\q`"#);
+    }
+
+    #[test]
+    fn spans_and_escaped_values_on_an_indented_multibyte_line() {
+        let schema = schema();
+        let mut sy = SymbolTable::new();
+        // Indented by a space, an ideographic space (3 bytes) and a space.
+        let text = "# header\n \u{3000} IF city = \"Zürich\" AND capital IN {\"北京\", \"上\\\"海\"} THEN capital := \"Beijing\"\n";
+        let spanned = parse_rules_spanned(text, &schema, &mut sy).unwrap();
+        assert_eq!(spanned.spans, vec![Span::new(2, 4, 74)]);
+        let rule = spanned.rules.rule(crate::ruleset::RuleId(0));
+        let negatives: Vec<&str> = rule.neg().iter().map(|&v| sy.resolve(v)).collect();
+        assert!(negatives.contains(&"北京"), "{negatives:?}");
+        assert!(negatives.contains(&"上\"海"), "{negatives:?}");
+        assert_eq!(sy.resolve(rule.tp()[0]), "Zürich");
     }
 
     #[test]

@@ -83,6 +83,31 @@ grep -q '"version": "2.1.0"' "$TRACE_DIR/certify_hosp.sarif" \
     || { echo "certify --format sarif is not SARIF 2.1.0" >&2; exit 1; }
 echo "-- SARIF matches the golden file; certify emits SARIF 2.1.0"
 
+echo "== consistency report golden =="
+# The fixture holds every Fig 4 conflict case and pairs whose patterns
+# clash under incompatible evidence. `check` must list the same conflicts
+# in the same order and count every pair (`pairs_checked`), and `resolve`
+# must drop and shrink the same rules, as the goldens recorded.
+status=0
+"$FIXCTL" check --rules examples/lint/many_conflicts.frl \
+    --data examples/lint/many_conflicts.csv --log info \
+    > "$TRACE_DIR/many_conflicts.check.out" 2> "$TRACE_DIR/many_conflicts.check.err" || status=$?
+[ "$status" -eq 2 ] || { echo "check on many_conflicts.frl exited $status, not 2" >&2; exit 1; }
+cmp "$TRACE_DIR/many_conflicts.check.out" examples/lint/many_conflicts.check.out \
+    || { echo "check stdout drifted from many_conflicts.check.out" >&2; exit 1; }
+cmp "$TRACE_DIR/many_conflicts.check.err" examples/lint/many_conflicts.check.err \
+    || { echo "check stderr drifted from many_conflicts.check.err" >&2; exit 1; }
+"$FIXCTL" resolve --rules examples/lint/many_conflicts.frl \
+    --data examples/lint/many_conflicts.csv \
+    --out "$TRACE_DIR/many_conflicts.resolved.frl" > "$TRACE_DIR/many_conflicts.resolve.log"
+{
+    grep -v '^wrote ' "$TRACE_DIR/many_conflicts.resolve.log"
+    cat "$TRACE_DIR/many_conflicts.resolved.frl"
+} > "$TRACE_DIR/many_conflicts.resolve.out"
+cmp "$TRACE_DIR/many_conflicts.resolve.out" examples/lint/many_conflicts.resolve.out \
+    || { echo "resolve drifted from many_conflicts.resolve.out" >&2; exit 1; }
+echo "-- check and resolve on many_conflicts.frl match the goldens"
+
 echo "== fixctl trace round trip =="
 # repair --trace → explain → trace export, and the determinism gate: two
 # identical runs under the default logical clock must produce
