@@ -380,6 +380,54 @@ IF country = "China" AND capital IN {"Shanghai"} THEN capital := "Beijing"
     }
 
     #[test]
+    fn fr006_names_the_budget_or_says_the_space_overflows() {
+        // Over the budget: the exact size, and the budget that decides.
+        let mut symbols = SymbolTable::new();
+        let text = r#"IF country = "China" AND capital IN {"Shanghai"} THEN capital := "Beijing""#;
+        let opts = LintOptions {
+            implication_budget: 1,
+            ..LintOptions::default()
+        };
+        let report = lint_source(text, &travel_schema(), &mut symbols, &opts);
+        let diag = &report.diagnostics[0];
+        assert_eq!(
+            diag.message,
+            "redundancy undecided: the implication check needs 6 candidate tuples but the \
+             budget is 1"
+        );
+        assert_eq!(
+            diag.notes,
+            ["re-run with a budget of at least 6 to decide this rule"]
+        );
+        // Two evidence constants on each of 68 attributes: 3^68 candidate
+        // tuples, which no `usize` holds, so no size and no budget advice.
+        let names: Vec<String> = (0..70).map(|i| format!("a{i}")).collect();
+        let schema = Schema::new("Wide", &names).unwrap();
+        let evidence = |v: &str| {
+            (0..68)
+                .map(|i| format!("a{i} = \"{v}\""))
+                .collect::<Vec<_>>()
+                .join(" AND ")
+        };
+        let text = format!(
+            "IF {} AND a68 IN {{\"x\"}} THEN a68 := \"y\"\n\
+             IF {} AND a69 IN {{\"x\"}} THEN a69 := \"y\"\n",
+            evidence("u"),
+            evidence("w")
+        );
+        let report = lint_source(&text, &schema, &mut symbols, &LintOptions::default());
+        assert_eq!(codes(&report), vec!["FR006", "FR006"]);
+        for diag in &report.diagnostics {
+            assert_eq!(
+                diag.message,
+                "redundancy undecided: the implication check's candidate space overflows, \
+                 so no budget can decide this rule"
+            );
+            assert!(diag.notes.is_empty(), "{:?}", diag.notes);
+        }
+    }
+
+    #[test]
     fn cycle_reported_once_at_first_member() {
         let mut symbols = SymbolTable::new();
         // capital's fact enables the city rule's evidence and vice versa —

@@ -11,7 +11,8 @@
 //! defined over a consistent Σ) and for rules the shadow pass already
 //! proved dead (shadowing is a stronger, cheaper form of redundancy).
 
-use fixrules::implication::{implies, ImplicationOutcome};
+use fixrules::implication::{implies_consistent, ImplicationOutcome};
+use fixrules::io::Span;
 use fixrules::RuleSet;
 
 use crate::diagnostic::{Code, Diagnostic};
@@ -24,7 +25,7 @@ pub fn run(ctx: &Ctx<'_>, consistent: bool, dead: &[bool]) -> Vec<Diagnostic> {
         return Vec::new();
     }
     let mut diags = Vec::new();
-    for (id, rule) in ctx.rules.iter() {
+    for (id, _) in ctx.rules.iter() {
         if dead[id.index()] {
             continue;
         }
@@ -34,7 +35,9 @@ pub fn run(ctx: &Ctx<'_>, consistent: bool, dead: &[bool]) -> Vec<Diagnostic> {
                 rest.push(other.clone());
             }
         }
-        match implies(&rest, rule, ctx.opts.implication_budget) {
+        // The conflicts pass found Σ = (Σ∖φ) ∪ {φ} consistent, so the
+        // check skips condition (i).
+        match implies_consistent(&rest, ctx.rules, ctx.opts.implication_budget) {
             ImplicationOutcome::Implied => diags.push(Diagnostic::new(
                 Code::RedundantRule,
                 ctx.span(id),
@@ -44,25 +47,40 @@ pub fn run(ctx: &Ctx<'_>, consistent: bool, dead: &[bool]) -> Vec<Diagnostic> {
                     rest.len()
                 ),
             )),
-            ImplicationOutcome::Unknown { candidates } => diags.push(
-                Diagnostic::new(
-                    Code::ImplicationUnknown,
-                    ctx.span(id),
-                    format!(
-                        "redundancy undecided: the implication check needs {candidates} \
-                         candidate tuples but the budget is {}",
-                        ctx.opts.implication_budget
-                    ),
-                )
-                .with_note(format!(
-                    "re-run with a budget of at least {candidates} to decide this rule"
-                )),
-            ),
+            ImplicationOutcome::Unknown { candidates } => diags.push(undecided(
+                ctx.span(id),
+                candidates,
+                ctx.opts.implication_budget,
+            )),
             // NotImplied: the rule pulls its weight. ExtensionInconsistent
-            // cannot happen — Σ itself is consistent, so Σ \ {φ} ∪ {φ} = Σ
-            // is too.
+            // cannot happen: condition (i) is not checked.
             ImplicationOutcome::NotImplied { .. } | ImplicationOutcome::ExtensionInconsistent => {}
         }
     }
     diags
+}
+
+/// The FR006 note for a rule whose check needs `candidates` tuples, more
+/// than `budget`. A space too large to count (the product saturated at
+/// `usize::MAX`) is not a number to print, and no budget decides it.
+fn undecided(span: Span, candidates: usize, budget: usize) -> Diagnostic {
+    if candidates == usize::MAX {
+        return Diagnostic::new(
+            Code::ImplicationUnknown,
+            span,
+            "redundancy undecided: the implication check's candidate space overflows, \
+             so no budget can decide this rule",
+        );
+    }
+    Diagnostic::new(
+        Code::ImplicationUnknown,
+        span,
+        format!(
+            "redundancy undecided: the implication check needs {candidates} \
+             candidate tuples but the budget is {budget}"
+        ),
+    )
+    .with_note(format!(
+        "re-run with a budget of at least {candidates} to decide this rule"
+    ))
 }

@@ -37,7 +37,8 @@ pub enum ImplicationOutcome {
     /// out before deciding: `φ` was neither proved implied nor refuted.
     /// Callers must treat this as "don't know", never as a refutation.
     Unknown {
-        /// Size of the space that was refused.
+        /// Size of the space that was refused, or `usize::MAX` when that
+        /// size overflows.
         candidates: usize,
     },
 }
@@ -111,8 +112,26 @@ pub fn implies(rules: &RuleSet, phi: &FixingRule, budget: usize) -> ImplicationO
     if !is_consistent_characterize(&extended, 1).is_consistent() {
         return ImplicationOutcome::ExtensionInconsistent;
     }
+    implies_consistent(rules, &extended, budget)
+}
 
-    let values = small_model_domains(&extended);
+/// [`implies`] when condition (i) is known to hold: `extended` is `Σ ∪
+/// {φ}`, in any rule order, and is consistent, so only condition (ii) is
+/// checked. For a rule φ of a consistent Σ, `implies_consistent(Σ∖φ, Σ,
+/// budget)` decides whether the rest of Σ implies φ. The outcome is the
+/// one [`implies`] gives: the small-model domains are sorted sets, and
+/// cRepair's fix under a consistent set does not depend on rule order.
+pub fn implies_consistent(
+    rules: &RuleSet,
+    extended: &RuleSet,
+    budget: usize,
+) -> ImplicationOutcome {
+    debug_assert_eq!(extended.len(), rules.len() + 1);
+    debug_assert!(
+        is_consistent_characterize(extended, 1).is_consistent(),
+        "implication requires a consistent Σ ∪ {{φ}}"
+    );
+    let values = small_model_domains(extended);
     let total = values
         .values()
         .fold(1usize, |acc, vals| acc.saturating_mul(vals.len()));
@@ -133,7 +152,7 @@ pub fn implies(rules: &RuleSet, phi: &FixingRule, budget: usize) -> ImplicationO
         let mut under_sigma = row.clone();
         crepair_tuple(rules, &mut under_sigma);
         let mut under_ext = row.clone();
-        crepair_tuple(&extended, &mut under_ext);
+        crepair_tuple(extended, &mut under_ext);
         if under_sigma != under_ext {
             return ImplicationOutcome::NotImplied { witness: row };
         }

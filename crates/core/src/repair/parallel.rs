@@ -2,10 +2,12 @@
 //!
 //! Fixing rules read and write a single tuple at a time — unlike FD repair,
 //! no cross-tuple state exists — so a table repair is embarrassingly
-//! parallel: shard the rows, give each worker its own
+//! parallel: cut the rows into blocks, give each worker its own
 //! [`LRepairScratch`], and share the immutable [`LRepairIndex`]. This is an
 //! extension beyond the paper (its experiments are single-threaded); the
 //! `repro` harness uses the sequential drivers so timings stay comparable.
+
+use std::sync::Mutex;
 
 use obs::{Event, RepairObserver};
 use relation::Table;
@@ -14,13 +16,18 @@ use crate::repair::linear::{lrepair_tuple_observed, LRepairIndex, LRepairScratch
 use crate::repair::{CellUpdate, RepairOutcome};
 use crate::ruleset::RuleSet;
 
+/// Blocks of rows per worker that [`par_lrepair_table`] cuts a table into.
+/// Workers claim blocks one at a time, so when one worker's core is taken
+/// away for a while, the others repair the blocks it would have.
+const BLOCKS_PER_WORKER: usize = 8;
+
 /// Repair a table with `lRepair` across `num_threads` workers.
 ///
 /// Produces exactly the same table state and update log as the sequential
-/// [`crate::repair::lrepair_table`]. Each worker repairs one contiguous
-/// range of rows and records its updates in (row, application order);
-/// joining the workers in range order concatenates those logs into the
-/// sequential driver's log, byte for byte.
+/// [`crate::repair::lrepair_table`]. The rows are cut into contiguous
+/// blocks, which the workers claim one at a time; each block's updates are
+/// recorded in (row, application order), and concatenating the blocks'
+/// logs in row order gives the sequential driver's log, byte for byte.
 ///
 /// Observer hooks: each worker keeps the per-tuple tallies in its own
 /// [`LRepairScratch`] and flushes them every 4,096 tuples and once at the
@@ -47,43 +54,58 @@ pub fn par_lrepair_table<O: RepairObserver>(
         return RepairOutcome::default();
     }
     let arity = table.schema().arity();
-    let chunk_rows = rows.div_ceil(num_threads);
-    let mut all_updates: Vec<CellUpdate> = Vec::new();
+    let block_rows = rows.div_ceil(num_threads * BLOCKS_PER_WORKER);
+    let workers = num_threads.min(rows.div_ceil(block_rows));
+    let blocks = Mutex::new(table.rows_mut_chunks(block_rows).enumerate());
+    let mut repaired: Vec<(usize, Vec<CellUpdate>)> = Vec::new();
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (chunk_idx, chunk) in table.rows_mut_chunks(chunk_rows).enumerate() {
-            let base_row = chunk_idx * chunk_rows;
-            handles.push(scope.spawn(move || {
-                let start = std::time::Instant::now();
-                let mut scratch = LRepairScratch::new(rules.len());
-                let mut local = Vec::new();
-                let mut worker_rows = 0usize;
-                for (r, row) in chunk.chunks_exact_mut(arity).enumerate() {
-                    let mut ups = lrepair_tuple_observed(rules, index, &mut scratch, row, observer);
-                    for (k, u) in ups.iter_mut().enumerate() {
-                        u.row = base_row + r;
-                        observer.cell_repaired(u.as_fix(k));
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let blocks = &blocks;
+                scope.spawn(move || {
+                    let start = std::time::Instant::now();
+                    let mut scratch = LRepairScratch::new(rules.len());
+                    let mut done = Vec::new();
+                    let (mut worker_rows, mut updates) = (0usize, 0usize);
+                    loop {
+                        // A statement of its own, so the lock is not held
+                        // while the block is repaired.
+                        let claimed = blocks.lock().expect("row blocks").next();
+                        let Some((b, block)) = claimed else { break };
+                        let base_row = b * block_rows;
+                        let mut local = Vec::new();
+                        for (r, row) in block.chunks_exact_mut(arity).enumerate() {
+                            let mut ups =
+                                lrepair_tuple_observed(rules, index, &mut scratch, row, observer);
+                            for (k, u) in ups.iter_mut().enumerate() {
+                                u.row = base_row + r;
+                                observer.cell_repaired(u.as_fix(k));
+                            }
+                            local.extend(ups);
+                            worker_rows += 1;
+                        }
+                        updates += local.len();
+                        done.push((b, local));
                     }
-                    local.extend(ups);
-                    worker_rows += 1;
-                }
-                scratch.flush_tallies(observer);
-                let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                observer.event(Event::WorkerDone {
-                    worker: chunk_idx,
-                    rows: worker_rows,
-                    updates: local.len(),
-                    busy_ns,
-                });
-                local
-            }));
-        }
+                    scratch.flush_tallies(observer);
+                    let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    observer.event(Event::WorkerDone {
+                        worker,
+                        rows: worker_rows,
+                        updates,
+                        busy_ns,
+                    });
+                    done
+                })
+            })
+            .collect();
         for h in handles {
-            all_updates.extend(h.join().expect("repair worker panicked"));
+            repaired.extend(h.join().expect("repair worker panicked"));
         }
     });
+    repaired.sort_unstable_by_key(|&(b, _)| b);
     RepairOutcome {
-        updates: all_updates,
+        updates: repaired.into_iter().flat_map(|(_, ups)| ups).collect(),
     }
 }
 

@@ -24,10 +24,10 @@
 //! [`par_read_csv_constants`] loaded back out of its file's own bytes.
 
 use std::fs::File;
-use std::hash::Hasher;
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 
 use crate::{RelationError, Result, Schema, Symbol, SymbolTable, Table};
 
@@ -43,6 +43,9 @@ const BLOCK_CELLS: usize = 1 << 16;
 /// Rows rendered per block by [`par_write_csv`] and
 /// [`par_write_repaired_csv`].
 const RENDER_BLOCK_ROWS: usize = 512;
+
+/// Rendered blocks per render worker that may wait to be written.
+const RENDER_AHEAD: usize = 4;
 
 /// Bytes a chunk scanner reads at a time. Its window grows past this only
 /// for a record that does not fit.
@@ -95,8 +98,9 @@ pub fn read_csv_file<P: AsRef<Path>>(
 
 /// Read a table from a CSV file on disk with up to `threads` workers.
 ///
-/// The bytes after the header are cut into at most `threads` chunks of at
-/// least 1 MiB each. A chunk speculatively starts just past the first
+/// The bytes after the header are cut into chunks of at least 1 MiB
+/// that shrink towards the end of the file, and the workers claim them
+/// one at a time. A chunk speculatively starts just past the first
 /// `\n` at or after its cut, and its worker scans the records that start
 /// before the next chunk's start, interning them into a chunk-local
 /// dictionary. A chunk is kept only if it starts exactly where the
@@ -113,8 +117,8 @@ pub fn par_read_csv_file<P: AsRef<Path>>(
     threads: usize,
 ) -> Result<Table> {
     let file = File::open(path)?;
-    let cuts = even_cuts(file.metadata()?.len(), threads);
-    read_interned(&file, relation_name, symbols, cuts)
+    let cuts = guided_cuts(file.metadata()?.len(), threads);
+    read_interned(&file, relation_name, symbols, cuts, threads)
 }
 
 /// A table [`par_read_csv_constants`] loaded: each cell a constant or ⊥.
@@ -143,8 +147,8 @@ pub fn par_read_csv_constants<P: AsRef<Path>>(
     threads: usize,
 ) -> Result<ConstantLoad> {
     let file = File::open(path)?;
-    let cuts = even_cuts(file.metadata()?.len(), threads);
-    read_constants(&file, schema, constants, cuts)
+    let cuts = guided_cuts(file.metadata()?.len(), threads);
+    read_constants(&file, schema, constants, cuts, threads)
 }
 
 /// Read only the header row of CSV text: the schema [`read_csv`] would
@@ -325,7 +329,7 @@ fn write_repaired<W: Write, S: ReadAt + ?Sized>(
                 buf.push(b'\n');
                 continue;
             }
-            match scan_record(bytes, true, record) {
+            match scan_record(bytes, true, record, &[]) {
                 Scan::Record { len, .. } if len == bytes.len() && record.fields.len() == arity => {}
                 _ => return Err(changed()),
             }
@@ -359,11 +363,13 @@ fn block_rows(block: usize, rows: usize) -> std::ops::Range<usize> {
 /// with up to `threads` workers and write them to `writer` in row order.
 ///
 /// `render` fills a cleared buffer with one block, given the calling
-/// worker's own scratch. Worker `w` of `n` renders blocks `w`, `w + n`,
-/// ... and hands each buffer to the writer, which takes them in order; a
-/// hand-over waits for the writer, so each worker has at most two blocks
-/// in memory: one it renders, one being written. Workers get at least two
-/// blocks each; with one worker, rendering stays on the calling thread.
+/// worker's own scratch. Workers take the next block to render from a
+/// queue, so one whose core is taken away holds up only the block it has;
+/// the writer puts the rendered blocks back in order. The queue runs at
+/// most [`RENDER_AHEAD`] blocks per worker past the block being written,
+/// which bounds the buffers in memory, and each written buffer goes back
+/// into the queue with the next block. Workers get at least two blocks
+/// each; with one worker, rendering stays on the calling thread.
 fn write_blocks<W: Write, T: Default>(
     writer: &mut W,
     rows: usize,
@@ -381,33 +387,64 @@ fn write_blocks<W: Write, T: Default>(
         }
         return Ok(());
     }
+    let ahead = (RENDER_AHEAD * workers).min(blocks);
+    let (queue, jobs) = mpsc::channel::<(usize, Vec<u8>)>();
+    let jobs = Mutex::new(jobs);
+    let (done, rendered) = mpsc::channel::<(usize, Result<Vec<u8>>)>();
     std::thread::scope(|scope| {
-        let render = &render;
-        let lanes: Vec<_> = (0..workers)
-            .map(|w| {
-                let (full_tx, full_rx) = mpsc::sync_channel::<Result<Vec<u8>>>(0);
-                let (spent_tx, spent_rx) = mpsc::channel::<Vec<u8>>();
-                scope.spawn(move || {
-                    let mut scratch = T::default();
-                    for block in (w..blocks).step_by(workers) {
-                        let mut buf = spent_rx.try_recv().unwrap_or_default();
-                        buf.clear();
-                        let rendered = render(&mut scratch, block, &mut buf).map(|()| buf);
-                        let failed = rendered.is_err();
-                        // A failed send means the writer failed and hung up.
-                        if full_tx.send(rendered).is_err() || failed {
-                            return;
-                        }
+        // Moved in, so that it closes when the writer returns.
+        let queue = queue;
+        for _ in 0..workers {
+            let (render, jobs, done) = (&render, &jobs, done.clone());
+            scope.spawn(move || {
+                let mut scratch = T::default();
+                loop {
+                    // A statement of its own, so the lock is not held while
+                    // the block renders. The queue closes when the writer
+                    // returns.
+                    let job = jobs.lock().expect("render queue").recv();
+                    let Ok((block, mut buf)) = job else { return };
+                    buf.clear();
+                    // A panic still reports the block, so the writer does
+                    // not wait for it; the scope then raises the panic.
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        render(&mut scratch, block, &mut buf)
+                    }));
+                    let (result, panic) = match outcome {
+                        Ok(r) => (r.map(|()| buf), None),
+                        Err(p) => (Err(csv_error("render worker panicked".into())), Some(p)),
+                    };
+                    // `rendered` outlives the scope, so this cannot fail.
+                    let _ = done.send((block, result));
+                    if let Some(p) = panic {
+                        std::panic::resume_unwind(p);
                     }
-                });
-                (full_rx, spent_tx)
-            })
-            .collect();
+                }
+            });
+        }
+        drop(done);
+        for block in 0..ahead {
+            queue
+                .send((block, Vec::new()))
+                .expect("the render queue outlives the writer");
+        }
+        // Block `b` waits in slot `b % ahead`: at most `ahead` blocks past
+        // the one being written are out.
+        let mut slots: Vec<Option<Result<Vec<u8>>>> = (0..ahead).map(|_| None).collect();
         for block in 0..blocks {
-            let (full_rx, spent_tx) = &lanes[block % workers];
-            let buf = full_rx.recv().expect("CSV render worker panicked")?;
+            let buf = loop {
+                if let Some(result) = slots[block % ahead].take() {
+                    break result?;
+                }
+                let (b, result) = rendered.recv().expect("CSV render worker panicked");
+                slots[b % ahead] = Some(result);
+            };
             writer.write_all(&buf)?;
-            let _ = spent_tx.send(buf);
+            if block + ahead < blocks {
+                queue
+                    .send((block + ahead, buf))
+                    .expect("the render queue outlives the writer");
+            }
         }
         Ok(())
     })
@@ -474,28 +511,47 @@ fn next_line_start<S: ReadAt + ?Sized>(src: &S, mut at: u64) -> io::Result<u64> 
     }
 }
 
-/// Cut offsets for a file of `len` bytes: at most `threads` chunks of at
-/// least [`MIN_CHUNK_BYTES`] each, given where the data starts.
-fn even_cuts(len: u64, threads: usize) -> impl FnOnce(u64) -> Vec<u64> {
+/// Cut offsets for a file of `len` bytes, given where the data starts.
+///
+/// One worker reads the file as one chunk. For more, each chunk takes
+/// `1 / (2 * threads)` of the bytes still left, but at least
+/// [`MIN_CHUNK_BYTES`], and so does the rest after it, so the chunks
+/// shrink towards the end of the file. Workers claim chunks one at a time:
+/// when one worker's core is taken away for a while, the others scan the
+/// chunks it would have, and the small last chunks leave a worker little
+/// to wait for at the end. The first chunk, the largest, is the one that
+/// becomes the table's storage, so little of the table is copied.
+fn guided_cuts(len: u64, threads: usize) -> impl FnOnce(u64) -> Vec<u64> {
     move |data_start| {
-        let span = len.saturating_sub(data_start);
-        let chunks = (span / MIN_CHUNK_BYTES).clamp(1, threads.max(1) as u64);
-        (1..chunks)
-            .map(|k| data_start + span * k / chunks)
-            .collect()
+        let mut cuts = Vec::new();
+        if threads < 2 {
+            return cuts;
+        }
+        let mut at = data_start;
+        loop {
+            let left = len.saturating_sub(at);
+            let size = (left / (2 * threads as u64)).max(MIN_CHUNK_BYTES);
+            if left < size + MIN_CHUNK_BYTES {
+                return cuts;
+            }
+            at += size;
+            cuts.push(at);
+        }
     }
 }
 
 /// The interning reader behind [`par_read_csv_file`]. `cuts` maps the
 /// offset where the data starts (just past the header) to the offsets at
-/// which chunks after the first are cut.
+/// which chunks after the first are cut; up to `workers` threads scan them.
 fn read_interned<S: ReadAt + ?Sized>(
     src: &S,
     relation_name: &str,
     symbols: &mut SymbolTable,
     cuts: impl FnOnce(u64) -> Vec<u64>,
+    workers: usize,
 ) -> Result<Table> {
-    let (schema, chunks) = read_chunked(src, relation_name, cuts, LocalDict::default)?;
+    let (schema, chunks) = read_chunked(src, relation_name, cuts, workers, LocalDict::default)?;
+    let total: usize = chunks.iter().map(Chunk::cells).sum();
     let mut cells: Vec<Symbol> = Vec::new();
     for chunk in chunks {
         // The values of the rows before an error are interned, as in
@@ -505,6 +561,7 @@ fn read_interned<S: ReadAt + ?Sized>(
         for block in chunk.blocks {
             if cells.is_empty() {
                 cells = block;
+                cells.reserve_exact(total - cells.len());
                 if !identity {
                     cells.iter_mut().for_each(|s| *s = map[s.index()]);
                 }
@@ -525,9 +582,10 @@ fn read_constants<S: ReadAt + ?Sized>(
     schema: &Schema,
     constants: &SymbolTable,
     cuts: impl FnOnce(u64) -> Vec<u64>,
+    workers: usize,
 ) -> Result<ConstantLoad> {
     let index = ConstantIndex::new(constants);
-    let (header, mut chunks) = read_chunked(src, schema.name(), cuts, || &index)?;
+    let (header, mut chunks) = read_chunked(src, schema.name(), cuts, workers, || &index)?;
     if let Some(error) = chunks.last_mut().and_then(|c| c.error.take()) {
         return Err(error);
     }
@@ -536,6 +594,7 @@ fn read_constants<S: ReadAt + ?Sized>(
             "the CSV header differs from the schema it was read as".to_string(),
         ));
     }
+    let total: usize = chunks.iter().map(Chunk::cells).sum();
     let mut cells: Vec<Symbol> = Vec::new();
     let mut rows = RowSpans::default();
     let mut end = 0;
@@ -546,6 +605,7 @@ fn read_constants<S: ReadAt + ?Sized>(
         for block in chunk.blocks {
             if cells.is_empty() {
                 cells = block;
+                cells.reserve_exact(total - cells.len());
             } else {
                 cells.extend(block);
             }
@@ -571,54 +631,48 @@ impl CellSink for LocalDict {
     }
 }
 
-/// A read-only hash index over the values of a symbol table, which it
-/// does not copy: it builds in a fraction of the time a [`LocalDict`] of
-/// the same values takes, which is part of every `fixctl` run's setup.
-struct ConstantIndex<'a> {
-    symbols: &'a SymbolTable,
-    /// As [`LocalDict::slots`], with symbols for ids; at most half full.
-    slots: Vec<u64>,
-}
+/// A read-only hash index over the values of a symbol table: a
+/// [`LocalDict`] of them, interned in symbol order, so each value's id is
+/// its symbol's. A probe compares against the dictionary's one arena of
+/// bytes, not the table's separately boxed strings.
+struct ConstantIndex(LocalDict);
 
-impl<'a> ConstantIndex<'a> {
-    fn new(symbols: &'a SymbolTable) -> Self {
-        let mut slots = vec![0; (2 * symbols.len() + 1).next_power_of_two().max(64)];
-        for (s, value) in symbols.iter() {
-            let hash = hash_bytes(value.as_bytes());
-            let value_of = |id| symbols.resolve(Symbol(id)).as_bytes();
-            if let Err(i) = probe(&slots, hash, value.as_bytes(), value_of) {
-                slots[i] = (hash & HASH_TOP) | u64::from(s.0 + 1);
-            }
+impl ConstantIndex {
+    fn new(symbols: &SymbolTable) -> Self {
+        let mut dict = LocalDict::default();
+        // A table with no values still gets slots to probe.
+        dict.grow();
+        for (_, value) in symbols.iter() {
+            dict.intern(value.as_bytes());
         }
-        ConstantIndex { symbols, slots }
+        ConstantIndex(dict)
     }
 
     #[inline]
     fn get(&self, value: &[u8]) -> Option<u32> {
-        probe(&self.slots, hash_bytes(value), value, |id| {
-            self.symbols.resolve(Symbol(id)).as_bytes()
-        })
-        .ok()
+        self.0.get(hash_bytes(value), value).ok()
     }
 }
 
 /// Constant lookup: a value gets its constant's id, or ⊥.
-impl CellSink for &ConstantIndex<'_> {
+impl CellSink for &ConstantIndex {
     #[inline]
     fn cell(&mut self, value: &[u8]) -> Symbol {
         self.get(value).map_or(Symbol::BOTTOM, Symbol)
     }
 }
 
-/// Parse the header and scan the chunks of the data after it, one worker
-/// per chunk, each with a fresh sink. `cuts` maps the offset where the
-/// data starts (just past the header) to the offsets at which chunks after
-/// the first are cut. The chunks come back in order, each starting where
-/// the one before it stopped, and end with the first one that failed.
+/// Parse the header and scan the chunks of the data after it, each with a
+/// fresh sink, on up to `workers` threads that claim the chunks one at a
+/// time. `cuts` maps the offset where the data starts (just past the
+/// header) to the offsets at which chunks after the first are cut. The
+/// chunks come back in order, each starting where the one before it
+/// stopped, and end with the first one that failed.
 fn read_chunked<S, K>(
     src: &S,
     relation_name: &str,
     cuts: impl FnOnce(u64) -> Vec<u64>,
+    workers: usize,
     sink: impl Fn() -> K + Sync,
 ) -> Result<(Schema, Vec<Chunk<K>>)>
 where
@@ -641,24 +695,27 @@ where
     }
     // Each chunk stops before the next one's start; the last runs to EOF.
     let bounds: Vec<u64> = starts[1..].iter().copied().chain([u64::MAX]).collect();
-    let sink = &sink;
+    // The first chunk is scanned on this thread, into one block that
+    // becomes the table's storage, so a one-chunk input spawns no worker
+    // and copies no cell. Every thread then claims the next chunk left.
+    let next = AtomicUsize::new(1);
+    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&k| k < starts.len());
+    let scan = |k: usize, block_cells| {
+        let chunk = Chunk::scan(src, starts[k], bounds[k], arity, sink(), block_cells);
+        (k, chunk)
+    };
+    let scan_claimed = || std::iter::from_fn(|| claim().map(|k| scan(k, BLOCK_CELLS)));
     let mut chunks: Vec<Chunk<K>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (1..starts.len())
-            .map(|k| {
-                let (start, bound) = (starts[k], bounds[k]);
-                scope.spawn(move || Chunk::scan(src, start, bound, arity, sink(), BLOCK_CELLS))
-            })
+        let helpers: Vec<_> = (1..workers.min(starts.len()))
+            .map(|_| scope.spawn(|| scan_claimed().collect::<Vec<_>>()))
             .collect();
-        // The first chunk is scanned on this thread, so a one-chunk input
-        // spawns no worker.
-        let first = Chunk::scan(src, data_start, bounds[0], arity, sink(), usize::MAX);
-        std::iter::once(first)
-            .chain(
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("CSV chunk scanner panicked")),
-            )
-            .collect()
+        let mut scanned = vec![scan(0, usize::MAX)];
+        scanned.extend(scan_claimed());
+        for helper in helpers {
+            scanned.extend(helper.join().expect("CSV chunk scanner panicked"));
+        }
+        scanned.sort_unstable_by_key(|&(k, _)| k);
+        scanned.into_iter().map(|(_, chunk)| chunk).collect()
     });
     // Where the sequential scan would stand after the chunks kept so far.
     let mut boundary = data_start;
@@ -694,6 +751,13 @@ struct Chunk<K> {
     plain: Vec<bool>,
     /// The error that stopped the scan before `bound`, if any.
     error: Option<RelationError>,
+}
+
+impl<K> Chunk<K> {
+    /// How many cells the chunk holds.
+    fn cells(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum()
+    }
 }
 
 impl<K: CellSink> Chunk<K> {
@@ -736,17 +800,31 @@ impl<K: CellSink> Chunk<K> {
         let mut row = vec![Symbol(0); arity];
         // As in `read_csv`, a cell equal to the cell above skips the sink.
         // `above_at` is where the record above starts in the window, while
-        // the window still holds it.
+        // the window still holds it, and `above_plain` says it holds no `"`.
         let mut record = Record::default();
         let mut above = Record::default();
         let mut above_at: Option<usize> = None;
+        let mut above_plain = false;
         loop {
             self.end = window.base + window.pos as u64;
             if self.end >= self.bound {
                 return Ok(());
             }
             let bytes = &window.buf[window.pos..window.len];
-            let (len, plain) = match scan_record(bytes, window.eof, &mut record) {
+            // The record takes the fields of a plain record above whose `,`
+            // comes before the first byte where the two differ: up to that
+            // `,`, the scan reads the same bytes and so splits them the
+            // same way. The last field ends at a line end, whose `\r` may
+            // take the next byte along, so it is always scanned.
+            let shared = match above_at {
+                Some(at) if above_plain => {
+                    let prefix = common_prefix(&window.buf[at..window.pos], bytes);
+                    let fields = &above.fields[..above.fields.len().saturating_sub(1)];
+                    &fields[..fields.partition_point(|f| f.end < prefix)]
+                }
+                _ => &[],
+            };
+            let (len, plain) = match scan_record(bytes, window.eof, &mut record, shared) {
                 Scan::Record { len, plain } => (len, plain),
                 Scan::Partial => {
                     window.refill().map_err(|e| csv_error(e.to_string()))?;
@@ -770,7 +848,7 @@ impl<K: CellSink> Chunk<K> {
                 )));
             }
             let above_raw = above_at.map(|at| &window.buf[at..]);
-            for (i, slot) in row.iter_mut().enumerate() {
+            for (i, slot) in row.iter_mut().enumerate().skip(shared.len()) {
                 let cell = record.field(raw, i);
                 if above_raw.is_none_or(|a| above.field(a, i) != cell) {
                     *slot = self.sink.cell(cell);
@@ -785,9 +863,28 @@ impl<K: CellSink> Chunk<K> {
             self.plain.push(plain);
             std::mem::swap(&mut record, &mut above);
             above_at = Some(window.pos);
+            above_plain = plain;
             window.pos += len;
         }
     }
+}
+
+/// How many leading bytes `a` and `b` share, compared 8 at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let word = |s: &[u8], i: usize| u64::from_le_bytes(s[i..i + 8].try_into().expect("8 bytes"));
+    let mut i = 0;
+    while i + 8 <= n {
+        let diff = word(a, i) ^ word(b, i);
+        if diff != 0 {
+            return i + diff.trailing_zeros() as usize / 8;
+        }
+        i += 8;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
 }
 
 /// The part of a [`ReadAt`] source that a chunk scan holds in memory.
@@ -895,14 +992,19 @@ enum Scan {
 /// quotes only as a field's first byte and is literal anywhere else; and
 /// inside quotes, `""` is one `"`. `eof` says whether `bytes` runs to the
 /// end of the input. UTF-8 is not checked here ([`check_utf8`]).
-fn scan_record(bytes: &[u8], eof: bool, record: &mut Record) -> Scan {
+///
+/// The record's first fields may be known already: `shared` are plain
+/// fields that each end at a `,` in `bytes`, and the scan resumes after
+/// the last of them.
+fn scan_record(bytes: &[u8], eof: bool, record: &mut Record, shared: &[Field]) -> Scan {
     record.fields.clear();
+    record.fields.extend_from_slice(shared);
     record.decoded.clear();
     if bytes.is_empty() {
         return if eof { Scan::End } else { Scan::Partial };
     }
     let mut plain = true;
-    let mut i = 0;
+    let mut i = shared.last().map_or(0, |f| f.end + 1);
     loop {
         let quoted = bytes.get(i) == Some(&b'"');
         let start = if quoted {
@@ -1003,8 +1105,8 @@ fn check_utf8(raw: &[u8], record: &Record) -> Result<()> {
 /// dictionaries coexist with the table at peak memory, so they keep no
 /// allocation per value (an `FxHashMap<Box<str>, u32>` measured 4 MiB more
 /// peak RSS on a 200k-row, 49k-value input). It lives for one load, so it
-/// hashes with FxHash instead of the [`SymbolTable`]'s SipHash; each value
-/// is interned into the shared table once, at the merge.
+/// hashes with [`hash_bytes`] instead of the [`SymbolTable`]'s SipHash;
+/// each value is interned into the shared table once, at the merge.
 #[derive(Default)]
 struct LocalDict {
     text: Vec<u8>,
@@ -1040,7 +1142,7 @@ impl LocalDict {
             self.grow();
         }
         let hash = hash_bytes(value);
-        match probe(&self.slots, hash, value, |id| self.value(id as usize)) {
+        match self.get(hash, value) {
             Ok(id) => id,
             Err(slot) => {
                 let id = self.len() as u32;
@@ -1049,6 +1151,27 @@ impl LocalDict {
                 self.slots[slot] = (hash & HASH_TOP) | u64::from(id + 1);
                 id
             }
+        }
+    }
+
+    /// `value`'s id, or else the empty slot where it would go; `hash` is
+    /// its [`hash_bytes`]. Open addressing with linear probing.
+    #[inline]
+    fn get(&self, hash: u64, value: &[u8]) -> std::result::Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = home(hash, self.slots.len());
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                slot if slot & HASH_TOP == hash & HASH_TOP => {
+                    let id = slot as u32 - 1;
+                    if self.value(id as usize) == value {
+                        return Ok(id);
+                    }
+                }
+                _ => {}
+            }
+            i = (i + 1) & mask;
         }
     }
 
@@ -1066,43 +1189,43 @@ impl LocalDict {
     }
 }
 
-/// Probe `slots` (see [`LocalDict::slots`]) for `value`, whose hash is
-/// `hash` and where `value_of(id)` gives the value stored under `id`: its
-/// id, or else the empty slot where it would go.
-#[inline]
-fn probe<'v>(
-    slots: &[u64],
-    hash: u64,
-    value: &[u8],
-    value_of: impl Fn(u32) -> &'v [u8],
-) -> std::result::Result<u32, usize> {
-    let mask = slots.len() - 1;
-    let mut i = home(hash, slots.len());
-    loop {
-        match slots[i] {
-            0 => return Err(i),
-            slot if slot & HASH_TOP == hash & HASH_TOP => {
-                let id = slot as u32 - 1;
-                if value_of(id) == value {
-                    return Ok(id);
-                }
-            }
-            _ => {}
-        }
-        i = (i + 1) & mask;
-    }
-}
-
 /// The first slot to probe in a table of `slots` slots: the hash's top
-/// bits, which FxHash's final multiply mixes best.
+/// bits, which [`hash_bytes`]' final multiply mixes best.
 fn home(hash: u64, slots: usize) -> usize {
     (hash >> (64 - slots.trailing_zeros())) as usize
 }
 
+/// A value's hash for the dictionaries here, in FxHash's
+/// rotate-xor-multiply steps: first the length, then each 8-byte word. The
+/// last word is the value's last 8 bytes, one load that may overlap the
+/// word before it; a shorter value is one word, from two overlapping
+/// 4-byte loads or from its first, middle and last bytes. With the length
+/// mixed in first, no tail needs copying into a zeroed buffer.
+#[inline]
 fn hash_bytes(value: &[u8]) -> u64 {
-    let mut hasher = fxhash::FxHasher::default();
-    hasher.write(value);
-    hasher.finish()
+    // FxHash's multiplier: `(sqrt(5) - 1) / 2 * 2^64`, rounded to odd.
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let mix = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+    let n = value.len();
+    let word = |i: usize| u64::from_le_bytes(value[i..i + 8].try_into().expect("8 bytes"));
+    let half = |i: usize| {
+        u64::from(u32::from_le_bytes(
+            value[i..i + 4].try_into().expect("4 bytes"),
+        ))
+    };
+    let mut hash = mix(0, n as u64);
+    if n >= 8 {
+        for i in (0..n - 8).step_by(8) {
+            hash = mix(hash, word(i));
+        }
+        hash = mix(hash, word(n - 8));
+    } else if n >= 4 {
+        hash = mix(hash, half(0) | half(n - 4) << 32);
+    } else if n > 0 {
+        let byte = |i: usize| u64::from(value[i]);
+        hash = mix(hash, byte(0) | byte(n / 2) << 8 | byte(n - 1) << 16);
+    }
+    hash
 }
 
 #[cfg(test)]
@@ -1264,14 +1387,16 @@ mod tests {
         let mut want_sy = seeded_symbols();
         let want = outcome(read_csv(data, "R", &mut want_sy), &want_sy);
         let mut got_sy = seeded_symbols();
-        let got = read_interned(data, "R", &mut got_sy, |_| cuts.to_vec());
+        // One to three workers, so chunks outnumber workers as well.
+        let workers = 1 + cuts.len() % 3;
+        let got = read_interned(data, "R", &mut got_sy, |_| cuts.to_vec(), workers);
         assert_eq!(
             outcome(got, &got_sy),
             want,
             "input {:?} cut at {cuts:?}",
             String::from_utf8_lossy(data)
         );
-        assert_constants_match(data, cuts);
+        assert_constants_match(data, cuts, workers);
     }
 
     /// Σ's constants for the constants-only reader: values the inputs
@@ -1297,7 +1422,7 @@ mod tests {
     /// same error text. Then repair the table by hand and check that the
     /// repaired-table writer gives the bytes `write_csv` gives for the
     /// fully interned table.
-    fn assert_constants_match(data: &[u8], cuts: &[u64]) {
+    fn assert_constants_match(data: &[u8], cuts: &[u64], workers: usize) {
         let context = format!("input {:?} cut at {cuts:?}", String::from_utf8_lossy(data));
         let mut want_sy = SymbolTable::new();
         let want_table = read_csv(data, "R", &mut want_sy);
@@ -1319,8 +1444,9 @@ mod tests {
         for c in CONSTANTS {
             constants.intern(c);
         }
-        let loaded = read_csv_header(data, "R")
-            .and_then(|schema| read_constants(data, &schema, &constants, |_| cuts.to_vec()));
+        let loaded = read_csv_header(data, "R").and_then(|schema| {
+            read_constants(data, &schema, &constants, |_| cuts.to_vec(), workers)
+        });
         let got: Projected = match &loaded {
             Ok(l) => Ok(l
                 .table
@@ -1461,6 +1587,89 @@ mod tests {
         }
     }
 
+    /// An input whose records each copy the record above and rewrite it
+    /// from a random field on (or not at all), so neighbours share leading
+    /// fields: plain, empty, quoted and `""`-escaped ones, and rewritten
+    /// values that extend the old one, so the first differing byte falls
+    /// on the old value's `,`. Records end in `\n`, `\r\n` or a lone `\r`.
+    /// With `fault`, one record after a shared prefix has a field too few
+    /// or too many, or invalid UTF-8.
+    fn shared_prefix_input(rng: &mut Rng, arity: usize, records: usize, fault: bool) -> Vec<u8> {
+        let values: [&[u8]; 12] = [
+            b"",
+            b"a",
+            b"x",
+            b"zz",
+            b"4",
+            "é".as_bytes(),
+            b"x\"y",
+            b"\"a,b\"",
+            b"\"say \"\"hi\"\"\"",
+            b"\"1\n2\"",
+            b"\"q\"\"\"",
+            b"\"\"",
+        ];
+        let mut data: Vec<u8> = (0..arity)
+            .map(|i| format!("h{i}"))
+            .collect::<Vec<_>>()
+            .join(",")
+            .into_bytes();
+        data.push(b'\n');
+        let mut fields: Vec<Vec<u8>> = vec![Vec::new(); arity];
+        let faulty = fault.then(|| 1 + rng.below(records - 1));
+        for r in 0..records {
+            let from = if faulty == Some(r) {
+                1 + rng.below(arity - 1)
+            } else {
+                rng.below(arity + 1)
+            };
+            for field in &mut fields[from..] {
+                let plain = !field.contains(&b'"');
+                if plain && rng.below(4) == 0 {
+                    field.push(b'b');
+                } else {
+                    *field = values[rng.below(values.len())].to_vec();
+                }
+            }
+            let mut record = fields.clone();
+            if faulty == Some(r) {
+                let last = arity - 1;
+                match rng.below(3) {
+                    0 => drop(record.pop()),
+                    1 => record.push(b"extra".to_vec()),
+                    _ => record[last].extend_from_slice(b"\xFF"),
+                }
+            }
+            data.extend_from_slice(&record.join(&b","[..]));
+            data.extend_from_slice(match rng.below(8) {
+                0 => b"\r\n",
+                1 => b"\r",
+                _ => b"\n",
+            });
+        }
+        data
+    }
+
+    #[test]
+    fn chunked_read_matches_read_csv_on_shared_prefix_inputs() {
+        let mut rng = Rng(0x5EED);
+        for case in 0..240 {
+            let arity = 4 + case % 3;
+            // Over 4 KiB, so records straddle the window's refills.
+            let records = if case % 8 == 0 {
+                400
+            } else {
+                6 + rng.below(40)
+            };
+            let data = shared_prefix_input(&mut rng, arity, records, case % 5 == 4);
+            let mut cuts: Vec<u64> = (0..case % 3)
+                .map(|_| rng.below(data.len() + 1) as u64)
+                .collect();
+            cuts.sort_unstable();
+            assert_chunked_matches(&data, &cuts);
+        }
+    }
+
     #[test]
     fn file_reader_and_writer_match_the_references_at_any_thread_count() {
         // Over 4 MiB, so the reader splits into up to four chunks and the
@@ -1582,11 +1791,20 @@ mod tests {
             symbols.intern(&format!("v{i}"));
         }
         symbols.intern("");
+        // Every length up to three words, so each way `hash_bytes` reads a
+        // value's tail is probed; the misses differ in the last byte only.
+        for n in 1..=24 {
+            symbols.intern(&"w".repeat(n));
+        }
         let index = ConstantIndex::new(&symbols);
         for (s, v) in symbols.iter() {
             assert_eq!(index.get(v.as_bytes()), Some(s.0));
         }
         assert_eq!(index.get(b"v3000"), None);
+        for n in 1..=24 {
+            let miss = "w".repeat(n - 1) + "x";
+            assert_eq!(index.get(miss.as_bytes()), None, "{miss}");
+        }
         assert_eq!(ConstantIndex::new(&SymbolTable::new()).get(b""), None);
     }
 
@@ -1600,5 +1818,58 @@ mod tests {
         }
         assert_eq!(dict.values().count(), 3_000);
         assert!(dict.values().eq((0..3_000).map(|i| format!("v{i}"))));
+    }
+
+    /// Renders block `b` as its number on a line.
+    fn numbered(b: usize, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(format!("{b}\n").as_bytes());
+    }
+
+    #[test]
+    fn render_queue_writes_blocks_in_order_and_stops_at_the_first_error() {
+        let blocks = 40;
+        let rows = blocks * RENDER_BLOCK_ROWS;
+        let lines = |n: usize| (0..n).map(|b| format!("{b}\n")).collect::<String>();
+        for threads in 1..=4 {
+            // Every fifth block renders slowly, so the blocks after it are
+            // done first and wait for it.
+            let mut out = Vec::new();
+            write_blocks(&mut out, rows, threads, |_: &mut (), b, buf| {
+                if b % 5 == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+                numbered(b, buf);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(String::from_utf8(out).unwrap(), lines(blocks), "{threads}");
+            // The first failed block in row order wins, whichever fails
+            // first in time, and nothing from it on is written.
+            let mut out = Vec::new();
+            let err = write_blocks(&mut out, rows, threads, |_: &mut (), b, buf| {
+                if b == 13 {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                if b == 13 || b == 14 || b == 29 {
+                    return Err(csv_error(format!("block {b}")));
+                }
+                numbered(b, buf);
+                Ok(())
+            })
+            .unwrap_err();
+            assert_eq!(err.to_string(), csv_error("block 13".into()).to_string());
+            assert_eq!(String::from_utf8(out).unwrap(), lines(13), "{threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn render_queue_raises_a_render_panic_instead_of_waiting_for_the_block() {
+        let mut out = Vec::new();
+        let _ = write_blocks(&mut out, 40 * RENDER_BLOCK_ROWS, 3, |_: &mut (), b, buf| {
+            assert_ne!(b, 6, "render failed");
+            numbered(b, buf);
+            Ok(())
+        });
     }
 }

@@ -230,25 +230,65 @@ for threads in 1 2; do
         || { echo "--threads $threads drifted from quoting_edge_repaired.csv" >&2; exit 1; }
 done
 # A ragged row near the end of a file the loader splits (over 2 MiB) fails
-# the run with the CSV reader's message, and no --out file is created.
-{
-    echo "name,city,country,capital"
-    seq 1 110000 | awk '{ print "n" $1 ",Lyon,FR,Lyon" }'
-    echo "short,row"
-    echo "last,Nice,FR,Paris"
-} > "$TRACE_DIR/ragged.csv"
-[ "$(wc -c < "$TRACE_DIR/ragged.csv")" -gt 2097152 ] || { echo "ragged.csv is too small" >&2; exit 1; }
-for threads in 1 2; do
-    status=0
-    "$FIXCTL" repair --rules examples/rulesets/quoting_edge.frl \
-        --data "$TRACE_DIR/ragged.csv" --threads "$threads" \
-        --out "$TRACE_DIR/ragged_out.csv" >/dev/null 2>"$TRACE_DIR/ragged.err" || status=$?
-    [ "$status" -eq 2 ] || { echo "ragged input exited $status, not 2" >&2; exit 1; }
-    grep -qx "fixctl: reading $TRACE_DIR/ragged.csv: I/O error: CSV error: record has 2 fields, but the previous record has 4" \
-        "$TRACE_DIR/ragged.err" || { echo "ragged input gave: $(cat "$TRACE_DIR/ragged.err")" >&2; exit 1; }
-    [ ! -e "$TRACE_DIR/ragged_out.csv" ] || { echo "ragged input created --out" >&2; exit 1; }
+# the run with the CSV reader's message, and no --out file is created:
+# both a row unlike the one above and one that repeats its leading fields,
+# which the loader takes from the row above without scanning them again.
+for ragged in "short,row:2" "n110000,Lyon,FR:3"; do
+    {
+        echo "name,city,country,capital"
+        seq 1 110000 | awk '{ print "n" $1 ",Lyon,FR,Lyon" }'
+        echo "${ragged%:*}"
+        echo "last,Nice,FR,Paris"
+    } > "$TRACE_DIR/ragged.csv"
+    [ "$(wc -c < "$TRACE_DIR/ragged.csv")" -gt 2097152 ] || { echo "ragged.csv is too small" >&2; exit 1; }
+    for threads in 1 2; do
+        status=0
+        "$FIXCTL" repair --rules examples/rulesets/quoting_edge.frl \
+            --data "$TRACE_DIR/ragged.csv" --threads "$threads" \
+            --out "$TRACE_DIR/ragged_out.csv" >/dev/null 2>"$TRACE_DIR/ragged.err" || status=$?
+        [ "$status" -eq 2 ] || { echo "ragged input exited $status, not 2" >&2; exit 1; }
+        grep -qx "fixctl: reading $TRACE_DIR/ragged.csv: I/O error: CSV error: record has ${ragged#*:} fields, but the previous record has 4" \
+            "$TRACE_DIR/ragged.err" || { echo "ragged input gave: $(cat "$TRACE_DIR/ragged.err")" >&2; exit 1; }
+        [ ! -e "$TRACE_DIR/ragged_out.csv" ] || { echo "ragged input created --out" >&2; exit 1; }
+    done
 done
 echo "-- edge fixture matches its golden repair at 1 and 2 workers; a late ragged row fails before --out exists"
+
+echo "== row-order independence smoke =="
+# The loader takes a row's leading fields from the row above when the two
+# rows' bytes agree that far, so a file whose neighbours share leading
+# fields and the same rows in a scrambled order must repair to the same
+# rows. Both are over 2 MiB, so the loader splits them; the scramble is a
+# fixed multiplicative hash of the line number, not a clock-seeded shuffle.
+{
+    echo "zip,city,state,visit"
+    tail -n +2 examples/data/hosp_dirty.csv \
+        | awk '{ for (i = 1; i <= 30000; i++) print $0 "," i }' | LC_ALL=C sort
+} > "$TRACE_DIR/rows_sorted.csv"
+{
+    head -n 1 "$TRACE_DIR/rows_sorted.csv"
+    tail -n +2 "$TRACE_DIR/rows_sorted.csv" \
+        | awk '{ printf "%.0f\t%s\n", (NR * 2654435761) % 4294967296, $0 }' \
+        | LC_ALL=C sort -n | cut -f 2-
+} > "$TRACE_DIR/rows_scrambled.csv"
+[ "$(wc -c < "$TRACE_DIR/rows_sorted.csv")" -gt 2097152 ] || { echo "rows_sorted.csv is too small" >&2; exit 1; }
+cmp -s "$TRACE_DIR/rows_sorted.csv" "$TRACE_DIR/rows_scrambled.csv" \
+    && { echo "the scrambled copy kept the sorted order" >&2; exit 1; }
+for order in sorted scrambled; do
+    for threads in 1 2; do
+        "$FIXCTL" repair --rules examples/rulesets/hosp_zip.frl \
+            --data "$TRACE_DIR/rows_$order.csv" --threads "$threads" \
+            --out "$TRACE_DIR/rows_out.csv" >/dev/null
+        tail -n +2 "$TRACE_DIR/rows_out.csv" | LC_ALL=C sort > "$TRACE_DIR/rows_${order}_$threads.txt"
+    done
+done
+grep -q '^36545,Jackson,AL,' "$TRACE_DIR/rows_sorted_1.txt" \
+    || { echo "the row-order smoke repaired nothing" >&2; exit 1; }
+for tag in sorted_2 scrambled_1 scrambled_2; do
+    cmp "$TRACE_DIR/rows_sorted_1.txt" "$TRACE_DIR/rows_$tag.txt" \
+        || { echo "repaired rows differ, sorted_1 vs $tag" >&2; exit 1; }
+done
+echo "-- sorted and scrambled rows repair to the same rows at 1 and 2 workers"
 
 echo "== attribution profile determinism smoke =="
 # Two identical --profile-json runs must be byte-identical: the profile
