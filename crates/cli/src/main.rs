@@ -96,10 +96,47 @@ use obs::{
 use relation::csv_io::{par_read_csv_constants, par_write_repaired_csv, RowSpans};
 use relation::{Schema, Symbol, SymbolTable, Table};
 
+/// The error a command returns when a write to stdout finds the reader
+/// gone (`fixctl lint ... | head -1`): `main` then ends quietly with the
+/// status a shell reports for a process killed by SIGPIPE.
+const STDOUT_CLOSED: &str = "stdout closed";
+
+/// Write to stdout, the one writer behind `out!` and `outln!`. A
+/// closed pipe is [`STDOUT_CLOSED`]; any other failure, a message.
+fn write_stdout(args: std::fmt::Arguments) -> Result<(), String> {
+    use std::io::Write;
+    std::io::stdout().lock().write_fmt(args).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.to_string()
+        } else {
+            format!("writing to stdout: {e}")
+        }
+    })
+}
+
+/// `print!` for commands: returns the write's error from the enclosing
+/// function (which must return `Result<_, String>`) instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` for commands, as `out!`.
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
+        Err(msg) if msg == STDOUT_CLOSED => ExitCode::from(128 + 13),
         Err(msg) => {
             eprintln!("fixctl: {msg}");
             ExitCode::from(2)
@@ -325,7 +362,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "stats" => cmd_stats(&flags, &obs_ctx).map(|()| ExitCode::SUCCESS),
         "trace" => cmd_trace_export(positional, &flags).map(|()| ExitCode::SUCCESS),
         "help" | "--help" | "-h" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command `{other}`\n{}", usage())),
@@ -403,9 +440,9 @@ fn cmd_lint(positional: Option<&str>, flags: &Flags, obs_ctx: &ObsCtx) -> Result
         notes = report.notes()
     );
     match format {
-        "json" => println!("{}", report.to_json(path).to_string_pretty()),
-        "sarif" => println!("{}", fixlint::render_sarif(&report, path)),
-        "human" => print!("{}", fixlint::render_report(&report, path, &text)),
+        "json" => outln!("{}", report.to_json(path).to_string_pretty()),
+        "sarif" => outln!("{}", fixlint::render_sarif(&report, path)),
+        "human" => out!("{}", fixlint::render_report(&report, path, &text)),
         other => return Err(format!("unknown format `{other}` (human|json|sarif)")),
     }
     if report.fatal(&deny) > 0 {
@@ -472,15 +509,15 @@ fn cmd_certify(
         violations = cert.confluence.violations
     );
     match format {
-        "json" => println!("{}", cert.to_json(path).to_string_pretty()),
-        "sarif" => println!("{}", fixlint::render_sarif(&cert.report, path)),
+        "json" => outln!("{}", cert.to_json(path).to_string_pretty()),
+        "sarif" => outln!("{}", fixlint::render_sarif(&cert.report, path)),
         "human" => {
-            print!("{}", fixlint::render_report(&cert.report, path, &text));
+            out!("{}", fixlint::render_report(&cert.report, path, &text));
             let bound = match cert.termination.round_bound {
                 Some(b) => format!("round bound {b}"),
                 None => "no order-independent round bound".to_string(),
             };
-            println!(
+            outln!(
                 "{path}: {} — {} rule(s), {}, {} pair(s) checked, {} witness run(s), \
                  {} skipped over budget",
                 if cert.is_certified() {
@@ -516,7 +553,7 @@ fn cmd_convert(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         std::fs::write(out, format_rules(&rules, &symbols))
             .map_err(|e| format!("writing {out}: {e}"))?;
     }
-    println!("wrote {out} ({} rules)", rules.len());
+    outln!("wrote {out} ({} rules)", rules.len());
     Ok(())
 }
 
@@ -546,7 +583,7 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
         rules.push(d.rule.clone());
     }
     let log = fixrules::consistency::resolve::ensure_consistent_batch(&mut rules);
-    println!(
+    outln!(
         "discovered {} rule(s) from {} FD(s); {} resolution action(s) applied",
         rules.len(),
         fds.len(),
@@ -554,7 +591,7 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
     );
     std::fs::write(out, format_rules(&rules, &symbols))
         .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out}");
+    outln!("wrote {out}");
     Ok(())
 }
 
@@ -571,20 +608,20 @@ fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         let _span = obs_ctx.span("detect");
         fixrules::repair::detect_table(&rules, &index, &table)
     };
-    println!(
+    outln!(
         "{} planned update(s) across {} row(s) of {}",
         plan.total_updates(),
         plan.rows_touched(),
         table.len()
     );
     for u in plan.updates.iter().take(100) {
-        println!(
+        outln!(
             "  {}",
             fixrules::repair::explain(u, &rules, table.schema(), &symbols)
         );
     }
     if plan.total_updates() > 100 {
-        println!("  ... and {} more", plan.total_updates() - 100);
+        outln!("  ... and {} more", plan.total_updates() - 100);
     }
     Ok(())
 }
@@ -692,12 +729,12 @@ fn emit_profile(flags: &Flags, attribution: Option<&AttributionObserver>) -> Res
     };
     let profile = attribution.profile();
     if flags.switch("profile") {
-        print!("{}", profile.render_table());
+        out!("{}", profile.render_table());
     }
     if let Some(path) = flags.optional("profile-json") {
         std::fs::write(path, profile.to_json().to_string_pretty() + "\n")
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }
@@ -733,27 +770,27 @@ fn require_consistent(rules: &RuleSet, obs_ctx: &ObsCtx) -> Result<(), String> {
 fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let (_table, rules, symbols, _rows) = load(flags, obs_ctx)?;
     let report = check_consistency(&rules, obs_ctx);
-    println!(
+    outln!(
         "{} rules, size(Σ) = {}, {} pairs checked",
         rules.len(),
         rules.size(),
         report.pairs_checked
     );
     if report.is_consistent() {
-        println!("consistent ✓");
+        outln!("consistent ✓");
         Ok(())
     } else {
-        println!(
+        outln!(
             "INCONSISTENT — {} conflicting pair(s):",
             report.conflicts.len()
         );
         for c in report.conflicts.iter().take(20) {
-            println!("  [{}] vs [{}]  ({:?})", c.first.0, c.second.0, c.case);
-            println!(
+            outln!("  [{}] vs [{}]  ({:?})", c.first.0, c.second.0, c.case);
+            outln!(
                 "    {}",
                 rules.rule(c.first).display(rules.schema(), &symbols)
             );
-            println!(
+            outln!(
                 "    {}",
                 rules.rule(c.second).display(rules.schema(), &symbols)
             );
@@ -762,7 +799,7 @@ fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             // `consistency.witness_found` metric.
             if let Some(w) = conflict_witness(&rules, c, 4096) {
                 obs_ctx.observer.event(Event::WitnessFound);
-                println!(
+                outln!(
                     "    witness: ({}) can end as ({}) or ({})",
                     render_tuple(&w.tuple, &symbols),
                     render_tuple(&w.fixes[0], &symbols),
@@ -771,7 +808,7 @@ fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             }
         }
         if report.conflicts.len() > 20 {
-            println!("  ... and {} more", report.conflicts.len() - 20);
+            outln!("  ... and {} more", report.conflicts.len() - 20);
         }
         Err("rule set is inconsistent (run `fixctl resolve`)".into())
     }
@@ -822,11 +859,11 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         lrepair_table(&rules, &index, &mut table, &observer);
     }
     let profile = attribution.profile();
-    print!("{}", profile.render_table());
+    out!("{}", profile.render_table());
     if let Some(path) = flags.optional("profile-json") {
         std::fs::write(path, profile.to_json().to_string_pretty() + "\n")
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if flags.switch("lint") {
         let lint_report = fixlint::lint(
@@ -851,7 +888,7 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             }
         }
         let coverage = fixlint::coverage_join(&lint_report, &parsed.spans, &activity);
-        print!("{}", fixlint::render_report(&coverage, rules_path, &text));
+        out!("{}", fixlint::render_report(&coverage, rules_path, &text));
     }
     Ok(())
 }
@@ -876,17 +913,17 @@ fn cmd_scrape(positional: Option<&str>, flags: &Flags) -> Result<ExitCode, Strin
     let mut names: Vec<&str> = samples.iter().map(|s| s.name.as_str()).collect();
     names.sort_unstable();
     names.dedup();
-    println!(
+    outln!(
         "{target}: exposition OK, {} sample(s) across {} metric(s)",
         samples.len(),
         names.len()
     );
     if let Some(required) = flags.optional("require") {
         if !require_present(&samples, required)? {
-            println!("required metric `{required}` is missing");
+            outln!("required metric `{required}` is missing");
             return Ok(ExitCode::from(1));
         }
-        println!("required metric `{required}` present");
+        outln!("required metric `{required}` present");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -946,17 +983,17 @@ fn cmd_quality(positional: Option<&str>, flags: &Flags) -> Result<ExitCode, Stri
         ),
         None => None,
     };
-    print!("{}", render_snapshot(&snapshot, last)?);
+    out!("{}", render_snapshot(&snapshot, last)?);
     if flags.switch("require-green") {
         let alerts = snapshot
             .get("alerts")
             .and_then(|j| j.as_arr())
             .map_or(0, |arr| arr.len());
         if alerts > 0 {
-            println!("require-green: {alerts} active alert(s)");
+            outln!("require-green: {alerts} active alert(s)");
             return Ok(ExitCode::from(1));
         }
-        println!("require-green: no active alerts");
+        outln!("require-green: no active alerts");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1021,9 +1058,9 @@ fn cmd_client(sub: &str, positional: Option<&str>, flags: &Flags) -> Result<Exit
     {
         eprintln!("trace id: {trace_id}");
     }
-    print!("{}", reply.body);
+    out!("{}", reply.body);
     if !reply.body.ends_with('\n') {
-        println!();
+        outln!();
     }
     Ok(if reply.status < 400 {
         ExitCode::SUCCESS
@@ -1044,7 +1081,7 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         let _span = obs_ctx.span("resolve");
         ensure_consistent(&mut rules, strategy)
     };
-    println!(
+    outln!(
         "resolved in {} round(s): {} negative pattern(s) removed, {} rule(s) removed ({} -> {})",
         log.rounds,
         log.negatives_removed(),
@@ -1055,7 +1092,7 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let out = flags.required("out")?;
     std::fs::write(out, format_rules(&rules, &symbols))
         .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out}");
+    outln!("wrote {out}");
     Ok(())
 }
 
@@ -1163,11 +1200,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let (stats, outcome) = match &mut table {
         Some((table, _)) => {
             let _span = obs_ctx.span("repair");
-            let outcome = if threads > 1 {
-                par_lrepair_table(&rules, &index, table, threads, &observer)
-            } else {
-                lrepair_table(&rules, &index, table, &observer)
-            };
+            let outcome = par_lrepair_table(&rules, &index, table, threads, &observer);
             (outcome.stats(table.len()), outcome)
         }
         None => {
@@ -1192,7 +1225,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         updates = stats.updates,
         rows_touched = stats.rows_touched
     );
-    println!(
+    outln!(
         "{} update(s) across {} row(s) of {}{}",
         stats.updates,
         stats.rows_touched,
@@ -1211,14 +1244,14 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         // Seal the trailing partial window so the table covers every
         // row, then print the per-window signal summary.
         quality.flush();
-        print!("{}", quality.render_table());
+        out!("{}", quality.render_table());
         if let Some(path) = flags.optional("quality-json") {
             std::fs::write(path, quality.snapshot().to_string_pretty() + "\n")
                 .map_err(|e| format!("writing {path}: {e}"))?;
             obs::info!("quality.written", path = path);
         }
     }
-    println!("wrote {out}");
+    outln!("wrote {out}");
     if let Some(log_path) = flags.optional("updates-log") {
         let schema = rules.schema();
         let mut log = Vec::new();
@@ -1237,7 +1270,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             );
         }
         std::fs::write(log_path, log).map_err(|e| format!("writing {log_path}: {e}"))?;
-        println!("wrote {log_path}");
+        outln!("wrote {log_path}");
     }
     emit_profile(flags, attribution.as_ref())?;
     Ok(())
@@ -1358,7 +1391,7 @@ fn cmd_explain(positional: Option<&str>, flags: &Flags) -> Result<ExitCode, Stri
     row_records.sort_by_key(|r| r.ordinal);
     let chain_ix = fixrules::provenance::chain(&row_records, attr);
     if chain_ix.is_empty() {
-        println!("no repair recorded for row {row}, attribute `{attr_name}`");
+        outln!("no repair recorded for row {row}, attribute `{attr_name}`");
         return Ok(ExitCode::from(1));
     }
     let chain: Vec<&ProvenanceRecord> = chain_ix.iter().map(|&i| &row_records[i]).collect();
@@ -1399,7 +1432,7 @@ fn cmd_explain(positional: Option<&str>, flags: &Flags) -> Result<ExitCode, Stri
         "chain of {} rule application(s) recorded by `{algo}`",
         chain.len()
     )];
-    print!(
+    out!(
         "{}",
         fixlint::render_block(&header, &location, &excerpts, &notes, &source)
     );
@@ -1418,15 +1451,15 @@ fn cmd_trace_export(positional: Option<&str>, flags: &Flags) -> Result<(), Strin
     let chrome = chrome_trace(&records);
     std::fs::write(out, chrome.to_string_pretty() + "\n")
         .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out} ({} trace event(s))", records.len());
+    outln!("wrote {out} ({} trace event(s))", records.len());
     Ok(())
 }
 
 fn cmd_stats(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let (table, rules, _symbols, _rows) = load(flags, obs_ctx)?;
-    println!("schema: {}", table.schema());
-    println!("data:   {} rows", table.len());
-    println!("rules:  {} (size(Σ) = {})", rules.len(), rules.size());
+    outln!("schema: {}", table.schema());
+    outln!("data:   {} rows", table.len());
+    outln!("rules:  {} (size(Σ) = {})", rules.len(), rules.size());
     let mut by_b: HashMap<&str, usize> = HashMap::new();
     let mut neg_total = 0usize;
     let mut neg_max = 0usize;
@@ -1436,7 +1469,7 @@ fn cmd_stats(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         neg_max = neg_max.max(rule.neg().len());
     }
     if !rules.is_empty() {
-        println!(
+        outln!(
             "negative patterns: {} total, {:.1} avg, {} max",
             neg_total,
             neg_total as f64 / rules.len() as f64,
@@ -1445,9 +1478,9 @@ fn cmd_stats(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     }
     let mut attrs: Vec<(&str, usize)> = by_b.into_iter().collect();
     attrs.sort_by_key(|&(attr, n)| (std::cmp::Reverse(n), attr));
-    println!("rules per repaired attribute:");
+    outln!("rules per repaired attribute:");
     for (attr, n) in attrs {
-        println!("  {attr:<20} {n}");
+        outln!("  {attr:<20} {n}");
     }
     Ok(())
 }

@@ -1929,3 +1929,36 @@ fn both_engines_report_a_missing_data_file_alike() {
     assert!(lrepair.contains("absent.csv: I/O error: "), "{lrepair}");
     assert_eq!(stderr("stream"), lrepair);
 }
+
+/// `fixctl lint ... | head -1`: a reader that goes away before the output
+/// is written ends the command quietly, with no panic and not with the
+/// panic status 101.
+#[test]
+fn a_closed_stdout_ends_the_command_without_a_panic() {
+    let dir = tmpdir("closed_stdout");
+    let data = dir.join("t.csv");
+    let rules = dir.join("r.frl");
+    std::fs::write(&data, TRAVEL_CSV).unwrap();
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    let rules = rules.to_str().unwrap();
+    let data = data.to_str().unwrap();
+    for args in [
+        vec!["lint", rules, "--data", data],
+        vec!["check", "--rules", rules, "--data", data],
+    ] {
+        // The read end is closed before fixctl starts, so its first
+        // write to stdout fails.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_fixctl"))
+            .args(&args)
+            .stdout(writer)
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .expect("spawn fixctl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(141), "{args:?}: {stderr}");
+    }
+}

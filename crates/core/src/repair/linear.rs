@@ -36,45 +36,129 @@ use crate::semantics::properly_applicable;
 
 /// Inverted lists from `(attribute, evidence value)` to rule ids.
 ///
-/// Built once per rule set; immutable and shareable across threads.
+/// Built once per rule set; immutable and shareable across threads. The
+/// lists lie back to back in one vector, and an open-addressed table maps
+/// each key to its list's range, so a probe touches one table slot and
+/// then one contiguous run of rule ids.
 #[derive(Debug, Clone)]
 pub struct LRepairIndex {
-    // FxHash instead of std SipHash: the keys are 8 bytes and probed once
-    // per cell, so hashing cost dominates the lookup.
-    lists: FxHashMap<(AttrId, Symbol), Vec<RuleId>>,
+    /// Every inverted list back to back, each in rule-id order.
+    ids: Vec<RuleId>,
+    /// `(attr, value)` key → range of `ids`, open-addressed with linear
+    /// probing. Its length is a power of two at least twice Σ's evidence
+    /// cells, so it is at most half full and a probe for a key that has no
+    /// list stops at an empty slot within a few steps.
+    slots: Vec<ListSlot>,
+    /// `64 − log2(slots.len())`: a key's home slot is the top bits of its
+    /// hash.
+    shift: u32,
+    /// Distinct keys in `slots`.
+    keys: usize,
     /// `|X_φ|` per rule — the counter target.
     evidence_len: Vec<u16>,
+    /// Σ's relevant attributes (∪ X_φ ∪ {B_φ}), ascending: the only cells
+    /// a tuple's `lRepair` run reads or writes.
+    relevant: Vec<AttrId>,
+}
+
+/// One slot of [`LRepairIndex`]'s key table: a packed `(attr, value)` key,
+/// or [`NO_KEY`], and its list's range in `ids`.
+#[derive(Debug, Clone, Copy)]
+struct ListSlot {
+    key: u64,
+    start: u32,
+    end: u32,
+}
+
+/// An empty [`ListSlot`]. No key equals it: attribute ids are 16 bits.
+const NO_KEY: u64 = u64::MAX;
+
+#[inline]
+fn list_key(attr: AttrId, value: Symbol) -> u64 {
+    (u64::from(attr.0) << 32) | u64::from(value.0)
 }
 
 impl LRepairIndex {
     /// Build the inverted lists for `rules` (Fig 8(a)).
     pub fn build(rules: &RuleSet) -> Self {
-        let mut lists: FxHashMap<(AttrId, Symbol), Vec<RuleId>> = FxHashMap::default();
+        let mut cells: Vec<(u64, RuleId)> = Vec::new();
         let mut evidence_len = Vec::with_capacity(rules.len());
+        let mut relevant = AttrSet::EMPTY;
         for (id, rule) in rules.iter() {
             evidence_len.push(rule.x().len() as u16);
+            relevant.union_with(rule.assured_delta());
             for (&attr, &val) in rule.x().iter().zip(rule.tp().iter()) {
-                lists.entry((attr, val)).or_default().push(id);
+                cells.push((list_key(attr, val), id));
             }
         }
-        LRepairIndex {
-            lists,
+        // Sorting by (key, rule) groups each key's rules in id order, the
+        // order a list pushed rule by rule would have.
+        cells.sort_unstable();
+        let len = (2 * cells.len()).next_power_of_two().max(2);
+        let empty = ListSlot {
+            key: NO_KEY,
+            start: 0,
+            end: 0,
+        };
+        let mut index = LRepairIndex {
+            ids: cells.iter().map(|&(_, id)| id).collect(),
+            slots: vec![empty; len],
+            shift: 64 - len.trailing_zeros(),
+            keys: 0,
             evidence_len,
+            relevant: relevant.iter().collect(),
+        };
+        let mut start = 0;
+        for list in cells.chunk_by(|a, b| a.0 == b.0) {
+            let key = list[0].0;
+            let mut i = index.home(key);
+            while index.slots[i].key != NO_KEY {
+                i = (i + 1) & (len - 1);
+            }
+            let end = start + list.len();
+            index.slots[i] = ListSlot {
+                key,
+                start: start as u32,
+                end: end as u32,
+            };
+            index.keys += 1;
+            start = end;
         }
+        index
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
     }
 
     /// Rules whose evidence contains the cell `(attr, value)`.
     #[inline]
     pub fn rules_for(&self, attr: AttrId, value: Symbol) -> &[RuleId] {
-        self.lists
-            .get(&(attr, value))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        let key = list_key(attr, value);
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let slot = self.slots[i];
+            if slot.key == key {
+                return &self.ids[slot.start as usize..slot.end as usize];
+            }
+            if slot.key == NO_KEY {
+                return &[];
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// Number of distinct `(attribute, value)` keys.
     pub fn num_keys(&self) -> usize {
-        self.lists.len()
+        self.keys
+    }
+
+    /// Σ's relevant attributes, ascending: a tuple's `lRepair` run depends
+    /// only on its cells there.
+    pub fn relevant_attrs(&self) -> &[AttrId] {
+        &self.relevant
     }
 }
 
@@ -195,6 +279,25 @@ impl LRepairScratch {
         self.tally.flush(observer);
     }
 
+    /// Tally one finished tuple, and hand the tallies over every
+    /// [`TALLY_FLUSH_TUPLES`] tuples.
+    #[inline]
+    pub(crate) fn tuple_done<O: RepairObserver>(
+        &mut self,
+        pops: usize,
+        updates: usize,
+        probes: usize,
+        probe_hits: usize,
+        enqueued: usize,
+        observer: &O,
+    ) {
+        self.tally
+            .tuple_done(pops, updates, probes, probe_hits, enqueued);
+        if self.tally.tuples >= TALLY_FLUSH_TUPLES {
+            self.tally.flush(observer);
+        }
+    }
+
     fn begin_tuple(&mut self, num_rules: usize) {
         if self.stamp.len() != num_rules {
             self.stamp = vec![0; num_rules];
@@ -259,6 +362,39 @@ pub(crate) fn lrepair_tuple_observed<O: RepairObserver>(
     row: &mut [Symbol],
     observer: &O,
 ) -> Vec<CellUpdate> {
+    lrepair_tuple_recorded(rules, index, scratch, row, observer, &mut ())
+}
+
+/// What a memoizing driver keeps of one `lRepair` run: every queue pop in
+/// order, and the tuple's probe hits and enqueues. Together with the
+/// rules, these replay the run's writes, hooks and tallies exactly.
+pub(crate) trait RunRecorder {
+    /// The run popped `rule`, which fired (`applied`) or was rejected;
+    /// `ns` is its evaluation time when the observer asks for timing,
+    /// else 0.
+    fn pop(&mut self, rule: RuleId, applied: bool, ns: u64);
+    /// The run is over, after `probe_hits` list entries and `enqueued`
+    /// enqueue attempts.
+    fn done(&mut self, probe_hits: usize, enqueued: usize);
+}
+
+/// Record nothing: the plain `lRepair` run.
+impl RunRecorder for () {
+    #[inline]
+    fn pop(&mut self, _rule: RuleId, _applied: bool, _ns: u64) {}
+    #[inline]
+    fn done(&mut self, _probe_hits: usize, _enqueued: usize) {}
+}
+
+/// [`lrepair_tuple_observed`] that also tells `recorder` what the run did.
+pub(crate) fn lrepair_tuple_recorded<O: RepairObserver, R: RunRecorder>(
+    rules: &RuleSet,
+    index: &LRepairIndex,
+    scratch: &mut LRepairScratch,
+    row: &mut [Symbol],
+    observer: &O,
+    recorder: &mut R,
+) -> Vec<CellUpdate> {
     scratch.begin_tuple(rules.len());
     // The tuple's tallies stay in locals (registers) until it is done.
     let mut probe_hits = 0;
@@ -295,9 +431,11 @@ pub(crate) fn lrepair_tuple_observed<O: RepairObserver>(
         // an evidence cell after this rule was enqueued.
         if !properly_applicable(rule, row, assured) {
             observer.rule_rejected(rid.index());
-            if let Some(t0) = t0 {
-                observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
+            let ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+            if t0.is_some() {
+                observer.rule_latency(rid.index(), ns);
             }
+            recorder.pop(rid, false, ns);
             continue; // line 16: removed once and for all
         }
         let b = rule.b();
@@ -306,9 +444,11 @@ pub(crate) fn lrepair_tuple_observed<O: RepairObserver>(
         row[b.index()] = new;
         assured.union_with(rule.assured_delta());
         observer.rule_applied(rid.index(), b.index());
-        if let Some(t0) = t0 {
-            observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
+        let ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        if t0.is_some() {
+            observer.rule_latency(rid.index(), ns);
         }
+        recorder.pop(rid, true, ns);
         updates.push(CellUpdate {
             row: 0,
             attr: b,
@@ -336,12 +476,8 @@ pub(crate) fn lrepair_tuple_observed<O: RepairObserver>(
     }
     // One probe per cell, then two per applied update.
     let probes = row.len() + 2 * updates.len();
-    scratch
-        .tally
-        .tuple_done(pops, updates.len(), probes, probe_hits, enqueued);
-    if scratch.tally.tuples >= TALLY_FLUSH_TUPLES {
-        scratch.tally.flush(observer);
-    }
+    recorder.done(probe_hits, enqueued);
+    scratch.tuple_done(pops, updates.len(), probes, probe_hits, enqueued, observer);
     updates
 }
 
@@ -452,6 +588,63 @@ mod tests {
         );
         // 6 distinct keys, exactly as in Fig 8(a).
         assert_eq!(index.num_keys(), 6);
+    }
+
+    #[test]
+    fn flat_lists_equal_a_scan_of_every_rule() {
+        // Rule sets of 0..40 rules over 6 attributes and 9 values, drawn
+        // from a fixed LCG; every (attr, value) is probed, including ⊥ and
+        // ids past every constant.
+        let s = Schema::new("R", ["a", "b", "c", "d", "e", "f"]).unwrap();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % n) as u32
+        };
+        for size in 0..40 {
+            let mut rs = RuleSet::new(s.clone());
+            while rs.len() < size {
+                let evidence: Vec<(AttrId, Symbol)> = (0..1 + next(3))
+                    .map(|_| (AttrId(next(6) as u16), Symbol(next(9))))
+                    .collect();
+                let neg = vec![Symbol(next(9))];
+                let rule =
+                    crate::FixingRule::new(evidence, AttrId(next(6) as u16), neg, Symbol(next(9)));
+                if let Ok(rule) = rule {
+                    rs.push(rule);
+                }
+            }
+            let index = LRepairIndex::build(&rs);
+            let mut keys = 0;
+            for a in 0..6u16 {
+                let attr = AttrId(a);
+                for v in (0..12).chain([u32::MAX - 2, Symbol::BOTTOM.0, u32::MAX]) {
+                    let value = Symbol(v);
+                    let scan: Vec<RuleId> = rs
+                        .iter()
+                        .filter(|(_, r)| r.evidence_value(attr) == Some(value))
+                        .map(|(id, _)| id)
+                        .collect();
+                    keys += usize::from(!scan.is_empty());
+                    assert_eq!(
+                        index.rules_for(attr, value),
+                        scan,
+                        "{size} rules, {attr:?}={v}"
+                    );
+                }
+            }
+            assert_eq!(index.num_keys(), keys);
+            let relevant: AttrSet = rs.rules().iter().map(|r| r.assured_delta()).fold(
+                AttrSet::EMPTY,
+                |mut all, delta| {
+                    all.union_with(delta);
+                    all
+                },
+            );
+            assert_eq!(index.relevant_attrs(), relevant.iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

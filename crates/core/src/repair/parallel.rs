@@ -6,15 +6,23 @@
 //! [`LRepairScratch`], and share the immutable [`LRepairIndex`]. This is an
 //! extension beyond the paper (its experiments are single-threaded); the
 //! `repro` harness uses the sequential drivers so timings stay comparable.
+//!
+//! A tuple's `lRepair` run reads and writes only its cells on Σ's relevant
+//! attributes, so tuples with equal relevant projections get equal runs.
+//! Each worker therefore keeps a `PlanMemo`: a bounded memo from
+//! projections to the runs it has recorded, which replays a recorded run
+//! instead of probing and chasing again.
 
 use std::sync::Mutex;
 
 use obs::{Event, RepairObserver};
-use relation::Table;
+use relation::{AttrId, Symbol, Table};
 
-use crate::repair::linear::{lrepair_tuple_observed, LRepairIndex, LRepairScratch};
+use crate::repair::linear::{
+    lrepair_tuple_observed, lrepair_tuple_recorded, LRepairIndex, LRepairScratch, RunRecorder,
+};
 use crate::repair::{CellUpdate, RepairOutcome};
-use crate::ruleset::RuleSet;
+use crate::ruleset::{RuleId, RuleSet};
 
 /// Blocks of rows per worker that [`par_lrepair_table`] cuts a table into.
 /// Workers claim blocks one at a time, so when one worker's core is taken
@@ -28,6 +36,11 @@ const BLOCKS_PER_WORKER: usize = 8;
 /// blocks, which the workers claim one at a time; each block's updates are
 /// recorded in (row, application order), and concatenating the blocks'
 /// logs in row order gives the sequential driver's log, byte for byte.
+/// With one worker, the calling thread repairs every block.
+///
+/// Each worker repairs through its own `PlanMemo`, which lives for this
+/// call only. A replayed run makes the same writes, hooks and tallies as
+/// the run it replays, so no observer can tell a hit from a miss.
 ///
 /// Observer hooks: each worker keeps the per-tuple tallies in its own
 /// [`LRepairScratch`] and flushes them every 4,096 tuples and once at the
@@ -57,48 +70,53 @@ pub fn par_lrepair_table<O: RepairObserver>(
     let block_rows = rows.div_ceil(num_threads * BLOCKS_PER_WORKER);
     let workers = num_threads.min(rows.div_ceil(block_rows));
     let blocks = Mutex::new(table.rows_mut_chunks(block_rows).enumerate());
+    let work = |worker: usize| {
+        let start = std::time::Instant::now();
+        let mut scratch = LRepairScratch::new(rules.len());
+        let mut memo = PlanMemo::new(rules, index, observer.wants_rule_timing());
+        let mut done = Vec::new();
+        let (mut worker_rows, mut updates) = (0usize, 0usize);
+        loop {
+            // A statement of its own, so the lock is not held while the
+            // block is repaired.
+            let claimed = blocks.lock().expect("row blocks").next();
+            let Some((b, block)) = claimed else { break };
+            let base_row = b * block_rows;
+            let mut local = Vec::new();
+            for (r, row) in block.chunks_exact_mut(arity).enumerate() {
+                let mut ups = if memo.skips() {
+                    lrepair_tuple_observed(rules, index, &mut scratch, row, observer)
+                } else {
+                    memo.repair(&mut scratch, row, observer)
+                };
+                for (k, u) in ups.iter_mut().enumerate() {
+                    u.row = base_row + r;
+                    observer.cell_repaired(u.as_fix(k));
+                }
+                local.extend(ups);
+                worker_rows += 1;
+            }
+            updates += local.len();
+            done.push((b, local));
+        }
+        scratch.flush_tallies(observer);
+        let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        observer.event(Event::WorkerDone {
+            worker,
+            rows: worker_rows,
+            updates,
+            replayed: memo.replayed,
+            busy_ns,
+        });
+        done
+    };
     let mut repaired: Vec<(usize, Vec<CellUpdate>)> = Vec::new();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let blocks = &blocks;
-                scope.spawn(move || {
-                    let start = std::time::Instant::now();
-                    let mut scratch = LRepairScratch::new(rules.len());
-                    let mut done = Vec::new();
-                    let (mut worker_rows, mut updates) = (0usize, 0usize);
-                    loop {
-                        // A statement of its own, so the lock is not held
-                        // while the block is repaired.
-                        let claimed = blocks.lock().expect("row blocks").next();
-                        let Some((b, block)) = claimed else { break };
-                        let base_row = b * block_rows;
-                        let mut local = Vec::new();
-                        for (r, row) in block.chunks_exact_mut(arity).enumerate() {
-                            let mut ups =
-                                lrepair_tuple_observed(rules, index, &mut scratch, row, observer);
-                            for (k, u) in ups.iter_mut().enumerate() {
-                                u.row = base_row + r;
-                                observer.cell_repaired(u.as_fix(k));
-                            }
-                            local.extend(ups);
-                            worker_rows += 1;
-                        }
-                        updates += local.len();
-                        done.push((b, local));
-                    }
-                    scratch.flush_tallies(observer);
-                    let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    observer.event(Event::WorkerDone {
-                        worker,
-                        rows: worker_rows,
-                        updates,
-                        busy_ns,
-                    });
-                    done
-                })
-            })
+        let work = &work;
+        let handles: Vec<_> = (1..workers)
+            .map(|worker| scope.spawn(move || work(worker)))
             .collect();
+        repaired = work(0);
         for h in handles {
             repaired.extend(h.join().expect("repair worker panicked"));
         }
@@ -106,6 +124,377 @@ pub fn par_lrepair_table<O: RepairObserver>(
     repaired.sort_unstable_by_key(|&(b, _)| b);
     RepairOutcome {
         updates: repaired.into_iter().flat_map(|(_, ups)| ups).collect(),
+    }
+}
+
+/// Most bytes one worker's [`PlanMemo`] holds: its table, keys, runs,
+/// steps and the run being recorded together. With 16 relevant attributes
+/// it holds [`MEMO_PLANS`] runs in 642 KiB, or 900 KiB when the observer
+/// asks for rule timing.
+const MEMO_BYTES: usize = 1 << 20;
+
+/// Most runs one [`PlanMemo`] holds before it starts over.
+const MEMO_PLANS: usize = 4096;
+
+/// Queue pops per run that a [`PlanMemo`] budgets for, on average.
+const MEMO_STEPS_PER_PLAN: usize = 8;
+
+/// Most queue pops of a run that a [`PlanMemo`] records; a longer run is
+/// not memoized.
+const MEMO_RUN_STEPS: usize = 256;
+
+/// Rows per [`PlanMemo`] window: the memo counts its hits window by window.
+const MEMO_WINDOW: usize = 512;
+
+/// Most rows a [`PlanMemo`] skips after a window with too few hits.
+const MEMO_MAX_SKIP: usize = 32 * MEMO_WINDOW;
+
+/// One queue pop of a recorded run.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    rule: RuleId,
+    applied: bool,
+}
+
+/// A recorded run: its steps' range in [`PlanMemo::steps`] and its tallies.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    start: u32,
+    end: u32,
+    probe_hits: u32,
+    enqueued: u32,
+}
+
+/// A worker's memo from a tuple's relevant projection to the `lRepair` run
+/// it gets, for one [`par_lrepair_table`] call. It holds at most
+/// [`MEMO_PLANS`] runs and [`MEMO_BYTES`] in all; when either would
+/// overflow, it forgets every run and starts over.
+///
+/// Runs are appended in the order they are recorded: a projection's key
+/// to `keys`, its pops to `steps`, the rest to `plans`. An open-addressed
+/// table, at most half full, maps the projection's hash to its run; keys
+/// are compared exactly.
+///
+/// A miss runs `lRepair` and records it. A hit replays the run: the same
+/// cell writes and update records, the same `rule_applied`/
+/// `rule_rejected` calls in the same order, the recorded `rule_latency`
+/// nanoseconds when the observer asks for timing, and the same pops,
+/// updates, probes, probe hits and enqueues into the scratch's tallies.
+struct PlanMemo<'a> {
+    rules: &'a RuleSet,
+    index: &'a LRepairIndex,
+    /// Σ's relevant attributes: the key's layout.
+    relevant: &'a [AttrId],
+    /// Runs this memo holds at most: a power of two.
+    max_plans: usize,
+    /// Steps past which the memo starts over; `steps` has room for one
+    /// more run beyond them.
+    max_steps: usize,
+    /// `64 − log2(table.len())`: a hash's home slot is its top bits.
+    shift: u32,
+    /// Per slot, 0 when empty, else the hash's low 32 bits above the run's
+    /// number plus one.
+    table: Vec<u64>,
+    /// Run `p`'s key at `p * relevant.len()`.
+    keys: Vec<Symbol>,
+    plans: Vec<Plan>,
+    steps: Vec<Step>,
+    /// Each step's evaluation nanoseconds, parallel to `steps`; empty when
+    /// the observer does not ask for timing.
+    latency: Vec<u64>,
+    timing: bool,
+    /// Rows looked up, and hits among them, in the current window.
+    window_rows: usize,
+    window_hits: usize,
+    /// Rows still to repair without the memo, and how many the last skip
+    /// was.
+    skip: usize,
+    backoff: usize,
+    /// Rows repaired by replay.
+    replayed: usize,
+}
+
+impl<'a> PlanMemo<'a> {
+    fn new(rules: &'a RuleSet, index: &'a LRepairIndex, timing: bool) -> Self {
+        let relevant = index.relevant_attrs();
+        let step_bytes = std::mem::size_of::<Step>() + if timing { 8 } else { 0 };
+        let key_bytes = relevant.len() * std::mem::size_of::<Symbol>();
+        let plan_bytes = key_bytes
+            + std::mem::size_of::<Plan>()
+            + 2 * std::mem::size_of::<u64>()
+            + MEMO_STEPS_PER_PLAN * step_bytes;
+        // Room for one more key and run: a miss records its key and pops
+        // before it is known whether the memo must start over.
+        let free = MEMO_BYTES - key_bytes - MEMO_RUN_STEPS * step_bytes;
+        let fit = (free / plan_bytes).min(MEMO_PLANS);
+        let max_plans = 1usize << fit.max(1).ilog2();
+        let slots = 2 * max_plans;
+        let max_steps = MEMO_STEPS_PER_PLAN * max_plans;
+        PlanMemo {
+            rules,
+            index,
+            relevant,
+            max_plans,
+            max_steps,
+            shift: 64 - slots.trailing_zeros(),
+            table: vec![0; slots],
+            keys: Vec::with_capacity((max_plans + 1) * relevant.len()),
+            plans: Vec::with_capacity(max_plans),
+            steps: Vec::with_capacity(max_steps + MEMO_RUN_STEPS),
+            latency: Vec::with_capacity(if timing {
+                max_steps + MEMO_RUN_STEPS
+            } else {
+                0
+            }),
+            timing,
+            window_rows: 0,
+            window_hits: 0,
+            skip: 0,
+            backoff: 0,
+            replayed: 0,
+        }
+    }
+
+    /// Repair `row` in place, by replay if its projection is memoized.
+    /// Returns the applied updates, as `lrepair_tuple_observed` does.
+    fn repair<O: RepairObserver>(
+        &mut self,
+        scratch: &mut LRepairScratch,
+        row: &mut [Symbol],
+        observer: &O,
+    ) -> Vec<CellUpdate> {
+        let hash = projection_hash(self.relevant, row);
+        let (found, slot) = self.find(hash, row);
+        self.window_rows += 1;
+        let updates = match found {
+            Some(p) => {
+                self.window_hits += 1;
+                self.replayed += 1;
+                self.replay(p, scratch, row, observer)
+            }
+            None => self.record(hash, slot, scratch, row, observer),
+        };
+        if self.window_rows == MEMO_WINDOW {
+            // Fewer than a quarter of hits: the memo costs more than it
+            // saves, so skip it for twice as long as last time.
+            if self.window_hits < MEMO_WINDOW / 4 {
+                self.backoff = (2 * self.backoff).clamp(MEMO_WINDOW, MEMO_MAX_SKIP);
+                self.skip = self.backoff;
+            } else {
+                self.backoff = 0;
+            }
+            self.window_rows = 0;
+            self.window_hits = 0;
+        }
+        updates
+    }
+
+    /// Whether to repair the next row without the memo.
+    #[inline]
+    fn skips(&mut self) -> bool {
+        if self.skip == 0 {
+            return false;
+        }
+        self.skip -= 1;
+        true
+    }
+
+    /// The run memoized for `row`'s projection, if any, and the table slot
+    /// where probing for it stopped.
+    #[inline]
+    fn find(&self, hash: u64, row: &[Symbol]) -> (Option<usize>, usize) {
+        let width = self.relevant.len();
+        let tag = hash << 32;
+        let mask = self.table.len() - 1;
+        let mut i = (hash >> self.shift) as usize;
+        loop {
+            let slot = self.table[i];
+            if slot == 0 {
+                return (None, i);
+            }
+            if slot & !0xffff_ffff == tag {
+                let p = (slot as u32 - 1) as usize;
+                if self.keys[p * width..(p + 1) * width]
+                    .iter()
+                    .zip(self.relevant)
+                    .all(|(&k, a)| k == row[a.index()])
+                {
+                    return (Some(p), i);
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Run `lRepair` on `row` and memoize the run at table slot `slot`,
+    /// or at its home slot after starting over when the memo is full.
+    fn record<O: RepairObserver>(
+        &mut self,
+        hash: u64,
+        mut slot: usize,
+        scratch: &mut LRepairScratch,
+        row: &mut [Symbol],
+        observer: &O,
+    ) -> Vec<CellUpdate> {
+        // The key goes in before the run overwrites the row, the pops as
+        // they happen.
+        let (key_at, step_at) = (self.keys.len(), self.steps.len());
+        self.keys
+            .extend(self.relevant.iter().map(|a| row[a.index()]));
+        let mut recorder = Recording {
+            steps: &mut self.steps,
+            latency: &mut self.latency,
+            start: step_at,
+            timing: self.timing,
+            complete: true,
+            tallies: None,
+        };
+        let updates = lrepair_tuple_recorded(
+            self.rules,
+            self.index,
+            scratch,
+            row,
+            observer,
+            &mut recorder,
+        );
+        let Some((probe_hits, enqueued)) = recorder.tallies else {
+            self.keys.truncate(key_at);
+            self.steps.truncate(step_at);
+            self.latency.truncate(step_at);
+            return updates;
+        };
+        let mut start = step_at;
+        if self.plans.len() == self.max_plans || self.steps.len() > self.max_steps {
+            keep_from(&mut self.keys, key_at);
+            keep_from(&mut self.steps, step_at);
+            if self.timing {
+                keep_from(&mut self.latency, step_at);
+            }
+            self.plans.clear();
+            self.table.fill(0);
+            start = 0;
+            slot = (hash >> self.shift) as usize;
+        }
+        self.plans.push(Plan {
+            start: start as u32,
+            end: self.steps.len() as u32,
+            probe_hits,
+            enqueued,
+        });
+        self.table[slot] = (hash << 32) | self.plans.len() as u64;
+        updates
+    }
+
+    fn replay<O: RepairObserver>(
+        &self,
+        p: usize,
+        scratch: &mut LRepairScratch,
+        row: &mut [Symbol],
+        observer: &O,
+    ) -> Vec<CellUpdate> {
+        let plan = self.plans[p];
+        let range = plan.start as usize..plan.end as usize;
+        let mut updates = Vec::new();
+        for (k, (at, step)) in range.clone().zip(&self.steps[range]).enumerate() {
+            let rid = step.rule;
+            if step.applied {
+                let rule = self.rules.rule(rid);
+                let b = rule.b();
+                let old = row[b.index()];
+                let new = rule.fact();
+                row[b.index()] = new;
+                observer.rule_applied(rid.index(), b.index());
+                if self.timing {
+                    observer.rule_latency(rid.index(), self.latency[at]);
+                }
+                updates.push(CellUpdate {
+                    row: 0,
+                    attr: b,
+                    old,
+                    new,
+                    rule: rid,
+                    round: k as u32 + 1,
+                });
+            } else {
+                observer.rule_rejected(rid.index());
+                if self.timing {
+                    observer.rule_latency(rid.index(), self.latency[at]);
+                }
+            }
+        }
+        let probes = row.len() + 2 * updates.len();
+        scratch.tuple_done(
+            (plan.end - plan.start) as usize,
+            updates.len(),
+            probes,
+            plan.probe_hits as usize,
+            plan.enqueued as usize,
+            observer,
+        );
+        updates
+    }
+}
+
+/// Hash `row`'s cells at `relevant`: the fxhash step over pairs of cells,
+/// in four independent lanes, so the multiplies overlap instead of
+/// waiting on each other.
+#[inline]
+fn projection_hash(relevant: &[AttrId], row: &[Symbol]) -> u64 {
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let cell = |a: AttrId| u64::from(row[a.index()].0);
+    let mut lanes = [0u64, 1, 2, 3];
+    let mut octets = relevant.chunks_exact(8);
+    for o in &mut octets {
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            *lane = step(*lane, cell(o[2 * j]) | cell(o[2 * j + 1]) << 32);
+        }
+    }
+    let hash = lanes.into_iter().fold(0xcbf2_9ce4_8422_2325, step);
+    octets
+        .remainder()
+        .iter()
+        .fold(hash, |h, &a| step(h, cell(a)))
+}
+
+/// Drop `v`'s items before `from`, keeping the rest at the front.
+fn keep_from<T: Copy>(v: &mut Vec<T>, from: usize) {
+    v.copy_within(from.., 0);
+    v.truncate(v.len() - from);
+}
+
+/// Appends one miss's pops to a [`PlanMemo`]'s steps.
+struct Recording<'m> {
+    steps: &'m mut Vec<Step>,
+    latency: &'m mut Vec<u64>,
+    /// Where the run's steps begin.
+    start: usize,
+    timing: bool,
+    /// Whether every pop so far fit in [`MEMO_RUN_STEPS`].
+    complete: bool,
+    /// The run's probe hits and enqueues, once it is over, if the memo can
+    /// keep it.
+    tallies: Option<(u32, u32)>,
+}
+
+impl RunRecorder for Recording<'_> {
+    #[inline]
+    fn pop(&mut self, rule: RuleId, applied: bool, ns: u64) {
+        if self.steps.len() - self.start == MEMO_RUN_STEPS {
+            self.complete = false;
+            return;
+        }
+        self.steps.push(Step { rule, applied });
+        if self.timing {
+            self.latency.push(ns);
+        }
+    }
+
+    #[inline]
+    fn done(&mut self, probe_hits: usize, enqueued: usize) {
+        self.tallies = u32::try_from(probe_hits)
+            .ok()
+            .zip(u32::try_from(enqueued).ok())
+            .filter(|_| self.complete);
     }
 }
 

@@ -11,9 +11,13 @@
 //! 4. repaired tuples are fixpoints;
 //! 5. resolution always terminates in a consistent set;
 //! 6. values outside Σ's constants are interchangeable: mapping them all
-//!    to ⊥ leaves cRepair and lRepair unchanged (exact value abstraction).
+//!    to ⊥ leaves cRepair and lRepair unchanged (exact value abstraction);
+//! 7. the parallel driver's per-worker plan memo is exact: at any worker
+//!    count it reproduces `lrepair_table`'s table, update log, ledger,
+//!    metrics and per-rule profile.
 
 use std::collections::HashSet;
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 
@@ -27,6 +31,10 @@ use fixrules::repair::{
 };
 use fixrules::semantics::{all_fixes, is_fixpoint};
 use fixrules::{FixingRule, RuleSet};
+use obs::{
+    AttributionObserver, CellFix, Event, MetricsObserver, MetricsRegistry, RepairObserver,
+    RuleLabel, Tee,
+};
 use relation::{AttrId, AttrSet, ColumnTable, Schema, Symbol, Table};
 
 const ARITY: usize = 5;
@@ -416,5 +424,222 @@ proptest! {
                 prop_assert!(constants.contains(&u.old) && constants.contains(&u.new), "{:?}", u);
             }
         }
+    }
+}
+
+/// Rule sets over `a0..a3` only, so `a4` is an attribute Σ never mentions.
+fn rulesets_sparing_a4() -> impl Strategy<Value = RuleSet> {
+    proptest::collection::vec(raw_rule(), 0..8).prop_map(|raws| {
+        let raws: Vec<RawRule> = raws
+            .into_iter()
+            .map(|mut r| {
+                r.evidence.iter_mut().for_each(|(a, _)| *a %= 4);
+                r.b %= 4;
+                r
+            })
+            .collect();
+        build_ruleset(&raws)
+    })
+}
+
+/// A table over Σ's relevant attributes drawn from `pool`, each member one
+/// cell away from the one before so that a key missing an attribute would
+/// confuse neighbours, and over every other attribute from `noise`, mostly
+/// values no rule mentions.
+fn pooled_table(rs: &RuleSet, pool: &[Vec<Symbol>], picks: &[usize], noise: &[u32]) -> Table {
+    let relevant = LRepairIndex::build(rs).relevant_attrs().to_vec();
+    let mut table = Table::new(rs.schema().clone());
+    for (i, &pick) in picks.iter().enumerate() {
+        let mut row = pool[pick % pool.len()].clone();
+        for (a, cell) in row.iter_mut().enumerate() {
+            if !relevant.contains(&AttrId(a as u16)) {
+                *cell = Symbol(noise[(i * ARITY + a) % noise.len()]);
+            }
+        }
+        table.push_row(&row).unwrap();
+    }
+    table
+}
+
+fn pool() -> impl Strategy<Value = Vec<Vec<Symbol>>> {
+    (
+        tuples(),
+        proptest::collection::vec((0usize..ARITY, 0u32..VOCAB), 0..10),
+    )
+        .prop_map(|(base, edits)| {
+            let mut pool = vec![base];
+            for (a, v) in edits {
+                let mut next = pool.last().unwrap().clone();
+                next[a] = Symbol(v);
+                pool.push(next);
+            }
+            pool
+        })
+}
+
+/// Every hook call in order, minus latencies' nanoseconds and the
+/// per-worker event.
+#[derive(Default)]
+struct HookLog(Mutex<Vec<String>>);
+
+impl RepairObserver for HookLog {
+    fn rule_applied(&self, rule: usize, attr: usize) {
+        self.0
+            .lock()
+            .unwrap()
+            .push(format!("applied {rule} {attr}"));
+    }
+    fn rule_rejected(&self, rule: usize) {
+        self.0.lock().unwrap().push(format!("rejected {rule}"));
+    }
+    fn rule_latency(&self, rule: usize, _ns: u64) {
+        self.0.lock().unwrap().push(format!("latency {rule}"));
+    }
+    fn wants_rule_timing(&self) -> bool {
+        true
+    }
+    fn cell_repaired(&self, fix: CellFix) {
+        self.0.lock().unwrap().push(format!("{fix:?}"));
+    }
+    fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
+        self.0
+            .lock()
+            .unwrap()
+            .push(format!("tuples {rounds} {updates} {count}"));
+    }
+    fn event(&self, e: Event) {
+        if !matches!(e, Event::WorkerDone { .. }) {
+            self.0.lock().unwrap().push(format!("{e:?}"));
+        }
+    }
+}
+
+/// What one observed table repair leaves behind.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    table: Vec<Vec<Symbol>>,
+    updates: Vec<CellUpdate>,
+    ledger: Vec<fixrules::provenance::ProvenanceRecord>,
+    metrics: Vec<String>,
+    profile: String,
+}
+
+/// Repair `table` with `lrepair_table` (`threads` = `None`) or
+/// `par_lrepair_table`, watched by metrics, provenance and attribution.
+fn observed_repair(
+    rs: &RuleSet,
+    index: &LRepairIndex,
+    table: &Table,
+    threads: Option<usize>,
+    timing: bool,
+) -> Observed {
+    let registry = MetricsRegistry::new();
+    let metrics = MetricsObserver::new(&registry);
+    let ledger = ProvenanceLedger::new();
+    let provenance = ProvenanceObserver::new(rs, &ledger);
+    let labels = (0..rs.len())
+        .map(|i| RuleLabel {
+            rule: format!("r{i}"),
+            attr: rs.schema().attr_name(rs.rules()[i].b()).to_string(),
+        })
+        .collect();
+    let attribution = AttributionObserver::new(&MetricsRegistry::new(), labels).with_timing(timing);
+    let both = Tee(&metrics, &provenance);
+    let observer = Tee(&both, &attribution);
+    let mut repaired = table.clone();
+    let outcome = match threads {
+        None => lrepair_table(rs, index, &mut repaired, &observer),
+        Some(n) => par_lrepair_table(rs, index, &mut repaired, n, &observer),
+    };
+    let snapshot = registry.snapshot();
+    let mut metrics = Vec::new();
+    for section in ["counters", "histograms"] {
+        for (name, value) in snapshot.get(section).unwrap().as_obj().unwrap() {
+            if !name.starts_with("repair.worker.") {
+                metrics.push(format!("{name}={value}"));
+            }
+        }
+    }
+    Observed {
+        table: (0..repaired.len())
+            .map(|i| repaired.row(i).to_vec())
+            .collect(),
+        updates: outcome.updates,
+        ledger: ledger.records(),
+        metrics,
+        profile: attribution.profile().to_json().to_string(),
+    }
+}
+
+/// `par_lrepair_table` at 1–4 workers observes like `lrepair_table`, and
+/// at one worker makes the very same hook calls in the same order.
+fn assert_memo_is_exact(rs: &RuleSet, table: &Table, timing: bool) -> Result<(), String> {
+    let index = LRepairIndex::build(rs);
+    let sequential = observed_repair(rs, &index, table, None, timing);
+    for threads in 1..=4 {
+        let parallel = observed_repair(rs, &index, table, Some(threads), timing);
+        prop_assert!(
+            parallel == sequential,
+            "{} workers differ from lrepair_table",
+            threads
+        );
+    }
+    let (seq_log, par_log) = (HookLog::default(), HookLog::default());
+    lrepair_table(rs, &index, &mut table.clone(), &seq_log);
+    par_lrepair_table(rs, &index, &mut table.clone(), 1, &par_log);
+    prop_assert_eq!(
+        seq_log.0.into_inner().unwrap(),
+        par_log.0.into_inner().unwrap()
+    );
+    Ok(())
+}
+
+proptest! {
+    /// Rows from a small pool of relevant projections, with noise
+    /// elsewhere: most rows are memo hits. Σ as drawn (often inconsistent,
+    /// where lRepair's result depends on its queue order, which a replay
+    /// must keep) and made consistent.
+    #[test]
+    fn par_lrepair_memo_replays_lrepair_exactly(
+        rs in rulesets_sparing_a4(),
+        pool in pool(),
+        picks in proptest::collection::vec(0usize..16, 1..300),
+        noise in proptest::collection::vec(0u32..VOCAB + 40, 1..64),
+        timing in any::<bool>(),
+    ) {
+        let table = pooled_table(&rs, &pool, &picks, &noise);
+        assert_memo_is_exact(&rs, &table, timing)?;
+        let mut consistent = rs;
+        ensure_consistent(&mut consistent, ResolveStrategy::ShrinkNegatives);
+        let table = pooled_table(&consistent, &pool, &picks, &noise);
+        assert_memo_is_exact(&consistent, &table, timing)?;
+    }
+}
+
+proptest! {
+    /// More distinct projections than one worker's memo holds (4,096
+    /// runs), each twice in a row so the memo keeps recording: the memo
+    /// fills, starts over, and must stay exact across the restart.
+    #[test]
+    fn par_lrepair_memo_stays_exact_when_it_starts_over(
+        rs in rulesets_sparing_a4(),
+        pool in pool(),
+        distinct in 4_100usize..4_600,
+        timing in any::<bool>(),
+    ) {
+        let index = LRepairIndex::build(&rs);
+        let Some(&first) = index.relevant_attrs().first() else {
+            return Ok(());
+        };
+        let mut table = Table::new(rs.schema().clone());
+        for i in 0..distinct {
+            let mut row = pool[i % pool.len()].clone();
+            // Σ's constants are below VOCAB: this cell is a fresh value
+            // for every i, so every i is its own projection.
+            row[first.index()] = Symbol(VOCAB + i as u32);
+            table.push_row(&row).unwrap();
+            table.push_row(&row).unwrap();
+        }
+        assert_memo_is_exact(&rs, &table, timing)?;
     }
 }

@@ -564,10 +564,20 @@ fn handle_connection(state: &DaemonState, scratch: &mut CompiledScratch, mut str
     let request = match Request::read_from(&mut stream) {
         Ok(request) => request,
         Err(e) => {
-            let response = Response::json(400, format!("{{\"error\":{:?}}}\n", e.to_string()));
+            // A client too slow to send its request within the deadline
+            // gets 408; anything else it sent wrong, 400.
+            let status = if e.kind() == std::io::ErrorKind::TimedOut {
+                408
+            } else {
+                400
+            };
+            let response = Response::json(status, format!("{{\"error\":{:?}}}\n", e.to_string()));
             state
                 .registry
-                .counter_with("http.requests", &[("endpoint", "other"), ("status", "400")])
+                .counter_with(
+                    "http.requests",
+                    &[("endpoint", "other"), ("status", &status.to_string())],
+                )
                 .inc();
             let _ = response.write_to(&mut stream);
             return;

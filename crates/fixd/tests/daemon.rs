@@ -1146,3 +1146,44 @@ fn concurrent_swaps_run_in_order_and_the_last_posted_serves() {
     );
     daemon.shutdown();
 }
+
+#[test]
+fn a_client_dripping_its_request_does_not_hold_the_only_worker() {
+    use std::io::Write;
+    use std::time::{Duration, Instant};
+
+    let daemon = Daemon::start(DaemonConfig {
+        rules: RulesSource::Inline(RULES.to_string()),
+        threads: 1,
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    // One byte of a never-finished head every 500 ms for 12 s, unless the
+    // daemon hangs up first.
+    let mut slow = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    slow.write_all(b"GET /healthz HTTP/1.1\r\nX-Slow: ")
+        .unwrap();
+    let dripper = std::thread::spawn(move || {
+        let until = Instant::now() + Duration::from_secs(12);
+        while Instant::now() < until && slow.write_all(b"a").is_ok() {
+            std::thread::sleep(Duration::from_millis(500));
+        }
+    });
+    // Let the only worker pick up the dripping connection first.
+    std::thread::sleep(Duration::from_millis(300));
+    let asked = Instant::now();
+    let (status, _) = http_get(&url(&daemon, "/healthz")).unwrap();
+    let waited = asked.elapsed();
+    assert_eq!(status, 200);
+    assert!(
+        waited < Duration::from_secs(8),
+        "/healthz waited {waited:?} behind a dripping client"
+    );
+    dripper.join().unwrap();
+    let (_, metrics) = http_get(&url(&daemon, "/metrics")).unwrap();
+    assert!(
+        metrics.contains("http_requests{endpoint=\"other\",status=\"408\"} 1"),
+        "{metrics}"
+    );
+    daemon.shutdown();
+}

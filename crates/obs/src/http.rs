@@ -13,7 +13,11 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Time a client has to send a whole request, head and body: a client
+/// that sends one byte every few seconds does not hold a worker longer.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Maximum accepted request-head size (request line + headers).
 pub const MAX_HEAD: usize = 16 * 1024;
@@ -62,11 +66,12 @@ impl Request {
     }
 
     /// Read and parse one request from `stream`: head until `\r\n\r\n`,
-    /// then `Content-Length` body bytes. Applies 5-second read timeouts.
+    /// then `Content-Length` body bytes, all within [`REQUEST_DEADLINE`]
+    /// of the call; past it, the error is [`io::ErrorKind::TimedOut`].
     pub fn read_from(stream: &mut TcpStream) -> io::Result<Request> {
         stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+        stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
+        let deadline = Instant::now() + REQUEST_DEADLINE;
 
         let mut buf = Vec::with_capacity(512);
         let mut chunk = [0u8; 4096];
@@ -80,7 +85,7 @@ impl Request {
                     "request head too large",
                 ));
             }
-            let n = stream.read(&mut chunk)?;
+            let n = read_before(stream, &mut chunk, deadline)?;
             if n == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -123,7 +128,7 @@ impl Request {
         }
         let mut body = buf[head_end + 4..].to_vec();
         while body.len() < content_length {
-            let n = stream.read(&mut chunk)?;
+            let n = read_before(stream, &mut chunk, deadline)?;
             if n == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -141,6 +146,32 @@ impl Request {
             headers,
             body,
         })
+    }
+}
+
+/// One `read` from `stream` that waits no later than `deadline`.
+fn read_before(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> io::Result<usize> {
+    let timed_out = || {
+        io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("request not received within {REQUEST_DEADLINE:?}"),
+        )
+    };
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(timed_out());
+    }
+    stream.set_read_timeout(Some(left))?;
+    match stream.read(buf) {
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            Err(timed_out())
+        }
+        read => read,
     }
 }
 
@@ -219,6 +250,7 @@ pub fn status_text(code: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
@@ -427,7 +459,7 @@ mod tests {
 
     #[test]
     fn status_texts_cover_emitted_codes() {
-        for code in [200u16, 202, 400, 404, 405, 413, 500, 503] {
+        for code in [200u16, 202, 400, 404, 405, 408, 413, 500, 503] {
             assert_ne!(status_text(code), "Unknown", "{code}");
         }
     }

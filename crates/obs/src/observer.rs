@@ -63,11 +63,13 @@ pub enum Event {
         groups: usize,
         scattered: usize,
     },
-    /// A parallel worker finished its shard.
+    /// A parallel worker finished its shard, of which it repaired
+    /// `replayed` rows by replaying a memoized run.
     WorkerDone {
         worker: usize,
         rows: usize,
         updates: usize,
+        replayed: usize,
         busy_ns: u64,
     },
     /// A consistency check examined `pairs` rule pairs.
@@ -508,6 +510,7 @@ impl RepairObserver for MetricsObserver {
                 worker,
                 rows,
                 updates,
+                replayed,
                 busy_ns,
             } => {
                 self.registry
@@ -516,6 +519,9 @@ impl RepairObserver for MetricsObserver {
                 self.registry
                     .counter(&format!("repair.worker.{worker}.updates"))
                     .add(updates as u64);
+                self.registry
+                    .counter(&format!("repair.worker.{worker}.replayed"))
+                    .add(replayed as u64);
                 self.registry
                     .counter(&format!("repair.worker.{worker}.busy_ns"))
                     .add(busy_ns);
@@ -615,6 +621,7 @@ mod tests {
                 worker: 1,
                 rows: 500,
                 updates: 20,
+                replayed: 300,
                 busy_ns: 1_000,
             },
             Event::PairsChecked { pairs: 6 },
@@ -661,6 +668,7 @@ mod tests {
             worker: 1,
             rows: 500,
             updates: 20,
+            replayed: 300,
             busy_ns: 1_000,
         });
         obs.event(Event::PairsChecked { pairs: 6 });
@@ -691,6 +699,7 @@ mod tests {
         assert_eq!(get("repair.batch.groups"), 7);
         assert_eq!(get("repair.batch.scattered"), 93);
         assert_eq!(get("repair.worker.1.rows"), 500);
+        assert_eq!(get("repair.worker.1.replayed"), 300);
         assert_eq!(get("consistency.pairs_checked"), 6);
         assert_eq!(get("consistency.conflicts"), 1);
         assert_eq!(get("consistency.conflicts.Mutual"), 1);

@@ -133,18 +133,21 @@ echo "-- chrome export valid"
 
 echo "== engine and worker-count equivalence smoke =="
 # lRepair must not depend on the worker count (DESIGN.md §18), and the
-# stream engine must reproduce it byte for byte: at 2 workers, at the
-# default (every core) and streamed, each run matches 1 worker on the
-# CSV, the provenance, the rule texts the journal records and every
-# repair.* counter but the per-worker ones. Journal seq numbers are
-# position-dependent, so they are stripped before comparing. The example
-# rows are tiled so repeated rows occur.
+# stream engine must reproduce it byte for byte: at 1 and 2 workers and
+# at the default (every core), lrepair matches the stream engine on the
+# CSV, the provenance, the rule texts the journal records, every repair.*
+# counter but the per-worker ones, the count and sum of the per-tuple
+# repair.tuple_rounds/repair.tuple_updates histograms, and the per-rule
+# --profile-json. The stream engine repairs every row afresh, so it is
+# the reference for what lrepair's plan memo replays. Journal seq numbers
+# are position-dependent, so they are stripped before comparing. The
+# example rows are tiled 50 times, so most rows repeat a projection the
+# memo has seen.
 {
     cat examples/data/hosp_dirty.csv
-    tail -n +2 examples/data/hosp_dirty.csv
-    tail -n +2 examples/data/hosp_dirty.csv
+    for _ in $(seq 49); do tail -n +2 examples/data/hosp_dirty.csv; done
 } > "$TRACE_DIR/hosp_dup.csv"
-for run in lrepair:1 lrepair:2 lrepair:default stream:1; do
+for run in stream:1 lrepair:1 lrepair:2 lrepair:default; do
     engine="${run%:*}"
     threads="${run#*:}"
     tag="${engine}_$threads"
@@ -156,32 +159,45 @@ for run in lrepair:1 lrepair:2 lrepair:default stream:1; do
         --engine "$engine" "${threads_args[@]}" \
         --out "$TRACE_DIR/eng_$tag.csv" \
         --metrics "$TRACE_DIR/eng_metrics_$tag.json" \
+        --profile-json "$TRACE_DIR/eng_profile_$tag.json" \
         --trace "$TRACE_DIR/eng_trace_$tag.jsonl" >/dev/null
     grep -oE '"repair\.[a-z_.]+": [0-9]+' "$TRACE_DIR/eng_metrics_$tag.json" \
         | grep -v '"repair\.worker\.' > "$TRACE_DIR/eng_all_counters_$tag.txt"
+    awk '/"repair\.tuple_(rounds|updates)": \{/ { name = $1 }
+         name != "" && /"(count|sum)":/ { print name, $1, $2 }
+         /\}/ { name = "" }' "$TRACE_DIR/eng_metrics_$tag.json" \
+        > "$TRACE_DIR/eng_histograms_$tag.txt"
     grep '"repair\.cell"' "$TRACE_DIR/eng_trace_$tag.jsonl" \
         | sed -E 's/"seq": *[0-9]+, *//' > "$TRACE_DIR/eng_cells_$tag.txt"
     grep '"name": *"rule"' "$TRACE_DIR/eng_trace_$tag.jsonl" \
         | sed -E 's/"seq": *[0-9]+, *//' > "$TRACE_DIR/eng_rules_$tag.txt"
 done
-[ "$(wc -l < "$TRACE_DIR/eng_rules_lrepair_1.txt")" -eq 4 ] \
-    || { echo "lrepair journal does not record the 4 rules" >&2; exit 1; }
+[ "$(wc -l < "$TRACE_DIR/eng_rules_stream_1.txt")" -eq 4 ] \
+    || { echo "stream journal does not record the 4 rules" >&2; exit 1; }
 [ "$(grep -cE '"repair\.(rules_applied|tuples|tuples_touched|updates)"' \
-    "$TRACE_DIR/eng_all_counters_lrepair_1.txt")" -eq 4 ] \
-    || { echo "lrepair run is missing repair counters" >&2; exit 1; }
-grep -q '"repair\.index\.probes": [1-9]' "$TRACE_DIR/eng_all_counters_lrepair_1.txt" \
-    || { echo "lrepair run recorded no index probes" >&2; exit 1; }
-for tag in lrepair_2 lrepair_default stream_1; do
-    cmp "$TRACE_DIR/eng_lrepair_1.csv" "$TRACE_DIR/eng_$tag.csv" \
-        || { echo "$tag output differs from lrepair_1" >&2; exit 1; }
-    diff "$TRACE_DIR/eng_all_counters_lrepair_1.txt" "$TRACE_DIR/eng_all_counters_$tag.txt" \
-        || { echo "repair.* counters differ, lrepair_1 vs $tag" >&2; exit 1; }
-    cmp "$TRACE_DIR/eng_cells_lrepair_1.txt" "$TRACE_DIR/eng_cells_$tag.txt" \
-        || { echo "repair.cell provenance differs, lrepair_1 vs $tag" >&2; exit 1; }
-    cmp "$TRACE_DIR/eng_rules_lrepair_1.txt" "$TRACE_DIR/eng_rules_$tag.txt" \
-        || { echo "journaled rule texts differ, lrepair_1 vs $tag" >&2; exit 1; }
+    "$TRACE_DIR/eng_all_counters_stream_1.txt")" -eq 4 ] \
+    || { echo "stream run is missing repair counters" >&2; exit 1; }
+grep -q '"repair\.index\.probes": [1-9]' "$TRACE_DIR/eng_all_counters_stream_1.txt" \
+    || { echo "stream run recorded no index probes" >&2; exit 1; }
+[ "$(wc -l < "$TRACE_DIR/eng_histograms_stream_1.txt")" -eq 4 ] \
+    || { echo "stream run is missing the per-tuple histograms" >&2; exit 1; }
+grep -qE '"repair\.worker\.0\.replayed": [1-9]' "$TRACE_DIR/eng_metrics_lrepair_1.json" \
+    || { echo "lrepair at 1 worker replayed no memoized run" >&2; exit 1; }
+for tag in lrepair_1 lrepair_2 lrepair_default; do
+    cmp "$TRACE_DIR/eng_stream_1.csv" "$TRACE_DIR/eng_$tag.csv" \
+        || { echo "$tag output differs from stream_1" >&2; exit 1; }
+    diff "$TRACE_DIR/eng_all_counters_stream_1.txt" "$TRACE_DIR/eng_all_counters_$tag.txt" \
+        || { echo "repair.* counters differ, stream_1 vs $tag" >&2; exit 1; }
+    diff "$TRACE_DIR/eng_histograms_stream_1.txt" "$TRACE_DIR/eng_histograms_$tag.txt" \
+        || { echo "per-tuple histograms differ, stream_1 vs $tag" >&2; exit 1; }
+    cmp "$TRACE_DIR/eng_profile_stream_1.json" "$TRACE_DIR/eng_profile_$tag.json" \
+        || { echo "--profile-json differs, stream_1 vs $tag" >&2; exit 1; }
+    cmp "$TRACE_DIR/eng_cells_stream_1.txt" "$TRACE_DIR/eng_cells_$tag.txt" \
+        || { echo "repair.cell provenance differs, stream_1 vs $tag" >&2; exit 1; }
+    cmp "$TRACE_DIR/eng_rules_stream_1.txt" "$TRACE_DIR/eng_rules_$tag.txt" \
+        || { echo "journaled rule texts differ, stream_1 vs $tag" >&2; exit 1; }
 done
-echo "-- lrepair at 2 and at the default worker count, and stream, match lrepair at 1: CSV, repair.* counters, provenance, rule texts"
+echo "-- lrepair at 1, 2 and the default worker count match stream: CSV, repair.* counters, per-tuple histograms, --profile-json, provenance, rule texts"
 
 echo "== rule printing does not depend on the data =="
 # Σ's constants are numbered as the rule file lists them, so a rule prints
