@@ -30,16 +30,18 @@
 //! fixctl client shutdown        --addr HOST:PORT          # graceful drain
 //! ```
 //!
-//! `repair` has two engines, and they write the same output: `lrepair`
-//! (the default) loads the table, each cell as one of Σ's constants or as
-//! ⊥, splits its rows across workers and writes untouched rows back from
-//! the input's own bytes;
-//! `stream` repairs one record at a time as it reads them, so its memory
-//! does not grow with the input. `--threads N` only sets the worker count
-//! for the CSV load, the lRepair repair and the CSV write. It defaults to
-//! the available cores, and no output depends on it. `stream` refuses an
-//! N > 1 and `--updates-log`. `check`, `detect`, `repair` and `coverage`
-//! check every rule pair on one thread and report every conflict.
+//! `repair` has two engines, and they write the same output, and neither
+//! one's memory grows with the input: `lrepair` (the default) runs a chunk
+//! pipeline, whose workers each read a 256 KiB chunk of the input with
+//! every cell one of Σ's constants or ⊥, repair it, and render it back,
+//! untouched rows from the chunk's own bytes, while the calling thread
+//! writes the chunks in order; `stream` repairs one record at a time as it
+//! reads them, on one thread. `--threads N` only sets the worker count for
+//! the pipeline (and for the CSV load of the other commands). It defaults
+//! to the available cores, and no output depends on it. `stream` refuses
+//! an N > 1 and `--updates-log`. `check`, `detect`, `repair` and
+//! `coverage` check every rule pair on one thread and report every
+//! conflict.
 //!
 //! `repair` additionally takes the profiling flags:
 //!
@@ -49,10 +51,13 @@
 //!
 //! Every command but `serve` also takes the observability flags:
 //!
-//! * `--metrics <path>` — write a deterministic JSON snapshot of per-stage
-//!   timings (`stage.*_ns` histograms) and pipeline counters
-//!   (`repair.rules_applied`, `repair.tuples_touched`,
-//!   `consistency.conflicts`, ...; see [`obs::METRIC_NAMES`]).
+//! * `--metrics <path>` — write a JSON snapshot of per-stage timings
+//!   (`stage.*_ns` histograms), repair counters (`repair.rules_applied`,
+//!   `repair.tuples_touched`, `consistency.conflicts`, ...; see
+//!   [`obs::METRIC_NAMES`]), the `repair` pipeline's busy time per phase
+//!   (`pipeline.*_ns`), and the process's peak memory
+//!   (`process.peak_rss_bytes`, where `/proc/self/status` is readable).
+//!   All but the timings and the memory are deterministic.
 //! * `--log <off|info|debug>` — structured `key=value` progress lines on
 //!   stderr.
 //! * `--trace <path>` — append-only JSONL journal of stage spans plus, for
@@ -84,7 +89,7 @@ use fixrules::consistency::{
 use fixrules::io::{format_rule, format_rules, parse_rules, parse_rules_spanned, Span};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
 use fixrules::repair::{
-    lrepair_table, par_lrepair_table, stream_repair_csv, LRepairIndex, RepairOutcome,
+    lrepair_table, stream_repair_csv, CellUpdate, LRepairIndex, LRepairWorker, RepairStats,
 };
 use fixrules::RuleSet;
 use obs::trace::{chrome_trace, parse_jsonl, TracePhase, TraceSpan};
@@ -93,7 +98,7 @@ use obs::{
     MetricsObserver, MetricsRegistry, QualityConfig, QualityMonitor, RepairObserver, RuleLabel,
     Tee, TraceClock, TraceJournal,
 };
-use relation::csv_io::{par_read_csv_constants, par_write_repaired_csv, RowSpans};
+use relation::csv_io::{par_read_csv_constants, par_repair_csv, PipelineError};
 use relation::{Schema, Symbol, SymbolTable, Table};
 
 /// The error a command returns when a write to stdout finds the reader
@@ -203,6 +208,11 @@ impl ObsCtx {
     /// leave a trace.
     fn finish(&self) -> Result<(), String> {
         if let Some(path) = &self.metrics_path {
+            if let Some(bytes) = peak_rss_bytes() {
+                self.registry
+                    .gauge("process.peak_rss_bytes")
+                    .set(i64::try_from(bytes).unwrap_or(i64::MAX));
+            }
             let snapshot = self.registry.snapshot();
             std::fs::write(path, snapshot.to_string_pretty() + "\n")
                 .map_err(|e| format!("writing {path}: {e}"))?;
@@ -214,6 +224,21 @@ impl ObsCtx {
         }
         Ok(())
     }
+}
+
+/// The process's peak resident memory so far, in bytes: `VmHWM` in
+/// `/proc/self/status`, or `None` where that file cannot be read.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse::<u64>()
+        .ok()?;
+    Some(kib * 1024)
 }
 
 struct Flags {
@@ -373,7 +398,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn usage() -> String {
     "usage: fixctl <check|detect|discover|resolve|repair|stats|convert> --rules FILE --data FILE.csv \
-     [--out FILE] [--engine lrepair|stream] \
+     [--out FILE] [--engine lrepair|stream (neither one's memory grows with FILE.csv)] \
      [--threads N (default: all cores)] [--strategy shrink|drop] [--updates-log FILE] \
      [--metrics FILE.json] [--log off|info|debug] [--trace FILE.jsonl] [--trace-clock logical|wall] \
      [--profile] [--profile-json FILE] \
@@ -545,7 +570,7 @@ fn cmd_certify(
 /// picking the direction from the output extension.
 fn cmd_convert(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let out = flags.required("out")?;
-    let (_table, rules, symbols, _rows) = load(flags, obs_ctx)?;
+    let (_table, rules, symbols) = load(flags, obs_ctx)?;
     if out.ends_with(".json") {
         let doc = fixrules::io::to_portable(&rules, &symbols);
         std::fs::write(out, doc.to_json_string()).map_err(|e| format!("writing {out}: {e}"))?;
@@ -598,7 +623,7 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
 /// Audit mode: report and explain every update a repair would apply,
 /// without writing anything.
 fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (table, rules, symbols, _rows) = load(flags, obs_ctx)?;
+    let (table, rules, symbols) = load(flags, obs_ctx)?;
     require_consistent(&rules, obs_ctx)?;
     let index = {
         let _span = obs_ctx.span("index_build");
@@ -630,34 +655,50 @@ fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
 /// [`worker_threads`] chunks with each cell a constant of Σ or ⊥: a tuple
 /// meets a fixing rule only through equality with its constants, so no
 /// other value can change a repair (DESIGN.md §18). The symbol table holds
-/// Σ's constants alone, in rule-parse order, and the row spans let the
-/// repair be written back from the file's bytes.
-fn load(
-    flags: &Flags,
-    obs_ctx: &ObsCtx,
-) -> Result<(Table, RuleSet, SymbolTable, RowSpans), String> {
+/// Σ's constants alone, in rule-parse order.
+fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable), String> {
     let threads = worker_threads(flags)?;
     let _span = obs_ctx.span("load");
     let data_path = flags.required("data")?;
-    let rules_path = flags.required("rules")?;
-    let schema = read_header(data_path)?;
-    let mut symbols = SymbolTable::new();
+    let (schema, rules, symbols) = read_sigma(data_path, flags.required("rules")?)?;
     // A bad rule file is reported only once the data has loaded, so a bad
     // data file is the first error reported.
+    let table = read_data(data_path, &schema, &symbols, threads)?;
+    let rules = rules?;
+    obs::info!(
+        "load.done",
+        rows = table.len(),
+        rules = rules.len(),
+        constants = symbols.len()
+    );
+    Ok((table, rules, symbols))
+}
+
+/// The header of the CSV file at `data_path` and Σ parsed against it from
+/// `rules_path`, or the rule file's error. The symbol table holds Σ's
+/// constants, or none if the rule file failed.
+fn read_sigma(
+    data_path: &str,
+    rules_path: &str,
+) -> Result<(Schema, Result<RuleSet, String>, SymbolTable), String> {
+    let schema = read_header(data_path)?;
+    let mut symbols = SymbolTable::new();
     let rules = read_rules(rules_path, &schema, &mut symbols);
     if rules.is_err() {
         symbols = SymbolTable::new();
     }
-    let loaded = par_read_csv_constants(data_path, &schema, &symbols, threads)
-        .map_err(|e| format!("reading {data_path}: {e}"))?;
-    let rules = rules?;
-    obs::info!(
-        "load.done",
-        rows = loaded.table.len(),
-        rules = rules.len(),
-        constants = symbols.len()
-    );
-    Ok((loaded.table, rules, symbols, loaded.rows))
+    Ok((schema, rules, symbols))
+}
+
+/// Load the CSV file at `path` with each cell one of `symbols` or ⊥.
+fn read_data(
+    path: &str,
+    schema: &Schema,
+    symbols: &SymbolTable,
+    threads: usize,
+) -> Result<Table, String> {
+    par_read_csv_constants(path, schema, symbols, threads)
+        .map_err(|e| format!("reading {path}: {e}"))
 }
 
 /// The schema of the CSV file at `path`, read from its header row alone.
@@ -768,7 +809,7 @@ fn require_consistent(rules: &RuleSet, obs_ctx: &ObsCtx) -> Result<(), String> {
 }
 
 fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (_table, rules, symbols, _rows) = load(flags, obs_ctx)?;
+    let (_table, rules, symbols) = load(flags, obs_ctx)?;
     let report = check_consistency(&rules, obs_ctx);
     outln!(
         "{} rules, size(Σ) = {}, {} pairs checked",
@@ -1070,7 +1111,7 @@ fn cmd_client(sub: &str, positional: Option<&str>, flags: &Flags) -> Result<Exit
 }
 
 fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (_table, mut rules, symbols, _rows) = load(flags, obs_ctx)?;
+    let (_table, mut rules, symbols) = load(flags, obs_ctx)?;
     let strategy = match flags.optional("strategy").unwrap_or("shrink") {
         "shrink" => Strategy::ShrinkNegatives,
         "drop" => Strategy::Conservative,
@@ -1098,11 +1139,13 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
 
 /// `fixctl repair`: gate Σ, then repair every row into `--out`. The two
 /// engines differ only in how rows are read, repaired and written:
-/// `lrepair` loads the whole table ([`load`]), splits its rows across the
-/// `--threads` workers and writes it back from the input, re-rendering
-/// only the rows it touched or that hold a `"`; `stream` reads only the CSV
-/// header up front and repairs each record as it is read, so its memory
-/// does not grow with the input. Both gate before `--out` is created.
+/// `lrepair` runs [`run_pipeline`], which repairs the input chunk by
+/// chunk on the `--threads` workers and writes each chunk back from its own
+/// bytes, re-rendering only the rows it touched or that hold a `"`;
+/// `stream` repairs each record as it is read, on one thread. Neither
+/// holds the table, so neither's memory grows with the input. Both gate
+/// before `--out` is created, and `lrepair` renames `--out` into place
+/// only once it is whole ([`OutFile`]).
 fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(REPAIR_FLAGS)?;
     let engine = flags.optional("engine").unwrap_or("lrepair");
@@ -1132,18 +1175,26 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
     let out = flags.required("out")?;
-    let (mut table, rules, symbols) = if stream {
+    let (schema, rules, symbols) = {
         let _span = obs_ctx.span("load");
-        let schema = read_header(data_path)?;
-        let mut symbols = SymbolTable::new();
-        let rules = read_rules(rules_path, &schema, &mut symbols)?;
-        obs::info!("load.done", rules = rules.len(), constants = symbols.len());
-        (None, rules, symbols)
-    } else {
-        let (table, rules, symbols, rows) = load(flags, obs_ctx)?;
-        (Some((table, rows)), rules, symbols)
+        read_sigma(data_path, rules_path)?
     };
-    require_consistent(&rules, obs_ctx)?;
+    // As `load` reports them, a bad data file comes before a bad rule file,
+    // which comes before an inconsistent Σ; `lrepair` reads the data only
+    // in its pipeline, so on those paths it reads the data through first.
+    let data_first = |error: String| {
+        if stream {
+            return error;
+        }
+        read_data(data_path, &schema, &SymbolTable::new(), threads)
+            .err()
+            .unwrap_or(error)
+    };
+    let rules = rules.map_err(data_first)?;
+    if stream {
+        obs::info!("load.done", rules = rules.len(), constants = symbols.len());
+    }
+    require_consistent(&rules, obs_ctx).map_err(data_first)?;
     // `--quality-window` hangs a QualityMonitor off the observer chain:
     // tumbling windows of sketches over the incoming stream, summarized
     // as a per-window table after the run.
@@ -1197,23 +1248,41 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         let _span = obs_ctx.span("index_build");
         LRepairIndex::build(&rules)
     };
-    let (stats, outcome) = match &mut table {
-        Some((table, _)) => {
-            let _span = obs_ctx.span("repair");
-            let outcome = par_lrepair_table(&rules, &index, table, threads, &observer);
-            (outcome.stats(table.len()), outcome)
-        }
-        None => {
-            let reader =
-                std::fs::File::open(data_path).map_err(|e| format!("opening {data_path}: {e}"))?;
-            let writer = std::io::BufWriter::new(
-                std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
-            );
-            let _span = obs_ctx.span("repair");
-            let stats = stream_repair_csv(&rules, &index, &symbols, reader, writer, &observer)
-                .map_err(|e| format!("streaming: {e}"))?;
-            (stats, RepairOutcome::default())
-        }
+    let (stats, updates, out_file) = if stream {
+        let reader =
+            std::fs::File::open(data_path).map_err(|e| format!("opening {data_path}: {e}"))?;
+        let writer = std::io::BufWriter::new(
+            std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
+        );
+        let _span = obs_ctx.span("repair");
+        let stats = stream_repair_csv(&rules, &index, &symbols, reader, writer, &observer)
+            .map_err(|e| format!("streaming: {e}"))?;
+        (stats, Vec::new(), None)
+    } else {
+        let _span = obs_ctx.span("repair");
+        let mut out_file = OutFile::create(out, data_path)?;
+        let (stats, updates) = run_pipeline(
+            &rules,
+            &symbols,
+            &index,
+            threads,
+            data_path,
+            &mut out_file.file,
+            &observer,
+            flags.optional("updates-log").is_some(),
+            obs_ctx,
+        )
+        .map_err(|e| match e {
+            PipelineError::Read(e) => format!("reading {data_path}: {e}"),
+            PipelineError::Write(e) => format!("writing {out}: {e}"),
+        })?;
+        obs::info!(
+            "load.done",
+            rows = stats.rows,
+            rules = rules.len(),
+            constants = symbols.len()
+        );
+        (stats, updates, Some(out_file))
     };
     if let Some(journal) = &obs_ctx.journal {
         write_trace_events(journal, &rules, &symbols, &ledger, engine);
@@ -1232,13 +1301,9 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         stats.rows,
         if stream { " (streamed)" } else { "" }
     );
-    if let Some((table, rows)) = &mut table {
+    if let Some(out_file) = out_file {
         let _span = obs_ctx.span("write");
-        for u in &outcome.updates {
-            rows.touch(u.row);
-        }
-        par_write_repaired_csv(out, data_path, table, rows, &symbols, threads)
-            .map_err(|e| format!("writing {out}: {e}"))?;
+        out_file.commit()?;
     }
     if let Some(quality) = &quality {
         // Seal the trailing partial window so the table covers every
@@ -1256,7 +1321,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         let schema = rules.schema();
         let mut log = Vec::new();
         relation::csv_io::push_record(&mut log, ["row", "attribute", "old", "new", "rule"]);
-        for u in &outcome.updates {
+        for u in &updates {
             let (row, rule) = (u.row.to_string(), u.rule.0.to_string());
             relation::csv_io::push_record(
                 &mut log,
@@ -1274,6 +1339,211 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     }
     emit_profile(flags, attribution.as_ref())?;
     Ok(())
+}
+
+/// `repair`'s default engine: [`par_repair_csv`] with one [`LRepairWorker`]
+/// per worker, so each chunk of `data` is scanned, repaired, rendered and
+/// written to `out` once, and no table is built (DESIGN.md §18). Returns
+/// the run's totals and, if `keep_log`, every update in row order; each
+/// worker's tallies and [`Event::WorkerDone`] go to `observer`, and the
+/// pipeline's busy time per phase to `pipeline.*_ns` counters.
+#[allow(clippy::too_many_arguments)]
+fn run_pipeline<O: RepairObserver>(
+    rules: &RuleSet,
+    symbols: &SymbolTable,
+    index: &LRepairIndex,
+    threads: usize,
+    data: &str,
+    out: &mut std::fs::File,
+    observer: &O,
+    keep_log: bool,
+    obs_ctx: &ObsCtx,
+) -> Result<(RepairStats, Vec<CellUpdate>), PipelineError> {
+    let run = par_repair_csv(
+        data,
+        rules.schema(),
+        symbols,
+        out,
+        threads,
+        |w| PipelineWorker {
+            lrepair: LRepairWorker::new(rules, index, observer, w),
+            log: Vec::new(),
+            updates: 0,
+            rows_touched: 0,
+        },
+        |w, mut chunk| {
+            let from = w.log.len();
+            w.lrepair
+                .repair_rows(chunk.first_row, chunk.cells, &mut w.log);
+            let mut last = None;
+            for u in &w.log[from..] {
+                if last != Some(u.row) {
+                    chunk.touch(u.row - chunk.first_row);
+                    w.rows_touched += 1;
+                    last = Some(u.row);
+                }
+            }
+            w.updates += w.log.len() - from;
+            if !keep_log {
+                w.log.truncate(from);
+            }
+        },
+    )?;
+    let times = run.times;
+    for (phase, ns) in [
+        ("scan", times.scan_ns),
+        ("repair", times.repair_ns),
+        ("render", times.render_ns),
+        ("write", times.write_ns),
+        ("wait", times.wait_ns),
+    ] {
+        obs_ctx
+            .registry
+            .counter(&format!("pipeline.{phase}_ns"))
+            .add(ns);
+    }
+    let mut stats = RepairStats {
+        rows: run.rows,
+        ..RepairStats::default()
+    };
+    let mut updates = Vec::new();
+    for w in run.workers {
+        stats.updates += w.updates;
+        stats.rows_touched += w.rows_touched;
+        updates.extend(w.log);
+        w.lrepair.finish();
+    }
+    // Each worker's log is in row order and no two share a row, so a
+    // stable sort by row merges them and keeps each row's own order.
+    updates.sort_by_key(|u| u.row);
+    Ok((stats, updates))
+}
+
+/// A [`run_pipeline`] worker: its lRepair state and what it repaired.
+struct PipelineWorker<'a, O: RepairObserver> {
+    lrepair: LRepairWorker<'a, O>,
+    /// Its updates in row order, kept only for `--updates-log`.
+    log: Vec<CellUpdate>,
+    updates: usize,
+    rows_touched: usize,
+}
+
+/// `repair`'s `--out`, written through a temporary file that is renamed
+/// into place once the output is whole: a failed run creates no `--out`
+/// and leaves an existing one as it was, and `--out` may be `--data`
+/// itself. A link is followed: the temporary file goes beside the file it
+/// names and replaces that file, so the link stays a link. The rename
+/// gives the file a new inode with the old one's mode; its owner, ACLs
+/// and other hard links are not carried over.
+///
+/// Written in place instead, with no rename: an `--out` that is not a
+/// regular file (`/dev/stdout`, a pipe), a dangling link, and an existing
+/// file beside which no temporary file may be made (its directory is not
+/// writable). Such an `--out` must not be `--data`, which the run has yet
+/// to read.
+struct OutFile {
+    /// `--out` as given, for messages.
+    name: String,
+    /// The temporary file and the path it replaces, until the rename.
+    temp: Option<(std::path::PathBuf, std::path::PathBuf)>,
+    file: std::fs::File,
+}
+
+impl OutFile {
+    /// Open `out` for a run that will read `data`.
+    fn create(out: &str, data: &str) -> Result<OutFile, String> {
+        let error =
+            |e: std::io::Error| format!("writing {out}: {}", relation::RelationError::from(e));
+        let in_place = || {
+            if same_file(out, data) {
+                return Err(format!(
+                    "writing {out}: it is --data, and a temporary file cannot replace it"
+                ));
+            }
+            let file = std::fs::File::create(out).map_err(error)?;
+            Ok(OutFile {
+                name: out.to_string(),
+                temp: None,
+                file,
+            })
+        };
+        let existing = match std::fs::metadata(out) {
+            Ok(meta) if meta.is_file() => Some(meta),
+            Ok(_) => return in_place(),
+            Err(_) if std::fs::symlink_metadata(out).is_ok() => return in_place(),
+            Err(_) => None,
+        };
+        let target = match existing {
+            Some(_) => std::fs::canonicalize(out).map_err(error)?,
+            None => std::path::PathBuf::from(out),
+        };
+        let Some(name) = target.file_name() else {
+            return in_place();
+        };
+        let temp = target.with_file_name(format!(
+            ".{}.{}.tmp",
+            name.to_string_lossy(),
+            std::process::id()
+        ));
+        let file = match std::fs::File::create(&temp) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::PermissionDenied && existing.is_some() => {
+                return in_place()
+            }
+            Err(e) => return Err(error(e)),
+        };
+        let out_file = OutFile {
+            name: out.to_string(),
+            temp: Some((temp, target)),
+            file,
+        };
+        if let (Some(meta), Some((temp, _))) = (existing, &out_file.temp) {
+            std::fs::set_permissions(temp, meta.permissions()).map_err(error)?;
+        }
+        Ok(out_file)
+    }
+
+    /// Flush the output and rename it into place.
+    fn commit(mut self) -> Result<(), String> {
+        use std::io::Write;
+        let error = |e: std::io::Error| {
+            format!(
+                "writing {}: {}",
+                self.name,
+                relation::RelationError::from(e)
+            )
+        };
+        self.file.flush().map_err(error)?;
+        if let Some((temp, target)) = &self.temp {
+            std::fs::rename(temp, target).map_err(error)?;
+        }
+        self.temp = None;
+        Ok(())
+    }
+}
+
+impl Drop for OutFile {
+    fn drop(&mut self) {
+        if let Some((temp, _)) = &self.temp {
+            let _ = std::fs::remove_file(temp);
+        }
+    }
+}
+
+/// Whether two paths name one file, following links.
+fn same_file(a: &str, b: &str) -> bool {
+    match (std::fs::metadata(a), std::fs::metadata(b)) {
+        #[cfg(unix)]
+        (Ok(a), Ok(b)) => {
+            use std::os::unix::fs::MetadataExt;
+            a.dev() == b.dev() && a.ino() == b.ino()
+        }
+        #[cfg(not(unix))]
+        (Ok(_), Ok(_)) => {
+            matches!((std::fs::canonicalize(a), std::fs::canonicalize(b)), (Ok(a), Ok(b)) if a == b)
+        }
+        _ => false,
+    }
 }
 
 /// Dump the run metadata, rule texts, and provenance ledger into the trace
@@ -1456,7 +1726,7 @@ fn cmd_trace_export(positional: Option<&str>, flags: &Flags) -> Result<(), Strin
 }
 
 fn cmd_stats(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (table, rules, _symbols, _rows) = load(flags, obs_ctx)?;
+    let (table, rules, _symbols) = load(flags, obs_ctx)?;
     outln!("schema: {}", table.schema());
     outln!("data:   {} rows", table.len());
     outln!("rules:  {} (size(Σ) = {})", rules.len(), rules.size());

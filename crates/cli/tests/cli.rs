@@ -1599,8 +1599,13 @@ fn quality_window_rejects_non_stream_engines() {
 /// with quoted commas, `""` escapes, quoted line breaks and CRLF rows
 /// mixed in, and three dirty rows in 40.
 fn tiled_travel_csv() -> String {
+    tiled_travel_rows(50_000)
+}
+
+/// [`tiled_travel_csv`] with `rows` rows, about 60 bytes each.
+fn tiled_travel_rows(rows: usize) -> String {
     let mut text = String::from("name,country,capital,city,conf\n");
-    for i in 0..50_000 {
+    for i in 0..rows {
         let name = match i % 4 {
             0 => format!("p{i}"),
             1 => format!("\"Doe, J{}\"", i % 97),
@@ -1621,13 +1626,16 @@ fn tiled_travel_csv() -> String {
 
 /// The counters and histograms of a `--metrics` snapshot, minus the ones
 /// that describe the workers themselves (`repair.worker.*`) or measure
-/// time (`stage.*`).
+/// time (`stage.*`, `pipeline.*`).
 fn worker_independent_metrics(path: &std::path::Path) -> Vec<(String, String)> {
     let snap = obs::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
     let mut out = Vec::new();
     for section in ["counters", "histograms"] {
         for (name, value) in snap.get(section).unwrap().as_obj().unwrap() {
-            if !name.starts_with("repair.worker.") && !name.starts_with("stage.") {
+            if !["repair.worker.", "stage.", "pipeline."]
+                .iter()
+                .any(|prefix| name.starts_with(prefix))
+            {
                 out.push((format!("{section}.{name}"), value.to_string()));
             }
         }
@@ -1803,10 +1811,209 @@ fn load_keeps_only_rule_constants_and_repair_can_overwrite_its_input() {
     }
     let want = std::fs::read(fixed).unwrap();
     assert!(String::from_utf8_lossy(&want).contains("Peter,Japan,Tokyo,Tokyo,ICDE\n"));
-    // Written over its own input, the repair still reads every row first.
+    // Written over its own input, the repair still reads every row first:
+    // Fig 1's four rows, and a file of many chunks.
     let out = fixctl(&["repair", "--rules", rules, "--data", data, "--out", data]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(std::fs::read(data).unwrap(), want);
+    std::fs::write(data, tiled_travel_csv()).unwrap();
+    let out = fixctl(&["repair", "--rules", rules, "--data", data, "--out", fixed]);
+    assert!(out.status.success(), "{out:?}");
+    let want = std::fs::read(fixed).unwrap();
+    assert_ne!(std::fs::read(data).unwrap(), want);
+    for threads in ["1", "2"] {
+        std::fs::write(data, tiled_travel_csv()).unwrap();
+        let args = ["repair", "--rules", rules, "--data", data, "--out", data];
+        let out = fixctl(&[&args[..], &["--threads", threads]].concat());
+        assert!(out.status.success(), "{out:?}");
+        assert!(std::fs::read(data).unwrap() == want, "threads={threads}");
+    }
+    assert_eq!(files_in(&dir), ["fixed.csv", "r.frl", "t.csv"]);
+}
+
+#[cfg(unix)]
+#[test]
+fn repair_through_a_link_to_its_input_replaces_the_file_it_names() {
+    let dir = tmpdir("out_link");
+    let (data, rules, fixed, link) = (
+        dir.join("t.csv"),
+        dir.join("r.frl"),
+        dir.join("fixed.csv"),
+        dir.join("link.csv"),
+    );
+    std::fs::write(&data, tiled_travel_csv()).unwrap();
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    std::os::unix::fs::symlink("t.csv", &link).unwrap();
+    let (data, rules, fixed, link) = (
+        data.to_str().unwrap(),
+        rules.to_str().unwrap(),
+        fixed.to_str().unwrap(),
+        link.to_str().unwrap(),
+    );
+    let out = fixctl(&["repair", "--rules", rules, "--data", data, "--out", fixed]);
+    assert!(out.status.success(), "{out:?}");
+    let want = std::fs::read(fixed).unwrap();
+    assert_ne!(std::fs::read(data).unwrap(), want);
+    // `--out` is a link to `--data`: the input is read whole before the
+    // linked file is replaced, and the link stays a link.
+    for threads in ["1", "2"] {
+        std::fs::write(data, tiled_travel_csv()).unwrap();
+        let args = ["repair", "--rules", rules, "--data", data, "--out", link];
+        let out = fixctl(&[&args[..], &["--threads", threads]].concat());
+        assert!(out.status.success(), "{out:?}");
+        assert!(std::fs::read(data).unwrap() == want, "threads={threads}");
+        let meta = std::fs::symlink_metadata(link).unwrap();
+        assert!(meta.file_type().is_symlink(), "threads={threads}");
+    }
+    assert_eq!(files_in(&dir), ["fixed.csv", "link.csv", "r.frl", "t.csv"]);
+}
+
+/// The files in `dir`, by name.
+fn files_in(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_late_ragged_row_fails_the_repair_and_leaves_out_as_it_was() {
+    let dir = tmpdir("late_ragged");
+    let (data, rules, fixed) = (dir.join("t.csv"), dir.join("r.frl"), dir.join("fixed.csv"));
+    // About 1.2 MiB: the ragged row sits in the last of several chunks.
+    let mut text = tiled_travel_rows(20_000);
+    text += "late,row\nlast,China,Beijing,Beijing,ICDE\n";
+    std::fs::write(&data, &text).unwrap();
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    let (data, rules, fixed) = (
+        data.to_str().unwrap(),
+        rules.to_str().unwrap(),
+        fixed.to_str().unwrap(),
+    );
+    let message = format!(
+        "fixctl: reading {data}: I/O error: CSV error: record has 2 fields, but the previous record has 5\n"
+    );
+    for threads in ["1", "2", "3"] {
+        let args = [
+            "repair",
+            "--rules",
+            rules,
+            "--data",
+            data,
+            "--out",
+            fixed,
+            "--threads",
+            threads,
+        ];
+        let out = fixctl(&args);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            message,
+            "threads={threads}"
+        );
+        assert_eq!(files_in(&dir), ["r.frl", "t.csv"], "threads={threads}");
+        // An existing --out keeps its bytes.
+        std::fs::write(fixed, "kept\n").unwrap();
+        let out = fixctl(&args);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        assert_eq!(std::fs::read(fixed).unwrap(), b"kept\n");
+        assert_eq!(files_in(&dir), ["fixed.csv", "r.frl", "t.csv"]);
+        std::fs::remove_file(fixed).unwrap();
+    }
+}
+
+#[test]
+fn a_data_error_is_reported_before_a_rules_error_or_a_conflict() {
+    let dir = tmpdir("error_order");
+    let (data, fixed) = (dir.join("t.csv"), dir.join("fixed.csv"));
+    std::fs::write(&data, format!("{TRAVEL_CSV}ragged,row\n")).unwrap();
+    let message = format!(
+        "fixctl: reading {}: I/O error: CSV error: record has 2 fields, but the previous record has 5\n",
+        data.display()
+    );
+    let unparsable = "IF country = \"China\" AND THEN capital := \"Beijing\"\n";
+    for (tag, text) in [("unparsable", unparsable), ("inconsistent", BAD_RULES)] {
+        let rules = dir.join(format!("{tag}.frl"));
+        std::fs::write(&rules, text).unwrap();
+        for command in ["repair", "check"] {
+            let mut args = vec![
+                command,
+                "--rules",
+                rules.to_str().unwrap(),
+                "--data",
+                data.to_str().unwrap(),
+            ];
+            if command == "repair" {
+                args.extend(["--out", fixed.to_str().unwrap()]);
+            }
+            let out = fixctl(&args);
+            assert_eq!(out.status.code(), Some(2), "{tag} {command}: {out:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                message,
+                "{tag} {command}"
+            );
+            assert!(!fixed.exists(), "{tag} {command}");
+        }
+    }
+}
+
+/// `process.peak_rss_bytes` from a `--metrics` file.
+fn peak_rss_bytes(path: &std::path::Path) -> i64 {
+    let snap = obs::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    snap.get("gauges")
+        .and_then(|g| g.get("process.peak_rss_bytes"))
+        .and_then(|v| v.as_i64())
+        .expect("a process.peak_rss_bytes gauge")
+}
+
+#[test]
+fn repair_memory_does_not_grow_with_the_input() {
+    if !std::path::Path::new("/proc/self/status").exists() {
+        return;
+    }
+    let dir = tmpdir("peak_rss");
+    let rules = dir.join("r.frl");
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    let peak = |rows: usize| {
+        let (data, fixed, metrics) = (
+            dir.join(format!("{rows}.csv")),
+            dir.join("fixed.csv"),
+            dir.join("m.json"),
+        );
+        std::fs::write(&data, tiled_travel_rows(rows)).unwrap();
+        let out = fixctl(&[
+            "repair",
+            "--rules",
+            rules.to_str().unwrap(),
+            "--data",
+            data.to_str().unwrap(),
+            "--out",
+            fixed.to_str().unwrap(),
+            "--metrics",
+            metrics.to_str().unwrap(),
+            "--threads",
+            "2",
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        (
+            std::fs::metadata(&data).unwrap().len(),
+            peak_rss_bytes(&metrics),
+        )
+    };
+    let (small_len, small) = peak(10_000);
+    let (large_len, large) = peak(100_000);
+    assert!(
+        large_len > 2 << 20 && large_len >= 9 * small_len,
+        "{large_len}"
+    );
+    assert!(
+        large - small <= 4 << 20,
+        "peak RSS {small} B on {small_len} B of input, {large} B on {large_len} B"
+    );
 }
 
 /// A copy of `data` that keeps its header row and drops every record.

@@ -195,12 +195,12 @@ impl ProvenanceLedger {
 
     /// Append one record.
     pub fn record(&self, rec: ProvenanceRecord) {
-        self.entries.lock().expect("ledger poisoned").push(rec);
+        obs::lock(&self.entries).push(rec);
     }
 
     /// Number of recorded applications.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("ledger poisoned").len()
+        obs::lock(&self.entries).len()
     }
 
     /// True when nothing was recorded.
@@ -210,7 +210,7 @@ impl ProvenanceLedger {
 
     /// All records, sorted by `(row, ordinal)` — the canonical order.
     pub fn records(&self) -> Vec<ProvenanceRecord> {
-        let mut out = self.entries.lock().expect("ledger poisoned").clone();
+        let mut out = obs::lock(&self.entries).clone();
         out.sort_by_key(|r| (r.row, r.ordinal));
         out
     }

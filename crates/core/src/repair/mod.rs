@@ -46,7 +46,7 @@ pub use compile::{
 pub use detect::{detect_table, explain};
 pub use linear::{lrepair_table, lrepair_tuple, LRepairIndex, LRepairScratch};
 pub use obs::NoopObserver;
-pub use parallel::par_lrepair_table;
+pub use parallel::{par_lrepair_table, LRepairWorker};
 pub use stream::{stream_repair_csv, StreamStats};
 
 use relation::{AttrId, Symbol};

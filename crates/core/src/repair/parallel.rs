@@ -3,7 +3,7 @@
 //! Fixing rules read and write a single tuple at a time — unlike FD repair,
 //! no cross-tuple state exists — so a table repair is embarrassingly
 //! parallel: cut the rows into blocks, give each worker its own
-//! [`LRepairScratch`], and share the immutable [`LRepairIndex`]. This is an
+//! [`LRepairWorker`], and share the immutable [`LRepairIndex`]. This is an
 //! extension beyond the paper (its experiments are single-threaded); the
 //! `repro` harness uses the sequential drivers so timings stay comparable.
 //!
@@ -13,7 +13,7 @@
 //! projections to the runs it has recorded, which replays a recorded run
 //! instead of probing and chasing again.
 
-use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use obs::{Event, RepairObserver};
 use relation::{AttrId, Symbol, Table};
@@ -33,22 +33,16 @@ const BLOCKS_PER_WORKER: usize = 8;
 ///
 /// Produces exactly the same table state and update log as the sequential
 /// [`crate::repair::lrepair_table`]. The rows are cut into contiguous
-/// blocks, which the workers claim one at a time; each block's updates are
-/// recorded in (row, application order), and concatenating the blocks'
-/// logs in row order gives the sequential driver's log, byte for byte.
-/// With one worker, the calling thread repairs every block.
+/// blocks, which the workers claim one at a time, in row order, through
+/// one [`LRepairWorker`] each. A worker's update log is therefore in row
+/// order, and merging the workers' logs by row gives the sequential
+/// driver's log, byte for byte. With one worker, the calling thread
+/// repairs every block.
 ///
-/// Each worker repairs through its own `PlanMemo`, which lives for this
-/// call only. A replayed run makes the same writes, hooks and tallies as
-/// the run it replays, so no observer can tell a hit from a miss.
-///
-/// Observer hooks: each worker keeps the per-tuple tallies in its own
-/// [`LRepairScratch`] and flushes them every 4,096 tuples and once at the
-/// end, so the shared observer (which must therefore be `Sync`) sees no
-/// per-tuple traffic but the same totals.
-/// Per-update hooks (`rule_applied`, `cell_repaired`, ...) fire in worker
-/// order — provenance consumers sort by `(row, ordinal)` — plus one
-/// [`Event::WorkerDone`] per worker; pass
+/// Observer hooks are [`LRepairWorker`]'s: the shared observer (which must
+/// therefore be `Sync`) sees the per-update hooks in worker order —
+/// provenance consumers sort by `(row, ordinal)` — the per-tuple tallies
+/// in batches, and one [`Event::WorkerDone`] per worker; pass
 /// [`obs::NoopObserver`] for none.
 pub fn par_lrepair_table<O: RepairObserver>(
     rules: &RuleSet,
@@ -66,64 +60,132 @@ pub fn par_lrepair_table<O: RepairObserver>(
     if rows == 0 {
         return RepairOutcome::default();
     }
-    let arity = table.schema().arity();
     let block_rows = rows.div_ceil(num_threads * BLOCKS_PER_WORKER);
     let workers = num_threads.min(rows.div_ceil(block_rows));
-    let blocks = Mutex::new(table.rows_mut_chunks(block_rows).enumerate());
+    let blocks = std::sync::Mutex::new(table.rows_mut_chunks(block_rows).enumerate());
     let work = |worker: usize| {
-        let start = std::time::Instant::now();
-        let mut scratch = LRepairScratch::new(rules.len());
-        let mut memo = PlanMemo::new(rules, index, observer.wants_rule_timing());
-        let mut done = Vec::new();
-        let (mut worker_rows, mut updates) = (0usize, 0usize);
+        let mut repairer = LRepairWorker::new(rules, index, observer, worker);
+        let mut updates = Vec::new();
         loop {
             // A statement of its own, so the lock is not held while the
             // block is repaired.
             let claimed = blocks.lock().expect("row blocks").next();
             let Some((b, block)) = claimed else { break };
-            let base_row = b * block_rows;
-            let mut local = Vec::new();
-            for (r, row) in block.chunks_exact_mut(arity).enumerate() {
-                let mut ups = if memo.skips() {
-                    lrepair_tuple_observed(rules, index, &mut scratch, row, observer)
-                } else {
-                    memo.repair(&mut scratch, row, observer)
-                };
-                for (k, u) in ups.iter_mut().enumerate() {
-                    u.row = base_row + r;
-                    observer.cell_repaired(u.as_fix(k));
-                }
-                local.extend(ups);
-                worker_rows += 1;
-            }
-            updates += local.len();
-            done.push((b, local));
+            repairer.repair_rows(b * block_rows, block, &mut updates);
         }
-        scratch.flush_tallies(observer);
-        let busy_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        observer.event(Event::WorkerDone {
-            worker,
-            rows: worker_rows,
-            updates,
-            replayed: memo.replayed,
-            busy_ns,
-        });
-        done
+        repairer.finish();
+        updates
     };
-    let mut repaired: Vec<(usize, Vec<CellUpdate>)> = Vec::new();
+    let mut updates: Vec<CellUpdate> = Vec::new();
     std::thread::scope(|scope| {
         let work = &work;
         let handles: Vec<_> = (1..workers)
             .map(|worker| scope.spawn(move || work(worker)))
             .collect();
-        repaired = work(0);
+        updates = work(0);
         for h in handles {
-            repaired.extend(h.join().expect("repair worker panicked"));
+            updates.extend(h.join().expect("repair worker panicked"));
         }
     });
-    repaired.sort_unstable_by_key(|&(b, _)| b);
-    RepairOutcome {
-        updates: repaired.into_iter().flat_map(|(_, ups)| ups).collect(),
+    // Each worker's log is in row order and no two share a row, so a
+    // stable sort by row merges them and keeps each row's own order.
+    updates.sort_by_key(|u| u.row);
+    RepairOutcome { updates }
+}
+
+/// One `lRepair` worker: its scratch, its `PlanMemo` and its tallies.
+/// [`par_lrepair_table`] runs one per thread over claimed blocks of a
+/// table; a caller that reads rows some other way (`fixctl`'s chunk
+/// pipeline) runs one per thread over its own blocks. The memo lives as
+/// long as the worker.
+///
+/// A replayed run makes the same writes, hooks and tallies as the run it
+/// replays, so no observer can tell a hit from a miss. The per-tuple
+/// tallies stay in the worker's [`LRepairScratch`] and go to the observer
+/// every 4,096 tuples and at [`LRepairWorker::finish`], which also emits
+/// the worker's one [`Event::WorkerDone`].
+pub struct LRepairWorker<'a, O: RepairObserver> {
+    rules: &'a RuleSet,
+    index: &'a LRepairIndex,
+    observer: &'a O,
+    worker: usize,
+    scratch: LRepairScratch,
+    memo: PlanMemo<'a>,
+    rows: usize,
+    updates: usize,
+    /// Time spent in [`LRepairWorker::repair_rows`].
+    busy: Duration,
+}
+
+impl<'a, O: RepairObserver> LRepairWorker<'a, O> {
+    /// Worker number `worker`, as [`Event::WorkerDone`] reports it.
+    pub fn new(
+        rules: &'a RuleSet,
+        index: &'a LRepairIndex,
+        observer: &'a O,
+        worker: usize,
+    ) -> Self {
+        LRepairWorker {
+            rules,
+            index,
+            observer,
+            worker,
+            scratch: LRepairScratch::new(rules.len()),
+            memo: PlanMemo::new(rules, index, observer.wants_rule_timing()),
+            rows: 0,
+            updates: 0,
+            busy: Duration::ZERO,
+        }
+    }
+
+    /// Repair in place the rows of `cells`, which holds them one after
+    /// another in the rule set's schema, the first being row `first_row`
+    /// of the table. Their updates are appended to `updates` in row order,
+    /// each row's in application order, with table row numbers, and each
+    /// goes to the observer's `cell_repaired`.
+    pub fn repair_rows(
+        &mut self,
+        first_row: usize,
+        cells: &mut [Symbol],
+        updates: &mut Vec<CellUpdate>,
+    ) {
+        let start = Instant::now();
+        let before = updates.len();
+        let arity = self.rules.schema().arity();
+        for (r, row) in cells.chunks_exact_mut(arity).enumerate() {
+            let mut ups = if self.memo.skips() {
+                lrepair_tuple_observed(
+                    self.rules,
+                    self.index,
+                    &mut self.scratch,
+                    row,
+                    self.observer,
+                )
+            } else {
+                self.memo.repair(&mut self.scratch, row, self.observer)
+            };
+            for (k, u) in ups.iter_mut().enumerate() {
+                u.row = first_row + r;
+                self.observer.cell_repaired(u.as_fix(k));
+            }
+            updates.extend(ups);
+            self.rows += 1;
+        }
+        self.updates += updates.len() - before;
+        self.busy += start.elapsed();
+    }
+
+    /// Hand the remaining tallies to the observer, then report the worker's
+    /// rows, updates, replays and busy time as one [`Event::WorkerDone`].
+    pub fn finish(mut self) {
+        self.scratch.flush_tallies(self.observer);
+        self.observer.event(Event::WorkerDone {
+            worker: self.worker,
+            rows: self.rows,
+            updates: self.updates,
+            replayed: self.memo.replayed,
+            busy_ns: u64::try_from(self.busy.as_nanos()).unwrap_or(u64::MAX),
+        });
     }
 }
 
@@ -166,7 +228,7 @@ struct Plan {
 }
 
 /// A worker's memo from a tuple's relevant projection to the `lRepair` run
-/// it gets, for one [`par_lrepair_table`] call. It holds at most
+/// it gets, for the life of one [`LRepairWorker`]. It holds at most
 /// [`MEMO_PLANS`] runs and [`MEMO_BYTES`] in all; when either would
 /// overflow, it forgets every run and starts over.
 ///

@@ -88,7 +88,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -248,7 +248,7 @@ struct DaemonState {
 impl DaemonState {
     /// The currently serving bundle (one atomic refcount bump).
     fn bundle(&self) -> Arc<ProgramBundle> {
-        Arc::clone(&self.bundle.read().unwrap())
+        Arc::clone(&self.bundle.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -498,7 +498,7 @@ fn accept_loop(listener: TcpListener, state: Arc<DaemonState>, threads: usize) {
                 // whenever the rule count changes.
                 let mut scratch = CompiledScratch::new(state.bundle().rules.len());
                 loop {
-                    let stream = match rx.lock().unwrap().recv() {
+                    let stream = match obs::lock(&rx).recv() {
                         Ok(stream) => stream,
                         Err(_) => break, // sender dropped: drain complete
                     };
@@ -584,12 +584,29 @@ fn handle_connection(state: &DaemonState, scratch: &mut CompiledScratch, mut str
         }
     };
     let endpoint = endpoint_label(&request);
-    let response = match route(state, scratch, &request, endpoint) {
-        Ok(response) => response,
-        Err(e) => Response::json(
-            e.status,
-            format!("{}\n", Json::obj([("error", Json::from(e.message))])),
-        ),
+    let error = |status: u16, message: String| {
+        Response::json(
+            status,
+            format!("{}\n", Json::obj([("error", Json::from(message))])),
+        )
+    };
+    // A handler that panics answers 500 and leaves its worker serving:
+    // the locks it may have held tolerate the poisoning (`obs::lock`), and
+    // the scratch it may have left half-written is replaced.
+    let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        route(state, scratch, &request, endpoint)
+    }));
+    let response = match routed {
+        Ok(Ok(response)) => response,
+        Ok(Err(e)) => error(e.status, e.message),
+        Err(_) => {
+            state.registry.counter("fixd.panics").inc();
+            *scratch = CompiledScratch::new(state.bundle().rules.len());
+            error(
+                500,
+                format!("internal error: the {endpoint} handler panicked"),
+            )
+        }
     };
     let latency_ns = started.elapsed().as_nanos() as u64;
     state
@@ -612,12 +629,28 @@ fn handle_connection(state: &DaemonState, scratch: &mut CompiledScratch, mut str
     let _ = response.write_to(&mut stream);
 }
 
+/// A request path whose handler panics while it holds the trace index's
+/// lock, set by [`inject_panic_at`].
+static PANIC_AT: OnceLock<String> = OnceLock::new();
+
+/// Make every request for `path` panic in its handler while it holds a
+/// lock that other requests take, for tests of panic isolation. The path
+/// can be set once per process; a later call changes nothing.
+#[doc(hidden)]
+pub fn inject_panic_at(path: &str) {
+    let _ = PANIC_AT.set(path.to_string());
+}
+
 fn route(
     state: &DaemonState,
     scratch: &mut CompiledScratch,
     request: &Request,
     endpoint: &str,
 ) -> SrvResult {
+    if PANIC_AT.get() == Some(&request.path) {
+        let _index = obs::lock(&state.trace_index);
+        panic!("injected panic at {}", request.path);
+    }
     match (request.method.as_str(), endpoint) {
         ("POST", "repair") => handle_repair(state, scratch, request),
         ("POST", "check") => handle_check(state, scratch, request),
@@ -829,7 +862,7 @@ fn begin_request<'s>(
         Some(id) => id.to_string(),
         None => format!("t{:08x}", state.trace_seq.fetch_add(1, Ordering::SeqCst)),
     };
-    let mut index = state.trace_index.lock().unwrap();
+    let mut index = obs::lock(&state.trace_index);
     if index.len() == TRACE_INDEX_CAP {
         index.pop_front();
     }
@@ -1058,7 +1091,7 @@ fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {
     // Swaps run one at a time, in the order they take this lock (which is
     // also the order of their trace ids), so each one diffs against and
     // replaces the set the previous one promoted.
-    let _swap = state.swap.lock().unwrap();
+    let _swap = obs::lock(&state.swap);
     let (span, trace_id) = begin_request(state, request, "rules", Some(request.body.len()));
     let text = request
         .body_text()
@@ -1102,7 +1135,7 @@ fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {
         candidate.generation = serving.generation + 1;
         let generation = candidate.generation;
         publish_symbols(&state.registry, &candidate);
-        *state.bundle.write().unwrap() = Arc::new(candidate);
+        *state.bundle.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(candidate);
         generation
     } else {
         serving.generation
@@ -1173,10 +1206,7 @@ fn handle_explain(state: &DaemonState, request: &Request) -> SrvResult {
 fn handle_trace(state: &DaemonState, request: &Request) -> SrvResult {
     let chrome = response_format(request, &["jsonl", "chrome"])? == "chrome";
     let trace_id = request.path.trim_start_matches("/trace/");
-    let root = state
-        .trace_index
-        .lock()
-        .unwrap()
+    let root = obs::lock(&state.trace_index)
         .iter()
         .rev()
         .find_map(|(id, span)| (id == trace_id).then_some(*span))

@@ -1187,3 +1187,35 @@ fn a_client_dripping_its_request_does_not_hold_the_only_worker() {
     );
     daemon.shutdown();
 }
+
+#[test]
+fn a_panicking_request_gets_500_and_the_only_worker_keeps_serving() {
+    // The hook's path is no route, so no other test in this process
+    // requests it.
+    fixd::inject_panic_at("/panic-injected");
+    let daemon = Daemon::start(DaemonConfig {
+        rules: RulesSource::Inline(RULES.to_string()),
+        threads: 1,
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let (status, body) = http_get(&url(&daemon, "/panic-injected")).unwrap();
+    assert_eq!(status, 500, "{body}");
+    assert!(parse_json(&body).get("error").is_some(), "{body}");
+    // The handler panicked holding the trace index's lock, which a repair
+    // takes next, on the same and only worker.
+    let csv = "zip,city,state\n36545,Jaxon,AK\n";
+    let reply = http_post(&url(&daemon, "/repair"), "text/csv", csv.as_bytes()).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let trace_id = parse_json(&reply.body)
+        .get("trace_id")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    let (status, _) = http_get(&url(&daemon, &format!("/trace/{trace_id}"))).unwrap();
+    assert_eq!(status, 200);
+    let (_, metrics) = http_get(&url(&daemon, "/metrics")).unwrap();
+    assert!(metrics.contains("fixd_panics 1\n"), "{metrics}");
+    daemon.shutdown();
+}

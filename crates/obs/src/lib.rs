@@ -92,3 +92,14 @@ pub use quality::{
 };
 pub use sketch::{CountMinSketch, DistinctCounter, Reservoir, SlotBloom};
 pub use trace::{TraceClock, TraceJournal, TracePhase, TraceRecord};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `mutex`, taking it over from a thread that panicked while holding
+/// it. The shared state behind these locks (a journal, a ledger, a queue)
+/// is whole between any two of its holder's statements, so one panicking
+/// request must not make every later request that takes the lock panic
+/// too.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -207,7 +207,7 @@ impl TraceJournal {
 
     fn push(&self, phase: TracePhase, name: &str, span: u64, parent: u64, fields: Json) {
         let ts_us = self.now_us();
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = crate::lock(&self.inner);
         let seq = inner.records.len() as u64;
         inner.records.push(TraceRecord {
             seq,
@@ -224,7 +224,7 @@ impl TraceJournal {
     /// span on drop; use [`TraceSpan::id`] as the parent of nested records.
     pub fn span(&self, name: &str, parent: u64) -> TraceSpan<'_> {
         let id = {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = crate::lock(&self.inner);
             inner.next_span += 1;
             inner.next_span
         };
@@ -250,7 +250,7 @@ impl TraceJournal {
 
     /// Number of records so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().records.len()
+        crate::lock(&self.inner).records.len()
     }
 
     /// True when nothing has been recorded.
@@ -260,13 +260,13 @@ impl TraceJournal {
 
     /// A copy of all records in append order.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.inner.lock().unwrap().records.clone()
+        crate::lock(&self.inner).records.clone()
     }
 
     /// The journal as JSONL: one compact JSON object per line, sorted keys,
     /// trailing newline. Byte-deterministic under [`TraceClock::Logical`].
     pub fn to_jsonl(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+        let inner = crate::lock(&self.inner);
         let mut out = String::new();
         for record in &inner.records {
             out.push_str(&record.to_json().to_string());

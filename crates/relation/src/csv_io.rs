@@ -15,19 +15,23 @@
 //! * [`par_read_csv_file`] interns every cell, each chunk into a
 //!   chunk-local dictionary, and gives exactly [`read_csv`]'s result;
 //! * [`par_read_csv_constants`] keeps only the values a table of constants
-//!   already holds, loads every other cell as [`Symbol::BOTTOM`], and
-//!   records where each row sits in the file.
+//!   already holds and loads every other cell as [`Symbol::BOTTOM`].
 //!
 //! [`par_write_csv`] renders blocks of rows on several workers and writes
 //! them in order; [`write_csv`] is its one-worker case.
-//! [`par_write_repaired_csv`] writes a table that
-//! [`par_read_csv_constants`] loaded back out of its file's own bytes.
+//!
+//! [`par_repair_csv`] never builds a table: it scans a file in fixed
+//! chunks with the same scanner and the constants' cells, hands each
+//! chunk's rows to a caller's repair step, renders them back out of the
+//! chunk's own bytes and writes the chunks in order, so its memory does
+//! not grow with the file.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 use crate::{RelationError, Result, Schema, Symbol, SymbolTable, Table};
 
@@ -40,12 +44,25 @@ const MIN_CHUNK_BYTES: u64 = 1 << 20;
 /// it holds at most one block beyond the table itself.
 const BLOCK_CELLS: usize = 1 << 16;
 
-/// Rows rendered per block by [`par_write_csv`] and
-/// [`par_write_repaired_csv`].
+/// Rows rendered per block by [`par_write_csv`].
 const RENDER_BLOCK_ROWS: usize = 512;
 
 /// Rendered blocks per render worker that may wait to be written.
 const RENDER_AHEAD: usize = 4;
+
+/// Bytes of input per chunk of [`par_repair_csv`]. Smaller chunks pay for
+/// more handoffs, and larger ones fault in more output buffers in flight;
+/// EXPERIMENTS.md has the measured sizes.
+const PIPELINE_CHUNK_BYTES: u64 = 256 << 10;
+
+/// Bytes a [`par_repair_csv`] chunk reads past the cut that ends it, so
+/// that the line end after that cut nearly always arrives in the same
+/// read.
+const PIPELINE_SLACK_BYTES: usize = 4 << 10;
+
+/// Bytes at least by which a window that keeps its bytes grows when a
+/// record runs past its end.
+const KEEP_GROW_BYTES: usize = 64 << 10;
 
 /// Bytes a chunk scanner reads at a time. Its window grows past this only
 /// for a record that does not fit.
@@ -121,14 +138,6 @@ pub fn par_read_csv_file<P: AsRef<Path>>(
     read_interned(&file, relation_name, symbols, cuts, threads)
 }
 
-/// A table [`par_read_csv_constants`] loaded: each cell a constant or ⊥.
-#[derive(Debug)]
-pub struct ConstantLoad {
-    pub table: Table,
-    /// Where each row sits in the file, for [`par_write_repaired_csv`].
-    pub rows: RowSpans,
-}
-
 /// Load a CSV file on disk with up to `threads` workers, keeping only the
 /// values that `constants` holds: every cell becomes its constant's symbol
 /// or [`Symbol::BOTTOM`]. No value outside `constants` is stored anywhere,
@@ -138,14 +147,13 @@ pub struct ConstantLoad {
 ///
 /// Chunks are cut, scanned and checked as in [`par_read_csv_file`], so
 /// the rows and any error are [`read_csv`]'s, with each cell outside
-/// `constants` replaced by ⊥. Each row's byte offset is recorded, and
-/// whether it holds no `"`.
+/// `constants` replaced by ⊥.
 pub fn par_read_csv_constants<P: AsRef<Path>>(
     path: P,
     schema: &Schema,
     constants: &SymbolTable,
     threads: usize,
-) -> Result<ConstantLoad> {
+) -> Result<Table> {
     let file = File::open(path)?;
     let cuts = guided_cuts(file.metadata()?.len(), threads);
     read_constants(&file, schema, constants, cuts, threads)
@@ -198,10 +206,12 @@ pub fn par_write_csv<W: Write>(
     push_record(&mut header, table.schema().attr_names());
     writer.write_all(&header)?;
     let quoted: Vec<bool> = symbols.iter().map(|(_, v)| csv::needs_quotes(v)).collect();
+    let blocks = table.len().div_ceil(RENDER_BLOCK_ROWS);
     write_blocks(
         &mut writer,
-        table.len(),
-        threads,
+        blocks,
+        threads.min(blocks / 2),
+        |_| (),
         |_: &mut (), block, buf| {
             for i in block_rows(block, table.len()) {
                 for (k, &s) in table.row(i).iter().enumerate() {
@@ -224,168 +234,40 @@ pub fn par_write_csv<W: Write>(
     Ok(())
 }
 
-/// Byte offsets of a loaded table's rows in their file, and which rows
-/// [`par_write_repaired_csv`] may copy as they are.
-#[derive(Debug, Clone, Default)]
-pub struct RowSpans {
-    /// Where row `i` starts; one more entry marks where the data ends.
-    starts: Vec<u64>,
-    /// Row `i` holds no `"` and is not [touched](RowSpans::touch).
-    verbatim: Vec<bool>,
-}
-
-impl RowSpans {
-    /// Mark row `i` as changed: [`par_write_repaired_csv`] renders it from
-    /// the table instead of copying its bytes.
-    pub fn touch(&mut self, i: usize) {
-        self.verbatim[i] = false;
-    }
-}
-
-/// Write `table`, which [`par_read_csv_constants`] loaded from the CSV
-/// file at `data`, to a new file at `out`, with up to `threads` workers.
-///
-/// The bytes are those [`write_csv`] gives for the same table loaded with
-/// every value interned. Workers re-read the rows from `data` in blocks: a
-/// row that holds no `"` and is not touched is copied with its line end
-/// made `\n`, since `csv::Writer` would render its fields unchanged. Every
-/// other row is scanned again and rendered field by field, each cell from
-/// `symbols` unless it is ⊥, in which case from the file. So `data` must
-/// not change in between; if `out` is `data`, `data` is read whole before
-/// `out` is created.
-pub fn par_write_repaired_csv<P: AsRef<Path>, Q: AsRef<Path>>(
-    out: P,
-    data: Q,
-    table: &Table,
-    rows: &RowSpans,
-    symbols: &SymbolTable,
-    threads: usize,
-) -> Result<()> {
-    let (out, data) = (out.as_ref(), data.as_ref());
-    let mut file = File::open(data)?;
-    if same_file(data, out) {
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        write_repaired(
-            File::create(out)?,
-            &bytes[..],
-            table,
-            rows,
-            symbols,
-            threads,
-        )
-    } else {
-        write_repaired(File::create(out)?, &file, table, rows, symbols, threads)
-    }
-}
-
-/// Whether two paths name one file.
-fn same_file(a: &Path, b: &Path) -> bool {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::MetadataExt;
-        match (std::fs::metadata(a), std::fs::metadata(b)) {
-            (Ok(a), Ok(b)) => a.dev() == b.dev() && a.ino() == b.ino(),
-            _ => false,
-        }
-    }
-    #[cfg(not(unix))]
-    {
-        matches!((a.canonicalize(), b.canonicalize()), (Ok(a), Ok(b)) if a == b)
-    }
-}
-
-/// The renderer behind [`par_write_repaired_csv`], reading rows from `src`.
-fn write_repaired<W: Write, S: ReadAt + ?Sized>(
-    mut writer: W,
-    src: &S,
-    table: &Table,
-    rows: &RowSpans,
-    symbols: &SymbolTable,
-    threads: usize,
-) -> Result<()> {
-    let mut header = Vec::new();
-    push_record(&mut header, table.schema().attr_names());
-    writer.write_all(&header)?;
-    let arity = table.schema().arity();
-    let changed = || RelationError::Io("the CSV input changed after it was loaded".to_string());
-    let render = |(raw, record): &mut (Vec<u8>, Record), block, buf: &mut Vec<u8>| {
-        let range = block_rows(block, table.len());
-        let base = rows.starts[range.start];
-        raw.resize((rows.starts[range.end] - base) as usize, 0);
-        let mut filled = 0;
-        while filled < raw.len() {
-            match src.read_at(&mut raw[filled..], base + filled as u64)? {
-                0 => return Err(changed()),
-                n => filled += n,
-            }
-        }
-        for i in range {
-            let bytes =
-                &raw[(rows.starts[i] - base) as usize..(rows.starts[i + 1] - base) as usize];
-            if rows.verbatim[i] {
-                let line = bytes.strip_suffix(b"\n").unwrap_or(bytes);
-                buf.extend_from_slice(line.strip_suffix(b"\r").unwrap_or(line));
-                buf.push(b'\n');
-                continue;
-            }
-            match scan_record(bytes, true, record, &[]) {
-                Scan::Record { len, .. } if len == bytes.len() && record.fields.len() == arity => {}
-                _ => return Err(changed()),
-            }
-            for (k, &cell) in table.row(i).iter().enumerate() {
-                if k > 0 {
-                    buf.push(b',');
-                }
-                let value = if cell == Symbol::BOTTOM {
-                    std::str::from_utf8(record.field(bytes, k)).map_err(|_| changed())?
-                } else {
-                    symbols.resolve(cell)
-                };
-                csv::push_field(buf, value);
-            }
-            buf.push(b'\n');
-        }
-        Ok(())
-    };
-    write_blocks(&mut writer, table.len(), threads, render)?;
-    writer.flush()?;
-    Ok(())
-}
-
 /// The rows of render block `block` of a table of `rows` rows.
 fn block_rows(block: usize, rows: usize) -> std::ops::Range<usize> {
     let first = block * RENDER_BLOCK_ROWS;
     first..(first + RENDER_BLOCK_ROWS).min(rows)
 }
 
-/// Render the [`RENDER_BLOCK_ROWS`]-row blocks of a table of `rows` rows
-/// with up to `threads` workers and write them to `writer` in row order.
+/// Render blocks `0..blocks` with up to `workers` workers and write them
+/// to `writer` in order. Returns each worker's scratch, in worker order.
 ///
 /// `render` fills a cleared buffer with one block, given the calling
-/// worker's own scratch. Workers take the next block to render from a
-/// queue, so one whose core is taken away holds up only the block it has;
-/// the writer puts the rendered blocks back in order. The queue runs at
-/// most [`RENDER_AHEAD`] blocks per worker past the block being written,
-/// which bounds the buffers in memory, and each written buffer goes back
-/// into the queue with the next block. Workers get at least two blocks
-/// each; with one worker, rendering stays on the calling thread.
-fn write_blocks<W: Write, T: Default>(
+/// worker's own scratch, which `scratch` makes from the worker's number.
+/// Workers take the next block to render from a queue, in order, so one
+/// whose core is taken away holds up only the block it has; the writer
+/// puts the rendered blocks back in order. The queue runs at most
+/// [`RENDER_AHEAD`] blocks per worker past the block being written, which
+/// bounds the buffers in memory, and each written buffer goes back into
+/// the queue with the next block. The first block that fails, in block
+/// order, ends the writing with its error. With one worker, rendering
+/// stays on the calling thread.
+fn write_blocks<W: Write, T: Send>(
     writer: &mut W,
-    rows: usize,
-    threads: usize,
+    blocks: usize,
+    workers: usize,
+    scratch: impl Fn(usize) -> T + Sync,
     render: impl Fn(&mut T, usize, &mut Vec<u8>) -> Result<()> + Sync,
-) -> Result<()> {
-    let blocks = rows.div_ceil(RENDER_BLOCK_ROWS);
-    let workers = threads.min(blocks / 2).max(1);
-    if workers == 1 {
-        let (mut scratch, mut buf) = (T::default(), Vec::new());
+) -> Result<Vec<T>> {
+    if workers <= 1 {
+        let (mut scratch, mut buf) = (scratch(0), Vec::new());
         for block in 0..blocks {
             buf.clear();
             render(&mut scratch, block, &mut buf)?;
             writer.write_all(&buf)?;
         }
-        return Ok(());
+        return Ok(vec![scratch]);
     }
     let ahead = (RENDER_AHEAD * workers).min(blocks);
     let (queue, jobs) = mpsc::channel::<(usize, Vec<u8>)>();
@@ -394,34 +276,40 @@ fn write_blocks<W: Write, T: Default>(
     std::thread::scope(|scope| {
         // Moved in, so that it closes when the writer returns.
         let queue = queue;
-        for _ in 0..workers {
-            let (render, jobs, done) = (&render, &jobs, done.clone());
-            scope.spawn(move || {
-                let mut scratch = T::default();
-                loop {
-                    // A statement of its own, so the lock is not held while
-                    // the block renders. The queue closes when the writer
-                    // returns.
-                    let job = jobs.lock().expect("render queue").recv();
-                    let Ok((block, mut buf)) = job else { return };
-                    buf.clear();
-                    // A panic still reports the block, so the writer does
-                    // not wait for it; the scope then raises the panic.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        render(&mut scratch, block, &mut buf)
-                    }));
-                    let (result, panic) = match outcome {
-                        Ok(r) => (r.map(|()| buf), None),
-                        Err(p) => (Err(csv_error("render worker panicked".into())), Some(p)),
-                    };
-                    // `rendered` outlives the scope, so this cannot fail.
-                    let _ = done.send((block, result));
-                    if let Some(p) = panic {
-                        std::panic::resume_unwind(p);
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let (scratch, render, jobs, done) = (&scratch, &render, &jobs, done.clone());
+                scope.spawn(move || {
+                    let mut scratch = scratch(worker);
+                    loop {
+                        // A statement of its own, so the lock is not held
+                        // while the block renders. The queue closes when
+                        // the writer returns.
+                        let job = jobs.lock().expect("render queue").recv();
+                        let Ok((block, mut buf)) = job else {
+                            return scratch;
+                        };
+                        buf.clear();
+                        // A panic still reports the block, so the writer
+                        // does not wait for it; the scope then raises the
+                        // panic.
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                render(&mut scratch, block, &mut buf)
+                            }));
+                        let (result, panic) = match outcome {
+                            Ok(r) => (r.map(|()| buf), None),
+                            Err(p) => (Err(csv_error("render worker panicked".into())), Some(p)),
+                        };
+                        // `rendered` outlives the scope, so this cannot fail.
+                        let _ = done.send((block, result));
+                        if let Some(p) = panic {
+                            std::panic::resume_unwind(p);
+                        }
                     }
-                }
-            });
-        }
+                })
+            })
+            .collect();
         drop(done);
         for block in 0..ahead {
             queue
@@ -446,8 +334,476 @@ fn write_blocks<W: Write, T: Default>(
                     .expect("the render queue outlives the writer");
             }
         }
-        Ok(())
+        drop(queue);
+        Ok(handles
+            .into_iter()
+            .map(|h| h.join().expect("CSV render worker panicked"))
+            .collect())
     })
+}
+
+/// One chunk's rows, as [`par_repair_csv`] hands them to its repair step.
+pub struct ChunkRows<'a> {
+    /// The number of the chunk's first row in the file; the record after
+    /// the header is row 0.
+    pub first_row: usize,
+    /// The rows' cells, one row after another in the schema's order, each
+    /// a constant's symbol or [`Symbol::BOTTOM`].
+    pub cells: &'a mut [Symbol],
+    /// Row `i` is written as its own bytes.
+    verbatim: &'a mut [bool],
+}
+
+impl ChunkRows<'_> {
+    /// Mark the chunk's row `i` as changed, so that it is rendered from
+    /// [`ChunkRows::cells`] instead of copied from the file.
+    pub fn touch(&mut self, i: usize) {
+        self.verbatim[i] = false;
+    }
+}
+
+/// Where [`par_repair_csv`] failed.
+#[derive(Debug)]
+pub enum PipelineError {
+    /// Reading the input: an I/O error, or the first malformed record in
+    /// file order, worded as [`read_csv`] words it.
+    Read(RelationError),
+    /// Writing the output.
+    Write(RelationError),
+}
+
+/// Busy time per phase of a [`par_repair_csv`] run, in nanoseconds summed
+/// over its workers; `write` is the writing thread's.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PipelineTimes {
+    /// Reading and scanning chunks, rescans included.
+    pub scan_ns: u64,
+    /// The caller's repair step.
+    pub repair_ns: u64,
+    /// Rendering repaired chunks.
+    pub render_ns: u64,
+    /// Writing rendered chunks.
+    pub write_ns: u64,
+    /// Waiting for an earlier chunk to confirm where it ends.
+    pub wait_ns: u64,
+}
+
+/// What a [`par_repair_csv`] run leaves: how many rows it read, each
+/// worker's state in worker order, and its busy time per phase.
+#[derive(Debug)]
+pub struct Pipelined<T> {
+    pub rows: usize,
+    pub workers: Vec<T>,
+    pub times: PipelineTimes,
+}
+
+/// Repair the CSV file at `data` into `out` with up to `threads` workers,
+/// one fixed-size chunk of the file at a time, never holding the table.
+///
+/// `schema` is the file's header, as [`read_csv_header`] read it, and
+/// `constants` the values to keep: every other cell reaches the repair
+/// step as [`Symbol::BOTTOM`], as in [`par_read_csv_constants`]. Each
+/// worker makes its state with `worker` from its number, and gives it to
+/// `repair` with every chunk it takes; `repair` may change the cells and
+/// must [touch](ChunkRows::touch) each row it changes.
+///
+/// The bytes after the header are cut every 256 KiB, and workers claim
+/// the chunks in file order, at most four per worker ahead of the chunk
+/// being written. A worker reads its chunk's bytes once into its own
+/// buffer, and scans the records that start from just past the first
+/// `\n` at or after the chunk's cut up to the same point after the next
+/// cut, as [`par_read_csv_file`] does. Then it waits until every earlier
+/// chunk has confirmed where it ends, which gives it its true start and
+/// its first row's number. A chunk whose guessed start is not its true
+/// start (a quoted line break straddles the cut) is scanned again from
+/// the true one. The worker then repairs its rows and renders them: an
+/// untouched row that holds no `"` is its bytes with the line end made
+/// `\n`, and every other row is rendered field by field, each cell from
+/// `constants` unless it is ⊥, in which case from the file. The calling
+/// thread writes the header and then the chunks in order. The bytes are
+/// those [`write_csv`] gives for the table [`read_csv`] loads from `data`,
+/// repaired alike.
+///
+/// The error is the first in file order, from a chunk scanned from its
+/// true start; a failing chunk wakes every worker waiting for it, and
+/// nothing after it is written. An input of one chunk, and any input at
+/// one worker, runs on the calling thread.
+pub fn par_repair_csv<P, Wr, T>(
+    data: P,
+    schema: &Schema,
+    constants: &SymbolTable,
+    out: Wr,
+    threads: usize,
+    worker: impl Fn(usize) -> T + Sync,
+    repair: impl Fn(&mut T, ChunkRows<'_>) + Sync,
+) -> std::result::Result<Pipelined<T>, PipelineError>
+where
+    P: AsRef<Path>,
+    Wr: Write,
+    T: Send,
+{
+    let read = |e: io::Error| PipelineError::Read(e.into());
+    let file = File::open(data).map_err(read)?;
+    let len = file.metadata().map_err(read)?.len();
+    let pipeline = Pipeline {
+        src: &file,
+        len,
+        schema,
+        constants,
+        chunk_bytes: PIPELINE_CHUNK_BYTES,
+    };
+    pipeline.run(out, threads, worker, repair)
+}
+
+/// A [`par_repair_csv`] run over any [`ReadAt`] source of `len` bytes, cut
+/// into chunks of `chunk_bytes`.
+struct Pipeline<'a, S: ?Sized> {
+    src: &'a S,
+    len: u64,
+    schema: &'a Schema,
+    constants: &'a SymbolTable,
+    chunk_bytes: u64,
+}
+
+/// One pipeline worker's buffers and the caller's state.
+struct Stage<'a, S: ?Sized, T> {
+    window: Window<'a, S>,
+    chunk: Chunk<&'a ConstantIndex>,
+    record: Record,
+    times: PipelineTimes,
+    state: T,
+}
+
+impl<S: ReadAt + ?Sized> Pipeline<'_, S> {
+    fn run<Wr: Write, T: Send>(
+        &self,
+        out: Wr,
+        threads: usize,
+        worker: impl Fn(usize) -> T + Sync,
+        repair: impl Fn(&mut T, ChunkRows<'_>) + Sync,
+    ) -> std::result::Result<Pipelined<T>, PipelineError> {
+        let read = PipelineError::Read;
+        let mut rdr = csv::ReaderBuilder::new()
+            .has_headers(true)
+            .flexible(false)
+            .from_reader(ReadFrom {
+                src: self.src,
+                pos: 0,
+            });
+        if !rdr
+            .headers()
+            .map_err(|e| read(e.into()))?
+            .iter()
+            .eq(self.schema.attr_names())
+        {
+            return Err(read(header_differs()));
+        }
+        let data_start = rdr.record_offset().map_err(|e| read(e.into()))?;
+        let chunks = usize::try_from(
+            self.len
+                .saturating_sub(data_start)
+                .div_ceil(self.chunk_bytes),
+        )
+        .unwrap_or(usize::MAX)
+        .max(1);
+        let index = ConstantIndex::new(self.constants);
+        let chain = Chain::new(data_start);
+        let mut out = TimedWriter {
+            inner: out,
+            ns: 0,
+            failed: false,
+        };
+        let mut header = Vec::new();
+        push_record(&mut header, self.schema.attr_names());
+        let written = out
+            .write_all(&header)
+            .map_err(RelationError::from)
+            .and_then(|()| {
+                write_blocks(
+                    &mut out,
+                    chunks,
+                    threads.min(chunks),
+                    |w| Stage {
+                        window: Window::new(self.src, true),
+                        chunk: Chunk::new(&index, usize::MAX, true),
+                        record: Record::default(),
+                        times: PipelineTimes::default(),
+                        state: worker(w),
+                    },
+                    |stage, k, buf| {
+                        let cut = |k: usize| data_start + k as u64 * self.chunk_bytes;
+                        let next = (k + 1 < chunks).then(|| cut(k + 1));
+                        self.chunk(stage, &chain, k, (cut(k), next), &repair, buf)
+                    },
+                )
+            });
+        let stages = written.map_err(|e| {
+            if out.failed {
+                PipelineError::Write(e)
+            } else {
+                read(e)
+            }
+        })?;
+        let mut times = PipelineTimes {
+            write_ns: out.ns,
+            ..PipelineTimes::default()
+        };
+        let workers = stages
+            .into_iter()
+            .map(|stage| {
+                let t = stage.times;
+                times.scan_ns += t.scan_ns;
+                times.repair_ns += t.repair_ns;
+                times.render_ns += t.render_ns;
+                times.wait_ns += t.wait_ns;
+                stage.state
+            })
+            .collect();
+        let rows = chain.lock().rows;
+        Ok(Pipelined {
+            rows,
+            workers,
+            times,
+        })
+    }
+
+    /// Chunk `k`, which starts at the first line start at or after `cut`
+    /// (or at `cut` itself for chunk 0) and ends at the first line start at
+    /// or after `next`, or at the end of the file: scan, confirm, repair
+    /// and render it into `buf`.
+    fn chunk<T>(
+        &self,
+        stage: &mut Stage<'_, S, T>,
+        chain: &Chain,
+        k: usize,
+        (cut, next): (u64, Option<u64>),
+        repair: &impl Fn(&mut T, ChunkRows<'_>),
+        buf: &mut Vec<u8>,
+    ) -> Result<()> {
+        let arity = self.schema.arity();
+        let mut turn = Turn {
+            chain,
+            k,
+            published: false,
+        };
+        let started = Instant::now();
+        let Stage {
+            window,
+            chunk,
+            record,
+            times,
+            state,
+        } = stage;
+        let want = next.map_or(u64::MAX, |n| n - cut + PIPELINE_SLACK_BYTES as u64);
+        let left = self.len.saturating_sub(cut) + 1;
+        window.load(cut, usize::try_from(want.min(left)).unwrap_or(usize::MAX))?;
+        let guess = if k == 0 { cut } else { window.line_start(cut)? };
+        let bound = match next {
+            Some(next) => window.line_start(next)?,
+            None => u64::MAX,
+        };
+        // Scanned from a wrong guess, a record may run on far past the
+        // bound (a quote that closed a field now opens one), so the guess
+        // reads at most one chunk past it; a guess that was right, but
+        // whose last record is longer than that, is scanned again.
+        window.limit = bound.saturating_add(self.chunk_bytes);
+        window.capped = false;
+        chunk.rescan(window, guess, bound, arity);
+        window.limit = u64::MAX;
+        let scanned = Instant::now();
+        times.scan_ns += nanos(started, scanned);
+        let Some((start, first_row)) = chain.wait(k) else {
+            return Err(csv_error("an earlier chunk failed".to_string()));
+        };
+        let confirmed = Instant::now();
+        times.wait_ns += nanos(scanned, confirmed);
+        if start != guess || window.capped {
+            chunk.rescan(window, start, bound, arity);
+            times.scan_ns += nanos(confirmed, Instant::now());
+        }
+        if let Some(error) = chunk.error.take() {
+            return Err(error);
+        }
+        let rows = chunk.row_starts.len();
+        turn.publish(chunk.end, first_row + rows);
+        let repairing = Instant::now();
+        repair(
+            state,
+            ChunkRows {
+                first_row,
+                cells: &mut chunk.blocks[0],
+                verbatim: &mut chunk.plain,
+            },
+        );
+        let rendering = Instant::now();
+        times.repair_ns += nanos(repairing, rendering);
+        let rendered = self.render(chunk, window, record, buf);
+        times.render_ns += nanos(rendering, Instant::now());
+        rendered
+    }
+
+    /// Render a scanned and repaired chunk's rows into `buf`.
+    fn render(
+        &self,
+        chunk: &Chunk<&ConstantIndex>,
+        window: &Window<'_, S>,
+        record: &mut Record,
+        buf: &mut Vec<u8>,
+    ) -> Result<()> {
+        let arity = self.schema.arity();
+        let at = |offset: u64| (offset - window.base) as usize;
+        let ends = chunk.row_starts.iter().skip(1).chain([&chunk.end]);
+        let rows = chunk.blocks[0].chunks_exact(arity);
+        for (((&start, &end), &verbatim), cells) in chunk
+            .row_starts
+            .iter()
+            .zip(ends)
+            .zip(&chunk.plain)
+            .zip(rows)
+        {
+            let raw = &window.buf[at(start)..at(end)];
+            if verbatim {
+                let line = raw.strip_suffix(b"\n").unwrap_or(raw);
+                buf.extend_from_slice(line.strip_suffix(b"\r").unwrap_or(line));
+                buf.push(b'\n');
+                continue;
+            }
+            let rescanned =
+                || csv_error("a record scanned differently the second time".to_string());
+            match scan_record(raw, true, record, &[]) {
+                Scan::Record { len, .. } if len == raw.len() && record.fields.len() == arity => {}
+                _ => return Err(rescanned()),
+            }
+            for (i, &cell) in cells.iter().enumerate() {
+                if i > 0 {
+                    buf.push(b',');
+                }
+                let value = if cell == Symbol::BOTTOM {
+                    std::str::from_utf8(record.field(raw, i)).map_err(|_| rescanned())?
+                } else {
+                    self.constants.resolve(cell)
+                };
+                csv::push_field(buf, value);
+            }
+            buf.push(b'\n');
+        }
+        Ok(())
+    }
+}
+
+/// Nanoseconds from `from` to `to`.
+fn nanos(from: Instant, to: Instant) -> u64 {
+    u64::try_from((to - from).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The handoff from chunk to chunk in [`par_repair_csv`]: how many chunks
+/// have confirmed their start and published where they end, and how many
+/// rows they hold.
+struct Chain {
+    link: Mutex<Link>,
+    moved: Condvar,
+}
+
+struct Link {
+    /// Chunks `0..published` are confirmed.
+    published: usize,
+    /// Where the last confirmed chunk ends: the true start of the next.
+    end: u64,
+    /// Rows in the confirmed chunks.
+    rows: usize,
+    /// The first chunk that failed, if any.
+    failed: Option<usize>,
+}
+
+impl Chain {
+    fn new(data_start: u64) -> Self {
+        Chain {
+            link: Mutex::new(Link {
+                published: 0,
+                end: data_start,
+                rows: 0,
+                failed: None,
+            }),
+            moved: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Link> {
+        self.link.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait until every chunk before `k` is confirmed, and return chunk
+    /// `k`'s true start and first row; or `None` once a chunk before `k`
+    /// has failed.
+    fn wait(&self, k: usize) -> Option<(u64, usize)> {
+        let mut link = self.lock();
+        loop {
+            if link.failed.is_some_and(|f| f < k) {
+                return None;
+            }
+            if link.published == k {
+                return Some((link.end, link.rows));
+            }
+            link = self
+                .moved
+                .wait(link)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Chunk `k`'s place in the [`Chain`]. Publishing it lets chunk `k + 1`
+/// go on; dropping it unpublished, on an error or a panic, fails the
+/// chain from `k` on and wakes every chunk that waits.
+struct Turn<'c> {
+    chain: &'c Chain,
+    k: usize,
+    published: bool,
+}
+
+impl Turn<'_> {
+    fn publish(&mut self, end: u64, rows: usize) {
+        let mut link = self.chain.lock();
+        link.published = self.k + 1;
+        link.end = end;
+        link.rows = rows;
+        self.published = true;
+        self.chain.moved.notify_all();
+    }
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            let mut link = self.chain.lock();
+            link.failed = Some(link.failed.map_or(self.k, |f| f.min(self.k)));
+            self.chain.moved.notify_all();
+        }
+    }
+}
+
+/// A writer that times its writes and remembers whether one failed.
+struct TimedWriter<W> {
+    inner: W,
+    ns: u64,
+    failed: bool,
+}
+
+impl<W: Write> Write for TimedWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let started = Instant::now();
+        let written = self.inner.write(buf);
+        self.ns += nanos(started, Instant::now());
+        self.failed |= match &written {
+            Ok(n) => *n == 0 && !buf.is_empty(),
+            Err(e) => e.kind() != io::ErrorKind::Interrupted,
+        };
+        written
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 /// Worker count for the file readers and writers: the available cores.
@@ -583,25 +939,18 @@ fn read_constants<S: ReadAt + ?Sized>(
     constants: &SymbolTable,
     cuts: impl FnOnce(u64) -> Vec<u64>,
     workers: usize,
-) -> Result<ConstantLoad> {
+) -> Result<Table> {
     let index = ConstantIndex::new(constants);
     let (header, mut chunks) = read_chunked(src, schema.name(), cuts, workers, || &index)?;
     if let Some(error) = chunks.last_mut().and_then(|c| c.error.take()) {
         return Err(error);
     }
     if !header.attr_names().eq(schema.attr_names()) {
-        return Err(RelationError::Io(
-            "the CSV header differs from the schema it was read as".to_string(),
-        ));
+        return Err(header_differs());
     }
     let total: usize = chunks.iter().map(Chunk::cells).sum();
     let mut cells: Vec<Symbol> = Vec::new();
-    let mut rows = RowSpans::default();
-    let mut end = 0;
     for chunk in chunks {
-        rows.starts.extend(chunk.row_starts);
-        rows.verbatim.extend(chunk.plain);
-        end = chunk.end;
         for block in chunk.blocks {
             if cells.is_empty() {
                 cells = block;
@@ -611,11 +960,12 @@ fn read_constants<S: ReadAt + ?Sized>(
             }
         }
     }
-    rows.starts.push(end);
-    Ok(ConstantLoad {
-        table: Table::from_cells(schema.clone(), cells),
-        rows,
-    })
+    Ok(Table::from_cells(schema.clone(), cells))
+}
+
+/// The error for a file whose header is not the schema it is read as.
+fn header_differs() -> RelationError {
+    RelationError::Io("the CSV header differs from the schema it was read as".to_string())
 }
 
 /// What a chunk scan turns a cell into.
@@ -733,8 +1083,9 @@ where
     Ok((schema, chunks))
 }
 
-/// One chunk's scan: its rows as the sink's symbols, where each row starts
-/// and whether it holds a `"`, and where the scan stopped.
+/// One chunk's scan: its rows as the sink's symbols, where the scan
+/// stopped and, if asked for, where each row starts and whether it holds a
+/// `"`.
 struct Chunk<K> {
     /// Where the scan started.
     start: u64,
@@ -746,6 +1097,8 @@ struct Chunk<K> {
     blocks: Vec<Vec<Symbol>>,
     block_cells: usize,
     sink: K,
+    /// Whether the scan records `row_starts` and `plain`.
+    spans: bool,
     row_starts: Vec<u64>,
     /// Row `i` holds no `"`.
     plain: Vec<bool>,
@@ -761,7 +1114,23 @@ impl<K> Chunk<K> {
 }
 
 impl<K: CellSink> Chunk<K> {
-    /// Scan the records that start in `[start, bound)`.
+    /// An empty chunk whose scans hand cells to `sink`.
+    fn new(sink: K, block_cells: usize, spans: bool) -> Self {
+        Chunk {
+            start: 0,
+            bound: 0,
+            end: 0,
+            blocks: vec![Vec::with_capacity(block_cells.min(BLOCK_CELLS))],
+            block_cells,
+            sink,
+            spans,
+            row_starts: Vec::new(),
+            plain: Vec::new(),
+            error: None,
+        }
+    }
+
+    /// Scan the records of `src` that start in `[start, bound)`.
     fn scan<S: ReadAt + ?Sized>(
         src: &S,
         start: u64,
@@ -770,33 +1139,35 @@ impl<K: CellSink> Chunk<K> {
         sink: K,
         block_cells: usize,
     ) -> Self {
-        let mut chunk = Chunk {
-            start,
-            bound,
-            end: start,
-            blocks: vec![Vec::with_capacity(block_cells.min(BLOCK_CELLS))],
-            block_cells,
-            sink,
-            row_starts: Vec::new(),
-            plain: Vec::new(),
-            error: None,
-        };
-        if let Err(e) = chunk.fill(src, arity) {
-            chunk.error = Some(e);
-        }
+        let mut chunk = Chunk::new(sink, block_cells, false);
+        chunk.rescan(&mut Window::new(src, false), start, bound, arity);
         chunk
     }
 
-    fn fill<S: ReadAt + ?Sized>(&mut self, src: &S, arity: usize) -> Result<()> {
-        let mut window = Window {
-            src,
-            buf: Vec::new(),
-            len: 0,
-            base: self.start,
-            pos: 0,
-            eof: false,
-            utf8_upto: 0,
-        };
+    /// Forget the chunk's rows, keeping their storage, and scan the
+    /// records that start in `[start, bound)` through `window`.
+    fn rescan<S: ReadAt + ?Sized>(
+        &mut self,
+        window: &mut Window<'_, S>,
+        start: u64,
+        bound: u64,
+        arity: usize,
+    ) {
+        self.start = start;
+        self.bound = bound;
+        self.end = start;
+        self.blocks.truncate(1);
+        self.blocks[0].clear();
+        self.row_starts.clear();
+        self.plain.clear();
+        self.error = None;
+        window.seek(start);
+        if let Err(e) = self.fill(window, arity) {
+            self.error = Some(e);
+        }
+    }
+
+    fn fill<S: ReadAt + ?Sized>(&mut self, window: &mut Window<'_, S>, arity: usize) -> Result<()> {
         let mut row = vec![Symbol(0); arity];
         // As in `read_csv`, a cell equal to the cell above skips the sink.
         // `above_at` is where the record above starts in the window, while
@@ -859,8 +1230,10 @@ impl<K: CellSink> Chunk<K> {
             }
             let last = self.blocks.len() - 1;
             self.blocks[last].extend_from_slice(&row);
-            self.row_starts.push(self.end);
-            self.plain.push(plain);
+            if self.spans {
+                self.row_starts.push(self.end);
+                self.plain.push(plain);
+            }
             std::mem::swap(&mut record, &mut above);
             above_at = Some(window.pos);
             above_plain = plain;
@@ -902,26 +1275,78 @@ struct Window<'a, S: ?Sized> {
     /// `buf[pos..utf8_upto]` is valid UTF-8, so the records in it need no
     /// check of their own.
     utf8_upto: usize,
+    /// Refills keep the bytes before `pos`: every byte read since the
+    /// window last moved stays in `buf`, where [`par_repair_csv`] renders
+    /// rows from.
+    keep: bool,
+    /// A window that keeps its bytes reads nothing at or past this offset.
+    limit: u64,
+    /// A read stopped at `limit`.
+    capped: bool,
 }
 
-impl<S: ReadAt + ?Sized> Window<'_, S> {
-    /// Drop the bytes before `pos`, then read until the window is full or
-    /// the source ends. The window starts at 4 KiB and doubles on each
-    /// refill up to [`WINDOW_BYTES`], so a small input touches little
-    /// memory; past that, it doubles only when `pos` frees nothing.
-    fn refill(&mut self) -> io::Result<()> {
-        self.buf.copy_within(self.pos..self.len, 0);
-        self.base += self.pos as u64;
-        self.len -= self.pos;
-        self.pos = 0;
-        if self.len == self.buf.len() || self.buf.len() < WINDOW_BYTES {
-            let size = (2 * self.buf.len()).clamp(4096, WINDOW_BYTES);
-            self.buf.resize(size.max(2 * self.len), 0);
+impl<'a, S: ReadAt + ?Sized> Window<'a, S> {
+    fn new(src: &'a S, keep: bool) -> Self {
+        Window {
+            src,
+            buf: Vec::new(),
+            len: 0,
+            base: 0,
+            pos: 0,
+            eof: false,
+            utf8_upto: 0,
+            keep,
+            limit: u64::MAX,
+            capped: false,
         }
-        while self.len < self.buf.len() {
+    }
+
+    /// Put the next record's start at `at`: among the bytes held if they
+    /// reach it, or else by emptying the window to start there.
+    fn seek(&mut self, at: u64) {
+        match at.checked_sub(self.base) {
+            Some(d) if d <= self.len as u64 => self.pos = d as usize,
+            _ => {
+                self.base = at;
+                self.len = 0;
+                self.pos = 0;
+                self.eof = false;
+            }
+        }
+        self.check_utf8();
+    }
+
+    /// Empty the window to start at `at` and read until it holds `bytes`
+    /// bytes or the source ends.
+    fn load(&mut self, at: u64, bytes: usize) -> io::Result<()> {
+        self.base = at;
+        self.len = 0;
+        self.pos = 0;
+        self.eof = false;
+        self.read_more(bytes)
+    }
+
+    /// Read `bytes` more bytes after the ones held, or up to the end of
+    /// the source or `limit`, growing `buf` as needed. Fails if `limit`
+    /// leaves nothing to read, which it may do with bytes past it held.
+    fn read_more(&mut self, bytes: usize) -> io::Result<()> {
+        let room = usize::try_from(self.limit.saturating_sub(self.base)).unwrap_or(usize::MAX);
+        let upto = (self.len + bytes).min(room);
+        if upto <= self.len {
+            self.capped = true;
+            return Err(io::Error::other("the scan reached its read limit"));
+        }
+        if self.buf.len() < upto {
+            self.buf.resize(upto, 0);
+        }
+        self.read_to(upto)
+    }
+
+    fn read_to(&mut self, upto: usize) -> io::Result<()> {
+        while self.len < upto {
             match self
                 .src
-                .read_at(&mut self.buf[self.len..], self.base + self.len as u64)?
+                .read_at(&mut self.buf[self.len..upto], self.base + self.len as u64)?
             {
                 0 => {
                     self.eof = true;
@@ -930,11 +1355,58 @@ impl<S: ReadAt + ?Sized> Window<'_, S> {
                 n => self.len += n,
             }
         }
-        self.utf8_upto = match std::str::from_utf8(&self.buf[..self.len]) {
-            Ok(_) => self.len,
-            Err(e) => e.valid_up_to(),
-        };
         Ok(())
+    }
+
+    /// The offset just past the first `\n` at or after `at`, which must be
+    /// at or after the window's start, reading on as needed; or `at` or the
+    /// end of the source, whichever is later, if no `\n` follows.
+    fn line_start(&mut self, at: u64) -> io::Result<u64> {
+        let from = usize::try_from(at - self.base).unwrap_or(usize::MAX);
+        loop {
+            let held = &self.buf[from.min(self.len)..self.len];
+            if let Some(i) = held.iter().position(|&b| b == b'\n') {
+                return Ok(self.base + (from + i) as u64 + 1);
+            }
+            if self.eof {
+                return Ok(at.max(self.base + self.len as u64));
+            }
+            self.read_more(KEEP_GROW_BYTES)?;
+        }
+    }
+
+    /// Read more of the source after the bytes held. A window that keeps
+    /// its bytes grows by the part of the record read so far, and by at
+    /// least [`KEEP_GROW_BYTES`]. Any other drops the bytes before `pos`
+    /// first, then reads until it is full or the source ends: it starts at
+    /// 4 KiB and doubles on each refill up to [`WINDOW_BYTES`], so a small
+    /// input touches little memory; past that, it doubles only when `pos`
+    /// frees nothing.
+    fn refill(&mut self) -> io::Result<()> {
+        if self.keep {
+            self.read_more((self.len - self.pos).max(KEEP_GROW_BYTES))?;
+        } else {
+            self.buf.copy_within(self.pos..self.len, 0);
+            self.base += self.pos as u64;
+            self.len -= self.pos;
+            self.pos = 0;
+            if self.len == self.buf.len() || self.buf.len() < WINDOW_BYTES {
+                let size = (2 * self.buf.len()).clamp(4096, WINDOW_BYTES);
+                self.buf.resize(size.max(2 * self.len), 0);
+            }
+            self.read_to(self.buf.len())?;
+        }
+        self.check_utf8();
+        Ok(())
+    }
+
+    /// Find how far the bytes from `pos` on are valid UTF-8.
+    fn check_utf8(&mut self) {
+        self.utf8_upto = self.pos
+            + match std::str::from_utf8(&self.buf[self.pos..self.len]) {
+                Ok(rest) => rest.len(),
+                Err(e) => e.valid_up_to(),
+            };
     }
 }
 
@@ -1419,14 +1891,11 @@ mod tests {
 
     /// The constants-only reader against `read_csv` on the same bytes: the
     /// rows projected onto [`CONSTANTS`] (any other value is ⊥) and the
-    /// same error text. Then repair the table by hand and check that the
-    /// repaired-table writer gives the bytes `write_csv` gives for the
-    /// fully interned table.
+    /// same error text.
     fn assert_constants_match(data: &[u8], cuts: &[u64], workers: usize) {
         let context = format!("input {:?} cut at {cuts:?}", String::from_utf8_lossy(data));
         let mut want_sy = SymbolTable::new();
-        let want_table = read_csv(data, "R", &mut want_sy);
-        let want: Projected = match &want_table {
+        let want: Projected = match read_csv(data, "R", &mut want_sy) {
             Ok(t) => Ok(t
                 .rows()
                 .map(|row| {
@@ -1440,16 +1909,12 @@ mod tests {
                 .collect()),
             Err(e) => Err(e.to_string()),
         };
-        let mut constants = SymbolTable::new();
-        for c in CONSTANTS {
-            constants.intern(c);
-        }
+        let constants = constants();
         let loaded = read_csv_header(data, "R").and_then(|schema| {
             read_constants(data, &schema, &constants, |_| cuts.to_vec(), workers)
         });
         let got: Projected = match &loaded {
-            Ok(l) => Ok(l
-                .table
+            Ok(table) => Ok(table
                 .rows()
                 .map(|row| {
                     row.iter()
@@ -1460,66 +1925,135 @@ mod tests {
             Err(e) => Err(e.to_string()),
         };
         assert_eq!(got, want, "{context}");
-        let (Ok(mut want_table), Ok(mut loaded)) = (want_table, loaded) else {
-            return;
-        };
-        // Every third row gets a constant in its first cell.
-        let (want_zz, got_zz) = (want_sy.intern("zz"), constants.get("zz").unwrap());
-        let first = AttrId(0);
-        for i in (1..want_table.len()).step_by(3) {
-            want_table.set_cell(i, first, want_zz);
-            loaded.table.set_cell(i, first, got_zz);
-            loaded.rows.touch(i);
+    }
+
+    /// [`CONSTANTS`] as a symbol table.
+    fn constants() -> SymbolTable {
+        let mut constants = SymbolTable::new();
+        for c in CONSTANTS {
+            constants.intern(c);
         }
-        let mut want_out = Vec::new();
-        write_csv(&mut want_out, &want_table, &want_sy).unwrap();
-        for threads in [1, 2] {
-            let mut out = Vec::new();
-            write_repaired(
-                &mut out,
-                data,
-                &loaded.table,
-                &loaded.rows,
-                &constants,
-                threads,
-            )
-            .unwrap();
-            assert!(
-                out == want_out,
-                "{context} threads={threads}: wrote {:?}, want {:?}",
-                String::from_utf8_lossy(&out),
-                String::from_utf8_lossy(&want_out)
-            );
+        constants
+    }
+
+    /// The repair both sides of the pipeline tests run, rule-like in that
+    /// it reads only the row: row `r` gets `zz` in its first cell when
+    /// `r % 3 == 1`, and a last cell `x` becomes `a`. Returns whether the
+    /// row changed.
+    fn toy_fix(r: usize, row: &mut [Symbol], [zz, x, a]: [Symbol; 3]) -> bool {
+        let mut changed = false;
+        if r % 3 == 1 && row[0] != zz {
+            row[0] = zz;
+            changed = true;
+        }
+        let last = row.len() - 1;
+        if row[last] == x {
+            row[last] = a;
+            changed = true;
+        }
+        changed
+    }
+
+    type Repaired = std::result::Result<(usize, Vec<u8>), String>;
+
+    /// `read_csv`, [`toy_fix`] on every row, and `write_csv`: what the
+    /// pipeline must write, with its row count, or `read_csv`'s error.
+    fn read_repair_write(data: &[u8]) -> Repaired {
+        let mut sy = SymbolTable::new();
+        let mut table = read_csv(data, "R", &mut sy).map_err(|e| e.to_string())?;
+        let fix = ["zz", "x", "a"].map(|v| sy.intern(v));
+        for r in 0..table.len() {
+            toy_fix(r, table.row_mut(r), fix);
+        }
+        let mut out = Vec::new();
+        write_csv(&mut out, &table, &sy).unwrap();
+        Ok((table.len(), out))
+    }
+
+    /// The pipeline over `data` in chunks of `chunk_bytes`, with up to
+    /// `workers` workers and [`toy_fix`] as its repair step.
+    fn pipelined(data: &[u8], chunk_bytes: u64, workers: usize) -> Repaired {
+        let schema = read_csv_header(data, "R").unwrap();
+        let constants = constants();
+        let fix = ["zz", "x", "a"].map(|v| constants.get(v).unwrap());
+        let pipeline = Pipeline {
+            src: data,
+            len: data.len() as u64,
+            schema: &schema,
+            constants: &constants,
+            chunk_bytes,
+        };
+        let arity = schema.arity();
+        let mut out = Vec::new();
+        let run = pipeline.run(
+            &mut out,
+            workers,
+            |w| w,
+            |_, mut chunk: ChunkRows<'_>| {
+                for i in 0..chunk.cells.len() / arity {
+                    let row = &mut chunk.cells[i * arity..(i + 1) * arity];
+                    if toy_fix(chunk.first_row + i, row, fix) {
+                        chunk.touch(i);
+                    }
+                }
+            },
+        );
+        match run {
+            Ok(run) => {
+                assert!(run.workers.iter().copied().eq(0..run.workers.len()));
+                Ok((run.rows, out))
+            }
+            Err(PipelineError::Read(e)) => Err(e.to_string()),
+            Err(PipelineError::Write(e)) => panic!("writing to memory failed: {e}"),
         }
     }
 
+    fn assert_pipeline_matches(data: &[u8], chunk_bytes: u64, workers: usize) {
+        let want = read_repair_write(data);
+        let got = pipelined(data, chunk_bytes, workers);
+        let show = |r: &Repaired| {
+            r.as_ref()
+                .map(|(n, out)| (*n, String::from_utf8_lossy(out).into_owned()))
+                .map_err(String::clone)
+        };
+        assert!(
+            got == want,
+            "input {:?} in chunks of {chunk_bytes} at {workers} workers: got {:?}, want {:?}",
+            String::from_utf8_lossy(data),
+            show(&got),
+            show(&want)
+        );
+    }
+
+    /// Small inputs with every record shape the scanner handles.
+    const TRICKY: [&[u8]; 12] = [
+        // A quoted `\n` and `\r\n` across a cut, and `""` escapes.
+        b"a,b\nx,\"1\n2\"\n\"p\r\nq\",y\nx,\"say \"\"hi\"\"\"\n",
+        // CRLF terminators, split between `\r` and `\n`.
+        b"a,b\r\nx,1\r\nzz,2\r\nx,3\r\n",
+        // Multi-byte UTF-8 on both sides of a line break.
+        "a,b\né,ü\nü,é\n€,x\n".as_bytes(),
+        // No trailing newline.
+        b"a,b\nx,1\ny,2",
+        // Header only, with and without its newline.
+        b"a,b\n",
+        b"a,b",
+        // A ragged row, invalid UTF-8 and an unterminated quote, each
+        // in a later record.
+        b"a,b\nx,1\ny,2\nz\nw,4\n",
+        b"a,b\nx,1\ny,2\nz,\xFF\nw,4\n",
+        b"a,b\nx,1\ny,2\nz,\"open\nw,4\n",
+        // A mid-field quote is literal; lone `\r` ends a record.
+        b"a,b\nx\"y,1\r\"q\"\"\",2\rzz,x\n",
+        // Empty fields and empty lines.
+        b"a,b\n,\n\n,x\n",
+        // Quoted line breaks that straddle several cuts.
+        b"a,b\n\"1\n2\n3\n4\",x\ny,\"5\n\n6\"\n",
+    ];
+
     #[test]
     fn chunked_read_matches_read_csv_at_every_cut() {
-        let cases: [&[u8]; 12] = [
-            // A quoted `\n` and `\r\n` across a cut, and `""` escapes.
-            b"a,b\nx,\"1\n2\"\n\"p\r\nq\",y\nx,\"say \"\"hi\"\"\"\n",
-            // CRLF terminators, split between `\r` and `\n`.
-            b"a,b\r\nx,1\r\nzz,2\r\nx,3\r\n",
-            // Multi-byte UTF-8 on both sides of a line break.
-            "a,b\né,ü\nü,é\n€,x\n".as_bytes(),
-            // No trailing newline.
-            b"a,b\nx,1\ny,2",
-            // Header only, with and without its newline.
-            b"a,b\n",
-            b"a,b",
-            // A ragged row, invalid UTF-8 and an unterminated quote, each
-            // in a later record.
-            b"a,b\nx,1\ny,2\nz\nw,4\n",
-            b"a,b\nx,1\ny,2\nz,\xFF\nw,4\n",
-            b"a,b\nx,1\ny,2\nz,\"open\nw,4\n",
-            // A mid-field quote is literal; lone `\r` ends a record.
-            b"a,b\nx\"y,1\r\"q\"\"\",2\rzz,x\n",
-            // Empty fields and empty lines.
-            b"a,b\n,\n\n,x\n",
-            // Quoted line breaks that straddle several cuts.
-            b"a,b\n\"1\n2\n3\n4\",x\ny,\"5\n\n6\"\n",
-        ];
-        for data in cases {
+        for data in TRICKY {
             let len = data.len() as u64;
             for cut in 0..=len + 1 {
                 assert_chunked_matches(data, &[cut]);
@@ -1671,6 +2205,130 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_matches_read_repair_write_at_every_chunk_size() {
+        for data in TRICKY {
+            for chunk_bytes in 1..=data.len() as u64 + 1 {
+                for workers in 1..=4 {
+                    assert_pipeline_matches(data, chunk_bytes, workers);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pipeline_matches_read_repair_write_on_random_inputs() {
+        let tokens: [&[u8]; 11] = [
+            b"x",
+            b"zz",
+            "é".as_bytes(),
+            b",",
+            b",",
+            b"\"",
+            b"\r",
+            b"\n",
+            b"\n",
+            b"\xC3",
+            b"\xFF",
+        ];
+        let mut rng = Rng(0x919E);
+        for case in 0..1_500 {
+            let mut data = b"h1,h2\n".to_vec();
+            for _ in 0..rng.below(80) {
+                let t = if rng.below(6) == 0 {
+                    rng.below(tokens.len())
+                } else {
+                    rng.below(9)
+                };
+                data.extend_from_slice(tokens[t]);
+            }
+            let chunk_bytes = 1 + rng.below(data.len()) as u64;
+            assert_pipeline_matches(&data, chunk_bytes, 1 + case % 4);
+        }
+    }
+
+    #[test]
+    fn pipeline_matches_read_repair_write_on_shared_prefix_inputs() {
+        let mut rng = Rng(0x51DE);
+        for case in 0..120 {
+            let arity = 4 + case % 3;
+            let records = if case % 8 == 0 {
+                400
+            } else {
+                6 + rng.below(40)
+            };
+            let data = shared_prefix_input(&mut rng, arity, records, case % 5 == 4);
+            let chunk_bytes = 1 + rng.below(data.len() / 2) as u64;
+            assert_pipeline_matches(&data, chunk_bytes, 1 + case % 4);
+        }
+    }
+
+    /// A source that counts the bytes read from it.
+    struct Counted<'a> {
+        bytes: &'a [u8],
+        read: AtomicUsize,
+    }
+
+    impl ReadAt for Counted<'_> {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+            let n = self.bytes.read_at(buf, offset)?;
+            self.read.fetch_add(n, Ordering::Relaxed);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_wrong_guess_reads_at_most_a_chunk_past_its_bound() {
+        // A quoted field that ends in a line break: a chunk whose cut falls
+        // in it guesses its start just before the closing quote, which then
+        // opens a field that no later quote closes. A guess that runs on to
+        // the end of the file would read the whole file once more. Chunks
+        // are large enough that their slack reads add little.
+        let chunk_bytes = 64 << 10;
+        let mut data = b"a,b,c\n".to_vec();
+        let mut rows = 0;
+        while data.len() < chunk_bytes - 1_500 {
+            data.extend_from_slice(format!("{rows},zz,x\n").as_bytes());
+            rows += 1;
+        }
+        data.extend_from_slice(b"1,\"");
+        data.extend(std::iter::repeat_n(b'x', 3_000));
+        data.extend_from_slice(b"\n\",y\n");
+        rows += 1;
+        while data.len() < 16 * chunk_bytes {
+            data.extend_from_slice(format!("{rows},zz,x\n").as_bytes());
+            rows += 1;
+        }
+        let schema = read_csv_header(&data[..], "R").unwrap();
+        let constants = constants();
+        for workers in [1, 2] {
+            let src = Counted {
+                bytes: &data,
+                read: AtomicUsize::new(0),
+            };
+            let pipeline = Pipeline {
+                src: &src,
+                len: data.len() as u64,
+                schema: &schema,
+                constants: &constants,
+                chunk_bytes: chunk_bytes as u64,
+            };
+            let mut out = Vec::new();
+            let run = pipeline.run(&mut out, workers, |_| (), |_, _| {}).unwrap();
+            assert_eq!(run.rows, rows);
+            let mut sy = SymbolTable::new();
+            let mut want = Vec::new();
+            write_csv(&mut want, &read_csv(&data[..], "R", &mut sy).unwrap(), &sy).unwrap();
+            assert!(out == want, "workers={workers}");
+            let read = src.read.load(Ordering::Relaxed);
+            assert!(
+                read < data.len() * 3 / 2,
+                "read {read} of {} bytes",
+                data.len()
+            );
+        }
+    }
+
+    #[test]
     fn file_reader_and_writer_match_the_references_at_any_thread_count() {
         // Over 4 MiB, so the reader splits into up to four chunks and the
         // writer renders many blocks; some values need quotes.
@@ -1725,8 +2383,9 @@ mod tests {
             par_write_csv(&mut out, &got, &sy, threads).unwrap();
             assert!(out == want_out, "render differs at threads={threads}");
         }
-        // The constants-only reader and the repaired-table writer, with a
-        // constant written into some rows, some of them quoted in the file.
+        // The constants-only reader, and the pipeline over 256 KiB chunks
+        // with a constant written into some rows, some of them quoted in
+        // the file.
         let names = [
             "plain",
             "q3",
@@ -1736,6 +2395,10 @@ mod tests {
             "n5",
             "r9",
         ];
+        let mut constants = SymbolTable::new();
+        for v in names {
+            constants.intern(v);
+        }
         let mut want_repaired = want.clone();
         let plain = want_sy.intern("plain");
         let note = AttrId(2);
@@ -1743,44 +2406,45 @@ mod tests {
             want_repaired.set_cell(i, note, plain);
         }
         let want_repaired_out = render(&want_repaired, &want_sy);
+        let schema = want.schema();
         let out_path = dir.join("out.csv");
         for threads in 1..=4 {
-            let mut constants = SymbolTable::new();
-            for v in names {
-                constants.intern(v);
-            }
-            let schema = want.schema();
-            let mut got = par_read_csv_constants(&path, schema, &constants, threads).unwrap();
-            assert_eq!(got.table.len(), want.len());
-            for (g, w) in got.table.rows().zip(want.rows()) {
+            let got = par_read_csv_constants(&path, schema, &constants, threads).unwrap();
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.rows().zip(want.rows()) {
                 for (&g, &w) in g.iter().zip(w.iter()) {
                     let w = want_sy.resolve(w);
                     let g = (g != Symbol::BOTTOM).then(|| constants.resolve(g));
                     assert_eq!(g, names.contains(&w).then_some(w), "threads={threads}");
                 }
             }
-            par_write_repaired_csv(&out_path, &path, &got.table, &got.rows, &constants, threads)
-                .unwrap();
-            assert!(
-                std::fs::read(&out_path).unwrap() == want_out,
-                "threads={threads}"
-            );
             let plain = constants.get("plain").unwrap();
-            for i in (7..want.len()).step_by(997) {
-                got.table.set_cell(i, note, plain);
-                got.rows.touch(i);
-            }
-            par_write_repaired_csv(&out_path, &path, &got.table, &got.rows, &constants, threads)
+            for fix in [false, true] {
+                let file = File::create(&out_path).unwrap();
+                let run = par_repair_csv(
+                    &path,
+                    schema,
+                    &constants,
+                    file,
+                    threads,
+                    |_| (),
+                    |_, mut chunk| {
+                        for i in 0..chunk.cells.len() / 3 {
+                            if fix && (chunk.first_row + i) % 997 == 7 {
+                                chunk.cells[3 * i + 2] = plain;
+                                chunk.touch(i);
+                            }
+                        }
+                    },
+                )
                 .unwrap();
-            let repaired = std::fs::read(&out_path).unwrap();
-            assert!(repaired == want_repaired_out, "threads={threads}");
+                assert_eq!(run.rows, want.len());
+                assert!(run.workers.len() <= threads, "threads={threads}");
+                let written = std::fs::read(&out_path).unwrap();
+                let want = if fix { &want_repaired_out } else { &want_out };
+                assert!(written == *want, "threads={threads} fix={fix}");
+            }
         }
-        // Written over its own input, the file is read before it is
-        // truncated.
-        let constants = SymbolTable::new();
-        let got = par_read_csv_constants(&path, want.schema(), &constants, 2).unwrap();
-        par_write_repaired_csv(&path, &path, &got.table, &got.rows, &constants, 2).unwrap();
-        assert!(std::fs::read(&path).unwrap() == want_out);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1828,34 +2492,45 @@ mod tests {
     #[test]
     fn render_queue_writes_blocks_in_order_and_stops_at_the_first_error() {
         let blocks = 40;
-        let rows = blocks * RENDER_BLOCK_ROWS;
         let lines = |n: usize| (0..n).map(|b| format!("{b}\n")).collect::<String>();
         for threads in 1..=4 {
             // Every fifth block renders slowly, so the blocks after it are
             // done first and wait for it.
             let mut out = Vec::new();
-            write_blocks(&mut out, rows, threads, |_: &mut (), b, buf| {
-                if b % 5 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                numbered(b, buf);
-                Ok(())
-            })
+            write_blocks(
+                &mut out,
+                blocks,
+                threads,
+                |_| (),
+                |_: &mut (), b, buf| {
+                    if b % 5 == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    }
+                    numbered(b, buf);
+                    Ok(())
+                },
+            )
             .unwrap();
             assert_eq!(String::from_utf8(out).unwrap(), lines(blocks), "{threads}");
             // The first failed block in row order wins, whichever fails
             // first in time, and nothing from it on is written.
             let mut out = Vec::new();
-            let err = write_blocks(&mut out, rows, threads, |_: &mut (), b, buf| {
-                if b == 13 {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                if b == 13 || b == 14 || b == 29 {
-                    return Err(csv_error(format!("block {b}")));
-                }
-                numbered(b, buf);
-                Ok(())
-            })
+            let err = write_blocks(
+                &mut out,
+                blocks,
+                threads,
+                |_| (),
+                |_: &mut (), b, buf| {
+                    if b == 13 {
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                    }
+                    if b == 13 || b == 14 || b == 29 {
+                        return Err(csv_error(format!("block {b}")));
+                    }
+                    numbered(b, buf);
+                    Ok(())
+                },
+            )
             .unwrap_err();
             assert_eq!(err.to_string(), csv_error("block 13".into()).to_string());
             assert_eq!(String::from_utf8(out).unwrap(), lines(13), "{threads}");
@@ -1866,10 +2541,16 @@ mod tests {
     #[should_panic]
     fn render_queue_raises_a_render_panic_instead_of_waiting_for_the_block() {
         let mut out = Vec::new();
-        let _ = write_blocks(&mut out, 40 * RENDER_BLOCK_ROWS, 3, |_: &mut (), b, buf| {
-            assert_ne!(b, 6, "render failed");
-            numbered(b, buf);
-            Ok(())
-        });
+        let _ = write_blocks(
+            &mut out,
+            40,
+            3,
+            |_| (),
+            |_: &mut (), b, buf| {
+                assert_ne!(b, 6, "render failed");
+                numbered(b, buf);
+                Ok(())
+            },
+        );
     }
 }

@@ -141,12 +141,28 @@ echo "== engine and worker-count equivalence smoke =="
 # --profile-json. The stream engine repairs every row afresh, so it is
 # the reference for what lrepair's plan memo replays. Journal seq numbers
 # are position-dependent, so they are stripped before comparing. The
-# example rows are tiled 50 times, so most rows repeat a projection the
-# memo has seen.
+# example rows are tiled past 1 MiB, so most rows repeat a projection the
+# memo has seen and lrepair's pipeline cuts the file into several 256 KiB
+# chunks at every worker count. Every 300 rows, and across each 256 KiB
+# cut after the header, a dirty row's city is a quoted value holding 40
+# line breaks; so every chunk after the first guesses its start inside
+# quotes and is scanned again from its true start.
 {
-    cat examples/data/hosp_dirty.csv
-    for _ in $(seq 49); do tail -n +2 examples/data/hosp_dirty.csv; done
+    head -n 1 examples/data/hosp_dirty.csv
+    tail -n +2 examples/data/hosp_dirty.csv | awk -v cut=262144 '
+        function emit(line) { print line; bytes += length(line) + 1 }
+        { rows[NR] = $0 }
+        END {
+            quoted = "36545,\"Jackson"
+            for (k = 0; k < 40; k++) quoted = quoted "\nHeights"
+            quoted = quoted "\",AK"
+            for (t = 1; t <= 20000; t++) {
+                for (i = 1; i <= NR; i++) emit(rows[i])
+                if (t % 75 == 0 || bytes % cut > cut - 200) emit(quoted)
+            }
+        }'
 } > "$TRACE_DIR/hosp_dup.csv"
+[ "$(wc -c < "$TRACE_DIR/hosp_dup.csv")" -gt 1048576 ] || { echo "hosp_dup.csv is too small" >&2; exit 1; }
 for run in stream:1 lrepair:1 lrepair:2 lrepair:default; do
     engine="${run%:*}"
     threads="${run#*:}"
