@@ -1,26 +1,33 @@
 //! `bench quality` — sketch + window overhead of the repair-quality
-//! observatory on the 20k duplicated-tuple stream workload.
+//! observatory on the 20k duplicated-tuple workload.
 //!
-//! Configurations, all one-pass `stream_repair_csv` over the
-//! same in-memory CSV:
+//! Configurations, all `csv_io::par_repair_csv` at one worker over the
+//! same CSV file, each row repaired with `lRepair`:
 //!
-//! * `unmonitored` — [`obs::NoopObserver`]: the `wants_rows` gate keeps
-//!   the driver from even copying the pre-repair row, so this is the
-//!   true zero-cost baseline;
+//! * `unmonitored` — no monitor: the worker never keys a row's values, so
+//!   this is the true zero-cost baseline;
 //! * `monitored/256` / `monitored/1024` — a fresh [`QualityMonitor`]
-//!   per iteration feeding per-attribute count–min, distinct, and
-//!   reservoir sketches in tumbling windows of 256 / 1024 rows.
+//!   per iteration, fed as `fixctl repair --quality-window` feeds it: the
+//!   worker keys each row's values as the file holds them, and the
+//!   delivering thread hands the monitor each row's keys and then its
+//!   fixes, into per-attribute count–min, distinct, and reservoir
+//!   sketches in tumbling windows of 256 / 1024 rows.
 //!
-//! The acceptance target is monitored ≤ 1.10× unmonitored wall-clock at
-//! the default 256-row window. Each monitored benchmark embeds its
+//! The target, set when this bench ran the one-record-at-a-time stream
+//! engine, is monitored ≤ 1.10× unmonitored wall-clock at the default
+//! 256-row window; DESIGN.md §16 has where it stands against the faster
+//! pipeline. Each monitored benchmark embeds its
 //! metrics snapshot, so the pinned `BENCH_quality.json` also records
 //! `quality.windows` and per-attribute `quality.drift` gauges next to
 //! the wall clock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use fixrules::repair::{stream_repair_csv, LRepairIndex};
-use obs::{NoopObserver, QualityConfig, QualityMonitor};
+use std::path::Path;
+
+use fixrules::repair::{lrepair_tuple, CellUpdate, LRepairIndex, LRepairScratch};
+use obs::quality::value_key;
+use obs::{QualityConfig, QualityMonitor, RepairObserver};
 use relation::{csv_io, Table};
 
 /// Distinct source rows cycled into the benched stream.
@@ -34,8 +41,8 @@ const TOTAL_ROWS: usize = 20_000;
 const RUN_LEN: usize = 8;
 
 /// Tile the workload's dirty table up to `TOTAL_ROWS` — duplicates in
-/// runs of [`RUN_LEN`] — and render it as the CSV byte stream every
-/// configuration repairs.
+/// runs of [`RUN_LEN`] — and render it as the CSV every configuration
+/// repairs.
 fn stream_csv(workload: &bench::Workload) -> Vec<u8> {
     let mut tiled = Table::with_capacity(workload.dirty.schema().clone(), TOTAL_ROWS);
     for i in 0..TOTAL_ROWS {
@@ -48,11 +55,65 @@ fn stream_csv(workload: &bench::Workload) -> Vec<u8> {
     out
 }
 
+/// Repair the CSV file at `path` at one worker, feeding `monitor` if
+/// there is one, and return the number of rows.
+fn repair(
+    workload: &bench::Workload,
+    index: &LRepairIndex,
+    path: &Path,
+    monitor: Option<&QualityMonitor>,
+) -> usize {
+    let rules = &workload.rules;
+    let arity = rules.schema().arity();
+    let mut row = 0;
+    csv_io::par_repair_csv(
+        path,
+        rules.schema(),
+        &workload.dataset.symbols,
+        1,
+        |_| LRepairScratch::new(rules.len()),
+        |scratch, mut chunk, seen: &mut (Vec<u32>, Vec<CellUpdate>)| {
+            for i in 0..chunk.rows() {
+                if monitor.is_some() {
+                    seen.0.extend(chunk.fields(i).map(value_key));
+                }
+                let cells = &mut chunk.cells[i * arity..(i + 1) * arity];
+                let mut fixes = lrepair_tuple(rules, index, scratch, cells);
+                if !fixes.is_empty() {
+                    chunk.touch(i);
+                }
+                if monitor.is_some() {
+                    fixes.iter_mut().for_each(|u| u.row = chunk.first_row + i);
+                    seen.1.extend(fixes);
+                }
+            }
+        },
+        |_, (keys, fixes)| {
+            if let Some(monitor) = monitor {
+                let mut fixes = fixes.iter().peekable();
+                for keys in keys.chunks_exact(arity) {
+                    monitor.row_observed(keys);
+                    let row_fixes = std::iter::from_fn(|| fixes.next_if(|u| u.row == row));
+                    for (ordinal, u) in row_fixes.enumerate() {
+                        monitor.cell_repaired(u.as_fix(ordinal));
+                    }
+                    row += 1;
+                }
+            }
+            Ok(())
+        },
+    )
+    .unwrap()
+    .rows
+}
+
 fn bench_quality(c: &mut Criterion) {
     let workload = bench::hosp_workload(DISTINCT_ROWS, 200);
-    let rules = &workload.rules;
-    let index = LRepairIndex::build(rules);
-    let csv = stream_csv(&workload);
+    let index = LRepairIndex::build(&workload.rules);
+    let dir = std::env::temp_dir().join(format!("bench_quality_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("stream.csv");
+    std::fs::write(&path, stream_csv(&workload)).unwrap();
     let attr_names: Vec<String> = workload
         .dirty
         .schema()
@@ -63,18 +124,8 @@ fn bench_quality(c: &mut Criterion) {
     let mut group = c.benchmark_group("quality");
     group.throughput(Throughput::Elements(TOTAL_ROWS as u64));
 
-    group.bench_with_input(BenchmarkId::new("unmonitored", "stream"), &(), |b, _| {
-        b.iter(|| {
-            stream_repair_csv(
-                rules,
-                &index,
-                &workload.dataset.symbols,
-                &csv[..],
-                std::io::sink(),
-                &NoopObserver,
-            )
-            .unwrap()
-        })
+    group.bench_with_input(BenchmarkId::new("unmonitored", "pipeline"), &(), |b, _| {
+        b.iter(|| repair(&workload, &index, &path, None))
     });
 
     for window in [256usize, 1024] {
@@ -92,18 +143,10 @@ fn bench_quality(c: &mut Criterion) {
                         QualityMonitor::new(cfg, attr_names.clone()).with_registry(&registry)
                     },
                     |monitor| {
-                        let stats = stream_repair_csv(
-                            rules,
-                            &index,
-                            &workload.dataset.symbols,
-                            &csv[..],
-                            std::io::sink(),
-                            &monitor,
-                        )
-                        .unwrap();
+                        let rows = repair(&workload, &index, &path, Some(&monitor));
                         monitor.flush();
                         assert!(monitor.windows_sealed() > 0);
-                        stats
+                        rows
                     },
                     criterion::BatchSize::LargeInput,
                 )
@@ -111,6 +154,7 @@ fn bench_quality(c: &mut Criterion) {
         );
     }
     group.finish();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 criterion_group!(benches, bench_quality);

@@ -7,9 +7,10 @@
 //! fixctl resolve --rules rules.frl --data data.csv --out fixed_rules.frl
 //!                [--strategy shrink|drop]                 # §5.3 workflow
 //! fixctl repair  --rules rules.frl --data dirty.csv --out repaired.csv
-//!                [--engine lrepair|stream] [--threads N]
-//!                [--updates-log updates.csv]
+//!                [--threads N] [--updates-log updates.csv]
 //!                [--trace trace.jsonl]                    # provenance journal
+//!                [--quality-window N [--quality-alert SPEC,...]
+//!                 [--quality-json q.json]]                # per-window quality table
 //! fixctl stats   --rules rules.frl --data data.csv        # rule-set statistics
 //! fixctl explain trace.jsonl --row R --attr A             # why did this cell change?
 //! fixctl trace export trace.jsonl --chrome out.json       # Perfetto-viewable timeline
@@ -30,18 +31,16 @@
 //! fixctl client shutdown        --addr HOST:PORT          # graceful drain
 //! ```
 //!
-//! `repair` has two engines, and they write the same output, and neither
-//! one's memory grows with the input: `lrepair` (the default) runs a chunk
-//! pipeline, whose workers each read a 256 KiB chunk of the input with
-//! every cell one of Σ's constants or ⊥, repair it, and render it back,
-//! untouched rows from the chunk's own bytes, while the calling thread
-//! writes the chunks in order; `stream` repairs one record at a time as it
-//! reads them, on one thread. `--threads N` only sets the worker count for
-//! the pipeline (and for the CSV load of the other commands). It defaults
-//! to the available cores, and no output depends on it. `stream` refuses
-//! an N > 1 and `--updates-log`. `check`, `detect`, `repair` and
-//! `coverage` check every rule pair on one thread and report every
-//! conflict.
+//! Every command that reads `--data` with `--rules` loads each cell as one
+//! of Σ's constants or ⊥, from 256 KiB chunks of the file that workers
+//! scan at once. `repair` never holds the table, so its memory does not
+//! grow with the input: its workers each repair a chunk with lRepair and
+//! render it back, untouched rows from the chunk's own bytes, while the
+//! calling thread writes the chunks in order and feeds the
+//! `--quality-window` monitor, if any. `--threads N` only sets the worker
+//! count. It defaults to the available cores, and no output depends on
+//! it. `check`, `detect`, `repair` and `coverage` check every rule pair on
+//! one thread and report every conflict.
 //!
 //! `repair` additionally takes the profiling flags:
 //!
@@ -66,9 +65,10 @@
 //!   `--trace-clock logical|wall` picks timestamps: `logical` (default)
 //!   is byte-deterministic across runs, `wall` records microseconds.
 //!
-//! `repair`, `coverage` and `serve` reject any flag they do not read
-//! (exit 2, `unknown flag --NAME`), so a typo never falls back to a
-//! default. `serve` hands its arguments to the `fixd` parser
+//! `check`, `detect`, `resolve`, `repair`, `stats`, `convert`,
+//! `discover`, `coverage` and `serve` reject any flag they do not read
+//! (exit 2, `unknown flag --NAME`), so a typo or a retired flag never
+//! falls back to a default. `serve` hands its arguments to the `fixd` parser
 //! ([`fixd::cli::run`]); the daemon's telemetry is at `GET /metrics` and
 //! its journal is `--journal`, so it takes no `--metrics` or `--trace`.
 //!
@@ -86,12 +86,11 @@ use fixrules::consistency::resolve::{ensure_consistent, Strategy};
 use fixrules::consistency::{
     conflict_witness, enumerate::WILDCARD, is_consistent_characterize, ConsistencyReport,
 };
-use fixrules::io::{format_rule, format_rules, parse_rules, parse_rules_spanned, Span};
+use fixrules::io::{format_rule, format_rules, parse_rules_spanned, Span};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
-use fixrules::repair::{
-    lrepair_table, stream_repair_csv, CellUpdate, LRepairIndex, LRepairWorker, RepairStats,
-};
+use fixrules::repair::{lrepair_table, CellUpdate, LRepairIndex, LRepairWorker, RepairStats};
 use fixrules::RuleSet;
+use obs::quality::value_key;
 use obs::trace::{chrome_trace, parse_jsonl, TracePhase, TraceSpan};
 use obs::{
     http_get, parse_prometheus, render_snapshot, AlertRule, AttributionObserver, Event, Json,
@@ -256,7 +255,6 @@ const REPAIR_FLAGS: &[&str] = &[
     "rules",
     "data",
     "out",
-    "engine",
     "threads",
     "updates-log",
     "profile",
@@ -265,9 +263,6 @@ const REPAIR_FLAGS: &[&str] = &[
     "quality-alert",
     "quality-json",
 ];
-
-/// Flags `fixctl coverage` reads, besides [`OBS_FLAGS`].
-const COVERAGE_FLAGS: &[&str] = &["rules", "data", "lint", "profile-json"];
 
 impl Flags {
     fn parse(args: &[String]) -> Result<Flags, String> {
@@ -398,8 +393,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
 fn usage() -> String {
     "usage: fixctl <check|detect|discover|resolve|repair|stats|convert> --rules FILE --data FILE.csv \
-     [--out FILE] [--engine lrepair|stream (neither one's memory grows with FILE.csv)] \
-     [--threads N (default: all cores)] [--strategy shrink|drop] [--updates-log FILE] \
+     [--out FILE] [--threads N (default: all cores)] [--strategy shrink|drop] [--updates-log FILE] \
      [--metrics FILE.json] [--log off|info|debug] [--trace FILE.jsonl] [--trace-clock logical|wall] \
      [--profile] [--profile-json FILE] \
      [--quality-window N] [--quality-alert SPEC,...] [--quality-json FILE] \
@@ -569,8 +563,9 @@ fn cmd_certify(
 /// Convert between the `.frl` line format and the portable JSON document,
 /// picking the direction from the output extension.
 fn cmd_convert(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
+    flags.only(&["rules", "data", "threads", "out"])?;
     let out = flags.required("out")?;
-    let (_table, rules, symbols) = load(flags, obs_ctx)?;
+    let (_table, Sigma { rules, .. }, symbols) = load(flags, obs_ctx)?;
     if out.ends_with(".json") {
         let doc = fixrules::io::to_portable(&rules, &symbols);
         std::fs::write(out, doc.to_json_string()).map_err(|e| format!("writing {out}: {e}"))?;
@@ -585,6 +580,7 @@ fn cmd_convert(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
 /// Discover fixing rules from the data alone (support/confidence over FD
 /// groups) and write them as a rule file.
 fn cmd_discover(flags: &Flags) -> Result<(), String> {
+    flags.only(&["data", "fds", "out", "min-support", "min-confidence"])?;
     let data_path = flags.required("data")?;
     let fds_path = flags.required("fds")?;
     let out = flags.required("out")?;
@@ -623,7 +619,8 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
 /// Audit mode: report and explain every update a repair would apply,
 /// without writing anything.
 fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (table, rules, symbols) = load(flags, obs_ctx)?;
+    flags.only(&["rules", "data", "threads"])?;
+    let (table, Sigma { rules, .. }, symbols) = load(flags, obs_ctx)?;
     require_consistent(&rules, obs_ctx)?;
     let index = {
         let _span = obs_ctx.span("index_build");
@@ -651,27 +648,35 @@ fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     Ok(())
 }
 
-/// Load the rule file against the CSV header, then the CSV in
-/// [`worker_threads`] chunks with each cell a constant of Σ or ⊥: a tuple
+/// Load the rule file against the CSV header, then the CSV in chunks on
+/// [`worker_threads`] workers with each cell a constant of Σ or ⊥: a tuple
 /// meets a fixing rule only through equality with its constants, so no
 /// other value can change a repair (DESIGN.md §18). The symbol table holds
 /// Σ's constants alone, in rule-parse order.
-fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable), String> {
+fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, Sigma, SymbolTable), String> {
     let threads = worker_threads(flags)?;
     let _span = obs_ctx.span("load");
     let data_path = flags.required("data")?;
-    let (schema, rules, symbols) = read_sigma(data_path, flags.required("rules")?)?;
+    let (schema, sigma, symbols) = read_sigma(data_path, flags.required("rules")?)?;
     // A bad rule file is reported only once the data has loaded, so a bad
     // data file is the first error reported.
     let table = read_data(data_path, &schema, &symbols, threads)?;
-    let rules = rules?;
+    let sigma = sigma?;
     obs::info!(
         "load.done",
         rows = table.len(),
-        rules = rules.len(),
+        rules = sigma.rules.len(),
         constants = symbols.len()
     );
-    Ok((table, rules, symbols))
+    Ok((table, sigma, symbols))
+}
+
+/// Σ as read from its file: the rules, where each one is written, and the
+/// file's text.
+struct Sigma {
+    rules: RuleSet,
+    spans: Vec<Span>,
+    text: String,
 }
 
 /// The header of the CSV file at `data_path` and Σ parsed against it from
@@ -680,14 +685,14 @@ fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, RuleSet, SymbolTable)
 fn read_sigma(
     data_path: &str,
     rules_path: &str,
-) -> Result<(Schema, Result<RuleSet, String>, SymbolTable), String> {
+) -> Result<(Schema, Result<Sigma, String>, SymbolTable), String> {
     let schema = read_header(data_path)?;
     let mut symbols = SymbolTable::new();
-    let rules = read_rules(rules_path, &schema, &mut symbols);
-    if rules.is_err() {
+    let sigma = read_rules(rules_path, &schema, &mut symbols);
+    if sigma.is_err() {
         symbols = SymbolTable::new();
     }
-    Ok((schema, rules, symbols))
+    Ok((schema, sigma, symbols))
 }
 
 /// Load the CSV file at `path` with each cell one of `symbols` or ⊥.
@@ -710,29 +715,28 @@ fn read_header(path: &str) -> Result<Schema, String> {
 }
 
 /// Read and parse the rule file at `path` against `schema`.
-fn read_rules(path: &str, schema: &Schema, symbols: &mut SymbolTable) -> Result<RuleSet, String> {
+fn read_rules(path: &str, schema: &Schema, symbols: &mut SymbolTable) -> Result<Sigma, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    parse_rules(&text, schema, symbols).map_err(|e| format!("parsing {path}: {e}"))
+    let parsed =
+        parse_rules_spanned(&text, schema, symbols).map_err(|e| format!("parsing {path}: {e}"))?;
+    Ok(Sigma {
+        rules: parsed.rules,
+        spans: parsed.spans,
+        text,
+    })
 }
 
-/// `--threads N` as given, or `None` when absent.
-fn threads_flag(flags: &Flags) -> Result<Option<usize>, String> {
-    flags
-        .optional("threads")
-        .map(|t| {
-            t.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| "--threads takes a worker count >= 1".to_string())
-        })
-        .transpose()
-}
-
-/// Workers for CSV load, lRepair and CSV write, none of whose output
-/// depends on the worker count: `--threads`, or every available core.
+/// Workers for CSV load and lRepair, neither of whose output depends on
+/// the worker count: `--threads`, or every available core.
 fn worker_threads(flags: &Flags) -> Result<usize, String> {
-    Ok(threads_flag(flags)?
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())))
+    match flags.optional("threads") {
+        Some(t) => t
+            .parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| "--threads takes a worker count >= 1".to_string()),
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+    }
 }
 
 /// Labels for the attribution profiler: rule `i` becomes `r{i}`, tagged
@@ -809,7 +813,8 @@ fn require_consistent(rules: &RuleSet, obs_ctx: &ObsCtx) -> Result<(), String> {
 }
 
 fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (_table, rules, symbols) = load(flags, obs_ctx)?;
+    flags.only(&["rules", "data", "threads"])?;
+    let (_table, Sigma { rules, .. }, symbols) = load(flags, obs_ctx)?;
     let report = check_consistency(&rules, obs_ctx);
     outln!(
         "{} rules, size(Σ) = {}, {} pairs checked",
@@ -876,20 +881,9 @@ fn render_tuple(tuple: &[Symbol], symbols: &SymbolTable) -> String {
 /// the static analysis (FR007: live rule that never fired; FR008: rule
 /// flagged dead that did fire) and render the findings rustc-style.
 fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    flags.only(COVERAGE_FLAGS)?;
-    let data_path = flags.required("data")?;
+    flags.only(&["rules", "data", "lint", "profile-json"])?;
+    let (mut table, Sigma { rules, spans, text }, symbols) = load(flags, obs_ctx)?;
     let rules_path = flags.required("rules")?;
-    let mut symbols = SymbolTable::new();
-    let mut table = {
-        let _span = obs_ctx.span("load");
-        relation::csv_io::read_csv_file(data_path, "data", &mut symbols)
-            .map_err(|e| format!("reading {data_path}: {e}"))?
-    };
-    let text =
-        std::fs::read_to_string(rules_path).map_err(|e| format!("reading {rules_path}: {e}"))?;
-    let parsed = parse_rules_spanned(&text, table.schema(), &mut symbols)
-        .map_err(|e| format!("parsing {rules_path}: {e}"))?;
-    let rules = parsed.rules;
     require_consistent(&rules, obs_ctx)?;
     let attribution =
         AttributionObserver::new(&obs_ctx.registry, rule_labels(&rules)).with_timing(true);
@@ -907,12 +901,7 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         outln!("wrote {path}");
     }
     if flags.switch("lint") {
-        let lint_report = fixlint::lint(
-            &rules,
-            &parsed.spans,
-            &symbols,
-            &fixlint::LintOptions::default(),
-        );
+        let lint_report = fixlint::lint(&rules, &spans, &symbols, &fixlint::LintOptions::default());
         // Rows carry the `r{i}` labels built above; fold them back into
         // rule-id order for the join (the catch-all row has no id).
         let mut activity = vec![fixlint::RuleActivity::default(); rules.len()];
@@ -928,7 +917,7 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
                 }
             }
         }
-        let coverage = fixlint::coverage_join(&lint_report, &parsed.spans, &activity);
+        let coverage = fixlint::coverage_join(&lint_report, &spans, &activity);
         out!("{}", fixlint::render_report(&coverage, rules_path, &text));
     }
     Ok(())
@@ -1111,7 +1100,8 @@ fn cmd_client(sub: &str, positional: Option<&str>, flags: &Flags) -> Result<Exit
 }
 
 fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (_table, mut rules, symbols) = load(flags, obs_ctx)?;
+    flags.only(&["rules", "data", "threads", "out", "strategy"])?;
+    let (_table, Sigma { mut rules, .. }, symbols) = load(flags, obs_ctx)?;
     let strategy = match flags.optional("strategy").unwrap_or("shrink") {
         "shrink" => Strategy::ShrinkNegatives,
         "drop" => Strategy::Conservative,
@@ -1137,67 +1127,36 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     Ok(())
 }
 
-/// `fixctl repair`: gate Σ, then repair every row into `--out`. The two
-/// engines differ only in how rows are read, repaired and written:
-/// `lrepair` runs [`run_pipeline`], which repairs the input chunk by
-/// chunk on the `--threads` workers and writes each chunk back from its own
-/// bytes, re-rendering only the rows it touched or that hold a `"`;
-/// `stream` repairs each record as it is read, on one thread. Neither
-/// holds the table, so neither's memory grows with the input. Both gate
-/// before `--out` is created, and `lrepair` renames `--out` into place
-/// only once it is whole ([`OutFile`]).
+/// `fixctl repair`: gate Σ, then repair every row into `--out` with
+/// [`run_pipeline`], which repairs the input chunk by chunk on the
+/// `--threads` workers and writes each chunk back from its own bytes,
+/// re-rendering only the rows it touched or that hold a `"`. The table is
+/// never held, so memory does not grow with the input. Σ is gated before
+/// `--out` is created, and `--out` is renamed into place only once it is
+/// whole ([`OutFile`]).
 fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(REPAIR_FLAGS)?;
-    let engine = flags.optional("engine").unwrap_or("lrepair");
-    let stream = match engine {
-        "lrepair" => false,
-        "stream" => true,
-        other => return Err(format!("unknown engine `{other}` (lrepair|stream)")),
-    };
-    if stream {
-        if threads_flag(flags)?.is_some_and(|n| n > 1) {
-            return Err(
-                "--threads does not apply to the stream engine (one pass, one reader)".to_string(),
-            );
-        }
-        if flags.optional("updates-log").is_some() {
-            return Err(
-                "--updates-log does not apply to the stream engine (it keeps no update log)"
-                    .to_string(),
-            );
-        }
-    } else if flags.optional("quality-window").is_some() {
-        return Err(
-            "--quality-window only applies to the stream engine (got `lrepair`)".to_string(),
-        );
-    }
     let threads = worker_threads(flags)?;
     let data_path = flags.required("data")?;
     let rules_path = flags.required("rules")?;
     let out = flags.required("out")?;
-    let (schema, rules, symbols) = {
+    let (schema, sigma, symbols) = {
         let _span = obs_ctx.span("load");
         read_sigma(data_path, rules_path)?
     };
     // As `load` reports them, a bad data file comes before a bad rule file,
-    // which comes before an inconsistent Σ; `lrepair` reads the data only
-    // in its pipeline, so on those paths it reads the data through first.
+    // which comes before an inconsistent Σ; the data is read only in the
+    // pipeline, so on those paths it is read through first.
     let data_first = |error: String| {
-        if stream {
-            return error;
-        }
         read_data(data_path, &schema, &SymbolTable::new(), threads)
             .err()
             .unwrap_or(error)
     };
-    let rules = rules.map_err(data_first)?;
-    if stream {
-        obs::info!("load.done", rules = rules.len(), constants = symbols.len());
-    }
+    let rules = sigma.map_err(data_first)?.rules;
     require_consistent(&rules, obs_ctx).map_err(data_first)?;
-    // `--quality-window` hangs a QualityMonitor off the observer chain:
-    // tumbling windows of sketches over the incoming stream, summarized
-    // as a per-window table after the run.
+    // `--quality-window` keeps a QualityMonitor: tumbling windows of
+    // sketches over the incoming rows, fed in file order by the pipeline's
+    // writing thread and summarized as a per-window table after the run.
     let quality = match flags.optional("quality-window") {
         Some(n) => {
             let window: usize = n
@@ -1219,10 +1178,10 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     };
     let ledger = ProvenanceLedger::new();
     // Optional observers (provenance for `--trace`, attribution for
-    // `--profile*`, quality for `--quality-window`) tee onto the metrics
-    // observer as trait objects. The blanket `impl RepairObserver for &T`
-    // lets every generic driver take the assembled `&dyn` chain, instead
-    // of monomorphizing each Tee/no-Tee combination per engine.
+    // `--profile*`) tee onto the metrics observer as trait objects. The
+    // blanket `impl RepairObserver for &T` lets the generic worker take
+    // the assembled `&dyn` chain, instead of monomorphizing each
+    // Tee/no-Tee combination.
     let attribution = attribution_for(flags, obs_ctx, &rules);
     let prov = obs_ctx
         .journal
@@ -1230,7 +1189,6 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         .then(|| ProvenanceObserver::new(&rules, &ledger));
     let tee_prov;
     let tee_attr;
-    let tee_quality;
     let mut observer: &dyn RepairObserver = &obs_ctx.observer;
     if let Some(p) = &prov {
         tee_prov = Tee(observer, p as &dyn RepairObserver);
@@ -1240,25 +1198,11 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         tee_attr = Tee(observer, a as &dyn RepairObserver);
         observer = &tee_attr;
     }
-    if let Some(q) = &quality {
-        tee_quality = Tee(observer, q as &dyn RepairObserver);
-        observer = &tee_quality;
-    }
     let index = {
         let _span = obs_ctx.span("index_build");
         LRepairIndex::build(&rules)
     };
-    let (stats, updates, out_file) = if stream {
-        let reader =
-            std::fs::File::open(data_path).map_err(|e| format!("opening {data_path}: {e}"))?;
-        let writer = std::io::BufWriter::new(
-            std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?,
-        );
-        let _span = obs_ctx.span("repair");
-        let stats = stream_repair_csv(&rules, &index, &symbols, reader, writer, &observer)
-            .map_err(|e| format!("streaming: {e}"))?;
-        (stats, Vec::new(), None)
-    } else {
+    let (stats, updates, out_file) = {
         let _span = obs_ctx.span("repair");
         let mut out_file = OutFile::create(out, data_path)?;
         let (stats, updates) = run_pipeline(
@@ -1270,6 +1214,7 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             &mut out_file.file,
             &observer,
             flags.optional("updates-log").is_some(),
+            quality.as_ref(),
             obs_ctx,
         )
         .map_err(|e| match e {
@@ -1282,26 +1227,25 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             rules = rules.len(),
             constants = symbols.len()
         );
-        (stats, updates, Some(out_file))
+        (stats, updates, out_file)
     };
     if let Some(journal) = &obs_ctx.journal {
-        write_trace_events(journal, &rules, &symbols, &ledger, engine);
+        write_trace_events(journal, &rules, &symbols, &ledger);
     }
     obs::info!(
         "repair.done",
-        algo = engine,
+        algo = "lrepair",
         rows = stats.rows,
         updates = stats.updates,
         rows_touched = stats.rows_touched
     );
     outln!(
-        "{} update(s) across {} row(s) of {}{}",
+        "{} update(s) across {} row(s) of {}",
         stats.updates,
         stats.rows_touched,
-        stats.rows,
-        if stream { " (streamed)" } else { "" }
+        stats.rows
     );
-    if let Some(out_file) = out_file {
+    {
         let _span = obs_ctx.span("write");
         out_file.commit()?;
     }
@@ -1341,12 +1285,15 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     Ok(())
 }
 
-/// `repair`'s default engine: [`par_repair_csv`] with one [`LRepairWorker`]
-/// per worker, so each chunk of `data` is scanned, repaired, rendered and
+/// `repair`'s engine: [`par_repair_csv`] with one [`LRepairWorker`] per
+/// worker, so each chunk of `data` is scanned, repaired, rendered and
 /// written to `out` once, and no table is built (DESIGN.md §18). Returns
 /// the run's totals and, if `keep_log`, every update in row order; each
 /// worker's tallies and [`Event::WorkerDone`] go to `observer`, and the
-/// pipeline's busy time per phase to `pipeline.*_ns` counters.
+/// pipeline's busy time per phase to `pipeline.*_ns` counters. With a
+/// `quality` monitor, the workers also key each row's values as the file
+/// holds them, and the writing thread feeds the monitor each row's keys
+/// and then its fixes, in file order.
 #[allow(clippy::too_many_arguments)]
 fn run_pipeline<O: RepairObserver>(
     rules: &RuleSet,
@@ -1357,13 +1304,16 @@ fn run_pipeline<O: RepairObserver>(
     out: &mut std::fs::File,
     observer: &O,
     keep_log: bool,
+    quality: Option<&QualityMonitor>,
     obs_ctx: &ObsCtx,
 ) -> Result<(RepairStats, Vec<CellUpdate>), PipelineError> {
+    use std::io::Write;
+    let arity = rules.schema().arity();
+    let mut row = 0;
     let run = par_repair_csv(
         data,
         rules.schema(),
         symbols,
-        out,
         threads,
         |w| PipelineWorker {
             lrepair: LRepairWorker::new(rules, index, observer, w),
@@ -1371,7 +1321,12 @@ fn run_pipeline<O: RepairObserver>(
             updates: 0,
             rows_touched: 0,
         },
-        |w, mut chunk| {
+        |w, mut chunk, seen: &mut Seen| {
+            if quality.is_some() {
+                for i in 0..chunk.rows() {
+                    seen.keys.extend(chunk.fields(i).map(value_key));
+                }
+            }
             let from = w.log.len();
             w.lrepair
                 .repair_rows(chunk.first_row, chunk.cells, &mut w.log);
@@ -1384,9 +1339,27 @@ fn run_pipeline<O: RepairObserver>(
                 }
             }
             w.updates += w.log.len() - from;
+            if quality.is_some() {
+                seen.fixes.extend_from_slice(&w.log[from..]);
+            }
             if !keep_log {
                 w.log.truncate(from);
             }
+        },
+        |bytes, seen| {
+            out.write_all(bytes)?;
+            if let Some(quality) = quality {
+                let mut fixes = seen.fixes.iter().peekable();
+                for keys in seen.keys.chunks_exact(arity) {
+                    quality.row_observed(keys);
+                    let row_fixes = std::iter::from_fn(|| fixes.next_if(|u| u.row == row));
+                    for (ordinal, u) in row_fixes.enumerate() {
+                        quality.cell_repaired(u.as_fix(ordinal));
+                    }
+                    row += 1;
+                }
+            }
+            Ok(())
         },
     )?;
     let times = run.times;
@@ -1426,6 +1399,15 @@ struct PipelineWorker<'a, O: RepairObserver> {
     log: Vec<CellUpdate>,
     updates: usize,
     rows_touched: usize,
+}
+
+/// What a chunk's repair leaves for the quality monitor, when there is
+/// one: every row's pre-repair [`value_key`]s, row after row, and the
+/// chunk's fixes in row order.
+#[derive(Default)]
+struct Seen {
+    keys: Vec<u32>,
+    fixes: Vec<CellUpdate>,
 }
 
 /// `repair`'s `--out`, written through a temporary file that is renamed
@@ -1554,7 +1536,6 @@ fn write_trace_events(
     rules: &RuleSet,
     symbols: &SymbolTable,
     ledger: &ProvenanceLedger,
-    algo: &str,
 ) {
     let schema = rules.schema();
     let attrs: Vec<Json> = schema.attr_names().map(Json::from).collect();
@@ -1562,7 +1543,7 @@ fn write_trace_events(
         "trace.meta",
         0,
         Json::obj([
-            ("algo", Json::from(algo)),
+            ("algo", Json::from("lrepair")),
             ("attrs", Json::Arr(attrs)),
             ("schema", Json::from(schema.name())),
         ]),
@@ -1726,7 +1707,8 @@ fn cmd_trace_export(positional: Option<&str>, flags: &Flags) -> Result<(), Strin
 }
 
 fn cmd_stats(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let (table, rules, _symbols) = load(flags, obs_ctx)?;
+    flags.only(&["rules", "data", "threads"])?;
+    let (table, Sigma { rules, .. }, _symbols) = load(flags, obs_ctx)?;
     outln!("schema: {}", table.schema());
     outln!("data:   {} rows", table.len());
     outln!("rules:  {} (size(Σ) = {})", rules.len(), rules.size());

@@ -130,6 +130,7 @@ fn repair_refuses_inconsistent_rules() {
     let dir = tmpdir("repair_refuse");
     let data = dir.join("t.csv");
     let rules = dir.join("r.frl");
+    let out_path = dir.join("x.csv");
     std::fs::write(&data, TRAVEL_CSV).unwrap();
     std::fs::write(&rules, BAD_RULES).unwrap();
     let out = fixctl(&[
@@ -139,46 +140,19 @@ fn repair_refuses_inconsistent_rules() {
         "--data",
         data.to_str().unwrap(),
         "--out",
-        dir.join("x.csv").to_str().unwrap(),
+        out_path.to_str().unwrap(),
     ]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("resolve"));
-}
-
-#[test]
-fn stream_algo_matches_lrepair() {
-    let dir = tmpdir("stream");
-    let data = dir.join("t.csv");
-    let rules = dir.join("r.frl");
-    std::fs::write(&data, TRAVEL_CSV).unwrap();
-    std::fs::write(&rules, GOOD_RULES).unwrap();
-    let mut outputs = Vec::new();
-    for algo in ["lrepair", "stream"] {
-        let out_path = dir.join(format!("{algo}.csv"));
-        let out = fixctl(&[
-            "repair",
-            "--rules",
-            rules.to_str().unwrap(),
-            "--data",
-            data.to_str().unwrap(),
-            "--out",
-            out_path.to_str().unwrap(),
-            "--engine",
-            algo,
-        ]);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        outputs.push(std::fs::read_to_string(&out_path).unwrap());
-    }
-    assert_eq!(outputs[0], outputs[1]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("conflict"), "{stderr}");
+    assert!(stderr.contains("resolve"), "{stderr}");
+    // Σ is gated before the output file is created.
+    assert!(!out_path.exists(), "an inconsistent Σ wrote output");
 }
 
 /// `fixctl repair` writes exactly the table the paper's cRepair (Fig 6)
-/// produces: for a consistent Σ every tuple has one fix, so the engine
-/// choice never changes the result.
+/// produces: for a consistent Σ every tuple has one fix, so the algorithm
+/// never changes the result.
 #[test]
 fn crepair_algo_matches_lrepair() {
     let dir = tmpdir("algos");
@@ -210,6 +184,171 @@ fn crepair_algo_matches_lrepair() {
     let mut expected = Vec::new();
     relation::csv_io::write_csv(&mut expected, &table, &symbols).unwrap();
     assert_eq!(std::fs::read(&out_path).unwrap(), expected);
+}
+
+/// `examples/data/hosp_dirty.csv`'s rows tiled past 1 MiB, with a dirty
+/// row whose quoted city holds 40 line breaks every 75 tiles and across
+/// each 256 KiB cut after the header: the pipeline cuts the file into
+/// several chunks, and each chunk after the first guesses its start
+/// inside quotes and is scanned again from its true start.
+fn tiled_hosp_csv() -> String {
+    let text = std::fs::read_to_string(example("data/hosp_dirty.csv")).unwrap();
+    let (header, rows) = text.split_once('\n').unwrap();
+    let quoted = format!("36545,\"Jackson{}\",AK\n", "\nHeights".repeat(40));
+    let cut = 256 << 10;
+    let mut body = String::new();
+    for tile in 1.. {
+        body += rows;
+        if tile % 75 == 0 || body.len() % cut > cut - 200 {
+            body += &quoted;
+        }
+        if body.len() > 1 << 20 {
+            break;
+        }
+    }
+    format!("{header}\n{body}")
+}
+
+/// A `--metrics` snapshot's `repair.*` counters but the per-worker ones,
+/// and the count and sum of each `repair.tuple_*` histogram.
+fn repair_metrics(snapshot: &obs::Json) -> Vec<String> {
+    let mut out = Vec::new();
+    for (name, value) in snapshot.get("counters").unwrap().as_obj().unwrap() {
+        if name.starts_with("repair.") && !name.starts_with("repair.worker.") {
+            out.push(format!("{name}={value}"));
+        }
+    }
+    for (name, value) in snapshot.get("histograms").unwrap().as_obj().unwrap() {
+        if name.starts_with("repair.tuple_") {
+            for field in ["count", "sum"] {
+                out.push(format!("{name}.{field}={}", value.get(field).unwrap()));
+            }
+        }
+    }
+    out
+}
+
+/// A journal's `repair.cell` records, without their sequence numbers.
+fn repair_cells(journal: &str) -> Vec<String> {
+    obs::trace::parse_jsonl(journal)
+        .unwrap()
+        .into_iter()
+        .filter(|r| r.name == "repair.cell")
+        .map(|r| r.fields.to_string())
+        .collect()
+}
+
+/// `fixctl repair`, which streams `--data` through the chunk pipeline, at
+/// 1 and 2 workers equals the reference — `read_csv`,
+/// lRepair on every row with no plan memo (`lrepair_table`) and
+/// `write_csv`, in process — on a multi-chunk input: the CSV, the
+/// `--updates-log`, every `repair.*` counter but the per-worker ones, the
+/// count and sum of the per-tuple histograms, `--profile-json`, and the
+/// `repair.cell` provenance records.
+#[test]
+fn stream_algo_matches_lrepair() {
+    let dir = tmpdir("reference");
+    let data = dir.join("hosp.csv");
+    std::fs::write(&data, tiled_hosp_csv()).unwrap();
+    let rules_path = example("rulesets/hosp_zip.frl");
+
+    let mut symbols = relation::SymbolTable::new();
+    let mut table = relation::csv_io::read_csv_file(&data, "data", &mut symbols).unwrap();
+    let text = std::fs::read_to_string(&rules_path).unwrap();
+    let rules = fixrules::io::parse_rules(&text, table.schema(), &mut symbols).unwrap();
+    let registry = obs::MetricsRegistry::new();
+    let metrics = obs::MetricsObserver::new(&registry);
+    let labels = rules
+        .iter()
+        .map(|(id, rule)| obs::RuleLabel {
+            rule: format!("r{}", id.0),
+            attr: rules.schema().attr_name(rule.b()).to_string(),
+        })
+        .collect();
+    let attribution = obs::AttributionObserver::new(&registry, labels);
+    let ledger = fixrules::provenance::ProvenanceLedger::new();
+    let provenance = fixrules::provenance::ProvenanceObserver::new(&rules, &ledger);
+    let index = fixrules::repair::LRepairIndex::build(&rules);
+    let observer = obs::Tee(&metrics, &obs::Tee(&attribution, &provenance));
+    let outcome = fixrules::repair::lrepair_table(&rules, &index, &mut table, &observer);
+    let mut want_csv = Vec::new();
+    relation::csv_io::write_csv(&mut want_csv, &table, &symbols).unwrap();
+    let mut want_log = Vec::new();
+    relation::csv_io::push_record(&mut want_log, ["row", "attribute", "old", "new", "rule"]);
+    for u in &outcome.updates {
+        let (row, rule) = (u.row.to_string(), u.rule.0.to_string());
+        relation::csv_io::push_record(
+            &mut want_log,
+            [
+                row.as_str(),
+                rules.schema().attr_name(u.attr),
+                symbols.resolve(u.old),
+                symbols.resolve(u.new),
+                rule.as_str(),
+            ],
+        );
+    }
+    let want_profile = attribution.profile().to_json().to_string_pretty() + "\n";
+    let journal = obs::TraceJournal::new(obs::TraceClock::Logical);
+    for record in ledger.records() {
+        journal.event("repair.cell", 0, record.to_json(rules.schema(), &symbols));
+    }
+    let want_cells = repair_cells(&journal.to_jsonl());
+    let want_metrics = repair_metrics(&registry.snapshot());
+    assert!(outcome.updates.len() > 1_000, "{}", outcome.updates.len());
+    assert!(want_metrics
+        .iter()
+        .any(|m| m.starts_with("repair.index.probes=")));
+
+    for threads in ["1", "2"] {
+        let file = |name: &str| dir.join(format!("{threads}_{name}"));
+        let out = fixctl(&[
+            "repair",
+            "--rules",
+            &rules_path,
+            "--data",
+            data.to_str().unwrap(),
+            "--threads",
+            threads,
+            "--out",
+            file("out.csv").to_str().unwrap(),
+            "--updates-log",
+            file("updates.csv").to_str().unwrap(),
+            "--metrics",
+            file("metrics.json").to_str().unwrap(),
+            "--profile-json",
+            file("profile.json").to_str().unwrap(),
+            "--trace",
+            file("trace.jsonl").to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let read = |name: &str| std::fs::read(file(name)).unwrap();
+        assert!(read("out.csv") == want_csv, "CSV at {threads} workers");
+        assert!(
+            read("updates.csv") == want_log,
+            "update log at {threads} workers"
+        );
+        assert_eq!(
+            read("profile.json"),
+            want_profile.as_bytes(),
+            "{threads} workers"
+        );
+        let snapshot = obs::json::parse(&String::from_utf8(read("metrics.json")).unwrap());
+        assert_eq!(
+            repair_metrics(&snapshot.unwrap()),
+            want_metrics,
+            "{threads} workers"
+        );
+        let trace = String::from_utf8(read("trace.jsonl")).unwrap();
+        assert!(
+            repair_cells(&trace) == want_cells,
+            "provenance at {threads} workers"
+        );
+    }
 }
 
 #[test]
@@ -596,7 +735,7 @@ IF country = "Canada" AND capital IN {"Toronto"} THEN capital := "Ottawa"
 IF capital = "Beijing" AND conf = "ICDE" AND city IN {"Hongkong"} THEN city := "Shanghai"
 "#;
 
-fn repair_with_trace(dir: &std::path::Path, algo: &str, tag: &str) -> String {
+fn repair_with_trace(dir: &std::path::Path, tag: &str) -> String {
     let trace = dir.join(format!("{tag}.jsonl"));
     let out = fixctl(&[
         "repair",
@@ -606,8 +745,6 @@ fn repair_with_trace(dir: &std::path::Path, algo: &str, tag: &str) -> String {
         dir.join("t.csv").to_str().unwrap(),
         "--out",
         dir.join(format!("{tag}.csv")).to_str().unwrap(),
-        "--engine",
-        algo,
         "--trace",
         trace.to_str().unwrap(),
     ]);
@@ -626,8 +763,8 @@ fn trace_journal_is_byte_deterministic() {
     let dir = tmpdir("trace_det");
     std::fs::write(dir.join("t.csv"), TRAVEL_CSV).unwrap();
     std::fs::write(dir.join("r.frl"), GOOD_RULES).unwrap();
-    let first = repair_with_trace(&dir, "lrepair", "a");
-    let second = repair_with_trace(&dir, "lrepair", "b");
+    let first = repair_with_trace(&dir, "a");
+    let second = repair_with_trace(&dir, "b");
     assert_eq!(
         first, second,
         "logical-clock journals must be byte-identical"
@@ -641,27 +778,51 @@ fn trace_journal_is_byte_deterministic() {
     assert!(!first.contains("ts_us"), "{first}");
 }
 
-/// The provenance events are driver-independent: the stream driver's
-/// journal records exactly the same `repair.cell` events as `lrepair`.
+/// The provenance events are worker-independent: the journal of a
+/// streamed repair records exactly the `repair.cell` events of lRepair
+/// over the table in process (`lrepair_table`), at 1 and 2 workers.
 #[test]
 fn stream_trace_records_same_provenance_as_lrepair() {
     let dir = tmpdir("trace_stream");
     std::fs::write(dir.join("t.csv"), TRAVEL_CSV).unwrap();
-    std::fs::write(dir.join("r.frl"), GOOD_RULES).unwrap();
-    let table = repair_with_trace(&dir, "lrepair", "table");
-    let stream = repair_with_trace(&dir, "stream", "stream");
-    let cells_of = |journal: &str| -> Vec<String> {
-        journal
-            .lines()
-            .filter(|l| l.contains("\"name\":\"repair.cell\""))
-            .map(|l| {
-                let fields_start = l.find("\"fields\":").unwrap();
-                let fields_end = l.find(",\"name\"").unwrap();
-                l[fields_start..fields_end].to_string()
-            })
-            .collect()
-    };
-    assert_eq!(cells_of(&table), cells_of(&stream));
+    std::fs::write(dir.join("r.frl"), CASCADE_RULES).unwrap();
+    let mut symbols = relation::SymbolTable::new();
+    let mut table =
+        relation::csv_io::read_csv_file(dir.join("t.csv"), "data", &mut symbols).unwrap();
+    let rules = fixrules::io::parse_rules(CASCADE_RULES, table.schema(), &mut symbols).unwrap();
+    let ledger = fixrules::provenance::ProvenanceLedger::new();
+    let observer = fixrules::provenance::ProvenanceObserver::new(&rules, &ledger);
+    let index = fixrules::repair::LRepairIndex::build(&rules);
+    fixrules::repair::lrepair_table(&rules, &index, &mut table, &observer);
+    let journal = obs::TraceJournal::new(obs::TraceClock::Logical);
+    for record in ledger.records() {
+        journal.event("repair.cell", 0, record.to_json(rules.schema(), &symbols));
+    }
+    let want = repair_cells(&journal.to_jsonl());
+    assert_eq!(want.len(), 3, "{want:?}");
+    for threads in ["1", "2"] {
+        let trace = dir.join(format!("{threads}.jsonl"));
+        let out = fixctl(&[
+            "repair",
+            "--rules",
+            dir.join("r.frl").to_str().unwrap(),
+            "--data",
+            dir.join("t.csv").to_str().unwrap(),
+            "--out",
+            dir.join(format!("{threads}.csv")).to_str().unwrap(),
+            "--threads",
+            threads,
+            "--trace",
+            trace.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let journal = std::fs::read_to_string(&trace).unwrap();
+        assert_eq!(repair_cells(&journal), want, "{threads} workers");
+    }
 }
 
 /// `fixctl explain` walks the recorded evidence backwards and renders the
@@ -672,7 +833,7 @@ fn explain_reconstructs_the_rule_chain() {
     std::fs::write(dir.join("t.csv"), TRAVEL_CSV).unwrap();
     std::fs::write(dir.join("r.frl"), CASCADE_RULES).unwrap();
     let trace = dir.join("a.jsonl");
-    repair_with_trace(&dir, "lrepair", "a");
+    repair_with_trace(&dir, "a");
 
     // Row 1 (Ian): city was repaired by φ3 whose evidence (capital =
     // Beijing) was itself produced by φ1 — a two-step chain.
@@ -745,7 +906,7 @@ fn trace_export_produces_chrome_json() {
     let dir = tmpdir("trace_chrome");
     std::fs::write(dir.join("t.csv"), TRAVEL_CSV).unwrap();
     std::fs::write(dir.join("r.frl"), GOOD_RULES).unwrap();
-    repair_with_trace(&dir, "lrepair", "a");
+    repair_with_trace(&dir, "a");
     let chrome = dir.join("chrome.json");
     let out = fixctl(&[
         "trace",
@@ -856,12 +1017,13 @@ fn metrics_without_log_is_quiet() {
     assert!(snap.get("histograms").is_some());
 }
 
-/// Both engines produce byte-identical repaired CSV, lRepair across
-/// worker threads too. The stream run takes no `--threads`, so the
-/// default worker count must not trip its `--threads N > 1` refusal.
+/// `repair` has one engine, the chunk pipeline, which runs on the calling
+/// thread alone at one worker and hands chunks between threads at more:
+/// the default worker count and explicit ones write byte-identical
+/// repaired CSV and the same summary line.
 #[test]
 fn engines_agree_on_repaired_output() {
-    let dir = tmpdir("engines_agree");
+    let dir = tmpdir("workers_agree");
     let data = dir.join("t.csv");
     let rules = dir.join("r.frl");
     std::fs::write(&data, TRAVEL_CSV).unwrap();
@@ -890,23 +1052,17 @@ fn engines_agree_on_repaired_output() {
             String::from_utf8_lossy(&out.stdout).into_owned(),
         )
     };
-    let (baseline, base_stdout) = run("lrepair", &["--engine", "lrepair"]);
+    let (baseline, base_stdout) = run("default", &[]);
     assert!(base_stdout.contains("3 update(s)"), "{base_stdout}");
-    for (label, extra) in [
-        (
-            "lrepair_par",
-            &["--engine", "lrepair", "--threads", "2"][..],
-        ),
-        ("stream", &["--engine", "stream"][..]),
-    ] {
+    for (label, extra) in [("one", &["--threads", "1"]), ("two", &["--threads", "2"])] {
         let (csv, stdout) = run(label, extra);
-        assert_eq!(csv, baseline, "{label} diverged from lrepair");
-        assert!(stdout.contains("3 update(s)"), "{label}: {stdout}");
+        assert_eq!(csv, baseline, "{label} diverged from the default");
+        assert_eq!(stdout.lines().next(), base_stdout.lines().next(), "{label}");
     }
 }
 
-/// Flag validation: removed engine names, and flags the stream engine
-/// cannot honour, are rejected before `--out` is created.
+/// Flag validation: the retired `--engine`, whatever engine it names,
+/// and a worker count of 0 are rejected before `--out` is created.
 #[test]
 fn engine_flag_validation() {
     let dir = tmpdir("engine_flags");
@@ -929,7 +1085,10 @@ fn engine_flag_validation() {
         args.extend_from_slice(extra);
         fixctl(&args)
     };
+    let log = dir.join("u.csv");
     for engine in [
+        "lrepair",
+        "stream",
         "chase",
         "columnar",
         "compiled",
@@ -938,39 +1097,30 @@ fn engine_flag_validation() {
         "crepair",
         "warp",
     ] {
-        let out = base(&["--engine", engine]);
+        let out = base(&["--engine", engine, "--updates-log", log.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(2), "{engine}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains(&format!("unknown engine `{engine}` (lrepair|stream)")),
+            stderr.contains("unknown flag --engine"),
             "{engine}: {stderr}"
         );
+        assert!(!dir.join("o.csv").exists(), "{engine}: wrote output");
     }
-
-    let log = dir.join("u.csv");
-    for (flag, value) in [("--threads", "2"), ("--updates-log", log.to_str().unwrap())] {
-        let out = base(&["--engine", "stream", flag, value]);
-        assert_eq!(out.status.code(), Some(2), "{flag}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("{flag} does not apply to the stream engine")),
-            "{flag}: {stderr}"
-        );
-        assert!(!dir.join("o.csv").exists(), "{flag}: wrote output");
-    }
-    assert!(!log.exists(), "a rejected stream wrote an update log");
+    assert!(!log.exists(), "a rejected run wrote an update log");
 
     let out = base(&["--threads", "0"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--threads takes"));
+    assert!(!dir.join("o.csv").exists(), "--threads 0 wrote output");
 }
 
-/// `repair`, `coverage` and `serve` reject flags they do not read — a typo
-/// such as `--engin` must not silently fall back to the default engine,
-/// and the retired `repair --plan-cache`, `--algo`, `--expose` and
-/// `serve --engine` must not be silently ignored. `serve` takes no
-/// `--metrics`/`--trace`: the daemon's telemetry is at `GET /metrics`
-/// and its journal is `--journal`.
+/// Every command that reads `--data` rejects flags it does not read — a
+/// typo such as `--engin` or `--thread` must not silently fall back to a
+/// default, and the retired `repair --engine`, `--plan-cache`, `--algo`,
+/// `--expose`, `serve --engine`, and `--engine` or `--quality-window`
+/// on any command but `repair` must not be silently ignored. `serve`
+/// takes no `--metrics`/`--trace`: the daemon's telemetry is at
+/// `GET /metrics` and its journal is `--journal`.
 #[test]
 fn unknown_flags_are_rejected() {
     let dir = tmpdir("unknown_flags");
@@ -979,25 +1129,30 @@ fn unknown_flags_are_rejected() {
     let out_path = dir.join("o.csv");
     std::fs::write(&data, TRAVEL_CSV).unwrap();
     std::fs::write(&rules, GOOD_RULES).unwrap();
-    for (command, flag, value) in [
+    let mut cases = vec![
+        ("repair", "engine", "lrepair"),
         ("repair", "engin", "columnar"),
         ("repair", "plan-cache", "on"),
         ("repair", "algo", "lrepair"),
         ("repair", "expose", "127.0.0.1:0"),
         ("coverage", "engin", "chase"),
         ("coverage", "engine", "lrepair"),
-    ] {
+    ];
+    for command in ["check", "detect", "stats", "convert", "resolve", "discover"] {
+        cases.extend([
+            (command, "engine", "stream"),
+            (command, "quality-window", "2"),
+            (command, "thread", "2"),
+        ]);
+    }
+    for (command, flag, value) in cases {
         let flag_arg = format!("--{flag}");
-        let mut args = vec![
-            command,
-            "--rules",
-            rules.to_str().unwrap(),
-            "--data",
-            data.to_str().unwrap(),
-            &flag_arg,
-            value,
-        ];
-        if command == "repair" {
+        let mut args = vec![command, "--data", data.to_str().unwrap(), &flag_arg, value];
+        // `discover` reads data and FDs, not rules.
+        if command != "discover" {
+            args.extend(["--rules", rules.to_str().unwrap()]);
+        }
+        if ["repair", "convert", "resolve", "discover"].contains(&command) {
             args.extend(["--out", out_path.to_str().unwrap()]);
         }
         let out = fixctl(&args);
@@ -1040,30 +1195,44 @@ fn unknown_flags_are_rejected() {
     );
 }
 
-/// The stream engine gates on consistency before it creates the output
-/// file: an inconsistent Σ exits non-zero and leaves no `--out` behind.
+/// The streamed repair gates on consistency before it creates any of its
+/// outputs: at two workers, an inconsistent Σ exits 2 and leaves no
+/// `--out`, `--updates-log` or `--quality-json` behind.
 #[test]
 fn stream_engine_rejects_inconsistent_rules_before_writing() {
     let dir = tmpdir("stream_inconsistent");
     let data = dir.join("t.csv");
     let rules = dir.join("r.frl");
     let out_path = dir.join("o.csv");
+    let log = dir.join("u.csv");
+    let snapshot = dir.join("q.json");
     std::fs::write(&data, TRAVEL_CSV).unwrap();
     std::fs::write(&rules, BAD_RULES).unwrap();
     let out = fixctl(&[
         "repair",
-        "--engine",
-        "stream",
+        "--threads",
+        "2",
         "--rules",
         rules.to_str().unwrap(),
         "--data",
         data.to_str().unwrap(),
         "--out",
         out_path.to_str().unwrap(),
+        "--updates-log",
+        log.to_str().unwrap(),
+        "--quality-window",
+        "2",
+        "--quality-json",
+        snapshot.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("conflict"));
     assert!(!out_path.exists(), "an inconsistent stream wrote output");
+    assert!(!log.exists(), "an inconsistent stream wrote an update log");
+    assert!(
+        !snapshot.exists(),
+        "an inconsistent stream wrote a snapshot"
+    );
 }
 
 /// `--updates-log` quotes each cell as the repaired CSV does: the
@@ -1462,15 +1631,17 @@ fn client_surfaces_daemon_errors_as_exit_one() {
     assert!(child.wait().unwrap().success());
 }
 
+/// The quality table and snapshot do not depend on the worker count: the
+/// writing thread feeds the monitor in file order.
 #[test]
 fn stream_quality_window_prints_a_deterministic_table() {
-    let dir = tmpdir("quality_stream");
+    let dir = tmpdir("quality_window");
     let data = dir.join("t.csv");
     let rules = dir.join("r.frl");
     std::fs::write(&data, TRAVEL_CSV).unwrap();
     std::fs::write(&rules, GOOD_RULES).unwrap();
     let mut runs = Vec::new();
-    for tag in ["a", "b"] {
+    for tag in ["1", "2"] {
         let out_path = dir.join(format!("{tag}.csv"));
         let snap_path = dir.join(format!("{tag}.json"));
         let out = fixctl(&[
@@ -1481,8 +1652,8 @@ fn stream_quality_window_prints_a_deterministic_table() {
             data.to_str().unwrap(),
             "--out",
             out_path.to_str().unwrap(),
-            "--engine",
-            "stream",
+            "--threads",
+            tag,
             "--quality-window",
             "2",
             "--quality-json",
@@ -1512,6 +1683,48 @@ fn stream_quality_window_prints_a_deterministic_table() {
     assert!(snapshot.contains("\"clock\": 2"), "two sealed windows");
 }
 
+/// The monitor sees each row, then its fixes, in file order: on the hosp
+/// example, the table and snapshot equal the goldens that the retired
+/// one-record-at-a-time stream engine wrote, at 1 and 2 workers.
+#[test]
+fn quality_window_matches_the_one_record_at_a_time_goldens() {
+    let dir = tmpdir("quality_golden");
+    let want_table = std::fs::read_to_string(example("data/hosp_quality_table.txt")).unwrap();
+    let want_snapshot = std::fs::read_to_string(example("data/hosp_quality.json")).unwrap();
+    for threads in ["1", "2"] {
+        let snap_path = dir.join(format!("{threads}.json"));
+        let out = fixctl(&[
+            "repair",
+            "--rules",
+            &example("rulesets/hosp_zip.frl"),
+            "--data",
+            &example("data/hosp_dirty.csv"),
+            "--out",
+            dir.join(format!("{threads}.csv")).to_str().unwrap(),
+            "--threads",
+            threads,
+            "--quality-window",
+            "2",
+            "--quality-json",
+            snap_path.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let table: String = stdout
+            .lines()
+            .skip(1)
+            .filter(|l| !l.starts_with("wrote "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(table, want_table, "{threads} workers");
+        assert_eq!(std::fs::read_to_string(&snap_path).unwrap(), want_snapshot);
+    }
+}
+
 #[test]
 fn quality_command_renders_snapshots_and_gates_on_alerts() {
     let dir = tmpdir("quality_cmd");
@@ -1531,8 +1744,6 @@ fn quality_command_renders_snapshots_and_gates_on_alerts() {
         data.to_str().unwrap(),
         "--out",
         out_path.to_str().unwrap(),
-        "--engine",
-        "stream",
         "--quality-window",
         "2",
         "--quality-alert",
@@ -1567,30 +1778,6 @@ fn quality_command_renders_snapshots_and_gates_on_alerts() {
     let out = fixctl(&["quality", snap_path.to_str().unwrap(), "--require-green"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stdout).contains("active alert(s)"));
-}
-
-#[test]
-fn quality_window_rejects_non_stream_engines() {
-    let dir = tmpdir("quality_engine");
-    let data = dir.join("t.csv");
-    let rules = dir.join("r.frl");
-    std::fs::write(&data, TRAVEL_CSV).unwrap();
-    std::fs::write(&rules, GOOD_RULES).unwrap();
-    let out = fixctl(&[
-        "repair",
-        "--rules",
-        rules.to_str().unwrap(),
-        "--data",
-        data.to_str().unwrap(),
-        "--out",
-        dir.join("out.csv").to_str().unwrap(),
-        "--engine",
-        "lrepair",
-        "--quality-window",
-        "4",
-    ]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("stream engine"));
 }
 
 // ---- worker-count parity -------------------------------------------------
@@ -2112,29 +2299,24 @@ IF capital = "Tokyo" AND conf = "ICDE" AND country IN {"China"} THEN country := 
     assert_eq!(listed, ["capital", "city", "country", "name"], "{stdout}");
 }
 
+/// Both CSV readers, `repair`'s chunk pipeline and the table loader that
+/// `check` runs, report a missing `--data` alike.
 #[test]
 fn both_engines_report_a_missing_data_file_alike() {
     let dir = tmpdir("missing_data");
     let rules = example("rulesets/hosp_zip.frl");
     let (data, out) = (dir.join("absent.csv"), dir.join("out.csv"));
-    let stderr = |engine: &str| {
-        let run = fixctl(&[
-            "repair",
-            "--rules",
-            &rules,
-            "--data",
-            data.to_str().unwrap(),
-            "--out",
-            out.to_str().unwrap(),
-            "--engine",
-            engine,
-        ]);
-        assert_eq!(run.status.code(), Some(2), "{engine}: {run:?}");
+    let stderr = |command: &str, extra: &[&str]| {
+        let mut args = vec![command, "--rules", &rules, "--data", data.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let run = fixctl(&args);
+        assert_eq!(run.status.code(), Some(2), "{command}: {run:?}");
         String::from_utf8(run.stderr).unwrap()
     };
-    let lrepair = stderr("lrepair");
-    assert!(lrepair.contains("absent.csv: I/O error: "), "{lrepair}");
-    assert_eq!(stderr("stream"), lrepair);
+    let repair = stderr("repair", &["--out", out.to_str().unwrap()]);
+    assert!(repair.contains("absent.csv: I/O error: "), "{repair}");
+    assert_eq!(stderr("check", &[]), repair);
+    assert!(!out.exists());
 }
 
 /// `fixctl lint ... | head -1`: a reader that goes away before the output

@@ -16,7 +16,7 @@
 //! The drivers feed the ledger through the value-carrying
 //! `cell_repaired` observer hook; wrap the ledger in a
 //! [`ProvenanceObserver`] (which knows the rule set and expands rule ids
-//! into evidence bindings) and pass it to any table or stream driver.
+//! into evidence bindings) and pass it to any repair driver.
 //! As with every observer, the hook monomorphizes to nothing under
 //! `NoopObserver` — untraced repairs pay zero cost.
 
@@ -32,7 +32,7 @@ use crate::semantics::evidence_bindings;
 /// One rule application, with everything needed to justify and replay it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProvenanceRecord {
-    /// Row index in the table (record index for the stream driver).
+    /// Row index in the table (record index in a CSV file).
     pub row: usize,
     /// Application order within the row, from 0.
     pub ordinal: usize,

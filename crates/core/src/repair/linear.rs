@@ -272,7 +272,7 @@ impl LRepairScratch {
 
     /// Hand the tallies gathered since the last flush to `observer`: one
     /// [`RepairObserver::tuples_done`] per distinct `(pops, updates)` and
-    /// one [`Event::LRepairProbes`]. Table and stream drivers
+    /// one [`Event::LRepairProbes`]. Table drivers and workers
     /// call this after their last tuple; [`TALLY_FLUSH_TUPLES`] tuples
     /// after the previous flush, repairing a tuple flushes on its own.
     pub(crate) fn flush_tallies<O: RepairObserver>(&mut self, observer: &O) {

@@ -5,7 +5,7 @@
 
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
-    crepair_table, lrepair_table, par_lrepair_table, stream_repair_csv, LRepairIndex,
+    crepair_table, lrepair_table, par_lrepair_table, LRepairIndex, LRepairWorker,
 };
 use fixrules::RuleSet;
 use obs::{MetricsObserver, MetricsRegistry, Tee};
@@ -162,24 +162,49 @@ fn parallel_ledger_matches_sequential_canonical_order() {
     verify_ledger(&dirty, &par, &par_ledger, po.total_updates());
 }
 
+/// A ledger recorded while the chunk pipeline streams a CSV through
+/// lRepair replays against the table read back from its output.
 #[test]
 fn stream_ledger_replays_against_materialized_table() {
     let mut sy = SymbolTable::new();
     let rules = fig8_rules(&mut sy);
     let index = LRepairIndex::build(&rules);
-    let csv = fig1_csv();
-    // Materialize dirty/repaired views over the *same* symbol table the
-    // stream driver interns into, so ledger symbols align.
+    let dir = std::env::temp_dir().join(format!("fixrules_provenance_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fig1.csv");
+    std::fs::write(&path, fig1_csv()).unwrap();
+    // The pipeline keeps Σ's constants alone; the dirty and repaired views
+    // are materialized over a table that extends them, so ledger symbols
+    // align.
+    let constants = sy.clone();
     let dirty = fig1_table(&mut sy, &rules.schema().clone());
     let ledger = ProvenanceLedger::new();
     let observer = ProvenanceObserver::new(&rules, &ledger);
     let mut out = Vec::new();
-    let stats =
-        stream_repair_csv(&rules, &index, &sy, csv.as_bytes(), &mut out, &observer).unwrap();
-    assert_eq!(stats.updates, 4);
+    let run = relation::csv_io::par_repair_csv(
+        &path,
+        rules.schema(),
+        &constants,
+        2,
+        |w| LRepairWorker::new(&rules, &index, &observer, w),
+        |worker, mut chunk, _: &mut ()| {
+            let mut updates = Vec::new();
+            worker.repair_rows(chunk.first_row, chunk.cells, &mut updates);
+            for u in &updates {
+                chunk.touch(u.row - chunk.first_row);
+            }
+        },
+        |bytes, _| {
+            out.extend_from_slice(bytes);
+            Ok(())
+        },
+    )
+    .unwrap();
+    run.workers.into_iter().for_each(LRepairWorker::finish);
+    std::fs::remove_dir_all(&dir).ok();
     let mut repaired = Table::new(rules.schema().clone());
-    let streamed = String::from_utf8(out).unwrap();
-    for line in streamed.lines().skip(1) {
+    let written = String::from_utf8(out).unwrap();
+    for line in written.lines().skip(1) {
         let cells: Vec<&str> = line.split(',').collect();
         repaired.push_strs(&mut sy, &cells).unwrap();
     }

@@ -14,7 +14,7 @@
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 
 /// Value-carrying description of one applied fix, passed to
-/// [`RepairObserver::cell_repaired`] by the table and stream drivers.
+/// [`RepairObserver::cell_repaired`] by the repair drivers.
 ///
 /// Plain ids only (row/attr/rule ordinals, interned symbol ids) so this
 /// crate stays a leaf; consumers that know the rule set — like the
@@ -22,7 +22,7 @@ use crate::metrics::{Counter, Histogram, MetricsRegistry};
 /// and names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellFix {
-    /// Row index in the table (record index for the stream driver).
+    /// Row index in the table (record index in a CSV file).
     pub row: usize,
     /// Application order within the row, from 0.
     pub ordinal: usize,
@@ -138,7 +138,7 @@ pub trait RepairObserver: Sync {
         let _ = rules_hit;
     }
 
-    /// A table/stream driver applied one fix, with full values — the
+    /// A repair driver applied one fix, with full values — the
     /// provenance hook. Called once per update after each tuple completes
     /// (the drivers know the row index there; per-tuple algorithms don't).
     #[inline]
@@ -178,27 +178,6 @@ pub trait RepairObserver: Sync {
     /// branches monomorphize away, keeping the uninstrumented hot path.
     #[inline]
     fn wants_rule_timing(&self) -> bool {
-        false
-    }
-
-    /// A driver is about to repair one row; `values` are the
-    /// [`crate::quality::value_key`]s of the row's *pre-repair* values in
-    /// attribute order. The quality
-    /// monitor's window-feeding hook — pairs with
-    /// [`RepairObserver::cell_repaired`], which reports what changed.
-    /// Drivers only call this when [`RepairObserver::wants_rows`]
-    /// returns true, so the pre-repair copy is skipped entirely
-    /// otherwise.
-    #[inline]
-    fn row_observed(&self, values: &[u32]) {
-        let _ = values;
-    }
-
-    /// Whether this observer consumes [`RepairObserver::row_observed`].
-    /// Defaults to false; under [`NoopObserver`] the drivers' row-copy
-    /// branches monomorphize away, keeping the uninstrumented hot path.
-    #[inline]
-    fn wants_rows(&self) -> bool {
         false
     }
 
@@ -256,16 +235,6 @@ impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     #[inline]
     fn wants_rule_timing(&self) -> bool {
         (**self).wants_rule_timing()
-    }
-
-    #[inline]
-    fn row_observed(&self, values: &[u32]) {
-        (**self).row_observed(values);
-    }
-
-    #[inline]
-    fn wants_rows(&self) -> bool {
-        (**self).wants_rows()
     }
 
     #[inline]
@@ -337,17 +306,6 @@ impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for 
     #[inline]
     fn wants_rule_timing(&self) -> bool {
         self.0.wants_rule_timing() || self.1.wants_rule_timing()
-    }
-
-    #[inline]
-    fn row_observed(&self, values: &[u32]) {
-        self.0.row_observed(values);
-        self.1.row_observed(values);
-    }
-
-    #[inline]
-    fn wants_rows(&self) -> bool {
-        self.0.wants_rows() || self.1.wants_rows()
     }
 
     #[inline]
@@ -757,7 +715,6 @@ mod tests {
         o.rule_rejected(0);
         o.rule_latency(1, 500);
         o.plan_replayed(1, 2);
-        o.row_observed(&[1, 2, 3]);
         for e in every_event() {
             o.event(e);
         }
@@ -783,7 +740,7 @@ mod tests {
         let tee = Tee(&m1 as &dyn RepairObserver, &m2 as &dyn RepairObserver);
         let dynamic: &dyn RepairObserver = &tee;
         drive(&dynamic);
-        assert!(!dynamic.wants_rule_timing() && !dynamic.wants_rows());
+        assert!(!dynamic.wants_rule_timing());
         assert_eq!(reg1.snapshot().to_string(), direct);
         assert_eq!(reg2.snapshot().to_string(), direct);
     }

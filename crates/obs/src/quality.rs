@@ -409,9 +409,9 @@ impl AttrWindow {
 /// bytes, finished with [`splitmix64`]. It depends on the text alone, so
 /// every caller feeds one value the same key whatever symbol table it
 /// holds; a collision only merges two values in the sketches.
-pub fn value_key(value: &str) -> u32 {
+pub fn value_key(value: impl AsRef<[u8]>) -> u32 {
     let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for &b in value.as_bytes() {
+    for &b in value.as_ref() {
         acc = (acc ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
     }
     splitmix64(acc) as u32
@@ -580,11 +580,10 @@ struct Inner {
 /// The windowed repair-quality monitor. See the module docs for the
 /// signal definitions and determinism contract.
 ///
-/// Implements [`RepairObserver`]: feed it by teeing it into a repair
-/// driver's observer chain (it answers [`RepairObserver::wants_rows`]
-/// with `true` so drivers materialize pre-repair rows), or call
-/// [`RepairObserver::row_observed`] / [`RepairObserver::cell_repaired`]
-/// directly as `fixd` does.
+/// Feed it rows in order: [`QualityMonitor::row_observed`] with a row's
+/// pre-repair values, then [`RepairObserver::cell_repaired`] with each of
+/// that row's fixes, as `fixctl repair` does on its writing thread and
+/// `fixd` does per request.
 #[derive(Debug)]
 pub struct QualityMonitor {
     cfg: QualityConfig,
@@ -871,10 +870,12 @@ impl QualityMonitor {
         inner.rows = 0;
         inner.clock += 1;
     }
-}
 
-impl RepairObserver for QualityMonitor {
-    fn row_observed(&self, values: &[u32]) {
+    /// Observe one row before its repair: `values` are the
+    /// [`value_key`]s of its values in attribute order. The row's fixes
+    /// follow through [`RepairObserver::cell_repaired`] before the next
+    /// row is observed.
+    pub fn row_observed(&self, values: &[u32]) {
         let mut inner = self.inner.lock().unwrap();
         // Seal lazily on the *next* row, so the last row's
         // `cell_repaired` events land in the window that observed it.
@@ -911,16 +912,14 @@ impl RepairObserver for QualityMonitor {
             apply_row(attrs, seen, values, 1, *clock > 0);
         }
     }
+}
 
+impl RepairObserver for QualityMonitor {
     fn cell_repaired(&self, fix: CellFix) {
         let mut inner = self.inner.lock().unwrap();
         if let Some(aw) = inner.attrs.get_mut(fix.attr) {
             aw.repaired += 1;
         }
-    }
-
-    fn wants_rows(&self) -> bool {
-        true
     }
 }
 

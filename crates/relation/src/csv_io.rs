@@ -7,66 +7,47 @@
 //! engine.
 //!
 //! [`read_csv`] reads any stream, one record at a time, with the `csv`
-//! reader. It is the reference for the two chunked file readers, which
-//! split a file after its header into chunks that workers scan at once
-//! (DESIGN.md §18) with one record scanner, and differ only in what a cell
-//! becomes:
+//! reader, and interns every cell; [`read_csv_file`] runs it over a file. It
+//! is the reference for the chunked file readers, which cut a file after
+//! its header into 256 KiB chunks that workers scan at once with one record
+//! scanner (DESIGN.md §18), keep only the values a table of constants
+//! holds, load every other cell as [`Symbol::BOTTOM`], and hand each chunk
+//! to the calling thread in file order:
 //!
-//! * [`par_read_csv_file`] interns every cell, each chunk into a
-//!   chunk-local dictionary, and gives exactly [`read_csv`]'s result;
-//! * [`par_read_csv_constants`] keeps only the values a table of constants
-//!   already holds and loads every other cell as [`Symbol::BOTTOM`].
+//! * [`par_read_csv_constants`] appends its cells to a table;
+//! * [`par_repair_csv`] hands its rows to a caller's repair step, renders
+//!   them back out of the chunk's own bytes and delivers them, so its
+//!   memory does not grow with the file.
 //!
 //! [`par_write_csv`] renders blocks of rows on several workers and writes
 //! them in order; [`write_csv`] is its one-worker case.
-//!
-//! [`par_repair_csv`] never builds a table: it scans a file in fixed
-//! chunks with the same scanner and the constants' cells, hands each
-//! chunk's rows to a caller's repair step, renders them back out of the
-//! chunk's own bytes and writes the chunks in order, so its memory does
-//! not grow with the file.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::{RelationError, Result, Schema, Symbol, SymbolTable, Table};
 
-/// Bytes per chunk below which a file is not split further: an input under
-/// twice this size is parsed on the calling thread, with no worker spawned.
-const MIN_CHUNK_BYTES: u64 = 1 << 20;
-
-/// Cells per storage block of every chunk after the first (256 KiB). The
-/// merge appends the blocks to the table one at a time and frees each, so
-/// it holds at most one block beyond the table itself.
-const BLOCK_CELLS: usize = 1 << 16;
-
 /// Rows rendered per block by [`par_write_csv`].
 const RENDER_BLOCK_ROWS: usize = 512;
 
-/// Rendered blocks per render worker that may wait to be written.
-const RENDER_AHEAD: usize = 4;
+/// Blocks per worker that may wait to be handed over, in [`in_order`].
+const BLOCKS_AHEAD: usize = 4;
 
-/// Bytes of input per chunk of [`par_repair_csv`]. Smaller chunks pay for
+/// Bytes of input per chunk of the chunked readers. Smaller chunks pay for
 /// more handoffs, and larger ones fault in more output buffers in flight;
 /// EXPERIMENTS.md has the measured sizes.
-const PIPELINE_CHUNK_BYTES: u64 = 256 << 10;
+const CHUNK_BYTES: u64 = 256 << 10;
 
-/// Bytes a [`par_repair_csv`] chunk reads past the cut that ends it, so
-/// that the line end after that cut nearly always arrives in the same
-/// read.
-const PIPELINE_SLACK_BYTES: usize = 4 << 10;
+/// Bytes a chunk reads past the cut that ends it, so that the line end
+/// after that cut nearly always arrives in the same read.
+const SLACK_BYTES: usize = 4 << 10;
 
-/// Bytes at least by which a window that keeps its bytes grows when a
-/// record runs past its end.
-const KEEP_GROW_BYTES: usize = 64 << 10;
-
-/// Bytes a chunk scanner reads at a time. Its window grows past this only
-/// for a record that does not fit.
-const WINDOW_BYTES: usize = 256 << 10;
+/// Bytes at least by which a chunk's window grows when a record runs past
+/// its end.
+const GROW_BYTES: usize = 64 << 10;
 
 /// Read a table from CSV text with a header row.
 ///
@@ -103,39 +84,13 @@ pub fn read_csv<R: Read>(
     Ok(table)
 }
 
-/// Read a table from a CSV file on disk, with one worker per available
-/// core ([`par_read_csv_file`]).
+/// Read a table from a CSV file on disk: [`read_csv`] over the file.
 pub fn read_csv_file<P: AsRef<Path>>(
     path: P,
     relation_name: &str,
     symbols: &mut SymbolTable,
 ) -> Result<Table> {
-    par_read_csv_file(path, relation_name, symbols, available_threads())
-}
-
-/// Read a table from a CSV file on disk with up to `threads` workers.
-///
-/// The bytes after the header are cut into chunks of at least 1 MiB
-/// that shrink towards the end of the file, and the workers claim them
-/// one at a time. A chunk speculatively starts just past the first
-/// `\n` at or after its cut, and its worker scans the records that start
-/// before the next chunk's start, interning them into a chunk-local
-/// dictionary. A chunk is kept only if it starts exactly where the
-/// previous chunk's scan stopped; otherwise its cut fell inside a record
-/// (a quoted line break) and it is scanned again from that true boundary.
-/// The dictionaries are then interned into `symbols` in chunk order, so
-/// the table, the symbols and their order, and any error are exactly what
-/// [`read_csv`] gives on the same bytes. The file is opened once; workers
-/// read it at their own offsets.
-pub fn par_read_csv_file<P: AsRef<Path>>(
-    path: P,
-    relation_name: &str,
-    symbols: &mut SymbolTable,
-    threads: usize,
-) -> Result<Table> {
-    let file = File::open(path)?;
-    let cuts = guided_cuts(file.metadata()?.len(), threads);
-    read_interned(&file, relation_name, symbols, cuts, threads)
+    read_csv(File::open(path)?, relation_name, symbols)
 }
 
 /// Load a CSV file on disk with up to `threads` workers, keeping only the
@@ -145,9 +100,10 @@ pub fn par_read_csv_file<P: AsRef<Path>>(
 /// [`read_csv_header`] read it; the table is built on it, so rules parsed
 /// against it apply to the table.
 ///
-/// Chunks are cut, scanned and checked as in [`par_read_csv_file`], so
-/// the rows and any error are [`read_csv`]'s, with each cell outside
-/// `constants` replaced by ⊥.
+/// The file is cut, scanned and confirmed chunk by chunk as in
+/// [`par_repair_csv`], and the calling thread appends each chunk's cells to
+/// the table in file order, so the rows and any error are [`read_csv`]'s,
+/// with each cell outside `constants` replaced by ⊥.
 pub fn par_read_csv_constants<P: AsRef<Path>>(
     path: P,
     schema: &Schema,
@@ -155,8 +111,7 @@ pub fn par_read_csv_constants<P: AsRef<Path>>(
     threads: usize,
 ) -> Result<Table> {
     let file = File::open(path)?;
-    let cuts = guided_cuts(file.metadata()?.len(), threads);
-    read_constants(&file, schema, constants, cuts, threads)
+    Pipeline::new(&file, file.metadata()?.len(), schema, constants).load(threads)
 }
 
 /// Read only the header row of CSV text: the schema [`read_csv`] would
@@ -207,12 +162,12 @@ pub fn par_write_csv<W: Write>(
     writer.write_all(&header)?;
     let quoted: Vec<bool> = symbols.iter().map(|(_, v)| csv::needs_quotes(v)).collect();
     let blocks = table.len().div_ceil(RENDER_BLOCK_ROWS);
-    write_blocks(
-        &mut writer,
+    in_order(
         blocks,
         threads.min(blocks / 2),
         |_| (),
-        |_: &mut (), block, buf| {
+        |_: &mut (), block, buf: &mut Vec<u8>| {
+            buf.clear();
             for i in block_rows(block, table.len()) {
                 for (k, &s) in table.row(i).iter().enumerate() {
                     if k > 0 {
@@ -229,6 +184,7 @@ pub fn par_write_csv<W: Write>(
             }
             Ok(())
         },
+        |buf| Ok(writer.write_all(buf)?),
     )?;
     writer.flush()?;
     Ok(())
@@ -240,68 +196,66 @@ fn block_rows(block: usize, rows: usize) -> std::ops::Range<usize> {
     first..(first + RENDER_BLOCK_ROWS).min(rows)
 }
 
-/// Render blocks `0..blocks` with up to `workers` workers and write them
-/// to `writer` in order. Returns each worker's scratch, in worker order.
+/// Fill blocks `0..blocks` with up to `workers` workers and hand them to
+/// `take` on the calling thread, in order. Returns each worker's scratch,
+/// in worker order.
 ///
-/// `render` fills a cleared buffer with one block, given the calling
-/// worker's own scratch, which `scratch` makes from the worker's number.
-/// Workers take the next block to render from a queue, in order, so one
-/// whose core is taken away holds up only the block it has; the writer
-/// puts the rendered blocks back in order. The queue runs at most
-/// [`RENDER_AHEAD`] blocks per worker past the block being written, which
-/// bounds the buffers in memory, and each written buffer goes back into
-/// the queue with the next block. The first block that fails, in block
-/// order, ends the writing with its error. With one worker, rendering
-/// stays on the calling thread.
-fn write_blocks<W: Write, T: Send>(
-    writer: &mut W,
+/// `fill` overwrites a block, given the calling worker's own scratch,
+/// which `scratch` makes from the worker's number. Workers take the next
+/// block to fill from a queue, in order, so one whose core is taken away
+/// holds up only the block it has; the calling thread puts the filled
+/// blocks back in order. The queue runs at most [`BLOCKS_AHEAD`] blocks
+/// per worker past the block being taken, which bounds the blocks in
+/// memory, and each taken block goes back into the queue to be filled
+/// again. The first block that fails, in block order, ends the run with
+/// its error. With one worker, filling stays on the calling thread.
+fn in_order<T: Send, B: Default + Send>(
     blocks: usize,
     workers: usize,
     scratch: impl Fn(usize) -> T + Sync,
-    render: impl Fn(&mut T, usize, &mut Vec<u8>) -> Result<()> + Sync,
+    fill: impl Fn(&mut T, usize, &mut B) -> Result<()> + Sync,
+    mut take: impl FnMut(&mut B) -> Result<()>,
 ) -> Result<Vec<T>> {
     if workers <= 1 {
-        let (mut scratch, mut buf) = (scratch(0), Vec::new());
+        let (mut scratch, mut buf) = (scratch(0), B::default());
         for block in 0..blocks {
-            buf.clear();
-            render(&mut scratch, block, &mut buf)?;
-            writer.write_all(&buf)?;
+            fill(&mut scratch, block, &mut buf)?;
+            take(&mut buf)?;
         }
         return Ok(vec![scratch]);
     }
-    let ahead = (RENDER_AHEAD * workers).min(blocks);
-    let (queue, jobs) = mpsc::channel::<(usize, Vec<u8>)>();
+    let ahead = (BLOCKS_AHEAD * workers).min(blocks);
+    let (queue, jobs) = mpsc::channel::<(usize, B)>();
     let jobs = Mutex::new(jobs);
-    let (done, rendered) = mpsc::channel::<(usize, Result<Vec<u8>>)>();
+    let (done, filled) = mpsc::channel::<(usize, Result<B>)>();
     std::thread::scope(|scope| {
-        // Moved in, so that it closes when the writer returns.
+        // Moved in, so that it closes when the calling thread returns.
         let queue = queue;
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
-                let (scratch, render, jobs, done) = (&scratch, &render, &jobs, done.clone());
+                let (scratch, fill, jobs, done) = (&scratch, &fill, &jobs, done.clone());
                 scope.spawn(move || {
                     let mut scratch = scratch(worker);
                     loop {
                         // A statement of its own, so the lock is not held
-                        // while the block renders. The queue closes when
-                        // the writer returns.
-                        let job = jobs.lock().expect("render queue").recv();
+                        // while the block fills. The queue closes when the
+                        // calling thread returns.
+                        let job = jobs.lock().expect("block queue").recv();
                         let Ok((block, mut buf)) = job else {
                             return scratch;
                         };
-                        buf.clear();
-                        // A panic still reports the block, so the writer
-                        // does not wait for it; the scope then raises the
-                        // panic.
+                        // A panic still reports the block, so the calling
+                        // thread does not wait for it; the scope then
+                        // raises the panic.
                         let outcome =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                render(&mut scratch, block, &mut buf)
+                                fill(&mut scratch, block, &mut buf)
                             }));
                         let (result, panic) = match outcome {
                             Ok(r) => (r.map(|()| buf), None),
-                            Err(p) => (Err(csv_error("render worker panicked".into())), Some(p)),
+                            Err(p) => (Err(csv_error("a CSV worker panicked".into())), Some(p)),
                         };
-                        // `rendered` outlives the scope, so this cannot fail.
+                        // `filled` outlives the scope, so this cannot fail.
                         let _ = done.send((block, result));
                         if let Some(p) = panic {
                             std::panic::resume_unwind(p);
@@ -313,31 +267,31 @@ fn write_blocks<W: Write, T: Send>(
         drop(done);
         for block in 0..ahead {
             queue
-                .send((block, Vec::new()))
-                .expect("the render queue outlives the writer");
+                .send((block, B::default()))
+                .expect("the block queue outlives the calling thread");
         }
         // Block `b` waits in slot `b % ahead`: at most `ahead` blocks past
-        // the one being written are out.
-        let mut slots: Vec<Option<Result<Vec<u8>>>> = (0..ahead).map(|_| None).collect();
+        // the one being taken are out.
+        let mut slots: Vec<Option<Result<B>>> = (0..ahead).map(|_| None).collect();
         for block in 0..blocks {
-            let buf = loop {
+            let mut buf = loop {
                 if let Some(result) = slots[block % ahead].take() {
                     break result?;
                 }
-                let (b, result) = rendered.recv().expect("CSV render worker panicked");
+                let (b, result) = filled.recv().expect("CSV worker panicked");
                 slots[b % ahead] = Some(result);
             };
-            writer.write_all(&buf)?;
+            take(&mut buf)?;
             if block + ahead < blocks {
                 queue
                     .send((block + ahead, buf))
-                    .expect("the render queue outlives the writer");
+                    .expect("the block queue outlives the calling thread");
             }
         }
         drop(queue);
         Ok(handles
             .into_iter()
-            .map(|h| h.join().expect("CSV render worker panicked"))
+            .map(|h| h.join().expect("CSV worker panicked"))
             .collect())
     })
 }
@@ -352,13 +306,30 @@ pub struct ChunkRows<'a> {
     pub cells: &'a mut [Symbol],
     /// Row `i` is written as its own bytes.
     verbatim: &'a mut [bool],
+    spans: Spans<'a>,
+    /// Scratch for [`ChunkRows::fields`].
+    record: &'a mut Record,
 }
 
 impl ChunkRows<'_> {
+    /// How many rows the chunk holds.
+    pub fn rows(&self) -> usize {
+        self.verbatim.len()
+    }
+
     /// Mark the chunk's row `i` as changed, so that it is rendered from
     /// [`ChunkRows::cells`] instead of copied from the file.
     pub fn touch(&mut self, i: usize) {
         self.verbatim[i] = false;
+    }
+
+    /// Row `i`'s fields as the file holds them, unquoted: all of the row's
+    /// values before any repair, the ones loaded as ⊥ included.
+    pub fn fields(&mut self, i: usize) -> impl Iterator<Item = &[u8]> + '_ {
+        let raw = self.spans.row(i);
+        scan_record(raw, true, self.record, &[]);
+        let record = &*self.record;
+        (0..record.fields.len()).map(move |k| record.field(raw, k))
     }
 }
 
@@ -368,12 +339,12 @@ pub enum PipelineError {
     /// Reading the input: an I/O error, or the first malformed record in
     /// file order, worded as [`read_csv`] words it.
     Read(RelationError),
-    /// Writing the output.
+    /// Delivering the output.
     Write(RelationError),
 }
 
 /// Busy time per phase of a [`par_repair_csv`] run, in nanoseconds summed
-/// over its workers; `write` is the writing thread's.
+/// over its workers; `write` is the calling thread's.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineTimes {
     /// Reading and scanning chunks, rescans included.
@@ -382,7 +353,7 @@ pub struct PipelineTimes {
     pub repair_ns: u64,
     /// Rendering repaired chunks.
     pub render_ns: u64,
-    /// Writing rendered chunks.
+    /// Delivering rendered chunks.
     pub write_ns: u64,
     /// Waiting for an earlier chunk to confirm where it ends.
     pub wait_ns: u64,
@@ -397,66 +368,61 @@ pub struct Pipelined<T> {
     pub times: PipelineTimes,
 }
 
-/// Repair the CSV file at `data` into `out` with up to `threads` workers,
-/// one fixed-size chunk of the file at a time, never holding the table.
+/// Repair the CSV file at `data` with up to `threads` workers, one
+/// fixed-size chunk of the file at a time, never holding the table, and
+/// hand the repaired CSV to `deliver` in order on the calling thread.
 ///
 /// `schema` is the file's header, as [`read_csv_header`] read it, and
 /// `constants` the values to keep: every other cell reaches the repair
 /// step as [`Symbol::BOTTOM`], as in [`par_read_csv_constants`]. Each
 /// worker makes its state with `worker` from its number, and gives it to
 /// `repair` with every chunk it takes; `repair` may change the cells and
-/// must [touch](ChunkRows::touch) each row it changes.
+/// must [touch](ChunkRows::touch) each row it changes. It may also leave
+/// a note, which starts as `N::default()` for every chunk, and which
+/// `deliver` gets with the chunk's bytes; `deliver` gets the header first,
+/// with a default note.
 ///
 /// The bytes after the header are cut every 256 KiB, and workers claim
 /// the chunks in file order, at most four per worker ahead of the chunk
-/// being written. A worker reads its chunk's bytes once into its own
+/// being delivered. A worker reads its chunk's bytes once into its own
 /// buffer, and scans the records that start from just past the first
 /// `\n` at or after the chunk's cut up to the same point after the next
-/// cut, as [`par_read_csv_file`] does. Then it waits until every earlier
-/// chunk has confirmed where it ends, which gives it its true start and
-/// its first row's number. A chunk whose guessed start is not its true
-/// start (a quoted line break straddles the cut) is scanned again from
-/// the true one. The worker then repairs its rows and renders them: an
-/// untouched row that holds no `"` is its bytes with the line end made
-/// `\n`, and every other row is rendered field by field, each cell from
-/// `constants` unless it is ⊥, in which case from the file. The calling
-/// thread writes the header and then the chunks in order. The bytes are
-/// those [`write_csv`] gives for the table [`read_csv`] loads from `data`,
-/// repaired alike.
+/// cut. Then it waits until every earlier chunk has confirmed where it
+/// ends, which gives it its true start and its first row's number. A
+/// chunk whose guessed start is not its true start (a quoted line break
+/// straddles the cut) is scanned again from the true one. The worker then
+/// repairs its rows and renders them: an untouched row that holds no `"`
+/// is its bytes with the line end made `\n`, and every other row is
+/// rendered field by field, each cell from `constants` unless it is ⊥, in
+/// which case from the file. The bytes are those [`write_csv`] gives for
+/// the table [`read_csv`] loads from `data`, repaired alike.
 ///
 /// The error is the first in file order, from a chunk scanned from its
 /// true start; a failing chunk wakes every worker waiting for it, and
-/// nothing after it is written. An input of one chunk, and any input at
+/// nothing after it is delivered. An input of one chunk, and any input at
 /// one worker, runs on the calling thread.
-pub fn par_repair_csv<P, Wr, T>(
+pub fn par_repair_csv<P, T, N>(
     data: P,
     schema: &Schema,
     constants: &SymbolTable,
-    out: Wr,
     threads: usize,
     worker: impl Fn(usize) -> T + Sync,
-    repair: impl Fn(&mut T, ChunkRows<'_>) + Sync,
+    repair: impl Fn(&mut T, ChunkRows<'_>, &mut N) + Sync,
+    deliver: impl FnMut(&[u8], &N) -> io::Result<()>,
 ) -> std::result::Result<Pipelined<T>, PipelineError>
 where
     P: AsRef<Path>,
-    Wr: Write,
     T: Send,
+    N: Default + Send,
 {
     let read = |e: io::Error| PipelineError::Read(e.into());
     let file = File::open(data).map_err(read)?;
     let len = file.metadata().map_err(read)?.len();
-    let pipeline = Pipeline {
-        src: &file,
-        len,
-        schema,
-        constants,
-        chunk_bytes: PIPELINE_CHUNK_BYTES,
-    };
-    pipeline.run(out, threads, worker, repair)
+    Pipeline::new(&file, len, schema, constants).repair(threads, worker, repair, deliver)
 }
 
-/// A [`par_repair_csv`] run over any [`ReadAt`] source of `len` bytes, cut
-/// into chunks of `chunk_bytes`.
+/// A chunked read of any [`ReadAt`] source of `len` bytes, cut into
+/// chunks of `chunk_bytes`.
 struct Pipeline<'a, S: ?Sized> {
     src: &'a S,
     len: u64,
@@ -465,24 +431,120 @@ struct Pipeline<'a, S: ?Sized> {
     chunk_bytes: u64,
 }
 
-/// One pipeline worker's buffers and the caller's state.
+/// One chunk worker's buffers and the caller's state.
 struct Stage<'a, S: ?Sized, T> {
     window: Window<'a, S>,
-    chunk: Chunk<&'a ConstantIndex>,
+    chunk: Chunk<'a>,
     record: Record,
     times: PipelineTimes,
     state: T,
 }
 
-impl<S: ReadAt + ?Sized> Pipeline<'_, S> {
-    fn run<Wr: Write, T: Send>(
+impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
+    fn new(src: &'a S, len: u64, schema: &'a Schema, constants: &'a SymbolTable) -> Self {
+        Pipeline {
+            src,
+            len,
+            schema,
+            constants,
+            chunk_bytes: CHUNK_BYTES,
+        }
+    }
+
+    /// [`par_read_csv_constants`]: every chunk's cells, appended in file
+    /// order.
+    fn load(&self, threads: usize) -> Result<Table> {
+        let mut cells = Vec::new();
+        self.run(
+            self.data_start()?,
+            threads,
+            |_| (),
+            |stage, _, block: &mut Vec<Symbol>| {
+                std::mem::swap(&mut stage.chunk.cells, block);
+                Ok(())
+            },
+            |block| {
+                cells.extend_from_slice(block);
+                Ok(())
+            },
+        )?;
+        Ok(Table::from_cells(self.schema.clone(), cells))
+    }
+
+    /// [`par_repair_csv`] over the source.
+    fn repair<T: Send, N: Default + Send>(
         &self,
-        out: Wr,
         threads: usize,
         worker: impl Fn(usize) -> T + Sync,
-        repair: impl Fn(&mut T, ChunkRows<'_>) + Sync,
+        repair: impl Fn(&mut T, ChunkRows<'_>, &mut N) + Sync,
+        mut deliver: impl FnMut(&[u8], &N) -> io::Result<()>,
     ) -> std::result::Result<Pipelined<T>, PipelineError> {
-        let read = PipelineError::Read;
+        let (mut write_ns, mut write_failed) = (0, false);
+        let mut take = |bytes: &[u8], note: &N| {
+            let started = Instant::now();
+            let taken = deliver(bytes, note);
+            write_ns += nanos(started, Instant::now());
+            write_failed |= taken.is_err();
+            taken.map_err(RelationError::from)
+        };
+        let mut header = Vec::new();
+        push_record(&mut header, self.schema.attr_names());
+        let run = self.data_start().and_then(|data_start| {
+            take(&header, &N::default())?;
+            self.run(
+                data_start,
+                threads,
+                worker,
+                |stage, first_row, (bytes, note): &mut (Vec<u8>, N)| {
+                    let Stage {
+                        window,
+                        chunk,
+                        record,
+                        times,
+                        state,
+                    } = stage;
+                    let spans = Spans {
+                        bytes: &window.buf[..window.len],
+                        base: window.base,
+                        starts: &chunk.row_starts,
+                        end: chunk.end,
+                    };
+                    let repairing = Instant::now();
+                    *note = N::default();
+                    let rows = ChunkRows {
+                        first_row,
+                        cells: &mut chunk.cells,
+                        verbatim: &mut chunk.plain,
+                        spans,
+                        record,
+                    };
+                    repair(state, rows, note);
+                    let rendering = Instant::now();
+                    times.repair_ns += nanos(repairing, rendering);
+                    bytes.clear();
+                    let rendered = self.render(spans, &chunk.cells, &chunk.plain, record, bytes);
+                    times.render_ns += nanos(rendering, Instant::now());
+                    rendered
+                },
+                |(bytes, note)| take(bytes, note),
+            )
+        });
+        match run {
+            Ok(run) => Ok(Pipelined {
+                times: PipelineTimes {
+                    write_ns,
+                    ..run.times
+                },
+                ..run
+            }),
+            Err(e) if write_failed => Err(PipelineError::Write(e)),
+            Err(e) => Err(PipelineError::Read(e)),
+        }
+    }
+
+    /// Where the data starts, just past the header, once the header is
+    /// found to be `schema`'s.
+    fn data_start(&self) -> Result<u64> {
         let mut rdr = csv::ReaderBuilder::new()
             .has_headers(true)
             .flexible(false)
@@ -490,15 +552,25 @@ impl<S: ReadAt + ?Sized> Pipeline<'_, S> {
                 src: self.src,
                 pos: 0,
             });
-        if !rdr
-            .headers()
-            .map_err(|e| read(e.into()))?
-            .iter()
-            .eq(self.schema.attr_names())
-        {
-            return Err(read(header_differs()));
+        if !rdr.headers()?.iter().eq(self.schema.attr_names()) {
+            return Err(header_differs());
         }
-        let data_start = rdr.record_offset().map_err(|e| read(e.into()))?;
+        Ok(rdr.record_offset()?)
+    }
+
+    /// Scan the chunks of the data from `data_start` on, with up to
+    /// `threads` workers whose state `worker` makes. Once a chunk's start
+    /// is confirmed, `process` turns it into a block on its worker, given
+    /// its first row's number, and `take` gets the blocks in file order on
+    /// the calling thread.
+    fn run<T: Send, B: Default + Send>(
+        &self,
+        data_start: u64,
+        threads: usize,
+        worker: impl Fn(usize) -> T + Sync,
+        process: impl Fn(&mut Stage<'_, S, T>, usize, &mut B) -> Result<()> + Sync,
+        take: impl FnMut(&mut B) -> Result<()>,
+    ) -> Result<Pipelined<T>> {
         let chunks = usize::try_from(
             self.len
                 .saturating_sub(data_start)
@@ -508,46 +580,25 @@ impl<S: ReadAt + ?Sized> Pipeline<'_, S> {
         .max(1);
         let index = ConstantIndex::new(self.constants);
         let chain = Chain::new(data_start);
-        let mut out = TimedWriter {
-            inner: out,
-            ns: 0,
-            failed: false,
-        };
-        let mut header = Vec::new();
-        push_record(&mut header, self.schema.attr_names());
-        let written = out
-            .write_all(&header)
-            .map_err(RelationError::from)
-            .and_then(|()| {
-                write_blocks(
-                    &mut out,
-                    chunks,
-                    threads.min(chunks),
-                    |w| Stage {
-                        window: Window::new(self.src, true),
-                        chunk: Chunk::new(&index, usize::MAX, true),
-                        record: Record::default(),
-                        times: PipelineTimes::default(),
-                        state: worker(w),
-                    },
-                    |stage, k, buf| {
-                        let cut = |k: usize| data_start + k as u64 * self.chunk_bytes;
-                        let next = (k + 1 < chunks).then(|| cut(k + 1));
-                        self.chunk(stage, &chain, k, (cut(k), next), &repair, buf)
-                    },
-                )
-            });
-        let stages = written.map_err(|e| {
-            if out.failed {
-                PipelineError::Write(e)
-            } else {
-                read(e)
-            }
-        })?;
-        let mut times = PipelineTimes {
-            write_ns: out.ns,
-            ..PipelineTimes::default()
-        };
+        let cut = |k: usize| data_start + k as u64 * self.chunk_bytes;
+        let stages = in_order(
+            chunks,
+            threads.min(chunks),
+            |w| Stage {
+                window: Window::new(self.src),
+                chunk: Chunk::new(&index),
+                record: Record::default(),
+                times: PipelineTimes::default(),
+                state: worker(w),
+            },
+            |stage, k, block| {
+                let next = (k + 1 < chunks).then(|| cut(k + 1));
+                let first_row = self.scan(stage, &chain, k, (cut(k), next))?;
+                process(stage, first_row, block)
+            },
+            take,
+        )?;
+        let mut times = PipelineTimes::default();
         let workers = stages
             .into_iter()
             .map(|stage| {
@@ -567,19 +618,17 @@ impl<S: ReadAt + ?Sized> Pipeline<'_, S> {
         })
     }
 
-    /// Chunk `k`, which starts at the first line start at or after `cut`
-    /// (or at `cut` itself for chunk 0) and ends at the first line start at
-    /// or after `next`, or at the end of the file: scan, confirm, repair
-    /// and render it into `buf`.
-    fn chunk<T>(
+    /// Scan chunk `k`, which starts at the first line start at or after
+    /// `cut` (or at `cut` itself for chunk 0) and ends at the first line
+    /// start at or after `next`, or at the end of the file, and confirm its
+    /// start through `chain`. Returns its first row's number.
+    fn scan<T>(
         &self,
         stage: &mut Stage<'_, S, T>,
         chain: &Chain,
         k: usize,
         (cut, next): (u64, Option<u64>),
-        repair: &impl Fn(&mut T, ChunkRows<'_>),
-        buf: &mut Vec<u8>,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         let arity = self.schema.arity();
         let mut turn = Turn {
             chain,
@@ -590,11 +639,10 @@ impl<S: ReadAt + ?Sized> Pipeline<'_, S> {
         let Stage {
             window,
             chunk,
-            record,
             times,
-            state,
+            ..
         } = stage;
-        let want = next.map_or(u64::MAX, |n| n - cut + PIPELINE_SLACK_BYTES as u64);
+        let want = next.map_or(u64::MAX, |n| n - cut + SLACK_BYTES as u64);
         let left = self.len.saturating_sub(cut) + 1;
         window.load(cut, usize::try_from(want.min(left)).unwrap_or(usize::MAX))?;
         let guess = if k == 0 { cut } else { window.line_start(cut)? };
@@ -624,44 +672,22 @@ impl<S: ReadAt + ?Sized> Pipeline<'_, S> {
         if let Some(error) = chunk.error.take() {
             return Err(error);
         }
-        let rows = chunk.row_starts.len();
-        turn.publish(chunk.end, first_row + rows);
-        let repairing = Instant::now();
-        repair(
-            state,
-            ChunkRows {
-                first_row,
-                cells: &mut chunk.blocks[0],
-                verbatim: &mut chunk.plain,
-            },
-        );
-        let rendering = Instant::now();
-        times.repair_ns += nanos(repairing, rendering);
-        let rendered = self.render(chunk, window, record, buf);
-        times.render_ns += nanos(rendering, Instant::now());
-        rendered
+        turn.publish(chunk.end, first_row + chunk.row_starts.len());
+        Ok(first_row)
     }
 
     /// Render a scanned and repaired chunk's rows into `buf`.
     fn render(
         &self,
-        chunk: &Chunk<&ConstantIndex>,
-        window: &Window<'_, S>,
+        spans: Spans<'_>,
+        cells: &[Symbol],
+        verbatim: &[bool],
         record: &mut Record,
         buf: &mut Vec<u8>,
     ) -> Result<()> {
         let arity = self.schema.arity();
-        let at = |offset: u64| (offset - window.base) as usize;
-        let ends = chunk.row_starts.iter().skip(1).chain([&chunk.end]);
-        let rows = chunk.blocks[0].chunks_exact(arity);
-        for (((&start, &end), &verbatim), cells) in chunk
-            .row_starts
-            .iter()
-            .zip(ends)
-            .zip(&chunk.plain)
-            .zip(rows)
-        {
-            let raw = &window.buf[at(start)..at(end)];
+        for (i, (&verbatim, cells)) in verbatim.iter().zip(cells.chunks_exact(arity)).enumerate() {
+            let raw = spans.row(i);
             if verbatim {
                 let line = raw.strip_suffix(b"\n").unwrap_or(raw);
                 buf.extend_from_slice(line.strip_suffix(b"\r").unwrap_or(line));
@@ -691,12 +717,32 @@ impl<S: ReadAt + ?Sized> Pipeline<'_, S> {
     }
 }
 
+/// Where a scanned chunk's rows are among its window's bytes.
+#[derive(Clone, Copy)]
+struct Spans<'a> {
+    /// The window's bytes, which start at offset `base` of the source.
+    bytes: &'a [u8],
+    base: u64,
+    /// Where each row starts, and where the record after the last starts.
+    starts: &'a [u64],
+    end: u64,
+}
+
+impl<'a> Spans<'a> {
+    /// Row `i`'s bytes, its line end included.
+    fn row(&self, i: usize) -> &'a [u8] {
+        let end = self.starts.get(i + 1).copied().unwrap_or(self.end);
+        let at = |offset: u64| (offset - self.base) as usize;
+        &self.bytes[at(self.starts[i])..at(end)]
+    }
+}
+
 /// Nanoseconds from `from` to `to`.
 fn nanos(from: Instant, to: Instant) -> u64 {
     u64::try_from((to - from).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The handoff from chunk to chunk in [`par_repair_csv`]: how many chunks
+/// The handoff from chunk to chunk in the chunked readers: how many chunks
 /// have confirmed their start and published where they end, and how many
 /// rows they hold.
 struct Chain {
@@ -782,31 +828,7 @@ impl Drop for Turn<'_> {
     }
 }
 
-/// A writer that times its writes and remembers whether one failed.
-struct TimedWriter<W> {
-    inner: W,
-    ns: u64,
-    failed: bool,
-}
-
-impl<W: Write> Write for TimedWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let started = Instant::now();
-        let written = self.inner.write(buf);
-        self.ns += nanos(started, Instant::now());
-        self.failed |= match &written {
-            Ok(n) => *n == 0 && !buf.is_empty(),
-            Err(e) => e.kind() != io::ErrorKind::Interrupted,
-        };
-        written
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Worker count for the file readers and writers: the available cores.
+/// Worker count for the file writer: the available cores.
 fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -853,132 +875,9 @@ impl<S: ReadAt + ?Sized> Read for ReadFrom<'_, S> {
     }
 }
 
-/// The offset just past the first `\n` at or after `at`, or the end of
-/// the input if there is none.
-fn next_line_start<S: ReadAt + ?Sized>(src: &S, mut at: u64) -> io::Result<u64> {
-    let mut buf = [0u8; 4096];
-    loop {
-        let n = src.read_at(&mut buf, at)?;
-        match buf[..n].iter().position(|&b| b == b'\n') {
-            Some(i) => return Ok(at + i as u64 + 1),
-            None if n == 0 => return Ok(at),
-            None => at += n as u64,
-        }
-    }
-}
-
-/// Cut offsets for a file of `len` bytes, given where the data starts.
-///
-/// One worker reads the file as one chunk. For more, each chunk takes
-/// `1 / (2 * threads)` of the bytes still left, but at least
-/// [`MIN_CHUNK_BYTES`], and so does the rest after it, so the chunks
-/// shrink towards the end of the file. Workers claim chunks one at a time:
-/// when one worker's core is taken away for a while, the others scan the
-/// chunks it would have, and the small last chunks leave a worker little
-/// to wait for at the end. The first chunk, the largest, is the one that
-/// becomes the table's storage, so little of the table is copied.
-fn guided_cuts(len: u64, threads: usize) -> impl FnOnce(u64) -> Vec<u64> {
-    move |data_start| {
-        let mut cuts = Vec::new();
-        if threads < 2 {
-            return cuts;
-        }
-        let mut at = data_start;
-        loop {
-            let left = len.saturating_sub(at);
-            let size = (left / (2 * threads as u64)).max(MIN_CHUNK_BYTES);
-            if left < size + MIN_CHUNK_BYTES {
-                return cuts;
-            }
-            at += size;
-            cuts.push(at);
-        }
-    }
-}
-
-/// The interning reader behind [`par_read_csv_file`]. `cuts` maps the
-/// offset where the data starts (just past the header) to the offsets at
-/// which chunks after the first are cut; up to `workers` threads scan them.
-fn read_interned<S: ReadAt + ?Sized>(
-    src: &S,
-    relation_name: &str,
-    symbols: &mut SymbolTable,
-    cuts: impl FnOnce(u64) -> Vec<u64>,
-    workers: usize,
-) -> Result<Table> {
-    let (schema, chunks) = read_chunked(src, relation_name, cuts, workers, LocalDict::default)?;
-    let total: usize = chunks.iter().map(Chunk::cells).sum();
-    let mut cells: Vec<Symbol> = Vec::new();
-    for chunk in chunks {
-        // The values of the rows before an error are interned, as in
-        // `read_csv`.
-        let map: Vec<Symbol> = chunk.sink.values().map(|v| symbols.intern(v)).collect();
-        let identity = map.iter().enumerate().all(|(i, s)| s.index() == i);
-        for block in chunk.blocks {
-            if cells.is_empty() {
-                cells = block;
-                cells.reserve_exact(total - cells.len());
-                if !identity {
-                    cells.iter_mut().for_each(|s| *s = map[s.index()]);
-                }
-            } else {
-                cells.extend(block.iter().map(|s| map[s.index()]));
-            }
-        }
-        if let Some(error) = chunk.error {
-            return Err(error);
-        }
-    }
-    Ok(Table::from_cells(schema, cells))
-}
-
-/// The constants-only reader behind [`par_read_csv_constants`].
-fn read_constants<S: ReadAt + ?Sized>(
-    src: &S,
-    schema: &Schema,
-    constants: &SymbolTable,
-    cuts: impl FnOnce(u64) -> Vec<u64>,
-    workers: usize,
-) -> Result<Table> {
-    let index = ConstantIndex::new(constants);
-    let (header, mut chunks) = read_chunked(src, schema.name(), cuts, workers, || &index)?;
-    if let Some(error) = chunks.last_mut().and_then(|c| c.error.take()) {
-        return Err(error);
-    }
-    if !header.attr_names().eq(schema.attr_names()) {
-        return Err(header_differs());
-    }
-    let total: usize = chunks.iter().map(Chunk::cells).sum();
-    let mut cells: Vec<Symbol> = Vec::new();
-    for chunk in chunks {
-        for block in chunk.blocks {
-            if cells.is_empty() {
-                cells = block;
-                cells.reserve_exact(total - cells.len());
-            } else {
-                cells.extend(block);
-            }
-        }
-    }
-    Ok(Table::from_cells(schema.clone(), cells))
-}
-
 /// The error for a file whose header is not the schema it is read as.
 fn header_differs() -> RelationError {
     RelationError::Io("the CSV header differs from the schema it was read as".to_string())
-}
-
-/// What a chunk scan turns a cell into.
-trait CellSink {
-    fn cell(&mut self, value: &[u8]) -> Symbol;
-}
-
-/// Interning: every value gets a chunk-local id.
-impl CellSink for LocalDict {
-    #[inline]
-    fn cell(&mut self, value: &[u8]) -> Symbol {
-        Symbol(self.intern(value))
-    }
 }
 
 /// A read-only hash index over the values of a symbol table: a
@@ -1004,101 +903,16 @@ impl ConstantIndex {
     }
 }
 
-/// Constant lookup: a value gets its constant's id, or ⊥.
-impl CellSink for &ConstantIndex {
-    #[inline]
-    fn cell(&mut self, value: &[u8]) -> Symbol {
-        self.get(value).map_or(Symbol::BOTTOM, Symbol)
-    }
-}
-
-/// Parse the header and scan the chunks of the data after it, each with a
-/// fresh sink, on up to `workers` threads that claim the chunks one at a
-/// time. `cuts` maps the offset where the data starts (just past the
-/// header) to the offsets at which chunks after the first are cut. The
-/// chunks come back in order, each starting where the one before it
-/// stopped, and end with the first one that failed.
-fn read_chunked<S, K>(
-    src: &S,
-    relation_name: &str,
-    cuts: impl FnOnce(u64) -> Vec<u64>,
-    workers: usize,
-    sink: impl Fn() -> K + Sync,
-) -> Result<(Schema, Vec<Chunk<K>>)>
-where
-    S: ReadAt + ?Sized,
-    K: CellSink + Send,
-{
-    let mut rdr = csv::ReaderBuilder::new()
-        .has_headers(true)
-        .flexible(false)
-        .from_reader(ReadFrom { src, pos: 0 });
-    let schema = Schema::new(relation_name, rdr.headers()?.iter())?;
-    let arity = schema.arity();
-    let data_start = rdr.record_offset()?;
-    let mut starts = vec![data_start];
-    for cut in cuts(data_start) {
-        let start = next_line_start(src, cut.max(data_start))?;
-        if start > starts[starts.len() - 1] {
-            starts.push(start);
-        }
-    }
-    // Each chunk stops before the next one's start; the last runs to EOF.
-    let bounds: Vec<u64> = starts[1..].iter().copied().chain([u64::MAX]).collect();
-    // The first chunk is scanned on this thread, into one block that
-    // becomes the table's storage, so a one-chunk input spawns no worker
-    // and copies no cell. Every thread then claims the next chunk left.
-    let next = AtomicUsize::new(1);
-    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&k| k < starts.len());
-    let scan = |k: usize, block_cells| {
-        let chunk = Chunk::scan(src, starts[k], bounds[k], arity, sink(), block_cells);
-        (k, chunk)
-    };
-    let scan_claimed = || std::iter::from_fn(|| claim().map(|k| scan(k, BLOCK_CELLS)));
-    let mut chunks: Vec<Chunk<K>> = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers.min(starts.len()))
-            .map(|_| scope.spawn(|| scan_claimed().collect::<Vec<_>>()))
-            .collect();
-        let mut scanned = vec![scan(0, usize::MAX)];
-        scanned.extend(scan_claimed());
-        for helper in helpers {
-            scanned.extend(helper.join().expect("CSV chunk scanner panicked"));
-        }
-        scanned.sort_unstable_by_key(|&(k, _)| k);
-        scanned.into_iter().map(|(_, chunk)| chunk).collect()
-    });
-    // Where the sequential scan would stand after the chunks kept so far.
-    let mut boundary = data_start;
-    for k in 0..chunks.len() {
-        if chunks[k].start != boundary {
-            let bound = chunks[k].bound;
-            chunks[k] = Chunk::scan(src, boundary, bound, arity, sink(), BLOCK_CELLS);
-        }
-        boundary = chunks[k].end;
-        if chunks[k].error.is_some() {
-            chunks.truncate(k + 1);
-            break;
-        }
-    }
-    Ok((schema, chunks))
-}
-
-/// One chunk's scan: its rows as the sink's symbols, where the scan
-/// stopped and, if asked for, where each row starts and whether it holds a
-/// `"`.
-struct Chunk<K> {
-    /// Where the scan started.
-    start: u64,
+/// One chunk's scan: its rows as constants and ⊥, where each row starts
+/// and whether it holds a `"`, and where the scan stopped.
+struct Chunk<'a> {
+    index: &'a ConstantIndex,
     /// The scan stops at the first record starting at or past this.
     bound: u64,
     /// Where the record after the chunk's last one starts.
     end: u64,
-    /// Row-major cells, at most `block_cells` per block.
-    blocks: Vec<Vec<Symbol>>,
-    block_cells: usize,
-    sink: K,
-    /// Whether the scan records `row_starts` and `plain`.
-    spans: bool,
+    /// Row-major cells.
+    cells: Vec<Symbol>,
     row_starts: Vec<u64>,
     /// Row `i` holds no `"`.
     plain: Vec<bool>,
@@ -1106,42 +920,18 @@ struct Chunk<K> {
     error: Option<RelationError>,
 }
 
-impl<K> Chunk<K> {
-    /// How many cells the chunk holds.
-    fn cells(&self) -> usize {
-        self.blocks.iter().map(Vec::len).sum()
-    }
-}
-
-impl<K: CellSink> Chunk<K> {
-    /// An empty chunk whose scans hand cells to `sink`.
-    fn new(sink: K, block_cells: usize, spans: bool) -> Self {
+impl<'a> Chunk<'a> {
+    /// An empty chunk whose scans look cells up in `index`.
+    fn new(index: &'a ConstantIndex) -> Self {
         Chunk {
-            start: 0,
+            index,
             bound: 0,
             end: 0,
-            blocks: vec![Vec::with_capacity(block_cells.min(BLOCK_CELLS))],
-            block_cells,
-            sink,
-            spans,
+            cells: Vec::new(),
             row_starts: Vec::new(),
             plain: Vec::new(),
             error: None,
         }
-    }
-
-    /// Scan the records of `src` that start in `[start, bound)`.
-    fn scan<S: ReadAt + ?Sized>(
-        src: &S,
-        start: u64,
-        bound: u64,
-        arity: usize,
-        sink: K,
-        block_cells: usize,
-    ) -> Self {
-        let mut chunk = Chunk::new(sink, block_cells, false);
-        chunk.rescan(&mut Window::new(src, false), start, bound, arity);
-        chunk
     }
 
     /// Forget the chunk's rows, keeping their storage, and scan the
@@ -1153,11 +943,9 @@ impl<K: CellSink> Chunk<K> {
         bound: u64,
         arity: usize,
     ) {
-        self.start = start;
         self.bound = bound;
         self.end = start;
-        self.blocks.truncate(1);
-        self.blocks[0].clear();
+        self.cells.clear();
         self.row_starts.clear();
         self.plain.clear();
         self.error = None;
@@ -1169,9 +957,10 @@ impl<K: CellSink> Chunk<K> {
 
     fn fill<S: ReadAt + ?Sized>(&mut self, window: &mut Window<'_, S>, arity: usize) -> Result<()> {
         let mut row = vec![Symbol(0); arity];
-        // As in `read_csv`, a cell equal to the cell above skips the sink.
-        // `above_at` is where the record above starts in the window, while
-        // the window still holds it, and `above_plain` says it holds no `"`.
+        // As in `read_csv`, a cell equal to the cell above is not looked
+        // up again. `above_at` is where the record above starts in the
+        // window, while the window still holds it, and `above_plain` says
+        // it holds no `"`.
         let mut record = Record::default();
         let mut above = Record::default();
         let mut above_at: Option<usize> = None;
@@ -1222,18 +1011,12 @@ impl<K: CellSink> Chunk<K> {
             for (i, slot) in row.iter_mut().enumerate().skip(shared.len()) {
                 let cell = record.field(raw, i);
                 if above_raw.is_none_or(|a| above.field(a, i) != cell) {
-                    *slot = self.sink.cell(cell);
+                    *slot = self.index.get(cell).map_or(Symbol::BOTTOM, Symbol);
                 }
             }
-            if self.blocks[self.blocks.len() - 1].len() + arity > self.block_cells {
-                self.blocks.push(Vec::with_capacity(self.block_cells));
-            }
-            let last = self.blocks.len() - 1;
-            self.blocks[last].extend_from_slice(&row);
-            if self.spans {
-                self.row_starts.push(self.end);
-                self.plain.push(plain);
-            }
+            self.cells.extend_from_slice(&row);
+            self.row_starts.push(self.end);
+            self.plain.push(plain);
             std::mem::swap(&mut record, &mut above);
             above_at = Some(window.pos);
             above_plain = plain;
@@ -1260,7 +1043,9 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     i
 }
 
-/// The part of a [`ReadAt`] source that a chunk scan holds in memory.
+/// The part of a [`ReadAt`] source that a chunk scan holds in memory:
+/// every byte read since the window last moved, which the chunk's rows
+/// are rendered from.
 struct Window<'a, S: ?Sized> {
     src: &'a S,
     buf: Vec<u8>,
@@ -1275,18 +1060,14 @@ struct Window<'a, S: ?Sized> {
     /// `buf[pos..utf8_upto]` is valid UTF-8, so the records in it need no
     /// check of their own.
     utf8_upto: usize,
-    /// Refills keep the bytes before `pos`: every byte read since the
-    /// window last moved stays in `buf`, where [`par_repair_csv`] renders
-    /// rows from.
-    keep: bool,
-    /// A window that keeps its bytes reads nothing at or past this offset.
+    /// The window reads nothing at or past this offset.
     limit: u64,
     /// A read stopped at `limit`.
     capped: bool,
 }
 
 impl<'a, S: ReadAt + ?Sized> Window<'a, S> {
-    fn new(src: &'a S, keep: bool) -> Self {
+    fn new(src: &'a S) -> Self {
         Window {
             src,
             buf: Vec::new(),
@@ -1295,7 +1076,6 @@ impl<'a, S: ReadAt + ?Sized> Window<'a, S> {
             pos: 0,
             eof: false,
             utf8_upto: 0,
-            keep,
             limit: u64::MAX,
             capped: false,
         }
@@ -1339,10 +1119,6 @@ impl<'a, S: ReadAt + ?Sized> Window<'a, S> {
         if self.buf.len() < upto {
             self.buf.resize(upto, 0);
         }
-        self.read_to(upto)
-    }
-
-    fn read_to(&mut self, upto: usize) -> io::Result<()> {
         while self.len < upto {
             match self
                 .src
@@ -1371,31 +1147,15 @@ impl<'a, S: ReadAt + ?Sized> Window<'a, S> {
             if self.eof {
                 return Ok(at.max(self.base + self.len as u64));
             }
-            self.read_more(KEEP_GROW_BYTES)?;
+            self.read_more(GROW_BYTES)?;
         }
     }
 
-    /// Read more of the source after the bytes held. A window that keeps
-    /// its bytes grows by the part of the record read so far, and by at
-    /// least [`KEEP_GROW_BYTES`]. Any other drops the bytes before `pos`
-    /// first, then reads until it is full or the source ends: it starts at
-    /// 4 KiB and doubles on each refill up to [`WINDOW_BYTES`], so a small
-    /// input touches little memory; past that, it doubles only when `pos`
-    /// frees nothing.
+    /// Read more of the source after the bytes held, keeping them all: the
+    /// window grows by the part of the record read so far, and by at least
+    /// [`GROW_BYTES`].
     fn refill(&mut self) -> io::Result<()> {
-        if self.keep {
-            self.read_more((self.len - self.pos).max(KEEP_GROW_BYTES))?;
-        } else {
-            self.buf.copy_within(self.pos..self.len, 0);
-            self.base += self.pos as u64;
-            self.len -= self.pos;
-            self.pos = 0;
-            if self.len == self.buf.len() || self.buf.len() < WINDOW_BYTES {
-                let size = (2 * self.buf.len()).clamp(4096, WINDOW_BYTES);
-                self.buf.resize(size.max(2 * self.len), 0);
-            }
-            self.read_to(self.buf.len())?;
-        }
+        self.read_more((self.len - self.pos).max(GROW_BYTES))?;
         self.check_utf8();
         Ok(())
     }
@@ -1572,13 +1332,11 @@ fn check_utf8(raw: &[u8], record: &Record) -> Result<()> {
     Ok(())
 }
 
-/// A chunk-local dictionary of byte strings: each distinct value stored
-/// once in one arena, under an id in first-occurrence order. The
-/// dictionaries coexist with the table at peak memory, so they keep no
-/// allocation per value (an `FxHashMap<Box<str>, u32>` measured 4 MiB more
-/// peak RSS on a 200k-row, 49k-value input). It lives for one load, so it
-/// hashes with [`hash_bytes`] instead of the [`SymbolTable`]'s SipHash;
-/// each value is interned into the shared table once, at the merge.
+/// A dictionary of byte strings, the storage of a [`ConstantIndex`]: each
+/// distinct value stored once in one arena, under an id in
+/// first-occurrence order, with no allocation per value. It lives for one
+/// read, so it hashes with [`hash_bytes`] instead of the [`SymbolTable`]'s
+/// SipHash.
 #[derive(Default)]
 struct LocalDict {
     text: Vec<u8>,
@@ -1602,11 +1360,6 @@ impl LocalDict {
     fn value(&self, id: usize) -> &[u8] {
         let start = if id == 0 { 0 } else { self.ends[id - 1] };
         &self.text[start..self.ends[id]]
-    }
-
-    /// The values in id order. Scans intern only checked UTF-8.
-    fn values(&self) -> impl Iterator<Item = &str> {
-        (0..self.len()).map(|id| std::str::from_utf8(self.value(id)).expect("values are UTF-8"))
     }
 
     fn intern(&mut self, value: &[u8]) -> u32 {
@@ -1704,6 +1457,7 @@ fn hash_bytes(value: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::AttrId;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const SAMPLE: &str = "country,capital\nChina,Beijing\nCanada,Ottawa\n";
 
@@ -1834,45 +1588,8 @@ mod tests {
         );
     }
 
-    type Rows = std::result::Result<Vec<Vec<Symbol>>, String>;
-
-    /// What a read left behind: the rows or the error text, and every
-    /// symbol in interning order.
-    fn outcome(result: Result<Table>, symbols: &SymbolTable) -> (Rows, Vec<String>) {
-        let rows = result
-            .map(|t| t.rows().map(<[Symbol]>::to_vec).collect())
-            .map_err(|e| e.to_string());
-        (rows, symbols.iter().map(|(_, v)| v.to_string()).collect())
-    }
-
-    /// A symbol table that already holds values, so chunk dictionaries do
-    /// not map onto symbol ids one to one.
-    fn seeded_symbols() -> SymbolTable {
-        let mut sy = SymbolTable::new();
-        for v in ["x", "zz", "é"] {
-            sy.intern(v);
-        }
-        sy
-    }
-
-    fn assert_chunked_matches(data: &[u8], cuts: &[u64]) {
-        let mut want_sy = seeded_symbols();
-        let want = outcome(read_csv(data, "R", &mut want_sy), &want_sy);
-        let mut got_sy = seeded_symbols();
-        // One to three workers, so chunks outnumber workers as well.
-        let workers = 1 + cuts.len() % 3;
-        let got = read_interned(data, "R", &mut got_sy, |_| cuts.to_vec(), workers);
-        assert_eq!(
-            outcome(got, &got_sy),
-            want,
-            "input {:?} cut at {cuts:?}",
-            String::from_utf8_lossy(data)
-        );
-        assert_constants_match(data, cuts, workers);
-    }
-
-    /// Σ's constants for the constants-only reader: values the inputs
-    /// below hold (quoted, escaped, multi-line, empty) and one they never do.
+    /// Σ's constants for the chunked readers: values the inputs below hold
+    /// (quoted, escaped, multi-line, empty) and one they never do.
     const CONSTANTS: [&str; 11] = [
         "never",
         "y",
@@ -1887,46 +1604,6 @@ mod tests {
         "zz",
     ];
 
-    type Projected = std::result::Result<Vec<Vec<Option<String>>>, String>;
-
-    /// The constants-only reader against `read_csv` on the same bytes: the
-    /// rows projected onto [`CONSTANTS`] (any other value is ⊥) and the
-    /// same error text.
-    fn assert_constants_match(data: &[u8], cuts: &[u64], workers: usize) {
-        let context = format!("input {:?} cut at {cuts:?}", String::from_utf8_lossy(data));
-        let mut want_sy = SymbolTable::new();
-        let want: Projected = match read_csv(data, "R", &mut want_sy) {
-            Ok(t) => Ok(t
-                .rows()
-                .map(|row| {
-                    row.iter()
-                        .map(|&s| {
-                            let v = want_sy.resolve(s);
-                            CONSTANTS.contains(&v).then(|| v.to_string())
-                        })
-                        .collect()
-                })
-                .collect()),
-            Err(e) => Err(e.to_string()),
-        };
-        let constants = constants();
-        let loaded = read_csv_header(data, "R").and_then(|schema| {
-            read_constants(data, &schema, &constants, |_| cuts.to_vec(), workers)
-        });
-        let got: Projected = match &loaded {
-            Ok(table) => Ok(table
-                .rows()
-                .map(|row| {
-                    row.iter()
-                        .map(|&s| (s != Symbol::BOTTOM).then(|| constants.resolve(s).to_string()))
-                        .collect()
-                })
-                .collect()),
-            Err(e) => Err(e.to_string()),
-        };
-        assert_eq!(got, want, "{context}");
-    }
-
     /// [`CONSTANTS`] as a symbol table.
     fn constants() -> SymbolTable {
         let mut constants = SymbolTable::new();
@@ -1934,6 +1611,66 @@ mod tests {
             constants.intern(c);
         }
         constants
+    }
+
+    /// A pipeline over `data` in chunks of `chunk_bytes`.
+    fn pipeline<'a, S: ReadAt + ?Sized>(
+        data: &'a S,
+        len: usize,
+        schema: &'a Schema,
+        constants: &'a SymbolTable,
+        chunk_bytes: u64,
+    ) -> Pipeline<'a, S> {
+        Pipeline {
+            chunk_bytes,
+            ..Pipeline::new(data, len as u64, schema, constants)
+        }
+    }
+
+    type Projected = std::result::Result<Vec<Vec<Option<String>>>, String>;
+
+    /// A table's rows with every cell its value if that is one of
+    /// [`CONSTANTS`], or else `None`.
+    fn projected(
+        table: &Table,
+        resolve: impl Fn(Symbol) -> Option<String>,
+    ) -> Vec<Vec<Option<String>>> {
+        table
+            .rows()
+            .map(|row| row.iter().map(|&s| resolve(s)).collect())
+            .collect()
+    }
+
+    /// The constants-only loader against `read_csv` on the same bytes: the
+    /// rows projected onto [`CONSTANTS`] (any other value is ⊥) and the
+    /// same error text.
+    fn assert_loaded_matches(data: &[u8], chunk_bytes: u64, workers: usize) {
+        let mut want_sy = SymbolTable::new();
+        let want: Projected = read_csv(data, "R", &mut want_sy)
+            .map(|t| {
+                projected(&t, |s| {
+                    let v = want_sy.resolve(s);
+                    CONSTANTS.contains(&v).then(|| v.to_string())
+                })
+            })
+            .map_err(|e| e.to_string());
+        let constants = constants();
+        let got: Projected = read_csv_header(data, "R")
+            .and_then(|schema| {
+                pipeline(data, data.len(), &schema, &constants, chunk_bytes).load(workers)
+            })
+            .map(|t| {
+                projected(&t, |s| {
+                    (s != Symbol::BOTTOM).then(|| constants.resolve(s).to_string())
+                })
+            })
+            .map_err(|e| e.to_string());
+        assert_eq!(
+            got,
+            want,
+            "input {:?} in chunks of {chunk_bytes} at {workers} workers",
+            String::from_utf8_lossy(data)
+        );
     }
 
     /// The repair both sides of the pipeline tests run, rule-like in that
@@ -1954,54 +1691,62 @@ mod tests {
         changed
     }
 
-    type Repaired = std::result::Result<(usize, Vec<u8>), String>;
+    /// What a repair left: its row count, its output, and each row's
+    /// values before the repair, one line per row with its fields split by
+    /// `|`; or the read's error.
+    type Repaired = std::result::Result<(usize, Vec<u8>, String), String>;
 
     /// `read_csv`, [`toy_fix`] on every row, and `write_csv`: what the
-    /// pipeline must write, with its row count, or `read_csv`'s error.
+    /// pipeline must deliver.
     fn read_repair_write(data: &[u8]) -> Repaired {
         let mut sy = SymbolTable::new();
         let mut table = read_csv(data, "R", &mut sy).map_err(|e| e.to_string())?;
+        let mut before = String::new();
+        for row in table.rows() {
+            let values: Vec<&str> = row.iter().map(|&s| sy.resolve(s)).collect();
+            before += &(values.join("|") + "\n");
+        }
         let fix = ["zz", "x", "a"].map(|v| sy.intern(v));
         for r in 0..table.len() {
             toy_fix(r, table.row_mut(r), fix);
         }
         let mut out = Vec::new();
         write_csv(&mut out, &table, &sy).unwrap();
-        Ok((table.len(), out))
+        Ok((table.len(), out, before))
     }
 
     /// The pipeline over `data` in chunks of `chunk_bytes`, with up to
-    /// `workers` workers and [`toy_fix`] as its repair step.
+    /// `workers` workers and [`toy_fix`] as its repair step, which notes
+    /// each row's fields for the calling thread.
     fn pipelined(data: &[u8], chunk_bytes: u64, workers: usize) -> Repaired {
         let schema = read_csv_header(data, "R").unwrap();
         let constants = constants();
         let fix = ["zz", "x", "a"].map(|v| constants.get(v).unwrap());
-        let pipeline = Pipeline {
-            src: data,
-            len: data.len() as u64,
-            schema: &schema,
-            constants: &constants,
-            chunk_bytes,
-        };
         let arity = schema.arity();
-        let mut out = Vec::new();
-        let run = pipeline.run(
-            &mut out,
+        let (mut out, mut before) = (Vec::new(), String::new());
+        let run = pipeline(data, data.len(), &schema, &constants, chunk_bytes).repair(
             workers,
             |w| w,
-            |_, mut chunk: ChunkRows<'_>| {
-                for i in 0..chunk.cells.len() / arity {
+            |_, mut chunk: ChunkRows<'_>, note: &mut String| {
+                for i in 0..chunk.rows() {
+                    let fields: Vec<_> = chunk.fields(i).map(String::from_utf8_lossy).collect();
+                    *note += &(fields.join("|") + "\n");
                     let row = &mut chunk.cells[i * arity..(i + 1) * arity];
                     if toy_fix(chunk.first_row + i, row, fix) {
                         chunk.touch(i);
                     }
                 }
             },
+            |bytes, note| {
+                out.extend_from_slice(bytes);
+                before += note;
+                Ok(())
+            },
         );
         match run {
             Ok(run) => {
                 assert!(run.workers.iter().copied().eq(0..run.workers.len()));
-                Ok((run.rows, out))
+                Ok((run.rows, out, before))
             }
             Err(PipelineError::Read(e)) => Err(e.to_string()),
             Err(PipelineError::Write(e)) => panic!("writing to memory failed: {e}"),
@@ -2013,7 +1758,13 @@ mod tests {
         let got = pipelined(data, chunk_bytes, workers);
         let show = |r: &Repaired| {
             r.as_ref()
-                .map(|(n, out)| (*n, String::from_utf8_lossy(out).into_owned()))
+                .map(|(n, out, before)| {
+                    (
+                        *n,
+                        String::from_utf8_lossy(out).into_owned(),
+                        before.clone(),
+                    )
+                })
                 .map_err(String::clone)
         };
         assert!(
@@ -2054,24 +1805,15 @@ mod tests {
     #[test]
     fn chunked_read_matches_read_csv_at_every_cut() {
         for data in TRICKY {
-            let len = data.len() as u64;
-            for cut in 0..=len + 1 {
-                assert_chunked_matches(data, &[cut]);
-            }
-            for a in 0..=len {
-                for b in a..=len {
-                    assert_chunked_matches(data, &[a, b]);
-                }
-            }
-            for a in (0..=len).step_by(3) {
-                for b in (a..=len).step_by(2) {
-                    assert_chunked_matches(data, &[a, b, (b + 3).min(len)]);
+            for chunk_bytes in 1..=data.len() as u64 + 1 {
+                for workers in 1..=4 {
+                    assert_loaded_matches(data, chunk_bytes, workers);
                 }
             }
         }
     }
 
-    /// SplitMix64, for the randomized differential test.
+    /// SplitMix64, for the randomized differential tests.
     struct Rng(u64);
 
     impl Rng {
@@ -2084,12 +1826,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunked_read_matches_read_csv_on_random_inputs() {
-        // Quotes, separators, both line breaks, "é" whole and halved, and
-        // a byte that is never UTF-8.
-        let tokens: [&[u8]; 11] = [
-            b"a",
+    /// Up to `tokens` random tokens after a header: quotes, separators,
+    /// both line breaks, values that are constants and one that is not,
+    /// "é" whole and halved, and a byte that is never UTF-8.
+    fn random_input(rng: &mut Rng, tokens: usize) -> Vec<u8> {
+        let pool: [&[u8]; 12] = [
+            b"x",
+            b"zz",
             b"b",
             "é".as_bytes(),
             b",",
@@ -2101,23 +1844,25 @@ mod tests {
             b"\xC3",
             b"\xFF",
         ];
+        let mut data = b"h1,h2\n".to_vec();
+        for _ in 0..rng.below(tokens) {
+            let t = if rng.below(6) == 0 {
+                rng.below(pool.len())
+            } else {
+                rng.below(10)
+            };
+            data.extend_from_slice(pool[t]);
+        }
+        data
+    }
+
+    #[test]
+    fn chunked_read_matches_read_csv_on_random_inputs() {
         let mut rng = Rng(0xC4A7);
         for case in 0..3_000 {
-            let mut data = b"h1,h2\n".to_vec();
-            for _ in 0..rng.below(60) {
-                let t = if rng.below(6) == 0 {
-                    rng.below(tokens.len())
-                } else {
-                    rng.below(9)
-                };
-                data.extend_from_slice(tokens[t]);
-            }
-            let chunks = 1 + case % 4;
-            let mut cuts: Vec<u64> = (1..chunks)
-                .map(|_| rng.below(data.len() + 1) as u64)
-                .collect();
-            cuts.sort_unstable();
-            assert_chunked_matches(&data, &cuts);
+            let data = random_input(&mut rng, 60);
+            let chunk_bytes = 1 + rng.below(data.len()) as u64;
+            assert_loaded_matches(&data, chunk_bytes, 1 + case % 4);
         }
     }
 
@@ -2196,11 +1941,8 @@ mod tests {
                 6 + rng.below(40)
             };
             let data = shared_prefix_input(&mut rng, arity, records, case % 5 == 4);
-            let mut cuts: Vec<u64> = (0..case % 3)
-                .map(|_| rng.below(data.len() + 1) as u64)
-                .collect();
-            cuts.sort_unstable();
-            assert_chunked_matches(&data, &cuts);
+            let chunk_bytes = 1 + rng.below(data.len() / 2) as u64;
+            assert_loaded_matches(&data, chunk_bytes, 1 + case % 4);
         }
     }
 
@@ -2217,30 +1959,9 @@ mod tests {
 
     #[test]
     fn pipeline_matches_read_repair_write_on_random_inputs() {
-        let tokens: [&[u8]; 11] = [
-            b"x",
-            b"zz",
-            "é".as_bytes(),
-            b",",
-            b",",
-            b"\"",
-            b"\r",
-            b"\n",
-            b"\n",
-            b"\xC3",
-            b"\xFF",
-        ];
         let mut rng = Rng(0x919E);
         for case in 0..1_500 {
-            let mut data = b"h1,h2\n".to_vec();
-            for _ in 0..rng.below(80) {
-                let t = if rng.below(6) == 0 {
-                    rng.below(tokens.len())
-                } else {
-                    rng.below(9)
-                };
-                data.extend_from_slice(tokens[t]);
-            }
+            let data = random_input(&mut rng, 80);
             let chunk_bytes = 1 + rng.below(data.len()) as u64;
             assert_pipeline_matches(&data, chunk_bytes, 1 + case % 4);
         }
@@ -2300,29 +2021,37 @@ mod tests {
         }
         let schema = read_csv_header(&data[..], "R").unwrap();
         let constants = constants();
+        let mut sy = SymbolTable::new();
+        let table = read_csv(&data[..], "R", &mut sy).unwrap();
+        let mut want = Vec::new();
+        write_csv(&mut want, &table, &sy).unwrap();
         for workers in [1, 2] {
             let src = Counted {
                 bytes: &data,
                 read: AtomicUsize::new(0),
             };
-            let pipeline = Pipeline {
-                src: &src,
-                len: data.len() as u64,
-                schema: &schema,
-                constants: &constants,
-                chunk_bytes: chunk_bytes as u64,
-            };
+            let pipeline = pipeline(&src, data.len(), &schema, &constants, chunk_bytes as u64);
             let mut out = Vec::new();
-            let run = pipeline.run(&mut out, workers, |_| (), |_, _| {}).unwrap();
+            let run = pipeline
+                .repair(
+                    workers,
+                    |_| (),
+                    |_, _, _: &mut ()| {},
+                    |bytes, _| {
+                        out.extend_from_slice(bytes);
+                        Ok(())
+                    },
+                )
+                .unwrap();
             assert_eq!(run.rows, rows);
-            let mut sy = SymbolTable::new();
-            let mut want = Vec::new();
-            write_csv(&mut want, &read_csv(&data[..], "R", &mut sy).unwrap(), &sy).unwrap();
             assert!(out == want, "workers={workers}");
+            let loaded = pipeline.load(workers).unwrap();
+            assert_eq!(loaded.len(), rows);
             let read = src.read.load(Ordering::Relaxed);
+            // Twice: the repair, then the load.
             assert!(
-                read < data.len() * 3 / 2,
-                "read {read} of {} bytes",
+                read < data.len() * 3,
+                "read {read} of {} bytes twice",
                 data.len()
             );
         }
@@ -2330,8 +2059,9 @@ mod tests {
 
     #[test]
     fn file_reader_and_writer_match_the_references_at_any_thread_count() {
-        // Over 4 MiB, so the reader splits into up to four chunks and the
-        // writer renders many blocks; some values need quotes.
+        // Over 4 MiB, so the chunked readers cut it into many 256 KiB
+        // chunks and the writer renders many blocks; some values need
+        // quotes.
         let mut text = String::from("id,name,note\n");
         for i in 0..60_000 {
             let note = match i % 5 {
@@ -2347,7 +2077,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("in.csv");
         std::fs::write(&path, &text).unwrap();
-        let mut want_sy = seeded_symbols();
+        let mut want_sy = SymbolTable::new();
         let want = read_csv(text.as_bytes(), "R", &mut want_sy).unwrap();
         // The reference render: `csv::Writer`, one record at a time.
         let render = |table: &Table, symbols: &SymbolTable| {
@@ -2374,18 +2104,17 @@ mod tests {
             header_only,
             render(&Table::new(want.schema().clone()), &want_sy)
         );
+        let mut sy = SymbolTable::new();
+        let got = read_csv_file(&path, "R", &mut sy).unwrap();
+        assert!(got.rows().eq(want.rows()));
+        assert!(sy.iter().eq(want_sy.iter()));
         for threads in 1..=4 {
-            let mut sy = seeded_symbols();
-            let got = par_read_csv_file(&path, "R", &mut sy, threads).unwrap();
-            assert!(got.rows().eq(want.rows()), "threads={threads}");
-            assert!(sy.iter().eq(want_sy.iter()), "threads={threads}");
             let mut out = Vec::new();
-            par_write_csv(&mut out, &got, &sy, threads).unwrap();
+            par_write_csv(&mut out, &want, &want_sy, threads).unwrap();
             assert!(out == want_out, "render differs at threads={threads}");
         }
-        // The constants-only reader, and the pipeline over 256 KiB chunks
-        // with a constant written into some rows, some of them quoted in
-        // the file.
+        // The constants-only reader, and the pipeline with a constant
+        // written into some rows, some of them quoted in the file.
         let names = [
             "plain",
             "q3",
@@ -2420,22 +2149,22 @@ mod tests {
             }
             let plain = constants.get("plain").unwrap();
             for fix in [false, true] {
-                let file = File::create(&out_path).unwrap();
+                let mut file = File::create(&out_path).unwrap();
                 let run = par_repair_csv(
                     &path,
                     schema,
                     &constants,
-                    file,
                     threads,
                     |_| (),
-                    |_, mut chunk| {
-                        for i in 0..chunk.cells.len() / 3 {
+                    |_, mut chunk, _: &mut ()| {
+                        for i in 0..chunk.rows() {
                             if fix && (chunk.first_row + i) % 997 == 7 {
                                 chunk.cells[3 * i + 2] = plain;
                                 chunk.touch(i);
                             }
                         }
                     },
+                    |bytes, _| file.write_all(bytes),
                 )
                 .unwrap();
                 assert_eq!(run.rows, want.len());
@@ -2480,13 +2209,24 @@ mod tests {
         for (v, &id) in values.iter().zip(&ids) {
             assert_eq!(dict.value(id as usize), v.as_bytes());
         }
-        assert_eq!(dict.values().count(), 3_000);
-        assert!(dict.values().eq((0..3_000).map(|i| format!("v{i}"))));
+        assert_eq!(dict.len(), 3_000);
+        for i in 0..3_000 {
+            assert_eq!(dict.value(i), format!("v{i}").as_bytes());
+        }
     }
 
     /// Renders block `b` as its number on a line.
     fn numbered(b: usize, buf: &mut Vec<u8>) {
+        buf.clear();
         buf.extend_from_slice(format!("{b}\n").as_bytes());
+    }
+
+    /// Appends each block taken to `out`.
+    fn append(out: &mut Vec<u8>) -> impl FnMut(&mut Vec<u8>) -> Result<()> + '_ {
+        |buf| {
+            out.extend_from_slice(buf);
+            Ok(())
+        }
     }
 
     #[test]
@@ -2497,30 +2237,29 @@ mod tests {
             // Every fifth block renders slowly, so the blocks after it are
             // done first and wait for it.
             let mut out = Vec::new();
-            write_blocks(
-                &mut out,
+            in_order(
                 blocks,
                 threads,
                 |_| (),
-                |_: &mut (), b, buf| {
+                |_: &mut (), b, buf: &mut Vec<u8>| {
                     if b % 5 == 0 {
                         std::thread::sleep(std::time::Duration::from_millis(2));
                     }
                     numbered(b, buf);
                     Ok(())
                 },
+                append(&mut out),
             )
             .unwrap();
             assert_eq!(String::from_utf8(out).unwrap(), lines(blocks), "{threads}");
             // The first failed block in row order wins, whichever fails
             // first in time, and nothing from it on is written.
             let mut out = Vec::new();
-            let err = write_blocks(
-                &mut out,
+            let err = in_order(
                 blocks,
                 threads,
                 |_| (),
-                |_: &mut (), b, buf| {
+                |_: &mut (), b, buf: &mut Vec<u8>| {
                     if b == 13 {
                         std::thread::sleep(std::time::Duration::from_millis(5));
                     }
@@ -2530,6 +2269,7 @@ mod tests {
                     numbered(b, buf);
                     Ok(())
                 },
+                append(&mut out),
             )
             .unwrap_err();
             assert_eq!(err.to_string(), csv_error("block 13".into()).to_string());
@@ -2541,16 +2281,16 @@ mod tests {
     #[should_panic]
     fn render_queue_raises_a_render_panic_instead_of_waiting_for_the_block() {
         let mut out = Vec::new();
-        let _ = write_blocks(
-            &mut out,
+        let _ = in_order(
             40,
             3,
             |_| (),
-            |_: &mut (), b, buf| {
+            |_: &mut (), b, buf: &mut Vec<u8>| {
                 assert_ne!(b, 6, "render failed");
                 numbered(b, buf);
                 Ok(())
             },
+            append(&mut out),
         );
     }
 }

@@ -3,18 +3,21 @@
 //! ever needs to be materialised.
 //!
 //! Generates a uis dataset, writes it (dirtied) to a CSV file, builds rules
-//! from it, then streams `dirty.csv → repaired.csv`.
+//! from it, then repairs `dirty.csv → repaired.csv` one 256 KiB chunk at a
+//! time on every core, as `fixctl repair` does.
 //!
 //! ```text
 //! cargo run --release -p examples --bin streaming [rows] [out_dir]
 //! ```
 
+use std::io::Write;
 use std::time::Instant;
 
 use datagen::noise::{inject, NoiseConfig};
 use eval::rules::{build_ruleset, RuleGenConfig};
 use fixrules::io::parse_rules;
-use fixrules::repair::{stream_repair_csv, LRepairIndex, NoopObserver};
+use fixrules::repair::{LRepairIndex, LRepairWorker, NoopObserver};
+use relation::csv_io::par_repair_csv;
 use relation::SymbolTable;
 
 fn main() {
@@ -66,9 +69,10 @@ fn main() {
         rules.len()
     );
 
-    // 2. Stream-repair the file as an independent consumer: schema from the
-    // CSV header, rules parsed from the rule file into a table that holds
-    // their constants alone.
+    // 2. Repair the file as an independent consumer: schema from the CSV
+    // header, rules parsed from the rule file into a table that holds
+    // their constants alone, so every other cell is ⊥ to the repair and is
+    // written back as the file holds it.
     let header = std::fs::File::open(&dirty_path).expect("open dirty csv");
     let schema = relation::csv_io::read_csv_header(header, "uis").expect("read header");
     let mut symbols = SymbolTable::new();
@@ -78,19 +82,46 @@ fn main() {
     let index = LRepairIndex::build(&rules);
 
     let repaired_path = dir.join("uis_repaired.csv");
-    let reader = std::fs::File::open(&dirty_path).expect("open dirty csv");
-    let writer = std::io::BufWriter::new(
+    let mut writer = std::io::BufWriter::new(
         std::fs::File::create(&repaired_path).expect("create repaired csv"),
     );
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let t0 = Instant::now();
-    let stats = stream_repair_csv(&rules, &index, &symbols, reader, writer, &NoopObserver)
-        .expect("stream repair");
+    let run = par_repair_csv(
+        &dirty_path,
+        rules.schema(),
+        &symbols,
+        threads,
+        |w| {
+            (
+                LRepairWorker::new(&rules, &index, &NoopObserver, w),
+                Vec::new(),
+            )
+        },
+        |(worker, updates), mut chunk, _: &mut ()| {
+            let from = updates.len();
+            worker.repair_rows(chunk.first_row, chunk.cells, updates);
+            for u in &updates[from..] {
+                chunk.touch(u.row - chunk.first_row);
+            }
+        },
+        |bytes, _| writer.write_all(bytes),
+    )
+    .expect("repair");
+    writer.flush().expect("flush repaired csv");
+    let mut rows_touched: Vec<usize> = run
+        .workers
+        .iter()
+        .flat_map(|(_, updates)| updates.iter().map(|u| u.row))
+        .collect();
+    rows_touched.dedup();
     println!(
-        "streamed {} rows in {:.1?}: {} updates on {} rows -> {}",
-        stats.rows,
+        "repaired {} rows in {:.1?} on {} worker(s): {} updates on {} rows -> {}",
+        run.rows,
         t0.elapsed(),
-        stats.updates,
-        stats.rows_touched,
+        run.workers.len(),
+        run.workers.iter().map(|(_, u)| u.len()).sum::<usize>(),
+        rows_touched.len(),
         repaired_path.display()
     );
 }

@@ -131,19 +131,19 @@ grep -q traceEvents "$TRACE_DIR/chrome.json" \
     || { echo "chrome export has no traceEvents" >&2; exit 1; }
 echo "-- chrome export valid"
 
-echo "== engine and worker-count equivalence smoke =="
-# lRepair must not depend on the worker count (DESIGN.md §18), and the
-# stream engine must reproduce it byte for byte: at 1 and 2 workers and
-# at the default (every core), lrepair matches the stream engine on the
-# CSV, the provenance, the rule texts the journal records, every repair.*
-# counter but the per-worker ones, the count and sum of the per-tuple
-# repair.tuple_rounds/repair.tuple_updates histograms, and the per-rule
-# --profile-json. The stream engine repairs every row afresh, so it is
-# the reference for what lrepair's plan memo replays. Journal seq numbers
-# are position-dependent, so they are stripped before comparing. The
-# example rows are tiled past 1 MiB, so most rows repeat a projection the
-# memo has seen and lrepair's pipeline cuts the file into several 256 KiB
-# chunks at every worker count. Every 300 rows, and across each 256 KiB
+echo "== worker-count equivalence smoke =="
+# lRepair must not depend on the worker count (DESIGN.md §18): at 2
+# workers and at the default (every core), repair matches the run at 1
+# worker on the CSV, the provenance, the rule texts the journal records,
+# every repair.* counter but the per-worker ones, the count and sum of the
+# per-tuple repair.tuple_rounds/repair.tuple_updates histograms, and the
+# per-rule --profile-json. The reference that repairs every row afresh,
+# with no plan memo, is cli.rs's
+# repair_matches_read_lrepair_write_on_a_multi_chunk_input, on the same
+# input. Journal seq numbers are position-dependent, so they are stripped
+# before comparing. The example rows are tiled past 1 MiB, so most rows
+# repeat a projection the memo has seen and the pipeline cuts the file
+# into several 256 KiB chunks at every worker count. Every 300 rows, and across each 256 KiB
 # cut after the header, a dirty row's city is a quoted value holding 40
 # line breaks; so every chunk after the first guesses its start inside
 # quotes and is scanned again from its true start.
@@ -163,16 +163,14 @@ echo "== engine and worker-count equivalence smoke =="
         }'
 } > "$TRACE_DIR/hosp_dup.csv"
 [ "$(wc -c < "$TRACE_DIR/hosp_dup.csv")" -gt 1048576 ] || { echo "hosp_dup.csv is too small" >&2; exit 1; }
-for run in stream:1 lrepair:1 lrepair:2 lrepair:default; do
-    engine="${run%:*}"
-    threads="${run#*:}"
-    tag="${engine}_$threads"
+for threads in 1 2 default; do
+    tag="lrepair_$threads"
     threads_args=()
     [ "$threads" = default ] || threads_args=(--threads "$threads")
     "$FIXCTL" repair \
         --rules examples/rulesets/hosp_zip.frl \
         --data "$TRACE_DIR/hosp_dup.csv" \
-        --engine "$engine" "${threads_args[@]}" \
+        "${threads_args[@]}" \
         --out "$TRACE_DIR/eng_$tag.csv" \
         --metrics "$TRACE_DIR/eng_metrics_$tag.json" \
         --profile-json "$TRACE_DIR/eng_profile_$tag.json" \
@@ -188,32 +186,32 @@ for run in stream:1 lrepair:1 lrepair:2 lrepair:default; do
     grep '"name": *"rule"' "$TRACE_DIR/eng_trace_$tag.jsonl" \
         | sed -E 's/"seq": *[0-9]+, *//' > "$TRACE_DIR/eng_rules_$tag.txt"
 done
-[ "$(wc -l < "$TRACE_DIR/eng_rules_stream_1.txt")" -eq 4 ] \
-    || { echo "stream journal does not record the 4 rules" >&2; exit 1; }
+[ "$(wc -l < "$TRACE_DIR/eng_rules_lrepair_1.txt")" -eq 4 ] \
+    || { echo "journal does not record the 4 rules" >&2; exit 1; }
 [ "$(grep -cE '"repair\.(rules_applied|tuples|tuples_touched|updates)"' \
-    "$TRACE_DIR/eng_all_counters_stream_1.txt")" -eq 4 ] \
-    || { echo "stream run is missing repair counters" >&2; exit 1; }
-grep -q '"repair\.index\.probes": [1-9]' "$TRACE_DIR/eng_all_counters_stream_1.txt" \
-    || { echo "stream run recorded no index probes" >&2; exit 1; }
-[ "$(wc -l < "$TRACE_DIR/eng_histograms_stream_1.txt")" -eq 4 ] \
-    || { echo "stream run is missing the per-tuple histograms" >&2; exit 1; }
+    "$TRACE_DIR/eng_all_counters_lrepair_1.txt")" -eq 4 ] \
+    || { echo "run at 1 worker is missing repair counters" >&2; exit 1; }
+grep -q '"repair\.index\.probes": [1-9]' "$TRACE_DIR/eng_all_counters_lrepair_1.txt" \
+    || { echo "run at 1 worker recorded no index probes" >&2; exit 1; }
+[ "$(wc -l < "$TRACE_DIR/eng_histograms_lrepair_1.txt")" -eq 4 ] \
+    || { echo "run at 1 worker is missing the per-tuple histograms" >&2; exit 1; }
 grep -qE '"repair\.worker\.0\.replayed": [1-9]' "$TRACE_DIR/eng_metrics_lrepair_1.json" \
     || { echo "lrepair at 1 worker replayed no memoized run" >&2; exit 1; }
-for tag in lrepair_1 lrepair_2 lrepair_default; do
-    cmp "$TRACE_DIR/eng_stream_1.csv" "$TRACE_DIR/eng_$tag.csv" \
-        || { echo "$tag output differs from stream_1" >&2; exit 1; }
-    diff "$TRACE_DIR/eng_all_counters_stream_1.txt" "$TRACE_DIR/eng_all_counters_$tag.txt" \
-        || { echo "repair.* counters differ, stream_1 vs $tag" >&2; exit 1; }
-    diff "$TRACE_DIR/eng_histograms_stream_1.txt" "$TRACE_DIR/eng_histograms_$tag.txt" \
-        || { echo "per-tuple histograms differ, stream_1 vs $tag" >&2; exit 1; }
-    cmp "$TRACE_DIR/eng_profile_stream_1.json" "$TRACE_DIR/eng_profile_$tag.json" \
-        || { echo "--profile-json differs, stream_1 vs $tag" >&2; exit 1; }
-    cmp "$TRACE_DIR/eng_cells_stream_1.txt" "$TRACE_DIR/eng_cells_$tag.txt" \
-        || { echo "repair.cell provenance differs, stream_1 vs $tag" >&2; exit 1; }
-    cmp "$TRACE_DIR/eng_rules_stream_1.txt" "$TRACE_DIR/eng_rules_$tag.txt" \
-        || { echo "journaled rule texts differ, stream_1 vs $tag" >&2; exit 1; }
+for tag in lrepair_2 lrepair_default; do
+    cmp "$TRACE_DIR/eng_lrepair_1.csv" "$TRACE_DIR/eng_$tag.csv" \
+        || { echo "$tag output differs from lrepair_1" >&2; exit 1; }
+    diff "$TRACE_DIR/eng_all_counters_lrepair_1.txt" "$TRACE_DIR/eng_all_counters_$tag.txt" \
+        || { echo "repair.* counters differ, lrepair_1 vs $tag" >&2; exit 1; }
+    diff "$TRACE_DIR/eng_histograms_lrepair_1.txt" "$TRACE_DIR/eng_histograms_$tag.txt" \
+        || { echo "per-tuple histograms differ, lrepair_1 vs $tag" >&2; exit 1; }
+    cmp "$TRACE_DIR/eng_profile_lrepair_1.json" "$TRACE_DIR/eng_profile_$tag.json" \
+        || { echo "--profile-json differs, lrepair_1 vs $tag" >&2; exit 1; }
+    cmp "$TRACE_DIR/eng_cells_lrepair_1.txt" "$TRACE_DIR/eng_cells_$tag.txt" \
+        || { echo "repair.cell provenance differs, lrepair_1 vs $tag" >&2; exit 1; }
+    cmp "$TRACE_DIR/eng_rules_lrepair_1.txt" "$TRACE_DIR/eng_rules_$tag.txt" \
+        || { echo "journaled rule texts differ, lrepair_1 vs $tag" >&2; exit 1; }
 done
-echo "-- lrepair at 1, 2 and the default worker count match stream: CSV, repair.* counters, per-tuple histograms, --profile-json, provenance, rule texts"
+echo "-- repair at 2 and the default worker count match 1 worker: CSV, repair.* counters, per-tuple histograms, --profile-json, provenance, rule texts"
 
 echo "== rule printing does not depend on the data =="
 # Σ's constants are numbered as the rule file lists them, so a rule prints
@@ -230,23 +228,18 @@ echo "-- convert with the full file and with its header alone match"
 
 echo "== CSV quoting round-trip smoke =="
 # The fixture's cells hold quoted commas, "" escapes, an embedded newline,
-# CRLF rows and non-ASCII text; both the table and the streaming drivers
-# must reproduce the golden repair byte for byte, and lrepair's
-# --updates-log must quote its cells the same way.
-for engine in lrepair stream; do
-    updates_args=()
-    [ "$engine" = stream ] || updates_args=(--updates-log "$TRACE_DIR/quoting_updates.csv")
-    "$FIXCTL" repair \
-        --rules examples/rulesets/quoting.frl \
-        --data examples/data/quoting.csv \
-        --engine "$engine" "${updates_args[@]}" \
-        --out "$TRACE_DIR/quoting_$engine.csv" >/dev/null
-    cmp "$TRACE_DIR/quoting_$engine.csv" examples/data/quoting_repaired.csv \
-        || { echo "--engine $engine drifted from quoting_repaired.csv" >&2; exit 1; }
-done
+# CRLF rows and non-ASCII text; the repair must reproduce the golden repair
+# byte for byte, and its --updates-log must quote its cells the same way.
+"$FIXCTL" repair \
+    --rules examples/rulesets/quoting.frl \
+    --data examples/data/quoting.csv \
+    --updates-log "$TRACE_DIR/quoting_updates.csv" \
+    --out "$TRACE_DIR/quoting_lrepair.csv" >/dev/null
+cmp "$TRACE_DIR/quoting_lrepair.csv" examples/data/quoting_repaired.csv \
+    || { echo "repair drifted from quoting_repaired.csv" >&2; exit 1; }
 cmp "$TRACE_DIR/quoting_updates.csv" examples/data/quoting_updates.csv \
     || { echo "--updates-log drifted from quoting_updates.csv" >&2; exit 1; }
-echo "-- lrepair and stream outputs and the update log match the golden files"
+echo "-- repair output and the update log match the golden files"
 
 echo "== constants-only load and verbatim write smoke =="
 # fixctl loads each cell as a rule constant or as a value no rule mentions,
@@ -486,25 +479,27 @@ echo "-- CSV responses to both column orders match the golden file"
 
 echo "== repair-quality observatory smoke =="
 # Windowed quality monitoring is deterministic under the logical clock:
-# two identical stream-engine runs must render byte-identical window
-# summaries and --quality-json snapshots (DESIGN.md §16).
+# runs at 1 and 2 workers must render the golden window summaries and
+# --quality-json snapshot byte for byte (DESIGN.md §16). The goldens were
+# recorded by the one-record-at-a-time stream engine the pipeline
+# replaced, so they pin the monitor's file-order feed.
 for run in 1 2; do
     "$FIXCTL" repair \
         --rules examples/rulesets/hosp_zip.frl \
         --data examples/data/hosp_dirty.csv \
-        --engine stream --quality-window 2 \
+        --threads "$run" --quality-window 2 \
         --out "$TRACE_DIR/quality_$run.csv" \
         --quality-json "$TRACE_DIR/quality_$run.json" \
-        | grep -v '^wrote ' > "$TRACE_DIR/quality_table_$run.txt"
+        | tail -n +2 | grep -v '^wrote ' > "$TRACE_DIR/quality_table_$run.txt"
+    cmp "$TRACE_DIR/quality_$run.json" examples/data/hosp_quality.json \
+        || { echo "quality snapshot drifted from hosp_quality.json ($run workers)" >&2; exit 1; }
+    cmp "$TRACE_DIR/quality_table_$run.txt" examples/data/hosp_quality_table.txt \
+        || { echo "quality window summaries drifted from hosp_quality_table.txt ($run workers)" >&2; exit 1; }
 done
-cmp "$TRACE_DIR/quality_1.json" "$TRACE_DIR/quality_2.json" \
-    || { echo "quality snapshots differ between identical runs" >&2; exit 1; }
-cmp "$TRACE_DIR/quality_table_1.txt" "$TRACE_DIR/quality_table_2.txt" \
-    || { echo "quality window summaries differ between identical runs" >&2; exit 1; }
 "$FIXCTL" quality "$TRACE_DIR/quality_1.json" --require-green \
     | grep -q 'require-green: no active alerts' \
     || { echo "snapshot with no alert rules must be green" >&2; exit 1; }
-echo "-- window summaries and snapshots byte-identical across two runs"
+echo "-- window summaries and snapshots match the golden files at 1 and 2 workers"
 # A skewed batch (one dirty tuple repeated) must fire the repair-rate
 # alert, and the alert flips /readyz only when the daemon opted into
 # --quality-gate; without the gate it is reported but never gates. This
