@@ -3,8 +3,8 @@
 //! For every rule pair that can interact — directly conflicting under the
 //! Fig 4 characterization, or connected through the interaction graph's
 //! enabling edges — synthesize a bounded set of witness tuples from the
-//! pair's constant pools and run each through the **actual compiled chase
-//! engine** ([`fixrules::repair::crepair_compiled_tuple`]) under the two
+//! pair's constant pools and chase each with the paper's `cRepair`
+//! ([`fixrules::repair::crepair_tuple`], Fig 6) under the two
 //! pair orders `(φᵢ, φⱼ, rest…)` and `(φⱼ, φᵢ, rest…)`. Divergent end
 //! states are confluence violations: the diagnostic carries the concrete
 //! tuple, both end states, and the two causal chains (which rule wrote
@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 
 use fixrules::consistency::enumerate::{candidate_values, enumeration_size, WILDCARD};
 use fixrules::consistency::{conflict_witness, is_consistent_characterize};
-use fixrules::repair::{crepair_compiled_tuple, CellUpdate, CompiledScratch, RuleProgram};
+use fixrules::repair::{crepair_tuple, CellUpdate};
 use fixrules::RuleSet;
 use relation::{Symbol, SymbolTable};
 
@@ -42,8 +42,7 @@ pub struct ConfluenceSummary {
     /// Pairs whose candidate-tuple space exceeded the witness budget —
     /// the certificate's incompleteness surface.
     pub pairs_skipped: usize,
-    /// Witness tuples executed through the compiled engine (both orders
-    /// count as one run).
+    /// Witness tuples chased (both orders count as one run).
     pub witness_runs: usize,
     /// Pairs with a proven divergence (one FR009 each).
     pub violations: usize,
@@ -174,8 +173,8 @@ fn candidate_tuples(rules: &RuleSet, i: usize, j: usize) -> Vec<Vec<Symbol>> {
     tuples
 }
 
-/// Chase `tuple` under orders `(i, j, rest…)` and `(j, i, rest…)` with the
-/// compiled engine, compiling each permuted set on the fly.
+/// Chase `tuple` under orders `(i, j, rest…)` and `(j, i, rest…)` with
+/// `cRepair`, which applies rules in id order within a round.
 fn chase_both_orders(
     rules: &RuleSet,
     i: usize,
@@ -202,10 +201,8 @@ fn chase_order(rules: &RuleSet, perm: &[usize], tuple: &[Symbol]) -> OrderRun {
     for &k in perm {
         permuted.push(rules.rules()[k].clone());
     }
-    let program = RuleProgram::compile(&permuted);
-    let mut scratch = CompiledScratch::new(permuted.len());
     let mut row = tuple.to_vec();
-    let chain = crepair_compiled_tuple(&permuted, &program, &mut scratch, &mut row);
+    let chain = crepair_tuple(&permuted, &mut row);
     OrderRun {
         end: row,
         chain,

@@ -9,7 +9,7 @@
 //!    order-independent round count; a cycle ⇒ FR010 naming the members.
 //! 2. **Confluence** ([`confluence`]): critical-pair analysis. Every
 //!    interacting pair gets bounded witness tuples synthesized from its
-//!    constant pools and chased through the *actual compiled engine* under
+//!    constant pools and chased with the paper's `cRepair` (Fig 6) under
 //!    both pair orders; divergent end states ⇒ FR009 with the tuple, both
 //!    end states, and the causal chains.
 //! 3. **Semantic diff** ([`diff()`]): classify a candidate set against a

@@ -2112,6 +2112,54 @@ fn a_late_ragged_row_fails_the_repair_and_leaves_out_as_it_was() {
     }
 }
 
+/// A run that fails on a late ragged row has repaired every chunk before
+/// it and none after it, and each worker's tallies reach `--metrics`, so
+/// the `repair.*` counters are the same at every worker count and run.
+#[test]
+fn a_failed_repair_writes_the_same_repair_counters_at_every_worker_count() {
+    let dir = tmpdir("failed_counters");
+    let (data, rules, metrics) = (dir.join("t.csv"), dir.join("r.frl"), dir.join("m.json"));
+    let mut text = tiled_travel_rows(20_000);
+    text += "late,row\nlast,China,Beijing,Beijing,ICDE\n";
+    std::fs::write(&data, &text).unwrap();
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    let fixed = dir.join("fixed.csv");
+    let path = |p: &PathBuf| p.to_str().unwrap().to_string();
+    let mut first: Option<Vec<String>> = None;
+    for threads in ["1", "2", "3"] {
+        for run in 0..3 {
+            let out = fixctl(&[
+                "repair",
+                "--rules",
+                &path(&rules),
+                "--data",
+                &path(&data),
+                "--out",
+                &path(&fixed),
+                "--threads",
+                threads,
+                "--metrics",
+                &path(&metrics),
+            ]);
+            assert_eq!(out.status.code(), Some(2), "{out:?}");
+            let snapshot = obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+            let counters = repair_metrics(&snapshot);
+            let tuples = counters
+                .iter()
+                .find_map(|c| c.strip_prefix("repair.tuples="))
+                .and_then(|n| n.parse::<usize>().ok())
+                .unwrap_or(0);
+            // Several whole chunks before the failing one, not every row.
+            assert!((4_097..20_000).contains(&tuples), "{counters:?}");
+            match &first {
+                None => first = Some(counters),
+                Some(want) => assert_eq!(&counters, want, "threads={threads} run={run}"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn a_data_error_is_reported_before_a_rules_error_or_a_conflict() {
     let dir = tmpdir("error_order");

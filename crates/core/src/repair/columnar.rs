@@ -24,6 +24,10 @@
 //! output CSV are byte-identical to `cRepair`/`lRepair` (pinned by
 //! proptests); only the columnar-only `repair.batch.*` counters depend on
 //! the batching.
+//!
+//! No product path runs the grouped core any more (`fixd` repairs each
+//! batch with one [`crate::repair::LRepairWorker`]); it is kept only for
+//! perfbench's per-layer replica, and goes with ROADMAP item 3.
 
 use std::sync::Arc;
 

@@ -47,12 +47,17 @@
 //!
 //! A `PlanCache` must only be shared between runs using the same rule set
 //! *and* the same engine flavor: plans are keyed by signature alone.
+//!
+//! No product path runs this module: `fixctl`, `fixd` and `fixcert` repair
+//! with [`crate::repair::LRepairWorker`] and
+//! [`crate::repair::crepair_tuple`]. It is kept only for perfbench's
+//! per-layer replica of the grouped core, and goes with ROADMAP item 3.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fxhash::FxHashMap;
-use obs::{NoopObserver, RepairObserver};
+use obs::RepairObserver;
 use relation::{AttrId, AttrSet, Symbol};
 
 use crate::repair::CellUpdate;
@@ -257,8 +262,9 @@ type Shard = FxHashMap<TupleSignature, Arc<RepairPlan>>;
 /// Signature → plan memo shared across grouped-core batches, with no
 /// capacity bound.
 ///
-/// It has no production caller: `fixd` and `fixctl` repair every batch
-/// with within-batch grouping alone. The benchmark harness still builds
+/// It has no production caller: `fixd` and `fixctl` repair with
+/// [`crate::repair::LRepairWorker`], whose memo lives as long as the
+/// worker. The benchmark harness still builds
 /// one, so it goes, together with the `cache` parameter of
 /// [`crate::repair::repair_columns_grouped`] and the `cache` label on
 /// fixd's `serve.repair_stage_ns`, in the next change to the benchmark.
@@ -587,31 +593,13 @@ pub(crate) fn run_engine<O: RepairObserver>(
     }
 }
 
-/// Repair one tuple with the compiled chase engine (no cache). Byte-
-/// compatible with [`crate::repair::crepair_tuple`].
-pub fn crepair_compiled_tuple(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    scratch: &mut CompiledScratch,
-    row: &mut [Symbol],
-) -> Vec<CellUpdate> {
-    run_engine(
-        rules,
-        program,
-        CompiledEngine::Chase,
-        scratch,
-        row,
-        &NoopObserver,
-    )
-    .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::repair::chase::crepair_tuple;
     use crate::repair::columnar::repair_columns_grouped;
     use crate::repair::linear::{lrepair_tuple, LRepairIndex, LRepairScratch};
+    use obs::NoopObserver;
     use relation::{Schema, SymbolTable};
 
     fn schema() -> Schema {
@@ -750,8 +738,14 @@ mod tests {
             let mut chase_row = row.clone();
             let mut compiled_row = row.clone();
             let chase_ups = crepair_tuple(&rules, &mut chase_row);
-            let compiled_ups =
-                crepair_compiled_tuple(&rules, &program, &mut cscratch, &mut compiled_row);
+            let (compiled_ups, _) = run_engine(
+                &rules,
+                &program,
+                CompiledEngine::Chase,
+                &mut cscratch,
+                &mut compiled_row,
+                &NoopObserver,
+            );
             assert_eq!(chase_ups, compiled_ups, "chase flavor diverged");
             assert_eq!(chase_row, compiled_row);
 

@@ -14,14 +14,17 @@
 //! fixing rules are strictly per-tuple (unlike FD repair, which must
 //! reason across tuples). Its [`LRepairWorker`] is also what `fixctl
 //! repair` runs on each chunk of a CSV file that
-//! `relation::csv_io::par_repair_csv` scans, so no table is ever built.
+//! `relation::csv_io::par_repair_csv` scans, so no table is ever built,
+//! and what `fixd` runs on each request's batch. `fixcert` chases its
+//! witness tuples with [`crepair_tuple`].
 //!
 //! [`columnar`] is the grouped core: Σ is compiled once into a
 //! [`RuleProgram`] ([`compile`]), the rows of a column batch are grouped
 //! by [`TupleSignature`], and each distinct signature runs the compiled
 //! engine once ([`repair_columns_grouped`]). [`CompiledEngine::Chase`]
 //! and [`CompiledEngine::Linear`] reproduce `cRepair`'s and `lRepair`'s
-//! output — table, update log and provenance ledger — byte for byte.
+//! output — table, update log and provenance ledger — byte for byte. No
+//! product path runs it; it stays for perfbench's per-layer replica.
 //!
 //! Every table driver takes an `observer: &O`; pass [`NoopObserver`] when
 //! no hooks are wanted.
@@ -40,8 +43,8 @@ pub mod parallel;
 pub use chase::{crepair_table, crepair_tuple};
 pub use columnar::{columnar_table, repair_columns_grouped, BatchStats};
 pub use compile::{
-    crepair_compiled_tuple, CompiledEngine, CompiledScratch, PlanCache, PlanCacheStats, RepairPlan,
-    RuleProgram, TupleSignature,
+    CompiledEngine, CompiledScratch, PlanCache, PlanCacheStats, RepairPlan, RuleProgram,
+    TupleSignature,
 };
 pub use detect::{detect_table, explain};
 pub use linear::{lrepair_table, lrepair_tuple, LRepairIndex, LRepairScratch};

@@ -103,7 +103,9 @@ pub fn par_lrepair_table<O: RepairObserver>(
 /// replays, so no observer can tell a hit from a miss. The per-tuple
 /// tallies stay in the worker's [`LRepairScratch`] and go to the observer
 /// every 4,096 tuples and at [`LRepairWorker::finish`], which also emits
-/// the worker's one [`Event::WorkerDone`].
+/// the worker's one [`Event::WorkerDone`]. A worker dropped unfinished,
+/// as when its run fails, still hands its tallies over, so the observer
+/// counts every row it repaired.
 pub struct LRepairWorker<'a, O: RepairObserver> {
     rules: &'a RuleSet,
     index: &'a LRepairIndex,
@@ -186,6 +188,12 @@ impl<'a, O: RepairObserver> LRepairWorker<'a, O> {
             replayed: self.memo.replayed,
             busy_ns: u64::try_from(self.busy.as_nanos()).unwrap_or(u64::MAX),
         });
+    }
+}
+
+impl<O: RepairObserver> Drop for LRepairWorker<'_, O> {
+    fn drop(&mut self) {
+        self.scratch.flush_tallies(self.observer);
     }
 }
 

@@ -25,9 +25,9 @@ use fixrules::consistency::is_consistent_characterize;
 use fixrules::consistency::resolve::{ensure_consistent, Strategy as ResolveStrategy};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
 use fixrules::repair::{
-    crepair_compiled_tuple, crepair_table, crepair_tuple, lrepair_table, lrepair_tuple,
-    par_lrepair_table, repair_columns_grouped, CellUpdate, CompiledEngine, CompiledScratch,
-    LRepairIndex, LRepairScratch, NoopObserver, PlanCache, RuleProgram,
+    crepair_table, crepair_tuple, lrepair_table, lrepair_tuple, par_lrepair_table,
+    repair_columns_grouped, CellUpdate, CompiledEngine, CompiledScratch, LRepairIndex,
+    LRepairScratch, NoopObserver, PlanCache, RuleProgram,
 };
 use fixrules::semantics::{all_fixes, is_fixpoint};
 use fixrules::{FixingRule, RuleSet};
@@ -238,9 +238,7 @@ proptest! {
     /// (`Chase`) and `lRepair` (`Linear`) — final table, update log and
     /// provenance ledger, `round` stamps included — at every chunk size,
     /// with and without a plan cache shared across chunks, with every row
-    /// either a group representative or scattered; and the
-    /// uncached per-tuple `crepair_compiled_tuple` matches `crepair_tuple`
-    /// tuple by tuple.
+    /// either a group representative or scattered.
     #[test]
     fn compiled_engines_reproduce_ledgers(rs in rulesets(),
                                           rows in proptest::collection::vec(tuples(), 1..24)) {
@@ -295,17 +293,6 @@ proptest! {
                         "{:?} cached={} chunk={}: ledgers diverged", engine, cached, chunk_rows);
                 }
             }
-        }
-
-        let mut scratch = CompiledScratch::new(rs.len());
-        for r in &rows {
-            let mut by_chase = r.clone();
-            let chase_updates = crepair_tuple(&rs, &mut by_chase);
-            let mut by_compiled = r.clone();
-            let compiled_updates =
-                crepair_compiled_tuple(&rs, &program, &mut scratch, &mut by_compiled);
-            prop_assert_eq!(&by_chase, &by_compiled);
-            prop_assert_eq!(chase_updates, compiled_updates);
         }
     }
 

@@ -14,7 +14,7 @@ USAGE:
     fixctl serve --rules <file.frl> [options]
 
 OPTIONS:
-    --rules <file>            rule file to load, lint, and compile (required)
+    --rules <file>            rule file to load, lint, and index (required)
     --addr <host:port>        bind address (default 127.0.0.1:0)
     --threads <n>             worker threads (default 4)
     --schema <a,b,c>          explicit schema (default: inferred from rules)

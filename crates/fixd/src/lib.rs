@@ -1,17 +1,19 @@
-//! # fixd — a long-running repair daemon over compiled fixing rules
+//! # fixd — a long-running repair daemon over fixing rules
 //!
 //! The paper's repair algorithms are batch procedures: load rules, load a
 //! table, chase. A *dependable* deployment looks different — rules are
 //! loaded once, requests arrive continuously, and the service must expose
-//! how healthy it is. `fixd` packages the compiled repair stack as a
+//! how healthy it is. `fixd` packages the repair stack as a
 //! std-only HTTP/1.1 daemon (hand-rolled on [`std::net::TcpListener`] with
 //! a fixed thread pool, no external dependencies — the same plumbing as
 //! [`obs::http`]):
 //!
-//! * rules are parsed, linted, and compiled **once** into a
-//!   [`RuleProgram`]; every request repairs against the same program,
-//!   running the engine once per distinct tuple signature in its batch.
-//!   No repair state outlives a request;
+//! * rules are parsed, linted, and indexed **once** into `lRepair`'s
+//!   inverted lists ([`LRepairIndex`]); each request repairs its batch
+//!   with one [`LRepairWorker`], the paper's linear algorithm (Fig 7) as
+//!   `fixctl repair` runs it, which repairs each distinct relevant
+//!   projection in the batch once. The worker is dropped with the
+//!   request, so no repair state outlives a request;
 //! * every request gets a **trace id** (`X-Trace-Id` response header) and
 //!   a span scope in a global [`TraceJournal`]; `GET /trace/{id}` replays
 //!   the request's records as JSONL (or `?format=chrome` for
@@ -37,7 +39,7 @@
 //!   gate**: the candidate text is linted, certified by `fixcert`
 //!   (termination + confluence), and semantically diffed against the
 //!   serving set; only a green certificate atomically promotes a freshly
-//!   compiled program bundle, which serves (and reports ready) from the
+//!   indexed program bundle, which serves (and reports ready) from the
 //!   next request on. A red candidate is rejected wholesale and the old
 //!   program keeps serving, so a bad rule set can never reach the data
 //!   path;
@@ -94,9 +96,7 @@ use std::time::{Duration, Instant};
 
 use fixrules::io::{infer_schema, parse_rules_spanned};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
-use fixrules::repair::{
-    repair_columns_grouped, CellUpdate, CompiledEngine, CompiledScratch, RuleProgram,
-};
+use fixrules::repair::{CellUpdate, LRepairIndex, LRepairWorker};
 use fixrules::RuleSet;
 use obs::http::{Request, Response};
 use obs::quality::value_key;
@@ -106,7 +106,7 @@ use obs::{
     TraceJournal, TracePhase, TraceRecord,
 };
 use obs::{AlertRule, HealthEvaluator, QualityConfig, QualityMonitor, Tee};
-use relation::{csv_io, ColumnTable, RelationError, Schema, Symbol, SymbolTable};
+use relation::{csv_io, RelationError, Schema, Symbol, SymbolTable};
 
 /// How many recent trace ids stay resolvable via `GET /trace/{id}`: the
 /// trace index is a ring of `(trace_id, root span id)`, so old requests
@@ -121,11 +121,6 @@ const ROW_EVENT_SAMPLE: usize = 16;
 /// Default rows per repair-quality window ([`DaemonConfig::quality_window`];
 /// 0 disables quality monitoring entirely).
 const QUALITY_WINDOW: usize = 256;
-
-/// The compiled engine that serves every repair: the cRepair chase order.
-/// The lRepair order writes byte-identical output (the engine-equivalence
-/// proptests pin that), so there is nothing to choose between.
-const ENGINE: CompiledEngine = CompiledEngine::Chase;
 
 /// Where the daemon's rule text comes from.
 #[derive(Debug, Clone)]
@@ -200,10 +195,10 @@ impl Default for DaemonConfig {
 }
 
 /// Everything that must swap *atomically* when `POST /rules` promotes a
-/// new rule set: the rules, their constants, their compiled program, and
+/// new rule set: the rules, their constants, their inverted lists, and
 /// the analysis verdicts `GET /readyz` reports. Handlers take one `Arc`
 /// snapshot at request start, so an in-flight batch keeps a consistent
-/// rules/program view across a concurrent swap.
+/// rules/index view across a concurrent swap.
 #[derive(Debug)]
 struct ProgramBundle {
     rules: RuleSet,
@@ -213,7 +208,7 @@ struct ProgramBundle {
     /// repair; and since each generation's table extends the last one's,
     /// every symbol the ledger holds resolves in the newest table.
     symbols: SymbolTable,
-    program: RuleProgram,
+    index: LRepairIndex,
     lint_errors: usize,
     consistent: bool,
     certified: bool,
@@ -252,7 +247,7 @@ impl DaemonState {
     }
 }
 
-/// Lint, certify, and compile parsed rules into a promotable bundle that
+/// Lint, certify, and index parsed rules into a promotable bundle that
 /// owns `symbols`, the table they were parsed into. Never rejects analysis
 /// findings — the verdicts ride along for the caller (boot surfaces them
 /// via `/readyz`; the hot-swap gate refuses to promote on them).
@@ -273,10 +268,9 @@ fn build_bundle(
         &symbols,
         &fixlint::CertOptions::default(),
     );
-    let program = RuleProgram::compile(&parsed.rules);
     let bundle = ProgramBundle {
         consistent: parsed.rules.check_consistency().is_consistent(),
-        program,
+        index: LRepairIndex::build(&parsed.rules),
         lint_errors: lint.errors(),
         certified: cert.is_certified(),
         cert_errors: cert.report.errors(),
@@ -320,7 +314,7 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Load, lint, and compile the configured rules, bind the listener,
+    /// Load, lint, and index the configured rules, bind the listener,
     /// and start serving. Fails on unreadable/unparseable rules or an
     /// unbindable address.
     pub fn start(config: DaemonConfig) -> io::Result<Daemon> {
@@ -345,7 +339,7 @@ impl Daemon {
                 .map_err(|e| invalid(e.to_string()))?,
         };
         let mut symbols = SymbolTable::new();
-        // Boot runs the same build as a hot-swap (lint + certify + compile),
+        // Boot runs the same build as a hot-swap (lint + certify + index),
         // but tolerates red verdicts — `GET /readyz` reports them as 503
         // instead, so a probe can distinguish "bad rules" from "down".
         let parsed =
@@ -457,28 +451,22 @@ fn publish_symbols(registry: &MetricsRegistry, bundle: &ProgramBundle) {
         .set(bundle.symbols.len() as i64);
 }
 
-/// Repair `batch` in place with the grouped core against `bundle`'s
-/// program, numbering rows from `row_base` for `observer`. Returns the
-/// updates in application order, grouped by row. `/repair` and `/check`
-/// both repair through here, with different observers.
+/// Repair `batch` in place with `lRepair` against `bundle`, numbering
+/// rows from `row_base` for `observer`: one [`LRepairWorker`] (worker 0)
+/// for the request, dropped when it returns. Returns the updates in row
+/// order, each row's in application order. `/repair` and `/check` both
+/// repair through here, with different observers.
 fn repair_batch<O: RepairObserver>(
     bundle: &ProgramBundle,
-    scratch: &mut CompiledScratch,
     batch: &mut Batch,
     row_base: usize,
     observer: &O,
 ) -> Vec<CellUpdate> {
-    repair_columns_grouped(
-        &bundle.rules,
-        &bundle.program,
-        ENGINE,
-        None,
-        scratch,
-        &mut batch.repair.columns_mut(),
-        row_base,
-        observer,
-    )
-    .0
+    let mut worker = LRepairWorker::new(&bundle.rules, &bundle.index, observer, 0);
+    let mut updates = Vec::new();
+    worker.repair_rows(row_base, &mut batch.repair, &mut updates);
+    worker.finish();
+    updates
 }
 
 /// Accept loop + fixed worker pool. Runs until the stop flag is set, then
@@ -491,19 +479,12 @@ fn accept_loop(listener: TcpListener, state: Arc<DaemonState>, threads: usize) {
         .map(|_| {
             let rx = Arc::clone(&rx);
             let state = Arc::clone(&state);
-            thread::spawn(move || {
-                // One scratch per worker, reused across every request it
-                // serves — zero steady-state allocation in the hot path.
-                // Survives hot-swaps: `begin_tuple` resizes the scratch
-                // whenever the rule count changes.
-                let mut scratch = CompiledScratch::new(state.bundle().rules.len());
-                loop {
-                    let stream = match obs::lock(&rx).recv() {
-                        Ok(stream) => stream,
-                        Err(_) => break, // sender dropped: drain complete
-                    };
-                    handle_connection(&state, &mut scratch, stream);
-                }
+            thread::spawn(move || loop {
+                let stream = match obs::lock(&rx).recv() {
+                    Ok(stream) => stream,
+                    Err(_) => break, // sender dropped: drain complete
+                };
+                handle_connection(&state, stream);
             })
         })
         .collect();
@@ -559,7 +540,7 @@ fn counts_for_slo(endpoint: &str) -> bool {
     matches!(endpoint, "repair" | "check" | "explain" | "trace")
 }
 
-fn handle_connection(state: &DaemonState, scratch: &mut CompiledScratch, mut stream: TcpStream) {
+fn handle_connection(state: &DaemonState, mut stream: TcpStream) {
     let started = Instant::now();
     let request = match Request::read_from(&mut stream) {
         Ok(request) => request,
@@ -592,16 +573,15 @@ fn handle_connection(state: &DaemonState, scratch: &mut CompiledScratch, mut str
     };
     // A handler that panics answers 500 and leaves its worker serving:
     // the locks it may have held tolerate the poisoning (`obs::lock`), and
-    // the scratch it may have left half-written is replaced.
+    // its repair state died with the request.
     let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        route(state, scratch, &request, endpoint)
+        route(state, &request, endpoint)
     }));
     let response = match routed {
         Ok(Ok(response)) => response,
         Ok(Err(e)) => error(e.status, e.message),
         Err(_) => {
             state.registry.counter("fixd.panics").inc();
-            *scratch = CompiledScratch::new(state.bundle().rules.len());
             error(
                 500,
                 format!("internal error: the {endpoint} handler panicked"),
@@ -641,19 +621,14 @@ pub fn inject_panic_at(path: &str) {
     let _ = PANIC_AT.set(path.to_string());
 }
 
-fn route(
-    state: &DaemonState,
-    scratch: &mut CompiledScratch,
-    request: &Request,
-    endpoint: &str,
-) -> SrvResult {
+fn route(state: &DaemonState, request: &Request, endpoint: &str) -> SrvResult {
     if PANIC_AT.get() == Some(&request.path) {
         let _index = obs::lock(&state.trace_index);
         panic!("injected panic at {}", request.path);
     }
     match (request.method.as_str(), endpoint) {
-        ("POST", "repair") => handle_repair(state, scratch, request),
-        ("POST", "check") => handle_check(state, scratch, request),
+        ("POST", "repair") => handle_repair(state, request),
+        ("POST", "check") => handle_check(state, request),
         ("POST", "rules") => handle_rules(state, request),
         ("GET", "explain") => handle_explain(state, request),
         ("GET", "trace") => handle_trace(state, request),
@@ -673,21 +648,29 @@ fn route(
     }
 }
 
-/// One request's rows over the daemon schema, in two column buffers.
-/// `sent` holds each cell as the request sent it, an id into the
-/// request-local dictionary `local`; `repair`, which the repair reads and
-/// writes, holds each cell's constant in the serving bundle's table, or ⊥
-/// for a value Σ never mentions. A fix writes a constant over a constant,
-/// so a cell still ⊥ after the repair renders from `sent`.
+/// One request's rows over the daemon schema, each in two cell buffers
+/// that hold the rows one after another. `sent` holds each cell as the
+/// request sent it, an id into the request-local dictionary `local`;
+/// `repair`, which the repair reads and writes, holds each cell's
+/// constant in the serving bundle's table, or ⊥ for a value Σ never
+/// mentions. A fix writes a constant over a constant, so a cell still ⊥
+/// after the repair renders from `sent`.
 struct Batch {
     local: SymbolTable,
-    sent: ColumnTable,
-    repair: ColumnTable,
+    arity: usize,
+    sent: Vec<Symbol>,
+    repair: Vec<Symbol>,
 }
 
 impl Batch {
     fn len(&self) -> usize {
-        self.sent.len()
+        self.sent.len() / self.arity
+    }
+
+    /// Row `i` as sent and as repaired.
+    fn row(&self, i: usize) -> (&[Symbol], &[Symbol]) {
+        let cells = i * self.arity..(i + 1) * self.arity;
+        (&self.sent[cells.clone()], &self.repair[cells])
     }
 }
 
@@ -712,11 +695,10 @@ fn request_batch(
     intake(state, bundle, body, json)
 }
 
-/// Read a batch into one column per daemon-schema attribute. Cells are
-/// interned into a request-local dictionary as they are parsed and written
-/// straight into the columns; then each distinct value is looked up once
-/// in `bundle`'s constants, which no request writes, so batches share no
-/// lock and leave nothing behind.
+/// Read a batch row by row in daemon-schema order. Cells are interned
+/// into a request-local dictionary as they are parsed; then each distinct
+/// value is looked up once in `bundle`'s constants, which no request
+/// writes, so batches share no lock and leave nothing behind.
 fn intake(
     state: &DaemonState,
     bundle: &ProgramBundle,
@@ -724,7 +706,7 @@ fn intake(
     json: bool,
 ) -> Result<Batch, SrvError> {
     let mut local = SymbolTable::new();
-    let mut sent = ColumnTable::new(state.schema.clone());
+    let mut sent = Vec::new();
     if json {
         read_json_rows(state, body, &mut local, &mut sent)?;
     } else {
@@ -734,14 +716,10 @@ fn intake(
         .iter()
         .map(|(_, value)| bundle.symbols.get(value).unwrap_or(Symbol::BOTTOM))
         .collect();
-    let mut repair = sent.clone();
-    for column in repair.columns_mut() {
-        for cell in column.iter_mut() {
-            *cell = constant[cell.index()];
-        }
-    }
+    let repair = sent.iter().map(|cell| constant[cell.index()]).collect();
     Ok(Batch {
         local,
+        arity: state.schema.arity(),
         sent,
         repair,
     })
@@ -755,7 +733,7 @@ fn read_csv_rows(
     state: &DaemonState,
     body: &[u8],
     local: &mut SymbolTable,
-    batch: &mut ColumnTable,
+    sent: &mut Vec<Symbol>,
 ) -> Result<(), SrvError> {
     let csv_error = |e: csv::Error| bad_request(format!("csv: {}", RelationError::from(e)));
     let mut rdr = csv::ReaderBuilder::new()
@@ -789,7 +767,7 @@ fn read_csv_rows(
                 *cell = local.intern(value);
             }
         }
-        batch.push_row(&row).expect("a row per schema attribute");
+        sent.extend_from_slice(&row);
         std::mem::swap(&mut record, &mut above);
     }
     Ok(())
@@ -801,7 +779,7 @@ fn read_json_rows(
     state: &DaemonState,
     body: &str,
     local: &mut SymbolTable,
-    batch: &mut ColumnTable,
+    sent: &mut Vec<Symbol>,
 ) -> Result<(), SrvError> {
     let value = obs::json::parse(body).map_err(|e| bad_request(format!("json: {e}")))?;
     let rows_value = value.get("rows").unwrap_or(&value);
@@ -825,7 +803,7 @@ fn read_json_rows(
                 .ok_or_else(|| bad_request(format!("row {i}: missing attribute {name:?}")))?;
             *cell = local.intern(value);
         }
-        batch.push_row(&row).expect("a row per schema attribute");
+        sent.extend_from_slice(&row);
     }
     Ok(())
 }
@@ -889,15 +867,11 @@ fn response_format<'a>(request: &Request, known: &[&'a str]) -> Result<&'a str, 
     })
 }
 
-fn handle_repair(
-    state: &DaemonState,
-    scratch: &mut CompiledScratch,
-    request: &Request,
-) -> SrvResult {
+fn handle_repair(state: &DaemonState, request: &Request) -> SrvResult {
     let csv = response_format(request, &["json", "csv"])? == "csv";
     let (span, trace_id) = begin_request(state, request, "repair", Some(request.body.len()));
     // One bundle snapshot for the whole batch, from intake to render: a
-    // concurrent hot-swap must never mix old-rules plans with new-rules
+    // concurrent hot-swap must never mix old-rules repairs with new-rules
     // attribution mid-request.
     let bundle = state.bundle();
     let mut batch = request_batch(state, &bundle, request)?;
@@ -908,7 +882,7 @@ fn handle_repair(
     let repair_started = Instant::now();
     let (updates, repaired_rows) = {
         let repair_span = state.journal.span("repair", span.id());
-        let updates = repair_batch(&bundle, scratch, &mut batch, row_base, &observer);
+        let updates = repair_batch(&bundle, &mut batch, row_base, &observer);
         let repaired_rows = replay_rows(state, &batch, &updates, row_base, repair_span.id());
         (updates, repaired_rows)
     };
@@ -933,10 +907,10 @@ fn handle_repair(
         ]),
     );
     let (symbols, local) = (&bundle.symbols, &batch.local);
-    let (repaired, sent) = (batch.repair.columns(), batch.sent.columns());
     let row_values = |i: usize| {
-        repaired.iter().zip(&sent).map(move |(r, s)| match r[i] {
-            Symbol::BOTTOM => local.resolve(s[i]),
+        let (sent, repaired) = batch.row(i);
+        repaired.iter().zip(sent).map(|(&r, &s)| match r {
+            Symbol::BOTTOM => local.resolve(s),
             constant => symbols.resolve(constant),
         })
     };
@@ -993,12 +967,11 @@ fn replay_rows(
     row_base: usize,
     parent: u64,
 ) -> usize {
-    let columns = batch.sent.columns();
     let keys: Vec<u32> = match &state.quality {
         Some(_) => batch.local.iter().map(|(_, v)| value_key(v)).collect(),
         None => Vec::new(),
     };
-    let mut incoming: Vec<u32> = Vec::with_capacity(columns.len());
+    let mut incoming: Vec<u32> = Vec::with_capacity(batch.arity);
     let mut repaired_rows = 0usize;
     let mut cursor = 0usize;
     for i in 0..batch.len() {
@@ -1009,7 +982,7 @@ fn replay_rows(
         let fixes = &updates[start..cursor];
         if let Some(quality) = &state.quality {
             incoming.clear();
-            incoming.extend(columns.iter().map(|column| keys[column[i].index()]));
+            incoming.extend(batch.row(i).0.iter().map(|cell| keys[cell.index()]));
             quality.row_observed(&incoming);
             for (ordinal, fix) in fixes.iter().enumerate() {
                 quality.cell_repaired(fix.as_fix(ordinal));
@@ -1041,15 +1014,11 @@ fn replay_rows(
 /// Dry-run repair: same parsing and the same repair as `/repair`, but
 /// nothing is recorded — no ledger rows, no global row ids, no quality
 /// observations.
-fn handle_check(
-    state: &DaemonState,
-    scratch: &mut CompiledScratch,
-    request: &Request,
-) -> SrvResult {
+fn handle_check(state: &DaemonState, request: &Request) -> SrvResult {
     let (span, trace_id) = begin_request(state, request, "check", None);
     let bundle = state.bundle();
     let mut batch = request_batch(state, &bundle, request)?;
-    let updates = repair_batch(&bundle, scratch, &mut batch, 0, &obs::NoopObserver);
+    let updates = repair_batch(&bundle, &mut batch, 0, &obs::NoopObserver);
     let mut counts = vec![0usize; batch.len()];
     for update in &updates {
         counts[update.row] += 1;
@@ -1084,7 +1053,7 @@ fn handle_check(
 /// * parse error → `400`, lint errors or a red certificate → `422`; in
 ///   every rejection the old bundle keeps serving untouched and the
 ///   response says why (`promoted: false`, the findings, the diff);
-/// * a green certificate atomically swaps in a freshly compiled
+/// * a green certificate atomically swaps in a freshly indexed
 ///   [`ProgramBundle`]; every later request repairs against it, and
 ///   `GET /readyz` reports it at once.
 fn handle_rules(state: &DaemonState, request: &Request) -> SrvResult {

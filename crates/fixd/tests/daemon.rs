@@ -312,6 +312,24 @@ fn every_intake_form_gives_the_same_repair_and_quality() {
         let repaired = parse_json(&reply.body);
         let (status, quality) = http_get(&url(&daemon, "/quality")).unwrap();
         assert_eq!(status, 200);
+        // `/explain` names, for each repaired cell, the rule the
+        // response's update log does.
+        let updates = repaired.get("updates").unwrap().as_arr().unwrap();
+        assert!(!updates.is_empty());
+        for update in updates {
+            let field = |k: &str| update.get(k).unwrap().clone();
+            let (row, attr) = (field("row").as_i64().unwrap(), field("attr"));
+            let attr = attr.as_str().unwrap();
+            let (status, chain) =
+                http_get(&url(&daemon, &format!("/explain/{row}/{attr}"))).unwrap();
+            assert_eq!(status, 200, "{chain}");
+            let own = chain
+                .lines()
+                .map(parse_json)
+                .rfind(|record| record.get("attr").and_then(Json::as_str) == Some(attr))
+                .unwrap();
+            assert_eq!(own.get("rule"), update.get("rule"), "row {row} {attr}");
+        }
         daemon.shutdown();
         (
             repaired.get("rows").unwrap().to_string(),
@@ -1218,4 +1236,111 @@ fn a_panicking_request_gets_500_and_the_only_worker_keeps_serving() {
     let (_, metrics) = http_get(&url(&daemon, "/metrics")).unwrap();
     assert!(metrics.contains("fixd_panics 1\n"), "{metrics}");
     daemon.shutdown();
+}
+
+/// The `fixctl` binary of this build, which a workspace `cargo test`
+/// builds beside this test's own binary.
+fn fixctl_binary() -> std::path::PathBuf {
+    let exe = std::env::current_exe().unwrap();
+    let dir = exe.parent().and_then(|deps| deps.parent()).unwrap();
+    let fixctl = dir.join(format!("fixctl{}", std::env::consts::EXE_SUFFIX));
+    assert!(
+        fixctl.exists(),
+        "{} is not built; run `cargo build -p fixctl` first",
+        fixctl.display()
+    );
+    fixctl
+}
+
+/// Every `.frl` and every `.csv` under `examples/` (rule sets and lint
+/// fixtures, data files and goldens alike), sorted.
+fn example_files(extension: &str) -> Vec<std::path::PathBuf> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut files = Vec::new();
+    for dir in ["rulesets", "lint", "data"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) == Some(extension) {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// fixd repairs what `fixctl repair` does, with the same engine: on every
+/// `examples/` rules × data pair that `fixctl repair` accepts (its header
+/// names Σ's attributes and Σ is consistent), `POST /repair?format=csv`
+/// answers `--out`'s bytes and the JSON `updates` are `--updates-log`'s
+/// records, row, attribute, values and rule alike.
+#[test]
+fn the_daemon_repairs_every_example_pair_as_fixctl_repair_does() {
+    let fixctl = fixctl_binary();
+    let scratch = std::env::temp_dir().join(format!("fixd_parity_{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).unwrap();
+    let (out, log) = (scratch.join("out.csv"), scratch.join("updates.csv"));
+    let mut compared = 0;
+    for rules in example_files("frl") {
+        for data in example_files("csv") {
+            let ran = std::process::Command::new(&fixctl)
+                .arg("repair")
+                .args(["--rules".as_ref(), rules.as_os_str()])
+                .args(["--data".as_ref(), data.as_os_str()])
+                .args(["--out".as_ref(), out.as_os_str()])
+                .args(["--updates-log".as_ref(), log.as_os_str()])
+                .output()
+                .unwrap();
+            if !ran.status.success() {
+                continue;
+            }
+            let pair = format!("{} × {}", rules.display(), data.display());
+            let body = std::fs::read(&data).unwrap();
+            let header = String::from_utf8_lossy(&body)
+                .lines()
+                .next()
+                .unwrap()
+                .to_string();
+            let daemon = Daemon::start(DaemonConfig {
+                rules: RulesSource::Path(rules.to_str().unwrap().to_string()),
+                schema: SchemaSource::Names(header.split(',').map(String::from).collect()),
+                threads: 1,
+                ..DaemonConfig::default()
+            })
+            .unwrap_or_else(|e| panic!("{pair}: {e}"));
+            let reply = http_post(&url(&daemon, "/repair?format=csv"), "text/csv", &body).unwrap();
+            assert_eq!(reply.status, 200, "{pair}: {}", reply.body);
+            assert_eq!(
+                reply.body.as_bytes(),
+                std::fs::read(&out).unwrap(),
+                "{pair}: CSV"
+            );
+            let reply = http_post(&url(&daemon, "/repair"), "text/csv", &body).unwrap();
+            assert_eq!(reply.status, 200, "{pair}: {}", reply.body);
+            let json = parse_json(&reply.body);
+            let row_base = json.get("row_base").unwrap().as_i64().unwrap();
+            let mut updates = Vec::new();
+            relation::csv_io::push_record(&mut updates, ["row", "attribute", "old", "new", "rule"]);
+            for update in json.get("updates").unwrap().as_arr().unwrap() {
+                let text = |k: &str| update.get(k).unwrap().as_str().unwrap();
+                let number = |k: &str| update.get(k).unwrap().as_i64().unwrap();
+                let row = (number("row") - row_base).to_string();
+                let rule = number("rule").to_string();
+                relation::csv_io::push_record(
+                    &mut updates,
+                    [&row, text("attr"), text("old"), text("new"), &rule],
+                );
+            }
+            assert_eq!(
+                String::from_utf8(updates).unwrap(),
+                std::fs::read_to_string(&log).unwrap(),
+                "{pair}: updates"
+            );
+            daemon.shutdown();
+            compared += 1;
+        }
+    }
+    std::fs::remove_dir_all(&scratch).ok();
+    // 13 pairs as the examples stand, 17 updates among them.
+    assert!(compared >= 13, "only {compared} pairs compared");
 }

@@ -1813,6 +1813,52 @@ mod tests {
         }
     }
 
+    /// Adds the rows it repaired to a shared count when dropped.
+    struct Tally<'a>(&'a AtomicUsize, usize);
+
+    impl Drop for Tally<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(self.1, Ordering::Relaxed);
+        }
+    }
+
+    /// A run that fails repairs exactly the chunks before the failing one,
+    /// at any worker count, and drops every worker's state before it
+    /// returns: a chunk after it waits for it and is never repaired.
+    #[test]
+    fn a_failed_run_repairs_every_chunk_before_the_failure_and_none_after() {
+        let mut data = b"a,b\n".to_vec();
+        for i in 0..400 {
+            data.extend_from_slice(format!("x,{i}\n").as_bytes());
+        }
+        data.extend_from_slice(b"ragged\n");
+        for i in 0..40 {
+            data.extend_from_slice(format!("y,{i}\n").as_bytes());
+        }
+        let schema = read_csv_header(&data[..], "R").unwrap();
+        let constants = constants();
+        let repaired = |workers: usize| {
+            let rows = AtomicUsize::new(0);
+            let run = pipeline(&data[..], data.len(), &schema, &constants, 64).repair(
+                workers,
+                |_| Tally(&rows, 0),
+                |tally, chunk: ChunkRows<'_>, _: &mut ()| tally.1 += chunk.rows(),
+                |_, _| Ok(()),
+            );
+            assert!(matches!(run, Err(PipelineError::Read(_))));
+            rows.load(Ordering::Relaxed)
+        };
+        let one = repaired(1);
+        // 64-byte chunks of 4- to 6-byte rows: the chunks before the one
+        // holding the ragged row hold at least 389 of the 400 rows.
+        assert!((389..400).contains(&one), "{one}");
+        for workers in 2..=4 {
+            for _ in 0..3 {
+                assert_eq!(repaired(workers), one, "{workers} workers");
+            }
+        }
+    }
+
     /// SplitMix64, for the randomized differential tests.
     struct Rng(u64);
 

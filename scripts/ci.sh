@@ -354,6 +354,16 @@ done
     || { echo "fixd POST /repair failed" >&2; exit 1; }
 grep -q '"repaired_rows":' "$TRACE_DIR/fixd_repair.json" \
     || { echo "repair response has no repaired_rows" >&2; exit 1; }
+# fixd and fixctl repair with the same lRepair worker: the daemon's CSV
+# answer is fixctl repair's output, byte for byte.
+"$FIXCTL" client repair examples/data/hosp_dirty.csv --addr "$ADDR" --format csv \
+    > "$TRACE_DIR/fixd_hosp.csv" 2>/dev/null \
+    || { echo "fixd POST /repair?format=csv of hosp_dirty.csv failed" >&2; exit 1; }
+"$FIXCTL" repair --rules examples/rulesets/hosp_zip.frl --data examples/data/hosp_dirty.csv \
+    --out "$TRACE_DIR/fixctl_hosp.csv" >/dev/null \
+    || { echo "fixctl repair of hosp_dirty.csv failed" >&2; exit 1; }
+cmp "$TRACE_DIR/fixd_hosp.csv" "$TRACE_DIR/fixctl_hosp.csv" \
+    || { echo "fixd and fixctl repair hosp_dirty.csv differently" >&2; exit 1; }
 "$FIXCTL" scrape "$ADDR/metrics" \
     --require 'http_requests{endpoint="repair",status="200"}' \
     || { echo "live /metrics missing labeled repair series" >&2; exit 1; }
