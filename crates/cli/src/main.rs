@@ -31,16 +31,18 @@
 //! fixctl client shutdown        --addr HOST:PORT          # graceful drain
 //! ```
 //!
-//! Every command that reads `--data` with `--rules` loads each cell as one
-//! of Σ's constants or ⊥, from 256 KiB chunks of the file that workers
-//! scan at once. `repair` never holds the table, so its memory does not
-//! grow with the input: its workers each repair a chunk with lRepair and
-//! render it back, untouched rows from the chunk's own bytes, while the
-//! calling thread writes the chunks in order and feeds the
-//! `--quality-window` monitor, if any. `--threads N` only sets the worker
-//! count. It defaults to the available cores, and no output depends on
-//! it. `check`, `detect`, `repair` and `coverage` check every rule pair on
-//! one thread and report every conflict.
+//! Every command that reads `--data` with `--rules` streams the file
+//! through one chunk pipeline: workers scan 256 KiB chunks at once, each
+//! cell one of Σ's constants or ⊥, and no command holds the table, so no
+//! command's memory grows with the input. `repair`'s workers each repair a
+//! chunk with lRepair and render it back, untouched rows from the chunk's
+//! own bytes, while the calling thread writes the chunks in order and
+//! feeds the `--quality-window` monitor, if any. `detect` and `coverage`
+//! run the same lRepair workers and discard the rows; `check`, `stats`,
+//! `convert` and `resolve` only count them. `--threads N` only sets the
+//! worker count. It defaults to the available cores, and no output depends
+//! on it. `check`, `detect`, `repair` and `coverage` check every rule pair
+//! on one thread and report every conflict.
 //!
 //! `repair` additionally takes the profiling flags:
 //!
@@ -88,7 +90,7 @@ use fixrules::consistency::{
 };
 use fixrules::io::{format_rule, format_rules, parse_rules_spanned, Span};
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
-use fixrules::repair::{lrepair_table, CellUpdate, LRepairIndex, LRepairWorker, RepairStats};
+use fixrules::repair::{CellUpdate, LRepairIndex, LRepairWorker, NoopObserver, RepairStats};
 use fixrules::RuleSet;
 use obs::quality::value_key;
 use obs::trace::{chrome_trace, parse_jsonl, TracePhase, TraceSpan};
@@ -97,8 +99,8 @@ use obs::{
     MetricsObserver, MetricsRegistry, QualityConfig, QualityMonitor, RepairObserver, RuleLabel,
     Tee, TraceClock, TraceJournal,
 };
-use relation::csv_io::{par_read_csv_constants, par_repair_csv, PipelineError};
-use relation::{Schema, Symbol, SymbolTable, Table};
+use relation::csv_io::{par_repair_csv, PipelineError};
+use relation::{Schema, Symbol, SymbolTable};
 
 /// The error a command returns when a write to stdout finds the reader
 /// gone (`fixctl lint ... | head -1`): `main` then ends quietly with the
@@ -565,7 +567,7 @@ fn cmd_certify(
 fn cmd_convert(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(&["rules", "data", "threads", "out"])?;
     let out = flags.required("out")?;
-    let (_table, Sigma { rules, .. }, symbols) = load(flags, obs_ctx)?;
+    let (Sigma { rules, .. }, symbols, _) = load_sigma(flags, obs_ctx)?;
     if out.ends_with(".json") {
         let doc = fixrules::io::to_portable(&rules, &symbols);
         std::fs::write(out, doc.to_json_string()).map_err(|e| format!("writing {out}: {e}"))?;
@@ -616,59 +618,51 @@ fn cmd_discover(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Updates `detect` lists, the first in file order.
+const DETECT_LISTED: usize = 100;
+
 /// Audit mode: report and explain every update a repair would apply,
-/// without writing anything.
+/// without writing anything: `repair`'s lRepair workers, with the
+/// repaired rows discarded.
 fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(&["rules", "data", "threads"])?;
-    let (table, Sigma { rules, .. }, symbols) = load(flags, obs_ctx)?;
-    require_consistent(&rules, obs_ctx)?;
-    let index = {
-        let _span = obs_ctx.span("index_build");
-        LRepairIndex::build(&rules)
-    };
-    let plan = {
+    let (data, Sigma { rules, .. }, load) = Data::read(flags, obs_ctx)?;
+    drop(load);
+    let (stats, listed) = data.gated(&rules, obs_ctx, || {
+        let index = {
+            let _span = obs_ctx.span("index_build");
+            LRepairIndex::build(&rules)
+        };
         let _span = obs_ctx.span("detect");
-        fixrules::repair::detect_table(&rules, &index, &table)
-    };
+        let (stats, listed) = data.lrepair(&rules, &index, &NoopObserver, DETECT_LISTED)?;
+        Ok((stats.rows, (stats, listed)))
+    })?;
     outln!(
         "{} planned update(s) across {} row(s) of {}",
-        plan.total_updates(),
-        plan.rows_touched(),
-        table.len()
+        stats.updates,
+        stats.rows_touched,
+        stats.rows
     );
-    for u in plan.updates.iter().take(100) {
+    for u in &listed {
         outln!(
             "  {}",
-            fixrules::repair::explain(u, &rules, table.schema(), &symbols)
+            fixrules::repair::explain(u, &rules, rules.schema(), &data.symbols)
         );
     }
-    if plan.total_updates() > 100 {
-        outln!("  ... and {} more", plan.total_updates() - 100);
+    if stats.updates > DETECT_LISTED {
+        outln!("  ... and {} more", stats.updates - DETECT_LISTED);
     }
     Ok(())
 }
 
-/// Load the rule file against the CSV header, then the CSV in chunks on
-/// [`worker_threads`] workers with each cell a constant of Σ or ⊥: a tuple
-/// meets a fixing rule only through equality with its constants, so no
-/// other value can change a repair (DESIGN.md §18). The symbol table holds
-/// Σ's constants alone, in rule-parse order.
-fn load(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Table, Sigma, SymbolTable), String> {
-    let threads = worker_threads(flags)?;
-    let _span = obs_ctx.span("load");
-    let data_path = flags.required("data")?;
-    let (schema, sigma, symbols) = read_sigma(data_path, flags.required("rules")?)?;
-    // A bad rule file is reported only once the data has loaded, so a bad
-    // data file is the first error reported.
-    let table = read_data(data_path, &schema, &symbols, threads)?;
-    let sigma = sigma?;
-    obs::info!(
-        "load.done",
-        rows = table.len(),
-        rules = sigma.rules.len(),
-        constants = symbols.len()
-    );
-    Ok((table, sigma, symbols))
+/// Σ, its constants and `--data`'s row count, in the `load` stage: all
+/// that `check`, `stats`, `convert` and `resolve` read of the data is that
+/// it reads.
+fn load_sigma(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(Sigma, SymbolTable, usize), String> {
+    let (data, sigma, _load) = Data::read(flags, obs_ctx)?;
+    let rows = data.scan()?;
+    data.loaded(rows, &sigma.rules);
+    Ok((sigma, data.symbols, rows))
 }
 
 /// Σ as read from its file: the rules, where each one is written, and the
@@ -679,31 +673,140 @@ struct Sigma {
     text: String,
 }
 
-/// The header of the CSV file at `data_path` and Σ parsed against it from
-/// `rules_path`, or the rule file's error. The symbol table holds Σ's
-/// constants, or none if the rule file failed.
-fn read_sigma(
-    data_path: &str,
-    rules_path: &str,
-) -> Result<(Schema, Result<Sigma, String>, SymbolTable), String> {
-    let schema = read_header(data_path)?;
-    let mut symbols = SymbolTable::new();
-    let sigma = read_rules(rules_path, &schema, &mut symbols);
-    if sigma.is_err() {
-        symbols = SymbolTable::new();
-    }
-    Ok((schema, sigma, symbols))
+/// `--data` as read with `--rules`: its path and header, Σ's constants in
+/// rule-parse order, and the worker count. No command holds its rows: each
+/// streams them through [`par_repair_csv`], every cell one of Σ's
+/// constants or ⊥. A tuple meets a fixing rule only through equality with
+/// its constants, so no other value can change a repair (DESIGN.md §18).
+struct Data<'a> {
+    path: &'a str,
+    schema: Schema,
+    symbols: SymbolTable,
+    threads: usize,
 }
 
-/// Load the CSV file at `path` with each cell one of `symbols` or ⊥.
-fn read_data(
-    path: &str,
-    schema: &Schema,
-    symbols: &SymbolTable,
-    threads: usize,
-) -> Result<Table, String> {
-    par_read_csv_constants(path, schema, symbols, threads)
-        .map_err(|e| format!("reading {path}: {e}"))
+impl<'a> Data<'a> {
+    /// Read `--data`'s header and Σ against it in the `load` stage, whose
+    /// span is returned open. A bad data file is reported before a bad
+    /// rule file, so a bad rule file has the data streamed through first.
+    fn read<'o>(
+        flags: &'a Flags,
+        obs_ctx: &'o ObsCtx,
+    ) -> Result<(Data<'a>, Sigma, StageSpan<'o>), String> {
+        let threads = worker_threads(flags)?;
+        let span = obs_ctx.span("load");
+        let (path, rules) = (flags.required("data")?, flags.required("rules")?);
+        let mut data = Data {
+            path,
+            schema: read_header(path)?,
+            symbols: SymbolTable::new(),
+            threads,
+        };
+        match read_rules(rules, &data.schema, &mut data.symbols) {
+            Ok(sigma) => Ok((data, sigma, span)),
+            Err(error) => Err(data.first(error)),
+        }
+    }
+
+    /// Stream the rows through with nothing repaired and every byte
+    /// discarded: their count, or the first error reading them.
+    fn scan(&self) -> Result<usize, String> {
+        par_repair_csv(
+            self.path,
+            &self.schema,
+            &self.symbols,
+            self.threads,
+            |_| (),
+            |_, _, _: &mut ()| {},
+            |_, _| Ok(()),
+        )
+        .map(|run| run.rows)
+        .map_err(|e| self.error(e))
+    }
+
+    /// `error`, unless the data fails to read first ([`Data::scan`]): a
+    /// bad data file is reported before a bad rule file or a conflict.
+    fn first(&self, error: String) -> String {
+        self.scan().err().unwrap_or(error)
+    }
+
+    fn error(&self, e: PipelineError) -> String {
+        let (PipelineError::Read(e) | PipelineError::Write(e)) = e;
+        format!("reading {}: {e}", self.path)
+    }
+
+    fn loaded(&self, rows: usize, rules: &RuleSet) {
+        obs::info!(
+            "load.done",
+            rows = rows,
+            rules = rules.len(),
+            constants = self.symbols.len()
+        );
+    }
+
+    /// Gate Σ, then `read` the data, which returns the row count with its
+    /// result; `load.done` and the gate's verdict are logged after the
+    /// read, as for a command that loads the data first. On a conflict the
+    /// data is still streamed through, so that a bad data file is the
+    /// error reported.
+    fn gated<T>(
+        &self,
+        rules: &RuleSet,
+        obs_ctx: &ObsCtx,
+        read: impl FnOnce() -> Result<(usize, T), String>,
+    ) -> Result<T, String> {
+        let report = check_consistency(rules, obs_ctx);
+        let (rows, value) = if report.is_consistent() {
+            let (rows, value) = read()?;
+            (rows, Some(value))
+        } else {
+            (self.scan()?, None)
+        };
+        self.loaded(rows, rules);
+        require_consistent(&report)?;
+        Ok(value.expect("a consistent Σ reads the data"))
+    }
+
+    /// lRepair on every row, one [`LRepairWorker`] per worker reporting to
+    /// `observer`, as `repair` runs it, with no row touched and the output
+    /// discarded. Returns the totals and the first `listed` updates.
+    fn lrepair<O: RepairObserver>(
+        &self,
+        rules: &RuleSet,
+        index: &LRepairIndex,
+        observer: &O,
+        listed: usize,
+    ) -> Result<(RepairStats, Vec<CellUpdate>), String> {
+        let mut first = Vec::new();
+        let run = par_repair_csv(
+            self.path,
+            &self.schema,
+            &self.symbols,
+            self.threads,
+            |w| (LRepairWorker::new(rules, index, observer, w), (0, 0)),
+            |(lrepair, (updates, touched)), chunk, note: &mut Vec<CellUpdate>| {
+                lrepair.repair_rows(chunk.first_row, chunk.cells, note);
+                *updates += note.len();
+                *touched += note.chunk_by(|a, b| a.row == b.row).count();
+                note.truncate(listed);
+            },
+            |_, note| {
+                first.extend(note.iter().take(listed - first.len()));
+                Ok(())
+            },
+        )
+        .map_err(|e| self.error(e))?;
+        let mut stats = RepairStats {
+            rows: run.rows,
+            ..RepairStats::default()
+        };
+        for (lrepair, (updates, touched)) in run.workers {
+            stats.updates += updates;
+            stats.rows_touched += touched;
+            lrepair.finish();
+        }
+        Ok((stats, first))
+    }
 }
 
 /// The schema of the CSV file at `path`, read from its header row alone.
@@ -726,8 +829,8 @@ fn read_rules(path: &str, schema: &Schema, symbols: &mut SymbolTable) -> Result<
     })
 }
 
-/// Workers for CSV load and lRepair, neither of whose output depends on
-/// the worker count: `--threads`, or every available core.
+/// Workers for the chunk pipeline, whose output does not depend on the
+/// worker count: `--threads`, or every available core.
 fn worker_threads(flags: &Flags) -> Result<usize, String> {
     match flags.optional("threads") {
         Some(t) => t
@@ -785,23 +888,23 @@ fn emit_profile(flags: &Flags, attribution: Option<&AttributionObserver>) -> Res
 }
 
 /// The pairwise `isConsist_r` check run to the end (it reports every
-/// conflict), timed and fed into the observer.
+/// conflict), timed and fed into the observer; [`require_consistent`]
+/// logs it.
 fn check_consistency(rules: &RuleSet, obs_ctx: &ObsCtx) -> ConsistencyReport {
     let _span = obs_ctx.span("consistency_check");
     let report = is_consistent_characterize(rules, usize::MAX);
     report.observe(&obs_ctx.observer);
+    report
+}
+
+/// The gate in front of every repair: log a [`check_consistency`] report,
+/// and fail on any conflict.
+fn require_consistent(report: &ConsistencyReport) -> Result<(), String> {
     obs::info!(
         "consistency.done",
         pairs_checked = report.pairs_checked,
         conflicts = report.conflicts.len()
     );
-    report
-}
-
-/// The gate in front of every repair: [`check_consistency`], failing on
-/// any conflict.
-fn require_consistent(rules: &RuleSet, obs_ctx: &ObsCtx) -> Result<(), String> {
-    let report = check_consistency(rules, obs_ctx);
     if report.is_consistent() {
         Ok(())
     } else {
@@ -814,15 +917,16 @@ fn require_consistent(rules: &RuleSet, obs_ctx: &ObsCtx) -> Result<(), String> {
 
 fn cmd_check(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(&["rules", "data", "threads"])?;
-    let (_table, Sigma { rules, .. }, symbols) = load(flags, obs_ctx)?;
+    let (Sigma { rules, .. }, symbols, _) = load_sigma(flags, obs_ctx)?;
     let report = check_consistency(&rules, obs_ctx);
+    let consistent = require_consistent(&report).is_ok();
     outln!(
         "{} rules, size(Σ) = {}, {} pairs checked",
         rules.len(),
         rules.size(),
         report.pairs_checked
     );
-    if report.is_consistent() {
+    if consistent {
         outln!("consistent ✓");
         Ok(())
     } else {
@@ -882,17 +986,18 @@ fn render_tuple(tuple: &[Symbol], symbols: &SymbolTable) -> String {
 /// flagged dead that did fire) and render the findings rustc-style.
 fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(&["rules", "data", "lint", "profile-json"])?;
-    let (mut table, Sigma { rules, spans, text }, symbols) = load(flags, obs_ctx)?;
+    let (data, Sigma { rules, spans, text }, load) = Data::read(flags, obs_ctx)?;
+    drop(load);
     let rules_path = flags.required("rules")?;
-    require_consistent(&rules, obs_ctx)?;
-    let attribution =
-        AttributionObserver::new(&obs_ctx.registry, rule_labels(&rules)).with_timing(true);
-    let observer = Tee(&obs_ctx.observer, &attribution);
-    {
+    let attribution = data.gated(&rules, obs_ctx, || {
+        let attribution =
+            AttributionObserver::new(&obs_ctx.registry, rule_labels(&rules)).with_timing(true);
         let _span = obs_ctx.span("repair");
         let index = LRepairIndex::build(&rules);
-        lrepair_table(&rules, &index, &mut table, &observer);
-    }
+        let observer = Tee(&obs_ctx.observer, &attribution);
+        let (stats, _) = data.lrepair(&rules, &index, &observer, 0)?;
+        Ok((stats.rows, attribution))
+    })?;
     let profile = attribution.profile();
     out!("{}", profile.render_table());
     if let Some(path) = flags.optional("profile-json") {
@@ -901,7 +1006,12 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         outln!("wrote {path}");
     }
     if flags.switch("lint") {
-        let lint_report = fixlint::lint(&rules, &spans, &symbols, &fixlint::LintOptions::default());
+        let lint_report = fixlint::lint(
+            &rules,
+            &spans,
+            &data.symbols,
+            &fixlint::LintOptions::default(),
+        );
         // Rows carry the `r{i}` labels built above; fold them back into
         // rule-id order for the join (the catch-all row has no id).
         let mut activity = vec![fixlint::RuleActivity::default(); rules.len()];
@@ -1101,7 +1211,7 @@ fn cmd_client(sub: &str, positional: Option<&str>, flags: &Flags) -> Result<Exit
 
 fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(&["rules", "data", "threads", "out", "strategy"])?;
-    let (_table, Sigma { mut rules, .. }, symbols) = load(flags, obs_ctx)?;
+    let (Sigma { mut rules, .. }, symbols, _) = load_sigma(flags, obs_ctx)?;
     let strategy = match flags.optional("strategy").unwrap_or("shrink") {
         "shrink" => Strategy::ShrinkNegatives,
         "drop" => Strategy::Conservative,
@@ -1136,24 +1246,13 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
 /// whole ([`OutFile`]).
 fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(REPAIR_FLAGS)?;
-    let threads = worker_threads(flags)?;
-    let data_path = flags.required("data")?;
-    let rules_path = flags.required("rules")?;
+    let (data, Sigma { rules, .. }, load) = Data::read(flags, obs_ctx)?;
+    drop(load);
     let out = flags.required("out")?;
-    let (schema, sigma, symbols) = {
-        let _span = obs_ctx.span("load");
-        read_sigma(data_path, rules_path)?
-    };
-    // As `load` reports them, a bad data file comes before a bad rule file,
-    // which comes before an inconsistent Σ; the data is read only in the
-    // pipeline, so on those paths it is read through first.
-    let data_first = |error: String| {
-        read_data(data_path, &schema, &SymbolTable::new(), threads)
-            .err()
-            .unwrap_or(error)
-    };
-    let rules = sigma.map_err(data_first)?.rules;
-    require_consistent(&rules, obs_ctx).map_err(data_first)?;
+    // As every data command reports them, a bad data file comes before an
+    // inconsistent Σ; the data is read only in the pipeline, so on that
+    // path it is read through first.
+    require_consistent(&check_consistency(&rules, obs_ctx)).map_err(|e| data.first(e))?;
     // `--quality-window` keeps a QualityMonitor: tumbling windows of
     // sketches over the incoming rows, fed in file order by the pipeline's
     // writing thread and summarized as a per-window table after the run.
@@ -1204,13 +1303,13 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     };
     let (stats, updates, out_file) = {
         let _span = obs_ctx.span("repair");
-        let mut out_file = OutFile::create(out, data_path)?;
+        let mut out_file = OutFile::create(out, data.path)?;
         let (stats, updates) = run_pipeline(
             &rules,
-            &symbols,
+            &data.symbols,
             &index,
-            threads,
-            data_path,
+            data.threads,
+            data.path,
             &mut out_file.file,
             &observer,
             flags.optional("updates-log").is_some(),
@@ -1218,19 +1317,14 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             obs_ctx,
         )
         .map_err(|e| match e {
-            PipelineError::Read(e) => format!("reading {data_path}: {e}"),
             PipelineError::Write(e) => format!("writing {out}: {e}"),
+            e => data.error(e),
         })?;
-        obs::info!(
-            "load.done",
-            rows = stats.rows,
-            rules = rules.len(),
-            constants = symbols.len()
-        );
+        data.loaded(stats.rows, &rules);
         (stats, updates, out_file)
     };
     if let Some(journal) = &obs_ctx.journal {
-        write_trace_events(journal, &rules, &symbols, &ledger);
+        write_trace_events(journal, &rules, &data.symbols, &ledger);
     }
     obs::info!(
         "repair.done",
@@ -1272,8 +1366,8 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
                 [
                     row.as_str(),
                     schema.attr_name(u.attr),
-                    symbols.resolve(u.old),
-                    symbols.resolve(u.new),
+                    data.symbols.resolve(u.old),
+                    data.symbols.resolve(u.new),
                     rule.as_str(),
                 ],
             );
@@ -1708,15 +1802,15 @@ fn cmd_trace_export(positional: Option<&str>, flags: &Flags) -> Result<(), Strin
 
 fn cmd_stats(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(&["rules", "data", "threads"])?;
-    let (table, Sigma { rules, .. }, _symbols) = load(flags, obs_ctx)?;
-    outln!("schema: {}", table.schema());
-    outln!("data:   {} rows", table.len());
+    let (Sigma { rules, .. }, _symbols, rows) = load_sigma(flags, obs_ctx)?;
+    outln!("schema: {}", rules.schema());
+    outln!("data:   {} rows", rows);
     outln!("rules:  {} (size(Σ) = {})", rules.len(), rules.size());
     let mut by_b: HashMap<&str, usize> = HashMap::new();
     let mut neg_total = 0usize;
     let mut neg_max = 0usize;
     for (_, rule) in rules.iter() {
-        *by_b.entry(table.schema().attr_name(rule.b())).or_insert(0) += 1;
+        *by_b.entry(rules.schema().attr_name(rule.b())).or_insert(0) += 1;
         neg_total += rule.neg().len();
         neg_max = neg_max.max(rule.neg().len());
     }

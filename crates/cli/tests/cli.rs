@@ -2160,6 +2160,11 @@ fn a_failed_repair_writes_the_same_repair_counters_at_every_worker_count() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every command that reads `--data` with `--rules`.
+const DATA_COMMANDS: [&str; 7] = [
+    "repair", "check", "detect", "stats", "convert", "resolve", "coverage",
+];
+
 #[test]
 fn a_data_error_is_reported_before_a_rules_error_or_a_conflict() {
     let dir = tmpdir("error_order");
@@ -2170,10 +2175,14 @@ fn a_data_error_is_reported_before_a_rules_error_or_a_conflict() {
         data.display()
     );
     let unparsable = "IF country = \"China\" AND THEN capital := \"Beijing\"\n";
-    for (tag, text) in [("unparsable", unparsable), ("inconsistent", BAD_RULES)] {
+    for (tag, text) in [
+        ("unparsable", unparsable),
+        ("inconsistent", BAD_RULES),
+        ("consistent", GOOD_RULES),
+    ] {
         let rules = dir.join(format!("{tag}.frl"));
         std::fs::write(&rules, text).unwrap();
-        for command in ["repair", "check"] {
+        for command in DATA_COMMANDS {
             let mut args = vec![
                 command,
                 "--rules",
@@ -2181,7 +2190,7 @@ fn a_data_error_is_reported_before_a_rules_error_or_a_conflict() {
                 "--data",
                 data.to_str().unwrap(),
             ];
-            if command == "repair" {
+            if ["repair", "convert", "resolve"].contains(&command) {
                 args.extend(["--out", fixed.to_str().unwrap()]);
             }
             let out = fixctl(&args);
@@ -2249,6 +2258,141 @@ fn repair_memory_does_not_grow_with_the_input() {
         large - small <= 4 << 20,
         "peak RSS {small} B on {small_len} B of input, {large} B on {large_len} B"
     );
+}
+
+/// No command that reads `--data` holds its rows: each one's peak memory
+/// on 400,000 rows (about 15 MB, whose cells alone, 4 bytes each, would
+/// take 8 MB) is within 4 MiB of its peak on 10,000.
+#[test]
+fn no_data_command_holds_the_rows() {
+    if !std::path::Path::new("/proc/self/status").exists() {
+        return;
+    }
+    let dir = tmpdir("peak_rss_all");
+    let (rules, fixed, metrics) = (dir.join("r.frl"), dir.join("out"), dir.join("m.json"));
+    std::fs::write(&rules, GOOD_RULES).unwrap();
+    let inputs = [10_000, 400_000].map(|rows| {
+        let data = dir.join(format!("{rows}.csv"));
+        std::fs::write(&data, tiled_travel_rows(rows)).unwrap();
+        data
+    });
+    assert!(std::fs::metadata(&inputs[1]).unwrap().len() > 12 << 20);
+    for command in DATA_COMMANDS.into_iter().skip(1) {
+        let peak = |data: &PathBuf| {
+            let mut args = vec![
+                command,
+                "--rules",
+                rules.to_str().unwrap(),
+                "--data",
+                data.to_str().unwrap(),
+                "--metrics",
+                metrics.to_str().unwrap(),
+            ];
+            if command != "coverage" {
+                args.extend(["--threads", "2"]);
+            }
+            if ["convert", "resolve"].contains(&command) {
+                args.extend(["--out", fixed.to_str().unwrap()]);
+            }
+            let out = fixctl(&args);
+            assert!(out.status.success(), "{command}: {out:?}");
+            peak_rss_bytes(&metrics)
+        };
+        let (small, large) = (peak(&inputs[0]), peak(&inputs[1]));
+        assert!(
+            large - small <= 4 << 20,
+            "{command}: peak RSS {small} B on 10,000 rows, {large} B on 400,000"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// On a multi-chunk input, at 1 to 3 workers, `detect` reports what
+/// `repair` does: its summary line is `repair`'s, and it explains the
+/// first 100 records of `repair --updates-log` in order. `coverage`'s
+/// `--profile-json` is `repair --profile --profile-json`'s (`coverage`
+/// always times rules, which `--profile` turns on).
+#[test]
+fn detect_and_coverage_report_what_repair_does_on_a_multi_chunk_input() {
+    let dir = tmpdir("detect_coverage");
+    let data = dir.join("hosp.csv");
+    std::fs::write(&data, tiled_hosp_csv()).unwrap();
+    let rules_path = example("rulesets/hosp_zip.frl");
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let run = |args: &[&str]| {
+        let out = fixctl(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let data = data.to_str().unwrap();
+    let repaired = run(&[
+        "repair",
+        "--rules",
+        &rules_path,
+        "--data",
+        data,
+        "--threads",
+        "1",
+        "--out",
+        &file("out.csv"),
+        "--updates-log",
+        &file("updates.csv"),
+        "--profile",
+        "--profile-json",
+        &file("profile.json"),
+    ]);
+    // The explanations `repair`'s update log gives, and the summary line.
+    let mut symbols = relation::SymbolTable::new();
+    let schema =
+        relation::csv_io::read_csv_header(std::fs::File::open(data).unwrap(), "data").unwrap();
+    let text = std::fs::read_to_string(&rules_path).unwrap();
+    let rules = fixrules::io::parse_rules(&text, &schema, &mut symbols).unwrap();
+    let log = std::fs::read(file("updates.csv")).unwrap();
+    let log = relation::csv_io::read_csv(log.as_slice(), "log", &mut symbols).unwrap();
+    assert!(log.len() > 1_000, "{}", log.len());
+    let summary = repaired.lines().next().unwrap();
+    let mut want = summary.replacen(" update(s)", " planned update(s)", 1) + "\n";
+    for i in 0..100 {
+        let [row, attr, old, new, rule] = <[&str; 5]>::try_from(log.row_strs(&symbols, i)).unwrap();
+        let update = fixrules::repair::CellUpdate {
+            row: row.parse().unwrap(),
+            attr: schema.attr(attr).unwrap(),
+            old: symbols.get(old).unwrap(),
+            new: symbols.get(new).unwrap(),
+            rule: fixrules::RuleId(rule.parse().unwrap()),
+            round: 0,
+        };
+        let explained = fixrules::repair::explain(&update, &rules, &schema, &symbols);
+        want += &format!("  {explained}\n");
+    }
+    want += &format!("  ... and {} more\n", log.len() - 100);
+    for threads in ["1", "2", "3"] {
+        let detected = run(&[
+            "detect",
+            "--rules",
+            &rules_path,
+            "--data",
+            data,
+            "--threads",
+            threads,
+        ]);
+        assert!(detected == want, "detect at {threads} workers:\n{detected}");
+    }
+    run(&[
+        "coverage",
+        "--rules",
+        &rules_path,
+        "--data",
+        data,
+        "--profile-json",
+        &file("coverage.json"),
+    ]);
+    assert!(
+        std::fs::read(file("coverage.json")).unwrap()
+            == std::fs::read(file("profile.json")).unwrap(),
+        "coverage --profile-json differs from repair's"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A copy of `data` that keeps its header row and drops every record.

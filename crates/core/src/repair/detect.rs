@@ -1,42 +1,17 @@
-//! Detect-only mode and repair explanation.
+//! Repair explanation for detect-only mode.
 //!
 //! Fixing rules subsume the *detection* capability of CFDs (§2): a matching
-//! rule certifies that `t[B]` is wrong. [`detect_table`] reports what a
-//! repair *would* change without mutating anything — the audit/monitoring
-//! deployment mode, where a human signs off before writes. [`explain`]
-//! renders one planned or applied update with the evidence that justified
-//! it.
+//! rule certifies that `t[B]` is wrong. Detection is lRepair with the write
+//! left out, so `fixctl detect` runs the same lRepair workers as `fixctl
+//! repair` over the same chunk pipeline and discards the repaired rows —
+//! the audit/monitoring deployment mode, where a human signs off before
+//! writes. [`explain`] renders one planned or applied update with the
+//! evidence that justified it.
 
-use relation::{Schema, SymbolTable, Table};
+use relation::{Schema, SymbolTable};
 
-use crate::repair::linear::{lrepair_tuple, LRepairIndex, LRepairScratch};
-use crate::repair::{CellUpdate, RepairOutcome};
+use crate::repair::CellUpdate;
 use crate::ruleset::RuleSet;
-
-/// Compute the updates a repair would apply, leaving `table` untouched.
-///
-/// Chased updates are included: if fixing one cell would enable another
-/// rule, both planned updates are reported, exactly as `lRepair` would
-/// apply them.
-pub fn detect_table(rules: &RuleSet, index: &LRepairIndex, table: &Table) -> RepairOutcome {
-    assert!(
-        rules.schema().same_as(table.schema()),
-        "rule set and table must share a schema"
-    );
-    let mut scratch = LRepairScratch::new(rules.len());
-    let mut outcome = RepairOutcome::default();
-    let mut row = Vec::with_capacity(table.schema().arity());
-    for i in 0..table.len() {
-        row.clear();
-        row.extend_from_slice(table.row(i));
-        let mut ups = lrepair_tuple(rules, index, &mut scratch, &mut row);
-        for u in &mut ups {
-            u.row = i;
-        }
-        outcome.updates.extend(ups);
-    }
-    outcome
-}
 
 /// Render a human-readable justification of one update: the rule, its
 /// evidence cells, and the negative pattern that fired.
@@ -67,8 +42,8 @@ pub fn explain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::lrepair_table;
-    use relation::Schema;
+    use crate::repair::{lrepair_table, LRepairIndex, RepairOutcome};
+    use relation::{Schema, Table};
 
     fn setup() -> (RuleSet, SymbolTable, Table) {
         let schema = Schema::new("Travel", ["name", "country", "capital", "city", "conf"]).unwrap();
@@ -103,25 +78,30 @@ mod tests {
         (rules, sy, t)
     }
 
+    /// What detection reports: lRepair's updates on a copy of `table`.
+    fn plan(rules: &RuleSet, table: &Table) -> RepairOutcome {
+        let index = LRepairIndex::build(rules);
+        lrepair_table(rules, &index, &mut table.clone(), &obs::NoopObserver)
+    }
+
     #[test]
     fn detect_reports_chased_plan_without_mutation() {
         let (rules, _sy, table) = setup();
-        let index = LRepairIndex::build(&rules);
         let before = table.clone();
-        let plan = detect_table(&rules, &index, &table);
+        let plan = plan(&rules, &table);
         // Both the capital fix and the enabled city fix are planned.
         assert_eq!(plan.total_updates(), 2);
+        assert_eq!(plan.rows_touched(), 1);
         assert_eq!(before.diff_cells(&table).unwrap(), 0, "table mutated");
     }
 
     #[test]
     fn detect_plan_matches_actual_repair() {
         let (rules, _sy, table) = setup();
-        let index = LRepairIndex::build(&rules);
-        let plan = detect_table(&rules, &index, &table);
+        let plan = plan(&rules, &table);
         let mut repaired = table.clone();
-        let applied = lrepair_table(&rules, &index, &mut repaired, &obs::NoopObserver);
-        assert_eq!(plan.updates, applied.updates);
+        let index = LRepairIndex::build(&rules);
+        lrepair_table(&rules, &index, &mut repaired, &obs::NoopObserver);
         // Applying the plan manually reproduces the repair.
         let mut manual = table.clone();
         for u in &plan.updates {
@@ -133,8 +113,7 @@ mod tests {
     #[test]
     fn explain_names_rule_evidence_and_values() {
         let (rules, sy, table) = setup();
-        let index = LRepairIndex::build(&rules);
-        let plan = detect_table(&rules, &index, &table);
+        let plan = plan(&rules, &table);
         let first = plan
             .updates
             .iter()
@@ -150,12 +129,11 @@ mod tests {
     #[test]
     fn clean_table_yields_empty_plan() {
         let (rules, mut sy, _) = setup();
-        let index = LRepairIndex::build(&rules);
         let mut clean = Table::new(rules.schema().clone());
         clean
             .push_strs(&mut sy, &["Ann", "Japan", "Tokyo", "Tokyo", "VLDB"])
             .unwrap();
-        let plan = detect_table(&rules, &index, &clean);
+        let plan = plan(&rules, &clean);
         assert_eq!(plan.total_updates(), 0);
     }
 }

@@ -46,7 +46,7 @@ pub use compile::{
     CompiledEngine, CompiledScratch, PlanCache, PlanCacheStats, RepairPlan, RuleProgram,
     TupleSignature,
 };
-pub use detect::{detect_table, explain};
+pub use detect::explain;
 pub use linear::{lrepair_table, lrepair_tuple, LRepairIndex, LRepairScratch};
 pub use obs::NoopObserver;
 pub use parallel::{par_lrepair_table, LRepairWorker};

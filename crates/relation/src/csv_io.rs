@@ -7,20 +7,17 @@
 //! engine.
 //!
 //! [`read_csv`] reads any stream, one record at a time, with the `csv`
-//! reader, and interns every cell; [`read_csv_file`] runs it over a file. It
-//! is the reference for the chunked file readers, which cut a file after
-//! its header into 256 KiB chunks that workers scan at once with one record
-//! scanner (DESIGN.md §18), keep only the values a table of constants
-//! holds, load every other cell as [`Symbol::BOTTOM`], and hand each chunk
-//! to the calling thread in file order:
-//!
-//! * [`par_read_csv_constants`] appends its cells to a table;
-//! * [`par_repair_csv`] hands its rows to a caller's repair step, renders
-//!   them back out of the chunk's own bytes and delivers them, so its
-//!   memory does not grow with the file.
-//!
-//! [`par_write_csv`] renders blocks of rows on several workers and writes
-//! them in order; [`write_csv`] is its one-worker case.
+//! reader, and interns every cell; [`read_csv_file`] runs it over a file.
+//! [`write_csv`] renders a table on the calling thread. They are the
+//! reference for [`par_repair_csv`], the one chunked file reader: it cuts a
+//! file after its header into 256 KiB chunks that workers scan at once with
+//! one record scanner (DESIGN.md §18), keeps only the values a table of
+//! constants holds and loads every other cell as [`Symbol::BOTTOM`], hands
+//! each chunk's rows to a caller's repair step, renders them back out of
+//! the chunk's own bytes and delivers them in file order, so its memory
+//! does not grow with the file. A caller that only reads the rows, or
+//! only checks that the file reads, repairs nothing and discards the
+//! bytes.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -30,13 +27,10 @@ use std::time::Instant;
 
 use crate::{RelationError, Result, Schema, Symbol, SymbolTable, Table};
 
-/// Rows rendered per block by [`par_write_csv`].
-const RENDER_BLOCK_ROWS: usize = 512;
-
 /// Blocks per worker that may wait to be handed over, in [`in_order`].
 const BLOCKS_AHEAD: usize = 4;
 
-/// Bytes of input per chunk of the chunked readers. Smaller chunks pay for
+/// Bytes of input per chunk of [`par_repair_csv`]. Smaller chunks pay for
 /// more handoffs, and larger ones fault in more output buffers in flight;
 /// EXPERIMENTS.md has the measured sizes.
 const CHUNK_BYTES: u64 = 256 << 10;
@@ -48,6 +42,9 @@ const SLACK_BYTES: usize = 4 << 10;
 /// Bytes at least by which a chunk's window grows when a record runs past
 /// its end.
 const GROW_BYTES: usize = 64 << 10;
+
+/// Bytes [`write_csv`] renders before it writes them out.
+const WRITE_BYTES: usize = 64 << 10;
 
 /// Read a table from CSV text with a header row.
 ///
@@ -93,27 +90,6 @@ pub fn read_csv_file<P: AsRef<Path>>(
     read_csv(File::open(path)?, relation_name, symbols)
 }
 
-/// Load a CSV file on disk with up to `threads` workers, keeping only the
-/// values that `constants` holds: every cell becomes its constant's symbol
-/// or [`Symbol::BOTTOM`]. No value outside `constants` is stored anywhere,
-/// and `constants` is only read. `schema` is the file's header, as
-/// [`read_csv_header`] read it; the table is built on it, so rules parsed
-/// against it apply to the table.
-///
-/// The file is cut, scanned and confirmed chunk by chunk as in
-/// [`par_repair_csv`], and the calling thread appends each chunk's cells to
-/// the table in file order, so the rows and any error are [`read_csv`]'s,
-/// with each cell outside `constants` replaced by ⊥.
-pub fn par_read_csv_constants<P: AsRef<Path>>(
-    path: P,
-    schema: &Schema,
-    constants: &SymbolTable,
-    threads: usize,
-) -> Result<Table> {
-    let file = File::open(path)?;
-    Pipeline::new(&file, file.metadata()?.len(), schema, constants).load(threads)
-}
-
 /// Read only the header row of CSV text: the schema [`read_csv`] would
 /// build, without reading a single record.
 pub fn read_csv_header<R: Read>(reader: R, relation_name: &str) -> Result<Schema> {
@@ -136,64 +112,39 @@ pub fn push_record<'a>(buf: &mut Vec<u8>, fields: impl IntoIterator<Item = &'a s
 }
 
 /// Write a table as CSV with a header row, rendering on the calling
-/// thread ([`par_write_csv`] with one worker).
-pub fn write_csv<W: Write>(writer: W, table: &Table, symbols: &SymbolTable) -> Result<()> {
-    par_write_csv(writer, table, symbols, 1)
-}
-
-/// Write a table to a CSV file on disk, rendering with one worker per
-/// available core ([`par_write_csv`]).
-pub fn write_csv_file<P: AsRef<Path>>(path: P, table: &Table, symbols: &SymbolTable) -> Result<()> {
-    par_write_csv(File::create(path)?, table, symbols, available_threads())
-}
-
-/// Write a table as CSV with a header row, with up to `threads` workers
-/// rendering blocks of rows, written in order. Fields are quoted exactly
-/// as `csv::Writer` quotes them; whether a value needs quotes is decided
-/// once per symbol of `symbols`, not once per cell.
-pub fn par_write_csv<W: Write>(
-    mut writer: W,
-    table: &Table,
-    symbols: &SymbolTable,
-    threads: usize,
-) -> Result<()> {
-    let mut header = Vec::new();
-    push_record(&mut header, table.schema().attr_names());
-    writer.write_all(&header)?;
+/// thread into a buffer that is written out every 64 KiB. Fields are
+/// quoted exactly as `csv::Writer` quotes them; whether a value needs
+/// quotes is decided once per symbol of `symbols`, not once per cell.
+pub fn write_csv<W: Write>(mut writer: W, table: &Table, symbols: &SymbolTable) -> Result<()> {
+    let mut buf = Vec::new();
+    push_record(&mut buf, table.schema().attr_names());
     let quoted: Vec<bool> = symbols.iter().map(|(_, v)| csv::needs_quotes(v)).collect();
-    let blocks = table.len().div_ceil(RENDER_BLOCK_ROWS);
-    in_order(
-        blocks,
-        threads.min(blocks / 2),
-        |_| (),
-        |_: &mut (), block, buf: &mut Vec<u8>| {
-            buf.clear();
-            for i in block_rows(block, table.len()) {
-                for (k, &s) in table.row(i).iter().enumerate() {
-                    if k > 0 {
-                        buf.push(b',');
-                    }
-                    let value = symbols.resolve(s);
-                    if quoted[s.index()] {
-                        csv::push_field(buf, value);
-                    } else {
-                        buf.extend_from_slice(value.as_bytes());
-                    }
-                }
-                buf.push(b'\n');
+    for row in table.rows() {
+        for (k, &s) in row.iter().enumerate() {
+            if k > 0 {
+                buf.push(b',');
             }
-            Ok(())
-        },
-        |buf| Ok(writer.write_all(buf)?),
-    )?;
+            let value = symbols.resolve(s);
+            if quoted[s.index()] {
+                csv::push_field(&mut buf, value);
+            } else {
+                buf.extend_from_slice(value.as_bytes());
+            }
+        }
+        buf.push(b'\n');
+        if buf.len() >= WRITE_BYTES {
+            writer.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    writer.write_all(&buf)?;
     writer.flush()?;
     Ok(())
 }
 
-/// The rows of render block `block` of a table of `rows` rows.
-fn block_rows(block: usize, rows: usize) -> std::ops::Range<usize> {
-    let first = block * RENDER_BLOCK_ROWS;
-    first..(first + RENDER_BLOCK_ROWS).min(rows)
+/// Write a table to a CSV file on disk: [`write_csv`] over the file.
+pub fn write_csv_file<P: AsRef<Path>>(path: P, table: &Table, symbols: &SymbolTable) -> Result<()> {
+    write_csv(File::create(path)?, table, symbols)
 }
 
 /// Fill blocks `0..blocks` with up to `workers` workers and hand them to
@@ -374,13 +325,12 @@ pub struct Pipelined<T> {
 ///
 /// `schema` is the file's header, as [`read_csv_header`] read it, and
 /// `constants` the values to keep: every other cell reaches the repair
-/// step as [`Symbol::BOTTOM`], as in [`par_read_csv_constants`]. Each
-/// worker makes its state with `worker` from its number, and gives it to
-/// `repair` with every chunk it takes; `repair` may change the cells and
-/// must [touch](ChunkRows::touch) each row it changes. It may also leave
-/// a note, which starts as `N::default()` for every chunk, and which
-/// `deliver` gets with the chunk's bytes; `deliver` gets the header first,
-/// with a default note.
+/// step as [`Symbol::BOTTOM`]. Each worker makes its state with `worker`
+/// from its number, and gives it to `repair` with every chunk it takes;
+/// `repair` may change the cells and must [touch](ChunkRows::touch) each
+/// row it changes. It may also leave a note, which starts as
+/// `N::default()` for every chunk, and which `deliver` gets with the
+/// chunk's bytes; `deliver` gets the header first, with a default note.
 ///
 /// The bytes after the header are cut every 256 KiB, and workers claim
 /// the chunks in file order, at most four per worker ahead of the chunk
@@ -449,26 +399,6 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
             constants,
             chunk_bytes: CHUNK_BYTES,
         }
-    }
-
-    /// [`par_read_csv_constants`]: every chunk's cells, appended in file
-    /// order.
-    fn load(&self, threads: usize) -> Result<Table> {
-        let mut cells = Vec::new();
-        self.run(
-            self.data_start()?,
-            threads,
-            |_| (),
-            |stage, _, block: &mut Vec<Symbol>| {
-                std::mem::swap(&mut stage.chunk.cells, block);
-                Ok(())
-            },
-            |block| {
-                cells.extend_from_slice(block);
-                Ok(())
-            },
-        )?;
-        Ok(Table::from_cells(self.schema.clone(), cells))
     }
 
     /// [`par_repair_csv`] over the source.
@@ -742,7 +672,7 @@ fn nanos(from: Instant, to: Instant) -> u64 {
     u64::try_from((to - from).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The handoff from chunk to chunk in the chunked readers: how many chunks
+/// The handoff from chunk to chunk in [`par_repair_csv`]: how many chunks
 /// have confirmed their start and published where they end, and how many
 /// rows they hold.
 struct Chain {
@@ -826,11 +756,6 @@ impl Drop for Turn<'_> {
             self.chain.moved.notify_all();
         }
     }
-}
-
-/// Worker count for the file writer: the available cores.
-fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// A byte source that threads can read at independent offsets.
@@ -1629,26 +1554,50 @@ mod tests {
 
     type Projected = std::result::Result<Vec<Vec<Option<String>>>, String>;
 
-    /// A table's rows with every cell its value if that is one of
-    /// [`CONSTANTS`], or else `None`.
-    fn projected(
-        table: &Table,
+    /// Rows with every cell its value if that is one of [`CONSTANTS`], or
+    /// else `None`.
+    fn projected<'a>(
+        rows: impl Iterator<Item = &'a [Symbol]>,
         resolve: impl Fn(Symbol) -> Option<String>,
     ) -> Vec<Vec<Option<String>>> {
-        table
-            .rows()
-            .map(|row| row.iter().map(|&s| resolve(s)).collect())
+        rows.map(|row| row.iter().map(|&s| resolve(s)).collect())
             .collect()
     }
 
-    /// The constants-only loader against `read_csv` on the same bytes: the
-    /// rows projected onto [`CONSTANTS`] (any other value is ⊥) and the
-    /// same error text.
+    /// The cells a pipeline hands its repair step at up to `workers`
+    /// workers, every chunk's in file order, with nothing repaired.
+    fn scanned_cells<S: ReadAt + ?Sized>(
+        pipeline: &Pipeline<'_, S>,
+        workers: usize,
+    ) -> Result<Vec<Symbol>> {
+        let mut cells = Vec::new();
+        let run = pipeline.repair(
+            workers,
+            |_| (),
+            |_, chunk: ChunkRows<'_>, note: &mut Vec<Symbol>| note.extend_from_slice(chunk.cells),
+            |_, note| {
+                cells.extend_from_slice(note);
+                Ok(())
+            },
+        );
+        match run {
+            Ok(run) => {
+                assert_eq!(run.rows * pipeline.schema.arity(), cells.len());
+                Ok(cells)
+            }
+            Err(PipelineError::Read(e)) => Err(e),
+            Err(PipelineError::Write(e)) => panic!("discarding the output failed: {e}"),
+        }
+    }
+
+    /// The cells the pipeline scans against `read_csv` on the same bytes:
+    /// the rows projected onto [`CONSTANTS`] (any other value is ⊥) and
+    /// the same error text.
     fn assert_loaded_matches(data: &[u8], chunk_bytes: u64, workers: usize) {
         let mut want_sy = SymbolTable::new();
         let want: Projected = read_csv(data, "R", &mut want_sy)
             .map(|t| {
-                projected(&t, |s| {
+                projected(t.rows(), |s| {
                     let v = want_sy.resolve(s);
                     CONSTANTS.contains(&v).then(|| v.to_string())
                 })
@@ -1657,12 +1606,11 @@ mod tests {
         let constants = constants();
         let got: Projected = read_csv_header(data, "R")
             .and_then(|schema| {
-                pipeline(data, data.len(), &schema, &constants, chunk_bytes).load(workers)
-            })
-            .map(|t| {
-                projected(&t, |s| {
+                let pipeline = pipeline(data, data.len(), &schema, &constants, chunk_bytes);
+                let cells = scanned_cells(&pipeline, workers)?;
+                Ok(projected(cells.chunks_exact(schema.arity()), |s| {
                     (s != Symbol::BOTTOM).then(|| constants.resolve(s).to_string())
-                })
+                }))
             })
             .map_err(|e| e.to_string());
         assert_eq!(
@@ -2071,33 +2019,44 @@ mod tests {
         let table = read_csv(&data[..], "R", &mut sy).unwrap();
         let mut want = Vec::new();
         write_csv(&mut want, &table, &sy).unwrap();
+        let want_cells = projected(table.rows(), |s| {
+            constants
+                .get(sy.resolve(s))
+                .map(|_| sy.resolve(s).to_string())
+        });
         for workers in [1, 2] {
             let src = Counted {
                 bytes: &data,
                 read: AtomicUsize::new(0),
             };
             let pipeline = pipeline(&src, data.len(), &schema, &constants, chunk_bytes as u64);
-            let mut out = Vec::new();
+            let (mut out, mut cells) = (Vec::new(), Vec::new());
             let run = pipeline
                 .repair(
                     workers,
                     |_| (),
-                    |_, _, _: &mut ()| {},
-                    |bytes, _| {
+                    |_, chunk: ChunkRows<'_>, note: &mut Vec<Symbol>| {
+                        note.extend_from_slice(chunk.cells)
+                    },
+                    |bytes, note| {
                         out.extend_from_slice(bytes);
+                        cells.extend_from_slice(note);
                         Ok(())
                     },
                 )
                 .unwrap();
             assert_eq!(run.rows, rows);
             assert!(out == want, "workers={workers}");
-            let loaded = pipeline.load(workers).unwrap();
-            assert_eq!(loaded.len(), rows);
+            let got_cells = projected(cells.chunks_exact(3), |s| {
+                (s != Symbol::BOTTOM).then(|| constants.resolve(s).to_string())
+            });
+            assert!(got_cells == want_cells, "workers={workers}");
             let read = src.read.load(Ordering::Relaxed);
-            // Twice: the repair, then the load.
+            // Each chunk reads its own bytes and a little slack; a guess
+            // that ran on to the end would read nearly all of them again.
             assert!(
-                read < data.len() * 3,
-                "read {read} of {} bytes twice",
+                read < data.len() * 3 / 2,
+                "read {read} of {} bytes in one run",
                 data.len()
             );
         }
@@ -2105,9 +2064,8 @@ mod tests {
 
     #[test]
     fn file_reader_and_writer_match_the_references_at_any_thread_count() {
-        // Over 4 MiB, so the chunked readers cut it into many 256 KiB
-        // chunks and the writer renders many blocks; some values need
-        // quotes.
+        // Over 4 MiB, so the pipeline cuts it into many 256 KiB chunks and
+        // the writer writes out many buffers; some values need quotes.
         let mut text = String::from("id,name,note\n");
         for i in 0..60_000 {
             let note = match i % 5 {
@@ -2154,13 +2112,18 @@ mod tests {
         let got = read_csv_file(&path, "R", &mut sy).unwrap();
         assert!(got.rows().eq(want.rows()));
         assert!(sy.iter().eq(want_sy.iter()));
-        for threads in 1..=4 {
-            let mut out = Vec::new();
-            par_write_csv(&mut out, &want, &want_sy, threads).unwrap();
-            assert!(out == want_out, "render differs at threads={threads}");
-        }
-        // The constants-only reader, and the pipeline with a constant
-        // written into some rows, some of them quoted in the file.
+        let mut out = Vec::new();
+        write_csv(&mut out, &want, &want_sy).unwrap();
+        assert!(out == want_out, "write_csv differs from csv::Writer");
+        let out_path = dir.join("out.csv");
+        write_csv_file(&out_path, &want, &want_sy).unwrap();
+        assert!(
+            std::fs::read(&out_path).unwrap() == want_out,
+            "write_csv_file differs"
+        );
+        // The pipeline's cells, which hold only `constants` and ⊥, and its
+        // output with a constant written into some rows, some of them
+        // quoted in the file.
         let names = [
             "plain",
             "q3",
@@ -2182,27 +2145,19 @@ mod tests {
         }
         let want_repaired_out = render(&want_repaired, &want_sy);
         let schema = want.schema();
-        let out_path = dir.join("out.csv");
         for threads in 1..=4 {
-            let got = par_read_csv_constants(&path, schema, &constants, threads).unwrap();
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.rows().zip(want.rows()) {
-                for (&g, &w) in g.iter().zip(w.iter()) {
-                    let w = want_sy.resolve(w);
-                    let g = (g != Symbol::BOTTOM).then(|| constants.resolve(g));
-                    assert_eq!(g, names.contains(&w).then_some(w), "threads={threads}");
-                }
-            }
             let plain = constants.get("plain").unwrap();
             for fix in [false, true] {
                 let mut file = File::create(&out_path).unwrap();
+                let mut cells = Vec::new();
                 let run = par_repair_csv(
                     &path,
                     schema,
                     &constants,
                     threads,
                     |_| (),
-                    |_, mut chunk, _: &mut ()| {
+                    |_, mut chunk, note: &mut Vec<Symbol>| {
+                        note.extend_from_slice(chunk.cells);
                         for i in 0..chunk.rows() {
                             if fix && (chunk.first_row + i) % 997 == 7 {
                                 chunk.cells[3 * i + 2] = plain;
@@ -2210,11 +2165,22 @@ mod tests {
                             }
                         }
                     },
-                    |bytes, _| file.write_all(bytes),
+                    |bytes, note| {
+                        cells.extend_from_slice(note);
+                        file.write_all(bytes)
+                    },
                 )
                 .unwrap();
                 assert_eq!(run.rows, want.len());
                 assert!(run.workers.len() <= threads, "threads={threads}");
+                assert_eq!(cells.len(), 3 * want.len());
+                for (g, w) in cells.chunks_exact(3).zip(want.rows()) {
+                    for (&g, &w) in g.iter().zip(w.iter()) {
+                        let w = want_sy.resolve(w);
+                        let g = (g != Symbol::BOTTOM).then(|| constants.resolve(g));
+                        assert_eq!(g, names.contains(&w).then_some(w), "threads={threads}");
+                    }
+                }
                 let written = std::fs::read(&out_path).unwrap();
                 let want = if fix { &want_repaired_out } else { &want_out };
                 assert!(written == *want, "threads={threads} fix={fix}");

@@ -18,9 +18,9 @@ pub struct Symbol(pub u32);
 
 impl Symbol {
     /// ⊥: a cell whose value is none of Σ's constants, as
-    /// `csv_io::par_read_csv_constants`, `csv_io::par_repair_csv` and `fixd` read
-    /// it. No table hands it out, so it never equals a constant and is
-    /// never resolved; its text stays with the input it came from.
+    /// `csv_io::par_repair_csv` and `fixd` read it. No table hands it out,
+    /// so it never equals a constant and is never resolved; its text stays
+    /// with the input it came from.
     pub const BOTTOM: Symbol = Symbol(u32::MAX - 1);
 
     /// Raw index into the owning table's storage.

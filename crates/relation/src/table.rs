@@ -36,13 +36,6 @@ impl Table {
         }
     }
 
-    /// A table over row-major `cells`, whose length must be a multiple of
-    /// the arity.
-    pub(crate) fn from_cells(schema: Schema, cells: Vec<Symbol>) -> Self {
-        debug_assert_eq!(cells.len() % schema.arity().max(1), 0);
-        Table { schema, cells }
-    }
-
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema

@@ -212,6 +212,38 @@ for tag in lrepair_2 lrepair_default; do
         || { echo "journaled rule texts differ, lrepair_1 vs $tag" >&2; exit 1; }
 done
 echo "-- repair at 2 and the default worker count match 1 worker: CSV, repair.* counters, per-tuple histograms, --profile-json, provenance, rule texts"
+# The other data commands stream the same file through the same pipeline:
+# detect (repair's lRepair workers, rows discarded), stats and check print
+# the same at every worker count, and coverage's profile is repair's with
+# rule timing on (coverage always times rules).
+for cmd in detect stats check; do
+    for threads in 1 2 default; do
+        threads_args=()
+        [ "$threads" = default ] || threads_args=(--threads "$threads")
+        "$FIXCTL" "$cmd" \
+            --rules examples/rulesets/hosp_zip.frl \
+            --data "$TRACE_DIR/hosp_dup.csv" \
+            "${threads_args[@]}" > "$TRACE_DIR/${cmd}_$threads.out"
+    done
+    for threads in 2 default; do
+        cmp "$TRACE_DIR/${cmd}_1.out" "$TRACE_DIR/${cmd}_$threads.out" \
+            || { echo "$cmd at $threads workers differs from 1 worker" >&2; exit 1; }
+    done
+done
+grep -q ' planned update(s) across ' "$TRACE_DIR/detect_1.out" \
+    || { echo "detect printed no summary" >&2; exit 1; }
+"$FIXCTL" repair \
+    --rules examples/rulesets/hosp_zip.frl \
+    --data "$TRACE_DIR/hosp_dup.csv" \
+    --out "$TRACE_DIR/eng_profiled.csv" \
+    --profile --profile-json "$TRACE_DIR/eng_profile_timed.json" >/dev/null
+"$FIXCTL" coverage \
+    --rules examples/rulesets/hosp_zip.frl \
+    --data "$TRACE_DIR/hosp_dup.csv" \
+    --profile-json "$TRACE_DIR/coverage_profile.json" >/dev/null
+cmp "$TRACE_DIR/eng_profile_timed.json" "$TRACE_DIR/coverage_profile.json" \
+    || { echo "coverage --profile-json differs from repair --profile --profile-json" >&2; exit 1; }
+echo "-- detect, stats and check match at 1, 2 and the default worker count; coverage's profile matches repair --profile's"
 
 echo "== rule printing does not depend on the data =="
 # Σ's constants are numbered as the rule file lists them, so a rule prints
