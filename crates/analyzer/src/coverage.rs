@@ -27,7 +27,7 @@ use crate::LintReport;
 /// hand.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuleActivity {
-    /// Applications (live evaluations plus plan replays).
+    /// Rule applications.
     pub applied: u64,
     /// Evaluations that probed the rule's evidence and missed.
     pub rejected: u64,
@@ -62,8 +62,8 @@ pub fn coverage_join(lint: &LintReport, spans: &[Span], activity: &[RuleActivity
                 ))
             } else {
                 diag.with_note(
-                    "zero applications, zero plan replays, zero evaluations: the data may \
-                     have drifted away from this rule's error pattern",
+                    "zero applications, zero evaluations: the data may have drifted \
+                     away from this rule's error pattern",
                 )
             };
             diags.push(diag);

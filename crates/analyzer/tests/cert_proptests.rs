@@ -2,8 +2,8 @@
 //! set the certifier passes really is order-independent in practice.
 //!
 //! For every randomly generated rule set that certifies green, every
-//! engine (chase, linear, columnar chase/linear, parallel linear) under
-//! every tested rule-order permutation must produce the *same* repaired
+//! engine (chase, linear, the grouped core's compiled chase, parallel
+//! linear) under every tested rule-order permutation must produce the *same* repaired
 //! table and the same normalized provenance ledger. A single divergence
 //! here means the certificate lied — the critical-pair analysis missed an
 //! interaction the engines can reach.
@@ -22,8 +22,8 @@ use fixlint::{certify, CertOptions};
 use fixrules::io::Span;
 use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
 use fixrules::repair::{
-    columnar_table, crepair_table, lrepair_table, par_lrepair_table, CompiledEngine, LRepairIndex,
-    PlanCache, RuleProgram,
+    crepair_table, lrepair_table, par_lrepair_table, repair_columns_grouped, CompiledEngine,
+    CompiledScratch, LRepairIndex, PlanCache, RuleProgram,
 };
 use fixrules::{FixingRule, RuleSet};
 use relation::{AttrId, ColumnTable, Schema, Symbol, SymbolTable, Table};
@@ -169,14 +169,21 @@ proptest! {
                     &prs, &index, &mut t, &ProvenanceObserver::new(&prs, &ledger));
                 runs.push(("linear", t, ledger.records()));
             }
-            for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
+            {
                 let cache = PlanCache::unbounded();
-                let mut cols = ColumnTable::from(&table0);
+                let mut columns = ColumnTable::from(&table0);
+                let mut cols = columns.columns_mut();
                 let ledger = ProvenanceLedger::new();
-                columnar_table(
-                    &prs, &program, engine, Some(&cache), &mut cols,
+                repair_columns_grouped(
+                    &prs, &program, CompiledEngine::Chase, Some(&cache),
+                    &mut CompiledScratch::new(prs.len()), &mut cols, 0,
                     &ProvenanceObserver::new(&prs, &ledger));
-                runs.push(("columnar", cols.to_table(), ledger.records()));
+                let mut t = Table::new(prs.schema().clone());
+                for i in 0..table0.len() {
+                    let row: Vec<Symbol> = cols.iter().map(|c| c[i]).collect();
+                    t.push_row(&row).unwrap();
+                }
+                runs.push(("columnar", t, ledger.records()));
             }
             {
                 let mut t = table0.clone();

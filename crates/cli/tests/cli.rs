@@ -611,6 +611,46 @@ fn metrics_flag_emits_stage_timings_and_counters() {
     assert!(csv.contains("Mike,Canada,Ottawa,Toronto,VLDB"), "{csv}");
 }
 
+/// Every `repair.*` series `MetricsObserver` registers moves on a plain
+/// `fixctl repair` of a dirty example: the registry carries no series the
+/// shipped repair path never writes.
+#[test]
+fn every_documented_repair_metric_moves_on_a_repair() {
+    let dir = tmpdir("repair_metric_names");
+    let metrics = dir.join("m.json");
+    let out = fixctl(&[
+        "repair",
+        "--rules",
+        &example("rulesets/hosp_zip.frl"),
+        "--data",
+        &example("data/hosp_dirty.csv"),
+        "--out",
+        dir.join("repaired.csv").to_str().unwrap(),
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let snap = obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let counters = snap.get("counters").expect("counters section");
+    let names: Vec<&str> = obs::METRIC_NAMES
+        .iter()
+        .copied()
+        .filter(|name| name.starts_with("repair."))
+        .collect();
+    assert!(!names.is_empty());
+    for name in names {
+        let value = counters.get(name).and_then(|v| v.as_i64());
+        assert!(
+            value.is_some_and(|v| v > 0),
+            "{name} reads {value:?} after a repair"
+        );
+    }
+}
+
 fn example(rel: &str) -> String {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../examples")

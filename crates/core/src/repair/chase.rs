@@ -18,8 +18,8 @@ pub fn crepair_tuple(rules: &RuleSet, row: &mut [Symbol]) -> Vec<CellUpdate> {
     crepair_tuple_observed(rules, row, &NoopObserver)
 }
 
-/// [`crepair_tuple`] with observer hooks: one `chase_round` per outer scan
-/// of Γ, `rule_applied` per fired rule, `tuples_done(.., 1)` at fixpoint.
+/// [`crepair_tuple`] with observer hooks: `rule_applied` per fired rule,
+/// `rule_rejected` per miss, `tuples_done(.., 1)` at fixpoint.
 /// With [`NoopObserver`] this monomorphizes to the unobserved hot path.
 pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
     rules: &RuleSet,
@@ -39,7 +39,6 @@ pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
     while updated {
         updated = false;
         rounds += 1;
-        observer.chase_round();
         for (i, rule) in rules.rules().iter().enumerate() {
             if !unused[i] {
                 continue; // already fired — not an evaluation

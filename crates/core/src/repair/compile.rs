@@ -12,15 +12,12 @@
 //!   of one counter update per `(attribute, value)` cell. The program also
 //!   computes the *relevant attribute closure* of Σ — every attribute any
 //!   rule reads (`X`, and `B` for the negative patterns) or writes (`B`) —
-//!   so each tuple reduces to a compact [`TupleSignature`].
-//! * [`PlanCache`] — signature → [`RepairPlan`] memoization. The grouped
-//!   core ([`crate::repair::repair_columns_grouped`]) runs the compiled
-//!   engine once per distinct signature in a batch and records the ordered
-//!   fix list (plus the assured-set delta); a cache carries those plans
-//!   *across* batches, so a later batch with a known signature replays the
-//!   plan. No production path passes one: within-batch grouping already
-//!   does the work, and only the benchmark harness still measures the
-//!   cross-batch case.
+//!   the projection a tuple's signature keeps.
+//! * [`PlanCache`] — signature → plan memoization. The grouped core
+//!   ([`crate::repair::repair_columns_grouped`]) runs the compiled engine
+//!   once per distinct signature in a batch and records the ordered fix
+//!   list; a cache carries those plans *across* batches, so a later batch
+//!   with a known signature replays the plan.
 //!
 //! **Why memoization is sound.** An engine run on a tuple `t` reads only
 //! `t[A]` for `A` in the relevant closure (evidence via `X`, negative
@@ -31,48 +28,39 @@
 //! the *exact* [`crate::provenance::ProvenanceLedger`] the uncached driver
 //! emits, which is what the ledger-equality property tests assert.
 //!
-//! **Exact driver emulation.** Plans carry engine-specific `round` values
-//! (`cRepair`: chase round; `lRepair`: queue-pop index) and application
-//! order, so the compiled engine comes in two flavors
-//! ([`CompiledEngine::Chase`] / [`CompiledEngine::Linear`]) that replicate
-//! the respective uncached algorithm's application order rule-for-rule:
-//!
-//! * the chase flavor sweeps matched candidates in ascending rule id per
-//!   round, splicing rules enabled mid-round into the unscanned suffix —
-//!   exactly where `cRepair`'s in-order rescan would encounter them;
-//! * the linear flavor seeds its candidate stack in `(max evidence
-//!   attribute, rule id)` order — the order in which `lRepair`'s cell scan
-//!   saturates hash counters — and pushes newly enabled rules in id order
-//!   after each update, matching the inverted-list traversal.
-//!
-//! A `PlanCache` must only be shared between runs using the same rule set
-//! *and* the same engine flavor: plans are keyed by signature alone.
+//! **One flavour.** The compiled engine replicates `cRepair`'s application
+//! order rule for rule ([`CompiledEngine::Chase`]): it sweeps matched
+//! candidates in ascending rule id per round, splicing rules enabled
+//! mid-round into the unscanned suffix — exactly where `cRepair`'s
+//! in-order rescan would encounter them — and stamps each fix with its
+//! chase round. The engine calls no observer hook.
 //!
 //! No product path runs this module: `fixctl`, `fixd` and `fixcert` repair
 //! with [`crate::repair::LRepairWorker`] and
 //! [`crate::repair::crepair_tuple`]. It is kept only for perfbench's
-//! per-layer replica of the grouped core, and goes with ROADMAP item 3.
+//! per-layer replica of the grouped core, and goes with ROADMAP item 4.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fxhash::FxHashMap;
-use obs::RepairObserver;
 use relation::{AttrId, AttrSet, Symbol};
 
 use crate::repair::CellUpdate;
 use crate::ruleset::{RuleId, RuleSet};
 use crate::semantics::{matches, properly_applicable};
 
-/// Which uncached driver a compiled run replicates (and therefore which
-/// `round` stamps and application order its plans carry).
+/// Which uncached driver a compiled run replicates. `Chase` is the only
+/// one; the enum stays until perfbench stops naming it (ROADMAP item 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompiledEngine {
     /// Replicate `cRepair` (Fig 6): `round` = 1-based chase round.
     Chase,
-    /// Replicate `lRepair` (Fig 7): `round` = 1-based queue-pop index.
-    Linear,
 }
+
+/// The ordered fix list one engine run produced for a signature (`row`
+/// field 0; drivers re-index), replayable on any row with that signature.
+pub(crate) type Plan = Arc<[CellUpdate]>;
 
 /// One evidence group: all rules sharing the same evidence-attribute set
 /// `X`, dispatched by the tuple's projection on `X`.
@@ -80,8 +68,6 @@ pub enum CompiledEngine {
 struct RuleGroup {
     /// The shared evidence attributes, sorted ascending.
     attrs: Vec<AttrId>,
-    /// `attrs.last()` — where `lRepair`'s cell scan saturates the counter.
-    max_attr: AttrId,
     /// Projection on `attrs` → rules whose full evidence equals it, in
     /// rule-id order.
     table: FxHashMap<Box<[Symbol]>, Vec<RuleId>>,
@@ -111,7 +97,6 @@ pub struct RuleProgram {
     groups_by_attr: Vec<Vec<u32>>,
     /// Relevant attribute closure, sorted ascending — the signature layout.
     relevant_attrs: Vec<AttrId>,
-    num_rules: usize,
 }
 
 impl RuleProgram {
@@ -126,7 +111,6 @@ impl RuleProgram {
             let gi = *by_xset.entry(rule.x_set()).or_insert_with(|| {
                 groups.push(RuleGroup {
                     attrs: rule.x().to_vec(),
-                    max_attr: *rule.x().last().expect("evidence is non-empty"),
                     table: FxHashMap::default(),
                 });
                 groups.len() - 1
@@ -149,7 +133,6 @@ impl RuleProgram {
             groups,
             groups_by_attr,
             relevant_attrs: relevant.iter().collect(),
-            num_rules: rules.len(),
         }
     }
 
@@ -161,7 +144,7 @@ impl RuleProgram {
     /// grouping by fingerprint must confirm candidates by comparing the
     /// projected cells — the columnar driver keeps exactness that way
     /// while avoiding a per-row signature materialization.
-    pub fn signature_hashes<C: AsRef<[Symbol]>>(
+    pub(crate) fn signature_hashes<C: AsRef<[Symbol]>>(
         &self,
         columns: &[C],
         rows: usize,
@@ -178,86 +161,24 @@ impl RuleProgram {
     }
 
     /// The relevant attribute closure — every attribute some rule reads
-    /// or writes — as a sorted slice: the [`TupleSignature`] layout.
-    pub fn relevant_attrs(&self) -> &[AttrId] {
+    /// or writes — as a sorted slice: the signature layout.
+    pub(crate) fn relevant_attrs(&self) -> &[AttrId] {
         &self.relevant_attrs
     }
-
-    /// Number of evidence groups (distinct X-sets) — the probes per round.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Number of rules the program was compiled from.
-    pub fn num_rules(&self) -> usize {
-        self.num_rules
-    }
 }
 
-/// A tuple's projection on the relevant attribute closure; the exact
-/// projection (not a hash of it), so cache lookups cannot collide.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct TupleSignature(Box<[Symbol]>);
-
-impl TupleSignature {
-    /// Build a signature from an already-gathered projection, in
-    /// [`RuleProgram::relevant_attrs`] order.
-    pub(crate) fn from_slice(symbols: &[Symbol]) -> Self {
-        TupleSignature(symbols.into())
-    }
-}
-
-/// A memoized repair: the ordered fix list one engine run produced for a
-/// signature, replayable on any row with that signature.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RepairPlan {
-    /// Applied updates in application order (`row` field 0; drivers
-    /// re-index), with the engine's original `round` stamps.
-    updates: Vec<CellUpdate>,
-    /// Chase rounds / queue pops of the original run — replayed into
-    /// `tuples_done` so cached and uncached metrics agree.
-    rounds: usize,
-    /// Union of the applied rules' assured sets (`X ∪ {B}` per rule).
-    assured: AttrSet,
-}
-
-impl RepairPlan {
-    pub(crate) fn new(updates: Vec<CellUpdate>, rounds: usize, assured: AttrSet) -> Self {
-        RepairPlan {
-            updates,
-            rounds,
-            assured,
-        }
-    }
-
-    /// The planned updates, in application order.
-    pub fn updates(&self) -> &[CellUpdate] {
-        &self.updates
-    }
-
-    /// Chase rounds / queue pops of the engine run that produced the plan.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// The assured-set delta the plan establishes.
-    pub fn assured(&self) -> AttrSet {
-        self.assured
-    }
-}
-
-/// Hit/miss counters and current size of a [`PlanCache`].
+/// Hit/miss counters of a [`PlanCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups that found a plan.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Plans currently cached.
-    pub entries: usize,
 }
 
-type Shard = FxHashMap<TupleSignature, Arc<RepairPlan>>;
+/// A tuple's exact projection on the relevant closure (not a hash of it,
+/// so lookups cannot collide) → its plan.
+type Shard = FxHashMap<Box<[Symbol]>, Plan>;
 
 /// Signature → plan memo shared across grouped-core batches, with no
 /// capacity bound.
@@ -301,21 +222,18 @@ impl PlanCache {
     }
 
     #[inline]
-    fn shard_for(&self, sig: &TupleSignature) -> usize {
-        if self.shards.len() == 1 {
+    fn shard(&self, sig: &[Symbol]) -> std::sync::MutexGuard<'_, Shard> {
+        let i = if self.shards.len() == 1 {
             0
         } else {
-            (fxhash::hash64(&sig.0) >> self.shift) as usize
-        }
+            (fxhash::hash64(sig) >> self.shift) as usize
+        };
+        self.shards[i].lock().expect("plan cache shard poisoned")
     }
 
-    /// Look a signature up.
-    pub fn get(&self, sig: &TupleSignature) -> Option<Arc<RepairPlan>> {
-        let plan = self.shards[self.shard_for(sig)]
-            .lock()
-            .expect("plan cache shard poisoned")
-            .get(sig)
-            .cloned();
+    /// Look a signature up, counting a hit or a miss.
+    pub(crate) fn get(&self, sig: &[Symbol]) -> Option<Plan> {
+        let plan = self.shard(sig).get(sig).cloned();
         let counter = if plan.is_some() {
             &self.hits
         } else {
@@ -326,37 +244,20 @@ impl PlanCache {
     }
 
     /// Insert a plan.
-    pub fn insert(&self, sig: TupleSignature, plan: RepairPlan) {
-        self.shards[self.shard_for(&sig)]
-            .lock()
-            .expect("plan cache shard poisoned")
-            .insert(sig, Arc::new(plan));
+    pub(crate) fn insert(&self, sig: Box<[Symbol]>, plan: Plan) {
+        self.shard(&sig).insert(sig, plan);
     }
 
-    /// Plans currently cached, summed over shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("plan cache shard poisoned").len())
-            .sum()
-    }
-
-    /// True when no plan is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of the hit/miss counters and current size.
+    /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len(),
         }
     }
 }
 
-/// Reusable per-thread scratch for the compiled engines: token-stamped
+/// Reusable per-thread scratch for the compiled engine: token-stamped
 /// rule marks (O(1) clearing between tuples), the candidate worklist and
 /// the probe-key buffer.
 #[derive(Debug, Default)]
@@ -368,8 +269,6 @@ pub struct CompiledScratch {
     used: Vec<u64>,
     queued: Vec<u64>,
     worklist: Vec<RuleId>,
-    fresh: Vec<RuleId>,
-    seed: Vec<(AttrId, RuleId)>,
     proj: Vec<Symbol>,
 }
 
@@ -398,30 +297,25 @@ impl CompiledScratch {
     }
 }
 
-/// The chase flavor: replicates `cRepair`'s application order exactly.
-/// Returns the updates (`row` field 0) and the number of chase rounds.
-fn chase_compiled<O: RepairObserver>(
+/// The compiled chase: repair `row` in place in `cRepair`'s application
+/// order. Returns the updates (`row` field 0).
+pub(crate) fn chase_compiled(
     rules: &RuleSet,
     program: &RuleProgram,
     scratch: &mut CompiledScratch,
     row: &mut [Symbol],
-    observer: &O,
-) -> (Vec<CellUpdate>, usize) {
-    scratch.begin_tuple(program.num_rules);
+) -> Vec<CellUpdate> {
+    scratch.begin_tuple(rules.len());
     let tuple_token = scratch.tuple_token;
     let mut assured = AttrSet::EMPTY;
     let mut updates = Vec::new();
-    let mut rounds = 0usize;
-    let timing = observer.wants_rule_timing();
+    let mut rounds = 0u32;
     loop {
         rounds += 1;
-        observer.chase_round();
         let round_token = scratch.next_token();
         scratch.worklist.clear();
         for g in &program.groups {
-            let hits = g.probe(row, &mut scratch.proj);
-            observer.plan_probe(hits.len());
-            for &rid in hits {
+            for &rid in g.probe(row, &mut scratch.proj) {
                 if scratch.used[rid.index()] != tuple_token {
                     scratch.queued[rid.index()] = round_token;
                     scratch.worklist.push(rid);
@@ -438,15 +332,10 @@ fn chase_compiled<O: RepairObserver>(
                 continue;
             }
             let rule = rules.rule(rid);
-            let t0 = timing.then(std::time::Instant::now);
             // An earlier application this round may have broken the
             // evidence that matched at probe time — re-verify, exactly as
             // cRepair's rescan would find the rule non-matching.
             if assured.contains(rule.b()) || !matches(rule, row) {
-                observer.rule_rejected(rid.index());
-                if let Some(t0) = t0 {
-                    observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
-                }
                 continue;
             }
             debug_assert!(properly_applicable(rule, row, assured));
@@ -456,17 +345,13 @@ fn chase_compiled<O: RepairObserver>(
             assured.union_with(rule.assured_delta());
             scratch.used[rid.index()] = tuple_token;
             applied = true;
-            observer.rule_applied(rid.index(), b.index());
-            if let Some(t0) = t0 {
-                observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
-            }
             updates.push(CellUpdate {
                 row: 0,
                 attr: b,
                 old,
                 new: rule.fact(),
                 rule: rid,
-                round: rounds as u32,
+                round: rounds,
             });
             // Rules enabled by this update whose id is *higher* than the
             // current one are still ahead of cRepair's in-order sweep this
@@ -474,9 +359,7 @@ fn chase_compiled<O: RepairObserver>(
             // ids are picked up by the next round's probes, as in Fig 6.
             for &gi in &program.groups_by_attr[b.index()] {
                 let g = &program.groups[gi as usize];
-                let hits = g.probe(row, &mut scratch.proj);
-                observer.plan_probe(hits.len());
-                for &nrid in hits {
+                for &nrid in g.probe(row, &mut scratch.proj) {
                     if nrid > rid
                         && scratch.used[nrid.index()] != tuple_token
                         && scratch.queued[nrid.index()] != round_token
@@ -492,105 +375,7 @@ fn chase_compiled<O: RepairObserver>(
             break;
         }
     }
-    (updates, rounds)
-}
-
-/// The linear flavor: replicates `lRepair`'s application order exactly.
-/// Returns the updates (`row` field 0) and the number of queue pops.
-fn linear_compiled<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    scratch: &mut CompiledScratch,
-    row: &mut [Symbol],
-    observer: &O,
-) -> (Vec<CellUpdate>, usize) {
-    scratch.begin_tuple(program.num_rules);
-    let tuple_token = scratch.tuple_token;
-    // Seed: one probe per group. lRepair's cell scan saturates a matched
-    // rule's counter at its largest evidence attribute and walks each
-    // inverted list in rule-id order, so sorting candidates by
-    // (max evidence attr, rule id) reproduces its enqueue order.
-    scratch.seed.clear();
-    for g in &program.groups {
-        let hits = g.probe(row, &mut scratch.proj);
-        observer.plan_probe(hits.len());
-        for &rid in hits {
-            scratch.seed.push((g.max_attr, rid));
-        }
-    }
-    scratch.seed.sort_unstable();
-    scratch.worklist.clear();
-    for &(_, rid) in &scratch.seed {
-        scratch.queued[rid.index()] = tuple_token;
-        scratch.worklist.push(rid);
-    }
-    let mut assured = AttrSet::EMPTY;
-    let mut updates = Vec::new();
-    let mut pops = 0usize;
-    let timing = observer.wants_rule_timing();
-    while let Some(rid) = scratch.worklist.pop() {
-        pops += 1;
-        let rule = rules.rule(rid);
-        let t0 = timing.then(std::time::Instant::now);
-        // Pop-time verification, as in Fig 7 line 10: enqueue order is a
-        // filter, not a proof.
-        if !properly_applicable(rule, row, assured) {
-            observer.rule_rejected(rid.index());
-            if let Some(t0) = t0 {
-                observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
-            }
-            continue;
-        }
-        let b = rule.b();
-        let old = row[b.index()];
-        row[b.index()] = rule.fact();
-        assured.union_with(rule.assured_delta());
-        observer.rule_applied(rid.index(), b.index());
-        if let Some(t0) = t0 {
-            observer.rule_latency(rid.index(), t0.elapsed().as_nanos() as u64);
-        }
-        updates.push(CellUpdate {
-            row: 0,
-            attr: b,
-            old,
-            new: rule.fact(),
-            rule: rid,
-            round: pops as u32,
-        });
-        // Re-probe only the groups reading the updated attribute. A rule
-        // that fully matches now and didn't before saturated on this very
-        // cell in lRepair, which enqueues fresh-list hits in id order.
-        scratch.fresh.clear();
-        for &gi in &program.groups_by_attr[b.index()] {
-            let g = &program.groups[gi as usize];
-            let hits = g.probe(row, &mut scratch.proj);
-            observer.plan_probe(hits.len());
-            for &nrid in hits {
-                if scratch.queued[nrid.index()] != tuple_token {
-                    scratch.queued[nrid.index()] = tuple_token;
-                    scratch.fresh.push(nrid);
-                }
-            }
-        }
-        scratch.fresh.sort_unstable();
-        scratch.worklist.extend_from_slice(&scratch.fresh);
-    }
-    (updates, pops)
-}
-
-#[inline]
-pub(crate) fn run_engine<O: RepairObserver>(
-    rules: &RuleSet,
-    program: &RuleProgram,
-    engine: CompiledEngine,
-    scratch: &mut CompiledScratch,
-    row: &mut [Symbol],
-    observer: &O,
-) -> (Vec<CellUpdate>, usize) {
-    match engine {
-        CompiledEngine::Chase => chase_compiled(rules, program, scratch, row, observer),
-        CompiledEngine::Linear => linear_compiled(rules, program, scratch, row, observer),
-    }
+    updates
 }
 
 #[cfg(test)]
@@ -598,7 +383,6 @@ mod tests {
     use super::*;
     use crate::repair::chase::crepair_tuple;
     use crate::repair::columnar::repair_columns_grouped;
-    use crate::repair::linear::{lrepair_tuple, LRepairIndex, LRepairScratch};
     use obs::NoopObserver;
     use relation::{Schema, SymbolTable};
 
@@ -664,7 +448,6 @@ mod tests {
     fn repair_one(
         rules: &RuleSet,
         program: &RuleProgram,
-        engine: CompiledEngine,
         cache: &PlanCache,
         scratch: &mut CompiledScratch,
         row: &mut [Symbol],
@@ -674,7 +457,7 @@ mod tests {
         let (updates, _) = repair_columns_grouped(
             rules,
             program,
-            engine,
+            CompiledEngine::Chase,
             Some(cache),
             scratch,
             &mut slices,
@@ -694,17 +477,15 @@ mod tests {
         let program = RuleProgram::compile(&rules);
         // X-sets: {country} (φ1, φ2), {capital, city, conf} (φ3),
         // {capital, conf} (φ4).
-        assert_eq!(program.num_groups(), 3);
-        assert_eq!(program.num_rules(), 4);
+        assert_eq!(program.groups.len(), 3);
         // Relevant closure: everything but `name`.
         let s = schema();
-        let expected: Vec<AttrId> = ["country", "capital", "city", "conf"]
+        let mut expected: Vec<AttrId> = ["country", "capital", "city", "conf"]
             .iter()
             .map(|a| s.attr(a).unwrap())
             .collect();
-        let mut expected_sorted = expected.clone();
-        expected_sorted.sort();
-        assert_eq!(program.relevant_attrs(), expected_sorted);
+        expected.sort();
+        assert_eq!(program.relevant_attrs(), expected);
     }
 
     #[test]
@@ -727,41 +508,18 @@ mod tests {
     }
 
     #[test]
-    fn both_flavors_match_their_uncached_engine_on_fig1() {
+    fn chase_flavor_matches_crepair_on_fig1() {
         let mut sy = SymbolTable::new();
         let rules = fig8_rules(&mut sy);
         let program = RuleProgram::compile(&rules);
-        let index = LRepairIndex::build(&rules);
-        let mut cscratch = CompiledScratch::new(rules.len());
-        let mut lscratch = LRepairScratch::new(rules.len());
+        let mut scratch = CompiledScratch::new(rules.len());
         for row in fig1_rows(&mut sy) {
             let mut chase_row = row.clone();
             let mut compiled_row = row.clone();
             let chase_ups = crepair_tuple(&rules, &mut chase_row);
-            let (compiled_ups, _) = run_engine(
-                &rules,
-                &program,
-                CompiledEngine::Chase,
-                &mut cscratch,
-                &mut compiled_row,
-                &NoopObserver,
-            );
+            let compiled_ups = chase_compiled(&rules, &program, &mut scratch, &mut compiled_row);
             assert_eq!(chase_ups, compiled_ups, "chase flavor diverged");
             assert_eq!(chase_row, compiled_row);
-
-            let mut linear_row = row.clone();
-            let mut compiled_row = row.clone();
-            let linear_ups = lrepair_tuple(&rules, &index, &mut lscratch, &mut linear_row);
-            let (compiled_ups, _) = run_engine(
-                &rules,
-                &program,
-                CompiledEngine::Linear,
-                &mut cscratch,
-                &mut compiled_row,
-                &NoopObserver,
-            );
-            assert_eq!(linear_ups, compiled_ups, "linear flavor diverged");
-            assert_eq!(linear_row, compiled_row);
         }
     }
 
@@ -772,43 +530,16 @@ mod tests {
         let program = RuleProgram::compile(&rules);
         let cache = PlanCache::unbounded();
         let mut scratch = CompiledScratch::new(rules.len());
-        let dirty = intern(&mut sy, ["Ian", "China", "Shanghai", "Hongkong", "ICDE"]);
-        let mut first = dirty.clone();
-        let miss_ups = repair_one(
-            &rules,
-            &program,
-            CompiledEngine::Linear,
-            &cache,
-            &mut scratch,
-            &mut first,
-        );
+        let mut first = intern(&mut sy, ["Ian", "China", "Shanghai", "Hongkong", "ICDE"]);
+        let miss_ups = repair_one(&rules, &program, &cache, &mut scratch, &mut first);
         // Same signature, different irrelevant attr: must hit and replay.
         let mut second = intern(&mut sy, ["Zoe", "China", "Shanghai", "Hongkong", "ICDE"]);
-        let hit_ups = repair_one(
-            &rules,
-            &program,
-            CompiledEngine::Linear,
-            &cache,
-            &mut scratch,
-            &mut second,
-        );
+        let hit_ups = repair_one(&rules, &program, &cache, &mut scratch, &mut second);
+        assert_eq!(miss_ups.len(), 2);
         assert_eq!(miss_ups, hit_ups);
         assert_eq!(first[1..], second[1..]);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.entries, 1);
-        // The cached plan carries the assured delta of the applied rules.
-        let sig: Vec<Symbol> = program
-            .relevant_attrs()
-            .iter()
-            .map(|a| dirty[a.index()])
-            .collect();
-        let plan = cache.get(&TupleSignature::from_slice(&sig)).unwrap();
-        assert_eq!(plan.updates().len(), 2);
-        let s = schema();
-        assert!(plan.assured().contains(s.attr("capital").unwrap()));
-        assert!(plan.assured().contains(s.attr("city").unwrap()));
-        assert!(!plan.assured().contains(s.attr("name").unwrap()));
     }
 
     #[test]
@@ -825,21 +556,13 @@ mod tests {
                     let mut scratch = CompiledScratch::new(rules.len());
                     for _ in 0..50 {
                         let mut row = dirty.clone();
-                        repair_one(
-                            rules,
-                            program,
-                            CompiledEngine::Linear,
-                            cache,
-                            &mut scratch,
-                            &mut row,
-                        );
+                        repair_one(rules, program, cache, &mut scratch, &mut row);
                     }
                 });
             }
         });
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 200);
-        assert_eq!(stats.entries, 1, "one distinct signature");
         assert!(stats.hits >= 196, "at most one miss per thread");
     }
 
@@ -848,19 +571,12 @@ mod tests {
         let mut sy = SymbolTable::new();
         let rules = RuleSet::new(schema());
         let program = RuleProgram::compile(&rules);
-        assert_eq!(program.num_groups(), 0);
+        assert!(program.groups.is_empty());
         let cache = PlanCache::unbounded();
         let mut scratch = CompiledScratch::new(0);
         let mut row = intern(&mut sy, ["a", "b", "c", "d", "e"]);
         for _ in 0..3 {
-            let ups = repair_one(
-                &rules,
-                &program,
-                CompiledEngine::Chase,
-                &cache,
-                &mut scratch,
-                &mut row,
-            );
+            let ups = repair_one(&rules, &program, &cache, &mut scratch, &mut row);
             assert!(ups.is_empty());
         }
         // All rows share the empty signature: one miss, then hits.

@@ -18,13 +18,12 @@
 //! and what `fixd` runs on each request's batch. `fixcert` chases its
 //! witness tuples with [`crepair_tuple`].
 //!
-//! [`columnar`] is the grouped core: Σ is compiled once into a
-//! [`RuleProgram`] ([`compile`]), the rows of a column batch are grouped
-//! by [`TupleSignature`], and each distinct signature runs the compiled
-//! engine once ([`repair_columns_grouped`]). [`CompiledEngine::Chase`]
-//! and [`CompiledEngine::Linear`] reproduce `cRepair`'s and `lRepair`'s
-//! output — table, update log and provenance ledger — byte for byte. No
-//! product path runs it; it stays for perfbench's per-layer replica.
+//! The grouped core ([`repair_columns_grouped`]) compiles Σ once into a
+//! [`RuleProgram`], groups the rows of a column batch by their projection
+//! on the attributes Σ touches, and runs a compiled chase once per
+//! distinct projection; it reproduces `cRepair`'s output — table, update
+//! log and provenance ledger — byte for byte. No product path runs it; it
+//! stays for perfbench's per-layer replica until ROADMAP item 4.
 //!
 //! Every table driver takes an `observer: &O`; pass [`NoopObserver`] when
 //! no hooks are wanted.
@@ -34,18 +33,15 @@
 //! asserted by the cross-algorithm tests and property tests.
 
 pub mod chase;
-pub mod columnar;
-pub mod compile;
+mod columnar;
+mod compile;
 pub mod detect;
 pub mod linear;
 pub mod parallel;
 
 pub use chase::{crepair_table, crepair_tuple};
-pub use columnar::{columnar_table, repair_columns_grouped, BatchStats};
-pub use compile::{
-    CompiledEngine, CompiledScratch, PlanCache, PlanCacheStats, RepairPlan, RuleProgram,
-    TupleSignature,
-};
+pub use columnar::{repair_columns_grouped, BatchStats};
+pub use compile::{CompiledEngine, CompiledScratch, PlanCache, PlanCacheStats, RuleProgram};
 pub use detect::explain;
 pub use linear::{lrepair_table, lrepair_tuple, LRepairIndex, LRepairScratch};
 pub use obs::NoopObserver;
@@ -104,27 +100,6 @@ pub struct RepairStats {
     pub rows_touched: usize,
 }
 
-impl RepairStats {
-    /// Fraction of rows that needed repair, in `[0, 1]`.
-    pub fn touched_ratio(&self) -> f64 {
-        if self.rows == 0 {
-            0.0
-        } else {
-            self.rows_touched as f64 / self.rows as f64
-        }
-    }
-
-    /// Throughput over a measured wall-clock duration.
-    pub fn rows_per_sec(&self, elapsed: std::time::Duration) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.rows as f64 / secs
-        }
-    }
-}
-
 /// The full log of a table repair.
 #[derive(Debug, Clone, Default)]
 pub struct RepairOutcome {
@@ -156,38 +131,11 @@ impl RepairOutcome {
             rows_touched: self.rows_touched(),
         }
     }
-
-    /// Updates per rule id — the data behind Fig 12(a) ("number of errors
-    /// corrected by every fixing rule").
-    pub fn per_rule_counts(&self, num_rules: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; num_rules];
-        for u in &self.updates {
-            counts[u.rule.index()] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_ratios_and_throughput() {
-        let stats = RepairStats {
-            rows: 100,
-            updates: 7,
-            rows_touched: 5,
-        };
-        assert!((stats.touched_ratio() - 0.05).abs() < 1e-12);
-        let rps = stats.rows_per_sec(std::time::Duration::from_millis(500));
-        assert!((rps - 200.0).abs() < 1e-9);
-        assert_eq!(RepairStats::default().touched_ratio(), 0.0);
-        assert_eq!(
-            RepairStats::default().rows_per_sec(std::time::Duration::ZERO),
-            0.0
-        );
-    }
 
     #[test]
     fn outcome_aggregations() {
@@ -221,7 +169,6 @@ mod tests {
         };
         assert_eq!(outcome.total_updates(), 3);
         assert_eq!(outcome.rows_touched(), 2);
-        assert_eq!(outcome.per_rule_counts(3), vec![2, 1, 0]);
         assert_eq!(
             outcome.stats(10),
             RepairStats {

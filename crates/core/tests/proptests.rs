@@ -96,6 +96,16 @@ fn tuples() -> impl Strategy<Value = Vec<Symbol>> {
         .prop_map(|vs| vs.into_iter().map(Symbol).collect())
 }
 
+/// The table the column slices `cols` hold, over `rs`'s schema.
+fn table_of(rs: &RuleSet, cols: &[&mut [Symbol]]) -> Table {
+    let mut table = Table::new(rs.schema().clone());
+    for i in 0..cols[0].len() {
+        let row: Vec<Symbol> = cols.iter().map(|c| c[i]).collect();
+        table.push_row(&row).unwrap();
+    }
+    table
+}
+
 proptest! {
     /// §4.1: the all-orders chase terminates and every reached fix is a
     /// fixpoint; no sequence exceeds |R| applications (implied by
@@ -232,20 +242,18 @@ proptest! {
         prop_assert!(is_fixpoint(rs.rules().iter(), &fixed, assured));
     }
 
-    /// The compiled engines are drop-in replacements when driven through
-    /// the lower-level entry points a server uses: the grouped core fed
-    /// raw column chunks with running row offsets reproduces `cRepair`
-    /// (`Chase`) and `lRepair` (`Linear`) — final table, update log and
-    /// provenance ledger, `round` stamps included — at every chunk size,
-    /// with and without a plan cache shared across chunks, with every row
-    /// either a group representative or scattered.
+    /// The compiled chase is a drop-in replacement for `cRepair` when
+    /// driven through the lower-level entry point a server uses: the
+    /// grouped core fed raw column chunks with running row offsets
+    /// reproduces its final table, update log and provenance ledger,
+    /// `round` stamps included, at every chunk size, with and without a
+    /// plan cache shared across chunks.
     #[test]
     fn compiled_engines_reproduce_ledgers(rs in rulesets(),
                                           rows in proptest::collection::vec(tuples(), 1..24)) {
         let mut rs = rs;
         ensure_consistent(&mut rs, ResolveStrategy::ShrinkNegatives);
         let program = RuleProgram::compile(&rs);
-        let index = LRepairIndex::build(&rs);
         let mut table0 = Table::new(rs.schema().clone());
         for r in &rows {
             table0.push_row(r).unwrap();
@@ -255,43 +263,36 @@ proptest! {
         let chase_out = crepair_table(
             &rs, &mut chase_table, &ProvenanceObserver::new(&rs, &chase_ledger));
         let chase_records = chase_ledger.records();
-        let mut linear_table = table0.clone();
-        let linear_ledger = ProvenanceLedger::new();
-        let linear_out = lrepair_table(
-            &rs, &index, &mut linear_table, &ProvenanceObserver::new(&rs, &linear_ledger));
-        let linear_records = linear_ledger.records();
 
-        for (engine, ref_table, ref_updates, ref_records) in [
-            (CompiledEngine::Chase, &chase_table, &chase_out.updates, &chase_records),
-            (CompiledEngine::Linear, &linear_table, &linear_out.updates, &linear_records),
-        ] {
-            for chunk_rows in [1usize, 5, rows.len()] {
-                for cached in [false, true] {
-                    let cache = cached.then(PlanCache::unbounded);
-                    let mut cols = ColumnTable::from(&table0);
-                    let ledger = ProvenanceLedger::new();
-                    let obs = ProvenanceObserver::new(&rs, &ledger);
-                    let mut scratch = CompiledScratch::new(rs.len());
-                    let mut updates = Vec::new();
-                    for (k, mut chunk) in
-                        cols.columns_mut_chunks(chunk_rows).into_iter().enumerate()
-                    {
-                        let (u, batch) = repair_columns_grouped(
-                            &rs, &program, engine, cache.as_ref(), &mut scratch,
-                            &mut chunk, k * chunk_rows, &obs);
-                        prop_assert_eq!(batch.rows, batch.groups + batch.scattered,
-                            "{:?} cached={} chunk={}: batch accounting",
-                            engine, cached, chunk_rows);
-                        updates.extend(u);
-                    }
-                    let t = cols.to_table();
-                    prop_assert_eq!(ref_table.diff_cells(&t).unwrap(), 0,
-                        "{:?} cached={} chunk={}: tables diverged", engine, cached, chunk_rows);
-                    prop_assert_eq!(&updates, ref_updates,
-                        "{:?} cached={} chunk={}: update logs diverged", engine, cached, chunk_rows);
-                    prop_assert_eq!(&ledger.records(), ref_records,
-                        "{:?} cached={} chunk={}: ledgers diverged", engine, cached, chunk_rows);
+        for chunk_rows in [1usize, 5, rows.len()] {
+            for cached in [false, true] {
+                let cache = cached.then(PlanCache::unbounded);
+                let mut columns = ColumnTable::from(&table0);
+                let mut cols = columns.columns_mut();
+                let ledger = ProvenanceLedger::new();
+                let obs = ProvenanceObserver::new(&rs, &ledger);
+                let mut scratch = CompiledScratch::new(rs.len());
+                let mut updates = Vec::new();
+                for start in (0..rows.len()).step_by(chunk_rows) {
+                    let end = (start + chunk_rows).min(rows.len());
+                    let mut chunk: Vec<&mut [Symbol]> =
+                        cols.iter_mut().map(|c| &mut c[start..end]).collect();
+                    let (u, batch) = repair_columns_grouped(
+                        &rs, &program, CompiledEngine::Chase, cache.as_ref(), &mut scratch,
+                        &mut chunk, start, &obs);
+                    prop_assert_eq!(batch.rows, end - start,
+                        "cached={} chunk={}: batch rows", cached, chunk_rows);
+                    prop_assert!(batch.groups >= 1 && batch.groups <= batch.rows,
+                        "cached={} chunk={}: batch groups", cached, chunk_rows);
+                    updates.extend(u);
                 }
+                let t = table_of(&rs, &cols);
+                prop_assert_eq!(chase_table.diff_cells(&t).unwrap(), 0,
+                    "cached={} chunk={}: tables diverged", cached, chunk_rows);
+                prop_assert_eq!(&updates, &chase_out.updates,
+                    "cached={} chunk={}: update logs diverged", cached, chunk_rows);
+                prop_assert_eq!(&ledger.records(), &chase_records,
+                    "cached={} chunk={}: ledgers diverged", cached, chunk_rows);
             }
         }
     }
@@ -330,8 +331,8 @@ proptest! {
 
     /// Exact value abstraction (Defs 3.1/3.2): a tuple meets a rule only
     /// through equality with Σ's constants, so mapping every other value
-    /// to ⊥ changes no engine: cRepair, lRepair, and the grouped core over
-    /// several rows with both compiled engines. Each gives the same fix
+    /// to ⊥ changes no engine: cRepair, lRepair, and the grouped core's
+    /// compiled chase over several rows. Each gives the same fix
     /// once the ⊥ cells are restored and the same update log, and every
     /// old and new value in it is a constant. Tuples draw from a wider
     /// vocabulary than the rules, so some values are never constants.
@@ -388,28 +389,28 @@ proptest! {
 
         let program = RuleProgram::compile(&rs);
         let mut scratch = CompiledScratch::new(rs.len());
-        for engine in [CompiledEngine::Chase, CompiledEngine::Linear] {
-            let (mut full, mut abs) = (ColumnTable::new(schema()), ColumnTable::new(schema()));
-            for t in &ts {
-                full.push_row(t).unwrap();
-                abs.push_row(&abstract_row(t)).unwrap();
-            }
-            let mut grouped = |cols: &mut ColumnTable| {
-                repair_columns_grouped(
-                    &rs, &program, engine, None, &mut scratch,
-                    &mut cols.columns_mut(), 0, &NoopObserver).0
-            };
-            let by_full = grouped(&mut full);
-            let by_abs = grouped(&mut abs);
-            let (full, abs) = (full.to_table(), abs.to_table());
-            for (i, t) in ts.iter().enumerate() {
-                prop_assert_eq!(restored(abs.row(i), t), full.row(i).to_vec(),
-                    "{:?}: row {} repaired differently under ⊥", engine, i);
-            }
-            prop_assert_eq!(&by_abs, &by_full, "{:?}: update logs diverged", engine);
-            for u in &by_full {
-                prop_assert!(constants.contains(&u.old) && constants.contains(&u.new), "{:?}", u);
-            }
+        let (mut full, mut abs) = (Table::new(schema()), Table::new(schema()));
+        for t in &ts {
+            full.push_row(t).unwrap();
+            abs.push_row(&abstract_row(t)).unwrap();
+        }
+        let mut grouped = |table: &Table| {
+            let mut columns = ColumnTable::from(table);
+            let mut cols = columns.columns_mut();
+            let updates = repair_columns_grouped(
+                &rs, &program, CompiledEngine::Chase, None, &mut scratch,
+                &mut cols, 0, &NoopObserver).0;
+            (table_of(&rs, &cols), updates)
+        };
+        let (full, by_full) = grouped(&full);
+        let (abs, by_abs) = grouped(&abs);
+        for (i, t) in ts.iter().enumerate() {
+            prop_assert_eq!(restored(abs.row(i), t), full.row(i).to_vec(),
+                "row {} repaired differently under ⊥", i);
+        }
+        prop_assert_eq!(&by_abs, &by_full, "update logs diverged");
+        for u in &by_full {
+            prop_assert!(constants.contains(&u.old) && constants.contains(&u.new), "{:?}", u);
         }
     }
 }

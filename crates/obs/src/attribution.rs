@@ -40,7 +40,6 @@ struct RuleSeries {
     applied: Counter,
     cells: Counter,
     rejected: Counter,
-    plan_replays: Counter,
     latency: Histogram,
 }
 
@@ -51,7 +50,6 @@ impl RuleSeries {
             applied: registry.counter_with("repair.rule.applied", labels),
             cells: registry.counter_with("repair.rule.cells", labels),
             rejected: registry.counter_with("repair.rule.rejected", labels),
-            plan_replays: registry.counter_with("repair.rule.plan_replays", labels),
             latency: registry.histogram_with("repair.rule.latency_ns", labels),
         }
     }
@@ -119,7 +117,6 @@ impl AttributionObserver {
                 applied: s.applied.get(),
                 cells: s.cells.get(),
                 rejected: s.rejected.get(),
-                plan_replays: s.plan_replays.get(),
                 latency_samples: s.latency.count(),
                 latency_sum_ns: s.latency.sum(),
                 latency_p50_ns: s.latency.quantile(0.50),
@@ -133,7 +130,6 @@ impl AttributionObserver {
                 applied: self.other.applied.get(),
                 cells: self.other.cells.get(),
                 rejected: self.other.rejected.get(),
-                plan_replays: self.other.plan_replays.get(),
                 latency_samples: self.other.latency.count(),
                 latency_sum_ns: self.other.latency.sum(),
                 latency_p50_ns: self.other.latency.quantile(0.50),
@@ -169,11 +165,6 @@ impl RepairObserver for AttributionObserver {
     }
 
     #[inline]
-    fn plan_replayed(&self, rule: usize, _attr: usize) {
-        self.series(rule).plan_replays.inc();
-    }
-
-    #[inline]
     fn wants_rule_timing(&self) -> bool {
         self.timing
     }
@@ -184,14 +175,12 @@ impl RepairObserver for AttributionObserver {
 pub struct ProfileRow {
     pub rule: String,
     pub attr: String,
-    /// Rule applications (live evaluations plus plan replays).
+    /// Rule applications.
     pub applied: u64,
     /// Cells repaired, attributed via the provenance hook.
     pub cells: u64,
     /// Evaluations that probed the rule's evidence and missed.
     pub rejected: u64,
-    /// Applications that came from a memoized plan replay.
-    pub plan_replays: u64,
     pub latency_samples: u64,
     pub latency_sum_ns: u64,
     pub latency_p50_ns: u64,
@@ -206,12 +195,9 @@ pub struct AttributionProfile {
 }
 
 impl AttributionProfile {
-    /// Rules that never fired (no applications and no replays).
+    /// Rules that never fired.
     pub fn never_fired(&self) -> Vec<&ProfileRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.applied == 0 && r.plan_replays == 0)
-            .collect()
+        self.rows.iter().filter(|r| r.applied == 0).collect()
     }
 
     /// Human-readable ranked table, latency quantiles included. Not
@@ -220,8 +206,8 @@ impl AttributionProfile {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<8} {:<12} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12}\n",
-            "rule", "attr", "applied", "cells", "rejected", "replays", "p50(ns)", "p99(ns)"
+            "{:<8} {:<12} {:>10} {:>10} {:>10} {:>12} {:>12}\n",
+            "rule", "attr", "applied", "cells", "rejected", "p50(ns)", "p99(ns)"
         ));
         for r in &self.rows {
             let (p50, p99) = if r.latency_samples > 0 {
@@ -230,8 +216,8 @@ impl AttributionProfile {
                 ("-".to_string(), "-".to_string())
             };
             out.push_str(&format!(
-                "{:<8} {:<12} {:>10} {:>10} {:>10} {:>10} {:>12} {:>12}\n",
-                r.rule, r.attr, r.applied, r.cells, r.rejected, r.plan_replays, p50, p99
+                "{:<8} {:<12} {:>10} {:>10} {:>10} {:>12} {:>12}\n",
+                r.rule, r.attr, r.applied, r.cells, r.rejected, p50, p99
             ));
         }
         let unfired = self.never_fired();
@@ -261,7 +247,6 @@ impl AttributionProfile {
                     ("applied", Json::from(r.applied)),
                     ("cells", Json::from(r.cells)),
                     ("rejected", Json::from(r.rejected)),
-                    ("plan_replays", Json::from(r.plan_replays)),
                     ("latency_samples", Json::from(r.latency_samples)),
                 ])
             })
@@ -278,10 +263,6 @@ impl AttributionProfile {
             (
                 "rejected",
                 Json::from(self.rows.iter().map(|r| r.rejected).sum::<u64>()),
-            ),
-            (
-                "plan_replays",
-                Json::from(self.rows.iter().map(|r| r.plan_replays).sum::<u64>()),
             ),
         ]);
         Json::Obj(BTreeMap::from([
@@ -322,7 +303,6 @@ mod tests {
         obs.rule_applied(0, 1);
         obs.rule_rejected(0);
         obs.rule_rejected(2);
-        obs.plan_replayed(1, 0);
         obs.cell_repaired(CellFix {
             row: 0,
             ordinal: 0,
@@ -336,7 +316,6 @@ mod tests {
         assert_eq!(profile.rows[0].rule, "r1");
         assert_eq!(profile.rows[0].applied, 2);
         assert_eq!(profile.rows[0].cells, 1);
-        assert_eq!(profile.rows[0].plan_replays, 1);
         assert_eq!(profile.rows[1].rule, "r0");
         assert_eq!(profile.rows[1].rejected, 1);
         // r2 never fired and shows up in the dead-rule summary.

@@ -6,8 +6,8 @@
 //!   log-bucketed [`Histogram`]s (p50/p95/p99), plus RAII [`SpanTimer`]s
 //!   for scoped stage timing ([`metrics`]);
 //! * [`RepairObserver`] — hook points called from the repair pipeline
-//!   (`cRepair` chase rounds, `lRepair` inverted-list probes, parallel
-//!   worker accounting, stream throughput, consistency pair checks), with
+//!   (per-rule applications, `lRepair` inverted-list probes, parallel
+//!   worker accounting, consistency pair checks, provenance fixes), with
 //!   a [`NoopObserver`] default that monomorphizes to nothing
 //!   ([`observer`]);
 //! * [`Json`] — a small self-contained JSON value for deterministic

@@ -39,8 +39,7 @@ pub struct CellFix {
 }
 
 /// One cold observation: a hook that fires at most once per flush,
-/// group, batch, worker, check or finding, never per rule evaluation or
-/// per cell. Observers that care match the variants they need and ignore
+/// worker, check or finding, never per rule evaluation or per cell. Observers that care match the variants they need and ignore
 /// the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
@@ -54,14 +53,6 @@ pub enum Event {
         probes: u64,
         hits: u64,
         enqueued: u64,
-    },
-    /// The columnar driver grouped one batch by tuple signature: `rows`
-    /// rows fell into `groups` distinct signatures, and `scattered` rows
-    /// were repaired by scattering a group plan instead of an engine run.
-    BatchGrouped {
-        rows: usize,
-        groups: usize,
-        scattered: usize,
     },
     /// A parallel worker finished its shard, of which it repaired
     /// `replayed` rows by replaying a memoized run.
@@ -88,7 +79,7 @@ pub enum Event {
     },
     /// The certifier (`fixcert`) examined `pairs` interaction-graph pairs
     /// for confluence and chased `witness_runs` synthesized witness tuples
-    /// through the compiled engine (two rule orders count as one run).
+    /// with `crepair_tuple` (two rule orders count as one run).
     CertChecked { pairs: usize, witness_runs: usize },
     /// The certifier reported one finding (`FR009`/`FR010`/`FR011`).
     CertFinding {
@@ -108,10 +99,6 @@ pub enum Event {
 /// `Sync` is required because the parallel driver shares one observer
 /// across workers.
 pub trait RepairObserver: Sync {
-    /// One outer scan round of `cRepair` over the rule set.
-    #[inline]
-    fn chase_round(&self) {}
-
     /// A rule fired and updated attribute `attr`.
     #[inline]
     fn rule_applied(&self, rule: usize, attr: usize) {
@@ -120,22 +107,15 @@ pub trait RepairObserver: Sync {
 
     /// `count` tuples finished repairing, each after `rounds` chase rounds
     /// / queue pops with `updates` cell updates. Row-at-a-time drivers
-    /// pass `count = 1`; the columnar driver coalesces the members of one
-    /// signature group, and the lRepair drivers their worker-local tallies,
-    /// into one call each, so aggregating observers pay O(1) instead of
-    /// O(members). Batched calls are flushed per batch, so their order
-    /// relative to other hooks may differ from the row-at-a-time drivers;
-    /// final aggregates do not.
+    /// pass `count = 1`; the lRepair workers coalesce their worker-local
+    /// tallies into one call per distinct `(rounds, updates)`, so
+    /// aggregating observers pay O(1) instead of O(tuples). Batched calls
+    /// are flushed every few thousand tuples, so their order relative to
+    /// other hooks may differ from the row-at-a-time drivers; final
+    /// aggregates do not.
     #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         let _ = (rounds, updates, count);
-    }
-
-    /// A compiled driver probed one evidence-group dispatch table and found
-    /// `rules_hit` matching rules.
-    #[inline]
-    fn plan_probe(&self, rules_hit: usize) {
-        let _ = rules_hit;
     }
 
     /// A repair driver applied one fix, with full values — the
@@ -164,15 +144,6 @@ pub trait RepairObserver: Sync {
         let _ = (rule, ns);
     }
 
-    /// A plan-cache replay re-applied `rule` to attribute `attr`. Fires
-    /// alongside [`RepairObserver::rule_applied`] during replays,
-    /// attributing the application to a memoized plan rather than a live
-    /// evaluation.
-    #[inline]
-    fn plan_replayed(&self, rule: usize, attr: usize) {
-        let _ = (rule, attr);
-    }
-
     /// Whether this observer consumes [`RepairObserver::rule_latency`].
     /// Defaults to false; under [`NoopObserver`] the drivers' timing
     /// branches monomorphize away, keeping the uninstrumented hot path.
@@ -193,11 +164,6 @@ pub trait RepairObserver: Sync {
 /// monomorphizing a new driver per observer stack.
 impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     #[inline]
-    fn chase_round(&self) {
-        (**self).chase_round();
-    }
-
-    #[inline]
     fn rule_applied(&self, rule: usize, attr: usize) {
         (**self).rule_applied(rule, attr);
     }
@@ -205,11 +171,6 @@ impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         (**self).tuples_done(rounds, updates, count);
-    }
-
-    #[inline]
-    fn plan_probe(&self, rules_hit: usize) {
-        (**self).plan_probe(rules_hit);
     }
 
     #[inline]
@@ -225,11 +186,6 @@ impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     #[inline]
     fn rule_latency(&self, rule: usize, ns: u64) {
         (**self).rule_latency(rule, ns);
-    }
-
-    #[inline]
-    fn plan_replayed(&self, rule: usize, attr: usize) {
-        (**self).plan_replayed(rule, attr);
     }
 
     #[inline]
@@ -256,12 +212,6 @@ pub struct Tee<'a, A: ?Sized, B: ?Sized>(pub &'a A, pub &'a B);
 
 impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for Tee<'_, A, B> {
     #[inline]
-    fn chase_round(&self) {
-        self.0.chase_round();
-        self.1.chase_round();
-    }
-
-    #[inline]
     fn rule_applied(&self, rule: usize, attr: usize) {
         self.0.rule_applied(rule, attr);
         self.1.rule_applied(rule, attr);
@@ -271,12 +221,6 @@ impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for 
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         self.0.tuples_done(rounds, updates, count);
         self.1.tuples_done(rounds, updates, count);
-    }
-
-    #[inline]
-    fn plan_probe(&self, rules_hit: usize) {
-        self.0.plan_probe(rules_hit);
-        self.1.plan_probe(rules_hit);
     }
 
     #[inline]
@@ -295,12 +239,6 @@ impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for 
     fn rule_latency(&self, rule: usize, ns: u64) {
         self.0.rule_latency(rule, ns);
         self.1.rule_latency(rule, ns);
-    }
-
-    #[inline]
-    fn plan_replayed(&self, rule: usize, attr: usize) {
-        self.0.plan_replayed(rule, attr);
-        self.1.plan_replayed(rule, attr);
     }
 
     #[inline]
@@ -327,14 +265,8 @@ pub const METRIC_NAMES: &[&str] = &[
     "consistency.pairs_checked",
     "consistency.witness_found",
     "lint.findings",
-    "repair.batch.groups",
-    "repair.batch.rows",
-    "repair.batch.scattered",
-    "repair.chase.rounds",
     "repair.index.probe_hits",
     "repair.index.probes",
-    "repair.plan.probe_hits",
-    "repair.plan.probes",
     "repair.queue.enqueued",
     "repair.rules_applied",
     "repair.tuples",
@@ -351,10 +283,6 @@ pub const METRIC_NAMES: &[&str] = &[
 #[derive(Debug, Clone)]
 pub struct MetricsObserver {
     registry: MetricsRegistry,
-    batch_rows: Counter,
-    batch_groups: Counter,
-    batch_scattered: Counter,
-    chase_rounds: Counter,
     rules_applied: Counter,
     tuples: Counter,
     tuples_touched: Counter,
@@ -363,8 +291,6 @@ pub struct MetricsObserver {
     tuple_updates: Histogram,
     probes: Counter,
     probe_hits: Counter,
-    plan_probes: Counter,
-    plan_probe_hits: Counter,
     enqueued: Counter,
     pairs_checked: Counter,
     conflicts: Counter,
@@ -379,10 +305,6 @@ pub struct MetricsObserver {
 impl MetricsObserver {
     pub fn new(registry: &MetricsRegistry) -> Self {
         MetricsObserver {
-            batch_rows: registry.counter("repair.batch.rows"),
-            batch_groups: registry.counter("repair.batch.groups"),
-            batch_scattered: registry.counter("repair.batch.scattered"),
-            chase_rounds: registry.counter("repair.chase.rounds"),
             rules_applied: registry.counter("repair.rules_applied"),
             tuples: registry.counter("repair.tuples"),
             tuples_touched: registry.counter("repair.tuples_touched"),
@@ -391,8 +313,6 @@ impl MetricsObserver {
             tuple_updates: registry.histogram("repair.tuple_updates"),
             probes: registry.counter("repair.index.probes"),
             probe_hits: registry.counter("repair.index.probe_hits"),
-            plan_probes: registry.counter("repair.plan.probes"),
-            plan_probe_hits: registry.counter("repair.plan.probe_hits"),
             enqueued: registry.counter("repair.queue.enqueued"),
             pairs_checked: registry.counter("consistency.pairs_checked"),
             conflicts: registry.counter("consistency.conflicts"),
@@ -414,11 +334,6 @@ impl MetricsObserver {
 
 impl RepairObserver for MetricsObserver {
     #[inline]
-    fn chase_round(&self) {
-        self.chase_rounds.inc();
-    }
-
-    #[inline]
     fn rule_applied(&self, _rule: usize, _attr: usize) {
         self.rules_applied.inc();
     }
@@ -438,12 +353,6 @@ impl RepairObserver for MetricsObserver {
         self.tuple_updates.record_n(updates as u64, n);
     }
 
-    #[inline]
-    fn plan_probe(&self, rules_hit: usize) {
-        self.plan_probes.inc();
-        self.plan_probe_hits.add(rules_hit as u64);
-    }
-
     fn event(&self, e: Event) {
         match e {
             Event::LRepairProbes {
@@ -454,15 +363,6 @@ impl RepairObserver for MetricsObserver {
                 self.probes.add(probes);
                 self.probe_hits.add(hits);
                 self.enqueued.add(enqueued);
-            }
-            Event::BatchGrouped {
-                rows,
-                groups,
-                scattered,
-            } => {
-                self.batch_rows.add(rows as u64);
-                self.batch_groups.add(groups as u64);
-                self.batch_scattered.add(scattered as u64);
             }
             Event::WorkerDone {
                 worker,
@@ -544,7 +444,7 @@ mod tests {
 
     #[test]
     fn batched_tuples_done_matches_repeated_tuple_done() {
-        // The columnar driver's coalesced hook must leave every counter
+        // The lRepair workers' coalesced hook must leave every counter
         // and histogram exactly where `count` single-tuple calls would.
         let reg_one = MetricsRegistry::new();
         let reg_n = MetricsRegistry::new();
@@ -569,11 +469,6 @@ mod tests {
                 probes: 2,
                 hits: 3,
                 enqueued: 1,
-            },
-            Event::BatchGrouped {
-                rows: 100,
-                groups: 7,
-                scattered: 93,
             },
             Event::WorkerDone {
                 worker: 1,
@@ -605,7 +500,6 @@ mod tests {
     fn metrics_observer_aggregates_hooks() {
         let reg = MetricsRegistry::new();
         let obs = MetricsObserver::new(&reg);
-        obs.chase_round();
         obs.rule_applied(0, 2);
         obs.rule_applied(3, 1);
         obs.tuples_done(2, 2, 1);
@@ -614,13 +508,6 @@ mod tests {
             probes: 2,
             hits: 3,
             enqueued: 1,
-        });
-        obs.plan_probe(2);
-        obs.plan_probe(0);
-        obs.event(Event::BatchGrouped {
-            rows: 100,
-            groups: 7,
-            scattered: 93,
         });
         obs.event(Event::WorkerDone {
             worker: 1,
@@ -643,7 +530,6 @@ mod tests {
         let snap = reg.snapshot();
         let counters = snap.get("counters").unwrap();
         let get = |name: &str| counters.get(name).and_then(|v| v.as_i64()).unwrap();
-        assert_eq!(get("repair.chase.rounds"), 1);
         assert_eq!(get("repair.rules_applied"), 2);
         assert_eq!(get("repair.tuples"), 2);
         assert_eq!(get("repair.tuples_touched"), 1);
@@ -651,11 +537,6 @@ mod tests {
         assert_eq!(get("repair.index.probes"), 2);
         assert_eq!(get("repair.index.probe_hits"), 3);
         assert_eq!(get("repair.queue.enqueued"), 1);
-        assert_eq!(get("repair.plan.probes"), 2);
-        assert_eq!(get("repair.plan.probe_hits"), 2);
-        assert_eq!(get("repair.batch.rows"), 100);
-        assert_eq!(get("repair.batch.groups"), 7);
-        assert_eq!(get("repair.batch.scattered"), 93);
         assert_eq!(get("repair.worker.1.rows"), 500);
         assert_eq!(get("repair.worker.1.replayed"), 300);
         assert_eq!(get("consistency.pairs_checked"), 6);
@@ -680,10 +561,8 @@ mod tests {
     fn documented_metric_names_all_appear() {
         let reg = MetricsRegistry::new();
         let obs = MetricsObserver::new(&reg);
-        obs.chase_round();
         obs.rule_applied(0, 0);
         obs.tuples_done(1, 1, 1);
-        obs.plan_probe(1);
         for e in every_event() {
             obs.event(e);
         }
@@ -699,10 +578,8 @@ mod tests {
 
     /// Calls every hook of the trait once, and sends every [`Event`].
     fn drive<O: RepairObserver + ?Sized>(o: &O) {
-        o.chase_round();
         o.rule_applied(1, 2);
         o.tuples_done(2, 1, 3);
-        o.plan_probe(2);
         o.cell_repaired(CellFix {
             row: 4,
             ordinal: 0,
@@ -714,7 +591,6 @@ mod tests {
         });
         o.rule_rejected(0);
         o.rule_latency(1, 500);
-        o.plan_replayed(1, 2);
         for e in every_event() {
             o.event(e);
         }

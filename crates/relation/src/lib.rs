@@ -25,7 +25,7 @@
 //! ```
 
 pub mod attrset;
-pub mod column;
+mod column;
 pub mod csv_io;
 pub mod error;
 pub mod schema;

@@ -17,6 +17,21 @@ echo "== perfbench builds against the workspace crates =="
 # must fail here, not when the benchmark runs.
 cargo check --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench traced run =="
+# The only check that drives the grouped core's one caller end to end:
+# the traced run compares the grouped update count with the reference,
+# renders every replayed fixd batch against the expected bytes and looks
+# up provenance chains. Its report's last line is one JSON object.
+perf_last=$(bash perfbench/run.sh --workload cli-dup --seed 1 --seconds 1 --trace 1 | tail -n 1)
+case "$perf_last" in
+    *'"correct": true'*'"failed": 0,'* | *'"correct": true'*'"failed": 0}'*) ;;
+    *)
+        echo "perfbench traced run was not correct: ${perf_last:0:300}" >&2
+        exit 1
+        ;;
+esac
+echo "-- perfbench traced run: correct, 0 failed"
+
 echo "== cargo test =="
 cargo test --workspace -q
 
