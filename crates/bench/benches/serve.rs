@@ -3,9 +3,11 @@
 //! batches, pinning multi-client throughput (rows/sec) and the daemon's
 //! own per-endpoint latency telemetry into `BENCH_serve_repair.json`.
 //!
-//! Configurations: `clients/1|4|8`. Every request repairs on its own:
-//! the grouped core runs the engine once per distinct signature in the
-//! batch, and nothing is kept between requests.
+//! Configurations: `clients/1|4|8`. Every request repairs on its own,
+//! with one `LRepairWorker` (lRepair, Fig 7) made for the request, whose
+//! memo replays the batch's repeated rows and goes with it: nothing is
+//! kept between requests but the provenance ledger, filled once per
+//! request from its fixes.
 //!
 //! Each benchmark passes its metrics registry into the daemon
 //! ([`Daemon::start_with_registry`]), so the pinned JSON embeds the

@@ -34,15 +34,18 @@
 //! Every command that reads `--data` with `--rules` streams the file
 //! through one chunk pipeline: workers scan 256 KiB chunks at once, each
 //! cell one of Σ's constants or ⊥, and no command holds the table, so no
-//! command's memory grows with the input. `repair`'s workers each repair a
-//! chunk with lRepair and render it back, untouched rows from the chunk's
-//! own bytes, while the calling thread writes the chunks in order and
-//! feeds the `--quality-window` monitor, if any. `detect` and `coverage`
-//! run the same lRepair workers and discard the rows; `check`, `stats`,
-//! `convert` and `resolve` only count them. `--threads N` only sets the
-//! worker count. It defaults to the available cores, and no output depends
-//! on it. `check`, `detect`, `repair` and `coverage` check every rule pair
-//! on one thread and report every conflict.
+//! command's memory grows with the input. `detect`, `coverage` and
+//! `repair` run one lRepair pass: each worker repairs a chunk and renders
+//! it back, untouched rows from the chunk's own bytes, and the chunk's
+//! fixes ride with it to the calling thread, which takes the chunks in
+//! file order. `repair` writes them to `--out`, feeds the
+//! `--quality-window` monitor, if any, and keeps every fix for
+//! `--updates-log` and `--trace`; `detect` keeps the first 100 fixes and
+//! `coverage` none. `check`, `stats`, `convert` and `resolve` only count
+//! the rows. `--threads N` only sets the worker count. It defaults to the
+//! available cores, and no output depends on it. `check`, `detect`,
+//! `repair` and `coverage` check every rule pair on one thread and report
+//! every conflict.
 //!
 //! `repair` additionally takes the profiling flags:
 //!
@@ -55,8 +58,9 @@
 //! * `--metrics <path>` — write a JSON snapshot of per-stage timings
 //!   (`stage.*_ns` histograms), repair counters (`repair.rules_applied`,
 //!   `repair.tuples_touched`, `consistency.conflicts`, ...; see
-//!   [`obs::METRIC_NAMES`]), the `repair` pipeline's busy time per phase
-//!   (`pipeline.*_ns`), and the process's peak memory
+//!   [`obs::METRIC_NAMES`]), the lRepair pass's busy time per phase
+//!   (`pipeline.*_ns`, on `detect`, `coverage` and `repair`), and the
+//!   process's peak memory
 //!   (`process.peak_rss_bytes`, where `/proc/self/status` is readable).
 //!   All but the timings and the memory are deterministic.
 //! * `--log <off|info|debug>` — structured `key=value` progress lines on
@@ -67,12 +71,13 @@
 //!   `--trace-clock logical|wall` picks timestamps: `logical` (default)
 //!   is byte-deterministic across runs, `wall` records microseconds.
 //!
-//! `check`, `detect`, `resolve`, `repair`, `stats`, `convert`,
-//! `discover`, `coverage` and `serve` reject any flag they do not read
-//! (exit 2, `unknown flag --NAME`), so a typo or a retired flag never
-//! falls back to a default. `serve` hands its arguments to the `fixd` parser
-//! ([`fixd::cli::run`]); the daemon's telemetry is at `GET /metrics` and
-//! its journal is `--journal`, so it takes no `--metrics` or `--trace`.
+//! `lint`, `certify`, `check`, `detect`, `resolve`, `repair`, `stats`,
+//! `convert`, `discover`, `coverage` and `serve` reject any flag they do
+//! not read (exit 2, `unknown flag --NAME`), so a typo or a retired flag
+//! never falls back to a default. `serve` hands its arguments to the
+//! `fixd` parser ([`fixd::cli::run`]); the daemon's telemetry is at
+//! `GET /metrics` and its journal is `--journal`, so it takes no
+//! `--metrics` or `--trace`.
 //!
 //! The schema is taken from the CSV header; rule files use the
 //! [`fixrules::io`] line format:
@@ -89,7 +94,7 @@ use fixrules::consistency::{
     conflict_witness, enumerate::WILDCARD, is_consistent_characterize, ConsistencyReport,
 };
 use fixrules::io::{format_rule, format_rules, parse_rules_spanned, Span};
-use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver, ProvenanceRecord};
+use fixrules::provenance::{ProvenanceLedger, ProvenanceRecord};
 use fixrules::repair::{CellUpdate, LRepairIndex, LRepairWorker, NoopObserver, RepairStats};
 use fixrules::RuleSet;
 use obs::quality::value_key;
@@ -416,33 +421,62 @@ fn usage() -> String {
         .to_string()
 }
 
+/// What `lint` and `certify` read: the rule file and its text, `--deny`,
+/// `--format`, and the schema, from `--schema`, from `--data`'s header,
+/// or inferred from the rules. Any other flag is refused.
+struct RuleFile<'a> {
+    path: &'a str,
+    text: String,
+    deny: fixlint::DenyList,
+    format: &'a str,
+    schema: Schema,
+}
+
+impl<'a> RuleFile<'a> {
+    fn read(command: &str, positional: Option<&'a str>, flags: &'a Flags) -> Result<Self, String> {
+        flags.only(&["rules", "schema", "data", "deny", "format"])?;
+        let path = positional
+            .or_else(|| flags.optional("rules"))
+            .ok_or_else(|| format!("{command} needs a rules file: fixctl {command} <rules.frl>"))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let deny = match flags.optional("deny") {
+            Some(spec) => fixlint::DenyList::parse(spec)?,
+            None => fixlint::DenyList::none(),
+        };
+        let schema = if let Some(names) = flags.optional("schema") {
+            Schema::new("R", names.split(',').map(str::trim)).map_err(|e| e.to_string())?
+        } else if let Some(data_path) = flags.optional("data") {
+            read_header(data_path)?
+        } else {
+            // An unparseable file still gets a rendered FR000 report.
+            fixrules::io::infer_schema(&text, "R")
+                .or_else(|_| Schema::new("R", ["_"]))
+                .map_err(|e| e.to_string())?
+        };
+        Ok(RuleFile {
+            path,
+            text,
+            deny,
+            format: flags.optional("format").unwrap_or("human"),
+            schema,
+        })
+    }
+}
+
 /// Static analysis of a rule file: parse (inferring a schema from the
 /// rules themselves unless `--schema`/`--data` provides one), run the
 /// `fixlint` passes, and render the findings rustc-style or as JSON.
 /// Exit status: 2 on operational errors, 1 when any finding is fatal
 /// (errors always; plus whatever `--deny` promotes), 0 otherwise.
 fn cmd_lint(positional: Option<&str>, flags: &Flags, obs_ctx: &ObsCtx) -> Result<ExitCode, String> {
-    let path = positional
-        .or_else(|| flags.optional("rules"))
-        .ok_or("lint needs a rules file: fixctl lint <rules.frl>")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let deny = match flags.optional("deny") {
-        Some(spec) => fixlint::DenyList::parse(spec)?,
-        None => fixlint::DenyList::none(),
-    };
-    let format = flags.optional("format").unwrap_or("human");
+    let RuleFile {
+        path,
+        text,
+        deny,
+        format,
+        schema,
+    } = RuleFile::read("lint", positional, flags)?;
     let mut symbols = SymbolTable::new();
-    let schema = if let Some(names) = flags.optional("schema") {
-        relation::Schema::new("R", names.split(',').map(str::trim)).map_err(|e| e.to_string())?
-    } else if let Some(data_path) = flags.optional("data") {
-        read_header(data_path)?
-    } else {
-        match fixrules::io::infer_schema(&text, "R") {
-            Ok(schema) => schema,
-            // An unparseable file still gets a rendered FR000 report below.
-            Err(_) => relation::Schema::new("R", ["_"]).map_err(|e| e.to_string())?,
-        }
-    };
     let report = {
         let _span = obs_ctx.span("lint");
         fixlint::lint_source(
@@ -484,27 +518,14 @@ fn cmd_certify(
     flags: &Flags,
     obs_ctx: &ObsCtx,
 ) -> Result<ExitCode, String> {
-    let path = positional
-        .or_else(|| flags.optional("rules"))
-        .ok_or("certify needs a rules file: fixctl certify <rules.frl>")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let deny = match flags.optional("deny") {
-        Some(spec) => fixlint::DenyList::parse(spec)?,
-        None => fixlint::DenyList::none(),
-    };
-    let format = flags.optional("format").unwrap_or("human");
+    let RuleFile {
+        path,
+        text,
+        deny,
+        format,
+        schema,
+    } = RuleFile::read("certify", positional, flags)?;
     let mut symbols = SymbolTable::new();
-    let schema = if let Some(names) = flags.optional("schema") {
-        relation::Schema::new("R", names.split(',').map(str::trim)).map_err(|e| e.to_string())?
-    } else if let Some(data_path) = flags.optional("data") {
-        read_header(data_path)?
-    } else {
-        match fixrules::io::infer_schema(&text, "R") {
-            Ok(schema) => schema,
-            // An unparseable file still gets a rendered FR000 report below.
-            Err(_) => relation::Schema::new("R", ["_"]).map_err(|e| e.to_string())?,
-        }
-    };
     let cert = {
         let _span = obs_ctx.span("certify");
         match fixrules::io::parse_rules_spanned(&text, &schema, &mut symbols) {
@@ -562,8 +583,9 @@ fn cmd_certify(
     }
 }
 
-/// Convert between the `.frl` line format and the portable JSON document,
-/// picking the direction from the output extension.
+/// Write the `.frl` rule file, parsed against `--data`'s header, back out
+/// as `.frl`, or as the portable JSON document when `--out` ends in
+/// `.json`. Only `.frl` is read.
 fn cmd_convert(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     flags.only(&["rules", "data", "threads", "out"])?;
     let out = flags.required("out")?;
@@ -634,7 +656,11 @@ fn cmd_detect(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             LRepairIndex::build(&rules)
         };
         let _span = obs_ctx.span("detect");
-        let (stats, listed) = data.lrepair(&rules, &index, &NoopObserver, DETECT_LISTED)?;
+        let pass = Pass {
+            keep: DETECT_LISTED,
+            ..Pass::default()
+        };
+        let (stats, listed) = data.lrepair(&rules, &index, &NoopObserver, obs_ctx, pass)?;
         Ok((stats.rows, (stats, listed)))
     })?;
     outln!(
@@ -768,46 +794,125 @@ impl<'a> Data<'a> {
     }
 
     /// lRepair on every row, one [`LRepairWorker`] per worker reporting to
-    /// `observer`, as `repair` runs it, with no row touched and the output
-    /// discarded. Returns the totals and the first `listed` updates.
+    /// `observer`: the one pass of `detect`, `coverage` and `repair`. Each
+    /// chunk is scanned, repaired and rendered on a worker, and its fixes
+    /// ride in the chunk's note to the calling thread, which takes the
+    /// chunks in file order: it writes the bytes to `pass.out`, if any,
+    /// feeds `pass.quality` each row's pre-repair [`value_key`]s and then
+    /// its fixes, and keeps the first `pass.keep` fixes. Returns the totals
+    /// and the kept fixes, in file order; the pipeline's busy time per
+    /// phase goes to `pipeline.*_ns` counters.
     fn lrepair<O: RepairObserver>(
         &self,
         rules: &RuleSet,
         index: &LRepairIndex,
         observer: &O,
-        listed: usize,
+        obs_ctx: &ObsCtx,
+        pass: Pass,
     ) -> Result<(RepairStats, Vec<CellUpdate>), String> {
-        let mut first = Vec::new();
+        use std::io::Write;
+        let Pass {
+            keep,
+            mut out,
+            quality,
+        } = pass;
+        let out_name = out.as_ref().map(|out| out.name.clone());
+        let arity = self.schema.arity();
+        let (mut row, mut kept) = (0, Vec::new());
+        // The monitor reads every fix; the caller, the first `keep`.
+        let carry = if quality.is_some() { usize::MAX } else { keep };
         let run = par_repair_csv(
             self.path,
             &self.schema,
             &self.symbols,
             self.threads,
-            |w| (LRepairWorker::new(rules, index, observer, w), (0, 0)),
-            |(lrepair, (updates, touched)), chunk, note: &mut Vec<CellUpdate>| {
-                lrepair.repair_rows(chunk.first_row, chunk.cells, note);
-                *updates += note.len();
-                *touched += note.chunk_by(|a, b| a.row == b.row).count();
-                note.truncate(listed);
+            |w| {
+                (
+                    LRepairWorker::new(rules, index, observer, w),
+                    Vec::new(),
+                    (0, 0),
+                )
             },
-            |_, note| {
-                first.extend(note.iter().take(listed - first.len()));
+            |(lrepair, fixes, (updates, touched)), mut chunk, note: &mut Note| {
+                if quality.is_some() {
+                    for i in 0..chunk.rows() {
+                        note.1.extend(chunk.fields(i).map(value_key));
+                    }
+                }
+                fixes.clear();
+                lrepair.repair_rows(chunk.first_row, chunk.cells, fixes);
+                for row in fixes.chunk_by(|a, b| a.row == b.row) {
+                    chunk.touch(row[0].row - chunk.first_row);
+                    *touched += 1;
+                }
+                *updates += fixes.len();
+                note.0.extend_from_slice(&fixes[..fixes.len().min(carry)]);
+            },
+            |bytes, (fixes, keys)| {
+                if let Some(out) = out.as_mut() {
+                    out.file.write_all(bytes)?;
+                }
+                if let Some(quality) = quality {
+                    let mut fixes = fixes.iter().peekable();
+                    for keys in keys.chunks_exact(arity) {
+                        quality.row_observed(keys);
+                        let row_fixes = std::iter::from_fn(|| fixes.next_if(|u| u.row == row));
+                        for (ordinal, u) in row_fixes.enumerate() {
+                            quality.cell_repaired(u.as_fix(ordinal));
+                        }
+                        row += 1;
+                    }
+                }
+                kept.extend(fixes.iter().take(keep - kept.len()));
                 Ok(())
             },
         )
-        .map_err(|e| self.error(e))?;
+        .map_err(|e| match (e, out_name) {
+            (PipelineError::Write(e), Some(out)) => format!("writing {out}: {e}"),
+            (e, _) => self.error(e),
+        })?;
+        let times = run.times;
+        for (phase, ns) in [
+            ("scan", times.scan_ns),
+            ("repair", times.repair_ns),
+            ("render", times.render_ns),
+            ("write", times.write_ns),
+            ("wait", times.wait_ns),
+        ] {
+            obs_ctx
+                .registry
+                .counter(&format!("pipeline.{phase}_ns"))
+                .add(ns);
+        }
         let mut stats = RepairStats {
             rows: run.rows,
             ..RepairStats::default()
         };
-        for (lrepair, (updates, touched)) in run.workers {
+        for (lrepair, _, (updates, touched)) in run.workers {
             stats.updates += updates;
             stats.rows_touched += touched;
             lrepair.finish();
         }
-        Ok((stats, first))
+        Ok((stats, kept))
     }
 }
+
+/// What a [`Data::lrepair`] pass does with the repaired rows besides
+/// counting them; by default, nothing.
+#[derive(Default)]
+struct Pass<'a> {
+    /// How many fixes to hand back, the first in file order.
+    keep: usize,
+    /// Where to write the repaired CSV; without it the bytes are dropped.
+    out: Option<&'a mut OutFile>,
+    /// The monitor to feed every row and its fixes, in file order.
+    quality: Option<&'a QualityMonitor>,
+}
+
+/// A chunk's note in a [`Data::lrepair`] pass: the fixes it carries to
+/// the calling thread, and with a quality monitor every row's pre-repair
+/// [`value_key`]s, row after row.
+type Note = (Vec<CellUpdate>, Vec<u32>);
 
 /// The schema of the CSV file at `path`, read from its header row alone.
 fn read_header(path: &str) -> Result<Schema, String> {
@@ -995,7 +1100,7 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         let _span = obs_ctx.span("repair");
         let index = LRepairIndex::build(&rules);
         let observer = Tee(&obs_ctx.observer, &attribution);
-        let (stats, _) = data.lrepair(&rules, &index, &observer, 0)?;
+        let (stats, _) = data.lrepair(&rules, &index, &observer, obs_ctx, Pass::default())?;
         Ok((stats.rows, attribution))
     })?;
     let profile = attribution.profile();
@@ -1238,7 +1343,7 @@ fn cmd_resolve(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
 }
 
 /// `fixctl repair`: gate Σ, then repair every row into `--out` with
-/// [`run_pipeline`], which repairs the input chunk by chunk on the
+/// [`Data::lrepair`], which repairs the input chunk by chunk on the
 /// `--threads` workers and writes each chunk back from its own bytes,
 /// re-rendering only the rows it touched or that hold a `"`. The table is
 /// never held, so memory does not grow with the input. Σ is gated before
@@ -1275,55 +1380,43 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         }
         None => None,
     };
-    let ledger = ProvenanceLedger::new();
-    // Optional observers (provenance for `--trace`, attribution for
-    // `--profile*`) tee onto the metrics observer as trait objects. The
-    // blanket `impl RepairObserver for &T` lets the generic worker take
-    // the assembled `&dyn` chain, instead of monomorphizing each
-    // Tee/no-Tee combination.
+    // `--profile*` tees the attribution profiler onto the metrics
+    // observer, as a trait object: the blanket `impl RepairObserver for &T`
+    // lets the generic worker take either without monomorphizing both.
     let attribution = attribution_for(flags, obs_ctx, &rules);
-    let prov = obs_ctx
-        .journal
-        .is_some()
-        .then(|| ProvenanceObserver::new(&rules, &ledger));
-    let tee_prov;
-    let tee_attr;
-    let mut observer: &dyn RepairObserver = &obs_ctx.observer;
-    if let Some(p) = &prov {
-        tee_prov = Tee(observer, p as &dyn RepairObserver);
-        observer = &tee_prov;
-    }
-    if let Some(a) = &attribution {
-        tee_attr = Tee(observer, a as &dyn RepairObserver);
-        observer = &tee_attr;
-    }
+    let tee;
+    let observer: &dyn RepairObserver = match &attribution {
+        Some(a) => {
+            tee = Tee(&obs_ctx.observer, a);
+            &tee
+        }
+        None => &obs_ctx.observer,
+    };
     let index = {
         let _span = obs_ctx.span("index_build");
         LRepairIndex::build(&rules)
     };
+    // `--updates-log` and `--trace` read every fix, after the run.
+    let keep = if flags.optional("updates-log").is_some() || obs_ctx.journal.is_some() {
+        usize::MAX
+    } else {
+        0
+    };
     let (stats, updates, out_file) = {
         let _span = obs_ctx.span("repair");
         let mut out_file = OutFile::create(out, data.path)?;
-        let (stats, updates) = run_pipeline(
-            &rules,
-            &data.symbols,
-            &index,
-            data.threads,
-            data.path,
-            &mut out_file.file,
-            &observer,
-            flags.optional("updates-log").is_some(),
-            quality.as_ref(),
-            obs_ctx,
-        )
-        .map_err(|e| match e {
-            PipelineError::Write(e) => format!("writing {out}: {e}"),
-            e => data.error(e),
-        })?;
+        let pass = Pass {
+            keep,
+            out: Some(&mut out_file),
+            quality: quality.as_ref(),
+        };
+        let (stats, updates) = data.lrepair(&rules, &index, &observer, obs_ctx, pass)?;
         data.loaded(stats.rows, &rules);
         (stats, updates, out_file)
     };
     if let Some(journal) = &obs_ctx.journal {
+        let ledger = ProvenanceLedger::new();
+        ledger.record_updates(&rules, &updates);
         write_trace_events(journal, &rules, &data.symbols, &ledger);
     }
     obs::info!(
@@ -1377,131 +1470,6 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     }
     emit_profile(flags, attribution.as_ref())?;
     Ok(())
-}
-
-/// `repair`'s engine: [`par_repair_csv`] with one [`LRepairWorker`] per
-/// worker, so each chunk of `data` is scanned, repaired, rendered and
-/// written to `out` once, and no table is built (DESIGN.md §18). Returns
-/// the run's totals and, if `keep_log`, every update in row order; each
-/// worker's tallies and [`Event::WorkerDone`] go to `observer`, and the
-/// pipeline's busy time per phase to `pipeline.*_ns` counters. With a
-/// `quality` monitor, the workers also key each row's values as the file
-/// holds them, and the writing thread feeds the monitor each row's keys
-/// and then its fixes, in file order.
-#[allow(clippy::too_many_arguments)]
-fn run_pipeline<O: RepairObserver>(
-    rules: &RuleSet,
-    symbols: &SymbolTable,
-    index: &LRepairIndex,
-    threads: usize,
-    data: &str,
-    out: &mut std::fs::File,
-    observer: &O,
-    keep_log: bool,
-    quality: Option<&QualityMonitor>,
-    obs_ctx: &ObsCtx,
-) -> Result<(RepairStats, Vec<CellUpdate>), PipelineError> {
-    use std::io::Write;
-    let arity = rules.schema().arity();
-    let mut row = 0;
-    let run = par_repair_csv(
-        data,
-        rules.schema(),
-        symbols,
-        threads,
-        |w| PipelineWorker {
-            lrepair: LRepairWorker::new(rules, index, observer, w),
-            log: Vec::new(),
-            updates: 0,
-            rows_touched: 0,
-        },
-        |w, mut chunk, seen: &mut Seen| {
-            if quality.is_some() {
-                for i in 0..chunk.rows() {
-                    seen.keys.extend(chunk.fields(i).map(value_key));
-                }
-            }
-            let from = w.log.len();
-            w.lrepair
-                .repair_rows(chunk.first_row, chunk.cells, &mut w.log);
-            let mut last = None;
-            for u in &w.log[from..] {
-                if last != Some(u.row) {
-                    chunk.touch(u.row - chunk.first_row);
-                    w.rows_touched += 1;
-                    last = Some(u.row);
-                }
-            }
-            w.updates += w.log.len() - from;
-            if quality.is_some() {
-                seen.fixes.extend_from_slice(&w.log[from..]);
-            }
-            if !keep_log {
-                w.log.truncate(from);
-            }
-        },
-        |bytes, seen| {
-            out.write_all(bytes)?;
-            if let Some(quality) = quality {
-                let mut fixes = seen.fixes.iter().peekable();
-                for keys in seen.keys.chunks_exact(arity) {
-                    quality.row_observed(keys);
-                    let row_fixes = std::iter::from_fn(|| fixes.next_if(|u| u.row == row));
-                    for (ordinal, u) in row_fixes.enumerate() {
-                        quality.cell_repaired(u.as_fix(ordinal));
-                    }
-                    row += 1;
-                }
-            }
-            Ok(())
-        },
-    )?;
-    let times = run.times;
-    for (phase, ns) in [
-        ("scan", times.scan_ns),
-        ("repair", times.repair_ns),
-        ("render", times.render_ns),
-        ("write", times.write_ns),
-        ("wait", times.wait_ns),
-    ] {
-        obs_ctx
-            .registry
-            .counter(&format!("pipeline.{phase}_ns"))
-            .add(ns);
-    }
-    let mut stats = RepairStats {
-        rows: run.rows,
-        ..RepairStats::default()
-    };
-    let mut updates = Vec::new();
-    for w in run.workers {
-        stats.updates += w.updates;
-        stats.rows_touched += w.rows_touched;
-        updates.extend(w.log);
-        w.lrepair.finish();
-    }
-    // Each worker's log is in row order and no two share a row, so a
-    // stable sort by row merges them and keeps each row's own order.
-    updates.sort_by_key(|u| u.row);
-    Ok((stats, updates))
-}
-
-/// A [`run_pipeline`] worker: its lRepair state and what it repaired.
-struct PipelineWorker<'a, O: RepairObserver> {
-    lrepair: LRepairWorker<'a, O>,
-    /// Its updates in row order, kept only for `--updates-log`.
-    log: Vec<CellUpdate>,
-    updates: usize,
-    rows_touched: usize,
-}
-
-/// What a chunk's repair leaves for the quality monitor, when there is
-/// one: every row's pre-repair [`value_key`]s, row after row, and the
-/// chunk's fixes in row order.
-#[derive(Default)]
-struct Seen {
-    keys: Vec<u32>,
-    fixes: Vec<CellUpdate>,
 }
 
 /// `repair`'s `--out`, written through a temporary file that is renamed

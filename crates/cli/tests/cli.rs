@@ -266,11 +266,11 @@ fn stream_algo_matches_lrepair() {
         })
         .collect();
     let attribution = obs::AttributionObserver::new(&registry, labels);
-    let ledger = fixrules::provenance::ProvenanceLedger::new();
-    let provenance = fixrules::provenance::ProvenanceObserver::new(&rules, &ledger);
     let index = fixrules::repair::LRepairIndex::build(&rules);
-    let observer = obs::Tee(&metrics, &obs::Tee(&attribution, &provenance));
+    let observer = obs::Tee(&metrics, &attribution);
     let outcome = fixrules::repair::lrepair_table(&rules, &index, &mut table, &observer);
+    let ledger = fixrules::provenance::ProvenanceLedger::new();
+    ledger.record_updates(&rules, &outcome.updates);
     let mut want_csv = Vec::new();
     relation::csv_io::write_csv(&mut want_csv, &table, &symbols).unwrap();
     let mut want_log = Vec::new();
@@ -830,10 +830,10 @@ fn stream_trace_records_same_provenance_as_lrepair() {
     let mut table =
         relation::csv_io::read_csv_file(dir.join("t.csv"), "data", &mut symbols).unwrap();
     let rules = fixrules::io::parse_rules(CASCADE_RULES, table.schema(), &mut symbols).unwrap();
-    let ledger = fixrules::provenance::ProvenanceLedger::new();
-    let observer = fixrules::provenance::ProvenanceObserver::new(&rules, &ledger);
     let index = fixrules::repair::LRepairIndex::build(&rules);
-    fixrules::repair::lrepair_table(&rules, &index, &mut table, &observer);
+    let outcome = fixrules::repair::lrepair_table(&rules, &index, &mut table, &obs::NoopObserver);
+    let ledger = fixrules::provenance::ProvenanceLedger::new();
+    ledger.record_updates(&rules, &outcome.updates);
     let journal = obs::TraceJournal::new(obs::TraceClock::Logical);
     for record in ledger.records() {
         journal.event("repair.cell", 0, record.to_json(rules.schema(), &symbols));
@@ -1177,6 +1177,11 @@ fn unknown_flags_are_rejected() {
         ("repair", "expose", "127.0.0.1:0"),
         ("coverage", "engin", "chase"),
         ("coverage", "engine", "lrepair"),
+        // A misspelt `--format` or `--deny` must not drop a CI gate.
+        ("lint", "formt", "json"),
+        ("lint", "dney", "warnings"),
+        ("certify", "formt", "json"),
+        ("certify", "dney", "warnings"),
     ];
     for command in ["check", "detect", "stats", "convert", "resolve", "discover"] {
         cases.extend([

@@ -13,12 +13,12 @@
 //! backwards re-derives the causal chain behind any one cell
 //! ([`chain`]).
 //!
-//! The drivers feed the ledger through the value-carrying
-//! `cell_repaired` observer hook; wrap the ledger in a
-//! [`ProvenanceObserver`] (which knows the rule set and expands rule ids
-//! into evidence bindings) and pass it to any repair driver.
-//! As with every observer, the hook monomorphizes to nothing under
-//! `NoopObserver` — untraced repairs pay zero cost.
+//! Every repair returns its fixes as [`CellUpdate`]s, each row's together
+//! in application order; [`ProvenanceLedger::record_updates`] folds them
+//! into the ledger, expanding each rule id into evidence bindings, under
+//! one lock per call. [`ProvenanceObserver`] does the same one fix at a
+//! time from the `cell_repaired` observer hook, for a driver that only
+//! reports through its observer.
 
 use std::fmt;
 use std::sync::Mutex;
@@ -26,6 +26,7 @@ use std::sync::Mutex;
 use obs::{CellFix, Json, RepairObserver};
 use relation::{AttrId, AttrSet, Schema, Symbol, SymbolTable, Table};
 
+use crate::repair::CellUpdate;
 use crate::ruleset::{RuleId, RuleSet};
 use crate::semantics::evidence_bindings;
 
@@ -55,6 +56,23 @@ pub struct ProvenanceRecord {
 }
 
 impl ProvenanceRecord {
+    /// The record of `update`, the `ordinal`-th fix of its row, by a rule
+    /// of `rules`.
+    fn of(rules: &RuleSet, update: &CellUpdate, ordinal: usize) -> Self {
+        let rule = rules.rule(update.rule);
+        ProvenanceRecord {
+            row: update.row,
+            ordinal,
+            attr: update.attr,
+            old: update.old,
+            new: update.new,
+            rule: update.rule,
+            round: update.round,
+            evidence: evidence_bindings(rule),
+            assured_delta: rule.assured_delta(),
+        }
+    }
+
     /// Serialize with attribute names and resolved values, so the record
     /// is meaningful outside this process (the trace journal stores these).
     pub fn to_json(&self, schema: &Schema, symbols: &SymbolTable) -> Json {
@@ -193,9 +211,20 @@ impl ProvenanceLedger {
         Self::default()
     }
 
-    /// Append one record.
-    pub fn record(&self, rec: ProvenanceRecord) {
-        obs::lock(&self.entries).push(rec);
+    /// Append one record per update of a repair by `rules`, under one
+    /// lock. `updates` holds each row's updates together, in application
+    /// order, as every repair returns them: an update's ordinal is its
+    /// place among its row's.
+    pub fn record_updates(&self, rules: &RuleSet, updates: &[CellUpdate]) {
+        let records: Vec<ProvenanceRecord> = updates
+            .chunk_by(|a, b| a.row == b.row)
+            .flat_map(|row| {
+                row.iter()
+                    .enumerate()
+                    .map(|(ordinal, u)| ProvenanceRecord::of(rules, u, ordinal))
+            })
+            .collect();
+        obs::lock(&self.entries).extend(records);
     }
 
     /// Number of recorded applications.
@@ -219,11 +248,12 @@ impl ProvenanceLedger {
     /// `(row, attr)` — empty when the cell was never repaired. See
     /// [`chain`] for the derivation.
     pub fn chain_for(&self, row: usize, attr: AttrId) -> Vec<ProvenanceRecord> {
-        let row_records: Vec<ProvenanceRecord> = self
-            .records()
-            .into_iter()
+        let mut row_records: Vec<ProvenanceRecord> = obs::lock(&self.entries)
+            .iter()
             .filter(|r| r.row == row)
+            .cloned()
             .collect();
+        row_records.sort_by_key(|r| r.ordinal);
         chain(&row_records, attr)
             .into_iter()
             .map(|i| row_records[i].clone())
@@ -288,9 +318,11 @@ pub fn chain(records: &[ProvenanceRecord], attr: AttrId) -> Vec<usize> {
 }
 
 /// A [`RepairObserver`] that expands `cell_repaired` hook payloads into
-/// full [`ProvenanceRecord`]s. Holds the rule set so the plain rule id in
-/// the hook can be expanded into evidence bindings and the assured-set
-/// delta (kept out of the hook itself so `obs` stays a leaf crate).
+/// full [`ProvenanceRecord`]s, one ledger lock per fix. Holds the rule
+/// set so the plain rule id in the hook can be expanded into evidence
+/// bindings and the assured-set delta (kept out of the hook itself so
+/// `obs` stays a leaf crate). A caller that has the repair's updates
+/// folds them with [`ProvenanceLedger::record_updates`] instead.
 #[derive(Debug)]
 pub struct ProvenanceObserver<'a> {
     rules: &'a RuleSet,
@@ -306,19 +338,16 @@ impl<'a> ProvenanceObserver<'a> {
 
 impl RepairObserver for ProvenanceObserver<'_> {
     fn cell_repaired(&self, fix: CellFix) {
-        let rule_id = RuleId(fix.rule as u32);
-        let rule = self.rules.rule(rule_id);
-        self.ledger.record(ProvenanceRecord {
+        let update = CellUpdate {
             row: fix.row,
-            ordinal: fix.ordinal,
             attr: AttrId(fix.attr as u16),
             old: Symbol(fix.old),
             new: Symbol(fix.new),
-            rule: rule_id,
+            rule: RuleId(fix.rule as u32),
             round: fix.round,
-            evidence: evidence_bindings(rule),
-            assured_delta: rule.assured_delta(),
-        });
+        };
+        let record = ProvenanceRecord::of(self.rules, &update, fix.ordinal);
+        obs::lock(&self.ledger.entries).push(record);
     }
 }
 
@@ -401,6 +430,18 @@ mod tests {
         assert!(recs
             .windows(2)
             .all(|w| (w[0].row, w[0].ordinal) <= (w[1].row, w[1].ordinal)));
+    }
+
+    #[test]
+    fn record_updates_folds_what_the_observer_records() {
+        let mut sy = SymbolTable::new();
+        let (rules, mut table, _repaired, observed) = run_fig1(&mut sy);
+        let outcome = crepair_table(&rules, &mut table, &obs::NoopObserver);
+        let folded = ProvenanceLedger::new();
+        folded.record_updates(&rules, &outcome.updates);
+        // Row 1 has two fixes, so ordinals past 0 are covered.
+        assert!(folded.records().iter().any(|r| r.ordinal == 1));
+        assert_eq!(folded.records(), observed.records());
     }
 
     #[test]

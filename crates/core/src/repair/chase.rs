@@ -18,8 +18,8 @@ pub fn crepair_tuple(rules: &RuleSet, row: &mut [Symbol]) -> Vec<CellUpdate> {
     crepair_tuple_observed(rules, row, &NoopObserver)
 }
 
-/// [`crepair_tuple`] with observer hooks: `rule_applied` per fired rule,
-/// `rule_rejected` per miss, `tuples_done(.., 1)` at fixpoint.
+/// [`crepair_tuple`] with observer hooks: `rule_rejected` per miss,
+/// `tuples_done(.., 1)` at fixpoint.
 /// With [`NoopObserver`] this monomorphizes to the unobserved hot path.
 pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
     rules: &RuleSet,
@@ -58,7 +58,6 @@ pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
             assured.union_with(rule.assured_delta());
             unused[i] = false;
             updated = true;
-            observer.rule_applied(i, b.index());
             if let Some(t0) = t0 {
                 observer.rule_latency(i, t0.elapsed().as_nanos() as u64);
             }

@@ -350,8 +350,8 @@ pub fn lrepair_tuple(
     lrepair_tuple_observed(rules, index, scratch, row, &NoopObserver)
 }
 
-/// [`lrepair_tuple`] with observer hooks: `rule_applied` per fired rule,
-/// and `rule_rejected`/`rule_latency` as asked. Inverted-list probes,
+/// [`lrepair_tuple`] with observer hooks: `rule_rejected` and
+/// `rule_latency` as asked. Inverted-list probes,
 /// counters reaching `|X_φ|` and the tuple's (pops, updates) go to the
 /// scratch's tallies, flushed to `observer` every [`TALLY_FLUSH_TUPLES`]
 /// tuples. With [`NoopObserver`] the tallies are plain adds.
@@ -443,7 +443,6 @@ pub(crate) fn lrepair_tuple_recorded<O: RepairObserver, R: RunRecorder>(
         let new = rule.fact();
         row[b.index()] = new;
         assured.union_with(rule.assured_delta());
-        observer.rule_applied(rid.index(), b.index());
         let ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         if t0.is_some() {
             observer.rule_latency(rid.index(), ns);

@@ -87,9 +87,8 @@ impl CellUpdate {
     }
 }
 
-/// Aggregate statistics of one repair run — the single reporting type
-/// shared by the table drivers (via [`RepairOutcome::stats`]) and
-/// `fixctl repair`'s chunk pipeline.
+/// Aggregate statistics of one repair run over a file, as `fixctl`'s
+/// chunk pipeline reports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Records processed.
@@ -119,17 +118,6 @@ impl RepairOutcome {
         rows.sort_unstable();
         rows.dedup();
         rows.len()
-    }
-
-    /// Aggregate statistics for a run over `rows` records — the same shape
-    /// `fixctl repair`'s chunk pipeline reports, so callers have one
-    /// reporting path.
-    pub fn stats(&self, rows: usize) -> RepairStats {
-        RepairStats {
-            rows,
-            updates: self.total_updates(),
-            rows_touched: self.rows_touched(),
-        }
     }
 }
 
@@ -169,14 +157,6 @@ mod tests {
         };
         assert_eq!(outcome.total_updates(), 3);
         assert_eq!(outcome.rows_touched(), 2);
-        assert_eq!(
-            outcome.stats(10),
-            RepairStats {
-                rows: 10,
-                updates: 3,
-                rows_touched: 2,
-            }
-        );
     }
 }
 

@@ -246,8 +246,8 @@ struct Plan {
 /// are compared exactly.
 ///
 /// A miss runs `lRepair` and records it. A hit replays the run: the same
-/// cell writes and update records, the same `rule_applied`/
-/// `rule_rejected` calls in the same order, the recorded `rule_latency`
+/// cell writes and update records, the same `rule_rejected` calls in the
+/// same order, the recorded `rule_latency`
 /// nanoseconds when the observer asks for timing, and the same pops,
 /// updates, probes, probe hits and enqueues into the scratch's tallies.
 struct PlanMemo<'a> {
@@ -473,7 +473,6 @@ impl<'a> PlanMemo<'a> {
                 let old = row[b.index()];
                 let new = rule.fact();
                 row[b.index()] = new;
-                observer.rule_applied(rid.index(), b.index());
                 if self.timing {
                     observer.rule_latency(rid.index(), self.latency[at]);
                 }

@@ -471,12 +471,6 @@ fn pool() -> impl Strategy<Value = Vec<Vec<Symbol>>> {
 struct HookLog(Mutex<Vec<String>>);
 
 impl RepairObserver for HookLog {
-    fn rule_applied(&self, rule: usize, attr: usize) {
-        self.0
-            .lock()
-            .unwrap()
-            .push(format!("applied {rule} {attr}"));
-    }
     fn rule_rejected(&self, rule: usize) {
         self.0.lock().unwrap().push(format!("rejected {rule}"));
     }

@@ -25,9 +25,10 @@
 //!   against error-rate and p99-latency SLOs; `GET /healthz` is pure
 //!   liveness while `GET /readyz` is readiness — lint-clean rules,
 //!   consistent and certified rule set, green SLOs — from boot on;
-//! * repairs append to a [`ProvenanceLedger`] with daemon-global row ids
-//!   (`row_base` in each response), so `GET /explain/{row}/{attr}` can
-//!   justify any cell the daemon ever changed;
+//! * each repair's fixes are folded into a [`ProvenanceLedger`] once per
+//!   request, with daemon-global row ids (`row_base` in each response),
+//!   so `GET /explain/{row}/{attr}` can justify any cell the daemon ever
+//!   changed;
 //! * every repaired batch also feeds a windowed
 //!   [`QualityMonitor`]: per-attribute repair rate,
 //!   new-value ratio, and sketch-based frequency drift over tumbling row
@@ -95,7 +96,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use fixrules::io::{infer_schema, parse_rules_spanned};
-use fixrules::provenance::{ProvenanceLedger, ProvenanceObserver};
+use fixrules::provenance::ProvenanceLedger;
 use fixrules::repair::{CellUpdate, LRepairIndex, LRepairWorker};
 use fixrules::RuleSet;
 use obs::http::{Request, Response};
@@ -105,7 +106,7 @@ use obs::{
     prometheus_text, Json, MetricsObserver, MetricsRegistry, RepairObserver, SloConfig, TraceClock,
     TraceJournal, TracePhase, TraceRecord,
 };
-use obs::{AlertRule, HealthEvaluator, QualityConfig, QualityMonitor, Tee};
+use obs::{AlertRule, HealthEvaluator, QualityConfig, QualityMonitor};
 use relation::{csv_io, RelationError, Schema, Symbol, SymbolTable};
 
 /// How many recent trace ids stay resolvable via `GET /trace/{id}`: the
@@ -877,12 +878,12 @@ fn handle_repair(state: &DaemonState, request: &Request) -> SrvResult {
     let mut batch = request_batch(state, &bundle, request)?;
     let row_base = state.rows_served.fetch_add(batch.len(), Ordering::SeqCst);
     let metrics = MetricsObserver::new(&state.registry);
-    let provenance = ProvenanceObserver::new(&bundle.rules, &state.ledger);
-    let observer = Tee(&metrics, &provenance);
     let repair_started = Instant::now();
     let (updates, repaired_rows) = {
         let repair_span = state.journal.span("repair", span.id());
-        let updates = repair_batch(&bundle, &mut batch, row_base, &observer);
+        let updates = repair_batch(&bundle, &mut batch, row_base, &metrics);
+        // The request's provenance, folded from its fixes under one lock.
+        state.ledger.record_updates(&bundle.rules, &updates);
         let repaired_rows = replay_rows(state, &batch, &updates, row_base, repair_span.id());
         (updates, repaired_rows)
     };

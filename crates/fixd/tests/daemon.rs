@@ -4,6 +4,7 @@
 //! and graceful shutdown with a parseable journal.
 
 use fixd::{Daemon, DaemonConfig, RulesSource, SchemaSource};
+use fixrules::provenance::{chain, ProvenanceRecord};
 use obs::http::{http_get, http_post, http_request};
 use obs::{Json, SloConfig};
 
@@ -1272,15 +1273,18 @@ fn example_files(extension: &str) -> Vec<std::path::PathBuf> {
 /// fixd repairs what `fixctl repair` does, with the same engine: on every
 /// `examples/` rules × data pair that `fixctl repair` accepts (its header
 /// names Σ's attributes and Σ is consistent), `POST /repair?format=csv`
-/// answers `--out`'s bytes and the JSON `updates` are `--updates-log`'s
-/// records, row, attribute, values and rule alike.
+/// answers `--out`'s bytes, the JSON `updates` are `--updates-log`'s
+/// records, row, attribute, values and rule alike, and `/explain` for
+/// every fixed cell answers the chain of the `repair.cell` records that
+/// `--trace` journals, rows shifted by `row_base`: the two ledgers agree.
 #[test]
 fn the_daemon_repairs_every_example_pair_as_fixctl_repair_does() {
     let fixctl = fixctl_binary();
     let scratch = std::env::temp_dir().join(format!("fixd_parity_{}", std::process::id()));
     std::fs::create_dir_all(&scratch).unwrap();
     let (out, log) = (scratch.join("out.csv"), scratch.join("updates.csv"));
-    let mut compared = 0;
+    let trace = scratch.join("trace.jsonl");
+    let (mut compared, mut explained) = (0, 0);
     for rules in example_files("frl") {
         for data in example_files("csv") {
             let ran = std::process::Command::new(&fixctl)
@@ -1289,6 +1293,7 @@ fn the_daemon_repairs_every_example_pair_as_fixctl_repair_does() {
                 .args(["--data".as_ref(), data.as_os_str()])
                 .args(["--out".as_ref(), out.as_os_str()])
                 .args(["--updates-log".as_ref(), log.as_os_str()])
+                .args(["--trace".as_ref(), trace.as_os_str()])
                 .output()
                 .unwrap();
             if !ran.status.success() {
@@ -1336,6 +1341,40 @@ fn the_daemon_repairs_every_example_pair_as_fixctl_repair_does() {
                 std::fs::read_to_string(&log).unwrap(),
                 "{pair}: updates"
             );
+            let schema = relation::Schema::new("R", header.split(',')).unwrap();
+            let mut symbols = relation::SymbolTable::new();
+            let mut record =
+                |json: &Json| ProvenanceRecord::from_json(json, &schema, &mut symbols).unwrap();
+            let journal = std::fs::read_to_string(&trace).unwrap();
+            let cells: Vec<ProvenanceRecord> = obs::trace::parse_jsonl(&journal)
+                .unwrap()
+                .iter()
+                .filter(|r| r.name == "repair.cell")
+                .map(|r| record(&r.fields))
+                .collect();
+            for cell in &cells {
+                let row = row_base as usize + cell.row;
+                let row_cells: Vec<ProvenanceRecord> = cells
+                    .iter()
+                    .filter(|r| r.row == cell.row)
+                    .cloned()
+                    .collect();
+                let want: Vec<ProvenanceRecord> = chain(&row_cells, cell.attr)
+                    .into_iter()
+                    .map(|i| ProvenanceRecord {
+                        row,
+                        ..row_cells[i].clone()
+                    })
+                    .collect();
+                let attr = schema.attr_name(cell.attr);
+                let (status, body) =
+                    http_get(&url(&daemon, &format!("/explain/{row}/{attr}"))).unwrap();
+                assert_eq!(status, 200, "{pair}: /explain/{row}/{attr}: {body}");
+                let got: Vec<ProvenanceRecord> =
+                    body.lines().map(|line| record(&parse_json(line))).collect();
+                assert_eq!(got, want, "{pair}: /explain/{row}/{attr}");
+                explained += 1;
+            }
             daemon.shutdown();
             compared += 1;
         }
@@ -1343,4 +1382,5 @@ fn the_daemon_repairs_every_example_pair_as_fixctl_repair_does() {
     std::fs::remove_dir_all(&scratch).ok();
     // 13 pairs as the examples stand, 17 updates among them.
     assert!(compared >= 13, "only {compared} pairs compared");
+    assert!(explained >= 17, "only {explained} cells explained");
 }

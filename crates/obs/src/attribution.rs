@@ -145,13 +145,10 @@ impl AttributionObserver {
 
 impl RepairObserver for AttributionObserver {
     #[inline]
-    fn rule_applied(&self, rule: usize, _attr: usize) {
-        self.series(rule).applied.inc();
-    }
-
-    #[inline]
     fn cell_repaired(&self, fix: CellFix) {
-        self.series(fix.rule).cells.inc();
+        let series = self.series(fix.rule);
+        series.applied.inc();
+        series.cells.inc();
     }
 
     #[inline]
@@ -294,28 +291,32 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn attribution_splits_by_rule_and_ranks() {
-        let reg = MetricsRegistry::new();
-        let obs = AttributionObserver::new(&reg, labels());
-        obs.rule_applied(1, 0);
-        obs.rule_applied(1, 0);
-        obs.rule_applied(0, 1);
-        obs.rule_rejected(0);
-        obs.rule_rejected(2);
-        obs.cell_repaired(CellFix {
+    /// One fix by `rule`, in row 0.
+    fn fix(rule: usize) -> CellFix {
+        CellFix {
             row: 0,
             ordinal: 0,
-            rule: 1,
+            rule,
             attr: 0,
             old: 1,
             new: 2,
             round: 1,
-        });
+        }
+    }
+
+    #[test]
+    fn attribution_splits_by_rule_and_ranks() {
+        let reg = MetricsRegistry::new();
+        let obs = AttributionObserver::new(&reg, labels());
+        obs.cell_repaired(fix(1));
+        obs.cell_repaired(fix(1));
+        obs.cell_repaired(fix(0));
+        obs.rule_rejected(0);
+        obs.rule_rejected(2);
         let profile = obs.profile();
         assert_eq!(profile.rows[0].rule, "r1");
         assert_eq!(profile.rows[0].applied, 2);
-        assert_eq!(profile.rows[0].cells, 1);
+        assert_eq!(profile.rows[0].cells, 2);
         assert_eq!(profile.rows[1].rule, "r0");
         assert_eq!(profile.rows[1].rejected, 1);
         // r2 never fired and shows up in the dead-rule summary.
@@ -341,7 +342,7 @@ mod tests {
     fn out_of_range_rules_hit_the_catch_all() {
         let reg = MetricsRegistry::new();
         let obs = AttributionObserver::new(&reg, labels());
-        obs.rule_applied(99, 0);
+        obs.cell_repaired(fix(99));
         let profile = obs.profile();
         let other = profile.rows.iter().find(|r| r.rule == "other").unwrap();
         assert_eq!(other.applied, 1);
@@ -352,7 +353,7 @@ mod tests {
         let run = || {
             let reg = MetricsRegistry::new();
             let obs = AttributionObserver::new(&reg, labels()).with_timing(true);
-            obs.rule_applied(0, 1);
+            obs.cell_repaired(fix(0));
             obs.rule_rejected(1);
             // Latency values differ between "runs" but only the sample
             // count may appear in the JSON.
@@ -379,7 +380,7 @@ mod tests {
         // Blanket &T forwarding keeps both the hooks and the timing flag.
         let via_ref: &dyn RepairObserver = &timed;
         assert!((&via_ref).wants_rule_timing());
-        (&via_ref).rule_applied(0, 0);
+        (&via_ref).cell_repaired(fix(0));
         assert_eq!(
             timed
                 .profile()
@@ -396,7 +397,7 @@ mod tests {
     fn render_table_marks_unfired_rules() {
         let reg = MetricsRegistry::new();
         let obs = AttributionObserver::new(&reg, labels());
-        obs.rule_applied(0, 1);
+        obs.cell_repaired(fix(0));
         let table = obs.profile().render_table();
         assert!(table.contains("rule"), "{table}");
         assert!(table.contains("never fired: r1, r2"), "{table}");

@@ -6,7 +6,7 @@
 //!   log-bucketed [`Histogram`]s (p50/p95/p99), plus RAII [`SpanTimer`]s
 //!   for scoped stage timing ([`metrics`]);
 //! * [`RepairObserver`] — hook points called from the repair pipeline
-//!   (per-rule applications, `lRepair` inverted-list probes, parallel
+//!   (per-tuple tallies, `lRepair` inverted-list probes, parallel
 //!   worker accounting, consistency pair checks, provenance fixes), with
 //!   a [`NoopObserver`] default that monomorphizes to nothing
 //!   ([`observer`]);
@@ -54,8 +54,7 @@
 //!     let _span = registry.span("stage.index_build");
 //!     // ... build the index ...
 //! }
-//! observer.rule_applied(0, 2);
-//! observer.tuples_done(1, 1, 1);
+//! observer.tuples_done(1, 1, 1); // one tuple: one round, one update
 //! let snapshot = registry.snapshot(); // deterministic JSON
 //! assert_eq!(
 //!     snapshot.get("counters").unwrap().get("repair.rules_applied").unwrap().as_i64(),

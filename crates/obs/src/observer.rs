@@ -99,12 +99,6 @@ pub enum Event {
 /// `Sync` is required because the parallel driver shares one observer
 /// across workers.
 pub trait RepairObserver: Sync {
-    /// A rule fired and updated attribute `attr`.
-    #[inline]
-    fn rule_applied(&self, rule: usize, attr: usize) {
-        let _ = (rule, attr);
-    }
-
     /// `count` tuples finished repairing, each after `rounds` chase rounds
     /// / queue pops with `updates` cell updates. Row-at-a-time drivers
     /// pass `count = 1`; the lRepair workers coalesce their worker-local
@@ -118,9 +112,9 @@ pub trait RepairObserver: Sync {
         let _ = (rounds, updates, count);
     }
 
-    /// A repair driver applied one fix, with full values — the
-    /// provenance hook. Called once per update after each tuple completes
-    /// (the drivers know the row index there; per-tuple algorithms don't).
+    /// A repair driver applied one fix, with full values: called once per
+    /// update the call returns, after each tuple completes (the drivers
+    /// know the row index there; per-tuple algorithms don't).
     #[inline]
     fn cell_repaired(&self, fix: CellFix) {
         let _ = fix;
@@ -129,7 +123,7 @@ pub trait RepairObserver: Sync {
     /// A rule was evaluated against a tuple's evidence but did not fire —
     /// an evidence-pattern mismatch, an already-assured B cell, or a
     /// failed post-probe re-verification. The per-rule miss companion to
-    /// [`RepairObserver::rule_applied`].
+    /// [`RepairObserver::cell_repaired`].
     #[inline]
     fn rule_rejected(&self, rule: usize) {
         let _ = rule;
@@ -163,11 +157,6 @@ pub trait RepairObserver: Sync {
 /// `&dyn RepairObserver` (or a `&&impl RepairObserver`) without the caller
 /// monomorphizing a new driver per observer stack.
 impl<T: RepairObserver + ?Sized> RepairObserver for &T {
-    #[inline]
-    fn rule_applied(&self, rule: usize, attr: usize) {
-        (**self).rule_applied(rule, attr);
-    }
-
     #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         (**self).tuples_done(rounds, updates, count);
@@ -211,12 +200,6 @@ impl RepairObserver for NoopObserver {}
 pub struct Tee<'a, A: ?Sized, B: ?Sized>(pub &'a A, pub &'a B);
 
 impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for Tee<'_, A, B> {
-    #[inline]
-    fn rule_applied(&self, rule: usize, attr: usize) {
-        self.0.rule_applied(rule, attr);
-        self.1.rule_applied(rule, attr);
-    }
-
     #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         self.0.tuples_done(rounds, updates, count);
@@ -334,11 +317,6 @@ impl MetricsObserver {
 
 impl RepairObserver for MetricsObserver {
     #[inline]
-    fn rule_applied(&self, _rule: usize, _attr: usize) {
-        self.rules_applied.inc();
-    }
-
-    #[inline]
     fn tuples_done(&self, rounds: usize, updates: usize, count: usize) {
         if count == 0 {
             return;
@@ -348,6 +326,8 @@ impl RepairObserver for MetricsObserver {
         if updates > 0 {
             self.tuples_touched.add(n);
             self.updates.add(updates as u64 * n);
+            // Every update is one rule application.
+            self.rules_applied.add(updates as u64 * n);
         }
         self.tuple_rounds.record_n(rounds as u64, n);
         self.tuple_updates.record_n(updates as u64, n);
@@ -500,8 +480,6 @@ mod tests {
     fn metrics_observer_aggregates_hooks() {
         let reg = MetricsRegistry::new();
         let obs = MetricsObserver::new(&reg);
-        obs.rule_applied(0, 2);
-        obs.rule_applied(3, 1);
         obs.tuples_done(2, 2, 1);
         obs.tuples_done(1, 0, 1);
         obs.event(Event::LRepairProbes {
@@ -561,7 +539,6 @@ mod tests {
     fn documented_metric_names_all_appear() {
         let reg = MetricsRegistry::new();
         let obs = MetricsObserver::new(&reg);
-        obs.rule_applied(0, 0);
         obs.tuples_done(1, 1, 1);
         for e in every_event() {
             obs.event(e);
@@ -578,7 +555,6 @@ mod tests {
 
     /// Calls every hook of the trait once, and sends every [`Event`].
     fn drive<O: RepairObserver + ?Sized>(o: &O) {
-        o.rule_applied(1, 2);
         o.tuples_done(2, 1, 3);
         o.cell_repaired(CellFix {
             row: 4,

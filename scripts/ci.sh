@@ -52,6 +52,14 @@ for f in examples/lint/*.frl; do
         exit 1
     fi
 done
+# A misspelt flag is an operational error (exit 2), never a lint run
+# without its gate.
+code=0
+"$FIXCTL" lint examples/lint/dead_redundant.frl --dney warnings >/dev/null 2>&1 || code=$?
+if [ "$code" -ne 2 ]; then
+    echo "lint --dney warnings exited $code, expected 2 (unknown flag)" >&2
+    exit 1
+fi
 
 TRACE_DIR=$(mktemp -d)
 trap 'rm -rf "$TRACE_DIR"' EXIT
