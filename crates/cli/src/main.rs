@@ -35,10 +35,10 @@
 //! through one chunk pipeline: workers scan 256 KiB chunks at once, each
 //! cell one of Σ's constants or ⊥, and no command holds the table, so no
 //! command's memory grows with the input. `detect`, `coverage` and
-//! `repair` run one lRepair pass: each worker repairs a chunk and renders
-//! it back, untouched rows from the chunk's own bytes, and the chunk's
-//! fixes ride with it to the calling thread, which takes the chunks in
-//! file order. `repair` writes them to `--out`, feeds the
+//! `repair` run one lRepair pass: each worker repairs a chunk (`repair`
+//! also renders it back, untouched rows from the chunk's own bytes), and
+//! the chunk's fixes ride with it to the calling thread, which takes the
+//! chunks in file order. `repair` writes them to `--out`, feeds the
 //! `--quality-window` monitor, if any, and keeps every fix for
 //! `--updates-log` and `--trace`; `detect` keeps the first 100 fixes and
 //! `coverage` none. `check`, `stats`, `convert` and `resolve` only count
@@ -59,10 +59,11 @@
 //!   (`stage.*_ns` histograms), repair counters (`repair.rules_applied`,
 //!   `repair.tuples_touched`, `consistency.conflicts`, ...; see
 //!   [`obs::METRIC_NAMES`]), the lRepair pass's busy time per phase
-//!   (`pipeline.*_ns`, on `detect`, `coverage` and `repair`), and the
-//!   process's peak memory
+//!   (`pipeline.*_ns`, on `detect`, `coverage` and `repair`) with the
+//!   rows its scan took from a worker's row memo (`pipeline.scan_replayed`),
+//!   and the process's peak memory
 //!   (`process.peak_rss_bytes`, where `/proc/self/status` is readable).
-//!   All but the timings and the memory are deterministic.
+//!   All but the timings, `pipeline.*` and the memory are deterministic.
 //! * `--log <off|info|debug>` — structured `key=value` progress lines on
 //!   stderr.
 //! * `--trace <path>` — append-only JSONL journal of stage spans plus, for
@@ -94,7 +95,7 @@ use fixrules::consistency::{
     conflict_witness, enumerate::WILDCARD, is_consistent_characterize, ConsistencyReport,
 };
 use fixrules::io::{format_rule, format_rules, parse_rules_spanned, Span};
-use fixrules::provenance::{ProvenanceLedger, ProvenanceRecord};
+use fixrules::provenance::ProvenanceRecord;
 use fixrules::repair::{CellUpdate, LRepairIndex, LRepairWorker, NoopObserver, RepairStats};
 use fixrules::RuleSet;
 use obs::quality::value_key;
@@ -104,7 +105,7 @@ use obs::{
     MetricsObserver, MetricsRegistry, QualityConfig, QualityMonitor, RepairObserver, RuleLabel,
     Tee, TraceClock, TraceJournal,
 };
-use relation::csv_io::{par_repair_csv, PipelineError};
+use relation::csv_io::{par_read_csv, par_repair_csv, ChunkRows, PipelineError};
 use relation::{Schema, Symbol, SymbolTable};
 
 /// The error a command returns when a write to stdout finds the reader
@@ -734,17 +735,17 @@ impl<'a> Data<'a> {
         }
     }
 
-    /// Stream the rows through with nothing repaired and every byte
-    /// discarded: their count, or the first error reading them.
+    /// Stream the rows through with nothing repaired or rendered: their
+    /// count, or the first error reading them.
     fn scan(&self) -> Result<usize, String> {
-        par_repair_csv(
+        par_read_csv(
             self.path,
             &self.schema,
             &self.symbols,
             self.threads,
             |_| (),
             |_, _, _: &mut ()| {},
-            |_, _| Ok(()),
+            |_| {},
         )
         .map(|run| run.rows)
         .map_err(|e| self.error(e))
@@ -795,13 +796,15 @@ impl<'a> Data<'a> {
 
     /// lRepair on every row, one [`LRepairWorker`] per worker reporting to
     /// `observer`: the one pass of `detect`, `coverage` and `repair`. Each
-    /// chunk is scanned, repaired and rendered on a worker, and its fixes
-    /// ride in the chunk's note to the calling thread, which takes the
-    /// chunks in file order: it writes the bytes to `pass.out`, if any,
-    /// feeds `pass.quality` each row's pre-repair [`value_key`]s and then
-    /// its fixes, and keeps the first `pass.keep` fixes. Returns the totals
-    /// and the kept fixes, in file order; the pipeline's busy time per
-    /// phase goes to `pipeline.*_ns` counters.
+    /// chunk is scanned and repaired on a worker, and rendered only for
+    /// `pass.out`; its fixes ride in the chunk's note to the calling
+    /// thread, which takes the chunks in file order: it writes the bytes to
+    /// `pass.out`, if any, feeds `pass.quality` each row's pre-repair
+    /// [`value_key`]s and then its fixes, and keeps the first `pass.keep`
+    /// fixes. Returns the totals and the kept fixes, in file order; the
+    /// pipeline's busy time per phase goes to `pipeline.*_ns` counters, and
+    /// the rows scanned from a worker's row memo to
+    /// `pipeline.scan_replayed`.
     fn lrepair<O: RepairObserver>(
         &self,
         rules: &RuleSet,
@@ -811,62 +814,71 @@ impl<'a> Data<'a> {
         pass: Pass,
     ) -> Result<(RepairStats, Vec<CellUpdate>), String> {
         use std::io::Write;
-        let Pass {
-            keep,
-            mut out,
-            quality,
-        } = pass;
+        let Pass { keep, out, quality } = pass;
         let out_name = out.as_ref().map(|out| out.name.clone());
         let arity = self.schema.arity();
         let (mut row, mut kept) = (0, Vec::new());
         // The monitor reads every fix; the caller, the first `keep`.
         let carry = if quality.is_some() { usize::MAX } else { keep };
-        let run = par_repair_csv(
-            self.path,
-            &self.schema,
-            &self.symbols,
-            self.threads,
-            |w| {
-                (
-                    LRepairWorker::new(rules, index, observer, w),
-                    Vec::new(),
-                    (0, 0),
-                )
-            },
-            |(lrepair, fixes, (updates, touched)), mut chunk, note: &mut Note| {
-                if quality.is_some() {
-                    for i in 0..chunk.rows() {
-                        note.1.extend(chunk.fields(i).map(value_key));
+        let worker = |w| {
+            (
+                LRepairWorker::new(rules, index, observer, w),
+                Vec::new(),
+                (0, 0),
+            )
+        };
+        let repair = |(lrepair, fixes, (updates, touched)): &mut (
+            LRepairWorker<'_, O>,
+            Vec<CellUpdate>,
+            (usize, usize),
+        ),
+                      mut chunk: ChunkRows<'_>,
+                      note: &mut Note| {
+            if quality.is_some() {
+                for i in 0..chunk.rows() {
+                    note.1.extend(chunk.fields(i).map(value_key));
+                }
+            }
+            fixes.clear();
+            lrepair.repair_rows(chunk.first_row, chunk.cells, fixes);
+            for row in fixes.chunk_by(|a, b| a.row == b.row) {
+                chunk.touch(row[0].row - chunk.first_row);
+                *touched += 1;
+            }
+            *updates += fixes.len();
+            note.0.extend_from_slice(&fixes[..fixes.len().min(carry)]);
+        };
+        let mut take = |(fixes, keys): &Note| {
+            if let Some(quality) = quality {
+                let mut fixes = fixes.iter().peekable();
+                for keys in keys.chunks_exact(arity) {
+                    quality.row_observed(keys);
+                    let row_fixes = std::iter::from_fn(|| fixes.next_if(|u| u.row == row));
+                    for (ordinal, u) in row_fixes.enumerate() {
+                        quality.cell_repaired(u.as_fix(ordinal));
                     }
+                    row += 1;
                 }
-                fixes.clear();
-                lrepair.repair_rows(chunk.first_row, chunk.cells, fixes);
-                for row in fixes.chunk_by(|a, b| a.row == b.row) {
-                    chunk.touch(row[0].row - chunk.first_row);
-                    *touched += 1;
-                }
-                *updates += fixes.len();
-                note.0.extend_from_slice(&fixes[..fixes.len().min(carry)]);
-            },
-            |bytes, (fixes, keys)| {
-                if let Some(out) = out.as_mut() {
+            }
+            kept.extend(fixes.iter().take(keep - kept.len()));
+        };
+        let (path, schema, symbols) = (self.path, &self.schema, &self.symbols);
+        let run = match out {
+            Some(out) => par_repair_csv(
+                path,
+                schema,
+                symbols,
+                self.threads,
+                worker,
+                repair,
+                |bytes, note| {
                     out.file.write_all(bytes)?;
-                }
-                if let Some(quality) = quality {
-                    let mut fixes = fixes.iter().peekable();
-                    for keys in keys.chunks_exact(arity) {
-                        quality.row_observed(keys);
-                        let row_fixes = std::iter::from_fn(|| fixes.next_if(|u| u.row == row));
-                        for (ordinal, u) in row_fixes.enumerate() {
-                            quality.cell_repaired(u.as_fix(ordinal));
-                        }
-                        row += 1;
-                    }
-                }
-                kept.extend(fixes.iter().take(keep - kept.len()));
-                Ok(())
-            },
-        )
+                    take(note);
+                    Ok(())
+                },
+            ),
+            None => par_read_csv(path, schema, symbols, self.threads, worker, repair, take),
+        }
         .map_err(|e| match (e, out_name) {
             (PipelineError::Write(e), Some(out)) => format!("writing {out}: {e}"),
             (e, _) => self.error(e),
@@ -884,6 +896,10 @@ impl<'a> Data<'a> {
                 .counter(&format!("pipeline.{phase}_ns"))
                 .add(ns);
         }
+        obs_ctx
+            .registry
+            .counter("pipeline.scan_replayed")
+            .add(run.scan_replayed as u64);
         let mut stats = RepairStats {
             rows: run.rows,
             ..RepairStats::default()
@@ -903,7 +919,7 @@ impl<'a> Data<'a> {
 struct Pass<'a> {
     /// How many fixes to hand back, the first in file order.
     keep: usize,
-    /// Where to write the repaired CSV; without it the bytes are dropped.
+    /// Where to write the repaired CSV; without it nothing is rendered.
     out: Option<&'a mut OutFile>,
     /// The monitor to feed every row and its fixes, in file order.
     quality: Option<&'a QualityMonitor>,
@@ -1415,9 +1431,10 @@ fn cmd_repair(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
         (stats, updates, out_file)
     };
     if let Some(journal) = &obs_ctx.journal {
-        let ledger = ProvenanceLedger::new();
-        ledger.record_updates(&rules, &updates);
-        write_trace_events(journal, &rules, &data.symbols, &ledger);
+        // The kept fixes are in file order, so their records come out in
+        // the canonical `(row, ordinal)` order with no ledger to sort.
+        let records = ProvenanceRecord::of_updates(&rules, &updates);
+        write_trace_events(journal, &rules, &data.symbols, records);
     }
     obs::info!(
         "repair.done",
@@ -1590,14 +1607,14 @@ fn same_file(a: &str, b: &str) -> bool {
     }
 }
 
-/// Dump the run metadata, rule texts, and provenance ledger into the trace
-/// journal as instant events; `fixctl explain` reconstructs rule chains
-/// from exactly these records.
+/// Dump the run metadata, rule texts, and provenance records into the
+/// trace journal as instant events; `fixctl explain` reconstructs rule
+/// chains from exactly these records.
 fn write_trace_events(
     journal: &TraceJournal,
     rules: &RuleSet,
     symbols: &SymbolTable,
-    ledger: &ProvenanceLedger,
+    records: impl Iterator<Item = ProvenanceRecord>,
 ) {
     let schema = rules.schema();
     let attrs: Vec<Json> = schema.attr_names().map(Json::from).collect();
@@ -1623,7 +1640,7 @@ fn write_trace_events(
             ]),
         );
     }
-    for rec in ledger.records() {
+    for rec in records {
         journal.event("repair.cell", 0, rec.to_json(schema, symbols));
     }
 }

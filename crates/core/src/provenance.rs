@@ -73,6 +73,24 @@ impl ProvenanceRecord {
         }
     }
 
+    /// The record of each of `updates`, fixes by a rule of `rules` that
+    /// hold each row's fixes together, in application order, as every
+    /// repair returns them: a fix's ordinal is its place among its row's.
+    /// Fixes in row order give records in the canonical `(row, ordinal)`
+    /// order.
+    pub fn of_updates<'a>(
+        rules: &'a RuleSet,
+        updates: &'a [CellUpdate],
+    ) -> impl Iterator<Item = ProvenanceRecord> + 'a {
+        updates
+            .chunk_by(|a, b| a.row == b.row)
+            .flat_map(move |row| {
+                row.iter()
+                    .enumerate()
+                    .map(move |(ordinal, u)| ProvenanceRecord::of(rules, u, ordinal))
+            })
+    }
+
     /// Serialize with attribute names and resolved values, so the record
     /// is meaningful outside this process (the trace journal stores these).
     pub fn to_json(&self, schema: &Schema, symbols: &SymbolTable) -> Json {
@@ -212,18 +230,9 @@ impl ProvenanceLedger {
     }
 
     /// Append one record per update of a repair by `rules`, under one
-    /// lock. `updates` holds each row's updates together, in application
-    /// order, as every repair returns them: an update's ordinal is its
-    /// place among its row's.
+    /// lock: [`ProvenanceRecord::of_updates`].
     pub fn record_updates(&self, rules: &RuleSet, updates: &[CellUpdate]) {
-        let records: Vec<ProvenanceRecord> = updates
-            .chunk_by(|a, b| a.row == b.row)
-            .flat_map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(ordinal, u)| ProvenanceRecord::of(rules, u, ordinal))
-            })
-            .collect();
+        let records: Vec<ProvenanceRecord> = ProvenanceRecord::of_updates(rules, updates).collect();
         obs::lock(&self.entries).extend(records);
     }
 

@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use obs::{Event, RepairObserver};
-use relation::{AttrId, Symbol, Table};
+use relation::{AttrId, Backoff, Symbol, Table};
 
 use crate::repair::linear::{
     lrepair_tuple_observed, lrepair_tuple_recorded, LRepairIndex, LRepairScratch, RunRecorder,
@@ -155,7 +155,7 @@ impl<'a, O: RepairObserver> LRepairWorker<'a, O> {
         let before = updates.len();
         let arity = self.rules.schema().arity();
         for (r, row) in cells.chunks_exact_mut(arity).enumerate() {
-            let mut ups = if self.memo.skips() {
+            let mut ups = if self.memo.backoff.skips() {
                 lrepair_tuple_observed(
                     self.rules,
                     self.index,
@@ -213,12 +213,6 @@ const MEMO_STEPS_PER_PLAN: usize = 8;
 /// not memoized.
 const MEMO_RUN_STEPS: usize = 256;
 
-/// Rows per [`PlanMemo`] window: the memo counts its hits window by window.
-const MEMO_WINDOW: usize = 512;
-
-/// Most rows a [`PlanMemo`] skips after a window with too few hits.
-const MEMO_MAX_SKIP: usize = 32 * MEMO_WINDOW;
-
 /// One queue pop of a recorded run.
 #[derive(Debug, Clone, Copy)]
 struct Step {
@@ -238,7 +232,9 @@ struct Plan {
 /// A worker's memo from a tuple's relevant projection to the `lRepair` run
 /// it gets, for the life of one [`LRepairWorker`]. It holds at most
 /// [`MEMO_PLANS`] runs and [`MEMO_BYTES`] in all; when either would
-/// overflow, it forgets every run and starts over.
+/// overflow, it forgets every run and starts over. The worker asks it
+/// about a row only when its [`Backoff`] says to, the rule the CSV
+/// scanner's row memo follows too.
 ///
 /// Runs are appended in the order they are recorded: a projection's key
 /// to `keys`, its pops to `steps`, the rest to `plans`. An open-addressed
@@ -273,13 +269,8 @@ struct PlanMemo<'a> {
     /// the observer does not ask for timing.
     latency: Vec<u64>,
     timing: bool,
-    /// Rows looked up, and hits among them, in the current window.
-    window_rows: usize,
-    window_hits: usize,
-    /// Rows still to repair without the memo, and how many the last skip
-    /// was.
-    skip: usize,
-    backoff: usize,
+    /// Whether the next row asks the memo.
+    backoff: Backoff,
     /// Rows repaired by replay.
     replayed: usize,
 }
@@ -317,10 +308,7 @@ impl<'a> PlanMemo<'a> {
                 0
             }),
             timing,
-            window_rows: 0,
-            window_hits: 0,
-            skip: 0,
-            backoff: 0,
+            backoff: Backoff::default(),
             replayed: 0,
         }
     }
@@ -335,38 +323,14 @@ impl<'a> PlanMemo<'a> {
     ) -> Vec<CellUpdate> {
         let hash = projection_hash(self.relevant, row);
         let (found, slot) = self.find(hash, row);
-        self.window_rows += 1;
-        let updates = match found {
+        self.backoff.asked(found.is_some());
+        match found {
             Some(p) => {
-                self.window_hits += 1;
                 self.replayed += 1;
                 self.replay(p, scratch, row, observer)
             }
             None => self.record(hash, slot, scratch, row, observer),
-        };
-        if self.window_rows == MEMO_WINDOW {
-            // Fewer than a quarter of hits: the memo costs more than it
-            // saves, so skip it for twice as long as last time.
-            if self.window_hits < MEMO_WINDOW / 4 {
-                self.backoff = (2 * self.backoff).clamp(MEMO_WINDOW, MEMO_MAX_SKIP);
-                self.skip = self.backoff;
-            } else {
-                self.backoff = 0;
-            }
-            self.window_rows = 0;
-            self.window_hits = 0;
         }
-        updates
-    }
-
-    /// Whether to repair the next row without the memo.
-    #[inline]
-    fn skips(&mut self) -> bool {
-        if self.skip == 0 {
-            return false;
-        }
-        self.skip -= 1;
-        true
     }
 
     /// The run memoized for `row`'s projection, if any, and the table slot

@@ -15,9 +15,15 @@
 //! constants holds and loads every other cell as [`Symbol::BOTTOM`], hands
 //! each chunk's rows to a caller's repair step, renders them back out of
 //! the chunk's own bytes and delivers them in file order, so its memory
-//! does not grow with the file. A caller that only reads the rows, or
-//! only checks that the file reads, repairs nothing and discards the
-//! bytes.
+//! does not grow with the file. [`par_read_csv`] is the same pass for a
+//! caller that keeps no bytes: it renders nothing.
+//!
+//! Each worker's scanner keeps a bounded memo of the records it scanned,
+//! keyed by their exact bytes up to the first `\n`, so a record that
+//! comes again takes its cells from there, with no split, check or
+//! lookup (`RowMemo`). Only a record with no `"` whose scan ended at
+//! that `\n` is memoized; the memo is 1 MiB per worker, and a worker
+//! stops asking it while it holds too few of the records ([`Backoff`]).
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -25,7 +31,7 @@ use std::path::Path;
 use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::{RelationError, Result, Schema, Symbol, SymbolTable, Table};
+use crate::{Backoff, RelationError, Result, Schema, Symbol, SymbolTable, Table};
 
 /// Blocks per worker that may wait to be handed over, in [`in_order`].
 const BLOCKS_AHEAD: usize = 4;
@@ -45,6 +51,20 @@ const GROW_BYTES: usize = 64 << 10;
 
 /// Bytes [`write_csv`] renders before it writes them out.
 const WRITE_BYTES: usize = 64 << 10;
+
+/// Most records one chunk worker's [`RowMemo`] holds before it starts
+/// over.
+const ROW_MEMO_ROWS: usize = 4096;
+
+/// Bytes one chunk worker's [`RowMemo`] holds in all: its hash table,
+/// where each record ends, and the records' bytes and cells. It is
+/// allocated once and never grows.
+const ROW_MEMO_BYTES: usize = 1 << 20;
+
+/// Longest record a [`RowMemo`] keeps, its bytes and cells together: a
+/// longer one is scanned each time it comes, and the memo looks no
+/// further than this for a key's `\n`.
+const ROW_MEMO_LONGEST: usize = ROW_MEMO_BYTES / 256;
 
 /// Read a table from CSV text with a header row.
 ///
@@ -311,12 +331,14 @@ pub struct PipelineTimes {
 }
 
 /// What a [`par_repair_csv`] run leaves: how many rows it read, each
-/// worker's state in worker order, and its busy time per phase.
+/// worker's state in worker order, its busy time per phase, and how many
+/// rows took their cells from a worker's memo of the records it scanned.
 #[derive(Debug)]
 pub struct Pipelined<T> {
     pub rows: usize,
     pub workers: Vec<T>,
     pub times: PipelineTimes,
+    pub scan_replayed: usize,
 }
 
 /// Repair the CSV file at `data` with up to `threads` workers, one
@@ -365,10 +387,46 @@ where
     T: Send,
     N: Default + Send,
 {
+    let (file, len) = open(data)?;
+    Pipeline::new(&file, len, schema, constants).repair(threads, true, worker, repair, deliver)
+}
+
+/// [`par_repair_csv`] for a caller that wants no output: the chunks are
+/// scanned and repaired alike, but nothing is rendered, and `take` gets
+/// only each chunk's note, in file order on the calling thread.
+pub fn par_read_csv<P, T, N>(
+    data: P,
+    schema: &Schema,
+    constants: &SymbolTable,
+    threads: usize,
+    worker: impl Fn(usize) -> T + Sync,
+    repair: impl Fn(&mut T, ChunkRows<'_>, &mut N) + Sync,
+    mut take: impl FnMut(&N),
+) -> std::result::Result<Pipelined<T>, PipelineError>
+where
+    P: AsRef<Path>,
+    T: Send,
+    N: Default + Send,
+{
+    let (file, len) = open(data)?;
+    Pipeline::new(&file, len, schema, constants).repair(
+        threads,
+        false,
+        worker,
+        repair,
+        |_, note| {
+            take(note);
+            Ok(())
+        },
+    )
+}
+
+/// The file at `data` and its length.
+fn open(data: impl AsRef<Path>) -> std::result::Result<(File, u64), PipelineError> {
     let read = |e: io::Error| PipelineError::Read(e.into());
     let file = File::open(data).map_err(read)?;
     let len = file.metadata().map_err(read)?.len();
-    Pipeline::new(&file, len, schema, constants).repair(threads, worker, repair, deliver)
+    Ok((file, len))
 }
 
 /// A chunked read of any [`ReadAt`] source of `len` bytes, cut into
@@ -387,6 +445,8 @@ struct Stage<'a, S: ?Sized, T> {
     chunk: Chunk<'a>,
     record: Record,
     times: PipelineTimes,
+    /// Rows of this worker's chunks whose cells came from its row memo.
+    replayed: usize,
     state: T,
 }
 
@@ -401,10 +461,12 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
         }
     }
 
-    /// [`par_repair_csv`] over the source.
+    /// [`par_repair_csv`] over the source; without `render`, the header is
+    /// not delivered and every chunk's bytes are left empty.
     fn repair<T: Send, N: Default + Send>(
         &self,
         threads: usize,
+        render: bool,
         worker: impl Fn(usize) -> T + Sync,
         repair: impl Fn(&mut T, ChunkRows<'_>, &mut N) + Sync,
         mut deliver: impl FnMut(&[u8], &N) -> io::Result<()>,
@@ -417,10 +479,12 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
             write_failed |= taken.is_err();
             taken.map_err(RelationError::from)
         };
-        let mut header = Vec::new();
-        push_record(&mut header, self.schema.attr_names());
         let run = self.data_start().and_then(|data_start| {
-            take(&header, &N::default())?;
+            if render {
+                let mut header = Vec::new();
+                push_record(&mut header, self.schema.attr_names());
+                take(&header, &N::default())?;
+            }
             self.run(
                 data_start,
                 threads,
@@ -432,6 +496,7 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
                         record,
                         times,
                         state,
+                        ..
                     } = stage;
                     let spans = Spans {
                         bytes: &window.buf[..window.len],
@@ -451,6 +516,9 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
                     repair(state, rows, note);
                     let rendering = Instant::now();
                     times.repair_ns += nanos(repairing, rendering);
+                    if !render {
+                        return Ok(());
+                    }
                     bytes.clear();
                     let rendered = self.render(spans, &chunk.cells, &chunk.plain, record, bytes);
                     times.render_ns += nanos(rendering, Instant::now());
@@ -516,9 +584,10 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
             threads.min(chunks),
             |w| Stage {
                 window: Window::new(self.src),
-                chunk: Chunk::new(&index),
+                chunk: Chunk::new(&index, self.schema.arity()),
                 record: Record::default(),
                 times: PipelineTimes::default(),
+                replayed: 0,
                 state: worker(w),
             },
             |stage, k, block| {
@@ -528,7 +597,7 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
             },
             take,
         )?;
-        let mut times = PipelineTimes::default();
+        let (mut times, mut scan_replayed) = (PipelineTimes::default(), 0);
         let workers = stages
             .into_iter()
             .map(|stage| {
@@ -537,6 +606,7 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
                 times.repair_ns += t.repair_ns;
                 times.render_ns += t.render_ns;
                 times.wait_ns += t.wait_ns;
+                scan_replayed += stage.replayed;
                 stage.state
             })
             .collect();
@@ -545,6 +615,7 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
             rows,
             workers,
             times,
+            scan_replayed,
         })
     }
 
@@ -570,6 +641,7 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
             window,
             chunk,
             times,
+            replayed,
             ..
         } = stage;
         let want = next.map_or(u64::MAX, |n| n - cut + SLACK_BYTES as u64);
@@ -602,6 +674,7 @@ impl<'a, S: ReadAt + ?Sized> Pipeline<'a, S> {
         if let Some(error) = chunk.error.take() {
             return Err(error);
         }
+        *replayed += chunk.replayed;
         turn.publish(chunk.end, first_row + chunk.row_starts.len());
         Ok(first_row)
     }
@@ -829,9 +902,11 @@ impl ConstantIndex {
 }
 
 /// One chunk's scan: its rows as constants and ⊥, where each row starts
-/// and whether it holds a `"`, and where the scan stopped.
+/// and whether it holds a `"`, and where the scan stopped. The worker's
+/// [`RowMemo`] lives with it from chunk to chunk.
 struct Chunk<'a> {
     index: &'a ConstantIndex,
+    memo: RowMemo,
     /// The scan stops at the first record starting at or past this.
     bound: u64,
     /// Where the record after the chunk's last one starts.
@@ -843,19 +918,24 @@ struct Chunk<'a> {
     plain: Vec<bool>,
     /// The error that stopped the scan before `bound`, if any.
     error: Option<RelationError>,
+    /// Rows whose cells came from the memo.
+    replayed: usize,
 }
 
 impl<'a> Chunk<'a> {
-    /// An empty chunk whose scans look cells up in `index`.
-    fn new(index: &'a ConstantIndex) -> Self {
+    /// An empty chunk of `arity` fields to a row, whose scans look cells up
+    /// in `index`.
+    fn new(index: &'a ConstantIndex, arity: usize) -> Self {
         Chunk {
             index,
+            memo: RowMemo::new(arity),
             bound: 0,
             end: 0,
             cells: Vec::new(),
             row_starts: Vec::new(),
             plain: Vec::new(),
             error: None,
+            replayed: 0,
         }
     }
 
@@ -874,6 +954,7 @@ impl<'a> Chunk<'a> {
         self.row_starts.clear();
         self.plain.clear();
         self.error = None;
+        self.replayed = 0;
         window.seek(start);
         if let Err(e) = self.fill(window, arity) {
             self.error = Some(e);
@@ -895,34 +976,54 @@ impl<'a> Chunk<'a> {
             if self.end >= self.bound {
                 return Ok(());
             }
-            let bytes = &window.buf[window.pos..window.len];
-            // The record takes the fields of a plain record above whose `,`
-            // comes before the first byte where the two differ: up to that
-            // `,`, the scan reads the same bytes and so splits them the
-            // same way. The last field ends at a line end, whose `\r` may
-            // take the next byte along, so it is always scanned.
-            let shared = match above_at {
-                Some(at) if above_plain => {
-                    let prefix = common_prefix(&window.buf[at..window.pos], bytes);
-                    let fields = &above.fields[..above.fields.len().saturating_sub(1)];
-                    &fields[..fields.partition_point(|f| f.end < prefix)]
-                }
-                _ => &[],
-            };
-            let (len, plain) = match scan_record(bytes, window.eof, &mut record, shared) {
-                Scan::Record { len, plain } => (len, plain),
-                Scan::Partial => {
-                    window.refill().map_err(|e| csv_error(e.to_string()))?;
+            // A record the memo holds is its cells, with nothing to check:
+            // its bytes were scanned, checked and looked up once already.
+            let asked = match self.memo.recall(&window.buf[window.pos..window.len]) {
+                Recall::Hit { len, cells } => {
+                    self.cells.extend(
+                        cells
+                            .chunks_exact(4)
+                            .map(|c| Symbol(u32::from_le_bytes(c.try_into().expect("4 bytes")))),
+                    );
+                    self.row_starts.push(self.end);
+                    self.plain.push(true);
+                    self.replayed += 1;
                     above_at = None;
+                    window.pos += len;
                     continue;
                 }
-                Scan::End => return Ok(()),
-                Scan::Unterminated => {
-                    check_utf8(bytes, &record)?;
-                    return Err(csv_error("unterminated quoted field".to_string()));
+                Recall::Miss(miss) => Some(miss),
+                Recall::Skip => None,
+            };
+            let (len, plain, known) = loop {
+                let bytes = &window.buf[window.pos..window.len];
+                // The record takes the fields of a plain record above whose
+                // `,` comes before the first byte where the two differ: up to
+                // that `,`, the scan reads the same bytes and so splits them
+                // the same way. The last field ends at a line end, whose `\r`
+                // may take the next byte along, so it is always scanned.
+                let shared = match above_at {
+                    Some(at) if above_plain => {
+                        let prefix = common_prefix(&window.buf[at..window.pos], bytes);
+                        let fields = &above.fields[..above.fields.len().saturating_sub(1)];
+                        &fields[..fields.partition_point(|f| f.end < prefix)]
+                    }
+                    _ => &[],
+                };
+                match scan_record(bytes, window.eof, &mut record, shared) {
+                    Scan::Record { len, plain } => break (len, plain, shared.len()),
+                    Scan::Partial => {
+                        window.refill().map_err(|e| csv_error(e.to_string()))?;
+                        above_at = None;
+                    }
+                    Scan::End => return Ok(()),
+                    Scan::Unterminated => {
+                        check_utf8(bytes, &record)?;
+                        return Err(csv_error("unterminated quoted field".to_string()));
+                    }
                 }
             };
-            let raw = &bytes[..len];
+            let raw = &window.buf[window.pos..window.pos + len];
             if window.pos + len > window.utf8_upto {
                 check_utf8(raw, &record)?;
             }
@@ -933,11 +1034,17 @@ impl<'a> Chunk<'a> {
                 )));
             }
             let above_raw = above_at.map(|at| &window.buf[at..]);
-            for (i, slot) in row.iter_mut().enumerate().skip(shared.len()) {
+            for (i, slot) in row.iter_mut().enumerate().skip(known) {
                 let cell = record.field(raw, i);
                 if above_raw.is_none_or(|a| above.field(a, i) != cell) {
                     *slot = self.index.get(cell).map_or(Symbol::BOTTOM, Symbol);
                 }
+            }
+            // Only a record that holds no `"` and ends at its key's `\n`
+            // goes in: a `"` changes how the row renders, and a record that
+            // ends before that `\n` (at a lone `\r`) is not its key.
+            if let Some(miss) = asked.filter(|m| plain && m.len == len) {
+                self.memo.insert(miss, &window.buf[window.pos..], &row);
             }
             self.cells.extend_from_slice(&row);
             self.row_starts.push(self.end);
@@ -966,6 +1073,146 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
         i += 1;
     }
     i
+}
+
+/// A chunk worker's memo from a record's exact bytes to its cells, so that
+/// a record met again is not split, checked or looked up again (DESIGN.md
+/// §18).
+///
+/// A record's key is its bytes up to and including the first `\n`. Only a
+/// record with no `"` whose scan ended at that `\n` goes in (so a `\r\n`
+/// record may, and a record that ends at a lone `\r` may not): scanning it
+/// read no byte past the `\n`, so the same bytes at any record's start scan
+/// to the same fields, pass the same UTF-8 and arity checks, and look up
+/// the same cells. A scan from a wrongly guessed chunk start reads real
+/// bytes too, so what it memoizes holds everywhere.
+///
+/// The memo is [`ROW_MEMO_BYTES`] allocated once: a table of
+/// `2 × ROW_MEMO_ROWS` slots, where each record ends, and an arena of each
+/// record's bytes followed by its cells. When a record would overflow the
+/// arena or the [`ROW_MEMO_ROWS`] records, it forgets every record and
+/// starts over; a record longer than [`ROW_MEMO_LONGEST`] never goes in.
+/// [`Backoff`] stops asking it while too few records are held.
+struct RowMemo {
+    arity: usize,
+    /// Open addressing with linear probing, as in [`LocalDict`]: the top
+    /// half of a key's hash ([`line_key`]) and its record's number plus
+    /// one, or 0 when empty.
+    slots: Vec<u64>,
+    /// Where record `i` ends in `arena`; it starts where record `i - 1`
+    /// ends.
+    ends: Vec<u32>,
+    /// Each record's key, then its cells as four little-endian bytes each.
+    arena: Vec<u8>,
+    backoff: Backoff,
+}
+
+/// What a [`RowMemo`] says about the record at the start of some bytes.
+enum Recall<'m> {
+    /// It holds the record, the first `len` bytes, and these are its
+    /// cells, four bytes each.
+    Hit { len: usize, cells: &'m [u8] },
+    /// It was asked and does not hold the record.
+    Miss(Miss),
+    /// It was not asked, or the record's key is too long to hold.
+    Skip,
+}
+
+/// A record that a [`RowMemo`] was asked about and did not hold: its key's
+/// length and hash, and the free slot where it would go.
+struct Miss {
+    len: usize,
+    hash: u64,
+    slot: usize,
+}
+
+impl RowMemo {
+    /// Slots in the hash table, at most half of them full.
+    const SLOTS: usize = 2 * ROW_MEMO_ROWS;
+
+    /// Bytes of the arena: what the table and the ends leave of
+    /// [`ROW_MEMO_BYTES`].
+    const ARENA: usize = ROW_MEMO_BYTES - 8 * Self::SLOTS - 4 * ROW_MEMO_ROWS;
+
+    fn new(arity: usize) -> Self {
+        RowMemo {
+            arity,
+            slots: vec![0; Self::SLOTS],
+            ends: Vec::with_capacity(ROW_MEMO_ROWS),
+            arena: Vec::with_capacity(Self::ARENA),
+            backoff: Backoff::default(),
+        }
+    }
+
+    /// The bytes the memo has allocated.
+    #[cfg(test)]
+    fn allocated(&self) -> usize {
+        8 * self.slots.capacity() + 4 * self.ends.capacity() + self.arena.capacity()
+    }
+
+    /// Look up the record at the start of `bytes`, unless [`Backoff`] says
+    /// to skip it. A key with no `\n` among the first [`ROW_MEMO_LONGEST`]
+    /// bytes is too long to be held: a miss that the memo cannot keep.
+    #[inline]
+    fn recall(&mut self, bytes: &[u8]) -> Recall<'_> {
+        if self.backoff.skips() {
+            return Recall::Skip;
+        }
+        let Some((len, hash)) = line_key(bytes) else {
+            self.backoff.asked(false);
+            return Recall::Skip;
+        };
+        let key = &bytes[..len];
+        let mask = Self::SLOTS - 1;
+        let mut slot = home(hash, Self::SLOTS);
+        loop {
+            match self.slots[slot] {
+                0 => {
+                    self.backoff.asked(false);
+                    return Recall::Miss(Miss { len, hash, slot });
+                }
+                s if s & HASH_TOP == hash & HASH_TOP => {
+                    let id = (s as u32 - 1) as usize;
+                    let start = if id == 0 {
+                        0
+                    } else {
+                        self.ends[id - 1] as usize
+                    };
+                    let record = &self.arena[start..self.ends[id] as usize];
+                    let (held, cells) = record.split_at(record.len() - 4 * self.arity);
+                    if held == key {
+                        self.backoff.asked(true);
+                        return Recall::Hit { len, cells };
+                    }
+                }
+                _ => {}
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Hold the key that `miss` found at the start of `bytes`, with
+    /// `cells`, starting over first if they would not fit.
+    fn insert(&mut self, miss: Miss, bytes: &[u8], cells: &[Symbol]) {
+        let key = &bytes[..miss.len];
+        let size = key.len() + 4 * cells.len();
+        if size > ROW_MEMO_LONGEST {
+            return;
+        }
+        let mut slot = miss.slot;
+        if self.ends.len() == ROW_MEMO_ROWS || self.arena.len() + size > Self::ARENA {
+            self.slots.fill(0);
+            self.ends.clear();
+            self.arena.clear();
+            slot = home(miss.hash, Self::SLOTS);
+        }
+        self.arena.extend_from_slice(key);
+        for cell in cells {
+            self.arena.extend_from_slice(&cell.0.to_le_bytes());
+        }
+        self.ends.push(self.arena.len() as u32);
+        self.slots[slot] = (miss.hash & HASH_TOP) | self.ends.len() as u64;
+    }
 }
 
 /// The part of a [`ReadAt`] source that a chunk scan holds in memory:
@@ -1353,9 +1600,6 @@ fn home(hash: u64, slots: usize) -> usize {
 /// mixed in first, no tail needs copying into a zeroed buffer.
 #[inline]
 fn hash_bytes(value: &[u8]) -> u64 {
-    // FxHash's multiplier: `(sqrt(5) - 1) / 2 * 2^64`, rounded to odd.
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mix = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(SEED);
     let n = value.len();
     let word = |i: usize| u64::from_le_bytes(value[i..i + 8].try_into().expect("8 bytes"));
     let half = |i: usize| {
@@ -1376,6 +1620,53 @@ fn hash_bytes(value: &[u8]) -> u64 {
         hash = mix(hash, byte(0) | byte(n / 2) << 8 | byte(n - 1) << 16);
     }
     hash
+}
+
+/// One FxHash step: fold `word` into `hash`.
+#[inline]
+fn mix(hash: u64, word: u64) -> u64 {
+    // FxHash's multiplier: `(sqrt(5) - 1) / 2 * 2^64`, rounded to odd.
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
+}
+
+/// The [`RowMemo`] key at the start of `bytes`: its length, up to and
+/// including the first `\n` among the first [`ROW_MEMO_LONGEST`] bytes,
+/// and its hash, or `None` if no `\n` is there. One pass finds the `\n`
+/// and hashes: FxHash steps over the key's 8-byte words, the last one
+/// with the bytes past the `\n` zeroed, then its length. A word holds a
+/// `\n` where `(w ^ 0x0a..) - 0x01..` borrows: `& !x & 0x80..` sets the
+/// top bit of its first zero byte, and maybe of later ones.
+#[inline]
+fn line_key(bytes: &[u8]) -> Option<(usize, u64)> {
+    const LO: u64 = u64::from_le_bytes([0x01; 8]);
+    const HI: u64 = u64::from_le_bytes([0x80; 8]);
+    const NL: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let reach = &bytes[..bytes.len().min(ROW_MEMO_LONGEST)];
+    let mut words = reach.chunks_exact(8);
+    let mut hash = 0;
+    for (k, word) in (&mut words).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        let x = w ^ NL;
+        let newlines = x.wrapping_sub(LO) & !x & HI;
+        if newlines != 0 {
+            let kept = newlines.trailing_zeros() as usize / 8 + 1;
+            let len = 8 * k + kept;
+            let last = if kept == 8 {
+                w
+            } else {
+                w & ((1 << (8 * kept)) - 1)
+            };
+            return Some((len, mix(mix(hash, last), len as u64)));
+        }
+        hash = mix(hash, w);
+    }
+    let tail = words.remainder();
+    let kept = tail.iter().position(|&b| b == b'\n')? + 1;
+    let mut last = [0; 8];
+    last[..kept].copy_from_slice(&tail[..kept]);
+    let len = reach.len() - tail.len() + kept;
+    Some((len, mix(mix(hash, u64::from_le_bytes(last)), len as u64)))
 }
 
 #[cfg(test)]
@@ -1565,7 +1856,8 @@ mod tests {
     }
 
     /// The cells a pipeline hands its repair step at up to `workers`
-    /// workers, every chunk's in file order, with nothing repaired.
+    /// workers, every chunk's in file order, with nothing repaired or
+    /// rendered.
     fn scanned_cells<S: ReadAt + ?Sized>(
         pipeline: &Pipeline<'_, S>,
         workers: usize,
@@ -1573,9 +1865,11 @@ mod tests {
         let mut cells = Vec::new();
         let run = pipeline.repair(
             workers,
+            false,
             |_| (),
             |_, chunk: ChunkRows<'_>, note: &mut Vec<Symbol>| note.extend_from_slice(chunk.cells),
-            |_, note| {
+            |bytes, note| {
+                assert!(bytes.is_empty(), "a run without rendering rendered");
                 cells.extend_from_slice(note);
                 Ok(())
             },
@@ -1674,6 +1968,7 @@ mod tests {
         let (mut out, mut before) = (Vec::new(), String::new());
         let run = pipeline(data, data.len(), &schema, &constants, chunk_bytes).repair(
             workers,
+            true,
             |w| w,
             |_, mut chunk: ChunkRows<'_>, note: &mut String| {
                 for i in 0..chunk.rows() {
@@ -1789,6 +2084,7 @@ mod tests {
             let rows = AtomicUsize::new(0);
             let run = pipeline(&data[..], data.len(), &schema, &constants, 64).repair(
                 workers,
+                true,
                 |_| Tally(&rows, 0),
                 |tally, chunk: ChunkRows<'_>, _: &mut ()| tally.1 += chunk.rows(),
                 |_, _| Ok(()),
@@ -1977,6 +2273,195 @@ mod tests {
         }
     }
 
+    /// An input that repeats its records, so that each worker's row memo
+    /// holds some and hits them: a block of random records, tiled with a
+    /// few records changed or inserted. Records end in `\n`, `\r\n` or a
+    /// lone `\r`, and a block record may come back with `\r` before its
+    /// `\n`, or with a lone `\r` instead. Fields are plain, empty, quoted
+    /// with no need, `"`-escaped, mid-field `"`s and quoted line breaks;
+    /// some quoted fields hold lines that are records of the block, so a
+    /// chunk cut inside one guesses a start the memo may hold. With
+    /// `fault`, some records of the last tile lose their last field or
+    /// start with a byte that is never UTF-8.
+    fn repeating_input(rng: &mut Rng, records: usize, fault: bool) -> Vec<u8> {
+        let values: [&[u8]; 11] = [
+            b"x",
+            b"zz",
+            b"a",
+            b"4",
+            b"",
+            "é".as_bytes(),
+            b"\"x\"",
+            b"x\"y",
+            b"\"a,b\"",
+            b"\"say \"\"hi\"\"\"",
+            b"\"1\n2\"",
+        ];
+        let ends: [&[u8]; 5] = [b"\n", b"\n", b"\n", b"\r\n", b"\r"];
+        let fresh = |rng: &mut Rng| {
+            (0..3)
+                .map(|_| values[rng.below(values.len())])
+                .collect::<Vec<_>>()
+                .join(&b","[..])
+        };
+        let mut block: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..2 + rng.below(10) {
+            let mut record = fresh(rng);
+            if !block.is_empty() && rng.below(5) == 0 {
+                // A quoted field holding a record of the block as a line.
+                let line = block[rng.below(block.len())].clone();
+                record = [&b"zz,\""[..], b"\n", &line, b"\",x"].concat();
+            }
+            record.extend_from_slice(ends[rng.below(ends.len())]);
+            block.push(record);
+        }
+        let mut data = b"h0,h1,h2\n".to_vec();
+        let mut written = 0;
+        while written < records {
+            let last = written + block.len() >= records;
+            for record in &block {
+                let mut record = record.clone();
+                match rng.below(12) {
+                    // The same values with another line end: a `\r` before
+                    // the `\n`, or a lone `\r`.
+                    0 if record.ends_with(b"\n") && !record.ends_with(b"\r\n") => {
+                        record.insert(record.len() - 1, b'\r');
+                    }
+                    1 if record.ends_with(b"\n") => {
+                        record.pop();
+                        if !record.ends_with(b"\r") {
+                            record.push(b'\r');
+                        }
+                    }
+                    // A record that is not in the block.
+                    2 => {
+                        data.extend_from_slice(&fresh(rng));
+                        data.push(b'\n');
+                    }
+                    _ => {}
+                }
+                if fault && last && rng.below(3) == 0 {
+                    let cut = record.iter().rposition(|&b| b == b',').unwrap_or(0);
+                    match rng.below(2) {
+                        0 => record.truncate(cut),
+                        _ => record.insert(0, 0xFF),
+                    }
+                    record.push(b'\n');
+                }
+                data.extend_from_slice(&record);
+            }
+            written += block.len();
+        }
+        data
+    }
+
+    #[test]
+    fn chunked_read_matches_read_csv_on_repeating_inputs() {
+        let mut rng = Rng(0x3E3E);
+        for case in 0..24 {
+            let data = repeating_input(&mut rng, 24, case % 6 == 5);
+            for chunk_bytes in 1..=data.len() as u64 + 1 {
+                assert_loaded_matches(&data, chunk_bytes, 1 + (chunk_bytes as usize + case) % 4);
+            }
+        }
+        for case in 0..200 {
+            let records = 40 + rng.below(600);
+            let data = repeating_input(&mut rng, records, case % 6 == 5);
+            let chunk_bytes = 1 + rng.below(data.len()) as u64;
+            assert_loaded_matches(&data, chunk_bytes, 1 + case % 4);
+        }
+    }
+
+    #[test]
+    fn pipeline_matches_read_repair_write_on_repeating_inputs() {
+        let mut rng = Rng(0x3E9A);
+        for case in 0..24 {
+            let data = repeating_input(&mut rng, 24, case % 6 == 5);
+            for chunk_bytes in 1..=data.len() as u64 + 1 {
+                assert_pipeline_matches(&data, chunk_bytes, 1 + (chunk_bytes as usize + case) % 4);
+            }
+        }
+        for case in 0..200 {
+            let records = 40 + rng.below(600);
+            let data = repeating_input(&mut rng, records, case % 6 == 5);
+            let chunk_bytes = 1 + rng.below(data.len()) as u64;
+            assert_pipeline_matches(&data, chunk_bytes, 1 + case % 4);
+        }
+    }
+
+    /// The row memo hits what repeats: a tiled input's cells come from it
+    /// for all but the first tile, and ends with every record it holds
+    /// within its bound.
+    #[test]
+    fn a_tiled_input_is_scanned_from_the_row_memo() {
+        let mut data = b"a,b\n".to_vec();
+        for _ in 0..50 {
+            for i in 0..40 {
+                data.extend_from_slice(format!("x{i},zz\r\n").as_bytes());
+            }
+        }
+        let schema = read_csv_header(&data[..], "R").unwrap();
+        let constants = constants();
+        for workers in 1..=4 {
+            let pipeline = pipeline(&data[..], data.len(), &schema, &constants, 512);
+            let run = pipeline
+                .repair(workers, true, |_| (), |_, _, _: &mut ()| {}, |_, _| Ok(()))
+                .unwrap();
+            assert_eq!(run.rows, 2_000);
+            // Each worker scans each distinct record at most once.
+            assert!(
+                run.scan_replayed >= 2_000 - 40 * workers,
+                "{workers} workers: {}",
+                run.scan_replayed
+            );
+        }
+    }
+
+    /// Unique rows from 1 to 6 KiB long, some longer than a memo keeps:
+    /// the memo starts over again and again, and stays within its bytes.
+    #[test]
+    fn the_row_memo_stays_within_its_bound_on_long_unique_rows() {
+        let mut data = b"a,b\n".to_vec();
+        let mut rng = Rng(0x10C6);
+        for i in 0..2_500 {
+            let long = "y".repeat(1_000 + rng.below(5_000));
+            data.extend_from_slice(format!("{i}{long},x\n").as_bytes());
+        }
+        let schema = read_csv_header(&data[..], "R").unwrap();
+        let constants = constants();
+        let index = ConstantIndex::new(&constants);
+        let mut chunk = Chunk::new(&index, schema.arity());
+        let mut window = Window::new(&data[..]);
+        let start = 4;
+        chunk.rescan(&mut window, start, u64::MAX, schema.arity());
+        assert!(chunk.error.is_none());
+        assert_eq!(chunk.plain.len(), 2_500);
+        let memo = &chunk.memo;
+        assert!(memo.allocated() <= ROW_MEMO_BYTES, "{}", memo.allocated());
+        assert!(memo.arena.len() <= RowMemo::ARENA);
+        assert!(!memo.ends.is_empty(), "the memo kept no row");
+        let mut from = 0;
+        for &end in &memo.ends {
+            assert!(end as usize - from <= ROW_MEMO_LONGEST);
+            from = end as usize;
+        }
+    }
+
+    #[test]
+    fn line_key_ends_at_the_first_newline_and_hashes_only_the_key() {
+        for n in 0..40 {
+            let key = [vec![b'a'; n], b"\n".to_vec()].concat();
+            let (len, hash) = line_key(&key).unwrap();
+            assert_eq!(len, n + 1);
+            for after in [&b"x"[..], b"\nzz,q\n", b"0123456789abcdef"] {
+                assert_eq!(line_key(&[&key[..], after].concat()), Some((len, hash)));
+            }
+            assert_eq!(line_key(&key[..n]), None, "{n} bytes, no newline");
+        }
+        let beyond = [vec![b'y'; ROW_MEMO_LONGEST], b"\n".to_vec()].concat();
+        assert_eq!(line_key(&beyond), None);
+    }
+
     /// A source that counts the bytes read from it.
     struct Counted<'a> {
         bytes: &'a [u8],
@@ -2034,6 +2519,7 @@ mod tests {
             let run = pipeline
                 .repair(
                     workers,
+                    true,
                     |_| (),
                     |_, chunk: ChunkRows<'_>, note: &mut Vec<Symbol>| {
                         note.extend_from_slice(chunk.cells)

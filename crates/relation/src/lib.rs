@@ -25,6 +25,7 @@
 //! ```
 
 pub mod attrset;
+mod backoff;
 mod column;
 pub mod csv_io;
 pub mod error;
@@ -33,6 +34,7 @@ pub mod symbol;
 pub mod table;
 
 pub use attrset::AttrSet;
+pub use backoff::Backoff;
 pub use column::ColumnTable;
 pub use error::RelationError;
 pub use schema::{AttrId, Schema};

@@ -165,7 +165,8 @@ echo "== worker-count equivalence smoke =="
 # repair_matches_read_lrepair_write_on_a_multi_chunk_input, on the same
 # input. Journal seq numbers are position-dependent, so they are stripped
 # before comparing. The example rows are tiled past 1 MiB, so most rows
-# repeat a projection the memo has seen and the pipeline cuts the file
+# repeat a projection the plan memo has seen and a record the scan's row
+# memo holds (pipeline.scan_replayed), and the pipeline cuts the file
 # into several 256 KiB chunks at every worker count. Every 300 rows, and across each 256 KiB
 # cut after the header, a dirty row's city is a quoted value holding 40
 # line breaks; so every chunk after the first guesses its start inside
@@ -220,6 +221,8 @@ grep -q '"repair\.index\.probes": [1-9]' "$TRACE_DIR/eng_all_counters_lrepair_1.
     || { echo "run at 1 worker is missing the per-tuple histograms" >&2; exit 1; }
 grep -qE '"repair\.worker\.0\.replayed": [1-9]' "$TRACE_DIR/eng_metrics_lrepair_1.json" \
     || { echo "lrepair at 1 worker replayed no memoized run" >&2; exit 1; }
+grep -qE '"pipeline\.scan_replayed": [1-9]' "$TRACE_DIR/eng_metrics_lrepair_1.json" \
+    || { echo "the scan at 1 worker took no row from its row memo" >&2; exit 1; }
 for tag in lrepair_2 lrepair_default; do
     cmp "$TRACE_DIR/eng_lrepair_1.csv" "$TRACE_DIR/eng_$tag.csv" \
         || { echo "$tag output differs from lrepair_1" >&2; exit 1; }
