@@ -976,18 +976,14 @@ fn rule_labels(rules: &RuleSet) -> Vec<RuleLabel> {
 }
 
 /// Build the attribution observer when `--profile` or `--profile-json`
-/// asks for one. Latency collection rides on `--profile` (the table shows
-/// quantiles); the JSON rendering never includes measured nanoseconds, so
-/// `--profile-json` stays byte-deterministic either way.
+/// asks for one.
 fn attribution_for(
     flags: &Flags,
     obs_ctx: &ObsCtx,
     rules: &RuleSet,
 ) -> Option<AttributionObserver> {
-    (flags.switch("profile") || flags.optional("profile-json").is_some()).then(|| {
-        AttributionObserver::new(&obs_ctx.registry, rule_labels(rules))
-            .with_timing(flags.switch("profile"))
-    })
+    (flags.switch("profile") || flags.optional("profile-json").is_some())
+        .then(|| AttributionObserver::new(&obs_ctx.registry, rule_labels(rules)))
 }
 
 /// Print/write the per-rule profile after a run, per `--profile` and
@@ -1111,8 +1107,7 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
     drop(load);
     let rules_path = flags.required("rules")?;
     let attribution = data.gated(&rules, obs_ctx, || {
-        let attribution =
-            AttributionObserver::new(&obs_ctx.registry, rule_labels(&rules)).with_timing(true);
+        let attribution = AttributionObserver::new(&obs_ctx.registry, rule_labels(&rules));
         let _span = obs_ctx.span("repair");
         let index = LRepairIndex::build(&rules);
         let observer = Tee(&obs_ctx.observer, &attribution);
@@ -1134,19 +1129,14 @@ fn cmd_coverage(flags: &Flags, obs_ctx: &ObsCtx) -> Result<(), String> {
             &fixlint::LintOptions::default(),
         );
         // Rows carry the `r{i}` labels built above; fold them back into
-        // rule-id order for the join (the catch-all row has no id).
+        // rule-id order for the join.
         let mut activity = vec![fixlint::RuleActivity::default(); rules.len()];
         for row in &profile.rows {
-            if let Some(i) = row
-                .rule
-                .strip_prefix('r')
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                if let Some(slot) = activity.get_mut(i) {
-                    slot.applied = row.applied;
-                    slot.rejected = row.rejected;
-                }
-            }
+            let i: usize = row.rule[1..].parse().expect("an `r{i}` label");
+            activity[i] = fixlint::RuleActivity {
+                applied: row.applied,
+                rejected: row.rejected,
+            };
         }
         let coverage = fixlint::coverage_join(&lint_report, &spans, &activity);
         out!("{}", fixlint::render_report(&coverage, rules_path, &text));

@@ -2352,11 +2352,69 @@ fn no_data_command_holds_the_rows() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Per-rule attribution costs memory that follows the work, not Σ: on a
+/// generated 1,000-rule Σ, `coverage` and `repair --profile-json` each
+/// peak within 2 MiB of plain `repair`.
+#[test]
+fn attribution_on_a_large_rule_set_peaks_near_plain_repair() {
+    if !std::path::Path::new("/proc/self/status").exists() {
+        return;
+    }
+    const RULES: usize = 1_000;
+    let dir = tmpdir("peak_rss_attribution");
+    let (rules, data, fixed, metrics) = (
+        dir.join("r.frl"),
+        dir.join("d.csv"),
+        dir.join("out.csv"),
+        dir.join("m.json"),
+    );
+    // One rule per key, all fixing `val`: no two can match one tuple, so
+    // Σ is consistent.
+    let text: String = (0..RULES)
+        .map(|i| format!("IF key = \"k{i}\" AND val IN {{\"bad\"}} THEN val := \"v{i}\"\n"))
+        .collect();
+    std::fs::write(&rules, text).unwrap();
+    let mut csv = String::from("key,val\n");
+    for row in 0..20_000 {
+        let (key, val) = (row * 7 % RULES, ["bad", "ok"][row % 2]);
+        csv += &format!("k{key},{val}\n");
+    }
+    std::fs::write(&data, csv).unwrap();
+    let (rules, data) = (rules.to_str().unwrap(), data.to_str().unwrap());
+    let (fixed, metrics) = (fixed.to_str().unwrap(), metrics.to_str().unwrap());
+    let profile = dir.join("p.json");
+    // Every run at the default worker count, which `coverage` always uses.
+    let peak = |args: &[&str]| {
+        let mut args = args.to_vec();
+        args.extend(["--rules", rules, "--data", data, "--metrics", metrics]);
+        let out = fixctl(&args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        peak_rss_bytes(std::path::Path::new(metrics))
+    };
+    let plain = peak(&["repair", "--out", fixed]);
+    for args in [
+        vec!["coverage"],
+        vec![
+            "repair",
+            "--out",
+            fixed,
+            "--profile-json",
+            profile.to_str().unwrap(),
+        ],
+    ] {
+        let attributed = peak(&args);
+        assert!(
+            attributed - plain <= 2 << 20,
+            "{args:?}: peak RSS {attributed} B against plain repair's {plain} B"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// On a multi-chunk input, at 1 to 3 workers, `detect` reports what
 /// `repair` does: its summary line is `repair`'s, and it explains the
 /// first 100 records of `repair --updates-log` in order. `coverage`'s
-/// `--profile-json` is `repair --profile --profile-json`'s (`coverage`
-/// always times rules, which `--profile` turns on).
+/// `--profile-json` is `repair --profile --profile-json`'s.
 #[test]
 fn detect_and_coverage_report_what_repair_does_on_a_multi_chunk_input() {
     let dir = tmpdir("detect_coverage");

@@ -18,8 +18,8 @@ pub fn crepair_tuple(rules: &RuleSet, row: &mut [Symbol]) -> Vec<CellUpdate> {
     crepair_tuple_observed(rules, row, &NoopObserver)
 }
 
-/// [`crepair_tuple`] with observer hooks: `rule_rejected` per miss,
-/// `tuples_done(.., 1)` at fixpoint.
+/// [`crepair_tuple`] with observer hooks: `rule_rejected(.., 1)` per
+/// miss, `tuples_done(.., 1)` at fixpoint.
 /// With [`NoopObserver`] this monomorphizes to the unobserved hot path.
 pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
     rules: &RuleSet,
@@ -33,9 +33,6 @@ pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
     let mut updates = Vec::new();
     let mut rounds = 0usize;
     let mut updated = true;
-    // Per-rule latency is opt-in: under NoopObserver the Instant pair and
-    // the rejection hook fold away with the rest of the instrumentation.
-    let timing = observer.wants_rule_timing();
     while updated {
         updated = false;
         rounds += 1;
@@ -43,12 +40,8 @@ pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
             if !unused[i] {
                 continue; // already fired — not an evaluation
             }
-            let t0 = timing.then(std::time::Instant::now);
             if assured.contains(rule.b()) || !matches(rule, row) {
-                observer.rule_rejected(i);
-                if let Some(t0) = t0 {
-                    observer.rule_latency(i, t0.elapsed().as_nanos() as u64);
-                }
+                observer.rule_rejected(i, 1);
                 continue;
             }
             debug_assert!(properly_applicable(rule, row, assured));
@@ -58,9 +51,6 @@ pub(crate) fn crepair_tuple_observed<O: RepairObserver>(
             assured.union_with(rule.assured_delta());
             unused[i] = false;
             updated = true;
-            if let Some(t0) = t0 {
-                observer.rule_latency(i, t0.elapsed().as_nanos() as u64);
-            }
             updates.push(CellUpdate {
                 row: 0,
                 attr: b,

@@ -21,13 +21,15 @@
 //! Counters are epoch-stamped so repairing the next tuple costs `O(1)` to
 //! "clear" them instead of `O(|Σ|)`.
 //!
-//! What the observer learns per probe and per tuple (probe and enqueue
-//! counts, each tuple's pops and updates) is tallied in the scratch with
-//! plain adds and handed over every 4,096 tuples, so
-//! workers sharing one observer touch no shared counter per tuple.
+//! The per-tuple code calls no observer. What observers learn per probe,
+//! per rejection and per tuple (probe and enqueue counts, each rule's
+//! rejections, each tuple's pops and updates) is tallied in the scratch
+//! with plain adds, and the table drivers hand it over every 4,096
+//! tuples and at the end, so workers sharing one observer touch no
+//! shared counter per tuple.
 
 use fxhash::FxHashMap;
-use obs::{Event, NoopObserver, RepairObserver};
+use obs::{Event, RepairObserver};
 use relation::{AttrId, AttrSet, Symbol, Table};
 
 use crate::repair::{CellUpdate, RepairOutcome};
@@ -175,6 +177,8 @@ struct LRepairTally {
     probes: u64,
     probe_hits: u64,
     enqueued: u64,
+    /// Pops that did not fire, per rule.
+    rejected: Vec<usize>,
     /// Tuples per `(pops, updates)`, at `pops * TALLY_GRID + updates`.
     grid: [u64; TALLY_GRID * TALLY_GRID],
     beyond_grid: FxHashMap<(usize, usize), u64>,
@@ -188,6 +192,7 @@ impl Default for LRepairTally {
             probes: 0,
             probe_hits: 0,
             enqueued: 0,
+            rejected: Vec::new(),
             grid: [0; TALLY_GRID * TALLY_GRID],
             beyond_grid: FxHashMap::default(),
             tuples: 0,
@@ -231,6 +236,12 @@ impl LRepairTally {
         for ((pops, updates), count) in self.beyond_grid.drain() {
             observer.tuples_done(pops, updates, count as usize);
         }
+        for (rule, count) in self.rejected.iter_mut().enumerate() {
+            if *count > 0 {
+                observer.rule_rejected(rule, *count);
+                *count = 0;
+            }
+        }
         if self.probes > 0 || self.enqueued > 0 {
             observer.event(Event::LRepairProbes {
                 probes: self.probes,
@@ -260,50 +271,59 @@ pub struct LRepairScratch {
 impl LRepairScratch {
     /// Create scratch space for a rule set of `num_rules` rules.
     pub fn new(num_rules: usize) -> Self {
-        LRepairScratch {
-            epoch: 0,
-            stamp: vec![0; num_rules],
-            count: vec![0; num_rules],
-            enqueued_stamp: vec![0; num_rules],
-            queue: Vec::new(),
-            tally: LRepairTally::default(),
-        }
+        let mut scratch = LRepairScratch::default();
+        scratch.resize(num_rules);
+        scratch
+    }
+
+    fn resize(&mut self, num_rules: usize) {
+        self.stamp = vec![0; num_rules];
+        self.count = vec![0; num_rules];
+        self.enqueued_stamp = vec![0; num_rules];
+        self.tally.rejected = vec![0; num_rules];
+        self.epoch = 0;
     }
 
     /// Hand the tallies gathered since the last flush to `observer`: one
-    /// [`RepairObserver::tuples_done`] per distinct `(pops, updates)` and
-    /// one [`Event::LRepairProbes`]. Table drivers and workers
-    /// call this after their last tuple; [`TALLY_FLUSH_TUPLES`] tuples
-    /// after the previous flush, repairing a tuple flushes on its own.
+    /// [`RepairObserver::tuples_done`] per distinct `(pops, updates)`, one
+    /// [`RepairObserver::rule_rejected`] per rule that missed, and one
+    /// [`Event::LRepairProbes`]. Table drivers and workers call this when
+    /// [`LRepairScratch::tallies_due`] says so and after their last tuple.
     pub(crate) fn flush_tallies<O: RepairObserver>(&mut self, observer: &O) {
         self.tally.flush(observer);
     }
 
-    /// Tally one finished tuple, and hand the tallies over every
-    /// [`TALLY_FLUSH_TUPLES`] tuples.
+    /// Whether [`TALLY_FLUSH_TUPLES`] tuples have gathered since the last
+    /// flush. Table drivers and workers ask after each tuple, and then
+    /// flush.
     #[inline]
-    pub(crate) fn tuple_done<O: RepairObserver>(
+    pub(crate) fn tallies_due(&self) -> bool {
+        self.tally.tuples >= TALLY_FLUSH_TUPLES
+    }
+
+    /// Tally one finished tuple.
+    #[inline]
+    pub(crate) fn tuple_done(
         &mut self,
         pops: usize,
         updates: usize,
         probes: usize,
         probe_hits: usize,
         enqueued: usize,
-        observer: &O,
     ) {
         self.tally
             .tuple_done(pops, updates, probes, probe_hits, enqueued);
-        if self.tally.tuples >= TALLY_FLUSH_TUPLES {
-            self.tally.flush(observer);
-        }
+    }
+
+    /// Tally a pop of `rule` that did not fire.
+    #[inline]
+    pub(crate) fn rejected(&mut self, rule: RuleId) {
+        self.tally.rejected[rule.index()] += 1;
     }
 
     fn begin_tuple(&mut self, num_rules: usize) {
         if self.stamp.len() != num_rules {
-            self.stamp = vec![0; num_rules];
-            self.count = vec![0; num_rules];
-            self.enqueued_stamp = vec![0; num_rules];
-            self.epoch = 0;
+            self.resize(num_rules);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -340,39 +360,24 @@ impl LRepairScratch {
 }
 
 /// Repair one tuple in place with `lRepair`. Returns the applied updates
-/// (`row` field 0; table drivers re-index).
+/// (`row` field 0; table drivers re-index). Inverted-list probes, counters
+/// reaching `|X_φ|`, each rejected pop and the tuple's (pops, updates) go
+/// to the scratch's tallies.
 pub fn lrepair_tuple(
     rules: &RuleSet,
     index: &LRepairIndex,
     scratch: &mut LRepairScratch,
     row: &mut [Symbol],
 ) -> Vec<CellUpdate> {
-    lrepair_tuple_observed(rules, index, scratch, row, &NoopObserver)
-}
-
-/// [`lrepair_tuple`] with observer hooks: `rule_rejected` and
-/// `rule_latency` as asked. Inverted-list probes,
-/// counters reaching `|X_φ|` and the tuple's (pops, updates) go to the
-/// scratch's tallies, flushed to `observer` every [`TALLY_FLUSH_TUPLES`]
-/// tuples. With [`NoopObserver`] the tallies are plain adds.
-pub(crate) fn lrepair_tuple_observed<O: RepairObserver>(
-    rules: &RuleSet,
-    index: &LRepairIndex,
-    scratch: &mut LRepairScratch,
-    row: &mut [Symbol],
-    observer: &O,
-) -> Vec<CellUpdate> {
-    lrepair_tuple_recorded(rules, index, scratch, row, observer, &mut ())
+    lrepair_tuple_recorded(rules, index, scratch, row, &mut ())
 }
 
 /// What a memoizing driver keeps of one `lRepair` run: every queue pop in
 /// order, and the tuple's probe hits and enqueues. Together with the
-/// rules, these replay the run's writes, hooks and tallies exactly.
+/// rules, these replay the run's writes and tallies exactly.
 pub(crate) trait RunRecorder {
-    /// The run popped `rule`, which fired (`applied`) or was rejected;
-    /// `ns` is its evaluation time when the observer asks for timing,
-    /// else 0.
-    fn pop(&mut self, rule: RuleId, applied: bool, ns: u64);
+    /// The run popped `rule`, which fired (`applied`) or was rejected.
+    fn pop(&mut self, rule: RuleId, applied: bool);
     /// The run is over, after `probe_hits` list entries and `enqueued`
     /// enqueue attempts.
     fn done(&mut self, probe_hits: usize, enqueued: usize);
@@ -381,18 +386,17 @@ pub(crate) trait RunRecorder {
 /// Record nothing: the plain `lRepair` run.
 impl RunRecorder for () {
     #[inline]
-    fn pop(&mut self, _rule: RuleId, _applied: bool, _ns: u64) {}
+    fn pop(&mut self, _rule: RuleId, _applied: bool) {}
     #[inline]
     fn done(&mut self, _probe_hits: usize, _enqueued: usize) {}
 }
 
-/// [`lrepair_tuple_observed`] that also tells `recorder` what the run did.
-pub(crate) fn lrepair_tuple_recorded<O: RepairObserver, R: RunRecorder>(
+/// [`lrepair_tuple`] that also tells `recorder` what the run did.
+pub(crate) fn lrepair_tuple_recorded<R: RunRecorder>(
     rules: &RuleSet,
     index: &LRepairIndex,
     scratch: &mut LRepairScratch,
     row: &mut [Symbol],
-    observer: &O,
     recorder: &mut R,
 ) -> Vec<CellUpdate> {
     scratch.begin_tuple(rules.len());
@@ -417,25 +421,17 @@ pub(crate) fn lrepair_tuple_recorded<O: RepairObserver, R: RunRecorder>(
     let mut assured = AttrSet::EMPTY;
     let mut updates = Vec::new();
     let mut pops = 0usize;
-    // Per-rule latency is opt-in: under NoopObserver (and any observer not
-    // asking for timing) the Instant pair folds away.
-    let timing = observer.wants_rule_timing();
     // Lines 8–16: chase over the candidate queue.
     while let Some(rid) = scratch.queue.pop() {
         pops += 1;
         let rule = rules.rule(rid);
-        let t0 = timing.then(std::time::Instant::now);
         // Line 10: verify — counters guarantee the evidence matched at
         // enqueue time; the negative pattern and assured set are checked
         // here. Evidence is re-verified too: an update may have overwritten
         // an evidence cell after this rule was enqueued.
         if !properly_applicable(rule, row, assured) {
-            observer.rule_rejected(rid.index());
-            let ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-            if t0.is_some() {
-                observer.rule_latency(rid.index(), ns);
-            }
-            recorder.pop(rid, false, ns);
+            scratch.rejected(rid);
+            recorder.pop(rid, false);
             continue; // line 16: removed once and for all
         }
         let b = rule.b();
@@ -443,11 +439,7 @@ pub(crate) fn lrepair_tuple_recorded<O: RepairObserver, R: RunRecorder>(
         let new = rule.fact();
         row[b.index()] = new;
         assured.union_with(rule.assured_delta());
-        let ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        if t0.is_some() {
-            observer.rule_latency(rid.index(), ns);
-        }
-        recorder.pop(rid, true, ns);
+        recorder.pop(rid, true);
         updates.push(CellUpdate {
             row: 0,
             attr: b,
@@ -476,14 +468,15 @@ pub(crate) fn lrepair_tuple_recorded<O: RepairObserver, R: RunRecorder>(
     // One probe per cell, then two per applied update.
     let probes = row.len() + 2 * updates.len();
     recorder.done(probe_hits, enqueued);
-    scratch.tuple_done(pops, updates.len(), probes, probe_hits, enqueued, observer);
+    scratch.tuple_done(pops, updates.len(), probes, probe_hits, enqueued);
     updates
 }
 
 /// Repair every tuple of a table in place with `lRepair`. Observer hooks:
-/// the hooks and tallies of [`lrepair_tuple`] plus one `cell_repaired` per
-/// applied update (the table driver knows the row index; the per-tuple
-/// algorithm doesn't); pass [`NoopObserver`] for none.
+/// one `cell_repaired` per applied update (the table driver knows the row
+/// index; the per-tuple algorithm doesn't), and the tallies of
+/// [`lrepair_tuple`] every 4,096 tuples and at the end;
+/// pass [`obs::NoopObserver`] for none.
 pub fn lrepair_table<O: RepairObserver>(
     rules: &RuleSet,
     index: &LRepairIndex,
@@ -497,13 +490,15 @@ pub fn lrepair_table<O: RepairObserver>(
     let mut scratch = LRepairScratch::new(rules.len());
     let mut outcome = RepairOutcome::default();
     for i in 0..table.len() {
-        let mut ups =
-            lrepair_tuple_observed(rules, index, &mut scratch, table.row_mut(i), observer);
+        let mut ups = lrepair_tuple(rules, index, &mut scratch, table.row_mut(i));
         for (k, u) in ups.iter_mut().enumerate() {
             u.row = i;
             observer.cell_repaired(u.as_fix(k));
         }
         outcome.updates.extend(ups);
+        if scratch.tallies_due() {
+            scratch.flush_tallies(observer);
+        }
     }
     scratch.flush_tallies(observer);
     outcome
@@ -513,6 +508,7 @@ pub fn lrepair_table<O: RepairObserver>(
 mod tests {
     use super::*;
     use crate::repair::chase::crepair_table;
+    use obs::NoopObserver;
     use relation::{Schema, SymbolTable};
 
     fn schema() -> Schema {

@@ -19,7 +19,7 @@ use obs::{Event, RepairObserver};
 use relation::{AttrId, Backoff, Symbol, Table};
 
 use crate::repair::linear::{
-    lrepair_tuple_observed, lrepair_tuple_recorded, LRepairIndex, LRepairScratch, RunRecorder,
+    lrepair_tuple, lrepair_tuple_recorded, LRepairIndex, LRepairScratch, RunRecorder,
 };
 use crate::repair::{CellUpdate, RepairOutcome};
 use crate::ruleset::{RuleId, RuleSet};
@@ -41,9 +41,9 @@ const BLOCKS_PER_WORKER: usize = 8;
 ///
 /// Observer hooks are [`LRepairWorker`]'s: the shared observer (which must
 /// therefore be `Sync`) sees the per-update hooks in worker order —
-/// provenance consumers sort by `(row, ordinal)` — the per-tuple tallies
-/// in batches, and one [`Event::WorkerDone`] per worker; pass
-/// [`obs::NoopObserver`] for none.
+/// provenance consumers sort by `(row, ordinal)` — the per-tuple and
+/// per-rule tallies in batches, and one [`Event::WorkerDone`] per worker;
+/// pass [`obs::NoopObserver`] for none.
 pub fn par_lrepair_table<O: RepairObserver>(
     rules: &RuleSet,
     index: &LRepairIndex,
@@ -99,11 +99,11 @@ pub fn par_lrepair_table<O: RepairObserver>(
 /// pipeline) runs one per thread over its own blocks. The memo lives as
 /// long as the worker.
 ///
-/// A replayed run makes the same writes, hooks and tallies as the run it
-/// replays, so no observer can tell a hit from a miss. The per-tuple
-/// tallies stay in the worker's [`LRepairScratch`] and go to the observer
-/// every 4,096 tuples and at [`LRepairWorker::finish`], which also emits
-/// the worker's one [`Event::WorkerDone`]. A worker dropped unfinished,
+/// A replayed run makes the same writes and tallies as the run it
+/// replays, so no observer can tell a hit from a miss. The per-tuple and
+/// per-rule tallies stay in the worker's [`LRepairScratch`] and go to the
+/// observer every 4,096 tuples and at [`LRepairWorker::finish`], which
+/// also emits the worker's one [`Event::WorkerDone`]. A worker dropped unfinished,
 /// as when its run fails, still hands its tallies over, so the observer
 /// counts every row it repaired.
 pub struct LRepairWorker<'a, O: RepairObserver> {
@@ -133,7 +133,7 @@ impl<'a, O: RepairObserver> LRepairWorker<'a, O> {
             observer,
             worker,
             scratch: LRepairScratch::new(rules.len()),
-            memo: PlanMemo::new(rules, index, observer.wants_rule_timing()),
+            memo: PlanMemo::new(rules, index),
             rows: 0,
             updates: 0,
             busy: Duration::ZERO,
@@ -156,21 +156,18 @@ impl<'a, O: RepairObserver> LRepairWorker<'a, O> {
         let arity = self.rules.schema().arity();
         for (r, row) in cells.chunks_exact_mut(arity).enumerate() {
             let mut ups = if self.memo.backoff.skips() {
-                lrepair_tuple_observed(
-                    self.rules,
-                    self.index,
-                    &mut self.scratch,
-                    row,
-                    self.observer,
-                )
+                lrepair_tuple(self.rules, self.index, &mut self.scratch, row)
             } else {
-                self.memo.repair(&mut self.scratch, row, self.observer)
+                self.memo.repair(&mut self.scratch, row)
             };
             for (k, u) in ups.iter_mut().enumerate() {
                 u.row = first_row + r;
                 self.observer.cell_repaired(u.as_fix(k));
             }
             updates.extend(ups);
+            if self.scratch.tallies_due() {
+                self.scratch.flush_tallies(self.observer);
+            }
             self.rows += 1;
         }
         self.updates += updates.len() - before;
@@ -199,8 +196,7 @@ impl<O: RepairObserver> Drop for LRepairWorker<'_, O> {
 
 /// Most bytes one worker's [`PlanMemo`] holds: its table, keys, runs,
 /// steps and the run being recorded together. With 16 relevant attributes
-/// it holds [`MEMO_PLANS`] runs in 642 KiB, or 900 KiB when the observer
-/// asks for rule timing.
+/// it holds [`MEMO_PLANS`] runs in 642 KiB.
 const MEMO_BYTES: usize = 1 << 20;
 
 /// Most runs one [`PlanMemo`] holds before it starts over.
@@ -242,9 +238,7 @@ struct Plan {
 /// are compared exactly.
 ///
 /// A miss runs `lRepair` and records it. A hit replays the run: the same
-/// cell writes and update records, the same `rule_rejected` calls in the
-/// same order, the recorded `rule_latency`
-/// nanoseconds when the observer asks for timing, and the same pops,
+/// cell writes and update records, and the same rejections, pops,
 /// updates, probes, probe hits and enqueues into the scratch's tallies.
 struct PlanMemo<'a> {
     rules: &'a RuleSet,
@@ -265,10 +259,6 @@ struct PlanMemo<'a> {
     keys: Vec<Symbol>,
     plans: Vec<Plan>,
     steps: Vec<Step>,
-    /// Each step's evaluation nanoseconds, parallel to `steps`; empty when
-    /// the observer does not ask for timing.
-    latency: Vec<u64>,
-    timing: bool,
     /// Whether the next row asks the memo.
     backoff: Backoff,
     /// Rows repaired by replay.
@@ -276,9 +266,9 @@ struct PlanMemo<'a> {
 }
 
 impl<'a> PlanMemo<'a> {
-    fn new(rules: &'a RuleSet, index: &'a LRepairIndex, timing: bool) -> Self {
+    fn new(rules: &'a RuleSet, index: &'a LRepairIndex) -> Self {
         let relevant = index.relevant_attrs();
-        let step_bytes = std::mem::size_of::<Step>() + if timing { 8 } else { 0 };
+        let step_bytes = std::mem::size_of::<Step>();
         let key_bytes = relevant.len() * std::mem::size_of::<Symbol>();
         let plan_bytes = key_bytes
             + std::mem::size_of::<Plan>()
@@ -302,34 +292,23 @@ impl<'a> PlanMemo<'a> {
             keys: Vec::with_capacity((max_plans + 1) * relevant.len()),
             plans: Vec::with_capacity(max_plans),
             steps: Vec::with_capacity(max_steps + MEMO_RUN_STEPS),
-            latency: Vec::with_capacity(if timing {
-                max_steps + MEMO_RUN_STEPS
-            } else {
-                0
-            }),
-            timing,
             backoff: Backoff::default(),
             replayed: 0,
         }
     }
 
     /// Repair `row` in place, by replay if its projection is memoized.
-    /// Returns the applied updates, as `lrepair_tuple_observed` does.
-    fn repair<O: RepairObserver>(
-        &mut self,
-        scratch: &mut LRepairScratch,
-        row: &mut [Symbol],
-        observer: &O,
-    ) -> Vec<CellUpdate> {
+    /// Returns the applied updates, as [`lrepair_tuple`] does.
+    fn repair(&mut self, scratch: &mut LRepairScratch, row: &mut [Symbol]) -> Vec<CellUpdate> {
         let hash = projection_hash(self.relevant, row);
         let (found, slot) = self.find(hash, row);
         self.backoff.asked(found.is_some());
         match found {
             Some(p) => {
                 self.replayed += 1;
-                self.replay(p, scratch, row, observer)
+                self.replay(p, scratch, row)
             }
-            None => self.record(hash, slot, scratch, row, observer),
+            None => self.record(hash, slot, scratch, row),
         }
     }
 
@@ -362,13 +341,12 @@ impl<'a> PlanMemo<'a> {
 
     /// Run `lRepair` on `row` and memoize the run at table slot `slot`,
     /// or at its home slot after starting over when the memo is full.
-    fn record<O: RepairObserver>(
+    fn record(
         &mut self,
         hash: u64,
         mut slot: usize,
         scratch: &mut LRepairScratch,
         row: &mut [Symbol],
-        observer: &O,
     ) -> Vec<CellUpdate> {
         // The key goes in before the run overwrites the row, the pops as
         // they happen.
@@ -377,33 +355,20 @@ impl<'a> PlanMemo<'a> {
             .extend(self.relevant.iter().map(|a| row[a.index()]));
         let mut recorder = Recording {
             steps: &mut self.steps,
-            latency: &mut self.latency,
             start: step_at,
-            timing: self.timing,
             complete: true,
             tallies: None,
         };
-        let updates = lrepair_tuple_recorded(
-            self.rules,
-            self.index,
-            scratch,
-            row,
-            observer,
-            &mut recorder,
-        );
+        let updates = lrepair_tuple_recorded(self.rules, self.index, scratch, row, &mut recorder);
         let Some((probe_hits, enqueued)) = recorder.tallies else {
             self.keys.truncate(key_at);
             self.steps.truncate(step_at);
-            self.latency.truncate(step_at);
             return updates;
         };
         let mut start = step_at;
         if self.plans.len() == self.max_plans || self.steps.len() > self.max_steps {
             keep_from(&mut self.keys, key_at);
             keep_from(&mut self.steps, step_at);
-            if self.timing {
-                keep_from(&mut self.latency, step_at);
-            }
             self.plans.clear();
             self.table.fill(0);
             start = 0;
@@ -419,17 +384,18 @@ impl<'a> PlanMemo<'a> {
         updates
     }
 
-    fn replay<O: RepairObserver>(
+    fn replay(
         &self,
         p: usize,
         scratch: &mut LRepairScratch,
         row: &mut [Symbol],
-        observer: &O,
     ) -> Vec<CellUpdate> {
         let plan = self.plans[p];
-        let range = plan.start as usize..plan.end as usize;
         let mut updates = Vec::new();
-        for (k, (at, step)) in range.clone().zip(&self.steps[range]).enumerate() {
+        for (k, step) in self.steps[plan.start as usize..plan.end as usize]
+            .iter()
+            .enumerate()
+        {
             let rid = step.rule;
             if step.applied {
                 let rule = self.rules.rule(rid);
@@ -437,9 +403,6 @@ impl<'a> PlanMemo<'a> {
                 let old = row[b.index()];
                 let new = rule.fact();
                 row[b.index()] = new;
-                if self.timing {
-                    observer.rule_latency(rid.index(), self.latency[at]);
-                }
                 updates.push(CellUpdate {
                     row: 0,
                     attr: b,
@@ -449,10 +412,7 @@ impl<'a> PlanMemo<'a> {
                     round: k as u32 + 1,
                 });
             } else {
-                observer.rule_rejected(rid.index());
-                if self.timing {
-                    observer.rule_latency(rid.index(), self.latency[at]);
-                }
+                scratch.rejected(rid);
             }
         }
         let probes = row.len() + 2 * updates.len();
@@ -462,7 +422,6 @@ impl<'a> PlanMemo<'a> {
             probes,
             plan.probe_hits as usize,
             plan.enqueued as usize,
-            observer,
         );
         updates
     }
@@ -498,10 +457,8 @@ fn keep_from<T: Copy>(v: &mut Vec<T>, from: usize) {
 /// Appends one miss's pops to a [`PlanMemo`]'s steps.
 struct Recording<'m> {
     steps: &'m mut Vec<Step>,
-    latency: &'m mut Vec<u64>,
     /// Where the run's steps begin.
     start: usize,
-    timing: bool,
     /// Whether every pop so far fit in [`MEMO_RUN_STEPS`].
     complete: bool,
     /// The run's probe hits and enqueues, once it is over, if the memo can
@@ -511,15 +468,12 @@ struct Recording<'m> {
 
 impl RunRecorder for Recording<'_> {
     #[inline]
-    fn pop(&mut self, rule: RuleId, applied: bool, ns: u64) {
+    fn pop(&mut self, rule: RuleId, applied: bool) {
         if self.steps.len() - self.start == MEMO_RUN_STEPS {
             self.complete = false;
             return;
         }
         self.steps.push(Step { rule, applied });
-        if self.timing {
-            self.latency.push(ns);
-        }
     }
 
     #[inline]

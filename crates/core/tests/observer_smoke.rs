@@ -109,7 +109,7 @@ fn attribution_observer_matches_plain_and_attributes_per_rule() {
     let out_plain = lrepair_table(&rules, &index, &mut plain, &NoopObserver);
 
     let registry = MetricsRegistry::new();
-    let attribution = AttributionObserver::new(&registry, labels()).with_timing(true);
+    let attribution = AttributionObserver::new(&registry, labels());
     let mut attributed = table.clone();
     let out_attr = lrepair_table(&rules, &index, &mut attributed, &attribution);
 
@@ -121,20 +121,15 @@ fn attribution_observer_matches_plain_and_attributes_per_rule() {
     let profile = attribution.profile();
     let total: u64 = profile.rows.iter().map(|r| r.applied).sum();
     assert_eq!(total as usize, out_plain.total_updates());
-    let applied_of = |rule: &str| {
-        profile
-            .rows
-            .iter()
-            .find(|r| r.rule == rule)
-            .map(|r| r.applied)
-            .unwrap()
-    };
-    // setup(): China rows are even, Hongkong sits at i % 4 == 2 (r0 fires);
-    // Canada rows are odd, Toronto at i % 4 == 3 (r1 fires).
-    assert_eq!(applied_of("r0"), 500);
-    assert_eq!(applied_of("r1"), 500);
-    // Timing was opted in, so latency histograms actually sampled.
-    assert!(profile.rows.iter().any(|r| r.latency_samples > 0));
+    let row_of = |rule: &str| profile.rows.iter().find(|r| r.rule == rule).unwrap();
+    // setup(): China rows are even, Hongkong sits at i % 4 == 2 (r0 fires)
+    // and Beijing at i % 4 == 0 (r0 is popped and rejected); Canada rows
+    // are odd, Toronto at i % 4 == 3 (r1 fires) and Shanghai at i % 4 == 1
+    // (r1 is rejected). The rejections arrive batched, once per rule.
+    for rule in ["r0", "r1"] {
+        assert_eq!(row_of(rule).applied, 500, "{rule}");
+        assert_eq!(row_of(rule).rejected, 500, "{rule}");
+    }
     // The same split is scrapeable as labeled registry series.
     let snap = registry.snapshot();
     assert_eq!(
@@ -170,7 +165,7 @@ fn noop_observer_overhead_is_negligible() {
     let plain = best_of(&|t| {
         lrepair_table(&rules, &index, t, &NoopObserver);
     });
-    // The attribution observer (timing off) is relaxed atomics per hook —
+    // The attribution observer is relaxed atomics per hook —
     // slower than no-op, but it must stay in the same ballpark too.
     let registry = MetricsRegistry::new();
     let attribution = AttributionObserver::new(&registry, labels());

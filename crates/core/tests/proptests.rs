@@ -465,20 +465,17 @@ fn pool() -> impl Strategy<Value = Vec<Vec<Symbol>>> {
         })
 }
 
-/// Every hook call in order, minus latencies' nanoseconds and the
+/// Every hook call in order, batched rejections included, minus the
 /// per-worker event.
 #[derive(Default)]
 struct HookLog(Mutex<Vec<String>>);
 
 impl RepairObserver for HookLog {
-    fn rule_rejected(&self, rule: usize) {
-        self.0.lock().unwrap().push(format!("rejected {rule}"));
-    }
-    fn rule_latency(&self, rule: usize, _ns: u64) {
-        self.0.lock().unwrap().push(format!("latency {rule}"));
-    }
-    fn wants_rule_timing(&self) -> bool {
-        true
+    fn rule_rejected(&self, rule: usize, count: usize) {
+        self.0
+            .lock()
+            .unwrap()
+            .push(format!("rejected {rule} {count}"));
     }
     fn cell_repaired(&self, fix: CellFix) {
         self.0.lock().unwrap().push(format!("{fix:?}"));
@@ -513,7 +510,6 @@ fn observed_repair(
     index: &LRepairIndex,
     table: &Table,
     threads: Option<usize>,
-    timing: bool,
 ) -> Observed {
     let registry = MetricsRegistry::new();
     let metrics = MetricsObserver::new(&registry);
@@ -525,7 +521,7 @@ fn observed_repair(
             attr: rs.schema().attr_name(rs.rules()[i].b()).to_string(),
         })
         .collect();
-    let attribution = AttributionObserver::new(&MetricsRegistry::new(), labels).with_timing(timing);
+    let attribution = AttributionObserver::new(&MetricsRegistry::new(), labels);
     let both = Tee(&metrics, &provenance);
     let observer = Tee(&both, &attribution);
     let mut repaired = table.clone();
@@ -555,11 +551,11 @@ fn observed_repair(
 
 /// `par_lrepair_table` at 1–4 workers observes like `lrepair_table`, and
 /// at one worker makes the very same hook calls in the same order.
-fn assert_memo_is_exact(rs: &RuleSet, table: &Table, timing: bool) -> Result<(), String> {
+fn assert_memo_is_exact(rs: &RuleSet, table: &Table) -> Result<(), String> {
     let index = LRepairIndex::build(rs);
-    let sequential = observed_repair(rs, &index, table, None, timing);
+    let sequential = observed_repair(rs, &index, table, None);
     for threads in 1..=4 {
-        let parallel = observed_repair(rs, &index, table, Some(threads), timing);
+        let parallel = observed_repair(rs, &index, table, Some(threads));
         prop_assert!(
             parallel == sequential,
             "{} workers differ from lrepair_table",
@@ -587,14 +583,13 @@ proptest! {
         pool in pool(),
         picks in proptest::collection::vec(0usize..16, 1..300),
         noise in proptest::collection::vec(0u32..VOCAB + 40, 1..64),
-        timing in any::<bool>(),
     ) {
         let table = pooled_table(&rs, &pool, &picks, &noise);
-        assert_memo_is_exact(&rs, &table, timing)?;
+        assert_memo_is_exact(&rs, &table)?;
         let mut consistent = rs;
         ensure_consistent(&mut consistent, ResolveStrategy::ShrinkNegatives);
         let table = pooled_table(&consistent, &pool, &picks, &noise);
-        assert_memo_is_exact(&consistent, &table, timing)?;
+        assert_memo_is_exact(&consistent, &table)?;
     }
 }
 
@@ -607,7 +602,6 @@ proptest! {
         rs in rulesets_sparing_a4(),
         pool in pool(),
         distinct in 4_100usize..4_600,
-        timing in any::<bool>(),
     ) {
         let index = LRepairIndex::build(&rs);
         let Some(&first) = index.relevant_attrs().first() else {
@@ -622,6 +616,6 @@ proptest! {
             table.push_row(&row).unwrap();
             table.push_row(&row).unwrap();
         }
-        assert_memo_is_exact(&rs, &table, timing)?;
+        assert_memo_is_exact(&rs, &table)?;
     }
 }

@@ -1,4 +1,4 @@
-//! Per-rule attribution: which fixing rules do the work, and at what cost.
+//! Per-rule attribution: which fixing rules do the work.
 //!
 //! [`AttributionObserver`] is a [`RepairObserver`] that splits the
 //! aggregate repair counters by rule, writing labeled series
@@ -7,13 +7,11 @@
 //! [`AttributionProfile`] report. The hot path stays the usual relaxed
 //! atomics: handles for every known rule are resolved at construction.
 //!
-//! The profile has two renderings with different determinism contracts:
-//!
-//! * [`AttributionProfile::render_table`] — human-ranked table including
-//!   latency quantiles (wall-clock, run-dependent);
-//! * [`AttributionProfile::to_json`] — machine output restricted to
-//!   deterministic fields (counts and latency *sample counts*, never
-//!   nanoseconds), so two identical runs serialize byte-identically.
+//! Every figure in the profile is a count that is a pure function of the
+//! input, so both renderings — the ranked
+//! [`AttributionProfile::render_table`] and the machine
+//! [`AttributionProfile::to_json`] — are byte-identical across identical
+//! runs and across worker counts.
 //!
 //! This crate stays a leaf: rules are described by plain
 //! [`RuleLabel`] strings the caller derives from its rule set.
@@ -21,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::Json;
-use crate::metrics::{Counter, Histogram, MetricsRegistry};
+use crate::metrics::{Counter, MetricsRegistry};
 use crate::observer::{CellFix, RepairObserver};
 
 /// Caller-supplied description of one rule, used both as metric labels and
@@ -38,9 +36,7 @@ pub struct RuleLabel {
 #[derive(Debug, Clone)]
 struct RuleSeries {
     applied: Counter,
-    cells: Counter,
     rejected: Counter,
-    latency: Histogram,
 }
 
 impl RuleSeries {
@@ -48,26 +44,19 @@ impl RuleSeries {
         let labels: &[(&str, &str)] = &[("attr", &label.attr), ("rule", &label.rule)];
         RuleSeries {
             applied: registry.counter_with("repair.rule.applied", labels),
-            cells: registry.counter_with("repair.rule.cells", labels),
             rejected: registry.counter_with("repair.rule.rejected", labels),
-            latency: registry.histogram_with("repair.rule.latency_ns", labels),
         }
     }
 }
 
 /// A [`RepairObserver`] that attributes repair work to individual rules.
 ///
-/// Out-of-range rule ids (possible when the observer outlives a rule-set
-/// reload) aggregate into a catch-all `rule="other"` series rather than
-/// being dropped. Enable `with_timing` to also collect per-rule latency
-/// histograms; [`RepairObserver::wants_rule_timing`] then tells the
-/// drivers to measure.
+/// It is built from the labels of the rule set it watches, one per rule,
+/// so every rule id a repair of that set reports has a series.
 #[derive(Debug, Clone)]
 pub struct AttributionObserver {
     labels: Vec<RuleLabel>,
     rules: Vec<RuleSeries>,
-    other: RuleSeries,
-    timing: bool,
 }
 
 impl AttributionObserver {
@@ -78,31 +67,7 @@ impl AttributionObserver {
             .iter()
             .map(|l| RuleSeries::new(registry, l))
             .collect();
-        let other = RuleSeries::new(
-            registry,
-            &RuleLabel {
-                rule: "other".to_string(),
-                attr: "?".to_string(),
-            },
-        );
-        AttributionObserver {
-            labels,
-            rules,
-            other,
-            timing: false,
-        }
-    }
-
-    /// Enable per-rule latency collection (drivers consult
-    /// [`RepairObserver::wants_rule_timing`]).
-    pub fn with_timing(mut self, timing: bool) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    #[inline]
-    fn series(&self, rule: usize) -> &RuleSeries {
-        self.rules.get(rule).unwrap_or(&self.other)
+        AttributionObserver { labels, rules }
     }
 
     /// Snapshot the per-rule aggregates as a report.
@@ -115,27 +80,9 @@ impl AttributionObserver {
                 rule: label.rule.clone(),
                 attr: label.attr.clone(),
                 applied: s.applied.get(),
-                cells: s.cells.get(),
                 rejected: s.rejected.get(),
-                latency_samples: s.latency.count(),
-                latency_sum_ns: s.latency.sum(),
-                latency_p50_ns: s.latency.quantile(0.50),
-                latency_p99_ns: s.latency.quantile(0.99),
             })
             .collect();
-        if self.other.applied.get() + self.other.rejected.get() + self.other.cells.get() > 0 {
-            rows.push(ProfileRow {
-                rule: "other".to_string(),
-                attr: "?".to_string(),
-                applied: self.other.applied.get(),
-                cells: self.other.cells.get(),
-                rejected: self.other.rejected.get(),
-                latency_samples: self.other.latency.count(),
-                latency_sum_ns: self.other.latency.sum(),
-                latency_p50_ns: self.other.latency.quantile(0.50),
-                latency_p99_ns: self.other.latency.quantile(0.99),
-            });
-        }
         // Ranked: most applications first; ties broken by declaration
         // order (stable sort), so the ranking is deterministic.
         rows.sort_by_key(|r| std::cmp::Reverse(r.applied));
@@ -146,24 +93,13 @@ impl AttributionObserver {
 impl RepairObserver for AttributionObserver {
     #[inline]
     fn cell_repaired(&self, fix: CellFix) {
-        let series = self.series(fix.rule);
-        series.applied.inc();
-        series.cells.inc();
+        // Each fix is one application.
+        self.rules[fix.rule].applied.inc();
     }
 
     #[inline]
-    fn rule_rejected(&self, rule: usize) {
-        self.series(rule).rejected.inc();
-    }
-
-    #[inline]
-    fn rule_latency(&self, rule: usize, ns: u64) {
-        self.series(rule).latency.record(ns);
-    }
-
-    #[inline]
-    fn wants_rule_timing(&self) -> bool {
-        self.timing
+    fn rule_rejected(&self, rule: usize, count: usize) {
+        self.rules[rule].rejected.add(count as u64);
     }
 }
 
@@ -172,16 +108,10 @@ impl RepairObserver for AttributionObserver {
 pub struct ProfileRow {
     pub rule: String,
     pub attr: String,
-    /// Rule applications.
+    /// Rule applications, one per repaired cell.
     pub applied: u64,
-    /// Cells repaired, attributed via the provenance hook.
-    pub cells: u64,
     /// Evaluations that probed the rule's evidence and missed.
     pub rejected: u64,
-    pub latency_samples: u64,
-    pub latency_sum_ns: u64,
-    pub latency_p50_ns: u64,
-    pub latency_p99_ns: u64,
 }
 
 /// Ranked per-rule report from [`AttributionObserver::profile`].
@@ -197,24 +127,18 @@ impl AttributionProfile {
         self.rows.iter().filter(|r| r.applied == 0).collect()
     }
 
-    /// Human-readable ranked table, latency quantiles included. Not
-    /// byte-deterministic across runs (wall-clock); use [`Self::to_json`]
-    /// for machine consumption.
+    /// Human-readable ranked table, with a note naming the rules that
+    /// never fired.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<8} {:<12} {:>10} {:>10} {:>10} {:>12} {:>12}\n",
-            "rule", "attr", "applied", "cells", "rejected", "p50(ns)", "p99(ns)"
+            "{:<8} {:<12} {:>10} {:>10}\n",
+            "rule", "attr", "applied", "rejected"
         ));
         for r in &self.rows {
-            let (p50, p99) = if r.latency_samples > 0 {
-                (r.latency_p50_ns.to_string(), r.latency_p99_ns.to_string())
-            } else {
-                ("-".to_string(), "-".to_string())
-            };
             out.push_str(&format!(
-                "{:<8} {:<12} {:>10} {:>10} {:>10} {:>12} {:>12}\n",
-                r.rule, r.attr, r.applied, r.cells, r.rejected, p50, p99
+                "{:<8} {:<12} {:>10} {:>10}\n",
+                r.rule, r.attr, r.applied, r.rejected
             ));
         }
         let unfired = self.never_fired();
@@ -229,10 +153,8 @@ impl AttributionProfile {
         out
     }
 
-    /// Deterministic JSON: ranked rows restricted to counts that are a
-    /// pure function of the input (no nanosecond values — only the
-    /// *number* of latency samples). Two identical runs serialize
-    /// byte-identically.
+    /// The ranked rows and their totals as JSON. Two identical runs
+    /// serialize byte-identically.
     pub fn to_json(&self) -> Json {
         let rows: Vec<Json> = self
             .rows
@@ -242,9 +164,7 @@ impl AttributionProfile {
                     ("rule", Json::from(r.rule.as_str())),
                     ("attr", Json::from(r.attr.as_str())),
                     ("applied", Json::from(r.applied)),
-                    ("cells", Json::from(r.cells)),
                     ("rejected", Json::from(r.rejected)),
-                    ("latency_samples", Json::from(r.latency_samples)),
                 ])
             })
             .collect();
@@ -252,10 +172,6 @@ impl AttributionProfile {
             (
                 "applied",
                 Json::from(self.rows.iter().map(|r| r.applied).sum::<u64>()),
-            ),
-            (
-                "cells",
-                Json::from(self.rows.iter().map(|r| r.cells).sum::<u64>()),
             ),
             (
                 "rejected",
@@ -311,14 +227,15 @@ mod tests {
         obs.cell_repaired(fix(1));
         obs.cell_repaired(fix(1));
         obs.cell_repaired(fix(0));
-        obs.rule_rejected(0);
-        obs.rule_rejected(2);
+        obs.rule_rejected(0, 1);
+        obs.rule_rejected(2, 3);
+        obs.rule_rejected(2, 1);
         let profile = obs.profile();
         assert_eq!(profile.rows[0].rule, "r1");
         assert_eq!(profile.rows[0].applied, 2);
-        assert_eq!(profile.rows[0].cells, 2);
         assert_eq!(profile.rows[1].rule, "r0");
         assert_eq!(profile.rows[1].rejected, 1);
+        assert_eq!(profile.rows[2].rejected, 4);
         // r2 never fired and shows up in the dead-rule summary.
         let unfired: Vec<&str> = profile
             .never_fired()
@@ -339,58 +256,34 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_rules_hit_the_catch_all() {
-        let reg = MetricsRegistry::new();
-        let obs = AttributionObserver::new(&reg, labels());
-        obs.cell_repaired(fix(99));
-        let profile = obs.profile();
-        let other = profile.rows.iter().find(|r| r.rule == "other").unwrap();
-        assert_eq!(other.applied, 1);
-    }
-
-    #[test]
     fn profile_json_is_deterministic_and_free_of_wall_clock() {
         let run = || {
             let reg = MetricsRegistry::new();
-            let obs = AttributionObserver::new(&reg, labels()).with_timing(true);
+            let obs = AttributionObserver::new(&reg, labels());
             obs.cell_repaired(fix(0));
-            obs.rule_rejected(1);
-            // Latency values differ between "runs" but only the sample
-            // count may appear in the JSON.
-            obs.rule_latency(0, 1000 + reg.counter("seed").get());
+            obs.rule_rejected(1, 2);
             obs.profile().to_json().to_string()
         };
         let a = run();
         let b = run();
         assert_eq!(a, b);
         assert!(!a.contains("_ns"), "profile JSON leaks nanoseconds: {a}");
-        assert!(a.contains("\"latency_samples\": 1") || a.contains("\"latency_samples\":1"));
+        assert!(a.contains("\"rejected\":2"), "{a}");
     }
 
     #[test]
-    fn timing_opt_in_propagates_through_tee_and_refs() {
+    fn hooks_reach_attribution_through_tee_and_refs() {
         let reg = MetricsRegistry::new();
-        let plain = AttributionObserver::new(&reg, labels());
-        assert!(!plain.wants_rule_timing());
-        let timed = plain.clone().with_timing(true);
-        assert!(timed.wants_rule_timing());
+        let attribution = AttributionObserver::new(&reg, labels());
         let noop = NoopObserver;
-        let tee = Tee(&noop, &timed);
-        assert!(tee.wants_rule_timing());
-        // Blanket &T forwarding keeps both the hooks and the timing flag.
-        let via_ref: &dyn RepairObserver = &timed;
-        assert!((&via_ref).wants_rule_timing());
+        Tee(&noop, &attribution).rule_rejected(1, 5);
+        // Blanket &T forwarding keeps the hooks.
+        let via_ref: &dyn RepairObserver = &attribution;
         (&via_ref).cell_repaired(fix(0));
-        assert_eq!(
-            timed
-                .profile()
-                .rows
-                .iter()
-                .find(|r| r.rule == "r0")
-                .unwrap()
-                .applied,
-            1
-        );
+        let profile = attribution.profile();
+        let row = |rule: &str| profile.rows.iter().find(|r| r.rule == rule).unwrap();
+        assert_eq!(row("r0").applied, 1);
+        assert_eq!(row("r1").rejected, 5);
     }
 
     #[test]

@@ -288,7 +288,7 @@ mod tests {
         reg.counter_with("repair.rule.applied", &[("rule", "r0"), ("attr", "city")])
             .add(3);
         reg.gauge("fixd.symbols").set(42);
-        let h = reg.histogram_with("repair.rule.latency_ns", &[("rule", "r0")]);
+        let h = reg.histogram_with("http.latency_ns", &[("endpoint", "repair")]);
         h.record(100);
         h.record(200);
         let text = prometheus_text(&reg.snapshot());
@@ -302,20 +302,17 @@ mod tests {
             text.contains("repair_rule_applied{attr=\"city\",rule=\"r0\"} 3"),
             "{text}"
         );
+        assert!(text.contains("# TYPE http_latency_ns summary"), "{text}");
         assert!(
-            text.contains("# TYPE repair_rule_latency_ns summary"),
+            text.contains("http_latency_ns{endpoint=\"repair\",quantile=\"0.5\"}"),
             "{text}"
         );
         assert!(
-            text.contains("repair_rule_latency_ns{rule=\"r0\",quantile=\"0.5\"}"),
+            text.contains("http_latency_ns_count{endpoint=\"repair\"} 2"),
             "{text}"
         );
         assert!(
-            text.contains("repair_rule_latency_ns_count{rule=\"r0\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("repair_rule_latency_ns_sum{rule=\"r0\"} 300"),
+            text.contains("http_latency_ns_sum{endpoint=\"repair\"} 300"),
             "{text}"
         );
 

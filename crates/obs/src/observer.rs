@@ -1,10 +1,12 @@
 //! Observer hooks for the repair pipeline.
 //!
-//! The repair drivers in `fixrules` are generic over a [`RepairObserver`];
+//! The table drivers in `fixrules` are generic over a [`RepairObserver`];
 //! every hook has an empty default body and the drivers' public entry
 //! points pass [`NoopObserver`], so the instrumented code monomorphizes to
 //! exactly the uninstrumented hot path when observability is off — zero
-//! branches, zero atomics. [`MetricsObserver`] is the production
+//! branches, zero atomics. lRepair's per-tuple code calls no observer at
+//! all: it tallies in worker-local memory, which the drivers hand over in
+//! batches. [`MetricsObserver`] is the production
 //! implementation, fanning each hook into [`MetricsRegistry`] counters and
 //! histograms under the documented names.
 //!
@@ -92,9 +94,10 @@ pub enum Event {
 
 /// Hooks called from the repair stack. All default to no-ops.
 ///
-/// The per-rule, per-tuple and per-row hooks are methods of their own so
-/// the drivers' hot loops call them directly; everything rarer arrives
-/// through [`RepairObserver::event`].
+/// The per-tuple and per-rule tallies arrive batched
+/// ([`RepairObserver::tuples_done`], [`RepairObserver::rule_rejected`]),
+/// and the table drivers call the per-fix hook once per returned update;
+/// everything rarer arrives through [`RepairObserver::event`].
 ///
 /// `Sync` is required because the parallel driver shares one observer
 /// across workers.
@@ -120,30 +123,15 @@ pub trait RepairObserver: Sync {
         let _ = fix;
     }
 
-    /// A rule was evaluated against a tuple's evidence but did not fire —
-    /// an evidence-pattern mismatch, an already-assured B cell, or a
-    /// failed post-probe re-verification. The per-rule miss companion to
-    /// [`RepairObserver::cell_repaired`].
+    /// `rule` was evaluated against a tuple's evidence `count` times
+    /// without firing — an evidence-pattern mismatch, an already-assured B
+    /// cell, or a failed post-probe re-verification. The per-rule miss
+    /// companion to [`RepairObserver::cell_repaired`]. `cRepair` passes
+    /// `count = 1` per miss; the lRepair workers tally misses per rule and
+    /// hand them over with [`RepairObserver::tuples_done`]'s batches.
     #[inline]
-    fn rule_rejected(&self, rule: usize) {
-        let _ = rule;
-    }
-
-    /// Wall-clock nanoseconds one evaluation of `rule` took (whether it
-    /// fired or not). Drivers only call this when
-    /// [`RepairObserver::wants_rule_timing`] returns true, so the
-    /// `Instant::now` pair is skipped entirely otherwise.
-    #[inline]
-    fn rule_latency(&self, rule: usize, ns: u64) {
-        let _ = (rule, ns);
-    }
-
-    /// Whether this observer consumes [`RepairObserver::rule_latency`].
-    /// Defaults to false; under [`NoopObserver`] the drivers' timing
-    /// branches monomorphize away, keeping the uninstrumented hot path.
-    #[inline]
-    fn wants_rule_timing(&self) -> bool {
-        false
+    fn rule_rejected(&self, rule: usize, count: usize) {
+        let _ = (rule, count);
     }
 
     /// One cold [`Event`] from a repair driver or an analysis report.
@@ -168,18 +156,8 @@ impl<T: RepairObserver + ?Sized> RepairObserver for &T {
     }
 
     #[inline]
-    fn rule_rejected(&self, rule: usize) {
-        (**self).rule_rejected(rule);
-    }
-
-    #[inline]
-    fn rule_latency(&self, rule: usize, ns: u64) {
-        (**self).rule_latency(rule, ns);
-    }
-
-    #[inline]
-    fn wants_rule_timing(&self) -> bool {
-        (**self).wants_rule_timing()
+    fn rule_rejected(&self, rule: usize, count: usize) {
+        (**self).rule_rejected(rule, count);
     }
 
     #[inline]
@@ -213,20 +191,9 @@ impl<A: RepairObserver + ?Sized, B: RepairObserver + ?Sized> RepairObserver for 
     }
 
     #[inline]
-    fn rule_rejected(&self, rule: usize) {
-        self.0.rule_rejected(rule);
-        self.1.rule_rejected(rule);
-    }
-
-    #[inline]
-    fn rule_latency(&self, rule: usize, ns: u64) {
-        self.0.rule_latency(rule, ns);
-        self.1.rule_latency(rule, ns);
-    }
-
-    #[inline]
-    fn wants_rule_timing(&self) -> bool {
-        self.0.wants_rule_timing() || self.1.wants_rule_timing()
+    fn rule_rejected(&self, rule: usize, count: usize) {
+        self.0.rule_rejected(rule, count);
+        self.1.rule_rejected(rule, count);
     }
 
     #[inline]
@@ -565,8 +532,7 @@ mod tests {
             new: 11,
             round: 1,
         });
-        o.rule_rejected(0);
-        o.rule_latency(1, 500);
+        o.rule_rejected(0, 2);
         for e in every_event() {
             o.event(e);
         }
@@ -592,7 +558,6 @@ mod tests {
         let tee = Tee(&m1 as &dyn RepairObserver, &m2 as &dyn RepairObserver);
         let dynamic: &dyn RepairObserver = &tee;
         drive(&dynamic);
-        assert!(!dynamic.wants_rule_timing());
         assert_eq!(reg1.snapshot().to_string(), direct);
         assert_eq!(reg2.snapshot().to_string(), direct);
     }

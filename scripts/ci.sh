@@ -240,8 +240,9 @@ done
 echo "-- repair at 2 and the default worker count match 1 worker: CSV, repair.* counters, per-tuple histograms, --profile-json, provenance, rule texts"
 # The other data commands stream the same file through the same pipeline:
 # detect (repair's lRepair workers, rows discarded), stats and check print
-# the same at every worker count, and coverage's profile is repair's with
-# rule timing on (coverage always times rules).
+# the same at every worker count, and coverage's profile is repair's.
+# --profile only prints the table: with it, repair writes the same
+# --profile-json at 1 and 2 workers.
 for cmd in detect stats check; do
     for threads in 1 2 default; do
         threads_args=()
@@ -258,18 +259,23 @@ for cmd in detect stats check; do
 done
 grep -q ' planned update(s) across ' "$TRACE_DIR/detect_1.out" \
     || { echo "detect printed no summary" >&2; exit 1; }
-"$FIXCTL" repair \
-    --rules examples/rulesets/hosp_zip.frl \
-    --data "$TRACE_DIR/hosp_dup.csv" \
-    --out "$TRACE_DIR/eng_profiled.csv" \
-    --profile --profile-json "$TRACE_DIR/eng_profile_timed.json" >/dev/null
+for threads in 1 2; do
+    "$FIXCTL" repair \
+        --rules examples/rulesets/hosp_zip.frl \
+        --data "$TRACE_DIR/hosp_dup.csv" \
+        --threads "$threads" \
+        --out "$TRACE_DIR/eng_profiled.csv" \
+        --profile --profile-json "$TRACE_DIR/eng_profile_table_$threads.json" >/dev/null
+    cmp "$TRACE_DIR/eng_profile_lrepair_$threads.json" "$TRACE_DIR/eng_profile_table_$threads.json" \
+        || { echo "--profile changed --profile-json at $threads workers" >&2; exit 1; }
+done
 "$FIXCTL" coverage \
     --rules examples/rulesets/hosp_zip.frl \
     --data "$TRACE_DIR/hosp_dup.csv" \
     --profile-json "$TRACE_DIR/coverage_profile.json" >/dev/null
-cmp "$TRACE_DIR/eng_profile_timed.json" "$TRACE_DIR/coverage_profile.json" \
-    || { echo "coverage --profile-json differs from repair --profile --profile-json" >&2; exit 1; }
-echo "-- detect, stats and check match at 1, 2 and the default worker count; coverage's profile matches repair --profile's"
+cmp "$TRACE_DIR/eng_profile_lrepair_1.json" "$TRACE_DIR/coverage_profile.json" \
+    || { echo "coverage --profile-json differs from repair --profile-json" >&2; exit 1; }
+echo "-- detect, stats and check match at 1, 2 and the default worker count; --profile leaves --profile-json as it is; coverage's profile matches repair's"
 
 echo "== rule printing does not depend on the data =="
 # Σ's constants are numbered as the rule file lists them, so a rule prints
@@ -375,7 +381,7 @@ echo "-- sorted and scrambled rows repair to the same rows at 1 and 2 workers"
 
 echo "== attribution profile determinism smoke =="
 # Two identical --profile-json runs must be byte-identical: the profile
-# deliberately excludes measured nanoseconds (DESIGN.md §13).
+# holds only counts (DESIGN.md §13).
 for run in 1 2; do
     "$FIXCTL" repair \
         --rules examples/rulesets/hosp_zip.frl \
